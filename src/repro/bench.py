@@ -670,18 +670,19 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
 
     * **bytes_per_idle_user** — every registered user is parked in a
       :class:`~repro.serve.hibernate.HibernationStore` as a real,
-      wakeable compressed document (a per-user rewrite of a template
-      session's canonical JSON — verified by waking a sample), and the
-      store's resident bytes are divided by the population;
+      wakeable compressed document (a template session's document
+      with the frame's user_id column and CRC rewritten per user —
+      verified by waking a sample), and the store's resident bytes are
+      divided by the population;
     * **bytes_per_active_user** — a sample of engine-backed sessions is
       fed ``IDLE_STEADY_S`` stream seconds (past the pruning horizon)
       and measured with ``tracemalloc``, capturing the *true* python +
       numpy resident cost, with the engine's own ``streaming_nbytes``
       accounting recorded alongside;
     * **wake latency percentiles** — hibernated users are woken one by
-      one through ``SessionShard.session_for`` (inflate + bit-exact
-      replay), p50/p95/p99 over the sample, plus the worst-case wake of
-      a full steady-state session;
+      one through ``SessionShard.session_for`` (inflate, CRC check,
+      one bit-exact ``feed_batch``), p50/p95/p99 over the sample, plus
+      the worst-case wake of a full steady-state session;
     * **flat-ceiling soak** — one engine is fed an
       ``IDLE_SOAK_HOURS``-equivalent stream as back-to-back time-shifted
       60 s reps with a cadence estimate per rep; the resident-bytes
@@ -696,10 +697,8 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
 
     from .serve.checkpoint import session_state_from_doc, \
         session_state_to_doc
-    from .serve.hibernate import HibernationStore, blob_to_doc, \
-        compress_doc_text, doc_to_blob
+    from .serve.hibernate import HibernationStore, blob_to_doc, doc_to_blob
     from .serve.session import SessionConfig, SessionShard, UserSession
-    from .epc.codec import EPC96
 
     registered = IDLE_QUICK_REGISTERED if quick else IDLE_FULL_REGISTERED
     active_users = int(registered * IDLE_ACTIVE_FRACTION)
@@ -739,32 +738,29 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
 
     # ---- bytes per IDLE user: park the whole registered fleet -------
     # A template session (the idle profile: a brief burst, then quiet)
-    # is serialised once; each user's blob is a canonical-JSON rewrite
-    # of the template (their user_id, their EPCs) — byte-identical to
+    # is captured once; each user's document rewrites the template
+    # frame's user_id column (and so its CRC) — byte-identical to
     # hibernating that user for real, and wakeable, at a fraction of
     # the cost of building a million engines.
     template = UserSession(1, config)
     for report in reports[:IDLE_TEMPLATE_REPORTS]:
         template.ingest(report)
-    template_doc = session_state_to_doc(template.state())
-    template_doc["hibernated"] = True
-    template_text = json.dumps(template_doc, separators=(",", ":"),
-                               sort_keys=True)
-    tag_ids = sorted({r.tag_id for r in reports[:IDLE_TEMPLATE_REPORTS]})
-    old_hexes = [f'"{EPC96.from_user_tag(1, tag).to_hex()}"'
-                 for tag in tag_ids]
+    template_state = template.state()
+    template_state["hibernated"] = True
+    rows = template_state["batch"]
     store = HibernationStore()
     t0 = time.perf_counter()
     for uid in range(1, registered + 1):
-        text = template_text.replace('"user_id":1', f'"user_id":{uid}')
-        for tag, old in zip(tag_ids, old_hexes):
-            text = text.replace(
-                old, f'"{EPC96.from_user_tag(uid, tag).to_hex()}"')
-        store.put_blob(uid, compress_doc_text(text))
+        user_rows = ReportBatch(
+            rows.t, rows.phase, rows.rssi, rows.doppler, rows.channel,
+            rows.antenna, np.full(len(rows), uid, dtype=np.uint64),
+            rows.tag_id)
+        store.put(uid, session_state_to_doc(
+            dict(template_state, user_id=uid, batch=user_rows)))
     registration_s = time.perf_counter() - t0
     bytes_per_idle = store.resident_bytes() / registered
 
-    # ---- wake latency: inflate + bit-exact replay per user ----------
+    # ---- wake latency: inflate + CRC check + one feed_batch per user -
     shard = SessionShard(0, config, publish=lambda message: None)
     wake_ids = list(range(1, wake_sample + 1))
     for uid in wake_ids:
@@ -784,7 +780,7 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     t0 = time.perf_counter()
     steady_state = session_state_from_doc(blob_to_doc(steady_blob))
     steady_session = UserSession(1, config)
-    steady_session.restore(steady_state, steady_state["reports"])
+    steady_session.restore(steady_state)
     wake_steady_s = time.perf_counter() - t0
     del steady_session
 

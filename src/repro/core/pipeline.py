@@ -33,7 +33,8 @@ from __future__ import annotations
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -124,8 +125,9 @@ class _StreamBuffer:
     The streaming hot path appends scalars to plain python lists (six
     ``list.append`` calls — cheaper than building an object per report),
     and the batched path bulk-extends from numpy columns; ``TagReport``
-    objects are materialised only on the cold paths (checkpointing,
-    recompute-reference ticks).  Timestamps are strictly increasing by
+    objects are materialised only on the cold paths (recompute-reference
+    ticks, :meth:`TagBreathe.buffered_reports`); checkpoints gather the
+    columns straight into a batch.  Timestamps are strictly increasing by
     the feed contract, so windowing and pruning are binary searches.
 
     ``since_prune`` is the per-stream accepted-reports counter behind
@@ -1057,26 +1059,63 @@ class TagBreathe:
         return sorted({key[0] for key, buf in self._report_buffers.items()
                        if len(buf)})
 
-    def buffered_reports(self, user_id: Optional[int] = None) -> List[TagReport]:
-        """The streamed reports currently buffered, timestamp-ordered.
+    def buffered_batch(self, user_id: Optional[int] = None) -> ReportBatch:
+        """The streamed reports currently buffered, as one column batch.
 
         Args:
             user_id: restrict to one user (default: all users).
 
         This is the engine's whole recoverable streaming state: feeding
-        the returned reports into a fresh engine (see
-        :meth:`restore_streaming`) reproduces every subsequent
-        :meth:`estimate_user` result, which is how :mod:`repro.serve`
-        checkpoints a live monitoring session.  Reports older than the
-        bounded-memory horizon (~4 analysis windows) have already been
-        pruned and are not part of the state.
+        the batch into a fresh engine (see :meth:`restore_streaming`)
+        reproduces every subsequent :meth:`estimate_user` result, which
+        is how :mod:`repro.serve` checkpoints, hibernates and migrates a
+        live monitoring session.  The per-stream buffer columns are
+        gathered straight into the batch — no ``TagReport`` is built —
+        and rows come timestamp-ordered, ties in stream-creation order
+        (exactly the :meth:`buffered_reports` order).  Reports older
+        than the bounded-memory horizon (~4 analysis windows) have
+        already been pruned and are not part of the state.
         """
-        reports: List[TagReport] = []
+        t: List[float] = []
+        phase: List[float] = []
+        rssi: List[float] = []
+        doppler: List[float] = []
+        channel: List[int] = []
+        antenna: List[int] = []
+        keys: List[StreamKey] = []
+        counts: List[int] = []
         for key, buffer in self._report_buffers.items():
-            if user_id is None or key[0] == user_id:
-                reports.extend(buffer.reports())
-        reports.sort(key=lambda r: r.timestamp_s)
-        return reports
+            if not len(buffer) or (user_id is not None
+                                   and key[0] != user_id):
+                continue
+            t += buffer.t
+            phase += buffer.phase
+            rssi += buffer.rssi
+            doppler += buffer.doppler
+            channel += buffer.channel
+            antenna += buffer.antenna
+            keys.append(key)
+            counts.append(len(buffer))
+        stream_keys = np.array(keys, dtype=np.uint64).reshape(-1, 2)
+        t_column = np.array(t, dtype=np.float64)
+        order = np.argsort(t_column, kind="stable")
+        return ReportBatch(*(column[order] for column in (
+            t_column,
+            np.array(phase, dtype=np.float64),
+            np.array(rssi, dtype=np.float64),
+            np.array(doppler, dtype=np.float64),
+            np.array(channel, dtype=np.int64),
+            np.array(antenna, dtype=np.int64),
+            np.repeat(stream_keys[:, 0], counts),
+            np.repeat(stream_keys[:, 1], counts))))
+
+    def buffered_reports(self, user_id: Optional[int] = None) -> List[TagReport]:
+        """:meth:`buffered_batch` as ``TagReport`` objects, same order.
+
+        Args:
+            user_id: restrict to one user (default: all users).
+        """
+        return self.buffered_batch(user_id).to_reports()
 
     #: Estimated resident bytes per buffered ``_StreamBuffer`` row: six
     #: list slots (8 B of pointer each) plus four boxed floats (~24 B
@@ -1109,10 +1148,10 @@ class TagBreathe:
     def last_restore_drop_counts(self) -> Dict[str, int]:
         """Reports the most recent :meth:`restore_streaming` replay dropped.
 
-        Replaying a snapshot runs every report back through :meth:`feed`,
+        Restoring a snapshot runs its rows back through :meth:`feed_batch`,
         so a corrupted or hand-assembled snapshot (duplicate timestamps,
         out-of-order streams, unknown channels) can incur drops *during
-        the replay itself*.  Those are a property of the restore, not of
+        the restore itself*.  Those are a property of the restore, not of
         live traffic, and are therefore kept out of
         :attr:`feed_drop_counts` — this side channel (and the
         ``repro_pipeline_restore_replay_drops_total`` counter) is where
@@ -1120,30 +1159,35 @@ class TagBreathe:
         """
         return dict(self._last_restore_drops)
 
-    def restore_streaming(self, reports: Iterable[TagReport],
+    def restore_streaming(self,
+                          rows: Union[ReportBatch, Iterable[TagReport]],
                           drop_counts: Optional[Dict[str, int]] = None) -> int:
         """Replace the streaming state with a saved snapshot.
 
-        The inverse of :meth:`buffered_reports` + :attr:`feed_drop_counts`:
-        clears current state, re-feeds ``reports`` (which must be
-        timestamp-ordered, as :meth:`buffered_reports` returns them) —
-        deterministically rebuilding the derived incremental state, so a
-        restored engine's subsequent :meth:`estimate_user` results are
+        The inverse of :meth:`buffered_batch` + :attr:`feed_drop_counts`:
+        clears current state and feeds ``rows`` (timestamp-ordered, as
+        :meth:`buffered_batch` returns them; a ``TagReport`` sequence is
+        packed into a batch first) through one :meth:`feed_batch` call —
+        bit-exact with per-report :meth:`feed`, so the derived
+        incremental state is rebuilt deterministically and a restored
+        engine's subsequent :meth:`estimate_user` results are
         bit-identical to an uninterrupted session's — and restores the
         drop counters so monitoring dashboards do not see loss statistics
         reset to zero after a checkpoint resume.
 
-        Drops incurred *while replaying the snapshot* are never conflated
+        Drops incurred *while restoring the snapshot* are never conflated
         with the restored counters: :attr:`feed_drop_counts` afterwards
         holds exactly ``drop_counts`` (or all zeros when None), and the
-        replay's own drops are reported via
+        restore's own drops are reported via
         :attr:`last_restore_drop_counts`.
 
         Returns:
             The number of reports buffered.
         """
+        batch = (rows if isinstance(rows, ReportBatch)
+                 else ReportBatch.from_reports(list(rows)))
         self.reset_streaming()
-        buffered = self.feed_many(reports)
+        buffered = self.feed_batch(batch)
         self._last_restore_drops = dict(self._feed_drops)
         self._feed_drops = dict.fromkeys(FEED_DROP_KEYS, 0)
         if drop_counts:

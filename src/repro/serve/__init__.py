@@ -70,6 +70,7 @@ from .protocol import (
     FrameDecoder,
     decode_column_frame,
     encode_column_frame,
+    encode_column_payload,
     encode_frame,
     estimate_to_wire,
     negotiate_codec,
@@ -99,7 +100,7 @@ __all__ = [
     "collect_estimates",
     "FrameDecoder", "encode_frame", "report_to_wire", "wire_to_report",
     "estimate_to_wire", "negotiate_codec", "negotiate_frames",
-    "encode_column_frame", "decode_column_frame",
+    "encode_column_frame", "encode_column_payload", "decode_column_frame",
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "CODECS", "HAVE_MSGPACK",
     "FRAME_KINDS", "COLUMN_FRAME_VERSION",
     "save_checkpoint", "load_checkpoint", "previous_path",

@@ -265,7 +265,7 @@ async def _compare_streamed(report: ChaosReport, fabric: BreathFabric,
             if state["user_id"] not in set(user_ids):
                 continue  # contending item tags, not subjects
             local = UserSession(state["user_id"], session)
-            local.restore(state, state["reports"])
+            local.restore(state)
             message = local.estimate_now()
             if message is not None:
                 streamed[state["user_id"]] = message["rate_bpm"]

@@ -1,26 +1,39 @@
 """Checkpoint/resume of live monitoring sessions.
 
-A serving checkpoint is one JSON document holding, per user, the raw
-reports still inside the engine's bounded streaming window plus the
-session's cadence clock and drop counters.  Raw reports — not derived
-signal state — remain the checkpointed representation even now that the
-engine maintains incremental state (Eq. 3 differencing cursors, the
-per-user window index, the tick memo): that state is a *pure function*
-of the buffered reports, so ``restore_streaming`` rebuilds it
-deterministically by replaying them, and restoring the window restores
-every subsequent estimate bit for bit (``tests/test_serve.py`` asserts
-resume continuity against an uninterrupted run; DESIGN.md §12 covers
-the rebuild contract).  Serialising cursor/cache internals would only
-buy a faster restore at the price of a schema coupled to pipeline
-internals.  The cost is modest: the window is bounded (~4 analysis
-windows per tag stream), so a checkpoint is O(users), not O(session
-lifetime).
+A serving checkpoint is one JSON document holding, per user, the rows
+still inside the engine's bounded streaming window plus the session's
+cadence clock and drop counters.  Raw rows — not derived signal state —
+remain the checkpointed representation even now that the engine
+maintains incremental state (Eq. 3 differencing cursors, the per-user
+window index, the tick memo): that state is a *pure function* of the
+buffered rows, so ``restore_streaming`` rebuilds it deterministically
+with one ``feed_batch`` call, and restoring the window restores every
+subsequent estimate bit for bit (``tests/test_serve.py`` asserts resume
+continuity against an uninterrupted run; DESIGN.md §12 covers the
+rebuild contract).  Serialising cursor/cache internals would only buy a
+faster restore at the price of a schema coupled to pipeline internals.
+The window is bounded (~4 analysis windows per tag stream), so a
+checkpoint is O(users), not O(session lifetime).
 
-Since v2 the document also carries ``client_seqs`` — the highest report
-sequence number accepted per ``client_id`` — snapshotted in the *same*
-document as the session windows, so a restored server's duplicate
-filter rewinds exactly as far as its session state does (the idempotent
-resume contract of :class:`~repro.serve.client.IngestClient`).
+**Session documents.**  One session is one JSON object (v3) whose
+buffered rows are a single binary column frame — the very payload of
+the wire's ``report_batch`` frame
+(:func:`~repro.serve.protocol.encode_column_payload`), ~48 bytes a row —
+carried base64-encoded in ``frame``, with the ``zlib.crc32`` of the
+frame bytes in ``frame_crc32``.  The same document is a checkpoint
+entry, a hibernation blob (deflated, :mod:`repro.serve.hibernate`) and
+a fabric migration record, so the wire and every form of stored state
+share one binary format.  The CRC is checked wherever a document is
+decoded (checkpoint load, ``migrate_in``, wake): a binary frame would
+otherwise decode a scribbled byte into a different float without any
+error.  v2 documents (one JSON dict per report under ``reports``) still
+load, converted to a batch once; nothing writes them.
+
+Since v2 the checkpoint also carries ``client_seqs`` — the highest
+report sequence number accepted per ``client_id`` — snapshotted in the
+*same* document as the session windows, so a restored server's
+duplicate filter rewinds exactly as far as its session state does (the
+idempotent resume contract of :class:`~repro.serve.client.IngestClient`).
 
 Durability is defended in depth (the fabric's chaos harness corrupts
 these files mid-write on purpose):
@@ -30,9 +43,9 @@ these files mid-write on purpose):
 * **fsynced** — the temp file is flushed and ``os.fsync``ed *before*
   the rename (and the directory after it, best effort), so the rename
   cannot be reordered ahead of the data hitting disk;
-* **verified** — a file that fails to parse or validate raises a typed
-  :class:`~repro.errors.CheckpointCorruptError`, never a raw decode
-  exception;
+* **verified** — a file that fails to parse, validate or pass a frame
+  CRC raises a typed :class:`~repro.errors.CheckpointCorruptError`,
+  never a raw decode exception;
 * **generational** — the previous good checkpoint survives as
   ``<path>.prev``; :func:`load_checkpoint` falls back to it when the
   live file is corrupt or missing mid-rotation.
@@ -40,20 +53,43 @@ these files mid-write on purpose):
 
 from __future__ import annotations
 
+import base64
 import json
 import os
+import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
 
-from ..errors import CheckpointCorruptError, ServeError
-from ..reader.tagreport import TagReport
-from .protocol import ProtocolError, report_to_wire, wire_to_report
+import numpy as np
+
+from ..core.pipeline import FEED_DROP_KEYS
+from ..errors import CheckpointCorruptError, ReproError, ServeError
+from ..reader.batch import ReportBatch
+from .protocol import (
+    column_payload_rows,
+    decode_column_frame,
+    encode_column_payload,
+    wire_to_report,
+)
 
 #: Checkpoint document magic / schema version.
 CHECKPOINT_FORMAT = "repro-serve-checkpoint"
-#: v2 added ``client_seqs`` (idempotent-resume watermarks); v1 files
-#: load fine — the key just defaults to empty.
-CHECKPOINT_VERSION = 2
+#: v2 added ``client_seqs`` (idempotent-resume watermarks); v3 stores
+#: each session's rows as one CRC-checked column frame instead of a
+#: list of per-report dicts.  v1 and v2 files load fine.
+CHECKPOINT_VERSION = 3
+
+#: Session-document keys of the frame (base64) and its CRC-32.
+FRAME_KEY = "frame"
+FRAME_CRC_KEY = "frame_crc32"
+
+#: Base64 characters that cover a column frame's 16-byte header.
+_HEADER_B64_CHARS = 24
+
+#: Session-state fields that are stream times (float or None).
+_TIME_FIELDS = ("first_t", "latest_t", "next_due_t")
+#: Session-state fields that are integer counts.
+_COUNT_FIELDS = ("reports_in", "estimates_out")
 
 
 def previous_path(path: Union[str, Path]) -> Path:
@@ -65,30 +101,118 @@ def previous_path(path: Union[str, Path]) -> Path:
 def session_state_to_doc(state: Dict[str, Any]) -> Dict[str, Any]:
     """One session's ``UserSession.state()`` as a JSON-ready document.
 
-    Also the wire shape of fabric shard migration (``migrate_out`` /
-    ``migrate_in`` carry lists of exactly these documents), which is
-    what makes migration checkpoint-equivalent by construction.
+    The state's ``batch`` becomes the base64 ``frame`` plus its
+    ``frame_crc32``; every other field is copied as is.  Also the wire
+    shape of fabric shard migration (``migrate_out`` / ``migrate_in``
+    carry lists of exactly these documents) and, deflated, of a
+    hibernation blob.
     """
     doc = dict(state)
-    reports: List[TagReport] = doc.pop("reports")
-    doc["reports"] = [report_to_wire(r) for r in reports]
+    payload = encode_column_payload(doc.pop("batch"))
+    doc[FRAME_KEY] = base64.b64encode(payload).decode("ascii")
+    doc[FRAME_CRC_KEY] = zlib.crc32(payload)
     return doc
 
 
+def _int(value: Any) -> int:
+    """A JSON integer, refusing bools and every other type."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _frame_batch(doc: Dict[str, Any]) -> ReportBatch:
+    """Decode and CRC-check a v3 document's frame."""
+    frame = doc[FRAME_KEY]
+    if not isinstance(frame, str):
+        raise TypeError(f"frame must be base64 text, got {type(frame)}")
+    payload = base64.b64decode(frame, validate=True)
+    crc = _int(doc[FRAME_CRC_KEY])
+    if zlib.crc32(payload) != crc:
+        raise CheckpointCorruptError(
+            f"session frame CRC-32 {zlib.crc32(payload):#010x} != stored "
+            f"{crc & 0xFFFFFFFF:#010x} (frame bytes altered)")
+    message = decode_column_frame(payload)
+    if message["seqs"] is not None:
+        raise ValueError("session frames carry no seq column")
+    return message["batch"]
+
+
 def session_state_from_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
-    """Inverse of :func:`session_state_to_doc` (reports become TagReports).
+    """Inverse of :func:`session_state_to_doc` (the frame becomes a batch).
+
+    Validates the whole document: field types, the frame's CRC-32 and
+    layout, and that every row belongs to the document's user.  A v2
+    document's ``reports`` list is converted to a batch here, once.
 
     Raises:
         CheckpointCorruptError: when the document is malformed.
     """
     try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"session document must be an object, "
+                            f"got {type(doc).__name__}")
         state = dict(doc)
-        state["user_id"] = int(state["user_id"])
-        state["reports"] = [wire_to_report(m) for m in state["reports"]]
+        user_id = _int(state["user_id"])
+        if not 0 <= user_id < 2 ** 64:
+            raise ValueError(f"user_id {user_id} outside the EPC's 64 bits")
+        if FRAME_KEY in state:
+            batch = _frame_batch(state)
+            del state[FRAME_KEY], state[FRAME_CRC_KEY]
+        else:  # v2: one JSON dict per report
+            reports = state.pop("reports")
+            if not isinstance(reports, list):
+                raise TypeError("reports must be a list")
+            batch = ReportBatch.from_reports(
+                [wire_to_report(m) for m in reports])
+        if np.any(batch.user_id != np.uint64(user_id)):
+            raise ValueError(f"frame holds rows of a user other than "
+                             f"{user_id}")
+        for name in _TIME_FIELDS:
+            value = state.get(name)
+            if value is not None:
+                if isinstance(value, bool) or not isinstance(
+                        value, (int, float)):
+                    raise TypeError(f"{name} must be a number or null")
+                state[name] = float(value)
+        for name in _COUNT_FIELDS:
+            state[name] = _int(state.get(name, 0))
+        drops = state.get("drop_counts")
+        if drops is not None:
+            if not isinstance(drops, dict):
+                raise TypeError("drop_counts must be an object")
+            state["drop_counts"] = {key: _int(drops.get(key, 0))
+                                    for key in FEED_DROP_KEYS}
+        if not isinstance(state.get("hibernated", False), bool):
+            raise TypeError("hibernated must be a boolean")
+        state["user_id"] = user_id
+        state["batch"] = batch
         return state
-    except (KeyError, TypeError, ValueError, ProtocolError) as exc:
+    except CheckpointCorruptError:
+        raise
+    except (KeyError, TypeError, ValueError, OverflowError,
+            ReproError) as exc:  # binascii.Error is a ValueError
         raise CheckpointCorruptError(
             f"malformed session document: {exc}") from exc
+
+
+def current_session_doc(doc: Dict[str, Any],
+                        state: Dict[str, Any]) -> Dict[str, Any]:
+    """A validated document in the current (v3) shape.
+
+    ``doc`` itself when it already carries a frame — adopted as is,
+    never decoded and re-encoded — else (a v2 document) re-encoded from
+    ``state``, its :func:`session_state_from_doc` result.
+    """
+    return doc if FRAME_KEY in doc else session_state_to_doc(state)
+
+
+def _doc_rows(doc: Dict[str, Any]) -> int:
+    """Rows a session document holds, read from its frame header."""
+    if FRAME_KEY not in doc:
+        return len(doc["reports"])
+    return column_payload_rows(
+        base64.b64decode(doc[FRAME_KEY][:_HEADER_B64_CHARS]))
 
 
 def save_checkpoint(path: Union[str, Path],
@@ -107,10 +231,10 @@ def save_checkpoint(path: Union[str, Path],
             back to zero.
         client_seqs: highest accepted report sequence per ``client_id``
             (the duplicate-filter watermarks; omitted = empty).
-        hibernated_docs: already wire-shaped session documents from the
-            hibernation cold tier (flagged ``"hibernated": true``).
-            They land in the same ``sessions`` list as live sessions —
-            one uniform schema — without ever inflating an engine.
+        hibernated_docs: session documents from the hibernation cold
+            tier (flagged ``"hibernated": true``).  They land in the
+            same ``sessions`` list as live sessions — one uniform
+            schema — without ever inflating an engine.
 
     The previous live checkpoint, if any, is rotated to ``<path>.prev``
     before the new one lands, so there is always at most one torn
@@ -145,7 +269,7 @@ def save_checkpoint(path: Union[str, Path],
             os.close(dir_fd)
     except OSError:  # pragma: no cover - platform-dependent
         pass
-    return sum(len(s["reports"]) for s in doc["sessions"])
+    return sum(_doc_rows(d) for d in session_docs)
 
 
 def _load_document(path: Path) -> Dict[str, Any]:
@@ -168,27 +292,37 @@ def _load_document(path: Path) -> Dict[str, Any]:
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise CheckpointCorruptError(
             f"{path} is not a repro-serve checkpoint")
-    if doc.get("version", 0) > CHECKPOINT_VERSION:
+    version = doc.get("version", 0)
+    if isinstance(version, bool) or not isinstance(version, int):
+        raise CheckpointCorruptError(
+            f"{path} has a non-integer version {version!r}")
+    if version > CHECKPOINT_VERSION:
         raise ServeError(
             f"checkpoint {path} is version {doc.get('version')}, "
             f"newer than supported version {CHECKPOINT_VERSION}")
     try:
-        sessions = [session_state_from_doc(state)
-                    for state in doc.get("sessions", [])]
+        docs = doc.get("sessions", [])
+        if not isinstance(docs, list):
+            raise TypeError("sessions must be a list")
+        sessions = [session_state_from_doc(state) for state in docs]
         counters = {k: int(v)
                     for k, v in doc.get("counters", {}).items()}
         client_seqs = {str(k): int(v)
                        for k, v in doc.get("client_seqs", {}).items()}
+    except CheckpointCorruptError as exc:
+        raise CheckpointCorruptError(f"{path}: {exc}") from exc
     except (TypeError, ValueError, AttributeError) as exc:
         raise CheckpointCorruptError(
             f"malformed checkpoint {path}: {exc}") from exc
     return {"counters": counters, "sessions": sessions,
+            "documents": [current_session_doc(d, s)
+                          for d, s in zip(docs, sessions)],
             "client_seqs": client_seqs, "fallback": False}
 
 
 def load_checkpoint(path: Union[str, Path],
                     allow_fallback: bool = True) -> Dict[str, Any]:
-    """Read a checkpoint back; reports are decoded into TagReports.
+    """Read a checkpoint back; every session's frame is decoded and checked.
 
     Args:
         path: the live checkpoint file.
@@ -198,9 +332,11 @@ def load_checkpoint(path: Union[str, Path],
 
     Returns:
         ``{"counters": {...}, "client_seqs": {...}, "sessions": [...],
-        "fallback": bool}`` where each session state carries a
-        ``reports`` list of TagReport objects, ready for
-        ``UserSession.restore``.
+        "documents": [...], "fallback": bool}`` where each session state
+        carries a ``batch`` (a :class:`~repro.reader.batch.ReportBatch`),
+        ready for ``UserSession.restore``, and ``documents[i]`` is the
+        validated v3 document of ``sessions[i]`` (what a resumed server
+        parks, as is, for a hibernated session).
 
     Raises:
         CheckpointCorruptError: the live file is corrupt and no good

@@ -5,17 +5,19 @@ percent are breathing into the system at any instant, yet every
 registered session would otherwise keep its full differencing chains,
 window index, and buffered reports resident forever.  The
 :class:`HibernationStore` is the cold tier that fixes the economics: an
-idle session's checkpoint document (the exact wire shape
-:func:`repro.serve.checkpoint.session_state_to_doc` produces — already
-proven sufficient to rebuild the engine bit-exactly by the
-checkpoint/resume and migration paths) is serialised to canonical
-compact JSON, deflated, and parked as one ``bytes`` blob per user.
+idle session's checkpoint document — the exact shape
+:func:`repro.serve.checkpoint.session_state_to_doc` produces, whose
+buffered rows are one CRC-checked binary column frame (the wire's
+``report_batch`` payload, base64 in the document) — is serialised to
+canonical compact JSON, deflated, and parked as one ``bytes`` blob per
+user.
 
 The blob *is* the session: hibernated users ride checkpoints and shard
 migration as their documents without ever materialising a
 ``TagBreathe`` engine, and the next report for a hibernated user
-inflates the blob back into a live :class:`~repro.serve.session.UserSession`
-whose subsequent estimates are bit-identical to an uninterrupted
+inflates the blob, checks the frame's CRC and rebuilds a live
+:class:`~repro.serve.session.UserSession` with one ``feed_batch`` call;
+its subsequent estimates are bit-identical to an uninterrupted
 session's (``tests/test_lifecycle.py`` pins the property).
 
 A breathing session's document compresses to a few KB — two to three
@@ -30,8 +32,10 @@ import json
 import zlib
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-#: zlib level: 6 is the speed/size knee for these highly repetitive
-#: JSON documents (level 9 buys ~2 % at ~2x the CPU).
+from ..errors import CheckpointCorruptError
+
+#: zlib level: 6 is the speed/size knee for these documents (level 9
+#: buys ~2 % at ~2x the CPU).
 _COMPRESS_LEVEL = 6
 
 #: Estimated per-entry bookkeeping bytes beyond the blob payload: the
@@ -41,29 +45,37 @@ _COMPRESS_LEVEL = 6
 ENTRY_OVERHEAD_BYTES = 160
 
 
-def compress_doc_text(text: str) -> bytes:
-    """Deflate one already-canonicalised document string.
-
-    Exposed for the idle-economics benchmark's bulk registration, which
-    rewrites a template document per user and must produce blobs
-    byte-identical to what :func:`doc_to_blob` would have made.
-    """
-    return zlib.compress(text.encode("utf-8"), _COMPRESS_LEVEL)
-
-
 def doc_to_blob(doc: Dict[str, Any]) -> bytes:
     """Serialise one checkpoint-shaped session document to a cold blob.
 
     Canonical compact JSON (sorted keys, no whitespace) before deflate,
     so equal states produce byte-equal blobs.
     """
-    return compress_doc_text(
-        json.dumps(doc, separators=(",", ":"), sort_keys=True))
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    return zlib.compress(text.encode("utf-8"), _COMPRESS_LEVEL)
 
 
 def blob_to_doc(blob: bytes) -> Dict[str, Any]:
-    """Inflate a cold blob back to its session document."""
-    return json.loads(zlib.decompress(blob).decode("utf-8"))
+    """Inflate a cold blob back to its session document.
+
+    Only the envelope is checked here (deflate stream, UTF-8, a JSON
+    object); the document's fields and frame CRC are validated by
+    :func:`repro.serve.checkpoint.session_state_from_doc`.
+
+    Raises:
+        CheckpointCorruptError: when the blob is not a deflated JSON
+            object.
+    """
+    try:
+        doc = json.loads(zlib.decompress(blob).decode("utf-8"))
+    except (zlib.error, UnicodeDecodeError, ValueError) as exc:
+        raise CheckpointCorruptError(f"corrupt hibernation blob: {exc}") \
+            from exc
+    if not isinstance(doc, dict):
+        raise CheckpointCorruptError(
+            f"hibernation blob holds a {type(doc).__name__}, not a "
+            f"session document")
+    return doc
 
 
 class HibernationStore:
@@ -89,7 +101,7 @@ class HibernationStore:
         return len(blob)
 
     def put_blob(self, user_id: int, blob: bytes) -> None:
-        """Park an already-compressed document (bulk-registration path)."""
+        """Park an already-compressed document (e.g. another store's)."""
         self._blobs[user_id] = blob
 
     def blob(self, user_id: int) -> bytes:

@@ -198,9 +198,9 @@ def encode_frame(message: Dict[str, Any], codec: str = "json") -> bytes:
     return _HEADER.pack(len(payload)) + payload
 
 
-def encode_column_frame(batch: ReportBatch,
-                        seqs: Optional[np.ndarray] = None) -> bytes:
-    """A ``ReportBatch`` as one length-prefixed binary column frame.
+def encode_column_payload(batch: ReportBatch,
+                          seqs: Optional[np.ndarray] = None) -> bytes:
+    """A ``ReportBatch`` as one column-frame payload (no length prefix).
 
     The payload is the fixed column-frame header followed by each column
     packed contiguously in :data:`COLUMN_WIRE_DTYPES` order (~48 bytes a
@@ -208,12 +208,13 @@ def encode_column_frame(batch: ReportBatch,
     trailing per-row ``seq`` column when ``seqs`` is given — per-row
     rather than a single base because a fabric router splits one frame
     into per-worker sub-batches whose rows are not contiguous in the
-    original sequence space.
+    original sequence space.  No size limit applies here: session
+    documents (:mod:`repro.serve.checkpoint`) store a whole session's
+    rows as one payload; only the wire caps a frame.
 
     Raises:
-        ProtocolError: when a value overflows its wire dtype, ``seqs``
-            has the wrong length, or the frame would exceed
-            ``MAX_FRAME_BYTES``.
+        ProtocolError: when a value overflows its wire dtype or ``seqs``
+            has the wrong length.
     """
     n = len(batch)
     if np.any(batch.channel > 0x7FFF) or np.any(batch.antenna > 0x7FFF):
@@ -231,12 +232,49 @@ def encode_column_frame(batch: ReportBatch,
             raise ProtocolError(
                 f"seqs must be one per row ({n}), got shape {seqs.shape}")
         parts.append(seqs.tobytes())
-    payload = b"".join(parts)
+    return b"".join(parts)
+
+
+def encode_column_frame(batch: ReportBatch,
+                        seqs: Optional[np.ndarray] = None) -> bytes:
+    """A ``ReportBatch`` as one length-prefixed binary column frame.
+
+    :func:`encode_column_payload` behind the wire's length prefix.
+
+    Raises:
+        ProtocolError: as :func:`encode_column_payload`, or when the
+            frame would exceed ``MAX_FRAME_BYTES``.
+    """
+    payload = encode_column_payload(batch, seqs)
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"column frame payload {len(payload)} bytes exceeds "
             f"{MAX_FRAME_BYTES}; split the batch")
     return _HEADER.pack(len(payload)) + payload
+
+
+def _unpack_column_header(payload: bytes) -> Tuple[int, int, int]:
+    """``(version, flags, count)`` of a column-frame payload's header."""
+    if len(payload) < _COLUMN_HEADER.size:
+        raise ProtocolError(
+            f"column frame payload {len(payload)} bytes is shorter than "
+            f"the {_COLUMN_HEADER.size}-byte header")
+    magic, version, flags, count, _ = _COLUMN_HEADER.unpack_from(payload)
+    if magic != COLUMN_FRAME_MAGIC:
+        raise ProtocolError(f"bad column frame magic {magic!r}")
+    return version, flags, count
+
+
+def column_payload_rows(payload: bytes) -> int:
+    """The row count a column-frame payload's header advertises.
+
+    Only the header is read (a prefix of the payload is enough), so a
+    caller can size a stored frame without decoding its columns.
+
+    Raises:
+        ProtocolError: on a short header or a bad magic.
+    """
+    return _unpack_column_header(payload)[2]
 
 
 def decode_column_frame(payload: bytes) -> Dict[str, Any]:
@@ -251,13 +289,7 @@ def decode_column_frame(payload: bytes) -> Dict[str, Any]:
             (truncated or oversized), or column values ``ReportBatch``
             rejects.
     """
-    if len(payload) < _COLUMN_HEADER.size:
-        raise ProtocolError(
-            f"column frame payload {len(payload)} bytes is shorter than "
-            f"the {_COLUMN_HEADER.size}-byte header")
-    magic, version, flags, count, _ = _COLUMN_HEADER.unpack_from(payload)
-    if magic != COLUMN_FRAME_MAGIC:
-        raise ProtocolError(f"bad column frame magic {magic!r}")
+    version, flags, count = _unpack_column_header(payload)
     if version != COLUMN_FRAME_VERSION:
         raise ProtocolError(f"unsupported column frame version {version}")
     if flags & ~_FLAG_SEQ:

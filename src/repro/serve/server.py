@@ -38,6 +38,7 @@ from .. import obs
 from ..core.pipeline import TagBreathe
 from ..errors import CheckpointCorruptError, ProtocolError, ServeError
 from .checkpoint import (
+    current_session_doc,
     load_checkpoint,
     save_checkpoint,
     session_state_from_doc,
@@ -331,18 +332,18 @@ class BreathServer:
                       path=str(self.checkpoint_path),
                       reason=saved.get("fallback_reason", ""))
         resumed = 0
-        for state in saved["sessions"]:
-            user_id = int(state["user_id"])
+        for state, doc in zip(saved["sessions"], saved["documents"]):
+            user_id = state["user_id"]
             shard = self.shard_for(user_id)
             if state.get("hibernated"):
-                # A hibernated session stays cold across the restart: it
-                # goes straight back to the shard's compressed store —
-                # no engine is materialised until the user's next report.
-                shard.adopt_hibernated(user_id, session_state_to_doc(state))
+                # A hibernated session stays cold across the restart: its
+                # validated document goes straight back to the shard's
+                # compressed store, as is — no engine is materialised
+                # until the user's next report.
+                shard.adopt_hibernated(user_id, doc)
             else:
-                session = shard.session_for(user_id)
-                session.restore(state, state["reports"])
-            resumed += len(state["reports"])
+                shard.session_for(user_id).restore(state)
+            resumed += len(state["batch"])
         for key in ("frames_total", "reports_total", "reconnects_total",
                     "seq_filtered_total"):
             self.counters[key] = int(saved["counters"].get(key, 0))
@@ -443,11 +444,11 @@ class BreathServer:
         for doc in docs:
             state = session_state_from_doc(doc)  # validates either kind
             uid = state["user_id"]
-            if doc.get("hibernated"):
-                self.shard_for(uid).adopt_hibernated(uid, dict(doc))
+            if state.get("hibernated"):
+                self.shard_for(uid).adopt_hibernated(
+                    uid, current_session_doc(doc, state))
             else:
-                session = self.shard_for(uid).session_for(uid)
-                session.restore(state, state["reports"])
+                self.shard_for(uid).session_for(uid).restore(state)
             count += 1
         self.counters["migrated_in_total"] += count
         obs.counter("repro_serve_migrated_sessions_total",

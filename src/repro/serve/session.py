@@ -38,7 +38,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .. import obs
 from ..core.pipeline import TagBreathe
-from ..errors import InsufficientDataError
+from ..errors import CheckpointCorruptError, InsufficientDataError
 from ..reader.batch import ReportBatch
 from ..reader.tagreport import TagReport
 from .checkpoint import session_state_from_doc, session_state_to_doc
@@ -208,7 +208,13 @@ class UserSession:
 
     # ------------------------------------------------------------------
     def state(self) -> Dict[str, Any]:
-        """The session's checkpointable state (JSON-ready except reports)."""
+        """The session's checkpointable state (JSON-ready except ``batch``).
+
+        ``batch`` is the engine's buffered rows as one
+        :class:`~repro.reader.batch.ReportBatch`
+        (``TagBreathe.buffered_batch``); ``session_state_to_doc`` packs
+        it into the document's column frame.
+        """
         return {
             "user_id": self.user_id,
             "first_t": self.first_t,
@@ -217,19 +223,18 @@ class UserSession:
             "reports_in": self.reports_in,
             "estimates_out": self.estimates_out,
             "drop_counts": self.engine.feed_drop_counts,
-            "reports": self.engine.buffered_reports(self.user_id),
+            "batch": self.engine.buffered_batch(self.user_id),
         }
 
-    def restore(self, state: Dict[str, Any],
-                reports: List[TagReport]) -> None:
+    def restore(self, state: Dict[str, Any]) -> None:
         """Load a checkpointed state (inverse of :meth:`state`).
 
-        Replaying the checkpointed reports rebuilds the engine's
-        incremental state (differencing cursors, window index)
-        deterministically; the engine keeps replay-time drops separate
-        from the restored production counters, and any replay drops —
-        normally zero, since the checkpoint holds an already-deduplicated
-        buffer — are surfaced on
+        One ``feed_batch`` of the checkpointed rows (``state["batch"]``)
+        rebuilds the engine's incremental state (differencing cursors,
+        window index) deterministically; the engine keeps restore-time
+        drops separate from the restored production counters, and any
+        such drops — normally zero, since the checkpoint holds an
+        already-deduplicated buffer — are surfaced on
         ``repro_serve_restore_replay_drops_total`` rather than silently
         folded into the session's drop statistics.
         """
@@ -238,7 +243,8 @@ class UserSession:
         self.next_due_t = state.get("next_due_t")
         self.reports_in = int(state.get("reports_in", 0))
         self.estimates_out = int(state.get("estimates_out", 0))
-        self.engine.restore_streaming(reports, state.get("drop_counts"))
+        self.engine.restore_streaming(state["batch"],
+                                      state.get("drop_counts"))
         replayed = sum(self.engine.last_restore_drop_counts.values())
         if replayed:
             obs.counter("repro_serve_restore_replay_drops_total",
@@ -375,41 +381,55 @@ class SessionShard:
 
         A hibernated user's next touch inflates their parked checkpoint
         document back into a live session whose state is bit-identical
-        to never having hibernated (``restore_streaming`` replays the
-        buffered reports deterministically); a brand-new user gets a
-        fresh session.  Either way the resident budget is enforced
-        afterwards, hibernating the least-recently-active sessions —
-        never the one just touched — when the shard is over budget.
+        to never having hibernated (``restore_streaming`` rebuilds it
+        from the document's column frame with one ``feed_batch``); a
+        brand-new user gets a fresh session.  A parked document that
+        fails its checks (frame CRC, layout) cannot be woken: the loss
+        is counted on ``repro_serve_wake_corrupt_total`` and the user
+        starts a fresh session, so one bad blob never stops the shard.
+        Either way the resident budget is enforced afterwards,
+        hibernating the least-recently-active sessions — never the one
+        just touched — when the shard is over budget.
         """
         session = self.sessions.get(user_id)
         if session is None:
-            doc = self.hibernated.pop(user_id)
-            if doc is not None:
-                session = self._wake(user_id, doc)
-            else:
+            session = self._wake(user_id)
+            if session is None:
                 session = UserSession(user_id, self.config,
                                       engine_factory=self._engine_factory)
-                self.sessions[user_id] = session
                 obs.event("serve.session.open", user_id=user_id,
                           shard=self.index)
-                obs.gauge("repro_serve_active_sessions").inc()
+            self.sessions[user_id] = session
+            obs.gauge("repro_serve_active_sessions").inc()
             self._enforce_budget(exclude=user_id)
         return session
 
-    def _wake(self, user_id: int, doc: Dict[str, Any]) -> UserSession:
-        """Rebuild a live session from a parked checkpoint document."""
+    def _wake(self, user_id: int) -> Optional[UserSession]:
+        """Rebuild a live session from its parked document, if any.
+
+        None when the user is not parked, or when the parked document
+        fails validation (a frame CRC mismatch included) — that loss is
+        counted and the caller opens a fresh session.
+        """
+        if user_id not in self.hibernated:
+            return None
         t0 = time.perf_counter()
-        state = session_state_from_doc(doc)
+        obs.gauge("repro_serve_hibernated_sessions").inc(-1)
+        try:
+            state = session_state_from_doc(self.hibernated.pop(user_id))
+        except CheckpointCorruptError as exc:
+            obs.counter("repro_serve_wake_corrupt_total",
+                        shard=str(self.index)).inc()
+            obs.event("serve.session.wake_corrupt", user_id=user_id,
+                      shard=self.index, error=str(exc))
+            return None
         session = UserSession(user_id, self.config,
                               engine_factory=self._engine_factory)
-        session.restore(state, state["reports"])
-        self.sessions[user_id] = session
+        session.restore(state)
         elapsed = time.perf_counter() - t0
         obs.counter("repro_serve_woken_total",
                     shard=str(self.index)).inc()
         obs.histogram("repro_serve_wake_latency_seconds").observe(elapsed)
-        obs.gauge("repro_serve_hibernated_sessions").inc(-1)
-        obs.gauge("repro_serve_active_sessions").inc()
         obs.event("serve.session.wake", user_id=user_id, shard=self.index,
                   seconds=elapsed)
         return session
@@ -473,8 +493,8 @@ class SessionShard:
         """Park an already-hibernated document without waking it.
 
         The checkpoint-resume and migration paths use this so idle users
-        move between workers as a few KB of compressed JSON instead of a
-        materialised engine.
+        move between workers as their (already validated) document — a
+        few KB once deflated — instead of a materialised engine.
         """
         self.hibernated.put(user_id, doc)
         obs.gauge("repro_serve_hibernated_sessions").inc()

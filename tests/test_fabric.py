@@ -509,7 +509,7 @@ def _final_rates(docs, user_ids, config):
         if uid not in user_ids:
             continue
         local = UserSession(uid, config)
-        local.restore(state, state["reports"])
+        local.restore(state)
         message = local.estimate_now()
         if message is not None:
             rates[uid] = message["rate_bpm"]

@@ -64,7 +64,7 @@ def snapshot(session):
         est = session.engine.estimate_user(USER)
     signal = est.estimate.signal
     state = session.state()
-    buffered = state.pop("reports")
+    buffered = state.pop("batch").to_reports()
     return {
         "state": state,
         "reports": buffered,

@@ -35,6 +35,7 @@ from repro.serve import (
     save_checkpoint,
     watch_estimates,
 )
+from repro.reader.batch import ReportBatch
 from repro.serve.protocol import MAX_FRAME_BYTES, wire_to_report
 from repro.sim.trace_io import load_trace_csv, save_trace_csv
 
@@ -290,7 +291,7 @@ class TestCheckpoint:
         assert saved["counters"]["frames_total"] == 99
         [state] = saved["sessions"]
         assert state["user_id"] == 1
-        assert state["reports"] == session.engine.buffered_reports(1)
+        assert state["batch"].to_reports() == session.engine.buffered_reports(1)
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -317,7 +318,7 @@ class TestCheckpoint:
             original.ingest(report)
         state = original.state()
         clone = UserSession(1, config)
-        clone.restore(state, state["reports"])
+        clone.restore(state)
         a = original.estimate_now()
         b = clone.estimate_now()
         assert a["rate_bpm"] == pytest.approx(b["rate_bpm"], abs=1e-12)
@@ -353,7 +354,7 @@ class TestCheckpointHardening:
         assert saved["fallback"] is True
         assert saved["counters"]["frames_total"] == 1
         [state] = saved["sessions"]
-        assert state["reports"]  # the previous generation's data is whole
+        assert len(state["batch"])  # the previous generation's data is whole
 
     def test_corrupt_without_previous_is_typed_error(self, tmp_path):
         path = tmp_path / "serve.ckpt"
@@ -402,9 +403,11 @@ class TestRestoreDropAccounting:
         state = original.state()
         # A torn snapshot: one report duplicated (same stream, same
         # timestamp) — the replay must drop exactly the duplicate.
-        reports = state["reports"] + [state["reports"][-1]]
+        reports = state["batch"].to_reports()
+        reports.append(reports[-1])
+        state["batch"] = ReportBatch.from_reports(reports)
         clone = UserSession(1, SessionConfig(window_s=20.0))
-        clone.restore(state, reports)
+        clone.restore(state)
         replay_drops = clone.engine.last_restore_drop_counts
         assert sum(replay_drops.values()) == 1
         # ...and the restored *live* counters still equal the
@@ -418,7 +421,7 @@ class TestRestoreDropAccounting:
             original.ingest(report)
         state = original.state()
         clone = UserSession(1, SessionConfig(window_s=20.0))
-        clone.restore(state, state["reports"])
+        clone.restore(state)
         assert sum(clone.engine.last_restore_drop_counts.values()) == 0
 
 

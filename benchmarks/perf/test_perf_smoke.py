@@ -56,7 +56,10 @@ def test_streaming_batched_feed_schema(bench_results):
         # must hold on any machine, noisy or not.
         assert case["batch_state_equal"] is True
         assert case["batch_max_rate_diff_bpm"] == 0.0
+        assert case["serve_state_equal"] is True
+        assert case["serve_feed_speedup"] > 0
     assert streaming["headline"]["batch_state_equal"] is True
+    assert streaming["headline"]["serve_state_equal"] is True
 
 
 def test_wire_suite_schema(bench_results):

@@ -16,7 +16,9 @@ JSON files at the output directory root:
   recompute tick, with memoized (no-new-data) tick latency and the
   derived per-core serve capacity, and the batched SoA feed
   (``feed_batch`` over column chunks) timed against the scalar feed
-  with its bit-exactness contract checked in-run; plus the ``wire``
+  with its bit-exactness contract checked in-run, and the same stream
+  at serve shape (256-row frames split per user into sessions, staged
+  ``ingest_batch`` against per-report ``ingest``); plus the ``wire``
   suite: binary column frames vs per-report JSON over a real localhost
   socket (bytes/report and acked ingest throughput); plus the
   ``fabric_scale`` suite: a population-scale soak of the multi-process
@@ -199,6 +201,12 @@ STREAM_CADENCE_S = 5.0
 STREAM_BATCH_CHUNK = 4096
 
 
+#: Rows per column frame on the serve-shaped feed measurement — the
+#: frame size of the bulk ingest path; the server splits each frame per
+#: user, so a session sees only its own few rows of it.
+SERVE_FRAME_ROWS = 256
+
+
 def _buffers_equal(a: TagBreathe, b: TagBreathe) -> bool:
     """Whether two engines' streaming buffers are bit-identical."""
     ba, bb = a._report_buffers, b._report_buffers
@@ -212,6 +220,77 @@ def _buffers_equal(a: TagBreathe, b: TagBreathe) -> bool:
                 or pa.since_prune != pb.since_prune):
             return False
     return True
+
+
+def _serve_shape_feed(reports, batch_all: ReportBatch,
+                      repeats: int = 5) -> Dict:
+    """Per-report ``ingest`` vs staged ``ingest_batch`` at serve shape.
+
+    The stream is cut into ``SERVE_FRAME_ROWS``-row frames and each frame
+    is split per user (untimed: that is routing, not ingest); each
+    sub-batch goes to its user's :class:`UserSession` through
+    ``ingest_batch``, and every ``STREAM_CADENCE_S`` of stream time (and
+    once at the end) each session's engine is read, which feeds its
+    staged rows — the catch-up a cadence estimate pays, without the
+    estimate itself.  A second set of sessions takes the same stream
+    report by report through ``ingest``.  Sessions are opened before
+    either timing starts; each side keeps its fastest of ``repeats``
+    runs, and the two must end in equal engine state and bookkeeping.
+    """
+    from .serve.session import SessionConfig, UserSession
+
+    uids = sorted(set(batch_all.user_id.tolist()))
+    frames = []
+    for lo in range(0, len(batch_all), SERVE_FRAME_ROWS):
+        frame = batch_all.select(slice(lo, lo + SERVE_FRAME_ROWS))
+        frames.append((float(frame.t.max()), list(frame.split_by_user())))
+
+    def sessions():
+        return {uid: UserSession(uid, SessionConfig()) for uid in uids}
+
+    scalar_s = staged_s = float("inf")
+    for _ in range(repeats):
+        scalar = sessions()
+        t0 = time.perf_counter()
+        for report in reports:
+            scalar[report.user_id].ingest(report)
+        scalar_s = min(scalar_s, time.perf_counter() - t0)
+
+        staged = sessions()
+        next_tick = float(batch_all.t[0]) + STREAM_WARMUP_S if frames \
+            else 0.0
+        t0 = time.perf_counter()
+        for t_max, parts in frames:
+            for uid, sub in parts:
+                staged[uid].ingest_batch(sub)
+            if t_max >= next_tick:
+                next_tick += STREAM_CADENCE_S
+                for session in staged.values():
+                    session.engine
+        for session in staged.values():
+            session.engine
+        staged_s = min(staged_s, time.perf_counter() - t0)
+
+    state_equal = all(
+        _buffers_equal(scalar[uid].engine, staged[uid].engine)
+        and (scalar[uid].engine.feed_drop_counts
+             == staged[uid].engine.feed_drop_counts)
+        and ((scalar[uid].reports_in, scalar[uid].first_t,
+              scalar[uid].latest_t)
+             == (staged[uid].reports_in, staged[uid].first_t,
+                 staged[uid].latest_t))
+        for uid in uids)
+    return {
+        "serve_frame_rows": SERVE_FRAME_ROWS,
+        "serve_sub_batch_rows": (len(batch_all)
+                                 / sum(len(parts) for _, parts in frames)
+                                 if frames else 0.0),
+        "serve_ingest_s": scalar_s,
+        "serve_ingest_batch_s": staged_s,
+        "serve_feed_speedup": (scalar_s / staged_s
+                               if staged_s > 0 else float("inf")),
+        "serve_state_equal": state_equal,
+    }
 
 
 def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
@@ -236,6 +315,11 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
     ``serve_capacity_users`` is the derived headline: how many users one
     core can tick per cadence interval, charging each user its share of
     feed cost plus one computed incremental tick.
+
+    ``feed_batch_speedup`` times ``feed_batch`` at
+    ``STREAM_BATCH_CHUNK``-row chunks; ``serve_feed_speedup`` times the
+    few-row per-user sub-batches the server actually hands its sessions
+    (:func:`_serve_shape_feed`).
     """
     cases = []
     for (users, duration_s), result in sorted(captures.items()):
@@ -322,6 +406,8 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                     batch_diff = max(batch_diff,
                                      abs(a.rate_bpm - b.rate_bpm))
 
+        serve = _serve_shape_feed(reports, batch_all)
+
         inc_tick = inc_s / ticks if ticks else float("nan")
         rec_tick = rec_s / ticks if ticks else float("nan")
         hit_tick = hit_s / ticks if ticks else float("nan")
@@ -349,6 +435,7 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                                    if batch_s > 0 else float("inf")),
             "batch_state_equal": state_equal,
             "batch_max_rate_diff_bpm": batch_diff,
+            **serve,
             "incremental_tick_s": inc_tick,
             "recompute_tick_s": rec_tick,
             "cached_tick_s": hit_tick,
@@ -378,6 +465,9 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                                      for c in cases),
             "batch_max_rate_diff_bpm": max(c["batch_max_rate_diff_bpm"]
                                            for c in cases),
+            "serve_feed_speedup": headline["serve_feed_speedup"],
+            "serve_state_equal": all(c["serve_state_equal"]
+                                     for c in cases),
         },
     }
 

@@ -11,7 +11,9 @@ full 96-bit code losslessly).
 
 Batches are validated once on construction with the exact same bounds
 ``TagReport.__post_init__`` enforces per report, so a batch round-trips
-to a report list and back bit-for-bit.
+to a report list and back bit-for-bit.  Batches cut from or gathered
+out of already-validated batches (:meth:`ReportBatch.split_by_user`,
+:meth:`BatchBuffer.batch`) skip that check: their rows passed it once.
 """
 
 from __future__ import annotations
@@ -79,6 +81,14 @@ class ReportBatch:
         if n:
             self._validate()
 
+    @classmethod
+    def _trusted(cls, columns) -> "ReportBatch":
+        """A batch of already-validated 1-D columns, in COLUMNS order."""
+        batch = object.__new__(cls)
+        for (name, _), column in zip(COLUMNS, columns):
+            object.__setattr__(batch, name, column)
+        return batch
+
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ReportBatch is immutable")
 
@@ -145,17 +155,66 @@ class ReportBatch:
         Users are yielded in order of first appearance, and each
         sub-batch keeps its rows in original batch order, so feeding the
         sub-batches sequentially is equivalent to feeding the batch.
+
+        One stable argsort groups the rows and one gather per column
+        lays the groups out back to back; each sub-batch is a read-only
+        slice of those gathered columns, so together they pin one copy
+        of this batch's rows and are not validated again.
         """
         user = self.user_id
         n = user.shape[0]
         if not n:
             return
         order = np.argsort(user, kind="stable")
-        sorted_user = user[order]
+        gathered = {name: getattr(self, name)[order] for name, _ in COLUMNS}
+        for column in gathered.values():
+            column.setflags(write=False)
+        sorted_user = gathered["user_id"]
         starts = np.flatnonzero(
             np.concatenate(([True], sorted_user[1:] != sorted_user[:-1])))
-        bounds = np.append(starts, n)
-        groups = [np.sort(order[bounds[i]: bounds[i + 1]])
-                  for i in range(starts.shape[0])]
-        for rows in sorted(groups, key=lambda g: int(g[0])):
-            yield int(user[rows[0]]), self.select(rows)
+        bounds = np.append(starts, n).tolist()
+        # The stable sort leaves each group's first row at its start, so
+        # ordering groups by that row yields users by first appearance.
+        for gi in np.argsort(order[starts], kind="stable").tolist():
+            lo, hi = bounds[gi], bounds[gi + 1]
+            yield (int(sorted_user[lo]),
+                   ReportBatch._trusted(
+                       [c[lo:hi] for c in gathered.values()]))
+
+
+class BatchBuffer:
+    """Fixed-capacity columns that validated batches are appended to.
+
+    Rows are copied in, so a buffered batch pins none of its source
+    arrays; :meth:`batch` views the filled rows as one batch without
+    validating them again.
+
+    Args:
+        capacity: most rows the buffer holds.
+    """
+
+    __slots__ = ("_columns", "rows")
+
+    def __init__(self, capacity: int) -> None:
+        self._columns = [np.empty(capacity, dtype=dtype)
+                         for _, dtype in COLUMNS]
+        self.rows = 0
+
+    def append(self, batch: ReportBatch) -> None:
+        """Copy ``batch``'s rows in after the rows already held.
+
+        Raises:
+            ReaderError: when the rows would not fit.
+        """
+        lo = self.rows
+        hi = lo + len(batch)
+        if hi > self._columns[0].shape[0]:
+            raise ReaderError(
+                f"{hi} rows exceed the buffer's {self._columns[0].shape[0]}")
+        for column, (name, _) in zip(self._columns, COLUMNS):
+            column[lo:hi] = getattr(batch, name)
+        self.rows = hi
+
+    def batch(self) -> ReportBatch:
+        """The rows held so far, in append order (views, not copies)."""
+        return ReportBatch._trusted([c[:self.rows] for c in self._columns])

@@ -177,11 +177,15 @@ def _decode_payload(payload: bytes, codec: str) -> Dict[str, Any]:
             message = json.loads(payload.decode("utf-8"))
         else:
             message = msgpack.unpackb(payload, raw=False)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: nesting deeper than the parser's stack.
         raise ProtocolError(f"undecodable {codec} payload: {exc}") from exc
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError(
-            f"frame payload must be an object with a 'type', got {message!r}")
+            "frame payload must be an object with a 'type', got "
+            f"{message!r:.200}")
+    if message["type"] == "report_batch":
+        raise ProtocolError("report_batch travels only as a column frame")
     return message
 
 

@@ -2,8 +2,9 @@
 
 One :class:`UserSession` wraps one :class:`~repro.core.pipeline.TagBreathe`
 engine restricted to a single user and drives the incremental streaming
-path — ``feed()`` per report (which folds the report into the engine's
-Eq. 3 differencing cursors and window index as it arrives), and
+path — ``feed()`` per report and ``feed_batch()`` per staged run of
+column batches (which fold the rows into the engine's Eq. 3
+differencing cursors and window index), and
 ``estimate_user()`` on a stream-time cadence, which slices the
 maintained state instead of recomputing from scratch and returns a
 memoized estimate when no new reports landed since the last tick — so a
@@ -39,7 +40,7 @@ from typing import Any, Callable, Dict, List, Optional
 from .. import obs
 from ..core.pipeline import TagBreathe
 from ..errors import CheckpointCorruptError, InsufficientDataError
-from ..reader.batch import ReportBatch
+from ..reader.batch import BatchBuffer, ReportBatch
 from ..reader.tagreport import TagReport
 from .checkpoint import session_state_from_doc, session_state_to_doc
 from .hibernate import HibernationStore
@@ -47,6 +48,11 @@ from .protocol import estimate_to_wire
 
 #: Default per-shard ingest queue capacity (reports).
 DEFAULT_QUEUE_CAPACITY = 4096
+
+#: Most rows a session stages before it feeds its engine: the engine's
+#: prune cadence (``_PRUNE_EVERY``), so staging holds back at most one
+#: prune's worth of rows — 32 KiB of columns — per session.
+STAGE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -105,6 +111,15 @@ class SessionConfig:
 class UserSession:
     """One user's live monitoring state inside a shard.
 
+    Column batches are staged, not fed: :meth:`ingest_batch` keeps the
+    session's bookkeeping current and copies the rows into a staging
+    buffer, and reading :attr:`engine` first feeds everything staged as
+    one ``feed_batch``.  Since ``feed_batch`` is bit-exact with
+    sequential feeding (DESIGN.md §14), every reader of engine state —
+    estimates, :meth:`state`, scalar :meth:`ingest` — sees exactly what
+    eager feeding would have left, while the engine runs once per
+    estimate instead of once per few-row sub-batch.
+
     Args:
         user_id: the monitored user.
         config: serving knobs (cadence, window, signal embedding).
@@ -119,7 +134,8 @@ class UserSession:
         self.user_id = user_id
         self.config = config
         factory = engine_factory or (lambda uid: TagBreathe(user_ids={uid}))
-        self.engine = factory(user_id)
+        self._engine = factory(user_id)
+        self._stage: Optional[BatchBuffer] = None
         self.first_t: Optional[float] = None
         self.latest_t: Optional[float] = None
         self.next_due_t: Optional[float] = None
@@ -132,6 +148,17 @@ class UserSession:
         self.last_active = time.monotonic()
 
     # ------------------------------------------------------------------
+    @property
+    def engine(self) -> TagBreathe:
+        """The session's engine, caught up with every staged batch."""
+        if self._stage is not None:
+            self._feed_staged()
+        return self._engine
+
+    def _feed_staged(self) -> None:
+        stage, self._stage = self._stage, None
+        self._engine.feed_batch(stage.batch())
+
     def ingest(self, report: TagReport) -> bool:
         """Feed one report; returns True when the engine buffered it."""
         self.reports_in += 1
@@ -144,12 +171,15 @@ class UserSession:
         return self.engine.feed(report)
 
     def ingest_batch(self, batch: ReportBatch) -> int:
-        """Feed one column batch; returns how many reports were buffered.
+        """Stage one column batch; returns its row count.
 
         The session bookkeeping lands where a loop of :meth:`ingest`
         would leave it (``first_t`` from the first row in arrival order,
-        ``latest_t`` the running max) and the engine's ``feed_batch``
-        guarantees state bit-identical to per-report feeding.
+        ``latest_t`` the running max), so the estimate cadence, idle
+        sweep and eviction order are unchanged.  The rows reach the
+        engine on the next read of :attr:`engine`, or here when they
+        would take the stage past :data:`STAGE_ROWS` (a batch that large
+        on its own is fed at once, after whatever was staged).
         """
         n = len(batch)
         if not n:
@@ -162,7 +192,17 @@ class UserSession:
         t_max = float(batch.t.max())
         self.latest_t = (t_max if self.latest_t is None
                          else max(self.latest_t, t_max))
-        return self.engine.feed_batch(batch)
+        stage = self._stage
+        if stage is not None and stage.rows + n > STAGE_ROWS:
+            self._feed_staged()
+            stage = None
+        if n >= STAGE_ROWS:
+            self._engine.feed_batch(batch)
+        else:
+            if stage is None:
+                stage = self._stage = BatchBuffer(STAGE_ROWS)
+            stage.append(batch)
+        return n
 
     def estimate_due(self) -> bool:
         """True when stream time has advanced past the next cadence tick."""
@@ -329,7 +369,7 @@ class SessionShard:
 
         Same never-block/never-raise contract as :meth:`submit`; the
         batch occupies ``len(batch)`` reports of queue capacity and is
-        ingested by the worker in one ``feed_batch`` call.
+        staged by the worker with one :meth:`UserSession.ingest_batch`.
         """
         if not len(batch):
             return

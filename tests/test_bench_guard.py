@@ -24,12 +24,15 @@ def bench_doc(cases, fabric_cases=None, wire=None, idle=None):
 
 
 def case(users, duration_s, speedup, diff=0.0, batch_speedup=6.0,
-         batch_state_equal=True, batch_diff=0.0):
+         batch_state_equal=True, batch_diff=0.0, serve_speedup=2.0,
+         serve_state_equal=True):
     return {"users": users, "duration_s": duration_s,
             "tick_speedup": speedup, "max_rate_diff_bpm": diff,
             "feed_batch_speedup": batch_speedup,
             "batch_state_equal": batch_state_equal,
-            "batch_max_rate_diff_bpm": batch_diff}
+            "batch_max_rate_diff_bpm": batch_diff,
+            "serve_feed_speedup": serve_speedup,
+            "serve_state_equal": serve_state_equal}
 
 
 def wire_suite(bytes_ratio=3.5, acked_equal_sent=True):
@@ -126,6 +129,31 @@ class TestCompare:
         cand = {(1, 25.0): case(1, 25.0, 2.0, batch_diff=0.2)}
         problems = guard.compare(base, cand, 0.25)
         assert any("batch" in p and "diverge" in p for p in problems)
+
+    def test_serve_speedup_below_floor_fails(self):
+        base = {(5, 25.0): case(5, 25.0, 2.0)}
+        cand = {(5, 25.0): case(5, 25.0, 2.0, serve_speedup=0.9)}
+        problems = guard.compare(base, cand, 0.25)
+        assert len(problems) == 1
+        assert "serve_feed_speedup" in problems[0]
+
+    def test_serve_speedup_floor_skips_low_rate_full_grid_case(self):
+        base = {(15, 120.0): case(15, 120.0, 2.0)}
+        cand = {(15, 120.0): case(15, 120.0, 2.0, serve_speedup=1.0)}
+        assert guard.compare(base, cand, 0.25) == []
+
+    def test_missing_serve_measurement_fails(self):
+        base = {(1, 25.0): case(1, 25.0, 2.0)}
+        cand_case = case(1, 25.0, 2.0)
+        del cand_case["serve_feed_speedup"]
+        problems = guard.compare(base, {(1, 25.0): cand_case}, 0.25)
+        assert any("no serve_feed_speedup" in p for p in problems)
+
+    def test_serve_state_mismatch_fails(self):
+        base = {(15, 120.0): case(15, 120.0, 2.0)}
+        cand = {(15, 120.0): case(15, 120.0, 2.0, serve_state_equal=False)}
+        problems = guard.compare(base, cand, 0.25)
+        assert any("serve_state_equal" in p for p in problems)
 
 
 class TestFabricSuite:

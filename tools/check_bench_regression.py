@@ -26,7 +26,9 @@ suite from a ``BENCH_pipeline.json`` produced by
 the wall-clock grids.  So are the columnar hot
 path's guarantees: ``feed_batch_speedup`` (a same-run scalar-vs-batched
 ratio) must clear an absolute floor with bit-equal buffered state and
-estimates, and the ``wire`` suite's JSON/column bytes ratio — a
+estimates, as must ``serve_feed_speedup`` (per-report session ingest
+against staged column ingest at serve shape) on the quick-grid cases,
+and the ``wire`` suite's JSON/column bytes ratio — a
 property of the formats, not the machine — must hold too.  The ``idle``
 economics suite is likewise self-contained: the idle/active bytes
 ratio, the soak's flat memory ceiling, and wake verification are
@@ -72,6 +74,18 @@ DEFAULT_THRESHOLD = 0.25
 #: below this floor means the vectorized ingest degenerated to
 #: per-report work.
 FEED_BATCH_SPEEDUP_FLOOR = 4.0
+
+#: Floor on the serve-shaped feed ratio (``serve_feed_speedup``):
+#: per-report ``UserSession.ingest`` against staged ``ingest_batch`` over
+#: 256-row frames split per user, both timed in the same run.  Eager
+#: ``feed_batch`` on every few-row sub-batch scored ~0.9-1.2x here; one
+#: staged catch-up per cadence tick scores ~1.7-2.4x.  The ratio grows
+#: with the rows a session reads per tick, so the floor holds on the
+#: quick-grid cases CI runs (~75 rows a tick); the full grid's 15-user
+#: 120 s case reads each user at ~4 rows/s (~24 a tick, where one
+#: ``feed_batch`` costs what per-report feeding does) and sits near 1.0x.
+SERVE_FEED_SPEEDUP_FLOOR = 1.5
+SERVE_FEED_FLOOR_CASES = ((1, 25.0), (5, 25.0))
 
 #: Floor on the wire suite's bytes ratio (JSON bytes-per-report over
 #: column-frame bytes-per-report).  Frame sizes are properties of the
@@ -230,6 +244,23 @@ def compare(baseline: Dict[Tuple[int, float], dict],
             problems.append(
                 f"case {users}u/{duration_s:g}s: batched and sequential "
                 f"feeds diverged by {batch_diff} bpm (must be exactly 0)")
+        serve_speedup = candidate[key].get("serve_feed_speedup")
+        if serve_speedup is None:
+            problems.append(
+                f"case {users}u/{duration_s:g}s: no serve_feed_speedup — "
+                f"the serve-shaped feed measurement did not run")
+        elif (key in SERVE_FEED_FLOOR_CASES
+              and serve_speedup < SERVE_FEED_SPEEDUP_FLOOR):
+            problems.append(
+                f"case {users}u/{duration_s:g}s: serve_feed_speedup "
+                f"{serve_speedup:.2f}x < floor "
+                f"{SERVE_FEED_SPEEDUP_FLOOR:.1f}x — sessions feed their "
+                f"engines per sub-batch again")
+        if candidate[key].get("serve_state_equal") is not True:
+            problems.append(
+                f"case {users}u/{duration_s:g}s: staged and per-report "
+                f"session ingest left different state "
+                f"(serve_state_equal is not true)")
     return problems
 
 
@@ -438,7 +469,8 @@ def main(argv: List[str]) -> int:
         notes.append(
             f"{len(shared)} shared case(s) within {args.threshold:.0%} of "
             f"baseline tick_speedup, feed_batch_speedup >= "
-            f"{FEED_BATCH_SPEEDUP_FLOOR:.1f}x with bit-equal state; wire, "
+            f"{FEED_BATCH_SPEEDUP_FLOOR:.1f}x and serve_feed_speedup >= "
+            f"{SERVE_FEED_SPEEDUP_FLOOR:.1f}x with bit-equal state; wire, "
             f"fabric_scale, and idle-economics invariants hold")
     if args.simulation is not None:
         notes.append("scenario-pack gates hold")

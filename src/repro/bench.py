@@ -19,8 +19,8 @@ JSON files at the output directory root:
   with its bit-exactness contract checked in-run, and the same stream
   at serve shape (256-row frames split per user into sessions, staged
   ``ingest_batch`` against per-report ``ingest``); plus the ``wire``
-  suite: binary column frames vs per-report JSON over a real localhost
-  socket (bytes/report and acked ingest throughput); plus the
+  suite: binary column frames over a real localhost socket
+  (bytes/report and acked ingest throughput); plus the
   ``fabric_scale`` suite: a population-scale soak of the multi-process
   serve fabric (EPC-remapped synthetic users, one mid-run rebalance)
   whose session-accounting invariants — including per-machine capacity
@@ -474,20 +474,19 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
 
 def run_wire_benchmark(captures: Dict[tuple, SimulationResult],
                        seed: int = 0) -> Dict:
-    """Wire-format shootout over a real socket: column frames vs JSON.
+    """The report wire format over a real socket.
 
-    Replays one capture twice into a fresh in-process
-    :class:`~repro.serve.server.BreathServer` over localhost TCP — once
-    with the binary column frame format negotiated (the client
-    coalesces ~:data:`~repro.serve.client._COLUMN_BATCH` reports per
-    frame, the server ingests them through ``feed_batch``), once as
-    per-report JSON messages — and records bytes on the wire and acked
-    ingest throughput for each.
+    Replays one capture into a fresh in-process
+    :class:`~repro.serve.server.BreathServer` over localhost TCP as
+    binary column frames (the client coalesces
+    ~:data:`~repro.serve.client._COLUMN_BATCH` reports per frame, the
+    server ingests them through ``feed_batch``) and records bytes on the
+    wire and acked ingest throughput.
 
     ``bytes_per_report`` is a property of the wire format, not the
-    machine (48 data bytes per report in a column frame vs ~200 of
-    JSON), so the headline ``bytes_ratio`` is CI-comparable without a
-    baseline; ``ingest_speedup`` is a same-machine wall-clock ratio.
+    machine (48 data bytes plus an 8-byte sequence number per report,
+    and the frame headers), so the headline is CI-comparable without a
+    baseline; ``acked_reports_per_s`` is same-machine wall clock.
     """
     import asyncio
 
@@ -497,11 +496,11 @@ def run_wire_benchmark(captures: Dict[tuple, SimulationResult],
     key = (5, 25.0) if (5, 25.0) in captures else max(captures)
     reports = captures[key].reports
 
-    async def one(frames: tuple, mode: str) -> Dict:
+    async def one() -> Dict:
         server = BreathServer(n_shards=2)
         await server.start()
-        client = IngestClient("127.0.0.1", server.port, frames=frames,
-                              client_id=f"wire-bench-{mode}")
+        client = IngestClient("127.0.0.1", server.port,
+                              client_id="wire-bench-column")
         await client.connect()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
@@ -511,7 +510,7 @@ def run_wire_benchmark(captures: Dict[tuple, SimulationResult],
             await client.close()
             await server.drain()
         return {
-            "mode": mode,
+            "mode": "column",
             "users": key[0],
             "duration_s": key[1],
             "reports": len(reports),
@@ -526,28 +525,16 @@ def run_wire_benchmark(captures: Dict[tuple, SimulationResult],
                                     if wall > 0 else float("inf")),
         }
 
-    async def both() -> List[Dict]:
-        return [await one(("column",), "column"), await one((), "json")]
-
-    column, plain = asyncio.run(both())
+    column = asyncio.run(one())
     return {
         "seed": seed,
-        "cases": [column, plain],
+        "cases": [column],
         "headline": {
             "users": key[0],
             "duration_s": key[1],
             "column_bytes_per_report": column["bytes_per_report"],
-            "json_bytes_per_report": plain["bytes_per_report"],
-            "bytes_ratio": (plain["bytes_per_report"]
-                            / column["bytes_per_report"]
-                            if column["bytes_per_report"]
-                            else float("inf")),
-            "ingest_speedup": (column["acked_reports_per_s"]
-                               / plain["acked_reports_per_s"]
-                               if plain["acked_reports_per_s"]
-                               else float("inf")),
-            "acked_equal_sent": (column["acked"] == column["sent"]
-                                 and plain["acked"] == plain["sent"]),
+            "acked_reports_per_s": column["acked_reports_per_s"],
+            "acked_equal_sent": column["acked"] == column["sent"],
         },
     }
 

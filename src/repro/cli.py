@@ -163,7 +163,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "--state-dir)")
     serve.add_argument("--state-dir", default=None,
                        help="fabric state directory (worker checkpoints "
-                            "+ portfiles; restart over the same dir "
+                            "and registry; restart over the same dir "
                             "resumes every session)")
     serve.add_argument("--standby", action="store_true",
                        help="run a warm-standby router over an existing "
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "(comma-separated candidates allowed)")
     serve_worker.add_argument("--state-dir", required=True,
                               help="local directory for this worker's "
-                                   "checkpoint and portfile")
+                                   "checkpoint")
     serve_worker.add_argument("--worker-id", type=int, default=None,
                               help="fixed worker id (default: supervisor "
                                    "assigns one at join)")

@@ -45,9 +45,7 @@ from .pipeline import (
     sanitize_reports,
 )
 from .baselines import RSSIBreathEstimator, DopplerBreathEstimator, FFTPeakEstimator
-from .hybrid import HybridBreathEstimator, HybridEstimate, ObservableEstimate
 from .tracking import BreathingRateTracker, TrackedRate, smooth_rate_series
-from .calibration import ChannelCalibration, ChannelCalibrator
 
 __all__ = [
     "default_frequencies",
@@ -82,12 +80,7 @@ __all__ = [
     "RSSIBreathEstimator",
     "DopplerBreathEstimator",
     "FFTPeakEstimator",
-    "HybridBreathEstimator",
-    "HybridEstimate",
-    "ObservableEstimate",
     "BreathingRateTracker",
     "TrackedRate",
     "smooth_rate_series",
-    "ChannelCalibration",
-    "ChannelCalibrator",
 ]

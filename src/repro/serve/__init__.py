@@ -1,16 +1,16 @@
 """``repro.serve`` — the streaming ingest service.
 
 Turns the reproduction from a batch library into a long-running monitor:
-a framed TCP server ingests LLRP-shaped tag reports, sharded per-user
-sessions drive the incremental pipeline (``TagBreathe.feed`` /
-``estimate_user``), and per-user breathing estimates fan out to
+a framed TCP server ingests LLRP-shaped tag reports as binary column
+frames, sharded per-user sessions drive the incremental pipeline
+(``TagBreathe.feed_batch`` / ``estimate_user``), and per-user breathing estimates fan out to
 subscribers as a JSONL stream — with service-grade backpressure,
 load shedding, checkpoint/resume, and graceful drain.
 
 Layout:
 
-* :mod:`repro.serve.protocol` — length-prefixed msgpack/JSON framing,
-  report and estimate wire shapes;
+* :mod:`repro.serve.protocol` — length-prefixed framing: binary column
+  frames for reports, JSON for control and estimate messages;
 * :mod:`repro.serve.session` — per-user sessions, sharded workers,
   watermark backpressure and shed-oldest queues;
 * :mod:`repro.serve.checkpoint` — atomic, fsynced, generational
@@ -61,10 +61,8 @@ from .fabric import BreathFabric
 from .hashring import DEFAULT_VNODES, HashRing
 from .retry import DEFAULT_RETRY, RESPAWN_RETRY, RetryPolicy
 from .protocol import (
-    CODECS,
     COLUMN_FRAME_VERSION,
     FRAME_KINDS,
-    HAVE_MSGPACK,
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
     FrameDecoder,
@@ -73,10 +71,7 @@ from .protocol import (
     encode_column_payload,
     encode_frame,
     estimate_to_wire,
-    negotiate_codec,
     negotiate_frames,
-    report_to_wire,
-    wire_to_report,
 )
 from .hibernate import HibernationStore, blob_to_doc, doc_to_blob
 from .server import ACK_EVERY, BreathServer
@@ -98,11 +93,9 @@ __all__ = [
     "HibernationStore", "doc_to_blob", "blob_to_doc",
     "IngestClient", "ReplayStats", "replay_trace", "watch_estimates",
     "collect_estimates",
-    "FrameDecoder", "encode_frame", "report_to_wire", "wire_to_report",
-    "estimate_to_wire", "negotiate_codec", "negotiate_frames",
+    "FrameDecoder", "encode_frame", "estimate_to_wire", "negotiate_frames",
     "encode_column_frame", "encode_column_payload", "decode_column_frame",
-    "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "CODECS", "HAVE_MSGPACK",
-    "FRAME_KINDS", "COLUMN_FRAME_VERSION",
+    "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "FRAME_KINDS", "COLUMN_FRAME_VERSION",
     "save_checkpoint", "load_checkpoint", "previous_path",
     "session_state_to_doc", "session_state_from_doc",
     "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION",

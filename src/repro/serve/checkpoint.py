@@ -26,14 +26,19 @@ a fabric migration record, so the wire and every form of stored state
 share one binary format.  The CRC is checked wherever a document is
 decoded (checkpoint load, ``migrate_in``, wake): a binary frame would
 otherwise decode a scribbled byte into a different float without any
-error.  v2 documents (one JSON dict per report under ``reports``) still
-load, converted to a batch once; nothing writes them.
+error.  v2 documents (one JSON dict per report under ``reports``, the
+retired protocol's ``report`` message shape) still load, converted to a
+batch once by :func:`wire_to_report`; nothing writes them.
 
 Since v2 the checkpoint also carries ``client_seqs`` — the highest
 report sequence number accepted per ``client_id`` — snapshotted in the
 *same* document as the session windows, so a restored server's
 duplicate filter rewinds exactly as far as its session state does (the
 idempotent resume contract of :class:`~repro.serve.client.IngestClient`).
+Since v4 ``meta_crc32`` guards ``counters`` and ``client_seqs``: a
+scribbled watermark digit would otherwise load cleanly and make the
+restored server drop a reconnecting client's valid reports as already
+seen.
 
 Durability is defended in depth (the fabric's chaos harness corrupts
 these files mid-write on purpose):
@@ -44,7 +49,7 @@ these files mid-write on purpose):
   the rename (and the directory after it, best effort), so the rename
   cannot be reordered ahead of the data hitting disk;
 * **verified** — a file that fails to parse, validate or pass a frame
-  CRC raises a typed :class:`~repro.errors.CheckpointCorruptError`,
+  or metadata CRC raises a typed :class:`~repro.errors.CheckpointCorruptError`,
   never a raw decode exception;
 * **generational** — the previous good checkpoint survives as
   ``<path>.prev``; :func:`load_checkpoint` falls back to it when the
@@ -63,21 +68,26 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..core.pipeline import FEED_DROP_KEYS
+from ..epc.codec import EPC96
 from ..errors import CheckpointCorruptError, ReproError, ServeError
 from ..reader.batch import ReportBatch
+from ..reader.tagreport import TagReport
 from .protocol import (
     column_payload_rows,
     decode_column_frame,
     encode_column_payload,
-    wire_to_report,
 )
 
 #: Checkpoint document magic / schema version.
 CHECKPOINT_FORMAT = "repro-serve-checkpoint"
 #: v2 added ``client_seqs`` (idempotent-resume watermarks); v3 stores
 #: each session's rows as one CRC-checked column frame instead of a
-#: list of per-report dicts.  v1 and v2 files load fine.
-CHECKPOINT_VERSION = 3
+#: list of per-report dicts; v4 adds ``meta_crc32`` over ``counters``
+#: and ``client_seqs``.  v1, v2 and v3 files load fine.
+CHECKPOINT_VERSION = 4
+
+#: Checkpoint key of the CRC-32 over the document-level metadata.
+META_CRC_KEY = "meta_crc32"
 
 #: Session-document keys of the frame (base64) and its CRC-32.
 FRAME_KEY = "frame"
@@ -96,6 +106,34 @@ def previous_path(path: Union[str, Path]) -> Path:
     """Where :func:`save_checkpoint` keeps the previous good generation."""
     path = Path(path)
     return path.with_name(path.name + ".prev")
+
+
+def wire_to_report(message: Dict[str, Any]) -> TagReport:
+    """One v2 session document's per-report dict as a validated TagReport.
+
+    Raises:
+        CheckpointCorruptError: on missing fields or values TagReport
+            rejects.
+    """
+    try:
+        return TagReport(
+            epc=EPC96.from_hex(message["epc"]),
+            timestamp_s=float(message["timestamp_s"]),
+            phase_rad=float(message["phase_rad"]),
+            rssi_dbm=float(message["rssi_dbm"]),
+            doppler_hz=float(message["doppler_hz"]),
+            channel_index=int(message["channel_index"]),
+            antenna_port=int(message["antenna_port"]),
+        )
+    except (KeyError, TypeError, ValueError, ReproError) as exc:
+        raise CheckpointCorruptError(f"bad v2 report entry: {exc}") from exc
+
+
+def _meta_crc(counters: Any, client_seqs: Any) -> int:
+    """CRC-32 over the canonical JSON of the document-level metadata."""
+    text = json.dumps({"client_seqs": client_seqs, "counters": counters},
+                      separators=(",", ":"), sort_keys=True)
+    return zlib.crc32(text.encode("utf-8"))
 
 
 def session_state_to_doc(state: Dict[str, Any]) -> Dict[str, Any]:
@@ -198,7 +236,7 @@ def session_state_from_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
 
 def current_session_doc(doc: Dict[str, Any],
                         state: Dict[str, Any]) -> Dict[str, Any]:
-    """A validated document in the current (v3) shape.
+    """A validated session document in the current (frame) shape.
 
     ``doc`` itself when it already carries a frame — adopted as is,
     never decoded and re-encoded — else (a v2 document) re-encoded from
@@ -244,12 +282,14 @@ def save_checkpoint(path: Union[str, Path],
     session_docs = [session_state_to_doc(s) for s in sessions]
     session_docs.extend(dict(d) for d in (hibernated_docs or []))
     session_docs.sort(key=lambda d: d["user_id"])
+    counts = {k: int(v) for k, v in sorted(counters.items())}
+    seqs = {str(k): int(v) for k, v in sorted((client_seqs or {}).items())}
     doc = {
         "format": CHECKPOINT_FORMAT,
         "version": CHECKPOINT_VERSION,
-        "counters": {k: int(v) for k, v in sorted(counters.items())},
-        "client_seqs": {str(k): int(v)
-                        for k, v in sorted((client_seqs or {}).items())},
+        "counters": counts,
+        "client_seqs": seqs,
+        META_CRC_KEY: _meta_crc(counts, seqs),
         "sessions": session_docs,
     }
     tmp = path.with_name(path.name + ".tmp")
@@ -300,6 +340,12 @@ def _load_document(path: Path) -> Dict[str, Any]:
         raise ServeError(
             f"checkpoint {path} is version {doc.get('version')}, "
             f"newer than supported version {CHECKPOINT_VERSION}")
+    if version >= 4:
+        crc = _meta_crc(doc.get("counters"), doc.get("client_seqs"))
+        if doc.get(META_CRC_KEY) != crc:
+            raise CheckpointCorruptError(
+                f"{path}: counters/client_seqs CRC-32 {crc:#010x} != "
+                f"stored {doc.get(META_CRC_KEY)!r} (metadata altered)")
     try:
         docs = doc.get("sessions", [])
         if not isinstance(docs, list):
@@ -335,7 +381,7 @@ def load_checkpoint(path: Union[str, Path],
         "documents": [...], "fallback": bool}`` where each session state
         carries a ``batch`` (a :class:`~repro.reader.batch.ReportBatch`),
         ready for ``UserSession.restore``, and ``documents[i]`` is the
-        validated v3 document of ``sessions[i]`` (what a resumed server
+        validated frame document of ``sessions[i]`` (what a resumed server
         parks, as is, for a hibernated session).
 
     Raises:

@@ -57,19 +57,10 @@ import numpy as np
 from ..errors import ProtocolError, ServeError, ServeTimeoutError
 from ..reader.batch import ReportBatch
 from ..reader.tagreport import TagReport
-from .protocol import (
-    FrameDecoder,
-    encode_column_frame,
-    encode_frame,
-    report_to_wire,
-)
+from .protocol import FrameDecoder, encode_column_frame, encode_frame
 from .retry import DEFAULT_RETRY, RetryPolicy
 
-#: How many report frames to pack into one socket write.
-_WRITE_BATCH = 64
-
-#: How many reports to coalesce into one column frame when the server
-#: granted the binary frame format (48 bytes/report vs ~200 of JSON).
+#: How many reports to coalesce into one column frame.
 _COLUMN_BATCH = 256
 
 #: Default deadline for opening a connection + handshake reads.
@@ -113,13 +104,10 @@ class IngestClient:
 
     Args:
         host / port: server address.
-        codec: wire codec to request ("json" always works; "msgpack"
-            falls back to json when either side lacks the library).
-        frames: binary frame kinds to request in the handshake (e.g.
-            ``("column",)``); the server grants the intersection it
-            supports, read back on :attr:`column_frames`.  When the
-            column format is granted, :meth:`replay` coalesces reports
-            into binary column frames instead of per-report messages.
+        frames: binary frame kinds to request in the handshake; must
+            include ``"column"``, the only report format, and
+            :meth:`connect` fails when the server does not grant it.
+            :meth:`replay` coalesces reports into column frames.
         client_id: stable identity string; enables idempotent resume
             (sequence numbering + ``last_seq``) and makes reconnects
             under the same id tick ``repro_serve_reconnects_total``.
@@ -141,8 +129,8 @@ class IngestClient:
     """
 
     def __init__(self, host: Optional[str] = None,
-                 port: Optional[int] = None, codec: str = "json",
-                 frames: Sequence[str] = (),
+                 port: Optional[int] = None,
+                 frames: Sequence[str] = ("column",),
                  client_id: Optional[str] = None,
                  connect_timeout_s: Optional[float]
                  = DEFAULT_CONNECT_TIMEOUT_S,
@@ -158,10 +146,12 @@ class IngestClient:
             self._endpoints = [(host, int(port))]
         else:
             raise ValueError("IngestClient needs host+port or endpoints")
+        if "column" not in frames:
+            raise ValueError(
+                f"frames must include 'column', the only report format "
+                f"(got {tuple(frames)!r})")
         self._endpoint_index = 0
         self.host, self.port = self._endpoints[0]
-        self.requested_codec = codec
-        self.codec = codec
         self.requested_frames = tuple(frames)
         #: Frame kinds the server granted (from welcome; empty pre-connect).
         self.frames: tuple = ()
@@ -174,7 +164,7 @@ class IngestClient:
         self.last_seq = 0
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
-        self._decoder = FrameDecoder("json")
+        self._decoder = FrameDecoder()
         self._inbox: List[Dict] = []
         self._nonce = 0
 
@@ -189,7 +179,8 @@ class IngestClient:
             on :attr:`last_seq`).
 
         Raises:
-            ServeError: when the server rejects the handshake.
+            ServeError: when the server rejects the handshake or does
+                not accept column frames.
             ServeTimeoutError: when connect or the handshake reply
                 exceeds ``connect_timeout_s``.
         """
@@ -201,30 +192,30 @@ class IngestClient:
             raise ServeTimeoutError(
                 f"connect to {self.host}:{self.port} timed out after "
                 f"{self.connect_timeout_s}s") from None
-        self._decoder = FrameDecoder("json")
+        self._decoder = FrameDecoder()
         self._inbox = []
         try:
             hello = {"type": "hello", "role": "ingest",
-                     "codec": self.requested_codec}
-            if self.requested_frames:
-                hello["frames"] = list(self.requested_frames)
+                     "frames": list(self.requested_frames)}
             if self.client_id is not None:
                 hello["client_id"] = self.client_id
-            self._writer.write(encode_frame(hello, "json"))
+            self._writer.write(encode_frame(hello))
             await self._writer.drain()
             welcome = await self._read_message(
                 timeout=self.connect_timeout_s)
             if welcome is None or welcome.get("type") != "welcome":
                 raise ServeError(f"handshake failed: {welcome!r}")
+            if "column" not in (welcome.get("frames") or ()):
+                raise ServeError(
+                    f"server at {self.host}:{self.port} does not accept "
+                    f"column frames: {welcome!r}")
         except BaseException:
             # A failed handshake must not leave a half-open connection
             # behind: `connected` stays False and retry loops reconnect
             # from a clean slate.
             await self._teardown()
             raise
-        self.codec = welcome.get("codec", "json")
-        self._decoder.codec = self.codec
-        self.frames = tuple(welcome.get("frames") or ())
+        self.frames = tuple(welcome["frames"])
         self.last_seq = int(welcome.get("last_seq", 0))
         return welcome
 
@@ -249,11 +240,6 @@ class IngestClient:
                                 % len(self._endpoints))
         self.host, self.port = self._endpoints[self._endpoint_index]
         return self.host, self.port
-
-    @property
-    def column_frames(self) -> bool:
-        """True when the server granted the binary column frame format."""
-        return "column" in self.frames
 
     async def _read_message(self, timeout: Optional[float] = "unset"
                             ) -> Optional[Dict]:
@@ -296,36 +282,10 @@ class IngestClient:
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
-    def _report_message(self, report: TagReport,
-                        seq: Optional[int]) -> Dict:
-        message = report_to_wire(report)
-        if seq is not None:
-            message["seq"] = seq
-        return message
-
-    async def send_report(self, report: TagReport,
-                          seq: Optional[int] = None) -> None:
-        """Send one tag report (buffered; flushed by the transport)."""
-        self._writer.write(
-            encode_frame(self._report_message(report, seq), self.codec))
-        await self._writer.drain()
-
     async def send_message(self, message: Dict) -> None:
         """Send one raw protocol message (fabric control plumbing)."""
-        self._writer.write(encode_frame(message, self.codec))
+        self._writer.write(encode_frame(message))
         await self._writer.drain()
-
-    def write_message(self, message: Dict) -> None:
-        """Buffer one message without draining (router batching path).
-
-        Raises:
-            ConnectionResetError: the transport is already closing —
-                surfaced here so a dead link fails fast instead of
-                buffering into a closed socket.
-        """
-        if self._writer is None or self._writer.is_closing():
-            raise ConnectionResetError("link transport is closed")
-        self._writer.write(encode_frame(message, self.codec))
 
     def write_frame(self, data: bytes) -> None:
         """Buffer one pre-encoded frame (column-frame fan-out path).
@@ -335,26 +295,31 @@ class IngestClient:
         :func:`~repro.serve.protocol.encode_column_frame`.
 
         Raises:
-            ConnectionResetError: the transport is already closing.
+            ConnectionResetError: the transport is already closing —
+                surfaced here so a dead link fails fast instead of
+                buffering into a closed socket.
         """
         if self._writer is None or self._writer.is_closing():
             raise ConnectionResetError("link transport is closed")
         self._writer.write(data)
 
-    def _flush_column(self, pending: List[TagReport],
-                      first_seq: Optional[int],
+    def _flush_column(self, reports: List[TagReport], lo: int, hi: int,
                       stats: ReplayStats) -> None:
-        """Encode buffered reports as one column frame and clear them."""
-        batch = ReportBatch.from_reports(pending)
+        """Send ``reports[lo:hi]`` as one column frame (no-op when empty).
+
+        With a ``client_id`` the rows carry their sequence numbers
+        ``lo + 1 .. hi``.
+        """
+        if hi <= lo:
+            return
         seqs = None
-        if first_seq is not None:
-            seqs = np.arange(first_seq, first_seq + len(pending),
-                             dtype=np.uint64)
-        data = encode_column_frame(batch, seqs)
+        if self.client_id is not None:
+            seqs = np.arange(lo + 1, hi + 1, dtype=np.uint64)
+        data = encode_column_frame(
+            ReportBatch.from_reports(reports[lo:hi]), seqs)
         self._writer.write(data)
         stats.bytes_sent += len(data)
-        stats.sent += len(pending)
-        pending.clear()
+        stats.sent += hi - lo
 
     async def drain(self) -> None:
         """Flush buffered writes; blocks under transport backpressure."""
@@ -453,67 +418,20 @@ class IngestClient:
         loop = asyncio.get_event_loop()
         t_start = loop.time()
         stats = ReplayStats()
-        if self.client_id is not None:
-            await self._replay_resumable(list(reports), speed, progress,
-                                         stats, loop)
-        else:
-            await self._replay_simple(reports, speed, progress, stats)
+        await self._replay(list(reports), speed, progress, stats)
         stats.wall_s = loop.time() - t_start
         return stats
 
-    async def _replay_simple(self, reports: Iterable[TagReport],
-                             speed: float,
-                             progress: Optional[Callable[[int], None]],
-                             stats: ReplayStats) -> None:
-        prev_t: Optional[float] = None
-        batch = 0
-        pending: List[TagReport] = []
-        columns = self.column_frames
-        threshold = _COLUMN_BATCH if columns else _WRITE_BATCH
-        for report in reports:
-            if speed > 0 and prev_t is not None:
-                gap = (report.timestamp_s - prev_t) / speed
-                if gap > 0:
-                    if pending:
-                        self._flush_column(pending, None, stats)
-                    await asyncio.sleep(gap)
-            prev_t = report.timestamp_s
-            if self._writer.is_closing():
-                raise ConnectionResetError("server closed the connection")
-            if columns:
-                pending.append(report)
-            else:
-                data = encode_frame(report_to_wire(report), self.codec)
-                self._writer.write(data)
-                stats.bytes_sent += len(data)
-                stats.sent += 1
-            batch += 1
-            if batch >= threshold:
-                if pending:
-                    self._flush_column(pending, None, stats)
-                await self._writer.drain()
-                batch = 0
-                if progress is not None:
-                    progress(stats.sent)
-                for message in self._drain_inbox_nowait():
-                    self._absorb(message, stats)
-        if pending:
-            self._flush_column(pending, None, stats)
-        await self._writer.drain()
-        flushed = await self.flush()
-        if flushed is not None:
-            self._absorb(flushed, stats)
+    async def _replay(self, reports: List[TagReport], speed: float,
+                      progress: Optional[Callable[[int], None]],
+                      stats: ReplayStats) -> None:
+        """Stream ``reports`` as column frames of up to ``_COLUMN_BATCH``.
 
-    async def _replay_resumable(self, reports: List[TagReport],
-                                speed: float,
-                                progress: Optional[Callable[[int], None]],
-                                stats: ReplayStats,
-                                loop: asyncio.AbstractEventLoop) -> None:
-        """Sequence-numbered replay that rides through reconnects.
-
-        ``reports[i]`` carries ``seq = i + 1``; the resume index always
-        comes from the server's ``last_seq``, so the loop converges no
-        matter how far a restarted server's checkpoint rewound.
+        With a ``client_id``, ``reports[i]`` carries ``seq = i + 1`` and
+        a dropped connection is retried; the resume index always comes
+        from the server's ``last_seq``, so the loop converges no matter
+        how far a restarted server's checkpoint rewound.  Without one,
+        the rows carry no seqs and a connection error propagates.
         """
         index = min(self.last_seq, len(reports))
         stats.resumed_skipped = index
@@ -526,47 +444,31 @@ class IngestClient:
                     index = min(self.last_seq, len(reports))
                 prev_t: Optional[float] = None
                 batch = 0
-                pending: List[TagReport] = []
-                pending_seq = 0
-                columns = self.column_frames
-                threshold = _COLUMN_BATCH if columns else _WRITE_BATCH
+                first = index  # first row not yet sent
                 while index < len(reports):
                     report = reports[index]
                     if speed > 0 and prev_t is not None:
                         gap = (report.timestamp_s - prev_t) / speed
                         if gap > 0:
-                            if pending:
-                                self._flush_column(
-                                    pending, pending_seq, stats)
+                            self._flush_column(reports, first, index, stats)
+                            first = index
                             await asyncio.sleep(gap)
                     prev_t = report.timestamp_s
                     if self._writer.is_closing():
                         raise ConnectionResetError(
                             "server closed the connection")
-                    if columns:
-                        if not pending:
-                            pending_seq = index + 1
-                        pending.append(report)
-                    else:
-                        data = encode_frame(
-                            self._report_message(report, index + 1),
-                            self.codec)
-                        self._writer.write(data)
-                        stats.bytes_sent += len(data)
-                        stats.sent += 1
                     index += 1
                     batch += 1
-                    if batch >= threshold:
-                        if pending:
-                            self._flush_column(pending, pending_seq, stats)
+                    if batch >= _COLUMN_BATCH:
+                        self._flush_column(reports, first, index, stats)
+                        first = index
                         await self._writer.drain()
                         batch = 0
                         if progress is not None:
                             progress(stats.sent)
                         for message in self._drain_inbox_nowait():
                             self._absorb(message, stats)
-                if pending:
-                    self._flush_column(pending, pending_seq, stats)
+                self._flush_column(reports, first, index, stats)
                 await self._writer.drain()
                 flushed = await self.flush()
                 if flushed is not None:
@@ -574,6 +476,8 @@ class IngestClient:
                 return
             except (ConnectionError, ServeTimeoutError, OSError,
                     asyncio.IncompleteReadError) as exc:
+                if self.client_id is None:
+                    raise
                 await self._teardown()
                 if len(self._endpoints) > 1:
                     self.rotate_endpoint()
@@ -610,7 +514,7 @@ class IngestClient:
         Raises:
             ServeTimeoutError: no ``flushed`` within ``read_timeout_s``.
         """
-        self._writer.write(encode_frame({"type": "flush"}, self.codec))
+        self._writer.write(encode_frame({"type": "flush"}))
         await self._writer.drain()
         while True:
             message = await self._read_message()
@@ -628,7 +532,7 @@ class IngestClient:
             return
         if polite:
             try:
-                self._writer.write(encode_frame({"type": "bye"}, self.codec))
+                self._writer.write(encode_frame({"type": "bye"}))
                 await self._writer.drain()
             except (ConnectionError, OSError):
                 pass
@@ -643,7 +547,6 @@ class IngestClient:
 
 async def watch_estimates(host: str, port: int,
                           user_id: Optional[int] = None,
-                          codec: str = "json",
                           connect_timeout_s: Optional[float]
                           = DEFAULT_CONNECT_TIMEOUT_S,
                           read_timeout_s: Optional[float] = None,
@@ -668,7 +571,7 @@ async def watch_estimates(host: str, port: int,
         raise ServeTimeoutError(
             f"connect to {host}:{port} timed out after "
             f"{connect_timeout_s}s") from None
-    decoder = FrameDecoder("json")
+    decoder = FrameDecoder()
 
     async def _read(n: int, timeout: Optional[float]) -> bytes:
         try:
@@ -687,8 +590,7 @@ async def watch_estimates(host: str, port: int,
             ) from None
 
     try:
-        writer.write(encode_frame(
-            {"type": "hello", "role": "watch", "codec": codec}, "json"))
+        writer.write(encode_frame({"type": "hello", "role": "watch"}))
         watch: Dict = {"type": "watch"}
         if user_id is not None:
             watch["user_id"] = int(user_id)
@@ -704,7 +606,7 @@ async def watch_estimates(host: str, port: int,
                 welcome = messages[0]
         if welcome.get("type") != "welcome":
             raise ServeError(f"handshake failed: {welcome!r}")
-        writer.write(encode_frame(watch, welcome.get("codec", "json")))
+        writer.write(encode_frame(watch))
         await writer.drain()
         while True:
             line = await _readline(read_timeout_s)
@@ -728,9 +630,7 @@ async def watch_estimates(host: str, port: int,
 # ----------------------------------------------------------------------
 def replay_trace(source: Union[str, Sequence[TagReport]],
                  host: str, port: int, speed: float = 1.0,
-                 client_id: Optional[str] = None,
-                 codec: str = "json",
-                 frames: Sequence[str] = ()) -> ReplayStats:
+                 client_id: Optional[str] = None) -> ReplayStats:
     """Replay a capture file (CSV/JSONL) or report list synchronously.
 
     The blocking face of :meth:`IngestClient.replay` for scripts and the
@@ -744,8 +644,7 @@ def replay_trace(source: Union[str, Sequence[TagReport]],
         reports = source
 
     async def _run() -> ReplayStats:
-        client = IngestClient(host, port, codec=codec, frames=frames,
-                              client_id=client_id)
+        client = IngestClient(host, port, client_id=client_id)
         await client.connect()
         try:
             return await client.replay(reports, speed=speed)

@@ -4,7 +4,8 @@
 :class:`~repro.serve.server.BreathServer` out to N supervised worker
 *processes* behind one TCP front door.  The router speaks the same
 framed protocol as a plain server — an :class:`IngestClient` cannot
-tell the difference — and consistent-hashes every report's ``user_id``
+tell the difference — splits each column frame of reports by owning
+worker, consistent-hashing every ``user_id``
 (:mod:`repro.serve.hashring`) onto the worker that owns that user's
 session.  Each worker is a full BreathServer shard with its own atomic
 checkpoint; the :class:`~repro.serve.supervisor.Supervisor` heartbeats
@@ -51,9 +52,7 @@ from typing import Any, Dict, List, Optional, Set, Union
 import numpy as np
 
 from .. import obs
-from ..epc.codec import EPC96
 from ..errors import (
-    EPCFormatError,
     FabricError,
     ProtocolError,
     ServeError,
@@ -66,9 +65,7 @@ from .protocol import (
     FrameDecoder,
     encode_column_frame,
     encode_frame,
-    negotiate_codec,
     negotiate_frames,
-    report_to_wire,
 )
 from .retry import RESPAWN_RETRY
 from .server import ACK_EVERY
@@ -95,12 +92,11 @@ class _Route:
     paused); handlers only hold it while actually forwarding.
     """
 
-    __slots__ = ("client_id", "codec", "links", "lock", "received",
-                 "shed_total", "unsent")
+    __slots__ = ("client_id", "links", "lock", "received", "shed_total",
+                 "unsent")
 
-    def __init__(self, client_id: Optional[str], codec: str) -> None:
+    def __init__(self, client_id: Optional[str]) -> None:
         self.client_id = client_id
-        self.codec = codec
         self.links: Dict[int, IngestClient] = {}
         self.lock = asyncio.Lock()
         self.received = 0
@@ -471,25 +467,23 @@ class BreathFabric:
         self.counters["connections_total"] += 1
         obs.counter("repro_fabric_connections_total").inc()
         peer = writer.get_extra_info("peername")
-        decoder = FrameDecoder("json")
-        codec = "json"
+        decoder = FrameDecoder()
         route: Optional[_Route] = None
         try:
             hello = await self._read_one(reader, decoder)
             if hello is None or hello.get("type") != "hello":
                 raise ProtocolError("first frame must be 'hello'")
             role = hello.get("role", "ingest")
-            codec = negotiate_codec(hello.get("codec"))
             client_id = hello.get("client_id")
             if not isinstance(client_id, str):
                 client_id = None
             if role == "watch":
-                await self._serve_watch(reader, writer, decoder, codec)
+                await self._serve_watch(reader, writer, decoder)
                 return
             if role != "ingest":
                 raise ProtocolError(f"unknown role {hello.get('role')!r}")
             frames = negotiate_frames(hello.get("frames"))
-            route = _Route(client_id, codec)
+            route = _Route(client_id)
             # Eager links when resuming matters: the welcome's last_seq
             # must answer the most-rewound worker's watermark, which
             # requires asking all of them before streaming starts.
@@ -503,13 +497,12 @@ class BreathFabric:
             self._routes.add(route)
             writer.write(encode_frame({
                 "type": "welcome", "version": PROTOCOL_VERSION,
-                "codec": codec, "role": "ingest",
+                "role": "ingest",
                 "frames": list(frames),
                 "draining": self._draining,
                 "last_seq": last_seq,
-            }, "json"))
+            }))
             await writer.drain()
-            decoder.codec = codec
             if self._draining:
                 return
             await self._route_loop(reader, writer, decoder, route)
@@ -517,7 +510,7 @@ class BreathFabric:
             obs.counter("repro_fabric_protocol_errors_total").inc()
             try:
                 writer.write(encode_frame(
-                    {"type": "error", "message": str(exc)}, codec))
+                    {"type": "error", "message": str(exc)}))
                 await writer.drain()
             except (ConnectionError, RuntimeError):
                 pass
@@ -561,7 +554,6 @@ class BreathFabric:
     async def _route_loop(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter,
                           decoder: FrameDecoder, route: _Route) -> None:
-        codec = route.codec
         while True:
             data = await reader.read(_READ_CHUNK)
             if not data:
@@ -573,17 +565,7 @@ class BreathFabric:
             async with route.lock:
                 for message in messages:
                     mtype = message.get("type")
-                    if mtype == "report":
-                        await self._forward_report(route, message)
-                        if route.received % ACK_EVERY == 0:
-                            await self._drain_links(route)
-                            writer.write(encode_frame({
-                                "type": "ack",
-                                "received": route.received,
-                                "shed_total": route.shed_total,
-                            }, codec))
-                            await writer.drain()
-                    elif mtype == "report_batch":
+                    if mtype == "report_batch":
                         n = await self._forward_batch(route, message)
                         if n and (route.received // ACK_EVERY
                                   > (route.received - n) // ACK_EVERY):
@@ -592,7 +574,7 @@ class BreathFabric:
                                 "type": "ack",
                                 "received": route.received,
                                 "shed_total": route.shed_total,
-                            }, codec))
+                            }))
                             await writer.drain()
                     elif mtype == "flush":
                         await self._drain_links(route)
@@ -609,7 +591,7 @@ class BreathFabric:
                             "type": "flushed",
                             "received": route.received,
                             "shed_total": route.shed_total,
-                        }, codec))
+                        }))
                         await writer.drain()
                     elif mtype == "ping":
                         stats = await self.fleet_stats()
@@ -620,7 +602,7 @@ class BreathFabric:
                             "reports_total": stats["reports_total"],
                             "shed_total": stats["shed_total"],
                             "draining": self._draining,
-                        }, codec))
+                        }))
                         await writer.drain()
                     elif mtype == "bye":
                         await self._drain_links(route)
@@ -632,30 +614,13 @@ class BreathFabric:
                             f"unsupported message type {mtype!r} "
                             "on a fabric connection")
 
-    async def _forward_report(self, route: _Route,
-                              message: Dict[str, Any]) -> None:
-        try:
-            user_id = EPC96.from_hex(message.get("epc", "")).user_id
-        except (EPCFormatError, TypeError) as exc:
-            raise ProtocolError(f"bad report epc: {exc}") from exc
-        worker_id = self.ring.owner(user_id)
-        link = await self._link(route, worker_id)
-        link.write_message(message)
-        route.unsent.add(worker_id)
-        route.received += 1
-        self.counters["routed_reports_total"] += 1
-        obs.counter("repro_fabric_routed_reports_total",
-                    worker=str(worker_id)).inc()
-
     async def _forward_batch(self, route: _Route,
                              message: Dict[str, Any]) -> int:
         """Route one column frame, split per owning worker.
 
-        Sub-batches keep their per-row sequence numbers, so the workers'
-        duplicate filters see exactly what a per-report stream would
-        have carried; each sub-frame is re-encoded binary when the
-        worker link granted column frames (always, for our own fleet)
-        and falls back to per-report messages otherwise.
+        Sub-batches keep their per-row sequence numbers, so each
+        worker's duplicate filter sees exactly the rows it owns with the
+        sequence numbers the client gave them.
         """
         batch = message["batch"]
         seqs = message.get("seqs")
@@ -674,14 +639,7 @@ class BreathFabric:
                 sub = batch.select(mask)
                 seq_sub = seqs[mask] if seqs is not None else None
             link = await self._link(route, worker_id)
-            if link.column_frames:
-                link.write_frame(encode_column_frame(sub, seq_sub))
-            else:
-                for i, report in enumerate(sub.to_reports()):
-                    wire = report_to_wire(report)
-                    if seq_sub is not None:
-                        wire["seq"] = int(seq_sub[i])
-                    link.write_message(wire)
+            link.write_frame(encode_column_frame(sub, seq_sub))
             route.unsent.add(worker_id)
             obs.counter("repro_fabric_routed_reports_total",
                         worker=str(worker_id)).inc(len(sub))
@@ -715,7 +673,6 @@ class BreathFabric:
                 host, port = self.supervisor.address_of(worker_id)
                 link = IngestClient(
                     host, port,
-                    frames=("column",),
                     client_id=route.client_id,
                     connect_timeout_s=self.config.heartbeat_timeout_s,
                     read_timeout_s=max(
@@ -736,7 +693,7 @@ class BreathFabric:
     # ------------------------------------------------------------------
     async def _serve_watch(self, reader: asyncio.StreamReader,
                            writer: asyncio.StreamWriter,
-                           decoder: FrameDecoder, codec: str) -> None:
+                           decoder: FrameDecoder) -> None:
         """Multiplex every worker's estimate stream onto one watcher.
 
         The subscription set is read from the client's first ``watch``
@@ -746,11 +703,10 @@ class BreathFabric:
         """
         writer.write(encode_frame({
             "type": "welcome", "version": PROTOCOL_VERSION,
-            "codec": codec, "role": "watch",
+            "role": "watch",
             "draining": self._draining, "last_seq": 0,
-        }, "json"))
+        }))
         await writer.drain()
-        decoder.codec = codec
         watch = await self._read_one(reader, decoder)
         if watch is None:
             return

@@ -1,49 +1,29 @@
 """Wire protocol for the streaming ingest service.
 
 Framing is length-prefixed: every message is a 4-byte big-endian payload
-length followed by the encoded payload.  Payloads are JSON objects by
-default; a client whose ``hello`` asks for ``codec="msgpack"`` switches
-both directions to msgpack *if* the library is available on the server
-(it is optional — the container may not ship it), otherwise the server's
-``welcome`` answers with the codec actually in force and the client must
-follow it.  The ``hello``/``welcome`` handshake itself is always JSON so
-the negotiation can never deadlock on an unknown codec.
+length followed by the payload.  Tag reads travel in exactly one form,
+the binary **column frame** (``report_batch``): a
+:class:`repro.reader.batch.ReportBatch` packed as numpy columns
+(:func:`encode_column_frame`), ~56 bytes a report with its sequence
+column, decoded back to columns without any per-row parsing.  Every
+other message is a JSON object.  The column frame's leading magic byte
+0x00 can never open a JSON payload, so the decoder dispatches per frame.
 
-Report messages mirror the LLRP low-level report shape of
-:class:`repro.reader.tagreport.TagReport` — the same seven fields
-``repro.sim.trace_io`` persists, so a recorded capture replays over the
-wire without translation:
+Message types (client → server): ``hello``, ``report_batch``,
+``watch``, ``unwatch``, ``flush``, ``bye``, plus the fabric control
+verbs ``ping`` (liveness/heartbeat probe), ``migrate_out`` (drain named
+users' session state off this server) and ``migrate_in`` (restore
+session state migrated from another server).  Server → client:
+``welcome``, ``ack``, ``estimate``, ``flushed``, ``draining``,
+``error``, ``pong``, ``migrated``.  A column frame may carry a per-row
+``seq`` column, monotonically increasing per ``client_id``: the server
+remembers the highest sequence accepted per client — snapshotted into
+its checkpoint — and silently drops replays at or below it, which is
+what lets a client resend after a reconnect without duplicating data
+(idempotent resume; the ``welcome`` answers ``last_seq``).
 
-    {"type": "report", "epc": "…24 hex…", "timestamp_s": …,
-     "phase_rad": …, "rssi_dbm": …, "doppler_hz": …,
-     "channel_index": …, "antenna_port": …}
-
-Message types (client → server): ``hello``, ``report``,
-``report_batch``, ``watch``, ``unwatch``, ``flush``, ``bye``, plus the
-fabric control verbs ``ping`` (liveness/heartbeat probe),
-``migrate_out`` (drain named users' session state off this server) and
-``migrate_in`` (restore session state migrated from another server).
-Server → client: ``welcome``, ``ack``, ``estimate``, ``flushed``,
-``draining``, ``error``, ``pong``, ``migrated``.  A ``report`` may
-carry an optional monotonically increasing ``seq`` (per ``client_id``):
-the server remembers the highest sequence accepted per client —
-snapshotted into its checkpoint — and silently drops replays at or
-below it, which is what lets a client resend after a reconnect without
-duplicating data (idempotent resume; the ``welcome`` answers
-``last_seq``).
-
-``report_batch`` is the columnar hot path and never exists as a
-json/msgpack object on the wire: a client granted the ``column`` frame
-kind in the hello/welcome ``frames`` negotiation sends whole
-:class:`repro.reader.batch.ReportBatch` column blocks as binary frames
-(:func:`encode_column_frame`), ~4x smaller than the per-report JSON
-messages and decoded back to numpy columns without any per-row parsing;
-the optional per-row seq column carries the same idempotent-resume
-semantics as ``report.seq``.  See docs/SERVING.md for the exact byte
-grammar.
-Estimates on *watch* connections
-are additionally available as plain JSONL text (one JSON object per
-line) so ``nc`` / ``tail``-style tooling can consume them; see
+Estimates on *watch* connections are plain JSONL text (one JSON object
+per line) so ``nc`` / ``tail``-style tooling can consume them; see
 docs/SERVING.md for the full grammar.
 """
 
@@ -55,41 +35,28 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..epc.codec import EPC96
 from ..errors import ProtocolError, ReproError
 from ..reader.batch import ReportBatch
-from ..reader.tagreport import TagReport
-
-try:  # optional accelerated codec; the image may not carry it
-    import msgpack  # type: ignore
-
-    HAVE_MSGPACK = True
-except ImportError:  # pragma: no cover - depends on environment
-    msgpack = None
-    HAVE_MSGPACK = False
 
 #: Protocol version spoken by this module.  v2 added the fabric control
 #: verbs (``ping``/``pong``, ``migrate_out``/``migrate_in``/``migrated``)
 #: and idempotent-resume sequence numbers; v3 added the binary column
-#: frame (``report_batch`` on the wire) and its ``frames`` negotiation —
-#: all additive, so v1/v2 clients interoperate unchanged.
-PROTOCOL_VERSION = 3
+#: frame (``report_batch`` on the wire) and its ``frames`` negotiation;
+#: v4 made the column frame the only report format and JSON the only
+#: encoding of every other message.
+PROTOCOL_VERSION = 4
 
-#: Hard ceiling on one frame's payload size.  A report frame is ~200
-#: bytes; anything near this limit is a corrupt length prefix, not data.
+#: Hard ceiling on one frame's payload size.  Anything near this limit
+#: is a corrupt length prefix, not data (a column frame is split well
+#: below it).
 MAX_FRAME_BYTES = 1 << 20
 
 #: The 4-byte big-endian unsigned length prefix.
 _HEADER = struct.Struct("!I")
 
-#: Codecs a connection may negotiate.  "json" is always available.
-CODECS = ("json",) + (("msgpack",) if HAVE_MSGPACK else ())
-
 #: Binary frame kinds a connection may negotiate (hello ``frames`` →
-#: welcome ``frames``).  Unlike codecs, frames are self-describing on
-#: the wire — the column frame's leading magic byte 0x00 can never open
-#: a JSON payload and is not a msgpack map, so the decoder dispatches
-#: per frame and negotiation only gates what a peer may *send*.
+#: welcome ``frames``).  Frames are self-describing on the wire, so the
+#: grant only tells a client what the server accepts.
 FRAME_KINDS = ("column",)
 
 #: Column-frame layout: a fixed struct header followed by the packed
@@ -121,81 +88,48 @@ _ROW_BYTES = sum(np.dtype(dt).itemsize for _, dt in COLUMN_WIRE_DTYPES)
 #: ``flush`` is the ingest barrier: the server answers ``flushed`` only
 #: after every queued report has been ingested, giving replay clients a
 #: happens-before edge between "bytes sent" and "estimates reflect them".
-CLIENT_TYPES = ("hello", "report", "report_batch", "watch", "unwatch",
-                "flush", "bye", "ping", "migrate_out", "migrate_in")
+CLIENT_TYPES = ("hello", "report_batch", "watch", "unwatch", "flush",
+                "bye", "ping", "migrate_out", "migrate_in")
 SERVER_TYPES = ("welcome", "ack", "estimate", "flushed", "draining",
                 "error", "pong", "migrated")
-
-
-def negotiate_codec(requested: Optional[str]) -> str:
-    """The codec the server will speak given a client's request."""
-    if requested in CODECS:
-        return requested
-    return "json"
 
 
 def negotiate_frames(requested: Optional[List[str]]) -> Tuple[str, ...]:
     """The binary frame kinds granted from a hello's ``frames`` list.
 
     Unknown kinds are dropped, order and duplicates normalised away; an
-    absent or empty request grants nothing (per-message codec frames
-    only), which is exactly the pre-v3 behaviour.
+    absent or empty request grants nothing.
     """
     if not requested:
         return ()
     return tuple(kind for kind in FRAME_KINDS if kind in requested)
 
 
-def _check_codec(codec: str) -> None:
-    """Reject a codec this process cannot speak, with a typed reason.
-
-    A *negotiated-but-unavailable* codec (msgpack agreed during a
-    handshake made against a different build, then the library is
-    missing here) is a configuration fault and must fail loudly — a
-    silent JSON fallback would desynchronise the two ends' framing.
-    """
-    if codec == "msgpack" and not HAVE_MSGPACK:
-        raise ProtocolError(
-            "codec 'msgpack' was negotiated but the msgpack library is "
-            "not available in this process")
-    if codec not in ("json", "msgpack"):
-        raise ProtocolError(f"unknown codec {codec!r} (available: {CODECS})")
-
-
-def _encode_payload(message: Dict[str, Any], codec: str) -> bytes:
-    _check_codec(codec)
-    if codec == "json":
-        return json.dumps(message, separators=(",", ":"),
-                          sort_keys=True).encode("utf-8")
-    return msgpack.packb(message, use_bin_type=True)
-
-
-def _decode_payload(payload: bytes, codec: str) -> Dict[str, Any]:
-    _check_codec(codec)
+def _decode_payload(payload: bytes) -> Dict[str, Any]:
     try:
-        if codec == "json":
-            message = json.loads(payload.decode("utf-8"))
-        else:
-            message = msgpack.unpackb(payload, raw=False)
+        message = json.loads(payload.decode("utf-8"))
     except (ValueError, RecursionError) as exc:
         # RecursionError: nesting deeper than the parser's stack.
-        raise ProtocolError(f"undecodable {codec} payload: {exc}") from exc
+        raise ProtocolError(f"undecodable json payload: {exc}") from exc
     if not isinstance(message, dict) or "type" not in message:
         raise ProtocolError(
             "frame payload must be an object with a 'type', got "
             f"{message!r:.200}")
-    if message["type"] == "report_batch":
-        raise ProtocolError("report_batch travels only as a column frame")
+    if message["type"] in ("report", "report_batch"):
+        # Protocol v4: tag reads travel only as binary column frames.
+        raise ProtocolError(
+            f"{message['type']!r} travels only as a column frame")
     return message
 
 
-def encode_frame(message: Dict[str, Any], codec: str = "json") -> bytes:
-    """One message as a length-prefixed wire frame.
+def encode_frame(message: Dict[str, Any]) -> bytes:
+    """One JSON message as a length-prefixed wire frame.
 
     Raises:
-        ProtocolError: on an unknown codec or an oversized payload.
+        ProtocolError: on an oversized payload.
     """
-    payload = _encode_payload(message, codec)
+    payload = json.dumps(message, separators=(",", ":"),
+                         sort_keys=True).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError(
             f"frame payload {len(payload)} bytes exceeds {MAX_FRAME_BYTES}")
@@ -207,8 +141,8 @@ def encode_column_payload(batch: ReportBatch,
     """A ``ReportBatch`` as one column-frame payload (no length prefix).
 
     The payload is the fixed column-frame header followed by each column
-    packed contiguously in :data:`COLUMN_WIRE_DTYPES` order (~48 bytes a
-    report against ~200 for the JSON ``report`` message), plus a
+    packed contiguously in :data:`COLUMN_WIRE_DTYPES` order (48 bytes a
+    report), plus a
     trailing per-row ``seq`` column when ``seqs`` is given — per-row
     rather than a single base because a fabric router splits one frame
     into per-worker sub-batches whose rows are not contiguous in the
@@ -326,17 +260,16 @@ class FrameDecoder:
     """Incremental decoder: feed raw socket bytes, get complete messages.
 
     Tolerates arbitrary fragmentation — a frame may arrive one byte at a
-    time or many frames in one read.  The codec can be switched between
-    frames (after the hello/welcome handshake settles negotiation).
+    time or many frames in one read.
 
     Raises:
-        ProtocolError: on an oversized length prefix or a payload the
-            active codec cannot decode.  The decoder is unusable after —
-            framing has lost sync, the connection must be dropped.
+        ProtocolError: on an oversized length prefix or a payload that
+            is neither a column frame nor a JSON object.  The decoder is
+            unusable after — framing has lost sync, the connection must
+            be dropped.
     """
 
-    def __init__(self, codec: str = "json") -> None:
-        self.codec = codec
+    def __init__(self) -> None:
         self._buffer = bytearray()
 
     def pending_bytes(self) -> int:
@@ -361,49 +294,11 @@ class FrameDecoder:
             payload = bytes(self._buffer[_HEADER.size:end])
             del self._buffer[:end]
             # Column frames are self-describing: the magic's leading
-            # 0x00 can never open a JSON payload and is not a msgpack
-            # map, so dispatch ignores the negotiated codec.
+            # 0x00 can never open a JSON payload.
             if payload[:2] == COLUMN_FRAME_MAGIC:
                 messages.append(decode_column_frame(payload))
             else:
-                messages.append(_decode_payload(payload, self.codec))
-
-
-# ----------------------------------------------------------------------
-# Report <-> wire translation
-# ----------------------------------------------------------------------
-def report_to_wire(report: TagReport) -> Dict[str, Any]:
-    """A ``report`` message for one tag read (trace_io JSONL shape)."""
-    return {
-        "type": "report",
-        "epc": report.epc.to_hex(),
-        "timestamp_s": report.timestamp_s,
-        "phase_rad": report.phase_rad,
-        "rssi_dbm": report.rssi_dbm,
-        "doppler_hz": report.doppler_hz,
-        "channel_index": report.channel_index,
-        "antenna_port": report.antenna_port,
-    }
-
-
-def wire_to_report(message: Dict[str, Any]) -> TagReport:
-    """Decode a ``report`` message back into a validated TagReport.
-
-    Raises:
-        ProtocolError: on missing fields or values TagReport rejects.
-    """
-    try:
-        return TagReport(
-            epc=EPC96.from_hex(message["epc"]),
-            timestamp_s=float(message["timestamp_s"]),
-            phase_rad=float(message["phase_rad"]),
-            rssi_dbm=float(message["rssi_dbm"]),
-            doppler_hz=float(message["doppler_hz"]),
-            channel_index=int(message["channel_index"]),
-            antenna_port=int(message["antenna_port"]),
-        )
-    except (KeyError, TypeError, ValueError, ReproError) as exc:
-        raise ProtocolError(f"bad report message: {exc}") from exc
+                messages.append(_decode_payload(payload))
 
 
 def estimate_to_wire(user_id: int, stream_t: float, estimate: Any,

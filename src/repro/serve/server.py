@@ -1,8 +1,8 @@
 """The asyncio streaming ingest server: TagBreathe as a live service.
 
 :class:`BreathServer` accepts framed TCP connections
-(:mod:`repro.serve.protocol`), routes each tag report to the shard that
-owns its user (:mod:`repro.serve.session`), and fans per-user breathing
+(:mod:`repro.serve.protocol`), splits each column frame of tag reports
+by user, routes each user's rows to the shard that owns them (:mod:`repro.serve.session`), and fans per-user breathing
 estimates out to subscribed *watch* connections as a JSONL stream — the
 paper's "realtime" prototype (Section V) turned into a long-running
 monitor the ROADMAP's heavy-traffic north star asks for.
@@ -48,9 +48,7 @@ from .protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
     encode_frame,
-    negotiate_codec,
     negotiate_frames,
-    wire_to_report,
 )
 from .session import SessionConfig, SessionShard, UserSession
 
@@ -479,8 +477,7 @@ class BreathServer:
         gauge.inc()
         peer = writer.get_extra_info("peername")
         obs.event("serve.connection.open", peer=str(peer))
-        decoder = FrameDecoder("json")
-        codec = "json"
+        decoder = FrameDecoder()
         role = "ingest"
         watcher: Optional[_Watcher] = None
         write_task: Optional[asyncio.Task] = None
@@ -492,7 +489,6 @@ class BreathServer:
             role = hello.get("role", "ingest")
             if role not in ("ingest", "watch"):
                 raise ProtocolError(f"unknown role {hello.get('role')!r}")
-            codec = negotiate_codec(hello.get("codec"))
             frames = negotiate_frames(hello.get("frames"))
             client_id = hello.get("client_id")
             if not isinstance(client_id, str):
@@ -504,7 +500,7 @@ class BreathServer:
                 self._seen_clients.add(client_id)
             writer.write(encode_frame({
                 "type": "welcome", "version": PROTOCOL_VERSION,
-                "codec": codec, "role": role,
+                "role": role,
                 "frames": list(frames),
                 "draining": self._draining,
                 # Idempotent resume: the highest report sequence this
@@ -512,9 +508,8 @@ class BreathServer:
                 # so a reconnecting sender knows where to resend from.
                 "last_seq": self._client_seq.get(client_id, 0)
                 if client_id else 0,
-            }, "json"))
+            }))
             await writer.drain()
-            decoder.codec = codec
             if self._draining:
                 return
             if role == "watch":
@@ -523,13 +518,13 @@ class BreathServer:
                 write_task = asyncio.ensure_future(
                     self._watch_writer(writer, watcher))
             received = await self._read_loop(
-                reader, writer, decoder, codec, watcher, client_id)
+                reader, writer, decoder, watcher, client_id)
         except ProtocolError as exc:
             self.counters["protocol_errors_total"] += 1
             obs.counter("repro_serve_protocol_errors_total").inc()
             try:
                 writer.write(encode_frame(
-                    {"type": "error", "message": str(exc)}, codec))
+                    {"type": "error", "message": str(exc)}))
                 await writer.drain()
             except (ConnectionError, RuntimeError):
                 pass
@@ -577,7 +572,7 @@ class BreathServer:
 
     async def _read_loop(self, reader: asyncio.StreamReader,
                          writer: asyncio.StreamWriter,
-                         decoder: FrameDecoder, codec: str,
+                         decoder: FrameDecoder,
                          watcher: Optional[_Watcher],
                          client_id: Optional[str] = None) -> int:
         received = 0
@@ -590,35 +585,7 @@ class BreathServer:
                 self.counters["frames_total"] += 1
                 obs.counter("repro_serve_frames_total").inc()
                 mtype = message.get("type")
-                if mtype == "report":
-                    received += 1
-                    seq = message.get("seq")
-                    if seq is not None and client_id is not None:
-                        seq = int(seq)
-                        if seq <= self._client_seq.get(client_id, 0):
-                            # Replay of an already-accepted sequence
-                            # (resend after a reconnect): drop before
-                            # the shard, count the filter.
-                            self.counters["seq_filtered_total"] += 1
-                            obs.counter(
-                                "repro_serve_seq_filtered_total").inc()
-                            continue
-                        self._client_seq[client_id] = seq
-                    report = wire_to_report(message)
-                    shard = self.shard_for(report.user_id)
-                    shard.submit(report)
-                    touched.add(shard.index)
-                    self.counters["reports_total"] += 1
-                    if received % ACK_EVERY == 0:
-                        writer.write(encode_frame({
-                            "type": "ack", "received": received,
-                            "shed_total": self.shed_total(),
-                            "backlog": shard.backlog,
-                        }, codec))
-                        await writer.drain()
-                    if shard.over_high:
-                        await shard.wait_below_low()
-                elif mtype == "report_batch":
+                if mtype == "report_batch":
                     batch = message["batch"]
                     n = len(batch)
                     if n == 0:
@@ -650,14 +617,14 @@ class BreathServer:
                             "type": "ack", "received": received,
                             "shed_total": self.shed_total(),
                             "backlog": shard.backlog if shard else 0,
-                        }, codec))
+                        }))
                         await writer.drain()
                     for index in sorted(touched):
                         if self._shards[index].over_high:
                             await self._shards[index].wait_below_low()
                 elif mtype == "ping":
                     writer.write(encode_frame(
-                        self._pong(message), codec))
+                        self._pong(message)))
                     await writer.drain()
                 elif mtype == "migrate_out":
                     docs = await self.migrate_out(
@@ -665,7 +632,7 @@ class BreathServer:
                     writer.write(encode_frame({
                         "type": "migrated", "direction": "out",
                         "sessions": docs,
-                    }, codec))
+                    }))
                     await writer.drain()
                 elif mtype == "migrate_in":
                     try:
@@ -677,7 +644,7 @@ class BreathServer:
                     writer.write(encode_frame({
                         "type": "migrated", "direction": "in",
                         "count": count,
-                    }, codec))
+                    }))
                     await writer.drain()
                 elif mtype == "watch":
                     if watcher is None:
@@ -700,7 +667,7 @@ class BreathServer:
                     writer.write(encode_frame({
                         "type": "flushed", "received": received,
                         "shed_total": self.shed_total(),
-                    }, codec))
+                    }))
                     await writer.drain()
                 elif mtype == "bye":
                     return received

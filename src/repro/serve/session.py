@@ -2,9 +2,9 @@
 
 One :class:`UserSession` wraps one :class:`~repro.core.pipeline.TagBreathe`
 engine restricted to a single user and drives the incremental streaming
-path — ``feed()`` per report and ``feed_batch()`` per staged run of
-column batches (which fold the rows into the engine's Eq. 3
-differencing cursors and window index), and
+path — ``feed_batch()`` per staged run of column batches (which folds
+the rows into the engine's Eq. 3 differencing cursors and window
+index), and
 ``estimate_user()`` on a stream-time cadence, which slices the
 maintained state instead of recomputing from scratch and returns a
 memoized estimate when no new reports landed since the last tick — so a
@@ -14,10 +14,10 @@ computes over the same trailing window (the property
 streamed and batch numbers are in fact bit-identical).
 
 Sessions are grouped into :class:`SessionShard` workers (user_id modulo
-shard count), each with its own bounded ingest queue.  The shard is the
-unit of backpressure:
+shard count), each with its own bounded queue of single-user column
+batches.  The shard is the unit of backpressure:
 
-* **shed-oldest** — when the queue is full, the *oldest* queued report
+* **shed-oldest** — when the queue is full, the *oldest* queued batch
   is discarded to make room (a monitor wants the freshest breath, not a
   faithful archive), counted in ``repro_serve_shed_total``;
 * **watermarks** — connection handlers stop reading their socket while a
@@ -333,7 +333,7 @@ class SessionShard:
         return self._pending
 
     def _shed_to_capacity(self) -> None:
-        """Drop oldest queued entries until the backlog fits the bound.
+        """Drop oldest queued batches until the backlog fits the bound.
 
         Never drops the newest entry: a single batch larger than the
         whole queue capacity is admitted intact (the engine handles any
@@ -343,33 +343,21 @@ class SessionShard:
         while self._pending > capacity and self._queue.qsize() > 1:
             oldest = self._queue.get_nowait()
             self._queue.task_done()
-            dropped = len(oldest) if type(oldest) is ReportBatch else 1
+            dropped = len(oldest)
             self._pending -= dropped
             self.shed_count += dropped
             obs.counter("repro_serve_shed_total",
                         shard=str(self.index)).inc(dropped)
 
-    def submit(self, report: TagReport) -> None:
-        """Enqueue one report, shedding the oldest queued ones on overflow.
-
-        Never blocks and never raises: under sustained overload the
-        freshest data wins and ``repro_serve_shed_total`` counts the
-        loss, mirroring the tolerate-and-count contract of
-        ``TagBreathe.feed``.
-        """
-        self.frames_in += 1
-        self._queue.put_nowait(report)
-        self._pending += 1
-        self._shed_to_capacity()
-        if self._pending >= self.config.high:
-            self._below_low.clear()
-
     def submit_batch(self, batch: ReportBatch) -> None:
-        """Enqueue one single-user column batch (counted per report).
+        """Enqueue one single-user column batch, shedding on overflow.
 
-        Same never-block/never-raise contract as :meth:`submit`; the
-        batch occupies ``len(batch)`` reports of queue capacity and is
-        staged by the worker with one :meth:`UserSession.ingest_batch`.
+        Never blocks and never raises: the batch occupies ``len(batch)``
+        reports of queue capacity, and under sustained overload the
+        oldest queued batches are shed so the freshest data wins,
+        counted in ``repro_serve_shed_total`` (the tolerate-and-count
+        contract of ``TagBreathe.feed``).  The worker stages each batch
+        with one :meth:`UserSession.ingest_batch`.
         """
         if not len(batch):
             return
@@ -565,15 +553,10 @@ class SessionShard:
     async def _run(self) -> None:
         while True:
             entry = await self._queue.get()
+            count = len(entry)
             try:
-                if type(entry) is ReportBatch:
-                    count = len(entry)
-                    session = self.session_for(int(entry.user_id[0]))
-                    session.ingest_batch(entry)
-                else:
-                    count = 1
-                    session = self.session_for(entry.user_id)
-                    session.ingest(entry)
+                session = self.session_for(int(entry.user_id[0]))
+                session.ingest_batch(entry)
                 message = session.maybe_estimate()
                 if message is not None:
                     self._publish(message)

@@ -6,8 +6,7 @@ it over a TCP *control socket* with a two-phase registration handshake
 the single attachment path for every kind of worker:
 
 * **spawned** — launched locally as subprocesses (the default); they
-  register over loopback exactly like a remote worker would, replacing
-  the old portfile-polling discovery;
+  register over loopback exactly like a remote worker would;
 * **remote** — started on another host via ``repro serve-worker --join
   <supervisor-addr>``; the supervisor cannot kill or respawn these, so
   their supervision is heartbeat-only and "restart" means *wait for the
@@ -63,7 +62,6 @@ from .retry import RESPAWN_RETRY, RetryPolicy
 from .session import SessionConfig
 from .statefiles import (read_state_doc, registry_path, remove_state_doc,
                          supervisor_addr_path, write_state_doc)
-from .worker import portfile_path
 
 #: How many session documents ride in one migrate frame.  A document is
 #: dominated by its buffered report window (~200 bytes/report, bounded
@@ -597,11 +595,6 @@ class Supervisor:
         handle.spawned = True
         event = self._registered.setdefault(worker_id, asyncio.Event())
         event.clear()
-        portfile = portfile_path(self.state_dir, worker_id)
-        try:  # stale portfiles are debug artifacts; keep them honest
-            portfile.unlink()
-        except OSError:
-            pass
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             [p for p in sys.path if p] +

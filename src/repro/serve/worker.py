@@ -17,8 +17,7 @@ of ceremony a supervised *process* needs:
   The same handshake serves a worker on *another machine*
   (``repro serve-worker --join host:port``): the ``assign`` reply
   carries the fleet's session knobs, so remote workers are
-  configuration-consistent by construction.  The port is also written
-  to a local portfile for debugging;
+  configuration-consistent by construction;
 * **signal contract** — SIGTERM/SIGINT means *drain*: ingest the
   backlog, publish final estimates, checkpoint, exit 0.  SIGKILL is the
   crash the fabric is built to survive: the next incarnation of the
@@ -35,7 +34,6 @@ State layout inside the fabric's ``state_dir``::
 
     worker-003.ckpt        # live checkpoint (atomic, fsynced)
     worker-003.ckpt.prev   # previous good generation
-    worker-003.port        # {"port": ..., "pid": ...} (atomic, debug)
 """
 
 from __future__ import annotations
@@ -60,29 +58,6 @@ def checkpoint_path(state_dir: Union[str, Path], worker_id: int) -> Path:
     """Where worker ``worker_id`` keeps its live checkpoint."""
     return Path(state_dir) / (_WORKER_STEM.format(worker_id=worker_id)
                               + ".ckpt")
-
-
-def portfile_path(state_dir: Union[str, Path], worker_id: int) -> Path:
-    """Where worker ``worker_id`` publishes its bound port and pid."""
-    return Path(state_dir) / (_WORKER_STEM.format(worker_id=worker_id)
-                              + ".port")
-
-
-def write_portfile(path: Path, port: int, pid: int) -> None:
-    """Publish ``{"port", "pid"}`` atomically (tmp + rename)."""
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(json.dumps({"port": int(port), "pid": int(pid)},
-                              sort_keys=True) + "\n")
-    os.replace(tmp, path)
-
-
-def read_portfile(path: Path) -> Optional[Dict[str, int]]:
-    """Parse a portfile; None while absent or torn (caller polls)."""
-    try:
-        doc = json.loads(path.read_text())
-        return {"port": int(doc["port"]), "pid": int(doc["pid"])}
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -300,8 +275,6 @@ async def _run_worker(worker_id: Optional[int], state_dir: Path,
         _watchdog(os.getppid() if supervised else None))
     try:
         await server.start()
-        write_portfile(portfile_path(state_dir, worker_id),
-                       server.port, os.getpid())
         if join_addrs:
             registered = await _rejoin(
                 time.monotonic() + orphan_grace_s)
@@ -321,7 +294,7 @@ def worker_main(worker_id: Optional[int], state_dir: str,
 
     Args:
         worker_id: this worker's stable identity in the fabric; names
-            its checkpoint and portfile, so a restarted incarnation
+            its checkpoint, so a restarted incarnation
             resumes its predecessor's sessions automatically.  ``None``
             asks the supervisor (``options["join"]`` required) to
             assign one.

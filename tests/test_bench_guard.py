@@ -35,9 +35,9 @@ def case(users, duration_s, speedup, diff=0.0, batch_speedup=6.0,
             "serve_state_equal": serve_state_equal}
 
 
-def wire_suite(bytes_ratio=3.5, acked_equal_sent=True):
-    return {"cases": [{"mode": "column"}, {"mode": "json"}],
-            "headline": {"bytes_ratio": bytes_ratio,
+def wire_suite(bytes_per_report=56.1, acked_equal_sent=True):
+    return {"cases": [{"mode": "column"}],
+            "headline": {"column_bytes_per_report": bytes_per_report,
                          "acked_equal_sent": acked_equal_sent}}
 
 
@@ -227,10 +227,19 @@ class TestWireSuite:
         assert any("no wire benchmark suite" in p
                    for p in guard.check_wire_suite(path))
 
-    def test_low_bytes_ratio_fails(self, tmp_path):
+    def test_bytes_per_report_over_ceiling_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], wire=wire_suite(bytes_ratio=1.2)))
-        assert any("bytes ratio" in p for p in guard.check_wire_suite(path))
+            [case(1, 25.0, 2.0)], wire=wire_suite(bytes_per_report=61.0)))
+        assert any("bytes per report" in p
+                   for p in guard.check_wire_suite(path))
+
+    def test_missing_bytes_per_report_fails(self, tmp_path):
+        wire = wire_suite()
+        del wire["headline"]["column_bytes_per_report"]
+        path = write(tmp_path, "cand.json", bench_doc(
+            [case(1, 25.0, 2.0)], wire=wire))
+        assert any("bytes per report" in p
+                   for p in guard.check_wire_suite(path))
 
     def test_ack_mismatch_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(

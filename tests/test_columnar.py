@@ -10,14 +10,16 @@ Two contracts are property-tested here (hypothesis):
   decoder rejects truncated, padded, or corrupted payloads with a typed
   :class:`~repro.errors.ProtocolError` instead of misparsing them.
 
-Example-based tests cover the negotiation edges (msgpack absent, frame
-grant filtering) and the serve-level equivalence: a replay using column
-frames leaves the same session estimates as a per-report replay.
+Example-based tests cover the negotiation edges (frame grant filtering,
+payloads in another codec) and the serve-level equivalence: a replay
+over column frames leaves the same session estimates as feeding each
+report to an engine one at a time.
 """
 
 from __future__ import annotations
 
 import asyncio
+import struct
 import warnings
 
 import numpy as np
@@ -31,7 +33,6 @@ from repro.epc.codec import EPC96
 from repro.errors import DegradedEstimateWarning, ProtocolError
 from repro.reader.batch import ReportBatch
 from repro.reader.tagreport import TagReport
-from repro.serve import protocol
 from repro.serve import BreathServer, IngestClient
 from repro.serve.protocol import (
     COLUMN_FRAME_MAGIC,
@@ -39,8 +40,6 @@ from repro.serve.protocol import (
     FrameDecoder,
     decode_column_frame,
     encode_column_frame,
-    encode_frame,
-    negotiate_codec,
     negotiate_frames,
 )
 
@@ -166,7 +165,7 @@ class TestColumnFrameProperties:
         if with_seqs:
             seqs = np.arange(7, 7 + len(batch), dtype=np.uint64)
         data = encode_column_frame(batch, seqs)
-        messages = FrameDecoder("json").feed(data)
+        messages = FrameDecoder().feed(data)
         assert len(messages) == 1
         message = messages[0]
         assert message["type"] == "report_batch"
@@ -232,20 +231,20 @@ class TestNegotiation:
             == ("column",)
         assert negotiate_frames(["parquet"]) == ()
 
-    def test_msgpack_absent_falls_back_and_fails_typed(self, monkeypatch):
-        monkeypatch.setattr(protocol, "HAVE_MSGPACK", False)
-        monkeypatch.setattr(protocol, "CODECS", ("json",))
-        assert negotiate_codec("msgpack") == "json"
-        with pytest.raises(ProtocolError, match="msgpack library"):
-            encode_frame({"type": "ping"}, "msgpack")
-
     def test_unknown_codec_fails_typed(self):
-        with pytest.raises(ProtocolError, match="unknown codec"):
-            encode_frame({"type": "ping"}, "cbor")
+        # A peer framing a msgpack map ({"type": "ping"}) where JSON is
+        # the only non-column encoding.
+        payload = b"\x81\xa4type\xa4ping"
+        with pytest.raises(ProtocolError, match="undecodable json"):
+            FrameDecoder().feed(struct.pack("!I", len(payload)) + payload)
+
+    def test_client_requires_column_frames(self):
+        with pytest.raises(ValueError, match="column"):
+            IngestClient("127.0.0.1", 1, frames=())
 
 
 # ----------------------------------------------------------------------
-# Serve-level equivalence: column replay == per-report replay
+# Serve-level equivalence: column replay == per-report feeding
 # ----------------------------------------------------------------------
 class TestServeColumnPath:
     def test_column_replay_matches_per_report_replay(self):
@@ -258,10 +257,10 @@ class TestServeColumnPath:
         ])
         reports = run_scenario(scenario, duration_s=25.0, seed=5).reports
 
-        async def ingest(frames):
+        async def ingest():
             server = BreathServer(n_shards=2)
             await server.start()
-            client = IngestClient("127.0.0.1", server.port, frames=frames,
+            client = IngestClient("127.0.0.1", server.port,
                                   client_id="eq-test")
             welcome = await client.connect()
             stats = await client.replay(reports, speed=0)
@@ -275,16 +274,18 @@ class TestServeColumnPath:
             await server.drain()
             return welcome, stats, estimates
 
-        async def both():
-            col = await ingest(["column"])
-            plain = await ingest(())
-            return col, plain
-
-        (w_col, s_col, e_col), (w_plain, s_plain, e_plain) = run(both())
-        assert w_col.get("frames") == ["column"]
-        assert w_plain.get("frames") == []
-        assert s_col.sent == s_plain.sent == len(reports)
-        assert s_col.acked == s_plain.acked == len(reports)
-        # The whole point: same estimates, a fraction of the bytes.
-        assert e_col == e_plain
-        assert s_col.bytes_sent < s_plain.bytes_sent / 2
+        welcome, stats, estimates = run(ingest())
+        assert welcome.get("frames") == ["column"]
+        assert stats.sent == stats.acked == len(reports)
+        # 48 data bytes and an 8-byte seq per report, plus frame headers.
+        assert 56 <= stats.bytes_sent / stats.sent <= 60
+        # The same estimates as a session engine fed report by report.
+        per_report = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedEstimateWarning)
+            for uid in estimates:
+                engine = TagBreathe(user_ids={uid})
+                for report in reports:
+                    engine.feed(report)
+                per_report[uid] = engine.estimate_user(uid).rate_bpm
+        assert estimates == per_report

@@ -2,14 +2,13 @@
 
 Covers the consistent-hash ring's contract (stability, balance,
 minimal movement under membership change — property-tested with
-hypothesis), the shared retry policy, worker portfile discovery, and
-the end-to-end recovery acceptance: a worker SIGKILLed mid-replay is
+hypothesis), the shared retry policy, the router's refusal of
+per-report JSON, and the end-to-end recovery acceptance: a worker SIGKILLed mid-replay is
 restarted from its checkpoint and the final streamed estimates still
 match the uninterrupted batch pipeline within 0.1 bpm.
 """
 
 import asyncio
-import json
 import os
 import signal
 import warnings
@@ -47,13 +46,9 @@ from repro.serve.statefiles import (
     write_state_doc,
 )
 from repro.serve.supervisor import Supervisor, WorkerHandle
-from repro.serve.worker import (
-    parse_addr,
-    portfile_path,
-    read_portfile,
-    register_with,
-    write_portfile,
-)
+from repro.serve.worker import parse_addr, register_with
+
+from .wire_helpers import raw_exchange, report_to_wire
 
 
 def run(coro):
@@ -216,24 +211,6 @@ class TestRetryPolicy:
                              multiplier=3.0, max_delay_s=1.0, jitter=jitter)
         for delay in policy.delays(seed=seed):
             assert delay <= 1.0 * (1.0 + jitter) + 1e-12
-
-
-# ----------------------------------------------------------------------
-# Worker port discovery
-# ----------------------------------------------------------------------
-class TestPortfile:
-    def test_roundtrip(self, tmp_path):
-        path = portfile_path(tmp_path, 3)
-        write_portfile(path, port=54321, pid=999)
-        assert read_portfile(path) == {"port": 54321, "pid": 999}
-
-    def test_torn_or_absent_reads_as_none(self, tmp_path):
-        path = portfile_path(tmp_path, 0)
-        assert read_portfile(path) is None  # absent
-        path.write_text('{"port": 1')  # torn mid-write
-        assert read_portfile(path) is None
-        path.write_text(json.dumps({"port": "not-a-port"}))
-        assert read_portfile(path) is None
 
 
 # ----------------------------------------------------------------------
@@ -604,6 +581,30 @@ class TestFabricRecovery:
         assert after["sessions"] == before["sessions"]  # none lost
         assert new_id in after["workers"]
         assert len(after["workers"]) == len(before["workers"]) + 1
+
+    def test_json_report_frame_answered_with_error_and_closed(
+            self, tmp_path):
+        """Reports reach a router only as column frames; a hello's
+        codec request is ignored (the welcome is JSON)."""
+        report = make_capture(users=1, duration_s=2.0, seed=3).reports[0]
+        config = FabricConfig(**dict(FAST_FABRIC, workers=1))
+
+        async def scenario():
+            fabric = BreathFabric(tmp_path, config)
+            await fabric.start()
+            try:
+                return await raw_exchange(
+                    fabric.port,
+                    {"type": "hello", "role": "ingest", "codec": "msgpack"},
+                    report_to_wire(report))
+            finally:
+                await fabric.stop(graceful=True)
+
+        welcome, replies, closed = run(scenario())
+        assert welcome["type"] == "welcome" and "codec" not in welcome
+        assert [m["type"] for m in replies] == ["error"]
+        assert "column frame" in replies[0]["message"]
+        assert closed
 
 
 class TestFabricHibernation:

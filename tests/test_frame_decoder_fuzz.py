@@ -71,7 +71,7 @@ _SEGMENT = st.one_of(
 
 def decode(stream: bytes, cuts) -> tuple:
     """``(messages, error)`` from feeding ``stream`` cut at ``cuts``."""
-    decoder = FrameDecoder("json")
+    decoder = FrameDecoder()
     messages = []
     edges = [0] + sorted({c % (len(stream) + 1) for c in cuts}) \
         + [len(stream)]
@@ -136,7 +136,7 @@ def test_any_stream_any_chunking_decodes_or_raises_typed(segments, cuts):
 def test_deeply_nested_json_is_a_protocol_error():
     payload = b"[" * 100_000
     with pytest.raises(ProtocolError):
-        FrameDecoder("json").feed(struct.pack("!I", len(payload)) + payload)
+        FrameDecoder().feed(struct.pack("!I", len(payload)) + payload)
 
 
 def test_report_batch_as_a_json_object_is_refused():
@@ -144,7 +144,7 @@ def test_report_batch_as_a_json_object_is_refused():
     # json object of that type would reach the server without a batch.
     frame = encode_frame({"type": "report_batch", "batch": [1, 2]})
     with pytest.raises(ProtocolError, match="column frame"):
-        FrameDecoder("json").feed(frame)
+        FrameDecoder().feed(frame)
 
 
 def test_error_for_a_huge_non_object_payload_stays_small():
@@ -152,5 +152,5 @@ def test_error_for_a_huge_non_object_payload_stays_small():
     # itself fit the frame limit.
     payload = b"[" + b"1," * 400_000 + b"1]"
     with pytest.raises(ProtocolError) as info:
-        FrameDecoder("json").feed(struct.pack("!I", len(payload)) + payload)
+        FrameDecoder().feed(struct.pack("!I", len(payload)) + payload)
     assert len(str(info.value)) < 1000

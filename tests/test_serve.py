@@ -9,6 +9,7 @@ service agree with batch ``TagBreathe.process()`` to within 0.1 bpm.
 import asyncio
 import warnings
 
+import numpy as np
 import pytest
 
 from repro import Scenario, TagBreathe, run_scenario
@@ -27,17 +28,19 @@ from repro.serve import (
     SessionConfig,
     SessionShard,
     UserSession,
+    encode_column_frame,
     encode_frame,
     load_checkpoint,
-    negotiate_codec,
     previous_path,
-    report_to_wire,
     save_checkpoint,
     watch_estimates,
 )
 from repro.reader.batch import ReportBatch
-from repro.serve.protocol import MAX_FRAME_BYTES, wire_to_report
+from repro.serve.checkpoint import wire_to_report
+from repro.serve.protocol import MAX_FRAME_BYTES
 from repro.sim.trace_io import load_trace_csv, save_trace_csv
+
+from .wire_helpers import raw_exchange, report_to_wire
 
 
 def run(coro):
@@ -50,6 +53,18 @@ def _quiet_degraded():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedEstimateWarning)
         yield
+
+
+def one_row(report):
+    """A single-report column batch, the smallest unit a shard queues."""
+    return ReportBatch.from_reports([report])
+
+
+def send_frame(client, reports, first_seq):
+    """Write ``reports`` as one column frame with consecutive seqs."""
+    client.write_frame(encode_column_frame(
+        ReportBatch.from_reports(reports),
+        np.arange(first_seq, first_seq + len(reports), dtype=np.uint64)))
 
 
 def make_capture(users=2, duration_s=40.0, seed=7):
@@ -69,7 +84,7 @@ def make_capture(users=2, duration_s=40.0, seed=7):
 class TestProtocol:
     def test_frame_roundtrip(self):
         message = {"type": "hello", "role": "ingest", "n": 3, "x": 1.5}
-        decoder = FrameDecoder("json")
+        decoder = FrameDecoder()
         assert decoder.feed(encode_frame(message)) == [message]
 
     def test_decoder_handles_byte_at_a_time(self):
@@ -82,7 +97,7 @@ class TestProtocol:
         assert decoder.pending_bytes() == 0
 
     def test_decoder_handles_many_frames_per_feed(self):
-        data = b"".join(encode_frame({"type": "report", "i": i})
+        data = b"".join(encode_frame({"type": "ping", "i": i})
                         for i in range(5))
         decoder = FrameDecoder()
         messages = decoder.feed(data)
@@ -109,15 +124,15 @@ class TestProtocol:
     def test_wire_to_report_validates(self):
         message = report_to_wire(make_capture(1, 2.0).reports[0])
         message["antenna_port"] = 0  # LLRP ports are 1-based
-        with pytest.raises(ProtocolError):
+        with pytest.raises(CheckpointCorruptError):
             wire_to_report(message)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(CheckpointCorruptError):
             wire_to_report({"type": "report"})
 
-    def test_negotiate_codec_falls_back_to_json(self):
-        assert negotiate_codec("json") == "json"
-        assert negotiate_codec("no-such-codec") == "json"
-        assert negotiate_codec(None) == "json"
+    def test_json_report_message_refused(self):
+        frame = encode_frame(report_to_wire(make_capture(1, 2.0).reports[0]))
+        with pytest.raises(ProtocolError, match="column frame"):
+            FrameDecoder().feed(frame)
 
 
 # ----------------------------------------------------------------------
@@ -166,7 +181,7 @@ class TestBackpressure:
         async def scenario():
             shard = SessionShard(0, config, published.append)
             for report in reports:
-                shard.submit(report)
+                shard.submit_batch(one_row(report))
             assert shard.backlog == 8
             return shard
 
@@ -182,10 +197,10 @@ class TestBackpressure:
         async def scenario():
             shard = SessionShard(0, config, lambda m: None)
             for report in reports:
-                shard.submit(report)
+                shard.submit_batch(one_row(report))
             kept = []
             while shard._queue.qsize():
-                kept.append(shard._queue.get_nowait())
+                kept.extend(shard._queue.get_nowait().to_reports())
             return kept
 
         kept = run(scenario())
@@ -200,7 +215,7 @@ class TestBackpressure:
         async def scenario():
             shard = SessionShard(0, config, lambda m: None)
             for report in result.reports[:10]:
-                shard.submit(report)
+                shard.submit_batch(one_row(report))
             assert shard.over_high
             shard.start()
             await asyncio.wait_for(shard.wait_below_low(), timeout=5.0)
@@ -225,7 +240,7 @@ class TestBackpressure:
         async def scenario():
             shard = SessionShard(0, config, lambda m: None)
             for report in result.reports[:10]:
-                shard.submit(report)
+                shard.submit_batch(one_row(report))
 
         with obs.capture() as (_tracer, registry):
             run(scenario())
@@ -550,6 +565,43 @@ class TestServerEndToEnd:
         assert messages and messages[0]["type"] == "error"
         assert server.counters["protocol_errors_total"] == 1
 
+    def test_json_report_frame_answered_with_error_and_closed(self):
+        report = make_capture(1, 2.0).reports[0]
+
+        async def scenario():
+            server = BreathServer(port=0)
+            await server.start()
+            result = await raw_exchange(
+                server.port, {"type": "hello", "role": "ingest"},
+                report_to_wire(report))
+            await server.drain()
+            return server, result
+
+        server, (welcome, replies, closed) = run(scenario())
+        assert welcome["type"] == "welcome"
+        assert [m["type"] for m in replies] == ["error"]
+        assert "column frame" in replies[0]["message"]
+        assert closed
+        assert server.counters["reports_total"] == 0
+        assert server.counters["protocol_errors_total"] == 1
+
+    def test_hello_codec_is_ignored(self):
+        async def scenario():
+            server = BreathServer(port=0)
+            await server.start()
+            result = await raw_exchange(
+                server.port,
+                {"type": "hello", "role": "ingest", "codec": "msgpack"},
+                {"type": "bye"})
+            await server.drain()
+            return result
+
+        welcome, replies, closed = run(scenario())
+        # The welcome decoded as JSON: no codec was switched on.
+        assert welcome["type"] == "welcome" and "codec" not in welcome
+        assert welcome["version"] == 4
+        assert replies == [] and closed
+
     def test_reconnects_counted(self):
         async def scenario():
             server = BreathServer(port=0)
@@ -584,7 +636,8 @@ class TestServerEndToEnd:
             frames = registry.values("repro_serve_frames_total")
             conns = registry.values("repro_serve_connections_total")
             active = registry.values("repro_serve_active_connections")
-        assert sum(frames.values()) >= len(result.reports)
+        # One column frame per 256 reports, plus hello, flush and bye.
+        assert sum(frames.values()) >= -(-len(result.reports) // 256) + 2
         assert sum(conns.values()) == 1
         assert sum(active.values()) == 0  # gauge returned to zero
 
@@ -686,8 +739,7 @@ class TestIdempotentResume:
                                  client_id="reader-7")
             await first.connect()
             assert first.last_seq == 0
-            for seq, report in enumerate(reports, start=1):
-                await first.send_report(report, seq=seq)
+            send_frame(first, reports, first_seq=1)
             await first.flush()
             await first.close()
 
@@ -697,9 +749,7 @@ class TestIdempotentResume:
             resumed_from = second.last_seq
             # A crashed reader resends a suffix it is not sure about:
             # everything at or below the watermark must be dropped.
-            for seq, report in enumerate(reports, start=1):
-                if seq > 10:
-                    await second.send_report(report, seq=seq)
+            send_frame(second, reports[10:], first_seq=11)
             await second.flush()
             await second.close()
             counters = dict(server.counters)
@@ -725,8 +775,7 @@ class TestIdempotentResume:
             client = IngestClient("127.0.0.1", server.port,
                                   client_id="reader-9")
             await client.connect()
-            for seq, report in enumerate(reports, start=1):
-                await client.send_report(report, seq=seq)
+            send_frame(client, reports, first_seq=1)
             await client.flush()
             await client.close()
             await server.drain()  # checkpoint carries the watermark
@@ -751,8 +800,13 @@ class TestIdempotentResume:
 # Hibernation (the cold tier, through the real server)
 # ----------------------------------------------------------------------
 class TestHibernation:
-    def _scenario(self, reports, second_half_frames=()):
-        """Replay half, park everyone, replay the rest; return the books."""
+    def _scenario(self, reports, wide_frames=False):
+        """Replay half, park everyone, replay the rest; return the books.
+
+        With ``wide_frames`` the rest arrives as one column frame
+        written straight to the socket, so each woken session is fed a
+        batch larger than its staging buffer (``STAGE_ROWS``).
+        """
         half = len(reports) // 2
 
         async def scenario():
@@ -769,10 +823,14 @@ class TestHibernation:
                 session.last_active -= 100.0
             parked = server.hibernate_idle_now()
             mid = server.summary()
-            client2 = IngestClient("127.0.0.1", server.port,
-                                   frames=second_half_frames)
+            client2 = IngestClient("127.0.0.1", server.port)
             await client2.connect()
-            await client2.replay(reports[half:], speed=0)
+            if wide_frames:
+                client2.write_frame(encode_column_frame(
+                    ReportBatch.from_reports(reports[half:])))
+                await client2.flush()
+            else:
+                await client2.replay(reports[half:], speed=0)
             await client2.close()
             finals = {s.user_id: s.estimate_now() for s in server.sessions()}
             end = server.summary()
@@ -798,11 +856,10 @@ class TestHibernation:
         self._assert_continuity(reports, *self._scenario(reports))
 
     def test_wake_via_binary_column_frames(self):
-        """The wake can land on the batched SoA path (feed_batch)."""
+        """The wake can land on wide frames fed straight to feed_batch."""
         reports = make_capture(users=2, duration_s=40.0).reports
         self._assert_continuity(
-            reports, *self._scenario(reports,
-                                     second_half_frames=("column",)))
+            reports, *self._scenario(reports, wide_frames=True))
 
     def test_hibernated_sessions_survive_checkpoint_restart(self, tmp_path):
         """Parked docs ride the checkpoint, resume cold, then wake."""

@@ -59,8 +59,9 @@ from repro.serve.protocol import (
     decode_column_frame,
     encode_column_frame,
     encode_column_payload,
-    report_to_wire,
 )
+
+from .wire_helpers import report_to_wire
 
 USER = 1
 
@@ -266,6 +267,42 @@ def test_flipped_phase_bit_in_checkpoint_falls_back_to_prev(tmp_path):
         load_checkpoint(path, allow_fallback=False)
 
 
+def test_flipped_watermark_digit_in_checkpoint_falls_back_to_prev(tmp_path):
+    # A scribbled client_seqs digit would make a restored server drop a
+    # reconnecting client's valid reports as already seen.
+    path = tmp_path / "serve.ckpt"
+    state = fed_session().state()
+    save_checkpoint(path, [state], {"frames_total": 1},
+                    client_seqs={"reader-1": 4096})
+    save_checkpoint(path, [state], {"frames_total": 2},
+                    client_seqs={"reader-1": 8192})
+    text = path.read_text()
+    assert text.count('"reader-1":8192') == 1
+    path.write_text(text.replace('"reader-1":8192', '"reader-1":9192'))
+    saved = load_checkpoint(path)
+    assert saved["fallback"] is True
+    assert "CRC" in saved["fallback_reason"]
+    assert saved["client_seqs"] == {"reader-1": 4096}
+    assert saved["counters"]["frames_total"] == 1
+    with pytest.raises(CheckpointCorruptError):
+        load_checkpoint(path, allow_fallback=False)
+
+
+def test_checkpoint_without_its_metadata_crc_is_corrupt(tmp_path):
+    path = tmp_path / "serve.ckpt"
+    save_checkpoint(path, [fed_session().state()], {"frames_total": 1})
+    doc = json.loads(path.read_text())
+    del doc["meta_crc32"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(CheckpointCorruptError, match="CRC"):
+        load_checkpoint(path, allow_fallback=False)
+    # A v3 file predates the metadata CRC and still loads.
+    doc["version"] = 3
+    path.write_text(json.dumps(doc))
+    saved = load_checkpoint(path, allow_fallback=False)
+    assert saved["counters"] == {"frames_total": 1}
+
+
 def test_corrupt_parked_blob_wakes_as_a_counted_fresh_session():
     shard = SessionShard(0, SessionConfig(), lambda m: None)
     shard.session_for(USER).ingest_batch(ReportBatch.from_reports(reports()))
@@ -375,7 +412,9 @@ def test_v2_checkpoint_resumes_and_is_rewritten_as_v3(tmp_path):
     assert (resident, hibernated) == (1, 1)
     assert FRAME_KEY in parked and "reports" not in parked
     rewritten = json.loads(path.read_text())
-    assert rewritten["version"] == CHECKPOINT_VERSION == 3
+    # The sessions come back as v3 frame documents inside a checkpoint
+    # of the current version (v4 added the metadata CRC).
+    assert rewritten["version"] == CHECKPOINT_VERSION == 4
     assert all(FRAME_KEY in d for d in rewritten["sessions"])
 
 

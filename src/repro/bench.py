@@ -207,21 +207,6 @@ STREAM_BATCH_CHUNK = 4096
 SERVE_FRAME_ROWS = 256
 
 
-def _buffers_equal(a: TagBreathe, b: TagBreathe) -> bool:
-    """Whether two engines' streaming buffers are bit-identical."""
-    ba, bb = a._report_buffers, b._report_buffers
-    if ba.keys() != bb.keys():
-        return False
-    for key, pa in ba.items():
-        pb = bb[key]
-        if (pa.t != pb.t or pa.phase != pb.phase or pa.rssi != pb.rssi
-                or pa.doppler != pb.doppler or pa.channel != pb.channel
-                or pa.antenna != pb.antenna or pa.last_t != pb.last_t
-                or pa.since_prune != pb.since_prune):
-            return False
-    return True
-
-
 def _serve_shape_feed(reports, batch_all: ReportBatch,
                       repeats: int = 5) -> Dict:
     """Per-report ``ingest`` vs staged ``ingest_batch`` at serve shape.
@@ -272,7 +257,8 @@ def _serve_shape_feed(reports, batch_all: ReportBatch,
         staged_s = min(staged_s, time.perf_counter() - t0)
 
     state_equal = all(
-        _buffers_equal(scalar[uid].engine, staged[uid].engine)
+        (scalar[uid].engine._inc.snapshot()
+         == staged[uid].engine._inc.snapshot())
         and (scalar[uid].engine.feed_drop_counts
              == staged[uid].engine.feed_drop_counts)
         and ((scalar[uid].reports_in, scalar[uid].first_t,
@@ -297,14 +283,15 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                             seed: int = 0) -> Dict:
     """Serve-shaped replay: incremental vs recompute cadence ticks.
 
-    Each capture is replayed report-by-report through two engines fed in
-    lockstep — the default incremental engine and a
-    ``incremental=False`` reference that recomputes every tick from the
-    buffered window — and every ``STREAM_CADENCE_S`` of stream time each
-    monitored user is ticked on both, timing the ticks separately.  A
-    third timing re-ticks the incremental engine immediately (no new
-    data), measuring the memoized-tick latency a serve deployment pays
-    whenever a user's stream was quiet between cadences.
+    Each capture is replayed report-by-report through two default
+    engines fed in lockstep — one ticked incrementally, the reference
+    ticked through ``estimate_user_recompute``, which recomputes every
+    tick from the stored window — and every ``STREAM_CADENCE_S`` of
+    stream time each monitored user is ticked on both, timing the ticks
+    separately.  A third timing re-ticks the incremental engine
+    immediately (no new data), measuring the memoized-tick latency a
+    serve deployment pays whenever a user's stream was quiet between
+    cadences.
 
     Every tick's estimate is cross-checked between the two engines;
     ``max_rate_diff_bpm`` is expected to be exactly 0.0 — the
@@ -325,7 +312,7 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
     for (users, duration_s), result in sorted(captures.items()):
         user_ids = sorted(result.scenario.monitored_user_ids)
         inc = TagBreathe(user_ids=set(user_ids))
-        rec = TagBreathe(user_ids=set(user_ids), incremental=False)
+        rec = TagBreathe(user_ids=set(user_ids))
         reports = result.reports
         feed_s = inc_s = rec_s = hit_s = 0.0
         ticks = insufficient = 0
@@ -352,7 +339,7 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                     inc_s += time.perf_counter() - t0
                     t0 = time.perf_counter()
                     try:
-                        b = rec.estimate_user(uid)
+                        b = rec.estimate_user_recompute(uid)
                     except InsufficientDataError:
                         b = None
                     rec_s += time.perf_counter() - t0
@@ -387,7 +374,7 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
             bat.feed_batch(chunk)
         batch_s = time.perf_counter() - t0
         state_equal = (bat.feed_drop_counts == inc.feed_drop_counts
-                       and _buffers_equal(bat, inc))
+                       and bat._inc.snapshot() == inc._inc.snapshot())
         batch_diff = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)

@@ -1,15 +1,20 @@
-"""O(new-samples) streaming estimation — the incremental tick path.
+"""The streaming store and its O(new-samples) tick.
 
 The batch reference (:meth:`repro.core.pipeline.TagBreathe._process_user`)
 re-gathers, re-sorts, re-differences, re-fuses, and re-filters the whole
-trailing window on every cadence tick.  This module maintains, per user,
-state that is updated once per ``feed()``:
+trailing window on every cadence tick.  This module keeps, per user, the
+engine's one store of streamed reports, updated once per ``feed()``:
 
-* a :class:`~repro.streams.windowindex.WindowIndex` of timestamp-ordered
-  scalar columns (antenna port, RSSI, stream id), so a trailing window is
-  two binary searches plus contiguous slices instead of a gather + sort;
+* a :class:`~repro.streams.windowindex.WindowIndex` holding every
+  accepted report's columns (time, phase, RSSI, Doppler, channel,
+  antenna port, stream id) in time order, equal times in arrival order,
+  so a trailing window is two binary searches plus contiguous slices
+  instead of a gather + sort;
 * one :class:`~repro.core.preprocess.PhaseChainCursor` per tag stream,
-  holding the Eq. (3) wrapped phase deltas computed once at ingest time.
+  holding the Eq. (3) wrapped phase deltas computed once at ingest time;
+* per stream, the newest accepted timestamp (late and duplicate
+  screening) and the accepted-rows counter behind the bounded-memory
+  prune.
 
 :meth:`IncrementalEstimator.estimate` then replays the *same* six-stage
 algorithm as the batch path — delivery hygiene, antenna failover,
@@ -17,16 +22,17 @@ staleness demotion, gap scoring, Hampel + Eq. (6)/(7) fusion, Eq. (5)
 extraction — over those columns.  Each stage's arithmetic is arranged to
 perform the identical float64 operations on the identical values in the
 identical order, so the result is **bit-for-bit equal** to the recompute
-path (``tests/test_incremental.py`` and the hypothesis property in
-``tests/test_property.py`` pin this).  Two deliberate, measure-zero
-deviations from the recompute path are documented in DESIGN.md §12:
-exact cross-stream timestamp ties order by arrival rather than by buffer
-creation, and exact antenna-score ties break toward the lowest port.
+path, which runs the batch path over the same index slice
+(``tests/test_incremental.py`` and the hypothesis property in
+``tests/test_property.py`` pin this).  One deliberate, measure-zero
+deviation is documented in DESIGN.md §12: exact antenna-score ties break
+toward the lowest port.
 
 What stays out: ``mode="increments"`` cannot tick incrementally — its
 :class:`~repro.core.preprocess.DeltaChain` smoothing window spans the
 analysis-window boundary, so windowed results are not a function of
-windowed reports — and falls back to the recompute path.
+windowed reports — and ticks through the recompute path, reading its
+rows from this same store.
 """
 
 from __future__ import annotations
@@ -44,6 +50,7 @@ from ..config import (
     RobustnessConfig,
 )
 from ..errors import EmptyStreamError, InsufficientDataError
+from ..reader.batch import ReportBatch
 from ..reader.tagreport import TagReport
 from ..streams.timeseries import TimeSeries
 from ..streams.windowindex import WindowIndex
@@ -72,6 +79,9 @@ from .preprocess import (
 )
 from .quality import quality_score
 
+#: Accepted reports per stream between bounded-memory prune checks.
+_PRUNE_EVERY = 512
+
 
 @dataclass
 class TickOutcome:
@@ -96,7 +106,11 @@ class TickOutcome:
 
 
 class UserStreamState:
-    """One user's feed-time incremental state.
+    """One user's streamed reports and the state derived from them.
+
+    ``index`` is the only copy of the user's accepted reports; the
+    per-stream lists (``keys``, ``cursors``, ``last_t``,
+    ``since_prune``) are indexed by the stream id the index stores.
 
     ``version`` increments on every mutation (accepted feed, prune) and
     is what the pipeline's estimate memo keys on: a tick at an unchanged
@@ -104,24 +118,27 @@ class UserStreamState:
     this.
     """
 
-    __slots__ = ("index", "cursors", "keys", "sid_of", "version")
+    __slots__ = ("index", "cursors", "keys", "sid_of", "last_t",
+                 "since_prune", "version")
 
     def __init__(self) -> None:
         self.index = WindowIndex({
             "port": np.int64, "rssi": np.float64, "sid": np.int64,
-            "dop": np.float64, "chan": np.int64,
+            "dop": np.float64, "chan": np.int64, "phase": np.float64,
         })
         self.cursors: List[PhaseChainCursor] = []
         self.keys: List[StreamKey] = []
         self.sid_of: Dict[StreamKey, int] = {}
+        self.last_t: List[float] = []
+        self.since_prune: List[int] = []
         self.version = 0
 
 
 class IncrementalEstimator:
-    """Per-user incremental window state + the O(window-slice) tick.
+    """The per-user streaming store + the O(window-slice) tick.
 
-    Owned by :class:`~repro.core.pipeline.TagBreathe` (samples mode);
-    fed from ``feed()``, queried from ``estimate_user()``.
+    Owned by :class:`~repro.core.pipeline.TagBreathe`; fed from
+    ``feed()``, queried from ``estimate_user()``.
 
     Args:
         frequencies_hz: channel-index -> carrier frequency map.
@@ -130,6 +147,9 @@ class IncrementalEstimator:
         extractor: the shared extraction stage.
         select_antenna: mirror of the engine's antenna-selection flag.
         max_gap_s: segment-splitting gap limit (samples mode).
+        retain_s: bounded-memory horizon: a prune check drops a
+            stream's rows older than its triggering row's time minus
+            this.
     """
 
     def __init__(
@@ -140,6 +160,7 @@ class IncrementalEstimator:
         extractor: BreathExtractor,
         select_antenna: bool,
         max_gap_s: float,
+        retain_s: float,
         motion: Optional[MotionConfig] = None,
         est_config: Optional[EstimatorConfig] = None,
         estimators: Optional[Dict[str, BreathEstimator]] = None,
@@ -150,6 +171,7 @@ class IncrementalEstimator:
         self._extractor = extractor
         self._select_antenna = select_antenna
         self._max_gap_s = max_gap_s
+        self._retain_s = retain_s
         self._motion = motion if motion is not None else MotionConfig()
         self._est_config = (est_config if est_config is not None
                             else EstimatorConfig())
@@ -162,14 +184,21 @@ class IncrementalEstimator:
     # ------------------------------------------------------------------
     # Feed-side maintenance
     # ------------------------------------------------------------------
-    def state_for(self, user_id: int) -> Optional[UserStreamState]:
-        """The user's live state, or None before their first report."""
-        return self._states.get(user_id)
-
     def version(self, user_id: int) -> int:
         """The user's state version (-1 before their first report)."""
         state = self._states.get(user_id)
         return -1 if state is None else state.version
+
+    def users(self) -> List[int]:
+        """Users with at least one stored report, in first-seen order."""
+        return [uid for uid, state in self._states.items()
+                if len(state.index)]
+
+    def stream_tail(self, key: StreamKey) -> float:
+        """Newest accepted timestamp of a stream (-inf before its first)."""
+        state = self._states.get(key[0])
+        sid = None if state is None else state.sid_of.get(key)
+        return -np.inf if sid is None else state.last_t[sid]
 
     def nbytes(self, user_id: Optional[int] = None) -> int:
         """Resident numpy bytes of one user's state (or every user's).
@@ -187,18 +216,71 @@ class IncrementalEstimator:
                 total += cursor.nbytes
         return total
 
-    def ingest(self, report: TagReport) -> None:
-        """Index one accepted report and difference it at its cursor.
+    def snapshot(self) -> Dict[int, tuple]:
+        """The whole store as plain python values, for ``==`` checks.
 
-        The caller (``TagBreathe.feed``) has already enforced the stream
-        contract: per-stream strictly-increasing timestamps, valid
-        channel index, monitored user.
+        Per user: the stream keys in stream-id order, every index column
+        (time, phase and stream id included), and each stream's tail and
+        prune counter.
         """
-        state = self._states.get(report.user_id)
+        return {
+            uid: (list(state.keys), state.index.times.tolist(),
+                  {name: state.index.column(name).tolist()
+                   for name in ("sid", "phase", "rssi", "dop", "chan",
+                                "port")},
+                  list(state.last_t), list(state.since_prune))
+            for uid, state in self._states.items()
+        }
+
+    def batch(self, user_id: int, start: int = 0,
+              stop: Optional[int] = None) -> ReportBatch:
+        """Index rows ``[start, stop)`` of one user as a column batch.
+
+        Rows come in index order: by time, equal times in arrival order.
+        Every column is a copy, so the batch outlives later feeds.
+        """
+        state = self._states.get(user_id)
+        if state is None:
+            return ReportBatch.from_reports([])
+        index = state.index
+        rows = slice(start, stop)
+        sid = index.column("sid")[rows]
+        tags = np.array([key[1] for key in state.keys], dtype=np.uint64)
+        return ReportBatch._trusted([
+            index.times[rows].copy(), index.column("phase")[rows].copy(),
+            index.column("rssi")[rows].copy(),
+            index.column("dop")[rows].copy(),
+            index.column("chan")[rows].copy(),
+            index.column("port")[rows].copy(),
+            np.full(sid.shape[0], user_id, dtype=np.uint64), tags[sid]])
+
+    def window(self, user_id: int,
+               window_s: float) -> Tuple[UserStreamState, float, float,
+                                         int, int]:
+        """Locate one user's trailing window in their index.
+
+        Returns:
+            ``(state, lo, hi, a, b)``: the window bounds
+            ``(lo, hi]`` and the index rows ``[a, b)`` inside them.
+
+        Raises:
+            InsufficientDataError: no stored report for the user.
+        """
+        state = self._states.get(user_id)
+        if state is None or not len(state.index):
+            raise InsufficientDataError(
+                f"no streamed data for user {user_id}")
+        lo, hi = trailing_window_bounds(float(state.index.times[-1]),
+                                        window_s)
+        a, b = state.index.window_bounds(lo, hi)
+        return state, lo, hi, a, b
+
+    def _stream_id(self, key: StreamKey) -> Tuple[UserStreamState, int]:
+        """The stream's user state and id, creating either on first use."""
+        state = self._states.get(key[0])
         if state is None:
             state = UserStreamState()
-            self._states[report.user_id] = state
-        key = report.stream_key
+            self._states[key[0]] = state
         sid = state.sid_of.get(key)
         if sid is None:
             sid = len(state.keys)
@@ -206,11 +288,35 @@ class IncrementalEstimator:
             state.keys.append(key)
             state.cursors.append(PhaseChainCursor(
                 self._frequencies, max_gap_s=self._max_gap_s))
-        state.index.add(report.timestamp_s, port=report.antenna_port,
-                        rssi=report.rssi_dbm, sid=sid,
-                        dop=report.doppler_hz, chan=report.channel_index)
+            state.last_t.append(-np.inf)
+            state.since_prune.append(0)
+        return state, sid
+
+    def ingest(self, report: TagReport) -> None:
+        """Store one accepted report and difference it at its cursor.
+
+        The caller (``TagBreathe.feed``) has already enforced the stream
+        contract: per-stream strictly-increasing timestamps, valid
+        channel index, monitored user.  Every ``_PRUNE_EVERY`` accepted
+        reports of a stream, the stream drops its rows older than the
+        bounded-memory horizon.
+        """
+        state, sid = self._stream_id(report.stream_key)
+        t = report.timestamp_s
+        state.index.add(t, port=report.antenna_port, rssi=report.rssi_dbm,
+                        sid=sid, dop=report.doppler_hz,
+                        chan=report.channel_index, phase=report.phase_rad)
         state.cursors[sid].push(report)
+        state.last_t[sid] = t
         state.version += 1
+        # The trigger counts accepted reports since the last prune check
+        # — a length modulo would stop firing once a prune moved the
+        # length off the modulo phase.
+        count = state.since_prune[sid] + 1
+        if count >= _PRUNE_EVERY:
+            count = 0
+            self._prune(state, sid, t - self._retain_s)
+        state.since_prune[sid] = count
 
     def ingest_streams(self, groups: List[Tuple[StreamKey, np.ndarray]],
                        users: np.ndarray, tags: np.ndarray,
@@ -223,14 +329,14 @@ class IncrementalEstimator:
         The caller (``TagBreathe.feed_batch``) has already screened the
         batch per stream; this ingests every surviving row across all
         users in three passes — stream-id assignment, per-user window
-        index extension, and one global Eq. (3) chain pass — leaving
-        state bit-identical to calling :meth:`ingest` row by row in
-        arrival order: stream ids are assigned in order of first
-        appearance, each user's index receives its rows as a stable
-        sort by time (what row-wise ``add`` converges to), and each
-        (stream, channel, antenna) chain is differenced in one shot
-        against its cached tail.  ``version`` advances by each user's
-        accepted row count.
+        index extension, and one global Eq. (3) chain pass — then runs
+        the prune checks, leaving state bit-identical to calling
+        :meth:`ingest` row by row in arrival order: stream ids are
+        assigned in order of first appearance, each user's index
+        receives its rows as a stable sort by time (what row-wise
+        ``add`` converges to), and each (stream, channel, antenna) chain
+        is differenced in one shot against its cached tail.  ``version``
+        advances by each user's accepted row count.
 
         Args:
             groups: per-stream ``(stream_key, rows)`` pairs — ``rows``
@@ -247,22 +353,13 @@ class IncrementalEstimator:
         sids = np.empty(times.shape[0], dtype=np.int64)
         cursor_of: Dict[StreamKey, PhaseChainCursor] = {}
         by_user: Dict[int, List[np.ndarray]] = {}
+        streams: List[Tuple[UserStreamState, int, np.ndarray]] = []
         for key, rows in groups:
-            uid = key[0]
-            state = self._states.get(uid)
-            if state is None:
-                state = UserStreamState()
-                self._states[uid] = state
-            sid = state.sid_of.get(key)
-            if sid is None:
-                sid = len(state.keys)
-                state.sid_of[key] = sid
-                state.keys.append(key)
-                state.cursors.append(PhaseChainCursor(
-                    self._frequencies, max_gap_s=self._max_gap_s))
+            state, sid = self._stream_id(key)
             sids[rows] = sid
             cursor_of[key] = state.cursors[sid]
-            by_user.setdefault(uid, []).append(rows)
+            by_user.setdefault(key[0], []).append(rows)
+            streams.append((state, sid, rows))
 
         for uid, chunks in by_user.items():
             rows_u = (np.sort(np.concatenate(chunks))
@@ -275,7 +372,8 @@ class IncrementalEstimator:
                 srt = rows_u[tsort]
                 state.index.extend(tu[tsort], port=antennas[srt],
                                    rssi=rssis[srt], sid=sids[srt],
-                                   dop=dopplers[srt], chan=channels[srt])
+                                   dop=dopplers[srt], chan=channels[srt],
+                                   phase=phases[srt])
             else:
                 # A straggler lands before the index tail (cross-stream
                 # reordering against previously fed data): rare, row-wise
@@ -284,7 +382,8 @@ class IncrementalEstimator:
                     state.index.add(float(times[i]), port=int(antennas[i]),
                                     rssi=float(rssis[i]), sid=int(sids[i]),
                                     dop=float(dopplers[i]),
-                                    chan=int(channels[i]))
+                                    chan=int(channels[i]),
+                                    phase=float(phases[i]))
             state.version += rows_u.shape[0]
 
         # Global chain pass: one stable lexsort arranges every accepted
@@ -317,19 +416,27 @@ class IncrementalEstimator:
         defer_chains(cursors, gkeys, starts, times[gacc], phases[gacc],
                      self._max_gap_s)
 
-    def prune_stream(self, user_id: int, key: StreamKey,
-                     horizon_s: float) -> None:
-        """Mirror the engine's bounded-memory prune for one stream."""
-        state = self._states.get(user_id)
-        if state is None:
-            return
-        sid = state.sid_of.get(key)
-        if sid is None:
-            return
+        # Prune checks, shared with ingest(): the counter crosses the
+        # threshold at accepted row (_PRUNE_EVERY - since_prune - 1),
+        # then every _PRUNE_EVERY rows after; horizons are monotone and
+        # pruning is idempotent, so applying only the LAST trigger's
+        # horizon leaves the identical final state.
+        for state, sid, rows in streams:
+            m = rows.shape[0]
+            state.last_t[sid] = float(times[rows[-1]])
+            total = state.since_prune[sid] + m
+            state.since_prune[sid] = total % _PRUNE_EVERY
+            if total >= _PRUNE_EVERY:
+                last_trigger = m - 1 - state.since_prune[sid]
+                self._prune(state, sid, float(times[rows[last_trigger]])
+                            - self._retain_s)
+
+    def _prune(self, state: UserStreamState, sid: int,
+               horizon_s: float) -> None:
+        """Drop one stream's rows older than ``horizon_s``."""
         where = state.index.column("sid") == sid
-        dropped = state.index.prune_before(horizon_s, where=where)
-        state.cursors[sid].prune_before(horizon_s)
-        if dropped:
+        if state.index.prune_before(horizon_s, where=where):
+            state.cursors[sid].prune_before(horizon_s)
             state.version += 1
 
     def reset(self) -> None:
@@ -358,21 +465,14 @@ class IncrementalEstimator:
                 window holds too little signal (same contract and wording
                 as the recompute path).
         """
-        state = self._states.get(user_id)
-        if state is None or not len(state.index):
-            raise InsufficientDataError(
-                f"no streamed data for user {user_id}")
+        state, lo, hi, a, b = self.window(user_id, window_s)
         rb = self._robustness
         reasons: List[str] = []
         confidence = 1.0
 
         with perf.stage("pipeline.tick.window"):
             index = state.index
-            all_times = index.times
-            t_latest = float(all_times[-1])
-            lo, hi = trailing_window_bounds(t_latest, window_s)
-            a, b = index.window_bounds(lo, hi)
-            times = all_times[a:b]
+            times = index.times[a:b]
             ports = index.column("port")[a:b]
             rssis = index.column("rssi")[a:b]
             sids = index.column("sid")[a:b]

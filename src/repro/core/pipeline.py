@@ -8,13 +8,16 @@ returns per-user estimates; streaming mode (:meth:`TagBreathe.feed` +
 the paper's prototype visualised breathing "in realtime" (Section V).
 
 Batch mode is the *reference implementation*; the streaming tick is
-O(new-samples) — ``feed()`` differences each report once into per-stream
-phase chains and a timestamp-ordered window index, ``estimate_user``
-slices the trailing window out of that state (bit-for-bit equal to the
-from-scratch :meth:`TagBreathe.estimate_user_recompute`), and a tick with
-no new reports returns the memoized ``UserEstimate`` without touching the
-filter (DESIGN.md §12).  All three paths share one trailing-window
-definition: ``(t_latest - window_s, t_latest]``
+O(new-samples) — ``feed()`` stores each report once in a per-user,
+timestamp-ordered window index (the engine's only copy of streamed
+reports, which checkpoints read back out) and differences it once into
+per-stream phase chains, ``estimate_user`` slices the trailing window
+out of that state (bit-for-bit equal to the from-scratch
+:meth:`TagBreathe.estimate_user_recompute`, which runs the batch path
+over the same index slice), and a tick with no new reports returns the
+memoized ``UserEstimate`` without touching the filter (DESIGN.md §12).
+All three paths share one trailing-window definition:
+``(t_latest - window_s, t_latest]``
 (:func:`repro.streams.windows.trailing_window_bounds`).
 
 Two preprocessing representations are supported (see DESIGN.md):
@@ -31,7 +34,6 @@ Two preprocessing representations are supported (see DESIGN.md):
 from __future__ import annotations
 
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
                     Union)
@@ -45,7 +47,6 @@ from ..config import (
     PipelineConfig,
     RobustnessConfig,
 )
-from ..epc.codec import EPC96
 from ..errors import (
     DegradedEstimateWarning,
     EmptyStreamError,
@@ -114,99 +115,6 @@ MODES = ("samples", "increments")
 #: its ``estimate`` messages so dashboards can watch them like
 #: packet-loss stats.
 FEED_DROP_KEYS = ("late", "duplicate", "invalid_channel")
-
-#: Accepted reports per stream between bounded-memory prune checks.
-_PRUNE_EVERY = 512
-
-
-class _StreamBuffer:
-    """Columnar storage of one (user, tag) stream's buffered reports.
-
-    The streaming hot path appends scalars to plain python lists (six
-    ``list.append`` calls — cheaper than building an object per report),
-    and the batched path bulk-extends from numpy columns; ``TagReport``
-    objects are materialised only on the cold paths (recompute-reference
-    ticks, :meth:`TagBreathe.buffered_reports`); checkpoints gather the
-    columns straight into a batch.  Timestamps are strictly increasing by
-    the feed contract, so windowing and pruning are binary searches.
-
-    ``since_prune`` is the per-stream accepted-reports counter behind
-    the bounded-memory prune trigger (it replaces the historical
-    ``len(buffer) % 512`` check, which could stop firing forever once a
-    prune moved the length off the modulo phase).
-    """
-
-    __slots__ = ("key", "t", "phase", "rssi", "doppler", "channel",
-                 "antenna", "last_t", "since_prune")
-
-    def __init__(self, key: StreamKey) -> None:
-        self.key = key
-        self.t: List[float] = []
-        self.phase: List[float] = []
-        self.rssi: List[float] = []
-        self.doppler: List[float] = []
-        self.channel: List[int] = []
-        self.antenna: List[int] = []
-        self.last_t: Optional[float] = None
-        self.since_prune = 0
-
-    def __len__(self) -> int:
-        return len(self.t)
-
-    def append(self, report: TagReport) -> None:
-        """Buffer one accepted report (must advance the stream's time)."""
-        t = report.timestamp_s
-        self.t.append(t)
-        self.phase.append(report.phase_rad)
-        self.rssi.append(report.rssi_dbm)
-        self.doppler.append(report.doppler_hz)
-        self.channel.append(report.channel_index)
-        self.antenna.append(report.antenna_port)
-        self.last_t = t
-
-    def extend_columns(self, t, phase, rssi, doppler, channel,
-                       antenna) -> None:
-        """Bulk-append accepted batch rows (strictly increasing times).
-
-        ``ndarray.tolist()`` yields the same plain python floats/ints
-        :meth:`append` stores, so scalar- and batch-fed buffers compare
-        equal element for element.
-        """
-        self.t.extend(t.tolist())
-        self.phase.extend(phase.tolist())
-        self.rssi.extend(rssi.tolist())
-        self.doppler.extend(doppler.tolist())
-        self.channel.extend(channel.tolist())
-        self.antenna.extend(antenna.tolist())
-        self.last_t = self.t[-1]
-
-    def prune(self, horizon: float) -> None:
-        """Drop rows with ``t < horizon`` from the front."""
-        cut = bisect_left(self.t, horizon)
-        if not cut:
-            return
-        del self.t[:cut]
-        del self.phase[:cut]
-        del self.rssi[:cut]
-        del self.doppler[:cut]
-        del self.channel[:cut]
-        del self.antenna[:cut]
-
-    def reports(self, after: Optional[float] = None) -> List[TagReport]:
-        """Materialise rows (those with ``t > after``) as ``TagReport``s."""
-        start = 0 if after is None else bisect_right(self.t, after)
-        if start >= len(self.t):
-            return []
-        epc = EPC96.from_user_tag(*self.key)
-        return [
-            TagReport(epc=epc, timestamp_s=ts, phase_rad=ph, rssi_dbm=rs,
-                      doppler_hz=dp, channel_index=ch, antenna_port=an)
-            for ts, ph, rs, dp, ch, an in zip(
-                self.t[start:], self.phase[start:], self.rssi[start:],
-                self.doppler[start:], self.channel[start:],
-                self.antenna[start:])
-        ]
-
 
 def sanitize_reports(
     reports: Sequence[TagReport],
@@ -331,12 +239,6 @@ class TagBreathe:
         robustness: graceful-degradation thresholds (Hampel rejection,
             staleness watchdog, antenna failover); defaults preserve
             clean-capture output bit for bit.
-        incremental: maintain feed-time incremental state so streaming
-            ticks are O(new-samples) (samples mode only; increments mode
-            always recomputes — see :mod:`repro.core.incremental`).
-            Disable to benchmark against, or fall back to, the
-            from-scratch recompute path; results are identical either
-            way.
         motion: Doppler motion-detection thresholds (DESIGN.md §16);
             defaults never flag a clean still-subject capture.
         estimators: estimator selection and fallback hysteresis; the
@@ -359,7 +261,6 @@ class TagBreathe:
         max_gap_s: Optional[float] = None,
         smooth_k: int = DEFAULT_SMOOTH_K,
         robustness: Optional[RobustnessConfig] = None,
-        incremental: bool = True,
         motion: Optional[MotionConfig] = None,
         estimators: Optional[EstimatorConfig] = None,
     ) -> None:
@@ -389,26 +290,19 @@ class TagBreathe:
         # estimator that produced the user's previous *streaming*
         # estimate.  Batch process() stays stateless (previous=None).
         self._active_estimator: Dict[int, str] = {}
-        # Streaming state: raw reports buffered per (user, tag) stream.
-        # The buffers are the checkpointable source of truth; the
-        # incremental estimator below is derived state, rebuilt
-        # deterministically by re-feeding them (restore_streaming).
-        self._report_buffers: Dict[StreamKey, _StreamBuffer] = {}
         # Tolerate-and-count accounting of reports feed() had to discard.
         self._feed_drops: Dict[str, int] = dict.fromkeys(FEED_DROP_KEYS, 0)
         # Drops incurred while restore_streaming replayed a snapshot —
         # kept apart from live-traffic counters (see last_restore_drop_counts).
         self._last_restore_drops: Dict[str, int] = dict.fromkeys(FEED_DROP_KEYS, 0)
-        # Incremental streaming state (samples mode): per-user window
-        # index + feed-time phase chains, plus the per-(user, window)
-        # estimate memo keyed by state version.
-        self._inc: Optional[IncrementalEstimator] = None
-        if incremental and mode == "samples":
-            self._inc = IncrementalEstimator(
-                self._frequencies, self._config, self._robustness,
-                self._extractor, self._select_antenna, self._max_gap_s,
-                motion=self._motion, est_config=self._est_config,
-                estimators=self._estimators)
+        # The streaming store: per-user window index of every accepted
+        # report + feed-time phase chains.  Bounded memory: each stream
+        # keeps ~4 analysis windows of reports.
+        self._inc = IncrementalEstimator(
+            self._frequencies, self._config, self._robustness,
+            self._extractor, self._select_antenna, self._max_gap_s,
+            retain_s=4.0 * self._window_s(), motion=self._motion,
+            est_config=self._est_config, estimators=self._estimators)
         # Memo key: (user_id, window_s, per-call estimator override).
         self._tick_memo: Dict[Tuple[int, float, Optional[str]],
                               Tuple[int, str, object]] = {}
@@ -711,7 +605,7 @@ class TagBreathe:
     # Streaming mode
     # ------------------------------------------------------------------
     def feed(self, report: TagReport) -> bool:
-        """Consume one report into the streaming buffers.
+        """Consume one report into the streaming store.
 
         Tolerate-and-count: a public streaming API must never let one bad
         delivery take down the monitoring loop, so nothing here raises on
@@ -722,57 +616,38 @@ class TagBreathe:
         dropped **and counted** in :attr:`feed_drop_counts`.
 
         Returns:
-            True when the report was buffered, False when it was dropped.
+            True when the report was stored, False when it was dropped.
         """
         if self._user_ids is not None and report.user_id not in self._user_ids:
             return False
         if report.channel_index >= len(self._frequencies):
             self._feed_drops["invalid_channel"] += 1
             return False
-        key = report.stream_key
-        buffer = self._report_buffers.get(key)
-        if buffer is None:
-            buffer = _StreamBuffer(key)
-            self._report_buffers[key] = buffer
         t = report.timestamp_s
-        last = buffer.last_t
-        if last is not None and t <= last:
+        last = self._inc.stream_tail(report.stream_key)
+        if t <= last:
             self._feed_drops["duplicate" if t == last else "late"] += 1
             return False
-        buffer.append(report)
-        if self._inc is not None:
-            # Incremental maintenance: index the report and difference it
-            # against its (channel, antenna) chain — Eq. (3) runs once,
-            # here, instead of on every subsequent tick.
-            self._inc.ingest(report)
-        # Bound memory: keep ~4 analysis windows of raw reports.  The
-        # trigger counts accepted reports since the last prune check —
-        # a buffer-length modulo would stop firing once a prune moved
-        # the length off the modulo phase.
-        buffer.since_prune += 1
-        if buffer.since_prune >= _PRUNE_EVERY:
-            buffer.since_prune = 0
-            horizon = t - 4.0 * self._window_s()
-            if buffer.t[0] < horizon:
-                buffer.prune(horizon)
-                if self._inc is not None:
-                    self._inc.prune_stream(report.user_id, key, horizon)
+        # Index the report and difference it against its (channel,
+        # antenna) chain — Eq. (3) runs once, here, instead of on every
+        # subsequent tick.
+        self._inc.ingest(report)
         return True
 
     def feed_batch(self, batch: ReportBatch) -> int:
         """Consume a column batch; bit-exact with per-report :meth:`feed`.
 
         The SoA hot path: screening (unmonitored users, invalid
-        channels, per-stream late/duplicate deliveries), buffering, the
+        channels, per-stream late/duplicate deliveries), indexing, the
         incremental Eq. (3) differencing, and the bounded-memory prune
         all run as array operations over the batch's numpy columns.
-        After the call, buffered state and :attr:`feed_drop_counts` are
+        After the call, the store and :attr:`feed_drop_counts` are
         identical — bit for bit — to what a loop of ``feed()`` calls
         over ``batch.to_reports()`` would have left, so every subsequent
         :meth:`estimate_user` result is too.
 
         Late/duplicate screening per stream reduces to a running
-        maximum: seeding a cumulative max with the stream's buffered
+        maximum: seeding a cumulative max with the stream's stored
         tail, row *i* is accepted iff ``t[i] > cummax[i]``, a duplicate
         iff equal, late iff below — dropped rows never raise the running
         max, so including them in the cummax is exact.
@@ -781,7 +656,7 @@ class TagBreathe:
             batch: the reports, in arrival order.
 
         Returns:
-            How many reports were buffered (the rest were dropped and
+            How many reports were stored (the rest were dropped and
             counted, exactly as ``feed`` would).
         """
         n = len(batch)
@@ -820,51 +695,23 @@ class TagBreathe:
         n_dup = 0
         n_accepted = 0
         accepted: List[Tuple[StreamKey, np.ndarray]] = []
-        prunes: List[Tuple[StreamKey, float]] = []
         for gi in range(starts.shape[0]):
             rows = sorted_cand[bounds[gi]: bounds[gi + 1]]
             key: StreamKey = (int(su[starts[gi]]), int(st[starts[gi]]))
-            buffer = self._report_buffers.get(key)
-            tail = (buffer.last_t if buffer is not None
-                    and buffer.last_t is not None else -np.inf)
             tg = t[rows]
             prior = np.maximum.accumulate(
-                np.concatenate(([tail], tg)))[:-1]
+                np.concatenate(([self._inc.stream_tail(key)], tg)))[:-1]
             acc = tg > prior
             m_acc = int(np.count_nonzero(acc))
             if m_acc != rows.shape[0]:
                 dup = int(np.count_nonzero(tg == prior))
                 n_dup += dup
                 n_late += rows.shape[0] - m_acc - dup
-            if not m_acc:
-                continue
-            arows = rows[acc]
-            if buffer is None:
-                buffer = _StreamBuffer(key)
-                self._report_buffers[key] = buffer
-            buffer.extend_columns(
-                t[arows], batch.phase[arows], batch.rssi[arows],
-                batch.doppler[arows], batch.channel[arows],
-                batch.antenna[arows])
-            accepted.append((key, arows))
-            n_accepted += m_acc
-            # Prune trigger, shared with feed(): the counter crosses the
-            # threshold at accepted row (PRUNE_EVERY - since_prune - 1),
-            # then every PRUNE_EVERY rows after; horizons are monotone
-            # and pruning is idempotent, so applying only the LAST
-            # trigger's horizon leaves the identical final buffer.
-            total = buffer.since_prune + m_acc
-            if total >= _PRUNE_EVERY:
-                buffer.since_prune = total % _PRUNE_EVERY
-                last_trigger = m_acc - 1 - buffer.since_prune
-                horizon = (float(t[arows[last_trigger]])
-                           - 4.0 * self._window_s())
-                if buffer.t[0] < horizon:
-                    prunes.append((key, horizon))
-            else:
-                buffer.since_prune = total
+            if m_acc:
+                accepted.append((key, rows[acc]))
+                n_accepted += m_acc
 
-        if self._inc is not None and accepted:
+        if accepted:
             # Streams sorted by their first accepted row — the order
             # row-wise ingest would first see (and so create) each.
             accepted.sort(key=lambda kr: int(kr[1][0]))
@@ -875,14 +722,10 @@ class TagBreathe:
             self._feed_drops["late"] += n_late
         if n_dup:
             self._feed_drops["duplicate"] += n_dup
-        for key, horizon in prunes:
-            self._report_buffers[key].prune(horizon)
-            if self._inc is not None:
-                self._inc.prune_stream(key[0], key, horizon)
         return n_accepted
 
     def feed_many(self, reports: Iterable[TagReport]) -> int:
-        """Feed a batch of reports in order; returns how many were buffered."""
+        """Feed a batch of reports in order; returns how many were stored."""
         return sum(1 for report in reports if self.feed(report))
 
     @property
@@ -891,11 +734,11 @@ class TagBreathe:
 
         The key set is stable and exactly :data:`FEED_DROP_KEYS`:
 
-        * ``"late"`` — the report is older than the newest buffered
+        * ``"late"`` — the report is older than the newest stored
           report of its tag stream (out-of-order delivery after the
           per-stream cursor already advanced);
         * ``"duplicate"`` — same stream, same timestamp as the newest
-          buffered report (an LLRP re-delivery);
+          stored report (an LLRP re-delivery);
         * ``"invalid_channel"`` — channel index outside the configured
           hop table, so Eq. (1) has no carrier frequency for it.
 
@@ -904,8 +747,8 @@ class TagBreathe:
         delivery never raises.  Note the difference from batch mode:
         :meth:`process` re-sorts late reports and keeps them (surfacing
         ``late_or_duplicate_reports`` in ``degraded_reasons`` instead),
-        while streaming mode must drop them because the per-stream
-        buffers are append-only.  Monitoring dashboards — and the
+        while streaming mode must drop them because each stream is
+        append-only.  Monitoring dashboards — and the
         ``estimate`` messages of :mod:`repro.serve`, which embed these
         counters — watch them the way they watch packet-loss stats.
         """
@@ -921,8 +764,7 @@ class TagBreathe:
                       estimator: Optional[str] = None) -> UserEstimate:
         """Estimate from the trailing window of streamed data.
 
-        With incremental state enabled (the default in samples mode) this
-        is an O(new-samples) tick: the trailing window
+        In samples mode this is an O(new-samples) tick: the trailing window
         ``(t_latest - window_s, t_latest]`` is sliced out of the per-user
         window index, the feed-time phase chains supply the Eq. (3)
         deltas, and the result is **memoized** — calling again before any
@@ -932,7 +774,8 @@ class TagBreathe:
         ``repro_pipeline_tick_cache_total{result=hit|miss}``; the
         degraded-estimate warning fires when the estimate is *computed*,
         not on cache hits.  Results are bit-for-bit identical to
-        :meth:`estimate_user_recompute`.
+        :meth:`estimate_user_recompute`, which is the tick
+        ``mode="increments"`` runs instead.
 
         The returned :class:`UserEstimate` carries the full degradation
         bookkeeping: ``confidence`` (1.0 for a clean window, lowered
@@ -957,7 +800,7 @@ class TagBreathe:
                 or the window holds too little signal.
             ExtractionError: on an unknown ``estimator`` name.
         """
-        if self._inc is None:
+        if self._mode != "samples":
             return self.estimate_user_recompute(user_id, window_s=window_s,
                                                 estimator=estimator)
         window = window_s if window_s is not None else self._window_s()
@@ -1007,18 +850,18 @@ class TagBreathe:
                                 window_s: Optional[float] = None,
                                 estimator: Optional[str] = None
                                 ) -> UserEstimate:
-        """The from-scratch reference tick over the streamed buffers.
+        """The from-scratch reference tick over the streamed reports.
 
-        Gathers the user's buffered reports inside the pinned trailing
-        window (:func:`repro.streams.windows.trailing_window_bounds`) and
-        runs them through the batch per-user path — O(window) per call.
-        This is the oracle :meth:`estimate_user`'s incremental state is
-        validated against, the fallback for ``mode="increments"`` and
-        engines built with ``incremental=False``, and the baseline the
-        serve-capacity benchmark measures against.  Shares the fallback
-        hysteresis memory with :meth:`estimate_user` (the selection is
-        idempotent once the memory holds the choice, so interleaving the
-        two paths cannot diverge).
+        Slices the user's reports inside the pinned trailing window
+        (:func:`repro.streams.windows.trailing_window_bounds`) out of the
+        window index and runs them through the batch per-user path —
+        O(window) per call.  This is the oracle :meth:`estimate_user`'s
+        incremental state is validated against, the tick
+        ``mode="increments"`` runs, and the baseline the serve-capacity
+        benchmark measures against.  Shares the fallback hysteresis
+        memory with :meth:`estimate_user` (the selection is idempotent
+        once the memory holds the choice, so interleaving the two paths
+        cannot diverge).
 
         Args:
             user_id: the user to estimate.
@@ -1027,25 +870,8 @@ class TagBreathe:
                 :meth:`estimate_user`.
         """
         window = window_s if window_s is not None else self._window_s()
-        t_latest = None
-        for key, buffer in self._report_buffers.items():
-            if key[0] != user_id or not len(buffer):
-                continue
-            last = buffer.last_t
-            t_latest = last if t_latest is None else max(t_latest, last)
-        if t_latest is None:
-            raise InsufficientDataError(f"no streamed data for user {user_id}")
-        # Buffered reports never exceed t_latest, so only the half-open
-        # lower bound needs filtering.
-        lo, _hi = trailing_window_bounds(t_latest, window)
-        user_reports: List[TagReport] = []
-        for key, buffer in self._report_buffers.items():
-            if key[0] != user_id:
-                continue
-            user_reports.extend(buffer.reports(after=lo))
-        user_reports.sort(key=lambda r: r.timestamp_s)
-        if not user_reports:
-            raise InsufficientDataError(f"no streamed data for user {user_id}")
+        _state, _lo, _hi, a, b = self._inc.window(user_id, window)
+        user_reports = self._inc.batch(user_id, a, b).to_reports()
         previous = self._active_estimator.get(user_id)
         result = self._process_user(user_id, user_reports,
                                     previous_estimator=previous,
@@ -1055,59 +881,32 @@ class TagBreathe:
         return result
 
     def streamed_users(self) -> List[int]:
-        """Users with at least one buffered report."""
-        return sorted({key[0] for key, buf in self._report_buffers.items()
-                       if len(buf)})
+        """Users with at least one stored report."""
+        return sorted(self._inc.users())
 
     def buffered_batch(self, user_id: Optional[int] = None) -> ReportBatch:
-        """The streamed reports currently buffered, as one column batch.
+        """The streamed reports currently stored, as one column batch.
 
         Args:
             user_id: restrict to one user (default: all users).
 
         This is the engine's whole recoverable streaming state: feeding
         the batch into a fresh engine (see :meth:`restore_streaming`)
-        reproduces every subsequent :meth:`estimate_user` result, which
-        is how :mod:`repro.serve` checkpoints, hibernates and migrates a
-        live monitoring session.  The per-stream buffer columns are
-        gathered straight into the batch — no ``TagReport`` is built —
-        and rows come timestamp-ordered, ties in stream-creation order
-        (exactly the :meth:`buffered_reports` order).  Reports older
-        than the bounded-memory horizon (~4 analysis windows) have
-        already been pruned and are not part of the state.
+        rebuilds the same window index and phase chains, so every
+        subsequent :meth:`estimate_user` result is reproduced bit for
+        bit, which is how :mod:`repro.serve` checkpoints, hibernates and
+        migrates a live monitoring session.  One user's rows are the
+        window-index columns in index order: by time, equal times in
+        arrival order.  The all-users batch concatenates the users and
+        stable-sorts on time, so each user's rows keep that order.
+        Reports older than the bounded-memory horizon (~4 analysis
+        windows) have already been pruned and are not part of the state.
         """
-        t: List[float] = []
-        phase: List[float] = []
-        rssi: List[float] = []
-        doppler: List[float] = []
-        channel: List[int] = []
-        antenna: List[int] = []
-        keys: List[StreamKey] = []
-        counts: List[int] = []
-        for key, buffer in self._report_buffers.items():
-            if not len(buffer) or (user_id is not None
-                                   and key[0] != user_id):
-                continue
-            t += buffer.t
-            phase += buffer.phase
-            rssi += buffer.rssi
-            doppler += buffer.doppler
-            channel += buffer.channel
-            antenna += buffer.antenna
-            keys.append(key)
-            counts.append(len(buffer))
-        stream_keys = np.array(keys, dtype=np.uint64).reshape(-1, 2)
-        t_column = np.array(t, dtype=np.float64)
-        order = np.argsort(t_column, kind="stable")
-        return ReportBatch(*(column[order] for column in (
-            t_column,
-            np.array(phase, dtype=np.float64),
-            np.array(rssi, dtype=np.float64),
-            np.array(doppler, dtype=np.float64),
-            np.array(channel, dtype=np.int64),
-            np.array(antenna, dtype=np.int64),
-            np.repeat(stream_keys[:, 0], counts),
-            np.repeat(stream_keys[:, 1], counts))))
+        if user_id is not None:
+            return self._inc.batch(user_id)
+        merged = ReportBatch.concat(
+            [self._inc.batch(uid) for uid in self._inc.users()])
+        return merged.select(np.argsort(merged.t, kind="stable"))
 
     def buffered_reports(self, user_id: Optional[int] = None) -> List[TagReport]:
         """:meth:`buffered_batch` as ``TagReport`` objects, same order.
@@ -1117,32 +916,18 @@ class TagBreathe:
         """
         return self.buffered_batch(user_id).to_reports()
 
-    #: Estimated resident bytes per buffered ``_StreamBuffer`` row: six
-    #: list slots (8 B of pointer each) plus four boxed floats (~24 B
-    #: each — t/phase/rssi/doppler; channel/antenna hit the small-int
-    #: cache).  An estimate because python objects are not directly
-    #: measurable per-row; the numpy side is counted exactly.
-    _BUFFER_ROW_BYTES = 6 * 8 + 4 * 24
-
     def streaming_nbytes(self, user_id: Optional[int] = None) -> int:
-        """Approximate resident bytes of the streaming state.
+        """Resident bytes of the streaming state.
 
-        Sums the incremental estimator's numpy backing (exact — window
-        index plus chain columns, see ``IncrementalEstimator.nbytes``)
-        and the per-stream report buffers (estimated at
-        ``_BUFFER_ROW_BYTES`` per row).  This is the per-user cost the
-        idle-economics benchmark reports and hibernation reclaims.
+        The exact numpy backing of the store — window-index columns plus
+        phase-chain columns (see ``IncrementalEstimator.nbytes``).  This
+        is the per-user cost the idle-economics benchmark reports and
+        hibernation reclaims.
 
         Args:
             user_id: restrict to one user (default: whole engine).
         """
-        total = 0
-        for key, buffer in self._report_buffers.items():
-            if user_id is None or key[0] == user_id:
-                total += len(buffer) * self._BUFFER_ROW_BYTES
-        if self._inc is not None:
-            total += self._inc.nbytes(user_id)
-        return total
+        return self._inc.nbytes(user_id)
 
     @property
     def last_restore_drop_counts(self) -> Dict[str, int]:
@@ -1182,7 +967,7 @@ class TagBreathe:
         :attr:`last_restore_drop_counts`.
 
         Returns:
-            The number of reports buffered.
+            The number of reports stored.
         """
         batch = (rows if isinstance(rows, ReportBatch)
                  else ReportBatch.from_reports(list(rows)))
@@ -1202,7 +987,7 @@ class TagBreathe:
     def reset_streaming(self) -> None:
         """Drop all streaming state (start a fresh monitoring session).
 
-        Clears the per-stream report buffers *and* zeroes every
+        Clears the streaming store *and* zeroes every
         :attr:`feed_drop_counts` counter — after a reset the engine is
         indistinguishable from a newly constructed one as far as
         streaming is concerned.  Batch mode (:meth:`process`) is
@@ -1210,13 +995,11 @@ class TagBreathe:
         window, and all signal-processing configuration survive the
         reset; only data does not.
         """
-        self._report_buffers.clear()
         self._feed_drops = dict.fromkeys(FEED_DROP_KEYS, 0)
         self._last_restore_drops = dict.fromkeys(FEED_DROP_KEYS, 0)
         self._tick_memo.clear()
         self._active_estimator.clear()
-        if self._inc is not None:
-            self._inc.reset()
+        self._inc.reset()
 
     # ------------------------------------------------------------------
     def _window_s(self) -> float:

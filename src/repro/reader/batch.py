@@ -149,6 +149,14 @@ class ReportBatch:
         return ReportBatch(*(getattr(self, name)[rows]
                              for name, _ in COLUMNS))
 
+    @classmethod
+    def concat(cls, batches: Sequence["ReportBatch"]) -> "ReportBatch":
+        """The rows of ``batches`` back to back (not validated again)."""
+        return cls._trusted([
+            np.concatenate([getattr(b, name) for b in batches]
+                           + [np.empty(0, dtype=dtype)])
+            for name, dtype in COLUMNS])
+
     def split_by_user(self) -> Iterator[Tuple[int, "ReportBatch"]]:
         """Yield ``(user_id, sub_batch)`` per user, rows in batch order.
 

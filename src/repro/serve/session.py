@@ -466,8 +466,8 @@ class SessionShard:
         """Park one resident session in the cold tier; False when absent.
 
         The session's checkpoint state becomes a compressed document and
-        the engine-backed ``UserSession`` is dropped — its numpy chains,
-        window index, and report buffers become garbage immediately.
+        the engine-backed ``UserSession`` is dropped — its window index
+        and phase chains become garbage immediately.
         Safe at any instant between queue entries (hibernation is
         synchronous inside the shard's single-threaded context); a
         report already queued for the user simply wakes them when the

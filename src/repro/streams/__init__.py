@@ -7,15 +7,12 @@ regular grids that FFT-based processing needs.
 """
 
 from .timeseries import TimeSeries
-from .ringbuffer import RingBuffer, StreamBuffer
 from .resample import bin_sum, bin_mean, resample_linear, sample_interval_stats
 from .windows import sliding_windows, trailing_window_bounds, window_slices
 from .windowindex import GrowableArray, WindowIndex
 
 __all__ = [
     "TimeSeries",
-    "RingBuffer",
-    "StreamBuffer",
     "GrowableArray",
     "WindowIndex",
     "bin_sum",

@@ -2,8 +2,8 @@
 
 The streaming pipeline answers the same question on every cadence tick:
 "give me everything this user streamed in the trailing ``window_s``
-seconds".  The naive answer — gather every per-stream buffer, filter,
-sort — is O(buffered) per tick.  :class:`WindowIndex` keeps the per-user
+seconds".  The naive answer — gather every per-stream list, filter,
+sort — is O(stored) per tick.  :class:`WindowIndex` keeps the per-user
 report attributes in flat, timestamp-ordered numpy columns instead, so a
 trailing window is two ``searchsorted`` calls and a contiguous slice:
 O(log n) to locate, zero-copy to read.
@@ -16,12 +16,13 @@ Mechanics:
 * appends are fast-pathed for in-order arrival (the overwhelmingly
   common case — readers emit in time order); a cross-stream straggler is
   placed by binary search with an O(n) shift, rare enough not to matter;
-* equal timestamps keep arrival order (stable, like a stable sort of the
-  gathered buffers would).
+* equal timestamps keep arrival order, so the row order is a pure
+  function of what was fed, and re-feeding the rows in index order
+  rebuilds the same index.
 
-The index stores *derived scalar columns* (port, RSSI, stream id), not
-report objects — the raw reports stay in the engine's per-stream buffers,
-which remain the checkpointed source of truth.
+The streaming engine keeps every column of a report here (time, phase,
+RSSI, Doppler, channel, antenna port, stream id): the index is its only
+store of streamed reports, and checkpoints are its columns read back out.
 """
 
 from __future__ import annotations
@@ -278,8 +279,7 @@ class WindowIndex:
         """
         t = self._times.view()
         if not t.shape[0] or t[0] >= t_cut:
-            if where is None:
-                return 0
+            return 0
         old = t < t_cut
         if where is not None:
             old = old & where

@@ -41,12 +41,14 @@ def wire_suite(bytes_per_report=56.1, acked_equal_sent=True):
                          "acked_equal_sent": acked_equal_sent}}
 
 
-def idle_suite(registered=20_000, ratio=300.0, wake_verified=True,
-               wake_p99_ms=2.0, ceiling=1.01):
+def idle_suite(registered=20_000, ratio=200.0, wake_verified=True,
+               wake_p99_ms=2.0, ceiling=1.01, bytes_per_active=None):
+    if bytes_per_active is None:
+        bytes_per_active = 2600.0 * ratio
     return {"headline": {"registered_users": registered,
                          "active_users": registered // 100,
                          "bytes_per_idle_user": 2600.0,
-                         "bytes_per_active_user": 2600.0 * ratio,
+                         "bytes_per_active_user": bytes_per_active,
                          "idle_active_ratio": ratio,
                          "wake_p99_ms": wake_p99_ms,
                          "wake_verified": wake_verified,
@@ -272,6 +274,23 @@ class TestIdleSuite:
         path = write(tmp_path, "cand.json", bench_doc(
             [case(1, 25.0, 2.0)], idle=idle_suite(ratio=6.0)))
         assert any("ratio 6.0x" in p for p in guard.check_idle_suite(path))
+
+    def test_costly_active_user_fails(self, tmp_path):
+        # The quick figure while per-stream report buffers duplicated
+        # the window index: a higher idle/active ratio, yet too costly.
+        path = write(tmp_path, "cand.json", bench_doc(
+            [case(1, 25.0, 2.0)],
+            idle=idle_suite(ratio=467.0, bytes_per_active=1_044_428.0)))
+        assert any("bytes_per_active_user" in p
+                   for p in guard.check_idle_suite(path))
+
+    def test_missing_active_bytes_fails(self, tmp_path):
+        idle = idle_suite()
+        del idle["headline"]["bytes_per_active_user"]
+        path = write(tmp_path, "cand.json", bench_doc(
+            [case(1, 25.0, 2.0)], idle=idle))
+        assert any("bytes_per_active_user" in p
+                   for p in guard.check_idle_suite(path))
 
     def test_unverified_wake_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(

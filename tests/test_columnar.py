@@ -3,9 +3,9 @@
 Two contracts are property-tested here (hypothesis):
 
 * ``TagBreathe.feed_batch`` is **bit-exact** with a loop of ``feed``
-  calls — same drop counters, same buffered columns, same per-stream
-  tails — under adversarial orderings (late, duplicate, invalid-channel
-  and interleaved-stream deliveries);
+  calls — same drop counters, same stored columns, same per-stream
+  tails and prune counters — under adversarial orderings (late,
+  duplicate, invalid-channel and interleaved-stream deliveries);
 * the binary column frame round-trips every batch losslessly, and its
   decoder rejects truncated, padded, or corrupted payloads with a typed
   :class:`~repro.errors.ProtocolError` instead of misparsing them.
@@ -74,15 +74,6 @@ def _reports(rows):
     ]
 
 
-def _buffer_state(engine):
-    """Every buffered column + tail, keyed by stream (for == compares)."""
-    return {
-        key: (buf.t, buf.phase, buf.rssi, buf.doppler, buf.channel,
-              buf.antenna, buf.last_t, buf.since_prune)
-        for key, buf in engine._report_buffers.items()
-    }
-
-
 # ----------------------------------------------------------------------
 # feed_batch == sequential feed (bit-exact)
 # ----------------------------------------------------------------------
@@ -103,7 +94,8 @@ class TestFeedBatchEquivalence:
                 accepted_batched += batched.feed_batch(batch)
         assert accepted_batched == accepted_scalar
         assert batched.feed_drop_counts == scalar.feed_drop_counts
-        assert _buffer_state(batched) == _buffer_state(scalar)
+        # Every stored column, stream tail and prune counter, per user.
+        assert batched._inc.snapshot() == scalar._inc.snapshot()
 
     def test_estimates_bit_exact_on_simulated_capture(self):
         scenario = Scenario([

@@ -204,7 +204,7 @@ class TestPhaseChainCursor:
 class TestIncrementalEquivalence:
     def test_interleaved_ticks_match_recompute(self, capture):
         inc = TagBreathe(user_ids={1, 2})
-        ref = TagBreathe(user_ids={1, 2}, incremental=False)
+        ref = TagBreathe(user_ids={1, 2})
         next_tick, matched = 20.0, 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
@@ -217,19 +217,6 @@ class TestIncrementalEquivalence:
                         if tick_both(inc, ref, uid) is not None:
                             matched += 1
         assert matched >= 10
-
-    def test_incremental_false_uses_recompute(self, capture):
-        """The two constructions give identical results on every tick."""
-        inc = TagBreathe(user_ids={1})
-        plain = TagBreathe(user_ids={1}, incremental=False)
-        for report in capture.reports:
-            inc.feed(report)
-            plain.feed(report)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedEstimateWarning)
-            a = inc.estimate_user(1)
-            b = plain.estimate_user(1)
-        assert_same_estimate(a, b)
 
     def test_streamed_equals_batch_process(self, capture):
         """Satellite: feed_many + estimate_user == process over the
@@ -245,6 +232,23 @@ class TestIncrementalEquivalence:
                 assert abs(streamed.rate_bpm
                            - batch_estimates[uid].rate_bpm) < 1e-9
                 assert streamed.read_count == batch_estimates[uid].read_count
+
+    def test_increments_mode_streamed_equals_batch_process(self, capture):
+        """mode="increments" ticks from scratch over the same store:
+        feed_many + estimate_user == process over the same window."""
+        streaming = TagBreathe(user_ids={1, 2}, mode="increments")
+        streaming.feed_many(capture.reports)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedEstimateWarning)
+            batch_estimates = TagBreathe(
+                user_ids={1, 2}, mode="increments").process(
+                    capture.reports, window_s=25.0)
+            for uid in (1, 2):
+                streamed = streaming.estimate_user(uid, window_s=25.0)
+                batch = batch_estimates[uid]
+                assert_same_estimate(streamed, batch)
+                assert (streamed.estimate.signal.values.tobytes()
+                        == batch.estimate.signal.values.tobytes())
 
     def test_memoized_tick_returns_same_object(self, capture):
         engine = TagBreathe(user_ids={1})
@@ -347,3 +351,67 @@ class TestRestoreDropAccounting:
             warnings.simplefilter("ignore", DegradedEstimateWarning)
             assert_same_estimate(original.estimate_user(1),
                                  restored.estimate_user(1))
+
+
+# ----------------------------------------------------------------------
+# Restore under cross-stream timestamp ties
+# ----------------------------------------------------------------------
+def tied_reports(duration_s=60.0, seed=3):
+    """Three tags read on one 20 ms grid, arrival shuffled per instant.
+
+    Every grid instant carries one report per tag, so reports of
+    different streams share exact timestamps, and the order they arrive
+    in changes from instant to instant — never the order the streams
+    were first seen in.
+    """
+    rng = np.random.default_rng(seed)
+    wavelength = 3e8 / 915e6
+    reports = []
+    for k in range(int(duration_s / 0.02)):
+        t = k * 0.02
+        chest = 0.005 * np.sin(2.0 * np.pi * 0.2 * t)
+        for tag in rng.permutation(3).tolist():
+            phase = (1.0 + tag + 4.0 * np.pi * chest / wavelength
+                     + float(rng.normal(0.0, 0.05))) % (2.0 * np.pi)
+            reports.append(TagReport(
+                epc=EPC96.from_user_tag(1, tag), timestamp_s=t,
+                phase_rad=phase, rssi_dbm=-60.0 + tag,
+                doppler_hz=float(rng.normal(0.0, 0.5)),
+                channel_index=(k // 10) % 10, antenna_port=1))
+    return reports
+
+
+class TestRestoreUnderTimestampTies:
+    def test_restored_engine_is_bit_exact(self):
+        """Restoring a snapshot rebuilds the live index row for row, so
+        every later tick equals the uninterrupted engine's bit for bit."""
+        reports = tied_reports()
+        cut = next(i for i, r in enumerate(reports) if r.timestamp_s >= 25.0)
+        live = TagBreathe(user_ids={1})
+        live.feed_many(reports[:cut])
+        restored = TagBreathe(user_ids={1})
+        restored.restore_streaming(live.buffered_batch(1),
+                                   live.feed_drop_counts)
+
+        def index_columns(engine):
+            keys, times, columns, last_t, _since_prune = \
+                engine._inc.snapshot()[1]
+            return keys, times, columns, last_t
+
+        assert index_columns(restored) == index_columns(live)
+        ticks = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedEstimateWarning)
+            for lo in range(cut, len(reports), 300):
+                live.feed_many(reports[lo:lo + 300])
+                restored.feed_many(reports[lo:lo + 300])
+                want = live.estimate_user(1)
+                for got in (restored.estimate_user(1),
+                            restored.estimate_user_recompute(1)):
+                    assert got.rate_bpm == want.rate_bpm
+                    assert got.confidence == want.confidence
+                    assert (got.estimate.signal.values.tobytes()
+                            == want.estimate.signal.values.tobytes())
+                ticks += 1
+        assert index_columns(restored) == index_columns(live)
+        assert ticks >= 15

@@ -11,7 +11,7 @@ the divergence at exactly 0.0 bpm.
 
 The second half of the battery pins the memory-compaction story:
 prune-driven shrinking of the backing storage (GrowableArray,
-WindowIndex, RingBuffer) must release high-water allocations without
+WindowIndex) must release high-water allocations without
 perturbing estimates, and a long multi-window stream must hold a flat
 resident-bytes ceiling.
 """
@@ -32,7 +32,6 @@ from repro.errors import DegradedEstimateWarning, InsufficientDataError
 from repro.reader.batch import ReportBatch
 from repro.serve import SessionConfig, SessionShard, UserSession
 from repro.serve.hibernate import blob_to_doc, doc_to_blob
-from repro.streams.ringbuffer import RingBuffer
 from repro.streams.windowindex import _MIN_CAPACITY, GrowableArray, \
     WindowIndex
 
@@ -223,33 +222,6 @@ class TestBackingStorageCompaction:
         assert len(index) <= 102
         assert index.nbytes * 8 < high_water
         np.testing.assert_array_equal(index.times, index.column("value"))
-
-    def test_ringbuffer_allocates_lazily(self):
-        ring = RingBuffer(4096)
-        assert ring.allocated == 64
-        for i in range(100):
-            ring.append(float(i), float(i))
-        assert ring.allocated == 128
-        assert ring.nbytes == 128 * 2 * 8
-        series = ring.snapshot()
-        np.testing.assert_array_equal(series.times, np.arange(100.0))
-
-    def test_ringbuffer_grows_to_capacity_then_wraps(self):
-        ring = RingBuffer(128)
-        for i in range(300):
-            ring.append(float(i), float(i))
-        assert ring.allocated == 128
-        series = ring.snapshot()
-        np.testing.assert_array_equal(series.times, np.arange(172.0, 300.0))
-
-    def test_ringbuffer_clear_releases_growth(self):
-        ring = RingBuffer(4096)
-        for i in range(3_000):
-            ring.append(float(i), float(i))
-        assert ring.allocated >= 3_000
-        ring.clear()
-        assert ring.allocated == 64
-        assert len(ring) == 0
 
 
 class TestLongStreamMemoryCeiling:

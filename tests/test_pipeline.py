@@ -155,7 +155,7 @@ class TestStreaming:
                     antenna_port=report.antenna_port,
                 )
                 pipeline.feed(shifted)
-        total = sum(len(buf) for buf in pipeline._report_buffers.values())
+        total = len(pipeline.buffered_batch(1))
         # Three 40 s passes = ~3x capture, but trimming caps retention.
         assert total <= 3 * len(capture.reports)
         estimate = pipeline.estimate_user(1, window_s=25.0)

@@ -5,8 +5,8 @@ Covered substrate:
 
 * :mod:`repro.units` — conversion round-trips and phase-wrap ranges;
 * :mod:`repro.epc.codec` — EPC96 encode/decode round-trips;
-* :mod:`repro.streams` — ring/stream buffer ordering invariants, bin_sum
-  sample conservation, resample grid monotonicity.
+* :mod:`repro.streams` — bin_sum sample conservation, resample grid
+  monotonicity.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro import units
 from repro.epc.codec import EPC96, decode_user_tag, encode_user_tag
 from repro.streams.resample import bin_sum, resample_linear
-from repro.streams.ringbuffer import RingBuffer, StreamBuffer
 from repro.streams.timeseries import TimeSeries
 
 #: Finite, sanely-sized floats — the library works in SI units where
@@ -117,42 +116,6 @@ def _sample_lists(min_size=1, max_size=40):
         (sum(g for g, _ in gaps[:i + 1]), v)
         for i, (_, v) in enumerate(gaps)
     ])
-
-
-class TestRingBufferProperties:
-    @given(_sample_lists(), st.integers(min_value=1, max_value=16))
-    def test_keeps_newest_capacity_samples_in_order(self, samples, capacity):
-        buf = RingBuffer(capacity)
-        for t, v in samples:
-            buf.append(t, v)
-        snap = buf.snapshot()
-        expected = samples[-capacity:]
-        assert len(buf) == len(expected)
-        assert list(snap.times) == pytest.approx([t for t, _ in expected])
-        assert list(snap.values) == pytest.approx([v for _, v in expected])
-        assert np.all(np.diff(snap.times) > 0)
-
-    @given(_sample_lists(min_size=2))
-    def test_offer_drops_exactly_the_non_increasing(self, samples):
-        buf = RingBuffer(len(samples) * 2)
-        # Feed each sample twice: the replay must all be dropped.
-        accepted = sum(buf.offer(t, v) for t, v in samples)
-        replayed = sum(buf.offer(t, v) for t, v in samples[:-1])
-        assert accepted == len(samples)
-        assert replayed == 0
-        assert buf.dropped == len(samples) - 1
-
-    @given(_sample_lists())
-    def test_stream_buffer_trim_keeps_suffix(self, samples):
-        buf = StreamBuffer()
-        for t, v in samples:
-            buf.append(t, v)
-        t_cut = samples[len(samples) // 2][0]
-        dropped = buf.trim_before(t_cut)
-        kept = [s for s in samples if s[0] >= t_cut]
-        assert dropped == len(samples) - len(kept)
-        assert list(buf.snapshot().times) == pytest.approx(
-            [t for t, _ in kept])
 
 
 class TestResampleProperties:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from repro.errors import (
     EmptyStreamError,
@@ -10,8 +10,6 @@ from repro.errors import (
     StreamError,
 )
 from repro.streams import (
-    RingBuffer,
-    StreamBuffer,
     TimeSeries,
     bin_mean,
     bin_sum,
@@ -202,175 +200,6 @@ class TestTimeSeriesTransforms:
     def test_cumsum_last_equals_sum(self, values):
         ts = TimeSeries.regular(values, rate_hz=1.0)
         assert ts.cumsum().values[-1] == pytest.approx(sum(values), rel=1e-9, abs=1e-6)
-
-
-class TestRingBuffer:
-    def test_append_and_snapshot(self):
-        rb = RingBuffer(4)
-        for i in range(3):
-            rb.append(float(i), float(i * 10))
-        snap = rb.snapshot()
-        assert list(snap.values) == [0.0, 10.0, 20.0]
-
-    def test_eviction(self):
-        rb = RingBuffer(3)
-        for i in range(5):
-            rb.append(float(i), float(i))
-        snap = rb.snapshot()
-        assert list(snap.times) == [2.0, 3.0, 4.0]
-        assert rb.full
-
-    def test_rejects_non_monotonic(self):
-        rb = RingBuffer(3)
-        rb.append(1.0, 0.0)
-        with pytest.raises(NonMonotonicTimeError):
-            rb.append(1.0, 0.0)
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(StreamError):
-            RingBuffer(0)
-
-    def test_clear(self):
-        rb = RingBuffer(3)
-        rb.append(0.0, 1.0)
-        rb.clear()
-        assert len(rb) == 0
-        assert rb.last_time() is None
-
-    def test_extend(self):
-        rb = RingBuffer(10)
-        rb.extend(make_series(5))
-        assert len(rb) == 5
-
-    @given(st.integers(min_value=1, max_value=20), st.integers(min_value=0, max_value=60))
-    @settings(max_examples=30)
-    def test_snapshot_keeps_newest(self, capacity, n):
-        rb = RingBuffer(capacity)
-        for i in range(n):
-            rb.append(float(i), float(i))
-        snap = rb.snapshot()
-        assert len(snap) == min(capacity, n)
-        if n:
-            assert snap.times[-1] == float(n - 1)
-
-    def test_eviction_at_exact_capacity(self):
-        """Wrap-around with an exactly-full buffer: the next append must
-        evict precisely the oldest sample and keep snapshot order."""
-        rb = RingBuffer(4)
-        for i in range(4):
-            rb.append(float(i), float(i * 10))
-        assert rb.full and len(rb) == 4
-        rb.append(4.0, 40.0)  # first eviction: head wraps to slot 1
-        assert rb.full and len(rb) == 4
-        snap = rb.snapshot()
-        assert list(snap.times) == [1.0, 2.0, 3.0, 4.0]
-        assert list(snap.values) == [10.0, 20.0, 30.0, 40.0]
-
-    def test_eviction_full_wraparound_cycle(self):
-        """Appending capacity more samples into a full buffer replaces
-        every slot; the snapshot stays sorted across the wrap point."""
-        rb = RingBuffer(3)
-        for i in range(3):
-            rb.append(float(i), float(i))
-        for i in range(3, 6):
-            rb.append(float(i), float(i))
-        snap = rb.snapshot()
-        assert list(snap.times) == [3.0, 4.0, 5.0]
-        assert rb.last_time() == 5.0
-
-    def test_capacity_one_always_newest(self):
-        rb = RingBuffer(1)
-        for i in range(5):
-            rb.append(float(i), float(i))
-        assert len(rb) == 1
-        assert list(rb.snapshot().times) == [4.0]
-
-    def test_offer_drops_and_counts(self):
-        rb = RingBuffer(4)
-        assert rb.offer(1.0, 0.0) is True
-        assert rb.offer(1.0, 0.0) is False  # duplicate time
-        assert rb.offer(0.5, 0.0) is False  # late
-        assert rb.offer(2.0, 0.0) is True
-        assert rb.dropped == 2
-        assert len(rb) == 2
-
-    def test_clear_resets_dropped(self):
-        rb = RingBuffer(2)
-        rb.offer(1.0, 0.0)
-        rb.offer(0.5, 0.0)
-        rb.clear()
-        assert rb.dropped == 0
-
-    def test_lazy_allocation_grows_toward_capacity(self):
-        """A large-capacity buffer allocates 64 slots up front and doubles
-        as it fills, never past capacity."""
-        rb = RingBuffer(1000)
-        assert rb.allocated == 64
-        for i in range(65):
-            rb.append(float(i), float(i))
-        assert rb.allocated == 128
-        for i in range(65, 1001):
-            rb.append(float(i), float(i))
-        assert rb.allocated == 1000
-        assert rb.nbytes == 2 * 1000 * 8
-
-    def test_growth_preserves_order_and_oldest_sample(self):
-        """Regression: when appends exactly fill the allocation the write
-        head wraps to 0, and growth must move it back past the live prefix
-        or the next append silently overwrites the oldest sample."""
-        rb = RingBuffer(200)
-        for i in range(70):  # crosses the 64-slot initial allocation
-            rb.append(float(i), float(i * 2))
-        snap = rb.snapshot()
-        assert list(snap.times) == [float(i) for i in range(70)]
-        assert snap.values[0] == 0.0 and snap.values[-1] == 138.0
-
-    def test_clear_releases_grown_allocation(self):
-        rb = RingBuffer(1000)
-        for i in range(500):
-            rb.append(float(i), float(i))
-        assert rb.allocated >= 512
-        rb.clear()
-        assert rb.allocated == 64
-        assert len(rb) == 0
-
-
-class TestStreamBuffer:
-    def test_append_and_window(self):
-        sb = StreamBuffer()
-        for i in range(10):
-            sb.append(float(i), float(i))
-        window = sb.window(3.0)
-        assert window.times[0] >= 6.0
-
-    def test_trim(self):
-        sb = StreamBuffer()
-        for i in range(10):
-            sb.append(float(i), float(i))
-        dropped = sb.trim_before(5.0)
-        assert dropped == 5
-        assert sb.snapshot().times[0] == 5.0
-
-    def test_last(self):
-        sb = StreamBuffer()
-        assert sb.last() is None
-        sb.append(1.0, 2.0)
-        assert sb.last() == (1.0, 2.0)
-
-    def test_rejects_non_monotonic(self):
-        sb = StreamBuffer()
-        sb.append(1.0, 0.0)
-        with pytest.raises(NonMonotonicTimeError):
-            sb.append(0.5, 0.0)
-
-    def test_offer_drops_and_counts(self):
-        sb = StreamBuffer()
-        assert sb.offer(1.0, 0.0) is True
-        assert sb.offer(1.0, 0.0) is False
-        assert sb.offer(0.5, 0.0) is False
-        assert sb.offer(2.0, 1.0) is True
-        assert sb.dropped == 2
-        assert len(sb) == 2
 
 
 class TestBinning:

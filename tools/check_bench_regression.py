@@ -32,8 +32,9 @@ and the ``wire`` suite's column-frame bytes per report — a
 property of the format, not the machine — must stay under a ceiling.  The ``idle``
 economics suite is likewise self-contained: the idle/active bytes
 ratio, the soak's flat memory ceiling, and wake verification are
-same-run ratios and counts, with only the wake p99 held to a (very
-generous) absolute ceiling.
+same-run ratios and counts, the active user's bytes are held to a
+ceiling, and only the wake p99 is held to a (very generous) absolute
+timing ceiling.
 
 When ``--simulation`` names a ``BENCH_simulation.json``, its
 ``scenarios`` suite is gated too.  Scenario-pack numbers are workload
@@ -99,6 +100,15 @@ WIRE_BYTES_PER_REPORT_CEILING = 60.0
 #: magnitude above this floor, and a drop below it means hibernation
 #: stopped paying for itself.
 IDLE_ACTIVE_RATIO_FLOOR = 10.0
+
+#: Ceiling on the idle suite's ``bytes_per_active_user``: the
+#: tracemalloc-measured python + numpy cost of one engine-backed session
+#: at the steady-state plateau.  The idle/active ratio floor cannot
+#: catch a costlier active user (the ratio only rises), so the active
+#: side has its own ceiling, ~1.2x the quick suite's 517,349 B once the
+#: window index became the only store of streamed reports (it measured
+#: ~1.04 MB while per-stream report buffers duplicated every row).
+IDLE_BYTES_PER_ACTIVE_USER_CEILING = 620_000.0
 
 #: Ceiling on the idle suite's wake p99.  Wake latency IS a timing, but
 #: the quick-suite wakes (inflate + replay of a brief parked history)
@@ -293,7 +303,8 @@ def check_idle_suite(path: Path) -> List[str]:
     """Machine-independent invariants of the idle-economics suite.
 
     The idle/active bytes ratio and the soak's memory-ceiling ratio are
-    same-run ratios; wake verification is a correctness count.  Only the
+    same-run ratios; wake verification is a correctness count; the
+    active user's bytes are an allocation count, not a timing.  Only the
     wake p99 is an absolute timing, and its ceiling is two orders of
     magnitude above committed runs.
     """
@@ -314,6 +325,12 @@ def check_idle_suite(path: Path) -> List[str]:
             f"idle: bytes_per_active/bytes_per_idle ratio {ratio:.1f}x "
             f"< floor {IDLE_ACTIVE_RATIO_FLOOR:.0f}x — hibernation "
             f"stopped shrinking idle sessions")
+    active = headline.get("bytes_per_active_user", float("inf"))
+    if not active <= IDLE_BYTES_PER_ACTIVE_USER_CEILING:
+        problems.append(
+            f"idle: bytes_per_active_user {active:,.0f} > ceiling "
+            f"{IDLE_BYTES_PER_ACTIVE_USER_CEILING:,.0f} — an active "
+            f"session's streaming state grew")
     if headline.get("wake_verified") is not True:
         problems.append(
             "idle: woken sessions did not all verify (wrong user, lost "

@@ -10,8 +10,11 @@ engine's one store of streamed reports, updated once per ``feed()``:
   antenna port, stream id) in time order, equal times in arrival order,
   so a trailing window is two binary searches plus contiguous slices
   instead of a gather + sort;
-* one :class:`~repro.core.preprocess.PhaseChainCursor` per tag stream,
-  holding the Eq. (3) wrapped phase deltas computed once at ingest time;
+* two more index columns computed once at ingest — each row's Eq. (3)
+  wrapped phase delta against the previous read of its (stream,
+  channel, antenna) chain, and its segment-start flag — plus each
+  chain's newest ``(time, phase)``, which the next read differences
+  against;
 * per stream, the newest accepted timestamp (late and duplicate
   screening) and the accepted-rows counter behind the bounded-memory
   prune.
@@ -19,11 +22,12 @@ engine's one store of streamed reports, updated once per ``feed()``:
 :meth:`IncrementalEstimator.estimate` then replays the *same* six-stage
 algorithm as the batch path — delivery hygiene, antenna failover,
 staleness demotion, gap scoring, Hampel + Eq. (6)/(7) fusion, Eq. (5)
-extraction — over those columns.  Each stage's arithmetic is arranged to
+extraction — over those columns, stage 5 as one pass over the window
+slice (:func:`window_track`).  Each stage's arithmetic is arranged to
 perform the identical float64 operations on the identical values in the
 identical order, so the result is **bit-for-bit equal** to the recompute
 path, which runs the batch path over the same index slice
-(``tests/test_incremental.py`` and the hypothesis property in
+(``tests/test_incremental.py`` and the hypothesis properties in
 ``tests/test_property.py`` pin this).  One deliberate, measure-zero
 deviation is documented in DESIGN.md §12: exact antenna-score ties break
 toward the lowest port.
@@ -38,6 +42,7 @@ rows from this same store.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -52,9 +57,11 @@ from ..config import (
 from ..errors import EmptyStreamError, InsufficientDataError
 from ..reader.batch import ReportBatch
 from ..reader.tagreport import TagReport
+from ..streams.resample import _HISTOGRAM_BLOCK, _bin_edges
 from ..streams.timeseries import TimeSeries
 from ..streams.windowindex import WindowIndex
 from ..streams.windows import trailing_window_bounds
+from ..units import SPEED_OF_LIGHT, wrap_phase_delta
 from .degradation import (
     REASON_ANTENNA_FAILOVER,
     REASON_GAPS,
@@ -72,10 +79,11 @@ from .fusion import fuse_sample_streams
 from .motion import STILL, apply_motion, score_motion
 from .preprocess import (
     DEFAULT_MIN_SEGMENT_LEN,
-    PhaseChainCursor,
     StreamKey,
-    defer_chains,
-    hampel_filter,
+    chain_order,
+    demeaned_segments,
+    hampel_streams,
+    padded_rows,
 )
 from .quality import quality_score
 
@@ -108,9 +116,12 @@ class TickOutcome:
 class UserStreamState:
     """One user's streamed reports and the state derived from them.
 
-    ``index`` is the only copy of the user's accepted reports; the
-    per-stream lists (``keys``, ``cursors``, ``last_t``,
-    ``since_prune``) are indexed by the stream id the index stores.
+    ``index`` is the only per-row store: the report columns plus each
+    row's Eq. (3) wrapped delta ``wd`` and segment-start flag ``seg``.
+    The per-stream lists (``keys``, ``last_t``, ``since_prune``) are
+    indexed by the stream id the index stores.  ``chain_of`` maps a
+    (stream id, channel, antenna) chain to its slot in ``tail_t`` /
+    ``tail_p``, the chain's newest accepted read.
 
     ``version`` increments on every mutation (accepted feed, prune) and
     is what the pipeline's estimate memo keys on: a tick at an unchanged
@@ -118,19 +129,22 @@ class UserStreamState:
     this.
     """
 
-    __slots__ = ("index", "cursors", "keys", "sid_of", "last_t",
-                 "since_prune", "version")
+    __slots__ = ("index", "keys", "sid_of", "last_t", "since_prune",
+                 "chain_of", "tail_t", "tail_p", "version")
 
     def __init__(self) -> None:
         self.index = WindowIndex({
             "port": np.int64, "rssi": np.float64, "sid": np.int64,
             "dop": np.float64, "chan": np.int64, "phase": np.float64,
+            "wd": np.float64, "seg": np.int64,
         })
-        self.cursors: List[PhaseChainCursor] = []
         self.keys: List[StreamKey] = []
         self.sid_of: Dict[StreamKey, int] = {}
         self.last_t: List[float] = []
         self.since_prune: List[int] = []
+        self.chain_of: Dict[Tuple[int, int, int], int] = {}
+        self.tail_t = np.empty(0)
+        self.tail_p = np.empty(0)
         self.version = 0
 
 
@@ -179,6 +193,9 @@ class IncrementalEstimator:
             from .estimators import build_estimators
             estimators = build_estimators(extractor)
         self._estimators = estimators
+        # Eq. (4)'s displacement coefficient lambda / (4 pi) per channel.
+        self._coef = np.array([(SPEED_OF_LIGHT / f) / (4.0 * np.pi)
+                               for f in frequencies_hz])
         self._states: Dict[int, UserStreamState] = {}
 
     # ------------------------------------------------------------------
@@ -201,33 +218,28 @@ class IncrementalEstimator:
         return -np.inf if sid is None else state.last_t[sid]
 
     def nbytes(self, user_id: Optional[int] = None) -> int:
-        """Resident numpy bytes of one user's state (or every user's).
+        """Resident numpy bytes of one user's index (or every user's).
 
-        Sums the window-index columns and every chain cursor's packed
-        rows — the allocation-backed cost that hibernation and horizon
-        pruning exist to bound.
+        The allocation-backed cost that hibernation and horizon pruning
+        exist to bound: every index column, the derived Eq. (3) columns
+        included.
         """
         states = (self._states.values() if user_id is None
                   else filter(None, [self._states.get(user_id)]))
-        total = 0
-        for state in states:
-            total += state.index.nbytes
-            for cursor in state.cursors:
-                total += cursor.nbytes
-        return total
+        return sum(state.index.nbytes for state in states)
 
     def snapshot(self) -> Dict[int, tuple]:
         """The whole store as plain python values, for ``==`` checks.
 
         Per user: the stream keys in stream-id order, every index column
-        (time, phase and stream id included), and each stream's tail and
-        prune counter.
+        (time, phase, stream id and the Eq. (3) ``wd``/``seg`` columns
+        included), and each stream's tail and prune counter.
         """
         return {
             uid: (list(state.keys), state.index.times.tolist(),
                   {name: state.index.column(name).tolist()
                    for name in ("sid", "phase", "rssi", "dop", "chan",
-                                "port")},
+                                "port", "wd", "seg")},
                   list(state.last_t), list(state.since_prune))
             for uid, state in self._states.items()
         }
@@ -286,14 +298,12 @@ class IncrementalEstimator:
             sid = len(state.keys)
             state.sid_of[key] = sid
             state.keys.append(key)
-            state.cursors.append(PhaseChainCursor(
-                self._frequencies, max_gap_s=self._max_gap_s))
             state.last_t.append(-np.inf)
             state.since_prune.append(0)
         return state, sid
 
     def ingest(self, report: TagReport) -> None:
-        """Store one accepted report and difference it at its cursor.
+        """Store one accepted report with its Eq. (3) delta.
 
         The caller (``TagBreathe.feed``) has already enforced the stream
         contract: per-stream strictly-increasing timestamps, valid
@@ -303,10 +313,25 @@ class IncrementalEstimator:
         """
         state, sid = self._stream_id(report.stream_key)
         t = report.timestamp_s
+        phase = report.phase_rad
+        chain = (sid, report.channel_index, report.antenna_port)
+        slot = state.chain_of.get(chain)
+        wd, seg = 0.0, 1
+        if slot is None:
+            state.chain_of[chain] = len(state.chain_of)
+            state.tail_t = np.append(state.tail_t, t)
+            state.tail_p = np.append(state.tail_p, phase)
+        else:
+            gap = t - float(state.tail_t[slot])
+            if 0.0 < gap <= self._max_gap_s:
+                wd = wrap_phase_delta(phase - float(state.tail_p[slot]))
+                seg = 0
+            state.tail_t[slot] = t
+            state.tail_p[slot] = phase
         state.index.add(t, port=report.antenna_port, rssi=report.rssi_dbm,
                         sid=sid, dop=report.doppler_hz,
-                        chan=report.channel_index, phase=report.phase_rad)
-        state.cursors[sid].push(report)
+                        chan=report.channel_index, phase=phase, wd=wd,
+                        seg=seg)
         state.last_t[sid] = t
         state.version += 1
         # The trigger counts accepted reports since the last prune check
@@ -319,24 +344,23 @@ class IncrementalEstimator:
         state.since_prune[sid] = count
 
     def ingest_streams(self, groups: List[Tuple[StreamKey, np.ndarray]],
-                       users: np.ndarray, tags: np.ndarray,
                        times: np.ndarray, phases: np.ndarray,
                        rssis: np.ndarray, dopplers: np.ndarray,
-                       channels: np.ndarray,
-                       antennas: np.ndarray) -> None:
+                       channels: np.ndarray, antennas: np.ndarray,
+                       prune: bool = True) -> None:
         """Vectorized :meth:`ingest` of one batch's accepted rows.
 
         The caller (``TagBreathe.feed_batch``) has already screened the
-        batch per stream; this ingests every surviving row across all
-        users in three passes — stream-id assignment, per-user window
-        index extension, and one global Eq. (3) chain pass — then runs
-        the prune checks, leaving state bit-identical to calling
-        :meth:`ingest` row by row in arrival order: stream ids are
-        assigned in order of first appearance, each user's index
-        receives its rows as a stable sort by time (what row-wise
-        ``add`` converges to), and each (stream, channel, antenna) chain
-        is differenced in one shot against its cached tail.  ``version``
-        advances by each user's accepted row count.
+        batch per stream; this ingests every surviving row, user by
+        user — stream-id assignment, one Eq. (3) pass over the user's
+        chains, one window-index extension — then runs the prune
+        checks, leaving state bit-identical to calling :meth:`ingest`
+        row by row in arrival order: stream ids are assigned in order of
+        first appearance, each user's index receives its rows as a
+        stable sort by time (what row-wise ``add`` converges to), and
+        each (stream, channel, antenna) chain is differenced in arrival
+        order against its stored tail.  ``version`` advances by each
+        user's accepted row count.
 
         Args:
             groups: per-stream ``(stream_key, rows)`` pairs — ``rows``
@@ -344,20 +368,21 @@ class IncrementalEstimator:
                 accepted rows — sorted by first accepted row, i.e. the
                 order row-wise ingest would first see (and create) each
                 stream.
-            users / tags / times / phases / rssis / dopplers / channels
-                / antennas: the full batch columns (only ``rows``
-                positions are read).
+            times / phases / rssis / dopplers / channels / antennas: the
+                full batch columns (only ``rows`` positions are read).
+            prune: run the bounded-memory prune checks.  A checkpoint
+                restore replays without them, so the rebuilt index keeps
+                every row of the live one; its prune counters restart
+                at zero.
         """
         if not groups:
             return
         sids = np.empty(times.shape[0], dtype=np.int64)
-        cursor_of: Dict[StreamKey, PhaseChainCursor] = {}
         by_user: Dict[int, List[np.ndarray]] = {}
         streams: List[Tuple[UserStreamState, int, np.ndarray]] = []
         for key, rows in groups:
             state, sid = self._stream_id(key)
             sids[rows] = sid
-            cursor_of[key] = state.cursors[sid]
             by_user.setdefault(key[0], []).append(rows)
             streams.append((state, sid, rows))
 
@@ -365,56 +390,29 @@ class IncrementalEstimator:
             rows_u = (np.sort(np.concatenate(chunks))
                       if len(chunks) > 1 else chunks[0])
             state = self._states[uid]
-            tu = times[rows_u]
-            tsort = np.argsort(tu, kind="stable")
+            tsort = np.argsort(times[rows_u], kind="stable")
+            srt = rows_u[tsort]
+            t, p, s = times[srt], phases[srt], sids[srt]
+            c, a = channels[srt], antennas[srt]
+            # A stream's rows are in time order in both arrival and index
+            # order, so the chains difference the same in either.
+            wd, seg = self._chain_pass(state, s, t, p, c, a)
             tail = state.index.last_time()
-            if tail is None or tu[tsort[0]] >= tail:
-                srt = rows_u[tsort]
-                state.index.extend(tu[tsort], port=antennas[srt],
-                                   rssi=rssis[srt], sid=sids[srt],
-                                   dop=dopplers[srt], chan=channels[srt],
-                                   phase=phases[srt])
+            if tail is None or t[0] >= tail:
+                state.index.extend(t, port=a, rssi=rssis[srt], sid=s,
+                                   dop=dopplers[srt], chan=c, phase=p,
+                                   wd=wd, seg=seg)
             else:
                 # A straggler lands before the index tail (cross-stream
                 # reordering against previously fed data): rare, row-wise
                 # in arrival order.
-                for i in rows_u.tolist():
-                    state.index.add(float(times[i]), port=int(antennas[i]),
-                                    rssi=float(rssis[i]), sid=int(sids[i]),
-                                    dop=float(dopplers[i]),
-                                    chan=int(channels[i]),
-                                    phase=float(phases[i]))
+                for j in np.argsort(tsort).tolist():
+                    state.index.add(float(t[j]), port=int(a[j]),
+                                    rssi=float(rssis[srt[j]]),
+                                    sid=int(s[j]), dop=float(dopplers[srt[j]]),
+                                    chan=int(c[j]), phase=float(p[j]),
+                                    wd=float(wd[j]), seg=int(seg[j]))
             state.version += rows_u.shape[0]
-
-        # Global chain pass: one stable lexsort arranges every accepted
-        # row as contiguous (user, tag, channel, antenna) runs, each in
-        # arrival order; every chain is then extended from one
-        # vectorized differencing pass.
-        acc = (np.sort(np.concatenate([rows for _, rows in groups]))
-               if len(groups) > 1 else groups[0][1])
-        au = users[acc]
-        atg = tags[acc]
-        ach = channels[acc]
-        aan = antennas[acc]
-        order = np.lexsort((aan, ach, atg, au))
-        gacc = acc[order]
-        su = au[order]
-        stg = atg[order]
-        sch = ach[order]
-        san = aan[order]
-        m = gacc.shape[0]
-        is_start = np.empty(m, dtype=bool)
-        is_start[0] = True
-        np.not_equal(su[1:], su[:-1], out=is_start[1:])
-        is_start[1:] |= ((stg[1:] != stg[:-1]) | (sch[1:] != sch[:-1])
-                         | (san[1:] != san[:-1]))
-        starts = np.flatnonzero(is_start)
-        cursors = [cursor_of[(u, tg)]
-                   for u, tg in zip(su[starts].tolist(),
-                                    stg[starts].tolist())]
-        gkeys = list(zip(sch[starts].tolist(), san[starts].tolist()))
-        defer_chains(cursors, gkeys, starts, times[gacc], phases[gacc],
-                     self._max_gap_s)
 
         # Prune checks, shared with ingest(): the counter crosses the
         # threshold at accepted row (_PRUNE_EVERY - since_prune - 1),
@@ -424,6 +422,8 @@ class IncrementalEstimator:
         for state, sid, rows in streams:
             m = rows.shape[0]
             state.last_t[sid] = float(times[rows[-1]])
+            if not prune:
+                continue
             total = state.since_prune[sid] + m
             state.since_prune[sid] = total % _PRUNE_EVERY
             if total >= _PRUNE_EVERY:
@@ -431,13 +431,74 @@ class IncrementalEstimator:
                 self._prune(state, sid, float(times[rows[last_trigger]])
                             - self._retain_s)
 
+    def _chain_pass(self, state: UserStreamState, sids: np.ndarray,
+                    times: np.ndarray, phases: np.ndarray,
+                    channels: np.ndarray, antennas: np.ndarray
+                    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Eq. (3) for one user's new rows.
+
+        Each (stream, channel, antenna) chain's first new row is
+        differenced against the chain's stored tail, every later one
+        against its predecessor — the batch chain walk's arithmetic — and
+        the tails advance to each chain's last new row.  A new chain's
+        tail is its own first row: a zero gap, so a segment start.
+
+        Returns:
+            ``(wd, seg)`` aligned with the input rows.
+        """
+        order, start = chain_order(sids, channels, antennas)
+        t, p = times[order], phases[order]
+        starts = np.flatnonzero(start)
+        first = order[starts]
+        chains = list(zip(sids[first].tolist(), channels[first].tolist(),
+                          antennas[first].tolist()))
+        slots = np.fromiter(map(state.chain_of.get, chains, repeat(-1)),
+                            dtype=np.int64, count=len(chains))
+        new = np.flatnonzero(slots < 0)
+        if new.size:
+            slots[new] = len(state.chain_of) + np.arange(new.size)
+            state.chain_of.update(zip([chains[i] for i in new.tolist()],
+                                      slots[new].tolist()))
+            state.tail_t = np.concatenate((state.tail_t, t[starts[new]]))
+            state.tail_p = np.concatenate((state.tail_p, p[starts[new]]))
+        prev_t = np.empty_like(t)
+        prev_t[1:] = t[:-1]
+        prev_t[starts] = state.tail_t[slots]
+        prev_p = np.empty_like(p)
+        prev_p[1:] = p[:-1]
+        prev_p[starts] = state.tail_p[slots]
+        ends = np.append(starts[1:], t.shape[0]) - 1
+        state.tail_t[slots] = t[ends]
+        state.tail_p[slots] = p[ends]
+        gap = t - prev_t
+        seg = (gap <= 0.0) | (gap > self._max_gap_s)
+        wd = np.empty_like(t)
+        wd[order] = np.where(seg, 0.0, wrap_phase_delta(p - prev_p))
+        seg_rows = np.empty(t.shape[0], dtype=np.int64)
+        seg_rows[order] = seg
+        return wd, seg_rows
+
     def _prune(self, state: UserStreamState, sid: int,
                horizon_s: float) -> None:
-        """Drop one stream's rows older than ``horizon_s``."""
-        where = state.index.column("sid") == sid
-        if state.index.prune_before(horizon_s, where=where):
-            state.cursors[sid].prune_before(horizon_s)
-            state.version += 1
+        """Drop one stream's rows older than ``horizon_s``.
+
+        Each of the stream's chains then restarts at its first surviving
+        row (``seg = 1``, ``wd = 0``), which is what replaying the
+        surviving rows computes — the store stays a pure function of the
+        rows it holds.  Ticks never read those values: a window
+        re-anchors every chain at its first row.
+        """
+        index = state.index
+        if not index.prune_before(horizon_s,
+                                  where=index.column("sid") == sid):
+            return
+        rows = np.flatnonzero(index.column("sid") == sid)
+        order, start = chain_order(index.column("sid")[rows],
+                                   index.column("chan")[rows],
+                                   index.column("port")[rows])
+        index.column("seg")[rows[order[start]]] = 1
+        index.column("wd")[rows[order[start]]] = 0.0
+        state.version += 1
 
     def reset(self) -> None:
         """Forget every user's state (streaming reset / restore)."""
@@ -465,7 +526,7 @@ class IncrementalEstimator:
                 window holds too little signal (same contract and wording
                 as the recompute path).
         """
-        state, lo, hi, a, b = self.window(user_id, window_s)
+        state, _lo, _hi, a, b = self.window(user_id, window_s)
         rb = self._robustness
         reasons: List[str] = []
         confidence = 1.0
@@ -476,8 +537,6 @@ class IncrementalEstimator:
             ports = index.column("port")[a:b]
             rssis = index.column("rssi")[a:b]
             sids = index.column("sid")[a:b]
-            dops = index.column("dop")[a:b]
-            chans = index.column("chan")[a:b]
             # Stage 1 (delivery hygiene) is a no-op here by construction:
             # feed() enforces per-stream order and dedup and the index
             # keeps global time order, so sanitize_reports would find
@@ -488,7 +547,8 @@ class IncrementalEstimator:
             # batch path: antenna selection exists for phase continuity,
             # while Doppler motion evidence is antenna-agnostic.
             m_times = times
-            m_dops = dops
+            # Window rows (index positions) surviving stages 2 and 3.
+            rows = np.arange(a, b)
 
             # Stage 2: antenna selection with failover past dead ports.
             antenna_port: Optional[int] = None
@@ -502,10 +562,7 @@ class IncrementalEstimator:
                 keep = ports == antenna_port
                 times = times[keep]
                 sids = sids[keep]
-                ports = ports[keep]
-                rssis = rssis[keep]
-                dops = dops[keep]
-                chans = chans[keep]
+                rows = rows[keep]
             elif unique_ports.size == 1:
                 antenna_port = int(unique_ports[0])
 
@@ -525,10 +582,7 @@ class IncrementalEstimator:
                     keep = ~np.isin(sids, dead)
                     times = times[keep]
                     sids = sids[keep]
-                    ports = ports[keep]
-                    rssis = rssis[keep]
-                    dops = dops[keep]
-                    chans = chans[keep]
+                    rows = rows[keep]
 
             # Stage 4: coverage — long holes in the read times.
             if times.shape[0] > 1:
@@ -545,43 +599,32 @@ class IncrementalEstimator:
             # full-window pre-selection arrays as the batch path).
             motion = STILL
             if self._motion.enabled and m_times.shape[0]:
-                motion = score_motion(m_times, m_dops, self._motion)
+                motion = score_motion(m_times, index.column("dop")[a:b],
+                                      self._motion)
                 confidence = apply_motion(motion, reasons, confidence)
 
         with perf.stage("pipeline.tick.fuse"):
-            # Stage 5: per-tag windowed displacement (from the feed-time
-            # chains) + Hampel + Eq. (6)/(7) fusion.  Stream order is the
-            # first appearance in the surviving windowed reports, exactly
-            # like group_reports_by_stream on the batch side.
-            _, first_pos = np.unique(sids, return_index=True)
-            order = sids[np.sort(first_pos)]
-            per_tag: Dict[StreamKey, TimeSeries] = {}
-            n_rejected = 0
-            for s in order:
-                sid = int(s)
-                stream = state.cursors[sid].window_displacement(
-                    lo, hi, antenna_port=antenna_port,
-                    min_segment_len=DEFAULT_MIN_SEGMENT_LEN)
-                if rb.outlier_rejection and stream:
-                    stream, rejected = hampel_filter(
-                        stream, window=rb.hampel_window,
-                        n_sigmas=rb.hampel_n_sigmas)
-                    n_rejected += rejected
-                per_tag[state.keys[sid]] = stream
-            n_samples = sum(len(s) for s in per_tag.values()) + n_rejected
+            # Stage 5: per-tag windowed displacement (from the stored
+            # Eq. 3 columns) + Hampel + Eq. (6)/(7) fusion.
+            ports = index.column("port")[rows]
+            chans = index.column("chan")[rows]
             try:
-                fused = fuse_sample_streams(
-                    user_id, per_tag, bin_s=self._config.fusion_bin_s)
+                track, tags_fused, n_rejected, n_samples = window_track(
+                    user_id, times, sids, chans, ports,
+                    index.column("phase")[rows], index.column("wd")[rows],
+                    index.column("seg")[rows], self._coef, rb,
+                    self._config.fusion_bin_s)
             except EmptyStreamError as exc:
                 raise InsufficientDataError(str(exc)) from exc
             if n_samples and n_rejected / n_samples > rb.outlier_warn_fraction:
                 reasons.append(REASON_OUTLIERS)
                 confidence *= max(0.7, 1.0 - 5.0 * n_rejected / n_samples)
+            rssis = index.column("rssi")[rows]
 
         with perf.stage("pipeline.tick.extract"):
             # Stage 6: estimator selection + extraction (DESIGN.md §16),
             # identical arithmetic and ordering to the batch path.
-            roughness = track_roughness(fused.track)
+            roughness = track_roughness(track)
             chosen, est_factor = resolve_estimator(
                 self._est_config, roughness, previous_estimator,
                 estimator_override, reasons)
@@ -589,14 +632,14 @@ class IncrementalEstimator:
             # ``tag=sids`` labels the same per-tag groups the batch path
             # labels with tag_id — only the partition is contracted.
             est_window = EstimationWindow(
-                track=fused.track, times=times, rssi=rssis,
+                track=track, times=times, rssi=rssis,
                 channel=chans, antenna=ports, tag=sids)
             estimate = self._estimators[chosen].estimate(est_window)
 
         return TickOutcome(
             estimate=estimate,
             antenna_port=antenna_port,
-            tags_fused=len(per_tag),
+            tags_fused=tags_fused,
             read_count=int(times.shape[0]),
             confidence=confidence,
             reasons=reasons,
@@ -606,6 +649,142 @@ class IncrementalEstimator:
             motion_gated=motion.gated,
             motion_score=motion.score,
         )
+
+
+def window_samples(times: np.ndarray, sids: np.ndarray, chans: np.ndarray,
+                   ports: np.ndarray, phases: np.ndarray, wd: np.ndarray,
+                   seg: np.ndarray, coef: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every stream's :func:`~repro.core.preprocess.displacement_samples`
+    over one window's rows (in index order), bit for bit.
+
+    Each (stream, channel, antenna) chain is re-anchored at its first
+    row and at every stored segment start; segments shorter than
+    ``DEFAULT_MIN_SEGMENT_LEN`` drop, the rest are accumulated and
+    demeaned with ``coef`` (channel -> lambda / 4 pi).
+
+    Returns:
+        ``(t, values, counts)``: the samples stream after stream, each
+        stream in time order, and ``counts[i]`` samples for the stream
+        ranked *i* by first appearance in the window — the order the
+        batch path groups (and fuses) streams in.
+    """
+    present, first = np.unique(sids, return_index=True)
+    rank = np.empty(int(present[-1]) + 1, dtype=np.int64)
+    rank[present[np.argsort(first)]] = np.arange(present.shape[0])
+    n = times.shape[0]
+    chain, start = chain_order(sids, chans, ports)
+    start |= seg[chain] != 0
+    bounds = np.flatnonzero(start)
+    lengths = np.diff(np.append(bounds, n))
+    kept = lengths >= DEFAULT_MIN_SEGMENT_LEN
+    if not kept.any():
+        return np.empty(0), np.empty(0), np.zeros(present.shape[0],
+                                                  dtype=np.int64)
+    member = np.repeat(kept, lengths)
+    # Eq. (4) re-anchored: a segment's first row contributes its raw
+    # phase, every later row its stored wrapped delta.
+    acc = np.where(start, phases[chain], wd[chain])[member]
+    values = demeaned_segments(acc, lengths[kept],
+                               coef[chans[chain[bounds[kept]]]])
+    # Back to time order, one stream after another.
+    pos = chain[member]
+    stream = rank[sids[pos]]
+    by_stream = np.argsort(stream * n + pos)
+    return (times[pos[by_stream]], values[by_stream],
+            np.bincount(stream, minlength=present.shape[0]))
+
+
+def window_track(user_id: int, times: np.ndarray, sids: np.ndarray,
+                 chans: np.ndarray, ports: np.ndarray, phases: np.ndarray,
+                 wd: np.ndarray, seg: np.ndarray, coef: np.ndarray,
+                 robustness: RobustnessConfig,
+                 bin_s: float) -> Tuple[TimeSeries, int, int, int]:
+    """Stage 5 over one window: the batch path's per-tag displacement
+    samples (:func:`window_samples`), Hampel rejection and Eq. (6)/(7)
+    fusion, bit for bit.
+
+    Returns:
+        ``(track, tags_fused, n_rejected, n_samples)``: the fused Eq. (7)
+        track, the number of streams in the window, the Hampel
+        rejections, and the displacement samples before rejection.
+
+    Raises:
+        EmptyStreamError: no stream has two samples to fuse.
+    """
+    t, values, counts = window_samples(times, sids, chans, ports, phases,
+                                       wd, seg, coef)
+    n_samples = values.shape[0]
+    n_rejected = 0
+    if robustness.outlier_rejection:
+        flagged = hampel_streams(values, counts, robustness.hampel_window,
+                                 robustness.hampel_n_sigmas)
+        n_rejected = int(np.count_nonzero(flagged))
+        if n_rejected:
+            keep = ~flagged
+            stream = np.repeat(np.arange(counts.shape[0]), counts)
+            t, values = t[keep], values[keep]
+            counts = np.bincount(stream[keep], minlength=counts.shape[0])
+    track = fused_track(user_id, t, values, counts, bin_s)
+    return track, counts.shape[0], n_rejected, n_samples
+
+
+def fused_track(user_id: int, times: np.ndarray, values: np.ndarray,
+                counts: np.ndarray, bin_s: float) -> TimeSeries:
+    """:func:`~repro.core.fusion.fuse_sample_streams`'s Eq. (6)/(7)
+    track for streams laid end to end (``counts[i]`` time-ordered samples
+    each), bit for bit.
+
+    Streams with two samples or more are binned on the common grid with
+    ``bin_mean``'s arithmetic — per-bin sums as differences of each
+    stream's zero-prefixed cumulative sum, empty bins interpolated — and
+    summed in stream order.
+
+    Raises:
+        EmptyStreamError: no stream has two samples.
+    """
+    live = counts >= 2
+    if not live.any():
+        raise EmptyStreamError(
+            f"user {user_id}: no displacement data to fuse")
+    member = np.repeat(live, counts)
+    times, values, counts = times[member], values[member], counts[live]
+    ends = np.cumsum(counts)
+    if counts.max() > _HISTOGRAM_BLOCK:
+        # np.histogram bins such streams block by block, as the batch
+        # path does.
+        return fuse_sample_streams(user_id, {
+            i: TimeSeries.from_trusted(times[end - n:end], values[end - n:end])
+            for i, (end, n) in enumerate(zip(ends.tolist(), counts.tolist()))
+        }, bin_s=bin_s).track
+    edges = _bin_edges(float(times[ends - counts].min()),
+                       float(times[ends - 1].max()) + 1e-9, bin_s)
+    n_streams, width = counts.shape[0], edges.shape[0] + 1
+    stream = np.repeat(np.arange(n_streams), counts)
+    # A stream's searchsorted(edges[i], "left") counts its samples with
+    # #(edges <= t) <= i; the last edge closes its bin on the right.
+    below = np.bincount(stream * width + edges.searchsorted(times, "right"),
+                        minlength=n_streams * width).reshape(n_streams, width)
+    idx = np.cumsum(below, axis=1)[:, :-1]
+    idx[:, -1] += np.bincount(stream[times == edges[-1]], minlength=n_streams)
+    rows, _, _ = padded_rows(values, counts)
+    cw = np.zeros((n_streams, rows.shape[1] + 1))
+    cw[:, 1:] = np.cumsum(rows, axis=1)
+    sums = np.diff(cw[np.arange(n_streams)[:, None], idx], axis=1)
+    n_in = np.diff(idx, axis=1)
+    filled = n_in > 0
+    means = np.divide(sums, n_in, out=np.zeros_like(sums), where=filled)
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    track = None
+    for binned, full in zip(means, filled):
+        if not full.all():
+            if not full.any():
+                raise EmptyStreamError(
+                    "no samples fall inside the requested bin range")
+            # np.interp returns a filled bin's own mean at its centre.
+            binned = np.interp(centers, centers[full], binned[full])
+        track = binned if track is None else track + binned
+    return TimeSeries.from_trusted(centers, track)
 
 
 def _select_port(times: np.ndarray, ports: np.ndarray, rssis: np.ndarray,

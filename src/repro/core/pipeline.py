@@ -659,6 +659,14 @@ class TagBreathe:
             How many reports were stored (the rest were dropped and
             counted, exactly as ``feed`` would).
         """
+        return self._feed_batch(batch, prune=True)
+
+    def _feed_batch(self, batch: ReportBatch, prune: bool) -> int:
+        """:meth:`feed_batch`, with the bounded-memory prune optional.
+
+        :meth:`restore_streaming` replays a snapshot with ``prune=False``
+        so the rebuilt index keeps every row the snapshot holds.
+        """
         n = len(batch)
         if n == 0:
             return 0
@@ -716,8 +724,8 @@ class TagBreathe:
             # row-wise ingest would first see (and so create) each.
             accepted.sort(key=lambda kr: int(kr[1][0]))
             self._inc.ingest_streams(
-                accepted, user, tag, t, batch.phase, batch.rssi,
-                batch.doppler, batch.channel, batch.antenna)
+                accepted, t, batch.phase, batch.rssi, batch.doppler,
+                batch.channel, batch.antenna, prune=prune)
         if n_late:
             self._feed_drops["late"] += n_late
         if n_dup:
@@ -952,13 +960,14 @@ class TagBreathe:
         The inverse of :meth:`buffered_batch` + :attr:`feed_drop_counts`:
         clears current state and feeds ``rows`` (timestamp-ordered, as
         :meth:`buffered_batch` returns them; a ``TagReport`` sequence is
-        packed into a batch first) through one :meth:`feed_batch` call —
-        bit-exact with per-report :meth:`feed`, so the derived
-        incremental state is rebuilt deterministically and a restored
-        engine's subsequent :meth:`estimate_user` results are
-        bit-identical to an uninterrupted session's — and restores the
-        drop counters so monitoring dashboards do not see loss statistics
-        reset to zero after a checkpoint resume.
+        packed into a batch first) through one :meth:`feed_batch` pass
+        with the bounded-memory prune checks off, so the rebuilt index
+        holds every snapshot row, row for row, and a restored engine's
+        subsequent :meth:`estimate_user` results are bit-identical to an
+        uninterrupted session's; the per-stream prune counters restart
+        at zero.  It also restores the drop counters so monitoring
+        dashboards do not see loss statistics reset to zero after a
+        checkpoint resume.
 
         Drops incurred *while restoring the snapshot* are never conflated
         with the restored counters: :attr:`feed_drop_counts` afterwards
@@ -972,7 +981,7 @@ class TagBreathe:
         batch = (rows if isinstance(rows, ReportBatch)
                  else ReportBatch.from_reports(list(rows)))
         self.reset_streaming()
-        buffered = self.feed_batch(batch)
+        buffered = self._feed_batch(batch, prune=False)
         self._last_restore_drops = dict(self._feed_drops)
         self._feed_drops = dict.fromkeys(FEED_DROP_KEYS, 0)
         if drop_counts:

@@ -38,7 +38,6 @@ from ..errors import StreamError
 from ..rf.constants import fcc_channel_frequencies
 from ..reader.tagreport import TagReport
 from ..streams.timeseries import TimeSeries
-from ..streams.windowindex import GrowableArray
 from ..units import SPEED_OF_LIGHT, wrap_phase_delta
 
 #: Reject same-group differences across gaps longer than this by default.
@@ -333,304 +332,119 @@ def displacement_samples(
     return TimeSeries.merge(kept)
 
 
-#: Column layout of one chain's ``rows`` array: timestamp, raw phase,
-#: Eq. (3) wrapped delta, and the new-segment flag (0.0/1.0 — float so
-#: all four attributes live in ONE float64 array and a batch extends a
-#: chain with a single row-block append).
-_COL_T, _COL_PHASE, _COL_WD, _COL_SEG = 0, 1, 2, 3
+def chain_order(sids: np.ndarray, chans: np.ndarray,
+                ports: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lay rows out as contiguous (stream, channel, antenna) chains.
 
-
-class _ChainColumns:
-    """Flat per-(channel, antenna) chain storage of one tag stream.
-
-    Four parallel per-sample attributes packed as the columns of one
-    growable ``(n, 4)`` float64 array — timestamps, raw phases, the
-    Eq. (3) wrapped deltas, and new-segment flags (the chain tail lives
-    on the owning cursor's ``_tails``, keyed like ``_groups``).  Packing
-    them in one array makes chain creation and tiny batch extends one
-    allocation/append instead of four, which dominates the batched
-    ingest path on a cold engine (channel hopping spreads every stream
-    across hundreds of chains).
-
-    ``base`` + ``segcache`` implement the across-tick segment reuse of
-    :meth:`PhaseChainCursor.window_displacement`: a demeaned segment is a
-    pure function of an absolute sample range of this append-only chain,
-    so between cadence ticks only the window-truncated first segment and
-    the still-growing last segment ever change — interior segments are
-    served from the cache verbatim.  ``base`` is the absolute position of
-    column index 0 (it advances when ``prune_before`` drops from the
-    front), keeping cache keys stable across pruning.
+    Returns ``(order, start)``: a stable permutation, so each chain keeps
+    its rows in their given order, and a mask over the permuted rows
+    marking each chain's first row.
     """
-
-    __slots__ = ("coef", "rows", "base", "segcache")
-
-    def __init__(self, coef: float) -> None:
-        self.coef = coef
-        self.rows = GrowableArray(np.float64, width=4)
-        self.base = 0
-        self.segcache: Dict[Tuple[int, int], TimeSeries] = {}
+    order = np.lexsort((ports, chans, sids))
+    s, c, p = sids[order], chans[order], ports[order]
+    start = np.ones(order.shape[0], dtype=bool)
+    start[1:] = (s[1:] != s[:-1]) | (c[1:] != c[:-1]) | (p[1:] != p[:-1])
+    return order, start
 
 
-class PhaseChainCursor:
-    """Feed-time Eq. (3) differencing state for ONE tag's stream.
+def padded_rows(values: np.ndarray, lengths: np.ndarray,
+                row: Optional[np.ndarray] = None
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay runs of ``values`` out as the rows of a zero-padded 2-D array.
 
-    The batch path (:func:`phase_segments`) re-differences every windowed
-    report on every call; this cursor computes each report's wrapped
-    phase delta exactly **once**, when :meth:`push` ingests it, and
-    stores it alongside the raw phase in per-(channel, antenna) columns.
-    A trailing-window query then re-anchors the Eq. (4) accumulation at
-    the first in-window sample of each chain:
-
-        ``u = cumsum([phase[s0], wd[s0+1], ..., wd[s1-1]])``
-
-    which performs the *same sequence of float64 additions* the batch
-    chain walk performs over the same windowed reports (``np.cumsum`` is
-    a strict left-to-right accumulation), so the demeaned segments — the
-    anchor constant cancels in the Fig. 6 normalisation — are
-    bit-identical to :func:`displacement_samples` over the window.  That
-    exactness is what makes horizon pruning trivially safe: stored
-    deltas never need rebasing when old samples are dropped.
-
-    Args:
-        frequencies_hz: channel-index -> carrier frequency map.
-        max_gap_s: segment-splitting gap limit (same default as the
-            batch segment builder).
-
-    Raises:
-        StreamError: on a non-positive gap limit.
+    ``values`` holds the runs end to end; run *i* is ``lengths[i]`` long
+    and becomes row ``row[i]`` (default *i*), left-aligned.  Returns
+    ``(rows, row_of, col)`` where ``rows[row_of, col]`` gathers ``values``
+    back, in order.  Row prefixes are what 1-D operations on each run
+    see: ``np.cumsum(rows, axis=1)[row[i], :lengths[i]]`` equals
+    ``np.cumsum`` of run *i* bit for bit (a strict left-to-right
+    accumulation the padding never reaches).
     """
-
-    __slots__ = ("_frequencies", "_max_gap", "_groups", "_pending",
-                 "_tails")
-
-    def __init__(self, frequencies_hz: Sequence[float],
-                 max_gap_s: float = DEFAULT_SEGMENT_GAP_S) -> None:
-        if max_gap_s <= 0:
-            raise StreamError("max_gap_s must be > 0")
-        self._frequencies = frequencies_hz
-        self._max_gap = float(max_gap_s)
-        self._groups: Dict[GroupKey, _ChainColumns] = {}
-        # Ingest-to-query decoupling: pushes land here as cheap
-        # (group, rows) entries — a tuple per scalar push, a packed
-        # row-block per batch run — and are folded into ``_groups`` only
-        # when a query needs them (:meth:`_flush`).  The wrapped deltas
-        # are still computed AT ingest (seeded from ``_tails``), so
-        # deferral changes nothing about the stored values — it only
-        # batches the per-chain numpy appends and column creation, which
-        # otherwise dominate a cold engine fed via the batched path.
-        self._pending: List[Tuple[GroupKey, object]] = []
-        self._tails: Dict[GroupKey, Tuple[float, float]] = {}
-
-    def __len__(self) -> int:
-        self._flush()
-        return sum(len(cols.rows) for cols in self._groups.values())
-
-    @property
-    def nbytes(self) -> int:
-        """Resident bytes of the chain columns (flushes pending first).
-
-        Counts the numpy backing arrays — the dominant per-user cost; the
-        bounded per-window segment cache is excluded.
-        """
-        self._flush()
-        return sum(cols.rows.nbytes for cols in self._groups.values())
-
-    def push(self, report: TagReport) -> None:
-        """Ingest one report (caller guarantees per-stream time order).
-
-        The wrapped delta and segment-start flag are computed here, once;
-        the channel index must already be validated against the frequency
-        map (``TagBreathe.feed`` drops invalid channels before pushing).
-        """
-        group: GroupKey = (report.channel_index, report.antenna_port)
-        t = report.timestamp_s
-        phase = report.phase_rad
-        tail = self._tails.get(group)
-        if tail is None or t - tail[0] > self._max_gap or t <= tail[0]:
-            row = (t, phase, 0.0, 1.0)
-        else:
-            row = (t, phase, wrap_phase_delta(phase - tail[1]), 0.0)
-        self._pending.append((group, row))
-        self._tails[group] = (t, phase)
-
-    def _flush(self) -> None:
-        """Fold pending rows into the per-group columns.
-
-        Per group, consecutive scalar rows coalesce into one array and
-        every block lands as one bulk append — arrival order within a
-        group is preserved, so the columns end up bit-identical to
-        appending at ingest time.
-        """
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        per_group: Dict[GroupKey, List[object]] = {}
-        for gk, block in pending:
-            per_group.setdefault(gk, []).append(block)
-        for gk, blocks in per_group.items():
-            cols = self._groups.get(gk)
-            if cols is None:
-                lam = SPEED_OF_LIGHT / self._frequencies[gk[0]]
-                cols = _ChainColumns(lam / (4.0 * np.pi))
-                self._groups[gk] = cols
-            run: List[tuple] = []
-            for block in blocks:
-                if type(block) is tuple:
-                    run.append(block)
-                    continue
-                if run:
-                    cols.rows.extend(np.array(run))
-                    run = []
-                cols.rows.extend(block)
-            if run:
-                cols.rows.extend(np.array(run))
-
-    def prune_before(self, horizon_s: float) -> None:
-        """Drop samples older than ``horizon_s`` from every chain.
-
-        Safe at any cut: window queries re-anchor at the first in-window
-        sample, so retained deltas stay valid verbatim.  The chain tail
-        (``_tails``) is unaffected — pruning only ever removes from the
-        front.
-        """
-        self._flush()
-        for cols in self._groups.values():
-            t = cols.rows.view()[:, _COL_T]
-            if not t.shape[0] or t[0] >= horizon_s:
-                continue
-            drop = int(np.searchsorted(t, horizon_s, side="left"))
-            cols.rows.drop_front(drop)
-            cols.base += drop
-
-    def window_displacement(
-        self,
-        t_low: float,
-        t_high: float,
-        antenna_port: Optional[int] = None,
-        min_segment_len: int = DEFAULT_MIN_SEGMENT_LEN,
-    ) -> TimeSeries:
-        """The :func:`displacement_samples` result over ``(t_low, t_high]``.
-
-        Bit-identical to running the batch builder on this stream's
-        reports inside the pinned trailing window (see
-        :func:`repro.streams.windows.trailing_window_bounds`), restricted
-        to ``antenna_port`` when given.
-
-        Args:
-            t_low / t_high: half-open-below window bounds.
-            antenna_port: keep only this port's groups (None = all).
-            min_segment_len: drop shorter segments, as the batch path does.
-        """
-        self._flush()
-        kept: List[TimeSeries] = []
-        for group, cols in self._groups.items():
-            if antenna_port is not None and group[1] != antenna_port:
-                continue
-            data = cols.rows.view()
-            t = data[:, _COL_T]
-            a = int(t.searchsorted(t_low, side="right"))
-            b = int(t.searchsorted(t_high, side="right"))
-            if b - a < min_segment_len:
-                continue
-            # The window cut re-anchors mid-chain: position 0 always
-            # starts a segment, exactly as the batch builder's fresh
-            # chain state does for the first windowed report.
-            bounds = np.flatnonzero(data[a:b, _COL_SEG]).tolist()
-            if not bounds or bounds[0] != 0:
-                bounds.insert(0, 0)
-            bounds.append(b - a)
-            wd = data[:, _COL_WD]
-            phases = data[:, _COL_PHASE]
-            coef = cols.coef
-            base = cols.base
-            cache = cols.segcache
-            fresh: Dict[Tuple[int, int], TimeSeries] = {}
-            for s0, s1 in zip(bounds[:-1], bounds[1:]):
-                length = s1 - s0
-                if length < min_segment_len:
-                    continue
-                # A demeaned segment depends only on its absolute sample
-                # range of this append-only chain, so between cadence
-                # ticks only the window-truncated first segment and the
-                # growing last segment miss — interior segments are
-                # reused from the previous tick.
-                span = (base + a + s0, base + a + s1)
-                segment = cache.get(span)
-                if segment is None:
-                    acc = np.empty(length)
-                    acc[0] = phases[a + s0]
-                    acc[1:] = wd[a + s0 + 1: a + s1]
-                    values = coef * acc.cumsum()
-                    # values.sum()/n is bitwise the same float as
-                    # values.mean() (both reduce with np.add.reduce),
-                    # minus the np.mean wrapper overhead on this
-                    # per-segment path.
-                    values -= values.sum() / length
-                    # Segment times are a contiguous slice of a
-                    # per-stream strictly-increasing chain — trusted by
-                    # construction.
-                    segment = TimeSeries.from_trusted(
-                        t[a + s0: a + s1].copy(), values)
-                fresh[span] = segment
-                kept.append(segment)
-            # Keep only this window's segments: the cache stays bounded
-            # by the number of in-window segments.
-            cols.segcache = fresh
-        if not kept:
-            return TimeSeries.empty()
-        return TimeSeries.merge(kept)
+    runs = np.arange(lengths.shape[0]) if row is None else row
+    row_of = np.repeat(runs, lengths)
+    col = np.arange(values.shape[0]) - np.repeat(
+        np.cumsum(lengths) - lengths, lengths)
+    rows = np.zeros((lengths.shape[0], int(lengths.max())))
+    rows[row_of, col] = values
+    return rows, row_of, col
 
 
-def defer_chains(cursors: List[PhaseChainCursor], gkeys: List[GroupKey],
-                 starts: np.ndarray, st: np.ndarray, sp: np.ndarray,
-                 max_gap_s: float) -> None:
-    """Stage many phase-chain runs from one pre-grouped vectorized pass.
+def row_sums(rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``rows[i, :lengths[i]].sum()`` for every row, bit for bit.
 
-    ``st``/``sp`` are times and phases arranged as contiguous runs — run
-    *i* targets chain ``gkeys[i]`` of ``cursors[i]`` and begins at
-    ``starts[i]`` — with each run in its chain's arrival order.  The
-    Eq. (3) shifted-difference, gap/retrograde segmenting, and
-    ``wrap_phase_delta`` run **once over the whole arrangement**: each
-    run's first row is differenced against its chain's cached tail
-    (seeded as a zero self-gap for a fresh chain, which marks a segment
-    start exactly like the scalar path's fresh-tail branch).  Per run,
-    only a pending-block append and a tail update remain — the cursor
-    folds the blocks into its per-chain columns on the next query — so
-    many tiny (channel, antenna) runs (channel hopping spreads a stream
-    across every chain) cost two dict operations each, not a numpy
-    append and possibly a column allocation.
+    numpy sums a contiguous run pairwise in blocks of 8 and 128, so a
+    padded row's sum regroups the additions and can round differently.
+    Rows of one length are summed together as a ``(k, length)`` block
+    instead: each block row reduces exactly like the 1-D run.  ``lengths``
+    must be non-decreasing, so each block is a slice of ``rows``.
     """
-    n = st.shape[0]
-    seed_t = st[starts].tolist()
-    seed_p = sp[starts].tolist()
-    for gi, (cur, gk) in enumerate(zip(cursors, gkeys)):
-        tail = cur._tails.get(gk)
-        if tail is not None:
-            seed_t[gi] = tail[0]
-            seed_p[gi] = tail[1]
-    prev_t = np.empty(n)
-    prev_t[1:] = st[:-1]
-    prev_t[starts] = seed_t
-    prev_p = np.empty(n)
-    prev_p[1:] = sp[:-1]
-    prev_p[starts] = seed_p
-    gap = st - prev_t
-    seg = (gap <= 0.0) | (gap > max_gap_s)
-    wd = np.where(seg, 0.0, wrap_phase_delta(sp - prev_p))
-    packed = np.empty((n, 4))
-    packed[:, _COL_T] = st
-    packed[:, _COL_PHASE] = sp
-    packed[:, _COL_WD] = wd
-    packed[:, _COL_SEG] = seg
-    bounds = starts.tolist()
-    bounds.append(n)
-    ends = np.asarray(bounds[1:]) - 1
-    tail_t = st[ends].tolist()
-    tail_p = sp[ends].tolist()
-    for gi, (cur, gk) in enumerate(zip(cursors, gkeys)):
-        cur._pending.append((gk, packed[bounds[gi]: bounds[gi + 1]]))
-        cur._tails[gk] = (tail_t[gi], tail_p[gi])
+    sums = np.empty(lengths.shape[0])
+    cuts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1).tolist(),
+            lengths.shape[0]]
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        rows[lo:hi, :int(lengths[lo])].sum(axis=1, out=sums[lo:hi])
+    return sums
+
+
+def demeaned_segments(acc: np.ndarray, lengths: np.ndarray,
+                      coef: np.ndarray) -> np.ndarray:
+    """Eq. (4) accumulation plus the Fig. 6 demeaning, per segment.
+
+    ``acc`` holds the segments end to end, each as its anchor phase
+    followed by its stored Eq. (3) deltas; segment *i* is ``lengths[i]``
+    long with displacement coefficient ``coef[i]`` (lambda / 4 pi).  The
+    result equals, segment by segment and bit for bit, ``v = coef *
+    np.cumsum(seg); v - v.sum() / len(seg)`` — the batch builder's chain
+    walk followed by :meth:`TimeSeries.demean`.
+    """
+    # Rows ordered by segment length, so row_sums reads slices.
+    by_length = np.argsort(lengths, kind="stable")
+    row = np.empty_like(by_length)
+    row[by_length] = np.arange(by_length.shape[0])
+    rows, row_of, col = padded_rows(acc, lengths, row)
+    lengths = lengths[by_length]
+    values = coef[by_length, None] * np.cumsum(rows, axis=1)
+    means = row_sums(values, lengths) / lengths
+    return values[row_of, col] - means[row_of]
+
+
+def hampel_streams(values: np.ndarray, lengths: np.ndarray,
+                   window: int = 3, n_sigmas: float = 6.0) -> np.ndarray:
+    """:func:`hampel_filter`'s outlier flags for many streams at once.
+
+    ``values`` holds the streams end to end, stream *i* ``lengths[i]``
+    samples long.  Each stream long enough for one neighbourhood is
+    edge-padded on its own, the padded streams are laid end to end, and
+    one sliding window plus two ``np.partition`` calls rank every
+    neighbourhood; windows that straddle two streams are never read.
+    Shorter streams are left alone, as the scalar filter leaves them.
+
+    Returns:
+        A boolean mask over ``values``: True where the sample is rejected.
+    """
+    w = int(window)
+    k = 2 * w + 1
+    flagged = np.zeros(values.shape[0], dtype=bool)
+    run = lengths >= k
+    if not run.any():
+        return flagged
+    starts = (np.cumsum(lengths) - lengths)[run]
+    size = lengths[run]
+    padded_size = size + 2 * w
+    local = np.arange(int(padded_size.sum())) - np.repeat(
+        np.cumsum(padded_size) - padded_size + w, padded_size)
+    last = np.repeat(size - 1, padded_size)
+    source = np.repeat(starts, padded_size) + np.clip(local, 0, last)
+    padded = values[source]
+    centre = np.flatnonzero((local >= 0) & (local <= last))
+    neighbourhoods = np.lib.stride_tricks.sliding_window_view(
+        padded, k)[centre - w]
+    med = np.partition(neighbourhoods, w, axis=1)[:, w]
+    sigma = 1.4826 * np.partition(
+        np.abs(neighbourhoods - med[:, None]), w, axis=1)[:, w]
+    residual = np.abs(padded[centre] - med)
+    flagged[source[centre]] = (sigma > 0) & (residual > n_sigmas * sigma)
+    return flagged
 
 
 def hampel_filter(series: TimeSeries, window: int = 3,
@@ -674,8 +488,7 @@ def hampel_filter(series: TimeSeries, window: int = 3,
         return series, 0
     values = series.values
     # Edge padding, spelled as a concatenate: identical content to
-    # np.pad(..., mode="edge") without its dispatch overhead — this runs
-    # per stream on every streaming tick.
+    # np.pad(..., mode="edge") without its dispatch overhead.
     w = int(window)
     padded = np.concatenate(
         [np.full(w, values[0]), values, np.full(w, values[-1])])
@@ -684,7 +497,7 @@ def hampel_filter(series: TimeSeries, window: int = 3,
     # the single order statistic at rank w: np.partition places exactly
     # the element np.median would return (np.median partitions at the
     # same rank and means over the one-element middle), minus np.median's
-    # reduction machinery — this runs per stream on every streaming tick.
+    # reduction machinery.
     med = np.partition(neighbourhoods, w, axis=1)[:, w]
     sigma = 1.4826 * np.partition(
         np.abs(neighbourhoods - med[:, None]), w, axis=1)[:, w]

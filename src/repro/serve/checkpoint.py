@@ -4,8 +4,8 @@ A serving checkpoint is one JSON document holding, per user, the rows
 still inside the engine's bounded streaming window plus the session's
 cadence clock and drop counters.  Raw rows — not derived signal state —
 remain the checkpointed representation even now that the engine
-maintains incremental state (Eq. 3 differencing cursors, the per-user
-window index, the tick memo): that state is a *pure function* of the
+maintains incremental state (the per-user window index with its Eq. 3
+phase-delta columns, the tick memo): that state is a *pure function* of the
 buffered rows, so ``restore_streaming`` rebuilds it deterministically
 with one ``feed_batch`` call, and restoring the window restores every
 subsequent estimate bit for bit (``tests/test_serve.py`` asserts resume

@@ -2,8 +2,8 @@
 
 Real fleets are idle-heavy: of a million registered users, only a few
 percent are breathing into the system at any instant, yet every
-registered session would otherwise keep its full differencing chains
-and window index of stored reports resident forever.  The
+registered session would otherwise keep its window index of stored
+reports, with their Eq. 3 phase deltas, resident forever.  The
 :class:`HibernationStore` is the cold tier that fixes the economics: an
 idle session's checkpoint document — the exact shape
 :func:`repro.serve.checkpoint.session_state_to_doc` produces, whose

@@ -3,7 +3,7 @@
 One :class:`UserSession` wraps one :class:`~repro.core.pipeline.TagBreathe`
 engine restricted to a single user and drives the incremental streaming
 path — ``feed_batch()`` per staged run of column batches (which folds
-the rows into the engine's Eq. 3 differencing cursors and window
+the rows, with their Eq. 3 phase deltas, into the engine's window
 index), and
 ``estimate_user()`` on a stream-time cadence, which slices the
 maintained state instead of recomputing from scratch and returns a
@@ -270,8 +270,8 @@ class UserSession:
         """Load a checkpointed state (inverse of :meth:`state`).
 
         One ``feed_batch`` of the checkpointed rows (``state["batch"]``)
-        rebuilds the engine's incremental state (differencing cursors,
-        window index) deterministically; the engine keeps restore-time
+        rebuilds the engine's incremental state (the window index and
+        its Eq. 3 columns) deterministically; the engine keeps restore-time
         drops separate from the restored production counters, and any
         such drops — normally zero, since the checkpoint holds an
         already-deduplicated buffer — are surfaced on

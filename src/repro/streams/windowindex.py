@@ -21,8 +21,10 @@ Mechanics:
   rebuilds the same index.
 
 The streaming engine keeps every column of a report here (time, phase,
-RSSI, Doppler, channel, antenna port, stream id): the index is its only
-store of streamed reports, and checkpoints are its columns read back out.
+RSSI, Doppler, channel, antenna port, stream id) plus two columns derived
+once at ingest (the Eq. 3 wrapped phase delta and the segment-start
+flag): the index is its only per-row store, and checkpoints are its
+report columns read back out.
 """
 
 from __future__ import annotations
@@ -36,12 +38,6 @@ from ..errors import StreamError
 #: Initial capacity of a growable column (on first write).
 _MIN_CAPACITY = 64
 
-#: Shared zero-length arrays, one per (dtype, width): a freshly created
-#: column holds one of these until its first write allocates real
-#: capacity, making column creation nearly free (the batched ingest path
-#: can create hundreds of chain columns in one call on a cold engine).
-_EMPTY: dict = {}
-
 
 class GrowableArray:
     """An append-mostly numpy array with amortised O(1) growth.
@@ -53,22 +49,12 @@ class GrowableArray:
 
     Args:
         dtype: element dtype.
-        width: when given, rows are length-``width`` vectors — the array
-            is 2-D with shape ``(n, width)`` and every mutation operates
-            on whole rows.  The phase-chain columns use this to keep one
-            chain's parallel per-sample attributes in a single array
-            (one append per batch instead of one per attribute).
     """
 
     __slots__ = ("_arr", "_n")
 
-    def __init__(self, dtype=np.float64, width: Optional[int] = None) -> None:
-        key = (dtype, width)
-        arr = _EMPTY.get(key)
-        if arr is None:
-            shape = 0 if width is None else (0, width)
-            arr = _EMPTY[key] = np.empty(shape, dtype=dtype)
-        self._arr = arr
+    def __init__(self, dtype=np.float64) -> None:
+        self._arr = np.empty(0, dtype=dtype)
         self._n = 0
 
     def __len__(self) -> int:
@@ -94,8 +80,7 @@ class GrowableArray:
         cap = max(self._arr.shape[0], _MIN_CAPACITY)
         while cap < need:
             cap *= 2
-        shape = cap if self._arr.ndim == 1 else (cap, self._arr.shape[1])
-        new = np.empty(shape, dtype=self._arr.dtype)
+        new = np.empty(cap, dtype=self._arr.dtype)
         new[: self._n] = self._arr[: self._n]
         self._arr = new
 
@@ -158,8 +143,7 @@ class GrowableArray:
             target //= 2
         if target >= cap:
             return
-        shape = target if self._arr.ndim == 1 else (target, self._arr.shape[1])
-        new = np.empty(shape, dtype=self._arr.dtype)
+        new = np.empty(target, dtype=self._arr.dtype)
         new[: self._n] = self._arr[: self._n]
         self._arr = new
 

@@ -15,10 +15,12 @@ import pytest
 
 from repro import Scenario, TagBreathe, obs, run_scenario
 from repro.body import MetronomeBreathing, Subject
+from repro.core.incremental import window_samples
 from repro.core.pipeline import FEED_DROP_KEYS
-from repro.core.preprocess import PhaseChainCursor, displacement_samples
+from repro.core.preprocess import displacement_samples
 from repro.epc import EPC96
 from repro.errors import DegradedEstimateWarning, InsufficientDataError
+from repro.reader.batch import ReportBatch
 from repro.reader.tagreport import TagReport
 from repro.streams import GrowableArray, WindowIndex, trailing_window_bounds
 from repro.streams.windows import StreamError
@@ -137,9 +139,9 @@ class TestWindowBounds:
 
 
 # ----------------------------------------------------------------------
-# Cursor-level bit-equality against the batch builder
+# Store + kernel bit-equality against the batch builder
 # ----------------------------------------------------------------------
-class TestPhaseChainCursor:
+class TestWindowSamples:
     FREQS = [920.625e6 + 250e3 * k for k in range(16)]
 
     def random_reports(self, n, seed=7):
@@ -157,45 +159,60 @@ class TestPhaseChainCursor:
                 channel_index=int(rng.integers(0, 16)), antenna_port=1))
         return out
 
+    def kernel_samples(self, engine, t_lo, t_hi):
+        """The kernel's displacement samples of the store's window."""
+        state = engine._inc._states[1]
+        index = state.index
+        a, b = index.window_bounds(t_lo, t_hi)
+        t, values, counts = window_samples(
+            index.times[a:b], *(index.column(name)[a:b] for name in (
+                "sid", "chan", "port", "phase", "wd", "seg")),
+            engine._inc._coef)
+        assert counts.tolist() == [t.shape[0]]
+        return t, values
+
+    def assert_matches_batch(self, engine, reports, t_lo, t_hi):
+        got_t, got_v = self.kernel_samples(engine, t_lo, t_hi)
+        want = displacement_samples(
+            [r for r in reports if t_lo < r.timestamp_s <= t_hi],
+            self.FREQS)
+        np.testing.assert_array_equal(got_t, want.times)
+        # uint64 view: compares the exact float bit patterns.
+        np.testing.assert_array_equal(
+            got_v.view(np.uint64), want.values.view(np.uint64))
+
     def test_window_matches_batch_bit_for_bit(self):
         reports = self.random_reports(1200)
-        cursor = PhaseChainCursor(self.FREQS)
+        engine = TagBreathe(frequencies_hz=self.FREQS, user_ids={1})
         for i, report in enumerate(reports):
-            cursor.push(report)
-            if i % 300 != 299:
-                continue
-            t_hi = report.timestamp_s
-            t_lo = t_hi - 25.0
-            got = cursor.window_displacement(t_lo, t_hi)
-            want = displacement_samples(
-                [r for r in reports[:i + 1]
-                 if t_lo < r.timestamp_s <= t_hi], self.FREQS)
-            np.testing.assert_array_equal(got.times, want.times)
-            # uint64 view: compares the exact float bit patterns.
-            np.testing.assert_array_equal(
-                got.values.view(np.uint64), want.values.view(np.uint64))
+            engine.feed(report)
+            if i % 300 == 299:
+                t_hi = report.timestamp_s
+                self.assert_matches_batch(engine, reports[:i + 1],
+                                          t_hi - 25.0, t_hi)
 
-    def test_equality_survives_pruning_and_cache_reuse(self):
+    def test_equality_survives_pruning(self):
         reports = self.random_reports(2000, seed=11)
-        cursor = PhaseChainCursor(self.FREQS)
+        engine = TagBreathe(frequencies_hz=self.FREQS, user_ids={1})
         pruned = False
         for i, report in enumerate(reports):
-            cursor.push(report)
+            engine.feed(report)
             if i % 250 != 249:
                 continue
             t_hi = report.timestamp_s
-            cursor.prune_before(t_hi - 60.0)
-            pruned = pruned or any(
-                c.base > 0 for c in cursor._groups.values())
-            got = cursor.window_displacement(t_hi - 25.0, t_hi)
-            want = displacement_samples(
-                [r for r in reports[:i + 1]
-                 if t_hi - 25.0 < r.timestamp_s <= t_hi], self.FREQS)
-            np.testing.assert_array_equal(got.times, want.times)
-            np.testing.assert_array_equal(
-                got.values.view(np.uint64), want.values.view(np.uint64))
+            state = engine._inc._states[1]
+            before = len(state.index)
+            engine._inc._prune(state, 0, t_hi - 60.0)
+            pruned = pruned or len(state.index) < before
+            self.assert_matches_batch(engine, reports[:i + 1],
+                                      t_hi - 25.0, t_hi)
+            # A window reaching past the horizon re-anchors every chain
+            # at its first surviving row: it equals the batch builder
+            # over the retained reports.
+            retained = [r for r in reports[:i + 1]
+                        if r.timestamp_s >= t_hi - 60.0]
+            self.assert_matches_batch(engine, retained, t_hi - 80.0, t_hi)
         assert pruned, "scenario never pruned; test lost its teeth"
-        assert any(c.segcache for c in cursor._groups.values())
 
 
 # ----------------------------------------------------------------------
@@ -415,3 +432,51 @@ class TestRestoreUnderTimestampTies:
                 ticks += 1
         assert index_columns(restored) == index_columns(live)
         assert ticks >= 15
+
+
+class TestRestoreAfterPrune:
+    """A restore replays the snapshot without prune checks, so an engine
+    that has already pruned is rebuilt row for row."""
+
+    @staticmethod
+    def store(engine):
+        """Every index column, stream ids read through the stream keys."""
+        keys, times, columns, last_t, _since_prune = \
+            engine._inc.snapshot()[1]
+        columns = dict(columns)
+        columns["sid"] = [keys[sid] for sid in columns["sid"]]
+        return times, columns, sorted(zip(keys, last_t))
+
+    def test_restored_engine_matches_pruned_live_engine(self):
+        reports = tied_reports(duration_s=460.0, seed=4)
+        cut = next(i for i, r in enumerate(reports) if r.timestamp_s >= 290.0)
+        live = TagBreathe(user_ids={1})
+        live.feed_batch(ReportBatch.from_reports(reports[:cut]))
+        snapshot = live.buffered_batch(1)
+        assert snapshot.t[0] > 150.0, "live engine never pruned"
+        restored = TagBreathe(user_ids={1})
+        restored.restore_streaming(snapshot, live.feed_drop_counts)
+        assert len(restored.buffered_batch(1)) == len(snapshot)
+        assert self.store(restored) == self.store(live)
+
+        ticks = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedEstimateWarning)
+            lo = cut
+            for _ in range(30):
+                t_next = reports[lo].timestamp_s + 5.0
+                hi = next(i for i in range(lo, len(reports))
+                          if reports[i].timestamp_s >= t_next)
+                batch = ReportBatch.from_reports(reports[lo:hi])
+                live.feed_batch(batch)
+                restored.feed_batch(batch)
+                lo = hi
+                want = live.estimate_user(1)
+                got = restored.estimate_user(1)
+                assert got.rate_bpm == want.rate_bpm
+                assert got.confidence == want.confidence
+                assert got.read_count == want.read_count
+                assert (got.estimate.signal.values.tobytes()
+                        == want.estimate.signal.values.tobytes())
+                ticks += 1
+        assert ticks == 30

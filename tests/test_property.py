@@ -6,7 +6,10 @@ Covered substrate:
 * :mod:`repro.units` — conversion round-trips and phase-wrap ranges;
 * :mod:`repro.epc.codec` — EPC96 encode/decode round-trips;
 * :mod:`repro.streams` — bin_sum sample conservation, resample grid
-  monotonicity.
+  monotonicity;
+* the streaming tick's vectorised pieces against their 1-D references,
+  bit for bit: padded 2-D cumsum rows, length-grouped row sums,
+  multi-stream Hampel, and the fused Eq. (6)/(7) binning.
 """
 
 from __future__ import annotations
@@ -246,3 +249,127 @@ class TestIncrementalStreamingProperties:
         else:
             assert a.rate_bpm == b.rate_bpm
             assert a.confidence == b.confidence
+
+
+# ----------------------------------------------------------------------
+# The streaming tick's vectorised pieces against their 1-D references
+# ----------------------------------------------------------------------
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+def _mixed_values(seed, n):
+    """Values spanning many magnitudes, so that any regrouping of a sum
+    shows up in the last bits."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 6.0, size=n)
+
+
+class TestTickKernelProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=40), min_size=1,
+                    max_size=8),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_padded_cumsum_rows_equal_1d_cumsum(self, lengths, seed):
+        from repro.core.preprocess import padded_rows
+
+        lengths = np.array(lengths)
+        values = _mixed_values(seed, int(lengths.sum()))
+        rows, row_of, col = padded_rows(values, lengths)
+        np.testing.assert_array_equal(_bits(rows[row_of, col]),
+                                      _bits(values))
+        sums = np.cumsum(rows, axis=1)
+        ends = np.cumsum(lengths)
+        for i, (end, length) in enumerate(zip(ends, lengths)):
+            np.testing.assert_array_equal(
+                _bits(sums[i, :length]),
+                _bits(np.cumsum(values[end - length:end])))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(min_value=1, max_value=300), min_size=1,
+                    max_size=6),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_length_grouped_row_sums_equal_1d_sum(self, lengths, seed):
+        """Lengths 1-300 cross numpy's 8- and 128-element pairwise
+        blocks; a padded row sum regroups them and fails this."""
+        from repro.core.preprocess import padded_rows, row_sums
+
+        lengths = np.sort(np.array(lengths))
+        values = _mixed_values(seed, int(lengths.sum()))
+        rows, _, _ = padded_rows(values, lengths)
+        got = row_sums(rows, lengths)
+        ends = np.cumsum(lengths)
+        want = [values[end - length:end].sum()
+                for end, length in zip(ends, lengths)]
+        np.testing.assert_array_equal(_bits(got), _bits(want))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(min_value=0, max_value=30),
+                              st.booleans()),
+                    min_size=1, max_size=5),
+           st.integers(min_value=1, max_value=4),
+           st.floats(min_value=0.5, max_value=6.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_multi_stream_hampel_equals_per_stream(self, streams, window,
+                                                   n_sigmas, seed):
+        """Streams shorter than 2w+1 and constant streams included."""
+        from repro.core.preprocess import hampel_filter, hampel_streams
+
+        rng = np.random.default_rng(seed)
+        parts = []
+        for length, constant in streams:
+            if constant:
+                parts.append(np.full(length, float(rng.normal())))
+            else:
+                part = rng.normal(size=length)
+                # A few glitches for the filter to find.
+                part[rng.random(length) < 0.1] += 50.0
+                parts.append(part)
+        lengths = np.array([len(p) for p in parts])
+        values = np.concatenate(parts)
+        flagged = hampel_streams(values, lengths, window, n_sigmas)
+        ends = np.cumsum(lengths)
+        for end, length, part in zip(ends, lengths, parts):
+            if not length:
+                continue
+            times = np.arange(float(length))
+            kept, rejected = hampel_filter(
+                TimeSeries(times, part), window=window, n_sigmas=n_sigmas)
+            mine = flagged[end - length:end]
+            assert rejected == int(mine.sum())
+            np.testing.assert_array_equal(kept.times, times[~mine])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from([0.01, 0.03, 0.06, 0.4, 1.3]),
+                             min_size=0, max_size=60),
+                    min_size=1, max_size=4),
+           st.floats(min_value=0.02, max_value=0.2),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_fused_binning_equals_fuse_sample_streams(self, gaps, bin_s,
+                                                      seed):
+        """Gaps of up to 1.3 s leave empty interior bins to interpolate."""
+        from repro.core.fusion import fuse_sample_streams
+        from repro.core.incremental import fused_track
+        from repro.errors import EmptyStreamError
+
+        rng = np.random.default_rng(seed)
+        streams = []
+        for stream_gaps in gaps:
+            times = float(rng.uniform(0.0, 2.0)) + np.cumsum(stream_gaps)
+            streams.append(TimeSeries(times, _mixed_values(
+                int(rng.integers(2**32)), len(stream_gaps))))
+        counts = np.array([len(s) for s in streams])
+        times = np.concatenate([s.times for s in streams])
+        values = np.concatenate([s.values for s in streams])
+        try:
+            want = fuse_sample_streams(7, dict(enumerate(streams)),
+                                       bin_s=bin_s).track
+        except EmptyStreamError as exc:
+            with pytest.raises(EmptyStreamError) as got:
+                fused_track(7, times, values, counts, bin_s)
+            assert str(got.value) == str(exc)
+            return
+        got = fused_track(7, times, values, counts, bin_s)
+        np.testing.assert_array_equal(_bits(got.times), _bits(want.times))
+        np.testing.assert_array_equal(_bits(got.values), _bits(want.values))
+

@@ -742,7 +742,9 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
       fed ``IDLE_STEADY_S`` stream seconds (past the pruning horizon)
       and measured with ``tracemalloc``, capturing the *true* python +
       numpy resident cost, with the engine's own ``streaming_nbytes``
-      accounting recorded alongside;
+      accounting recorded alongside, and the same session parked as a
+      cold blob (``steady_state.blob_bytes_per_report`` divides its
+      size by the rows it holds);
     * **wake latency percentiles** — hibernated users are woken one by
       one through ``SessionShard.session_for`` (inflate, CRC check,
       one bit-exact ``feed_batch``), p50/p95/p99 over the sample, plus
@@ -755,13 +757,14 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
       releases memory.
 
     The machine-independent floors (idle/active ratio >= 10x, wake p99,
-    ceiling ratio) are guarded by ``tools/check_bench_regression.py``.
+    ceiling ratio, blob bytes per report) are guarded by
+    ``tools/check_bench_regression.py``.
     """
     import tracemalloc
 
     from .serve.checkpoint import session_state_from_doc, \
-        session_state_to_doc
-    from .serve.hibernate import HibernationStore, blob_to_doc, doc_to_blob
+        session_state_to_binary_doc
+    from .serve.hibernate import HibernationStore, doc_to_blob, open_blob
     from .serve.session import SessionConfig, SessionShard, UserSession
 
     registered = IDLE_QUICK_REGISTERED if quick else IDLE_FULL_REGISTERED
@@ -795,7 +798,9 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     tracemalloc.stop()
     bytes_per_active = (after - before) / active_sample
     steady_engine_nbytes = active_sessions[0].engine.streaming_nbytes(1)
-    steady_doc = session_state_to_doc(active_sessions[0].state())
+    steady_state = active_sessions[0].state()
+    steady_rows = len(steady_state["batch"])
+    steady_doc = session_state_to_binary_doc(steady_state)
     steady_doc["hibernated"] = True
     steady_blob = doc_to_blob(steady_doc)
     del active_sessions
@@ -819,7 +824,7 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
             rows.t, rows.phase, rows.rssi, rows.doppler, rows.channel,
             rows.antenna, np.full(len(rows), uid, dtype=np.uint64),
             rows.tag_id)
-        store.put(uid, session_state_to_doc(
+        store.put(uid, session_state_to_binary_doc(
             dict(template_state, user_id=uid, batch=user_rows)))
     registration_s = time.perf_counter() - t0
     bytes_per_idle = store.resident_bytes() / registered
@@ -842,9 +847,8 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
             verified += 1
     # Worst case: waking a full steady-state window.
     t0 = time.perf_counter()
-    steady_state = session_state_from_doc(blob_to_doc(steady_blob))
     steady_session = UserSession(1, config)
-    steady_session.restore(steady_state)
+    steady_session.restore(session_state_from_doc(open_blob(steady_blob)))
     wake_steady_s = time.perf_counter() - t0
     del steady_session
 
@@ -897,6 +901,7 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
             "stream_s": IDLE_STEADY_S,
             "engine_nbytes": steady_engine_nbytes,
             "blob_bytes": len(steady_blob),
+            "blob_bytes_per_report": len(steady_blob) / steady_rows,
             "compression_ratio": (steady_engine_nbytes / len(steady_blob)
                                   if steady_blob else float("inf")),
             "wake_s": wake_steady_s,

@@ -21,14 +21,19 @@ the wire's ``report_batch`` frame
 (:func:`~repro.serve.protocol.encode_column_payload`), ~48 bytes a row —
 carried base64-encoded in ``frame``, with the ``zlib.crc32`` of the
 frame bytes in ``frame_crc32``.  The same document is a checkpoint
-entry, a hibernation blob (deflated, :mod:`repro.serve.hibernate`) and
-a fabric migration record, so the wire and every form of stored state
-share one binary format.  The CRC is checked wherever a document is
-decoded (checkpoint load, ``migrate_in``, wake): a binary frame would
-otherwise decode a scribbled byte into a different float without any
-error.  v2 documents (one JSON dict per report under ``reports``, the
-retired protocol's ``report`` message shape) still load, converted to a
-batch once by :func:`wire_to_report`; nothing writes them.
+entry and a fabric migration record; a hibernation blob
+(:mod:`repro.serve.hibernate`) holds it too, deflated, as the document
+without ``frame`` followed by the raw frame bytes — in memory the cold
+tier carries the frame as ``bytes``
+(:func:`session_state_to_binary_doc`), never as base64.  So the wire
+and every form of stored state share one binary format.  The CRC is
+checked wherever a document is decoded (checkpoint load,
+``migrate_in``, wake), whichever way it carries its frame: a binary
+frame would otherwise decode a scribbled byte into a different float
+without any error.  v2 documents (one JSON dict per report under
+``reports``, the retired protocol's ``report`` message shape) still
+load, converted to a batch once by :func:`wire_to_report`; nothing
+writes them, and the cold tier refuses to park one.
 
 Since v2 the checkpoint also carries ``client_seqs`` — the highest
 report sequence number accepted per ``client_id`` — snapshotted in the
@@ -89,7 +94,8 @@ CHECKPOINT_VERSION = 4
 #: Checkpoint key of the CRC-32 over the document-level metadata.
 META_CRC_KEY = "meta_crc32"
 
-#: Session-document keys of the frame (base64) and its CRC-32.
+#: Session-document keys of the frame (base64 text, or raw bytes in the
+#: cold tier) and its CRC-32.
 FRAME_KEY = "frame"
 FRAME_CRC_KEY = "frame_crc32"
 
@@ -136,20 +142,37 @@ def _meta_crc(counters: Any, client_seqs: Any) -> int:
     return zlib.crc32(text.encode("utf-8"))
 
 
-def session_state_to_doc(state: Dict[str, Any]) -> Dict[str, Any]:
-    """One session's ``UserSession.state()`` as a JSON-ready document.
+def session_state_to_binary_doc(state: Dict[str, Any]) -> Dict[str, Any]:
+    """One session's ``UserSession.state()`` with its frame as raw bytes.
 
-    The state's ``batch`` becomes the base64 ``frame`` plus its
-    ``frame_crc32``; every other field is copied as is.  Also the wire
-    shape of fabric shard migration (``migrate_out`` / ``migrate_in``
-    carry lists of exactly these documents) and, deflated, of a
-    hibernation blob.
+    The state's ``batch`` becomes ``frame`` — the column-frame payload
+    bytes — plus its ``frame_crc32``; every other field is copied as
+    is.  This is what the hibernation cold tier parks; it is not
+    JSON-ready (:func:`session_state_to_doc` is).
     """
     doc = dict(state)
     payload = encode_column_payload(doc.pop("batch"))
-    doc[FRAME_KEY] = base64.b64encode(payload).decode("ascii")
+    doc[FRAME_KEY] = payload
     doc[FRAME_CRC_KEY] = zlib.crc32(payload)
     return doc
+
+
+def with_text_frame(doc: Dict[str, Any]) -> Dict[str, Any]:
+    """A copy of a raw-frame session document, its frame base64 text."""
+    doc = dict(doc)
+    doc[FRAME_KEY] = base64.b64encode(doc[FRAME_KEY]).decode("ascii")
+    return doc
+
+
+def session_state_to_doc(state: Dict[str, Any]) -> Dict[str, Any]:
+    """One session's ``UserSession.state()`` as a JSON-ready document.
+
+    :func:`session_state_to_binary_doc` with the frame base64-encoded.
+    The wire shape of fabric shard migration (``migrate_out`` /
+    ``migrate_in`` carry lists of exactly these documents) and of a
+    checkpoint entry.
+    """
+    return with_text_frame(session_state_to_binary_doc(state))
 
 
 def _int(value: Any) -> int:
@@ -159,12 +182,26 @@ def _int(value: Any) -> int:
     return value
 
 
+def frame_payload(doc: Dict[str, Any]) -> bytes:
+    """The raw column-frame bytes of a document, either way it carries them.
+
+    Raises:
+        KeyError: the document has no frame (a v2 document).
+        TypeError: the frame is neither bytes nor text.
+        binascii.Error: the text is not base64 (a ``ValueError``).
+    """
+    frame = doc[FRAME_KEY]
+    if isinstance(frame, bytes):
+        return frame
+    if not isinstance(frame, str):
+        raise TypeError(f"frame must be bytes or base64 text, "
+                        f"got {type(frame)}")
+    return base64.b64decode(frame, validate=True)
+
+
 def _frame_batch(doc: Dict[str, Any]) -> ReportBatch:
     """Decode and CRC-check a v3 document's frame."""
-    frame = doc[FRAME_KEY]
-    if not isinstance(frame, str):
-        raise TypeError(f"frame must be base64 text, got {type(frame)}")
-    payload = base64.b64decode(frame, validate=True)
+    payload = frame_payload(doc)
     crc = _int(doc[FRAME_CRC_KEY])
     if zlib.crc32(payload) != crc:
         raise CheckpointCorruptError(
@@ -180,8 +217,10 @@ def session_state_from_doc(doc: Dict[str, Any]) -> Dict[str, Any]:
     """Inverse of :func:`session_state_to_doc` (the frame becomes a batch).
 
     Validates the whole document: field types, the frame's CRC-32 and
-    layout, and that every row belongs to the document's user.  A v2
-    document's ``reports`` list is converted to a batch here, once.
+    layout, and that every row belongs to the document's user.  The
+    frame may be base64 text (checkpoints, migration) or raw bytes (a
+    woken hibernation blob).  A v2 document's ``reports`` list is
+    converted to a batch here, once.
 
     Raises:
         CheckpointCorruptError: when the document is malformed.

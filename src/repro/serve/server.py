@@ -303,7 +303,7 @@ class BreathServer:
                 counters,
                 client_seqs=self._client_seq,
                 hibernated_docs=[doc for shard in self._shards
-                                 for _uid, doc in shard.hibernated.docs()],
+                                 for doc in shard.parked_docs()],
             )
         obs.counter("repro_serve_checkpoints_total").inc()
         return n
@@ -421,9 +421,8 @@ class BreathServer:
                 continue
             # A hibernated user migrates as their parked document — a
             # few KB of compressed state, never inflated into an engine.
-            doc = shard.hibernated.pop(uid)
+            doc = shard.pop_parked(uid)
             if doc is not None:
-                obs.gauge("repro_serve_hibernated_sessions").inc(-1)
                 docs.append(doc)
         self.counters["migrated_out_total"] += len(docs)
         obs.counter("repro_serve_migrated_sessions_total",

@@ -42,8 +42,9 @@ from ..core.pipeline import TagBreathe
 from ..errors import CheckpointCorruptError, InsufficientDataError
 from ..reader.batch import BatchBuffer, ReportBatch
 from ..reader.tagreport import TagReport
-from .checkpoint import session_state_from_doc, session_state_to_doc
-from .hibernate import HibernationStore
+from .checkpoint import session_state_from_doc, \
+    session_state_to_binary_doc
+from .hibernate import HibernationStore, blob_to_doc, open_blob
 from .protocol import estimate_to_wire
 
 #: Default per-shard ingest queue capacity (reports).
@@ -414,7 +415,9 @@ class SessionShard:
         brand-new user gets a fresh session.  A parked document that
         fails its checks (frame CRC, layout) cannot be woken: the loss
         is counted on ``repro_serve_wake_corrupt_total`` and the user
-        starts a fresh session, so one bad blob never stops the shard.
+        starts a fresh session, so one bad blob never stops the shard
+        (nor a checkpoint or a migration: :meth:`parked_docs` and
+        :meth:`pop_parked` drop and count a corrupt blob the same way).
         Either way the resident budget is enforced afterwards,
         hibernating the least-recently-active sessions — never the one
         just touched — when the shard is over budget.
@@ -433,23 +436,22 @@ class SessionShard:
         return session
 
     def _wake(self, user_id: int) -> Optional[UserSession]:
-        """Rebuild a live session from its parked document, if any.
+        """Rebuild a live session from its parked blob, if any.
 
+        The blob inflates straight to a document whose frame is the raw
+        payload bytes, and :func:`session_state_from_doc` validates it.
         None when the user is not parked, or when the parked document
         fails validation (a frame CRC mismatch included) — that loss is
         counted and the caller opens a fresh session.
         """
-        if user_id not in self.hibernated:
+        blob = self._unpark(user_id)
+        if blob is None:
             return None
         t0 = time.perf_counter()
-        obs.gauge("repro_serve_hibernated_sessions").inc(-1)
         try:
-            state = session_state_from_doc(self.hibernated.pop(user_id))
+            state = session_state_from_doc(open_blob(blob))
         except CheckpointCorruptError as exc:
-            obs.counter("repro_serve_wake_corrupt_total",
-                        shard=str(self.index)).inc()
-            obs.event("serve.session.wake_corrupt", user_id=user_id,
-                      shard=self.index, error=str(exc))
+            self._count_corrupt(user_id, exc)
             return None
         session = UserSession(user_id, self.config,
                               engine_factory=self._engine_factory)
@@ -461,6 +463,52 @@ class SessionShard:
         obs.event("serve.session.wake", user_id=user_id, shard=self.index,
                   seconds=elapsed)
         return session
+
+    def _unpark(self, user_id: int) -> Optional[bytes]:
+        """Remove one parked blob from the cold tier; None when absent."""
+        blob = self.hibernated.pop_blob(user_id)
+        if blob is not None:
+            obs.gauge("repro_serve_hibernated_sessions").inc(-1)
+        return blob
+
+    def _count_corrupt(self, user_id: int, exc: Exception) -> None:
+        """Count one parked session lost to a blob that failed its checks."""
+        obs.counter("repro_serve_wake_corrupt_total",
+                    shard=str(self.index)).inc()
+        obs.event("serve.session.wake_corrupt", user_id=user_id,
+                  shard=self.index, error=str(exc))
+
+    def pop_parked(self, user_id: int) -> Optional[Dict[str, Any]]:
+        """Detach one parked user as their JSON-ready document (migration).
+
+        None when the user is not parked, or when their blob is corrupt —
+        then it is dropped and counted like a failed wake, and the
+        migration carries on without it.
+        """
+        blob = self._unpark(user_id)
+        if blob is None:
+            return None
+        try:
+            return blob_to_doc(blob)
+        except CheckpointCorruptError as exc:
+            self._count_corrupt(user_id, exc)
+            return None
+
+    def parked_docs(self) -> List[Dict[str, Any]]:
+        """Every parked user's JSON-ready document, in user order.
+
+        The checkpoint's view of the cold tier.  A corrupt blob is
+        dropped and counted like a failed wake, so it can neither fail
+        the checkpoint nor be written into it.
+        """
+        docs = []
+        for user_id in self.hibernated.user_ids():
+            try:
+                docs.append(blob_to_doc(self.hibernated.blob(user_id)))
+            except CheckpointCorruptError as exc:
+                self._unpark(user_id)
+                self._count_corrupt(user_id, exc)
+        return docs
 
     def hibernate_session(self, user_id: int) -> bool:
         """Park one resident session in the cold tier; False when absent.
@@ -476,7 +524,7 @@ class SessionShard:
         session = self.sessions.pop(user_id, None)
         if session is None:
             return False
-        doc = session_state_to_doc(session.state())
+        doc = session_state_to_binary_doc(session.state())
         doc["hibernated"] = True
         blob_bytes = self.hibernated.put(user_id, doc)
         obs.counter("repro_serve_hibernated_total",

@@ -42,10 +42,12 @@ def wire_suite(bytes_per_report=56.1, acked_equal_sent=True):
 
 
 def idle_suite(registered=20_000, ratio=200.0, wake_verified=True,
-               wake_p99_ms=2.0, ceiling=1.01, bytes_per_active=None):
+               wake_p99_ms=2.0, ceiling=1.01, bytes_per_active=None,
+               blob_bytes_per_report=24.7):
     if bytes_per_active is None:
         bytes_per_active = 2600.0 * ratio
-    return {"headline": {"registered_users": registered,
+    return {"steady_state": {"blob_bytes_per_report": blob_bytes_per_report},
+            "headline": {"registered_users": registered,
                          "active_users": registered // 100,
                          "bytes_per_idle_user": 2600.0,
                          "bytes_per_active_user": bytes_per_active,
@@ -290,6 +292,23 @@ class TestIdleSuite:
         path = write(tmp_path, "cand.json", bench_doc(
             [case(1, 25.0, 2.0)], idle=idle))
         assert any("bytes_per_active_user" in p
+                   for p in guard.check_idle_suite(path))
+
+    def test_bigger_parked_blob_fails(self, tmp_path):
+        # The base64 JSON blob deflated at level 6 measured 25.65 B a
+        # report; a blob past 1.10x the raw level-1 figure fails.
+        path = write(tmp_path, "c.json", bench_doc(
+            [case(1, 25.0, 2.0)], idle=idle_suite(
+                blob_bytes_per_report=27.5)))
+        assert any("blob_bytes_per_report" in p
+                   for p in guard.check_idle_suite(path))
+
+    def test_missing_blob_bytes_per_report_fails(self, tmp_path):
+        idle = idle_suite()
+        del idle["steady_state"]
+        path = write(tmp_path, "c.json", bench_doc(
+            [case(1, 25.0, 2.0)], idle=idle))
+        assert any("blob_bytes_per_report" in p
                    for p in guard.check_idle_suite(path))
 
     def test_unverified_wake_fails(self, tmp_path):

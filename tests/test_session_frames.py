@@ -2,14 +2,17 @@
 
 A session's buffered rows are stored as the wire's binary column-frame
 payload (base64 in the document, CRC-32 beside it), and that one
-document shape is the hibernation blob, the checkpoint entry and the
-migration record.  This battery pins:
+document shape is the checkpoint entry, the migration record and —
+with the frame as raw bytes after a JSON header — the hibernation
+blob.  This battery pins:
 
 * the round trip — a hibernated-then-woken session is identical to an
   uninterrupted one on multi-tag, multi-antenna input with duplicate,
   late and invalid-channel rows;
 * integrity — a flipped bit in a stored phase value is caught by the
-  frame CRC and the checkpoint falls back to ``.prev``;
+  frame CRC and the checkpoint falls back to ``.prev``; every bit flip
+  of a parked blob is caught or harmless, and a corrupt blob is
+  dropped and counted by wake, checkpoint and migration alike;
 * the frame-size edge — a session larger than one wire frame still
   hibernates, wakes, checkpoints and loads;
 * fuzzed input — every malformed frame, blob or document ends in a
@@ -217,12 +220,24 @@ def test_state_document_round_trip_is_lossless():
         assert back[key] == state[key]
 
 
+def v2_blob(doc):
+    """A v2 document as the retired JSON blob codec parked it."""
+    text = json.dumps(doc, separators=(",", ":"), sort_keys=True)
+    return zlib.compress(text.encode("utf-8"), 6)
+
+
 def test_frame_blob_is_smaller_than_per_report_json():
     state = fed_session().state()
     frame_blob = doc_to_blob(session_state_to_doc(state))
     v2 = dict(state)
     v2["reports"] = [report_to_wire(r) for r in v2.pop("batch").to_reports()]
-    assert len(frame_blob) < len(doc_to_blob(v2))
+    assert len(frame_blob) < len(v2_blob(v2))
+
+
+def test_doc_to_blob_rejects_a_v2_document():
+    # Resume and migrate_in re-encode v2 documents before parking them.
+    with pytest.raises(CheckpointCorruptError, match="column frame"):
+        doc_to_blob(v2_doc(fed_session()))
 
 
 # ----------------------------------------------------------------------
@@ -318,6 +333,91 @@ def test_corrupt_parked_blob_wakes_as_a_counted_fresh_session():
     assert USER not in shard.hibernated and shard.sessions[USER] is session
 
 
+def rows_of(user_id, n=60):
+    """The first ``n`` base-capture rows, relabelled as ``user_id``'s."""
+    rows = ReportBatch.from_reports(reports()[:n])
+    return ReportBatch(rows.t, rows.phase, rows.rssi, rows.doppler,
+                       rows.channel, rows.antenna,
+                       np.full(n, user_id, dtype=np.uint64), rows.tag_id)
+
+
+def server_with_a_corrupt_parked_blob(**kwargs):
+    """One shard: user 1 resident, user 2 parked as garbage, user 3 parked."""
+    server = BreathServer(port=0, n_shards=1, **kwargs)
+    shard = server.shard_for(USER)
+    for uid in (USER, 2, 3):
+        shard.session_for(uid).ingest_batch(rows_of(uid))
+    for uid in (2, 3):
+        assert shard.hibernate_session(uid)
+    shard.hibernated.put_blob(2, b"\x00garbage")
+    return server, shard
+
+
+def test_migrate_out_skips_a_corrupt_parked_blob():
+    server, shard = server_with_a_corrupt_parked_blob()
+    want = session_state_to_doc(shard.sessions[USER].state())
+    with obs_capture() as (_tracer, registry):
+        docs = asyncio.run(server.migrate_out([USER, 2]))
+        corrupt = registry.values("repro_serve_wake_corrupt_total")
+    assert docs == [want]
+    assert sum(corrupt.values()) == 1
+    assert shard.user_ids() == [3]
+
+
+def test_checkpoint_skips_a_corrupt_parked_blob(tmp_path):
+    path = tmp_path / "serve.ckpt"
+    server, shard = server_with_a_corrupt_parked_blob(
+        checkpoint_path=str(path))
+    with obs_capture() as (_tracer, registry):
+        server.checkpoint_now()
+        corrupt = registry.values("repro_serve_wake_corrupt_total")
+    assert sum(corrupt.values()) == 1
+    saved = load_checkpoint(path, allow_fallback=False)
+    assert [s["user_id"] for s in saved["sessions"]] == [USER, 3]
+    assert saved["sessions"][1]["hibernated"] is True
+    assert shard.user_ids() == [USER, 3]
+    server.checkpoint_now()  # the periodic loop would carry on
+    assert load_checkpoint(path, allow_fallback=False)["documents"] \
+        == saved["documents"]
+
+
+def woken_state(session):
+    """Everything a wake restores, for exact comparison."""
+    batch = session.engine.buffered_batch(USER)
+    return (session.first_t, session.latest_t, session.next_due_t,
+            session.reports_in, session.estimates_out,
+            session.engine.feed_drop_counts,
+            tuple(getattr(batch, name).tobytes()
+                  for name in ("t", "phase", "rssi", "doppler", "channel",
+                               "antenna", "user_id", "tag_id")))
+
+
+def test_every_single_bit_flip_of_a_blob_is_caught_or_harmless():
+    shard = SessionShard(0, SessionConfig(), lambda m: None)
+    shard.session_for(USER).ingest_batch(
+        ReportBatch.from_reports(reports()[:12]))
+    shard.hibernate_session(USER)
+    blob = shard.hibernated.blob(USER)
+    want = woken_state(shard.session_for(USER))
+    assert want[3] == 12
+    caught = 0
+    with obs_capture() as (_tracer, registry):
+        for bit in range(8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            shard.sessions.pop(USER)
+            shard.hibernated.put_blob(USER, bytes(flipped))
+            session = shard.session_for(USER)
+            counted = sum(registry.values(
+                "repro_serve_wake_corrupt_total").values())
+            if counted > caught:
+                caught = counted
+                assert session.reports_in == 0
+            else:
+                assert woken_state(session) == want, bit
+    assert caught > 0.9 * 8 * len(blob)
+
+
 def test_migrate_in_rejects_a_bad_crc():
     doc = session_state_to_doc(fed_session().state())
     doc["frame_crc32"] ^= 1
@@ -404,7 +504,7 @@ def test_v2_checkpoint_resumes_and_is_rewritten_as_v3(tmp_path):
                               checkpoint_interval_s=0)
         await server.start()
         summary = (server.resident_count(), server.hibernated_count())
-        parked = server.shard_for(2).hibernated.get(2)
+        parked = blob_to_doc(server.shard_for(2).hibernated.blob(2))
         await server.drain()
         return summary, parked
 
@@ -461,22 +561,64 @@ def test_fuzz_decode_column_frame_behind_a_valid_magic(flags, count, body,
     assert len(message["batch"]) == count
 
 
-@settings(max_examples=200, deadline=None)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False) | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=8)
+
+
+def envelope(header, payload=b"", size=None):
+    """A blob in the cold tier's layout: deflated ``u32 | header | payload``."""
+    size = len(header) if size is None else size
+    return zlib.compress(struct.pack("<I", size) + header + payload)
+
+
+def valid_parts():
+    """A valid document's blob header (JSON) and frame payload."""
+    doc = valid_doc()
+    payload = base64.b64decode(doc.pop(FRAME_KEY))
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode(), \
+        payload
+
+
+@st.composite
+def envelopes(draw):
+    """Blobs whose deflate stream is fine but whose layout is not."""
+    header, payload = valid_parts()
+    kind = draw(st.sampled_from(["past_end", "non_utf8", "non_object",
+                                 "truncated", "oversized", "short"]))
+    if kind == "past_end":
+        return envelope(header, payload, draw(st.integers(
+            len(header) + len(payload) + 1, 2**32 - 1)))
+    if kind == "non_utf8":  # 0xff never occurs in UTF-8
+        return envelope(b"\xff" + draw(st.binary(max_size=40)), payload)
+    if kind == "non_object":
+        value = draw(_JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+        return envelope(json.dumps(value).encode(), payload)
+    if kind == "truncated":
+        return envelope(header, payload[:draw(
+            st.integers(0, len(payload) - 1))])
+    if kind == "oversized":
+        return envelope(header, payload + draw(st.binary(min_size=1,
+                                                         max_size=64)))
+    return zlib.compress(draw(st.binary(max_size=3)))
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.binary(max_size=300),
     st.binary(max_size=300).map(zlib.compress),
-    st.recursive(st.none() | st.booleans() | st.integers()
-                 | st.floats(allow_nan=False) | st.text(max_size=8),
-                 lambda inner: st.lists(inner, max_size=3)
-                 | st.dictionaries(st.text(max_size=5), inner, max_size=3),
-                 max_leaves=8).map(
-        lambda value: zlib.compress(json.dumps(value).encode()))))
+    _JSON_VALUES.map(lambda value: zlib.compress(json.dumps(value).encode())),
+    envelopes()))
 def test_fuzz_blob_to_doc(blob):
     try:
         doc = blob_to_doc(blob)
     except CheckpointCorruptError:
         return
     assert isinstance(doc, dict)
+    assert isinstance(doc[FRAME_KEY], str)
 
 
 _WRONG_TYPED = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
@@ -520,6 +662,65 @@ def test_fuzz_session_state_from_doc(doc):
     except CheckpointCorruptError:
         return
     assert_restorable(state)
+
+
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def random_row_blobs(draw):
+    """A CRC-correct blob of arbitrary rows that pass the batch checks."""
+    n = draw(st.integers(0, 24))
+    column = lambda elements: np.array(draw(st.lists(  # noqa: E731
+        elements, min_size=n, max_size=n)))
+    batch = ReportBatch(
+        column(_ANY_FLOAT), column(st.floats(0.0, 6.283)),
+        column(_ANY_FLOAT), column(_ANY_FLOAT),
+        column(st.integers(0, 0x7FFF)).astype(np.int64),
+        column(st.integers(1, 0x7FFF)).astype(np.int64),
+        np.full(n, USER, dtype=np.uint64),
+        column(st.integers(0, 2**32 - 1)).astype(np.uint64))
+    header, _payload = valid_parts()
+    doc = json.loads(header)
+    payload = encode_column_payload(batch)
+    doc["frame_crc32"] = zlib.crc32(payload)
+    return envelope(json.dumps(doc).encode(), payload)
+
+
+@st.composite
+def mutated_doc_blobs(draw):
+    """A mutated document (see :func:`mutated_docs`) in the blob layout."""
+    doc = draw(mutated_docs())
+    if not isinstance(doc, dict):
+        return envelope(json.dumps(doc).encode())
+    frame = doc.pop(FRAME_KEY, "")
+    try:
+        payload = base64.b64decode(frame, validate=True)
+    except (TypeError, ValueError):
+        payload = b""
+    return envelope(json.dumps(doc).encode(), payload)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(st.binary(max_size=300),
+                 st.binary(max_size=300).map(zlib.compress),
+                 envelopes(), mutated_doc_blobs(), random_row_blobs()))
+def test_fuzz_waking_an_arbitrary_parked_blob(blob):
+    # Any parked blob wakes as a restored session or as a counted fresh
+    # one; nothing else escapes session_for.
+    shard = SessionShard(0, SessionConfig(), lambda m: None)
+    shard.hibernated.put_blob(USER, blob)
+    with obs_capture() as (_tracer, registry):
+        session = shard.session_for(USER)
+        corrupt = sum(registry.values(
+            "repro_serve_wake_corrupt_total").values())
+        woken = sum(registry.values("repro_serve_woken_total").values())
+    assert (corrupt, woken) in {(1, 0), (0, 1)}
+    assert USER not in shard.hibernated and shard.sessions[USER] is session
+    if corrupt:
+        assert session.reports_in == 0
+        assert len(session.engine.buffered_batch(USER)) == 0
 
 
 def test_frame_holding_another_users_rows_is_rejected():

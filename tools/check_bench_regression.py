@@ -32,9 +32,9 @@ and the ``wire`` suite's column-frame bytes per report — a
 property of the format, not the machine — must stay under a ceiling.  The ``idle``
 economics suite is likewise self-contained: the idle/active bytes
 ratio, the soak's flat memory ceiling, and wake verification are
-same-run ratios and counts, the active user's bytes are held to a
-ceiling, and only the wake p99 is held to a (very generous) absolute
-timing ceiling.
+same-run ratios and counts, the active user's bytes and the parked
+blob's bytes per report are held to ceilings, and only the wake p99 is
+held to a (very generous) absolute timing ceiling.
 
 When ``--simulation`` names a ``BENCH_simulation.json``, its
 ``scenarios`` suite is gated too.  Scenario-pack numbers are workload
@@ -117,6 +117,15 @@ IDLE_BYTES_PER_ACTIVE_USER_CEILING = 620_000.0
 #: estimate, or replaying an unpruned history) without tripping on
 #: runner noise.
 IDLE_WAKE_P99_CEILING_S = 0.25
+
+#: Ceiling on the idle suite's ``steady_state.blob_bytes_per_report``:
+#: the deflated cold-tier blob of the 150 s steady-state session over
+#: the rows it parks.  Blob size is a property of the format and the
+#: seeded capture, not the machine, so park speed cannot be bought
+#: with bigger blobs: 1.10x the 24.68 B first measured once the blob
+#: held the raw column frame deflated at level 1 (the base64 JSON blob
+#: at level 6 measured 25.65 B).
+IDLE_BLOB_BYTES_PER_REPORT_CEILING = 27.14
 
 #: Ceiling on the soak's late/steady resident-bytes ratio.  A flat
 #: memory profile holds this at ~1.0; anything approaching 1.5 means
@@ -304,7 +313,8 @@ def check_idle_suite(path: Path) -> List[str]:
 
     The idle/active bytes ratio and the soak's memory-ceiling ratio are
     same-run ratios; wake verification is a correctness count; the
-    active user's bytes are an allocation count, not a timing.  Only the
+    active user's bytes are an allocation count and the steady blob's
+    bytes per report a format size, not timings.  Only the
     wake p99 is an absolute timing, and its ceiling is two orders of
     magnitude above committed runs.
     """
@@ -341,6 +351,14 @@ def check_idle_suite(path: Path) -> List[str]:
             f"idle: wake p99 {p99_s * 1e3:.1f} ms > ceiling "
             f"{IDLE_WAKE_P99_CEILING_S * 1e3:.0f} ms — waking a parked "
             f"session became too slow to hide behind the first report")
+    blob_per_report = idle.get("steady_state", {}).get(
+        "blob_bytes_per_report", float("inf"))
+    if not blob_per_report <= IDLE_BLOB_BYTES_PER_REPORT_CEILING:
+        problems.append(
+            f"idle: steady-state blob_bytes_per_report "
+            f"{blob_per_report:.2f} > ceiling "
+            f"{IDLE_BLOB_BYTES_PER_REPORT_CEILING} — parked sessions "
+            f"grew")
     ceiling = headline.get("soak_ceiling_ratio", float("inf"))
     if not ceiling <= IDLE_SOAK_CEILING_RATIO:
         problems.append(

@@ -50,7 +50,6 @@ from .core import (
     fuse_streams,
     group_reports_by_user,
     rate_series_bpm,
-    sanitize_reports,
     zero_crossing_times,
 )
 from .body import (
@@ -102,7 +101,7 @@ __all__ = [
     "fuse_streams", "group_reports_by_user", "fft_lowpass", "fir_lowpass",
     "zero_crossing_times", "rate_series_bpm", "fft_peak_rate_bpm",
     "RSSIBreathEstimator", "DopplerBreathEstimator", "FFTPeakEstimator",
-    "sanitize_reports", "DEGRADED_REASONS", "FEED_DROP_KEYS",
+    "DEGRADED_REASONS", "FEED_DROP_KEYS",
     # fault injection
     "FaultChain", "FaultInjector", "InjectionStats", "ALL_INJECTORS",
     "ReportDrop", "BurstyDrop", "InterferenceBurst", "TagDropout",

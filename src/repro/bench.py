@@ -12,9 +12,10 @@ JSON files at the output directory root:
 * ``BENCH_pipeline.json`` — TagBreathe batch-processing throughput over
   each capture (reports/s, users estimated), plus the ``streaming``
   suite: serve-shaped replay of the same captures comparing the
-  incremental O(new-samples) cadence tick against the from-scratch
-  recompute tick, with memoized (no-new-data) tick latency and the
-  derived per-core serve capacity, and the batched SoA feed
+  incremental O(new-samples) cadence tick against the recompute tick
+  (the same cascade with the per-stream reference stage 5), with
+  memoized (no-new-data) tick latency and the derived per-core serve
+  capacity, and the batched SoA feed
   (``feed_batch`` over column chunks) timed against the scalar feed
   with its bit-exactness contract checked in-run, and the same stream
   at serve shape (256-row frames split per user into sessions, staged
@@ -285,8 +286,9 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
 
     Each capture is replayed report-by-report through two default
     engines fed in lockstep — one ticked incrementally, the reference
-    ticked through ``estimate_user_recompute``, which recomputes every
-    tick from the stored window — and every ``STREAM_CADENCE_S`` of
+    ticked through ``estimate_user_recompute``, which runs the same
+    robustness cascade but recomputes stage 5 per stream from the
+    stored window's reports — and every ``STREAM_CADENCE_S`` of
     stream time each monitored user is ticked on both, timing the ticks
     separately.  A third timing re-ticks the incremental engine
     immediately (no new data), measuring the memoized-tick latency a

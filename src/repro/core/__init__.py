@@ -32,17 +32,12 @@ from .filters import fft_lowpass, fir_lowpass, detrend_series
 from .zerocross import zero_crossing_times, instant_rates_bpm, rate_series_bpm
 from .spectral import fft_spectrum, fft_peak_rate_bpm, frequency_resolution_bpm
 from .extraction import BreathExtractor, BreathingEstimate
-from .quality import (
-    antenna_quality_scores,
-    select_antenna_with_failover,
-    select_best_antenna,
-)
+from .quality import antenna_quality_scores, select_best_antenna
 from .pipeline import (
     DEGRADED_REASONS,
     FEED_DROP_KEYS,
     TagBreathe,
     UserEstimate,
-    sanitize_reports,
 )
 from .baselines import RSSIBreathEstimator, DopplerBreathEstimator, FFTPeakEstimator
 from .tracking import BreathingRateTracker, TrackedRate, smooth_rate_series
@@ -71,9 +66,7 @@ __all__ = [
     "BreathingEstimate",
     "antenna_quality_scores",
     "select_best_antenna",
-    "select_antenna_with_failover",
     "hampel_filter",
-    "sanitize_reports",
     "DEGRADED_REASONS", "FEED_DROP_KEYS",
     "TagBreathe",
     "UserEstimate",

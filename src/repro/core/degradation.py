@@ -1,12 +1,12 @@
-"""Degradation bookkeeping shared by the batch and incremental paths.
+"""Degradation bookkeeping of the robustness cascade.
 
 Stable machine names for every way an estimate can be produced in
-degraded mode.  Both estimate paths — the batch reference
-(:meth:`repro.core.pipeline.TagBreathe._process_user`) and the
-incremental streaming tick (:mod:`repro.core.incremental`) — attach
-these to :class:`~repro.core.pipeline.UserEstimate`, and they are
-re-exported from :mod:`repro.core.pipeline` (the historical home) so
-callers import them from either place.
+degraded mode.  The engine's one robustness cascade
+(:meth:`repro.core.pipeline.TagBreathe._cascade`), which batch
+processing and the streaming tick both run, attaches these to
+:class:`~repro.core.pipeline.UserEstimate`, and they are re-exported
+from :mod:`repro.core.pipeline` (the historical home) so callers import
+them from either place.
 """
 
 from __future__ import annotations

@@ -46,9 +46,9 @@ from .spectral import fft_peak_rate_bpm
 class EstimationWindow:
     """Everything one analysis window offers a rate estimator.
 
-    Both estimate paths build this from the *same* post-selection,
-    post-staleness state, so an estimator sees identical inputs whether
-    the window came from the batch reference or a streaming tick.
+    The robustness cascade builds this from its post-selection,
+    post-staleness rows, so an estimator sees identical inputs whether
+    the window came from batch processing or a streaming tick.
 
     Attributes:
         track: the fused Eq. 7 displacement track (phase path input).
@@ -57,7 +57,7 @@ class EstimationWindow:
         channel: per-report channel index, aligned with ``times``.
         antenna: per-report antenna port, aligned with ``times``.
         tag: per-report tag-stream label, aligned with ``times``.  Only
-            the *partition* it induces is contracted — the batch path
+            the *partition* it induces is contracted — batch processing
             fills it with ``tag_id`` while the streaming tick uses its
             internal stream ids, which label the identical groups (one
             per worn tag), so group-wise arithmetic is bit-identical

@@ -1,9 +1,7 @@
-"""The streaming store and its O(new-samples) tick.
+"""The streaming store and its O(new-samples) stage 5.
 
-The batch reference (:meth:`repro.core.pipeline.TagBreathe._process_user`)
-re-gathers, re-sorts, re-differences, re-fuses, and re-filters the whole
-trailing window on every cadence tick.  This module keeps, per user, the
-engine's one store of streamed reports, updated once per ``feed()``:
+This module keeps, per user, the engine's one store of streamed
+reports, updated once per ``feed()``:
 
 * a :class:`~repro.streams.windowindex.WindowIndex` holding every
   accepted report's columns (time, phase, RSSI, Doppler, channel,
@@ -19,18 +17,19 @@ engine's one store of streamed reports, updated once per ``feed()``:
   screening) and the accepted-rows counter behind the bounded-memory
   prune.
 
-:meth:`IncrementalEstimator.estimate` then replays the *same* six-stage
-algorithm as the batch path — delivery hygiene, antenna failover,
-staleness demotion, gap scoring, Hampel + Eq. (6)/(7) fusion, Eq. (5)
-extraction — over those columns, stage 5 as one pass over the window
-slice (:func:`window_track`).  Each stage's arithmetic is arranged to
-perform the identical float64 operations on the identical values in the
-identical order, so the result is **bit-for-bit equal** to the recompute
-path, which runs the batch path over the same index slice
+A streaming tick runs the engine's one robustness cascade
+(``TagBreathe._cascade``: antenna failover, staleness demotion, gap
+scoring, the Doppler motion screen, fusion, the estimator lattice) over
+the window's index columns (:meth:`IncrementalEstimator.window_rows`).
+Stage 5 — per-tag displacement, Hampel and Eq. (6)/(7) fusion — runs
+here as one pass over the window slice (:func:`window_track`) that
+reads the stored Eq. (3) columns.  It performs the identical float64
+operations on the identical values in the identical order as the
+per-stream reference stage 5 (``TagBreathe._fused_track_counting``), so
+a tick is **bit-for-bit equal** to the recompute path, which runs the
+same cascade with the reference stage 5 over the same index slice
 (``tests/test_incremental.py`` and the hypothesis properties in
-``tests/test_property.py`` pin this).  One deliberate, measure-zero
-deviation is documented in DESIGN.md §12: exact antenna-score ties break
-toward the lowest port.
+``tests/test_property.py`` pin this).
 
 What stays out: ``mode="increments"`` cannot tick incrementally — its
 :class:`~repro.core.preprocess.DeltaChain` smoothing window spans the
@@ -41,19 +40,12 @@ rows from this same store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .. import perf
-from ..config import (
-    EstimatorConfig,
-    MotionConfig,
-    PipelineConfig,
-    RobustnessConfig,
-)
+from ..config import PipelineConfig, RobustnessConfig
 from ..errors import EmptyStreamError, InsufficientDataError
 from ..reader.batch import ReportBatch
 from ..reader.tagreport import TagReport
@@ -62,21 +54,7 @@ from ..streams.timeseries import TimeSeries
 from ..streams.windowindex import WindowIndex
 from ..streams.windows import trailing_window_bounds
 from ..units import SPEED_OF_LIGHT, wrap_phase_delta
-from .degradation import (
-    REASON_ANTENNA_FAILOVER,
-    REASON_GAPS,
-    REASON_OUTLIERS,
-    REASON_TAG_DEATH,
-)
-from .estimators import (
-    BreathEstimator,
-    EstimationWindow,
-    resolve_estimator,
-    track_roughness,
-)
-from .extraction import BreathExtractor, BreathingEstimate
 from .fusion import fuse_sample_streams
-from .motion import STILL, apply_motion, score_motion
 from .preprocess import (
     DEFAULT_MIN_SEGMENT_LEN,
     StreamKey,
@@ -85,32 +63,23 @@ from .preprocess import (
     hampel_streams,
     padded_rows,
 )
-from .quality import quality_score
 
 #: Accepted reports per stream between bounded-memory prune checks.
 _PRUNE_EVERY = 512
 
 
-@dataclass
-class TickOutcome:
-    """Everything one incremental tick computed, pre-finalisation.
+class WindowRows(NamedTuple):
+    """One user's window rows, time-ordered, as the robustness cascade
+    (``TagBreathe._cascade``) reads them: time, antenna port, RSSI,
+    Doppler, channel, and a tag-stream label (only the partition it
+    induces matters)."""
 
-    The pipeline turns this into a ``UserEstimate`` via the same
-    finalisation (obs counters, degradation warning, confidence clamp)
-    the batch path uses, so the two paths cannot drift there either.
-    """
-
-    estimate: BreathingEstimate
-    antenna_port: Optional[int]
-    tags_fused: int
-    read_count: int
-    confidence: float
-    reasons: List[str]
-    n_rejected: int
-    n_samples: int
-    estimator: str = "zero_crossing"
-    motion_gated: bool = False
-    motion_score: float = 0.0
+    t: np.ndarray
+    port: np.ndarray
+    rssi: np.ndarray
+    dop: np.ndarray
+    chan: np.ndarray
+    sid: np.ndarray
 
 
 class UserStreamState:
@@ -157,9 +126,7 @@ class IncrementalEstimator:
     Args:
         frequencies_hz: channel-index -> carrier frequency map.
         config: signal-processing parameters (fusion bin width).
-        robustness: graceful-degradation thresholds.
-        extractor: the shared extraction stage.
-        select_antenna: mirror of the engine's antenna-selection flag.
+        robustness: graceful-degradation thresholds (Hampel rejection).
         max_gap_s: segment-splitting gap limit (samples mode).
         retain_s: bounded-memory horizon: a prune check drops a
             stream's rows older than its triggering row's time minus
@@ -171,28 +138,13 @@ class IncrementalEstimator:
         frequencies_hz: List[float],
         config: PipelineConfig,
         robustness: RobustnessConfig,
-        extractor: BreathExtractor,
-        select_antenna: bool,
         max_gap_s: float,
         retain_s: float,
-        motion: Optional[MotionConfig] = None,
-        est_config: Optional[EstimatorConfig] = None,
-        estimators: Optional[Dict[str, BreathEstimator]] = None,
     ) -> None:
-        self._frequencies = frequencies_hz
         self._config = config
         self._robustness = robustness
-        self._extractor = extractor
-        self._select_antenna = select_antenna
         self._max_gap_s = max_gap_s
         self._retain_s = retain_s
-        self._motion = motion if motion is not None else MotionConfig()
-        self._est_config = (est_config if est_config is not None
-                            else EstimatorConfig())
-        if estimators is None:
-            from .estimators import build_estimators
-            estimators = build_estimators(extractor)
-        self._estimators = estimators
         # Eq. (4)'s displacement coefficient lambda / (4 pi) per channel.
         self._coef = np.array([(SPEED_OF_LIGHT / f) / (4.0 * np.pi)
                                for f in frequencies_hz])
@@ -507,148 +459,36 @@ class IncrementalEstimator:
     # ------------------------------------------------------------------
     # Tick side
     # ------------------------------------------------------------------
-    def estimate(self, user_id: int, window_s: float,
-                 previous_estimator: Optional[str] = None,
-                 estimator_override: Optional[str] = None) -> TickOutcome:
-        """One incremental tick over the trailing ``window_s`` seconds.
+    def window_rows(
+        self, user_id: int, window_s: float,
+    ) -> Tuple[WindowRows,
+               Callable[[np.ndarray], Tuple[TimeSeries, int, int]]]:
+        """One user's trailing ``window_s`` seconds, as the cascade reads it.
 
-        Args:
-            user_id: the user to estimate.
-            window_s: trailing-window length.
-            previous_estimator: the user's fallback hysteresis memory
-                (the estimator that produced their previous streaming
-                estimate), owned by the pipeline.
-            estimator_override: per-call estimator override, bypassing
-                ``auto`` selection.
+        Returns:
+            ``(rows, track_of)``: views of the window's index columns, and
+            stage 5 over a subset of those rows (positions into
+            ``rows``) — :func:`window_track` from the stored Eq. (3)
+            columns.
 
         Raises:
-            InsufficientDataError: no streamed data for the user, or the
-                window holds too little signal (same contract and wording
-                as the recompute path).
+            InsufficientDataError: no stored report for the user.
         """
         state, _lo, _hi, a, b = self.window(user_id, window_s)
-        rb = self._robustness
-        reasons: List[str] = []
-        confidence = 1.0
+        index = state.index
+        col = index.column
+        rows = WindowRows(index.times[a:b], col("port")[a:b],
+                          col("rssi")[a:b], col("dop")[a:b],
+                          col("chan")[a:b], col("sid")[a:b])
+        phase, wd, seg = col("phase")[a:b], col("wd")[a:b], col("seg")[a:b]
 
-        with perf.stage("pipeline.tick.window"):
-            index = state.index
-            times = index.times[a:b]
-            ports = index.column("port")[a:b]
-            rssis = index.column("rssi")[a:b]
-            sids = index.column("sid")[a:b]
-            # Stage 1 (delivery hygiene) is a no-op here by construction:
-            # feed() enforces per-stream order and dedup and the index
-            # keeps global time order, so sanitize_reports would find
-            # nothing to count.
+        def track_of(keep: np.ndarray) -> Tuple[TimeSeries, int, int]:
+            return window_track(
+                user_id, rows.t[keep], rows.sid[keep], rows.chan[keep],
+                rows.port[keep], phase[keep], wd[keep], seg[keep],
+                self._coef, self._robustness, self._config.fusion_bin_s)
 
-            # The motion screen (stage 4b) scores the *full* sanitized
-            # window — all antennas, pre-demotion — exactly like the
-            # batch path: antenna selection exists for phase continuity,
-            # while Doppler motion evidence is antenna-agnostic.
-            m_times = times
-            # Window rows (index positions) surviving stages 2 and 3.
-            rows = np.arange(a, b)
-
-            # Stage 2: antenna selection with failover past dead ports.
-            antenna_port: Optional[int] = None
-            unique_ports = np.unique(ports)
-            if self._select_antenna and unique_ports.size > 1:
-                antenna_port, failed_over = _select_port(
-                    times, ports, rssis, unique_ports, rb.antenna_stale_s)
-                if failed_over:
-                    reasons.append(REASON_ANTENNA_FAILOVER)
-                    confidence *= 0.85
-                keep = ports == antenna_port
-                times = times[keep]
-                sids = sids[keep]
-                rows = rows[keep]
-            elif unique_ports.size == 1:
-                antenna_port = int(unique_ports[0])
-
-            # Stage 3: staleness watchdog — demote dead tag streams.
-            unique_sids = np.unique(sids)
-            if times.shape[0] and unique_sids.size > 1:
-                t_lat = float(times[-1])
-                dead = [
-                    s for s in unique_sids
-                    if float(times[sids == s][-1]) < t_lat - rb.stale_stream_s
-                ]
-                if dead and len(dead) < unique_sids.size:
-                    reasons.append(REASON_TAG_DEATH)
-                    confidence *= max(
-                        0.5,
-                        (unique_sids.size - len(dead)) / unique_sids.size)
-                    keep = ~np.isin(sids, dead)
-                    times = times[keep]
-                    sids = sids[keep]
-                    rows = rows[keep]
-
-            # Stage 4: coverage — long holes in the read times.
-            if times.shape[0] > 1:
-                span = max(float(times[-1]) - float(times[0]), 1e-9)
-                gaps = np.diff(times)
-                # Sequential python sum, matching the batch path's
-                # generator sum float for float (np.sum is pairwise).
-                excess = sum(gaps[gaps > rb.gap_warn_s].tolist())
-                if excess > 0.0:
-                    reasons.append(REASON_GAPS)
-                    confidence *= max(0.5, 1.0 - excess / span)
-
-            # Stage 4b: Doppler motion screen (same pure function, same
-            # full-window pre-selection arrays as the batch path).
-            motion = STILL
-            if self._motion.enabled and m_times.shape[0]:
-                motion = score_motion(m_times, index.column("dop")[a:b],
-                                      self._motion)
-                confidence = apply_motion(motion, reasons, confidence)
-
-        with perf.stage("pipeline.tick.fuse"):
-            # Stage 5: per-tag windowed displacement (from the stored
-            # Eq. 3 columns) + Hampel + Eq. (6)/(7) fusion.
-            ports = index.column("port")[rows]
-            chans = index.column("chan")[rows]
-            try:
-                track, tags_fused, n_rejected, n_samples = window_track(
-                    user_id, times, sids, chans, ports,
-                    index.column("phase")[rows], index.column("wd")[rows],
-                    index.column("seg")[rows], self._coef, rb,
-                    self._config.fusion_bin_s)
-            except EmptyStreamError as exc:
-                raise InsufficientDataError(str(exc)) from exc
-            if n_samples and n_rejected / n_samples > rb.outlier_warn_fraction:
-                reasons.append(REASON_OUTLIERS)
-                confidence *= max(0.7, 1.0 - 5.0 * n_rejected / n_samples)
-            rssis = index.column("rssi")[rows]
-
-        with perf.stage("pipeline.tick.extract"):
-            # Stage 6: estimator selection + extraction (DESIGN.md §16),
-            # identical arithmetic and ordering to the batch path.
-            roughness = track_roughness(track)
-            chosen, est_factor = resolve_estimator(
-                self._est_config, roughness, previous_estimator,
-                estimator_override, reasons)
-            confidence *= est_factor
-            # ``tag=sids`` labels the same per-tag groups the batch path
-            # labels with tag_id — only the partition is contracted.
-            est_window = EstimationWindow(
-                track=track, times=times, rssi=rssis,
-                channel=chans, antenna=ports, tag=sids)
-            estimate = self._estimators[chosen].estimate(est_window)
-
-        return TickOutcome(
-            estimate=estimate,
-            antenna_port=antenna_port,
-            tags_fused=tags_fused,
-            read_count=int(times.shape[0]),
-            confidence=confidence,
-            reasons=reasons,
-            n_rejected=n_rejected,
-            n_samples=n_samples,
-            estimator=chosen,
-            motion_gated=motion.gated,
-            motion_score=motion.score,
-        )
+        return rows, track_of
 
 
 def window_samples(times: np.ndarray, sids: np.ndarray, chans: np.ndarray,
@@ -667,7 +507,7 @@ def window_samples(times: np.ndarray, sids: np.ndarray, chans: np.ndarray,
         ``(t, values, counts)``: the samples stream after stream, each
         stream in time order, and ``counts[i]`` samples for the stream
         ranked *i* by first appearance in the window — the order the
-        batch path groups (and fuses) streams in.
+        reference stage 5 groups (and fuses) streams in.
     """
     present, first = np.unique(sids, return_index=True)
     rank = np.empty(int(present[-1]) + 1, dtype=np.int64)
@@ -699,15 +539,16 @@ def window_track(user_id: int, times: np.ndarray, sids: np.ndarray,
                  chans: np.ndarray, ports: np.ndarray, phases: np.ndarray,
                  wd: np.ndarray, seg: np.ndarray, coef: np.ndarray,
                  robustness: RobustnessConfig,
-                 bin_s: float) -> Tuple[TimeSeries, int, int, int]:
-    """Stage 5 over one window: the batch path's per-tag displacement
-    samples (:func:`window_samples`), Hampel rejection and Eq. (6)/(7)
-    fusion, bit for bit.
+                 bin_s: float) -> Tuple[TimeSeries, int, int]:
+    """Stage 5 over one window: the reference stage 5's
+    (``TagBreathe._fused_track_counting``) per-tag displacement samples
+    (:func:`window_samples`), Hampel rejection and Eq. (6)/(7) fusion,
+    bit for bit.
 
     Returns:
-        ``(track, tags_fused, n_rejected, n_samples)``: the fused Eq. (7)
-        track, the number of streams in the window, the Hampel
-        rejections, and the displacement samples before rejection.
+        ``(track, n_rejected, n_samples)``: the fused Eq. (7) track, the
+        Hampel rejections, and the displacement samples before
+        rejection.
 
     Raises:
         EmptyStreamError: no stream has two samples to fuse.
@@ -726,7 +567,7 @@ def window_track(user_id: int, times: np.ndarray, sids: np.ndarray,
             t, values = t[keep], values[keep]
             counts = np.bincount(stream[keep], minlength=counts.shape[0])
     track = fused_track(user_id, t, values, counts, bin_s)
-    return track, counts.shape[0], n_rejected, n_samples
+    return track, n_rejected, n_samples
 
 
 def fused_track(user_id: int, times: np.ndarray, values: np.ndarray,
@@ -785,34 +626,3 @@ def fused_track(user_id: int, times: np.ndarray, values: np.ndarray,
             binned = np.interp(centers, centers[full], binned[full])
         track = binned if track is None else track + binned
     return TimeSeries.from_trusted(centers, track)
-
-
-def _select_port(times: np.ndarray, ports: np.ndarray, rssis: np.ndarray,
-                 unique_ports: np.ndarray,
-                 stale_s: float) -> Tuple[int, Tuple[int, ...]]:
-    """Column-store twin of ``select_antenna_with_failover``.
-
-    Same score (via the shared :func:`~repro.core.quality.quality_score`),
-    same span and liveness definitions; exact score ties break toward the
-    lowest live port (the batch path's small-int set iteration does the
-    same in practice — a documented measure-zero deviation otherwise).
-    """
-    span = max(float(times[-1]) - float(times[0]), 1e-9)
-    t_latest = float(times[-1])
-    scores: Dict[int, float] = {}
-    last_seen: Dict[int, float] = {}
-    for p in unique_ports:
-        port = int(p)
-        selected = ports == p
-        port_times = times[selected]
-        scores[port] = quality_score(
-            int(selected.sum()), span, float(np.mean(rssis[selected])))
-        last_seen[port] = float(port_times[-1])
-    live = [p for p in sorted(last_seen)
-            if last_seen[p] >= t_latest - stale_s]
-    chosen = max(live, key=lambda p: scores[p])
-    failed_over = tuple(sorted(
-        p for p in scores
-        if p not in live and scores[p] > scores[chosen]
-    ))
-    return chosen, failed_over

@@ -13,14 +13,13 @@ motion signal survives untouched, so a simple z-test on bin means
 separates the two regimes by an order of magnitude.
 
 The detector is a pure function of the window's ``(times, doppler)``
-column pair.  Both estimate paths — the batch reference
-(:meth:`repro.core.pipeline.TagBreathe._process_user`) and the
-incremental streaming tick (:mod:`repro.core.incremental`) — call it on
-the *full* sanitized window, before antenna selection and staleness
-demotion: those filters exist for phase continuity, while Doppler
-motion evidence is antenna-agnostic and halving the reports would halve
-the z-test's ``sqrt(n)``.  The arrays are identical across paths, so
-the streamed and recomputed verdicts are bit-identical by construction.
+column pair.  The engine's one robustness cascade
+(:meth:`repro.core.pipeline.TagBreathe._cascade`), which batch
+processing and the streaming tick both run, calls it on the *full*
+sanitized window, before antenna selection and staleness demotion:
+those filters exist for phase continuity, while Doppler motion
+evidence is antenna-agnostic and halving the reports would halve the
+z-test's ``sqrt(n)``.
 
 Detection recipe (thresholds in :class:`~repro.config.MotionConfig`):
 

@@ -7,16 +7,23 @@ returns per-user estimates; streaming mode (:meth:`TagBreathe.feed` +
 :meth:`TagBreathe.estimate_user`) consumes reports one at a time, the way
 the paper's prototype visualised breathing "in realtime" (Section V).
 
-Batch mode is the *reference implementation*; the streaming tick is
-O(new-samples) — ``feed()`` stores each report once in a per-user,
-timestamp-ordered window index (the engine's only copy of streamed
-reports, which checkpoints read back out) and differences it once into
-per-stream phase chains, ``estimate_user`` slices the trailing window
-out of that state (bit-for-bit equal to the from-scratch
-:meth:`TagBreathe.estimate_user_recompute`, which runs the batch path
-over the same index slice), and a tick with no new reports returns the
-memoized ``UserEstimate`` without touching the filter (DESIGN.md §12).
-All three paths share one trailing-window definition:
+Every path runs one robustness cascade (:meth:`TagBreathe._cascade`,
+DESIGN.md §12) over one user's time-ordered column arrays: antenna
+failover, stale-tag demotion, gap coverage, the Doppler motion screen,
+fusion, and the estimator lattice.  The paths differ only in what feeds
+it.  Batch mode first runs stage 1 (:func:`sanitize_columns`: stable
+time sort, late and duplicate deliveries counted) over each user's
+delivered columns.  The streaming store needs no stage 1: ``feed()``
+stores each report once in a per-user, timestamp-ordered window index
+(the engine's only copy of streamed reports, which checkpoints read
+back out) with its Eq. (3) phase delta, dropping late and duplicate
+reports as it goes.  Stage 5 is passed in: the streaming tick
+(:meth:`TagBreathe.estimate_user`) reads the stored Eq. (3) columns in
+one pass over the window slice, while batch mode and the from-scratch
+:meth:`TagBreathe.estimate_user_recompute` run the per-stream
+reference (displacement, Hampel, fusion), bit for bit equal to it.  A
+tick with no new reports returns the memoized ``UserEstimate`` without
+touching the filter.  All paths share one trailing-window definition:
 ``(t_latest - window_s, t_latest]``
 (:func:`repro.streams.windows.trailing_window_bounds`).
 
@@ -35,8 +42,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from typing import (Dict, Iterable, List, Optional, Sequence, Set, Tuple,
-                    Union)
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -80,7 +87,7 @@ from .fusion import (
     fuse_streams,
     group_reports_by_user,
 )
-from .incremental import IncrementalEstimator
+from .incremental import IncrementalEstimator, WindowRows
 from .motion import STILL, MotionReport, apply_motion, score_motion
 from .preprocess import (
     DEFAULT_MAX_GAP_S,
@@ -93,14 +100,14 @@ from .preprocess import (
     group_reports_by_stream,
     hampel_filter,
 )
-from .quality import filter_to_antenna, select_antenna_with_failover
+from .quality import select_port
 
 __all__ = [
     "MODES", "FEED_DROP_KEYS", "DEGRADED_REASONS",
     "REASON_DISORDERED", "REASON_GAPS", "REASON_TAG_DEATH",
     "REASON_ANTENNA_FAILOVER", "REASON_OUTLIERS",
     "REASON_MOTION", "REASON_PHASE_DEGRADED", "REASON_RSS_FALLBACK",
-    "sanitize_reports", "UserEstimate", "TagBreathe",
+    "sanitize_columns", "UserEstimate", "TagBreathe",
 ]
 
 #: Supported preprocessing representations.
@@ -116,52 +123,43 @@ MODES = ("samples", "increments")
 #: packet-loss stats.
 FEED_DROP_KEYS = ("late", "duplicate", "invalid_channel")
 
-def sanitize_reports(
-    reports: Sequence[TagReport],
-) -> Tuple[List[TagReport], int, int]:
-    """Restore timestamp order and drop duplicate deliveries.
+def sanitize_columns(t: np.ndarray, tag: np.ndarray, port: np.ndarray,
+                     chan: np.ndarray) -> Tuple[np.ndarray, int, int]:
+    """Stage 1, delivery hygiene: restore time order, drop re-deliveries.
 
-    The batch pipeline historically assumed its input was the pristine,
-    timestamp-ordered capture a healthy simulator emits; real LLRP feeds
-    (and :mod:`repro.faults`) deliver reports late, reordered, and twice.
-    This pass makes the stream safe for the differencing stages:
+    Real LLRP feeds (and :mod:`repro.faults`) deliver reports late,
+    reordered, and twice.  Over one user's columns, in delivery order:
 
     * out-of-order reports are re-sorted into place (stable, so equal
-      timestamps keep their delivery order) and counted;
-    * byte-identical re-deliveries — same stream, timestamp, antenna, and
-      channel — are dropped and counted.
+      timestamps keep their delivery order); the adjacent inversions in
+      delivery order are counted;
+    * re-deliveries — same tag, timestamp, antenna, and channel — are
+      dropped and counted, keeping the first.  Copies need not be
+      adjacent after the sort (another stream's read can share the
+      timestamp), so they are matched by key.
 
     Returns:
-        ``(clean, n_disordered, n_duplicates)``.  Already-clean input
-        comes back as the same report objects in the same order.
+        ``(rows, n_disordered, n_duplicates)``: the delivery positions
+        of the clean rows, in time order.
     """
-    report_list = list(reports)
-    n_disordered = sum(
-        1 for a, b in zip(report_list, report_list[1:])
-        if b.timestamp_s < a.timestamp_s
-    )
-    if n_disordered:
-        report_list = sorted(report_list, key=lambda r: r.timestamp_s)
-    seen: Set[Tuple] = set()
-    clean: List[TagReport] = []
-    n_duplicates = 0
-    for report in report_list:
-        key = (report.stream_key, report.timestamp_s,
-               report.antenna_port, report.channel_index)
-        if key in seen:
-            n_duplicates += 1
-            continue
-        seen.add(key)
-        clean.append(report)
-    return clean, n_disordered, n_duplicates
-
-
-def _trailing_reports(reports: List[TagReport],
-                      window_s: float) -> List[TagReport]:
-    """One user's reports inside the pinned trailing window, order kept."""
-    t_latest = max(r.timestamp_s for r in reports)
-    lo, hi = trailing_window_bounds(t_latest, window_s)
-    return [r for r in reports if lo < r.timestamp_s <= hi]
+    n = t.shape[0]
+    n_disordered = int(np.count_nonzero(t[1:] < t[:-1]))
+    order = (np.argsort(t, kind="stable") if n_disordered
+             else np.arange(n))
+    keys = (chan[order], port[order], tag[order], t[order])
+    # lexsort is stable: copies of one key stay in time (then delivery)
+    # order, so every copy after the first is a duplicate.
+    by_key = np.lexsort(keys)
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    for key in keys:
+        k = key[by_key]
+        same &= k[1:] == k[:-1]
+    n_duplicates = int(np.count_nonzero(same))
+    if not n_duplicates:
+        return order, n_disordered, 0
+    fresh = np.ones(n, dtype=bool)
+    fresh[by_key[1:][same]] = False
+    return order[fresh], n_disordered, n_duplicates
 
 
 @dataclass(frozen=True)
@@ -300,9 +298,7 @@ class TagBreathe:
         # keeps ~4 analysis windows of reports.
         self._inc = IncrementalEstimator(
             self._frequencies, self._config, self._robustness,
-            self._extractor, self._select_antenna, self._max_gap_s,
-            retain_s=4.0 * self._window_s(), motion=self._motion,
-            est_config=self._est_config, estimators=self._estimators)
+            self._max_gap_s, retain_s=4.0 * self._window_s())
         # Memo key: (user_id, window_s, per-call estimator override).
         self._tick_memo: Dict[Tuple[int, float, Optional[str]],
                               Tuple[int, str, object]] = {}
@@ -357,20 +353,25 @@ class TagBreathe:
     ) -> Tuple[Dict[int, UserEstimate], Dict[int, str]]:
         """Like :meth:`process`, also returning per-user failure reasons."""
         with obs.span("pipeline.process"), perf.stage("pipeline.process"):
-            by_user = group_reports_by_user(reports, user_ids=self._user_ids)
-            if window_s is not None:
-                by_user = {
-                    uid: _trailing_reports(urs, window_s)
-                    for uid, urs in by_user.items()
-                }
+            by_user: Dict[int, Tuple[List[TagReport], ReportBatch]] = {}
+            for user_id, user_reports in group_reports_by_user(
+                    reports, user_ids=self._user_ids).items():
+                cols = ReportBatch.from_reports(user_reports)
+                if window_s is not None:
+                    lo, hi = trailing_window_bounds(float(cols.t.max()),
+                                                    window_s)
+                    inside = np.flatnonzero((cols.t > lo) & (cols.t <= hi))
+                    user_reports = [user_reports[i] for i in inside.tolist()]
+                    cols = cols.select(inside)
+                by_user[user_id] = (user_reports, cols)
             perf.count("pipeline.reports_processed",
-                       sum(len(v) for v in by_user.values()))
+                       sum(len(urs) for urs, _ in by_user.values()))
             estimates: Dict[int, UserEstimate] = {}
             failures: Dict[int, str] = {}
-            for user_id, user_reports in sorted(by_user.items()):
+            for user_id, (user_reports, cols) in sorted(by_user.items()):
                 try:
                     with obs.span("pipeline.user", user_id=user_id) as span:
-                        est = self._process_user(user_id, user_reports)
+                        est = self._batch_estimate(user_id, user_reports, cols)
                         span.set(rate_bpm=est.rate_bpm,
                                  confidence=est.confidence,
                                  tags_fused=est.tags_fused,
@@ -384,6 +385,28 @@ class TagBreathe:
                     failures[user_id] = "no reads received (tag unreadable?)"
             perf.count("pipeline.users_estimated", len(estimates))
         return estimates, failures
+
+    def _batch_estimate(self, user_id: int, user_reports: List[TagReport],
+                        cols: ReportBatch) -> UserEstimate:
+        """Stage 1 over one user's delivered rows, then the cascade."""
+        rows, n_disordered, n_duplicates = sanitize_columns(
+            cols.t, cols.tag_id, cols.antenna, cols.channel)
+        reasons: List[str] = []
+        confidence = 1.0
+        n_bad = n_disordered + n_duplicates
+        if n_bad:
+            reasons.append(REASON_DISORDERED)
+            confidence *= max(0.6, 1.0 - n_bad / max(1, len(user_reports)))
+        clean = WindowRows(cols.t[rows], cols.antenna[rows], cols.rssi[rows],
+                           cols.doppler[rows], cols.channel[rows],
+                           cols.tag_id[rows].astype(np.int64))
+
+        def track_of(keep: np.ndarray) -> Tuple[TimeSeries, int, int]:
+            return self._fused_track_counting(
+                user_id, [user_reports[i] for i in rows[keep].tolist()])
+
+        return self._cascade(user_id, clean, track_of, warn_stacklevel=4,
+                             reasons=reasons, confidence=confidence)
 
     def fused_track(self, user_id: int,
                     user_reports: Sequence[TagReport]) -> TimeSeries:
@@ -430,88 +453,109 @@ class TagBreathe:
                                  bin_s=self._config.fusion_bin_s)
         return fused.track, n_rejected, n_samples
 
-    def _process_user(self, user_id: int,
-                      user_reports: List[TagReport],
-                      previous_estimator: Optional[str] = None,
-                      estimator_override: Optional[str] = None
-                      ) -> UserEstimate:
+    def _cascade(
+        self,
+        user_id: int,
+        rows: WindowRows,
+        track_of: Callable[[np.ndarray], Tuple[TimeSeries, int, int]],
+        warn_stacklevel: int,
+        previous_estimator: Optional[str] = None,
+        estimator_override: Optional[str] = None,
+        reasons: Optional[List[str]] = None,
+        confidence: float = 1.0,
+    ) -> UserEstimate:
+        """The robustness cascade over one user's sanitized rows.
+
+        Stages 2-4b and 6 exist only here; every estimate path runs them
+        over time-ordered rows free of re-deliveries: batch
+        :meth:`process_detailed` after its stage 1 column sanitize, and
+        the streaming tick and :meth:`estimate_user_recompute` over the
+        window index, clean by construction.  Only stage 5 differs, so
+        the caller passes it in: ``track_of`` maps the positions of the
+        rows surviving stages 2-3 to ``(track, n_rejected, n_samples)``
+        — the tick's :func:`~repro.core.incremental.window_track` over
+        the stored Eq. (3) columns, or the per-stream reference
+        :meth:`_fused_track_counting`.
+
+        Args:
+            user_id: the user the rows belong to.
+            rows: the user's window rows (time-ordered).
+            track_of: stage 5 over a subset of ``rows``.
+            warn_stacklevel: frames from this one up to the public
+                caller, for the degraded-estimate warning.
+            previous_estimator: the user's fallback hysteresis memory.
+            estimator_override: per-call estimator override.
+            reasons, confidence: stage 1's verdict (default: clean).
+
+        Raises:
+            InsufficientDataError: no rows, or too little signal.
+        """
         rb = self._robustness
-        reasons: List[str] = []
-        confidence = 1.0
-
-        # 1. Delivery hygiene: re-order late reports, drop duplicates.
-        working, n_disordered, n_duplicates = sanitize_reports(user_reports)
-        n_bad = n_disordered + n_duplicates
-        if n_bad:
-            reasons.append(REASON_DISORDERED)
-            confidence *= max(0.6, 1.0 - n_bad / max(1, len(user_reports)))
-
-        # The Doppler motion screen (stage 4b) scores the *full* sanitized
-        # window, before antenna selection and staleness demotion: those
-        # filters exist for phase continuity, while Doppler motion
-        # evidence is antenna-agnostic and halving the reports halves the
-        # z-test's sqrt(n).
-        motion_window = working
+        reasons = [] if reasons is None else reasons
+        if not rows.t.shape[0]:
+            raise InsufficientDataError(
+                f"user {user_id}: no reports in the analysis window")
+        # Row positions surviving stages 2 and 3.
+        keep = np.arange(rows.t.shape[0])
 
         # 2. Antenna selection with failover past dead ports.
         antenna_port: Optional[int] = None
-        ports = {r.antenna_port for r in working}
-        if self._select_antenna and len(ports) > 1:
-            antenna_port, failed_over = select_antenna_with_failover(
-                working, stale_s=rb.antenna_stale_s)
+        unique_ports = np.unique(rows.port)
+        if self._select_antenna and unique_ports.size > 1:
+            antenna_port, failed_over = select_port(
+                rows.t, rows.port, rows.rssi, rb.antenna_stale_s)
             if failed_over:
                 reasons.append(REASON_ANTENNA_FAILOVER)
                 confidence *= 0.85
-            working = filter_to_antenna(working, antenna_port)
-        elif len(ports) == 1:
-            antenna_port = next(iter(ports))
+            keep = np.flatnonzero(rows.port == antenna_port)
+        elif unique_ports.size == 1:
+            antenna_port = int(unique_ports[0])
+        times, sids = rows.t[keep], rows.sid[keep]
 
         # 3. Staleness watchdog: demote permanently-dead tag streams so
         #    Eq. (6)-(7) fuse only live survivors.
-        streams = group_reports_by_stream(working)
-        if working and len(streams) > 1:
-            t_latest = max(r.timestamp_s for r in working)
-            dead = {
-                key for key, tag_reports in streams.items()
-                if tag_reports[-1].timestamp_s < t_latest - rb.stale_stream_s
-            }
-            if dead and len(dead) < len(streams):
+        unique_sids = np.unique(sids)
+        tags_fused = unique_sids.size
+        if tags_fused > 1:
+            t_latest = float(times[-1])
+            dead = [
+                s for s in unique_sids
+                if float(times[sids == s][-1]) < t_latest - rb.stale_stream_s
+            ]
+            if dead and len(dead) < tags_fused:
                 reasons.append(REASON_TAG_DEATH)
-                confidence *= max(0.5, (len(streams) - len(dead)) / len(streams))
-                working = [r for r in working if r.stream_key not in dead]
-                streams = group_reports_by_stream(working)
+                confidence *= max(0.5, (tags_fused - len(dead)) / tags_fused)
+                tags_fused -= len(dead)
+                alive = ~np.isin(sids, dead)
+                keep, times, sids = keep[alive], times[alive], sids[alive]
 
         # 4. Coverage: seconds-long holes in the read times (bursty loss,
         #    interference) degrade the estimate even when it still lands.
-        if len(working) > 1:
-            times = [r.timestamp_s for r in working]
-            span = max(times[-1] - times[0], 1e-9)
-            excess = sum(
-                gap for gap in (b - a for a, b in zip(times, times[1:]))
-                if gap > rb.gap_warn_s
-            )
+        if times.shape[0] > 1:
+            span = max(float(times[-1]) - float(times[0]), 1e-9)
+            gaps = np.diff(times)
+            # Sequential python sum, not np.sum's pairwise one.
+            excess = sum(gaps[gaps > rb.gap_warn_s].tolist())
             if excess > 0.0:
                 reasons.append(REASON_GAPS)
                 confidence *= max(0.5, 1.0 - excess / span)
 
-        # 4b. Doppler motion screen over the full sanitized window (all
-        #     antennas, pre-demotion — see stage 2) — gross body motion
-        #     (walking, turning) corrupts phase *and* RSS, so the verdict
-        #     applies whichever estimator runs below.
+        # 4b. Doppler motion screen over the full window — all antennas,
+        #     pre-demotion: antenna selection and demotion exist for phase
+        #     continuity, while Doppler motion evidence is antenna-agnostic
+        #     and halving the reports halves the z-test's sqrt(n).  Gross
+        #     body motion corrupts phase *and* RSS, so the verdict applies
+        #     whichever estimator runs below.
         motion: MotionReport = STILL
-        if self._motion.enabled and motion_window:
-            m_times = np.array([r.timestamp_s for r in motion_window])
-            m_dop = np.array([r.doppler_hz for r in motion_window])
-            motion = score_motion(m_times, m_dop, self._motion)
+        if self._motion.enabled:
+            motion = score_motion(rows.t, rows.dop, self._motion)
             confidence = apply_motion(motion, reasons, confidence)
 
         # 5. Fusion with per-stream Hampel outlier rejection.  Too few
-        # reads to even form a displacement sample is an insufficient-data
-        # failure, not a stream-misuse bug: translate so process_detailed
-        # and estimate_user keep their documented contracts.
+        #    reads to form a displacement sample is an insufficient-data
+        #    failure, not a stream-misuse bug.
         try:
-            track, n_rejected, n_samples = self._fused_track_counting(
-                user_id, working)
+            track, n_rejected, n_samples = track_of(keep)
         except EmptyStreamError as exc:
             raise InsufficientDataError(str(exc)) from exc
         if n_samples and n_rejected / n_samples > rb.outlier_warn_fraction:
@@ -521,57 +565,23 @@ class TagBreathe:
         # 6. Estimator selection (DESIGN.md §16): the fused track's
         #    roughness decides whether the paper's zero-crossing path is
         #    trustworthy or the RSS fallback takes over.
-        roughness = track_roughness(track)
         chosen, est_factor = resolve_estimator(
-            self._est_config, roughness, previous_estimator,
+            self._est_config, track_roughness(track), previous_estimator,
             estimator_override, reasons)
         confidence *= est_factor
         window = EstimationWindow(
-            track=track,
-            times=np.array([r.timestamp_s for r in working]),
-            rssi=np.array([r.rssi_dbm for r in working]),
-            channel=np.array([r.channel_index for r in working],
-                             dtype=np.int64),
-            antenna=np.array([r.antenna_port for r in working],
-                             dtype=np.int64),
-            tag=np.array([r.tag_id for r in working], dtype=np.int64),
-        )
+            track=track, times=times, rssi=rows.rssi[keep],
+            channel=rows.chan[keep], antenna=rows.port[keep], tag=sids)
         estimate = self._estimators[chosen].estimate(window)
-        return self._finalize_estimate(
-            user_id, estimate, antenna_port, len(streams), len(working),
-            confidence, reasons, n_rejected, warn_stacklevel=4,
-            estimator=chosen, motion_gated=motion.gated,
-            motion_score=motion.score)
 
-    def _finalize_estimate(
-        self,
-        user_id: int,
-        estimate: BreathingEstimate,
-        antenna_port: Optional[int],
-        tags_fused: int,
-        read_count: int,
-        confidence: float,
-        reasons: List[str],
-        n_rejected: int,
-        warn_stacklevel: int,
-        estimator: str = "zero_crossing",
-        motion_gated: bool = False,
-        motion_score: float = 0.0,
-    ) -> UserEstimate:
-        """Shared tail of both estimate paths: clamp, count, warn, build.
-
-        Factoring this out of :meth:`_process_user` is what guarantees the
-        incremental tick cannot drift from the batch reference in the
-        bookkeeping: obs counters, the confidence clamp, and the degraded
-        warning all run through this single implementation.
-        """
+        # 7. Bookkeeping: clamp, count, warn, build.
         confidence = min(1.0, max(0.0, confidence))
         if obs.enabled():
             registry = obs.get_registry()
             registry.counter("repro_pipeline_estimates_total").inc()
             registry.counter("repro_pipeline_estimator_total",
-                             estimator=estimator).inc()
-            if motion_gated:
+                             estimator=chosen).inc()
+            if motion.gated:
                 registry.counter("repro_pipeline_motion_gated_total").inc()
             if n_rejected:
                 registry.counter(
@@ -581,7 +591,7 @@ class TagBreathe:
                                  reason=reason).inc()
             registry.histogram("repro_pipeline_confidence",
                                bounds=obs.UNIT_BUCKETS).observe(confidence)
-        if reasons and confidence < self._robustness.warn_confidence:
+        if reasons and confidence < rb.warn_confidence:
             warnings.warn(
                 f"user {user_id}: degraded estimate "
                 f"(confidence {confidence:.2f}; {', '.join(reasons)})",
@@ -593,13 +603,14 @@ class TagBreathe:
             estimate=estimate,
             antenna_port=antenna_port,
             tags_fused=tags_fused,
-            read_count=read_count,
+            read_count=times.shape[0],
             confidence=confidence,
             degraded_reasons=tuple(reasons),
-            estimator=estimator,
-            motion_gated=motion_gated,
-            motion_score=motion_score,
+            estimator=chosen,
+            motion_gated=motion.gated,
+            motion_score=motion.score,
         )
+
 
     # ------------------------------------------------------------------
     # Streaming mode
@@ -828,19 +839,14 @@ class TagBreathe:
         with obs.span("pipeline.tick", user_id=user_id), \
                 perf.stage("pipeline.tick"):
             try:
-                outcome = self._inc.estimate(
-                    user_id, window, previous_estimator=previous,
+                rows, track_of = self._inc.window_rows(user_id, window)
+                result = self._cascade(
+                    user_id, rows, track_of, warn_stacklevel=3,
+                    previous_estimator=previous,
                     estimator_override=estimator)
             except InsufficientDataError as exc:
                 self._tick_memo[memo_key] = (version, "err", str(exc))
                 raise
-            result = self._finalize_estimate(
-                user_id, outcome.estimate, outcome.antenna_port,
-                outcome.tags_fused, outcome.read_count, outcome.confidence,
-                outcome.reasons, outcome.n_rejected, warn_stacklevel=3,
-                estimator=outcome.estimator,
-                motion_gated=outcome.motion_gated,
-                motion_score=outcome.motion_score)
         self._tick_memo[memo_key] = (version, "ok", result)
         if estimator is None:
             self._note_estimator(user_id, previous, result.estimator)
@@ -879,11 +885,18 @@ class TagBreathe:
         """
         window = window_s if window_s is not None else self._window_s()
         _state, _lo, _hi, a, b = self._inc.window(user_id, window)
-        user_reports = self._inc.batch(user_id, a, b).to_reports()
+        batch = self._inc.batch(user_id, a, b)
+        rows = WindowRows(batch.t, batch.antenna, batch.rssi, batch.doppler,
+                          batch.channel, batch.tag_id.astype(np.int64))
+
+        def track_of(keep: np.ndarray) -> Tuple[TimeSeries, int, int]:
+            return self._fused_track_counting(
+                user_id, batch.select(keep).to_reports())
+
         previous = self._active_estimator.get(user_id)
-        result = self._process_user(user_id, user_reports,
-                                    previous_estimator=previous,
-                                    estimator_override=estimator)
+        result = self._cascade(user_id, rows, track_of, warn_stacklevel=3,
+                               previous_estimator=previous,
+                               estimator_override=estimator)
         if estimator is None:
             self._note_estimator(user_id, previous, result.estimator)
         return result

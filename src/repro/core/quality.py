@@ -5,6 +5,11 @@
     TagBreathe evaluates the data quality in terms of received signal
     strength and data sampling rate and extract breathing signals with the
     data reported by the optimal antenna for each user."  (Section IV-D-3)
+
+The engine's robustness cascade selects with :func:`select_port` over
+one user's column arrays, failing over past dead ports;
+:func:`antenna_quality_scores` and :func:`select_best_antenna` are the
+report-list diagnostic API.  All three share :func:`quality_score`.
 """
 
 from __future__ import annotations
@@ -52,10 +57,10 @@ def quality_score(read_count: int, span_s: float,
                   mean_rssi_dbm: float) -> float:
     """The Section IV-D-3 quality score from its three raw ingredients.
 
-    Pure and stateless so every antenna-selection path — the batch
-    report-list scoring below and the incremental column-store scoring in
-    :mod:`repro.core.incremental` — computes the *same float* from the
-    same measurements.
+    Pure and stateless so both antenna-selection entry points — the
+    report-list diagnostic :func:`antenna_quality_scores` and the
+    pipeline's column-store :func:`select_port` — compute the *same
+    float* from the same measurements.
     """
     rate = read_count / span_s
     rssi_norm = (mean_rssi_dbm - _RSSI_FLOOR) / (_RSSI_CEIL - _RSSI_FLOOR)
@@ -118,16 +123,8 @@ def select_best_antenna(
     return max(scores.values(), key=lambda q: q.score).antenna_port
 
 
-def filter_to_antenna(reports: Iterable[TagReport], port: int) -> List[TagReport]:
-    """Keep only reads delivered via ``port``, order preserved."""
-    return [r for r in reports if r.antenna_port == port]
-
-
-def select_antenna_with_failover(
-    reports: Iterable[TagReport],
-    stale_s: float,
-    span_s: Optional[float] = None,
-) -> Tuple[int, Tuple[int, ...]]:
+def select_port(times: np.ndarray, ports: np.ndarray, rssis: np.ndarray,
+                stale_s: float) -> Tuple[int, Tuple[int, ...]]:
     """Optimal-antenna selection that fails over past dead ports.
 
     :func:`select_best_antenna` scores ports over the whole window, so a
@@ -135,39 +132,42 @@ def select_antenna_with_failover(
     kicked, port driver crashed) still wins the score — and the estimate
     would silently ride a dead antenna.  This variant demotes any port
     whose newest read lags the overall newest read by more than
-    ``stale_s`` and picks the best-scoring *live* port instead.
+    ``stale_s`` and picks the best-scoring *live* port instead; exact
+    score ties break toward the lowest port.
 
     Args:
-        reports: one user's reads (all antennas mixed).
+        times: one user's read times, ascending (all antennas mixed).
+        ports: each read's antenna port.
+        rssis: each read's RSSI [dBm].
         stale_s: silence at the window end that marks a port dead.
-        span_s: wall-clock span forwarded to the quality scoring.
 
     Returns:
         ``(port, failed_over)`` — the chosen live port and the stale ports
         that outscored it (empty tuple = no failover happened, the result
-        matches :func:`select_best_antenna` exactly).
+        matches :func:`select_best_antenna` up to score ties).
 
     Raises:
-        InsufficientDataError: when the user has no reports at all.  (A
-        live port always exists — the port owning the newest read is live
-        by definition — so failover itself cannot fail.)
+        InsufficientDataError: when there are no reads at all.  (A live
+        port always exists — the port owning the newest read is live by
+        definition — so failover itself cannot fail.)
     """
-    report_list = list(reports)
-    scores = antenna_quality_scores(report_list, span_s=span_s)
-    if not scores:
+    if not times.shape[0]:
         raise InsufficientDataError("no reports: cannot select an antenna")
-    last_by_port: Dict[int, float] = {}
-    for report in report_list:
-        last_by_port[report.antenna_port] = max(
-            last_by_port.get(report.antenna_port, -np.inf), report.timestamp_s
-        )
-    t_latest = max(last_by_port.values())
-    live = {p for p, t in last_by_port.items() if t >= t_latest - stale_s}
-    chosen = max(
-        (scores[p] for p in live), key=lambda q: q.score
-    ).antenna_port
+    t_latest = float(times[-1])
+    span = max(t_latest - float(times[0]), 1e-9)
+    scores: Dict[int, float] = {}
+    last_seen: Dict[int, float] = {}
+    for p in np.unique(ports):
+        port = int(p)
+        selected = ports == p
+        scores[port] = quality_score(
+            int(selected.sum()), span, float(np.mean(rssis[selected])))
+        last_seen[port] = float(times[selected][-1])
+    # Ports come out of np.unique ascending, so max() breaks ties low.
+    live = [p for p, t in last_seen.items() if t >= t_latest - stale_s]
+    chosen = max(live, key=lambda p: scores[p])
     failed_over = tuple(sorted(
-        p for p, q in scores.items()
-        if p not in live and q.score > scores[chosen].score
+        p for p in scores
+        if p not in live and scores[p] > scores[chosen]
     ))
     return chosen, failed_over

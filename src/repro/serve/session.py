@@ -39,7 +39,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 from .. import obs
 from ..core.pipeline import TagBreathe
-from ..errors import CheckpointCorruptError, InsufficientDataError
+from ..errors import (CheckpointCorruptError, ConfigError,
+                      InsufficientDataError)
 from ..reader.batch import BatchBuffer, ReportBatch
 from ..reader.tagreport import TagReport
 from .checkpoint import session_state_from_doc, \
@@ -95,6 +96,11 @@ class SessionConfig:
     signal_points: int = 60
     idle_after_s: Optional[float] = None
     max_resident: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        if self.window_s is not None and not self.window_s > 0:
+            raise ConfigError(
+                f"window_s must be None or > 0, got {self.window_s}")
 
     @property
     def high(self) -> int:

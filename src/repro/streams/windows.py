@@ -34,9 +34,9 @@ def trailing_window_bounds(t_latest: float,
         ``(t_low, t_high)`` — keep reports with ``t_low < t <= t_high``.
 
     Raises:
-        StreamError: on a non-positive window.
+        StreamError: on a non-positive or NaN window.
     """
-    if window_s <= 0:
+    if not window_s > 0:
         raise StreamError(f"window_s must be > 0, got {window_s}")
     return t_latest - window_s, t_latest
 

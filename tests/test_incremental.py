@@ -108,6 +108,24 @@ class TestWindowBounds:
         with pytest.raises(StreamError):
             trailing_window_bounds(10.0, 0.0)
 
+    def test_rejects_nan_window(self):
+        with pytest.raises(StreamError):
+            trailing_window_bounds(10.0, float("nan"))
+
+    def test_empty_window_is_insufficient_data_on_every_path(self, capture):
+        """A window too short to hold even the newest report (t - 1e-300
+        rounds back to t) is a refusal, never an IndexError."""
+        engine = TagBreathe(user_ids={1})
+        engine.feed_many(capture.reports)
+        with pytest.raises(InsufficientDataError) as tick:
+            engine.estimate_user(1, window_s=1e-300)
+        with pytest.raises(InsufficientDataError) as recompute:
+            engine.estimate_user_recompute(1, window_s=1e-300)
+        estimates, failures = engine.process_detailed(capture.reports,
+                                                      window_s=1e-300)
+        assert 1 not in estimates
+        assert str(tick.value) == str(recompute.value) == failures[1]
+
     def test_pinned_shared_by_recompute_and_incremental(self, capture):
         """A sample landing exactly on ``t_latest - window_s`` is OUT.
 

@@ -10,9 +10,9 @@ from repro.core.pipeline import (
     REASON_DISORDERED,
     REASON_GAPS,
     REASON_TAG_DEATH,
-    sanitize_reports,
+    sanitize_columns,
 )
-from repro.core.quality import select_antenna_with_failover, select_best_antenna
+from repro.core.quality import select_best_antenna, select_port
 from repro.epc import EPC96
 from repro.errors import (
     DegradedEstimateWarning,
@@ -20,7 +20,7 @@ from repro.errors import (
     InsufficientDataError,
 )
 from repro.faults import BurstyDrop, FaultChain, OutOfOrderDelivery, TagDeath
-from repro.reader import Antenna, TagReport
+from repro.reader import Antenna, ReportBatch, TagReport
 from repro.config import ReaderConfig, RobustnessConfig
 
 
@@ -234,30 +234,54 @@ def _report(t, phase=1.0, port=1, tag_id=1, rssi=-55.0):
     )
 
 
+def _sanitize(reports):
+    """:func:`sanitize_columns` over a report list: (clean, n_dis, n_dup)."""
+    cols = ReportBatch.from_reports(reports)
+    rows, n_dis, n_dup = sanitize_columns(cols.t, cols.tag_id, cols.antenna,
+                                          cols.channel)
+    return [reports[i] for i in rows.tolist()], n_dis, n_dup
+
+
 class TestSanitizeReports:
     def test_clean_stream_untouched(self, capture):
-        clean, n_dis, n_dup = sanitize_reports(capture.reports)
+        clean, n_dis, n_dup = _sanitize(capture.reports)
         assert clean == list(capture.reports)
         assert (n_dis, n_dup) == (0, 0)
 
     def test_sorts_and_counts_disorder(self):
         reports = [_report(0.0), _report(2.0), _report(1.0)]
-        clean, n_dis, n_dup = sanitize_reports(reports)
+        clean, n_dis, n_dup = _sanitize(reports)
         assert [r.timestamp_s for r in clean] == [0.0, 1.0, 2.0]
         assert n_dis == 1
         assert n_dup == 0
 
     def test_drops_and_counts_duplicates(self):
         reports = [_report(0.0), _report(0.0), _report(1.0)]
-        clean, _, n_dup = sanitize_reports(reports)
+        clean, _, n_dup = _sanitize(reports)
         assert len(clean) == 2
         assert n_dup == 1
 
     def test_same_time_different_stream_not_duplicate(self):
         reports = [_report(0.0, tag_id=1), _report(0.0, tag_id=2)]
-        clean, _, n_dup = sanitize_reports(reports)
+        clean, _, n_dup = _sanitize(reports)
         assert len(clean) == 2
         assert n_dup == 0
+
+    def test_non_adjacent_copies_are_duplicates(self):
+        # After the sort, tag 2's read sits between the two copies of
+        # tag 1's; the first delivery is the one kept.
+        first = _report(0.0, tag_id=1, phase=1.0)
+        reports = [first, _report(0.0, tag_id=2),
+                   _report(0.0, tag_id=1, phase=2.0)]
+        clean, _, n_dup = _sanitize(reports)
+        assert n_dup == 1
+        assert clean == reports[:2]
+        assert clean[0] is first
+
+
+def _select(reports, stale_s):
+    cols = ReportBatch.from_reports(reports)
+    return select_port(cols.t, cols.antenna, cols.rssi, stale_s=stale_s)
 
 
 class TestAntennaFailover:
@@ -274,20 +298,20 @@ class TestAntennaFailover:
 
     def test_healthy_matches_plain_selection(self):
         reports = self.make_two_port_reports()
-        port, failed = select_antenna_with_failover(reports, stale_s=2.5)
+        port, failed = _select(reports, stale_s=2.5)
         assert failed == ()
         assert port == select_best_antenna(reports)
 
     def test_dead_port_demoted(self):
         reports = self.make_two_port_reports(dead_after=10.0)
         assert select_best_antenna(reports) == 1  # score still favours port 1
-        port, failed = select_antenna_with_failover(reports, stale_s=2.5)
+        port, failed = _select(reports, stale_s=2.5)
         assert port == 2
         assert failed == (1,)
 
     def test_no_reports_raises(self):
         with pytest.raises(InsufficientDataError):
-            select_antenna_with_failover([], stale_s=2.5)
+            _select([], stale_s=2.5)
 
 
 class TestGracefulDegradation:

@@ -9,7 +9,9 @@ Covered substrate:
   monotonicity;
 * the streaming tick's vectorised pieces against their 1-D references,
   bit for bit: padded 2-D cumsum rows, length-grouped row sums,
-  multi-stream Hampel, and the fused Eq. (6)/(7) binning.
+  multi-stream Hampel, and the fused Eq. (6)/(7) binning;
+* the robustness cascade, batch and streamed, against the report-list
+  oracle in ``tests/cascade_oracle.py``, field for field.
 """
 
 from __future__ import annotations
@@ -373,3 +375,180 @@ class TestTickKernelProperties:
         np.testing.assert_array_equal(_bits(got.times), _bits(want.times))
         np.testing.assert_array_equal(_bits(got.values), _bits(want.values))
 
+
+
+# ----------------------------------------------------------------------
+# The robustness cascade against its report-list oracle
+# ----------------------------------------------------------------------
+_CASCADE_FIELDS = ("rate_bpm", "confidence", "degraded_reasons", "estimator",
+                   "antenna_port", "tags_fused", "read_count", "motion_gated",
+                   "motion_score")
+
+
+@st.composite
+def _cascade_captures(draw):
+    """One user's multi-antenna capture: breathing phase (clean or
+    noisy) on 1-3 tags, 2-3 ports (RSSI quantised to 0.5 dB),
+    optionally a port or a tag that dies, bursty read gaps and a
+    Doppler motion burst.  Returns the
+    in-order reports and a disordered copy with re-deliveries."""
+    from repro.core.preprocess import default_frequencies
+    from repro.reader.tagreport import TagReport
+
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_tags = draw(st.integers(1, 3))
+    ports = list(range(1, draw(st.integers(2, 3)) + 1))
+    duration = draw(st.sampled_from([20.0, 30.0]))
+    dead_port = draw(st.sampled_from([None] + ports))
+    dead_tag = draw(st.sampled_from([None] + list(range(n_tags))))
+    n_bursts = draw(st.integers(0, 3))
+    burst_s = draw(st.sampled_from([0.6, 2.0, 4.0]))
+    motion = draw(st.booleans())
+    messy = draw(st.booleans())
+    phase_noise = draw(st.sampled_from([0.05, 0.05, 1.5]))
+
+    wavelength = 299792458.0 / np.array(default_frequencies())[:4]
+    bpm = rng.uniform(14.0, 30.0)
+    port_rssi = rng.uniform(-70.0, -45.0, size=len(ports) + 1)
+    weights = np.sort(rng.dirichlet(np.ones(len(ports))))
+    if dead_port is not None:
+        # The dying port is the busiest, so it outscores the survivors.
+        weights = np.roll(weights, dead_port)
+    holes = [(s, s + burst_s) for s in rng.uniform(0.0, duration, n_bursts)]
+    kick = rng.uniform(0.0, duration - 3.0)
+    rows = []
+    for tag in range(n_tags):
+        t = rng.uniform(0.0, 0.5) + np.cumsum(
+            rng.exponential(1.0 / rng.uniform(10.0, 30.0), size=2000))
+        t = t[t < duration]
+        port = rng.choice(ports, size=t.shape[0], p=weights)
+        alive = np.ones(t.shape[0], dtype=bool)
+        for lo, hi in holes:
+            alive &= (t < lo) | (t >= hi)
+        if dead_port is not None:
+            alive &= (port != dead_port) | (t < 0.6 * duration)
+        if dead_tag == tag:
+            alive &= t < 0.5 * duration
+        chan = (t / 0.2).astype(int) % 4
+        offset = rng.uniform(0.0, 2 * np.pi, size=(4, len(ports) + 1))
+        d = 0.005 * np.sin(2 * np.pi * bpm / 60.0 * t)
+        phase = np.mod(4 * np.pi * d / wavelength[chan] + offset[chan, port]
+                       + rng.normal(0.0, phase_noise, t.shape[0]), 2 * np.pi)
+        rssi = np.round((port_rssi[port] + rng.normal(0.0, 1.0, t.shape[0]))
+                        * 2.0) / 2.0
+        dop = rng.normal(0.0, 1.5, t.shape[0])
+        if motion:
+            dop += np.where((t >= kick) & (t < kick + 3.0), 3.0, 0.0)
+        epc = EPC96.from_user_tag(1, tag)
+        rows += [(float(t[i]), TagReport(
+            epc=epc, timestamp_s=float(t[i]), phase_rad=float(phase[i]),
+            rssi_dbm=float(rssi[i]), doppler_hz=float(dop[i]),
+            channel_index=int(chan[i]), antenna_port=int(port[i])))
+            for i in np.flatnonzero(alive).tolist()]
+    in_order = [r for _, r in sorted(rows, key=lambda row: row[0])]
+    delivered = list(in_order)
+    if messy and delivered:
+        # Late deliveries: swap some neighbours; re-deliveries: copies
+        # of random reads, landing a few positions later.
+        for i in rng.integers(0, len(delivered) - 1, size=20).tolist():
+            delivered[i], delivered[i + 1] = delivered[i + 1], delivered[i]
+        for i in rng.integers(0, len(delivered), size=10).tolist():
+            delivered.insert(min(len(delivered), i + 3), delivered[i])
+    return in_order, delivered
+
+
+def _assert_same_outcome(got, want):
+    """Field-for-field equality of two estimates (or two refusals)."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for name in _CASCADE_FIELDS:
+        assert getattr(got, name) == getattr(want, name), name
+
+
+class TestCascadeOracleProperties:
+    """The column cascade (``TagBreathe._cascade``) behind batch
+    ``process_detailed`` and the streaming tick equals the report-list
+    cascade in ``tests/cascade_oracle.py`` field for field, across
+    antenna failover, tag death, gaps, motion and score ties."""
+
+    @staticmethod
+    def _tick(engine, window_s):
+        from repro.errors import InsufficientDataError
+        try:
+            return engine.estimate_user(1, window_s=window_s)
+        except InsufficientDataError as exc:
+            return str(exc)
+
+    @staticmethod
+    def _oracle_user(engine, reports):
+        from repro.errors import InsufficientDataError
+
+        from .cascade_oracle import process_user
+        try:
+            return process_user(engine, 1, reports)
+        except InsufficientDataError as exc:
+            return str(exc)
+
+    @settings(max_examples=80, deadline=None)
+    @given(_cascade_captures(), st.sampled_from([None, 15.0]))
+    def test_cascade_equals_report_list_oracle(self, capture, window_s):
+        import warnings as _warnings
+
+        from repro import TagBreathe
+        from repro.errors import DegradedEstimateWarning
+
+        from .cascade_oracle import process_detailed, trailing_reports
+
+        in_order, delivered = capture
+        engine = TagBreathe(user_ids={1})
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore", DegradedEstimateWarning)
+            got, got_failed = engine.process_detailed(delivered,
+                                                      window_s=window_s)
+            want, want_failed = process_detailed(engine, delivered,
+                                                 window_s=window_s)
+            assert got_failed == want_failed
+            assert set(got) == set(want)
+            for uid in want:
+                _assert_same_outcome(got[uid], want[uid])
+
+            engine.feed_many(in_order)
+            window = 25.0 if window_s is None else window_s
+            _assert_same_outcome(
+                self._tick(engine, window),
+                self._oracle_user(engine, trailing_reports(in_order, window)))
+
+    def test_exact_score_tie_picks_lowest_port(self):
+        """Ports 2 and 3 share every read count and RSSI: both paths
+        (and the oracle) ride port 2."""
+        import warnings as _warnings
+
+        from repro import TagBreathe
+        from repro.errors import DegradedEstimateWarning
+        from repro.reader.tagreport import TagReport
+
+        from .cascade_oracle import process_user
+
+        reports = []
+        for i in range(600):
+            t = i * 0.05
+            for port in (2, 3):
+                reports.append(TagReport(
+                    epc=EPC96.from_user_tag(1, 0),
+                    timestamp_s=t + 0.001 * (port - 1),
+                    phase_rad=float(np.mod(
+                        1.0 + 0.2 * np.sin(2 * np.pi * 0.25 * t), 2 * np.pi)),
+                    rssi_dbm=-55.0, doppler_hz=0.0, channel_index=0,
+                    antenna_port=port))
+        engine = TagBreathe(user_ids={1})
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore", DegradedEstimateWarning)
+            batch = engine.process(reports)[1]
+            engine.feed_many(reports)
+            tick = engine.estimate_user(1, window_s=30.0)
+            oracle = process_user(engine, 1, reports)
+        assert batch.antenna_port == tick.antenna_port == 2
+        _assert_same_outcome(batch, oracle)
+        _assert_same_outcome(tick, oracle)

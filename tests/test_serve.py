@@ -16,6 +16,7 @@ from repro import Scenario, TagBreathe, run_scenario
 from repro.body import MetronomeBreathing, Subject
 from repro.errors import (
     CheckpointCorruptError,
+    ConfigError,
     DegradedEstimateWarning,
     ProtocolError,
     ServeError,
@@ -288,6 +289,17 @@ class TestUserSession:
     def test_insufficient_data_returns_none(self):
         session = UserSession(1, SessionConfig())
         assert session.estimate_now() is None
+
+    @pytest.mark.parametrize("window_s", [0.0, -5.0, float("nan")])
+    def test_config_rejects_bad_window(self, window_s):
+        # A bad window used to surface only at the first due tick, as a
+        # StreamError/IndexError that ended the shard task.
+        with pytest.raises(ConfigError):
+            SessionConfig(window_s=window_s)
+
+    def test_config_accepts_default_and_positive_window(self):
+        assert SessionConfig().window_s is None
+        assert SessionConfig(window_s=12.5).window_s == 12.5
 
 
 # ----------------------------------------------------------------------

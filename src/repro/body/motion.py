@@ -52,10 +52,13 @@ class BodySway:
         weights = rng.uniform(0.5, 1.0, size=components)
         norm = math.sqrt(float(np.sum(weights ** 2) / 2.0))
         self._amps = amplitude_m * weights / norm if norm > 0 else weights * 0.0
+        # Angular frequencies for the scalar path, which the reader's link
+        # check evaluates once per worn-tag slot.
+        self._omegas = 2.0 * math.pi * self._freqs
 
     def displacement(self, t: float) -> float:
         """Sway displacement [m] at time ``t`` (along the line of sight)."""
-        return float(np.sum(self._amps * np.sin(2.0 * math.pi * self._freqs * t + self._phases)))
+        return float((self._amps * np.sin(self._omegas * t + self._phases)).sum())
 
     def displacement_array(self, times: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`displacement`."""

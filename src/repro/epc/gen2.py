@@ -20,9 +20,10 @@ callback (wired to :class:`repro.rf.LinkBudget` by the simulation engine).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -99,12 +100,13 @@ ReadEvent = Tuple[float, Hashable]
 
 #: Link callback: (tag_key, mac_time_s) -> True if the physical link
 #: delivers the read.  Energisation is decided separately via
-#: ``energized``; this models decode success of a singleton slot.
+#: ``population``; this models decode success of a singleton slot.
 LinkCallback = Callable[[Hashable, float], bool]
 
-#: Energisation callback: (tag_key, mac_time_s) -> True if the tag powers
-#: up and participates in this round at all.
-EnergizedCallback = Callable[[Hashable, float], bool]
+#: Population callback: round start time (MAC seconds) -> the tags that
+#: power up and take part in that round, in tag-key order.  Slot draws are
+#: assigned in the returned order; the list is read, never modified.
+PopulationCallback = Callable[[float], Sequence[Hashable]]
 
 
 def _always(_tag: Hashable, _t: float) -> bool:
@@ -119,8 +121,8 @@ class Gen2Inventory:
         config: MAC timing/Q parameters.
         rng: random source (slot draws).
         link_ok: per-attempt physical decode callback (default: always).
-        energized: per-round power-up callback (default: always).  A tag
-            that fails to energise neither replies nor collides — this is
+        population: per-round power-up callback (default: every tag).  A
+            tag left out of a round neither replies nor collides — this is
             how full LOS blockage (orientation > 90 deg, Fig. 15) silences
             a tag entirely.
 
@@ -134,7 +136,7 @@ class Gen2Inventory:
         config: Optional[Gen2Config] = None,
         rng: Optional[np.random.Generator] = None,
         link_ok: LinkCallback = _always,
-        energized: EnergizedCallback = _always,
+        population: Optional[PopulationCallback] = None,
     ) -> None:
         if not tag_keys:
             raise ConfigError("tag population must be non-empty")
@@ -144,7 +146,9 @@ class Gen2Inventory:
         self._cfg = config if config is not None else Gen2Config()
         self._rng = rng if rng is not None else np.random.default_rng()
         self._link_ok = link_ok
-        self._energized = energized
+        self._population: PopulationCallback = (
+            population if population is not None else self._every_tag
+        )
         self._qfp = float(self._cfg.q_initial)
         self._round_log: List[RoundStats] = []
         # Cached (registry, counters..., gauge) for the per-round metric
@@ -152,6 +156,9 @@ class Gen2Inventory:
         # sort, which at thousands of rounds per run would dominate the
         # observability overhead budget.
         self._obs_cache: Optional[tuple] = None
+
+    def _every_tag(self, _t: float) -> List[Hashable]:
+        return self._tags
 
     @property
     def config(self) -> Gen2Config:
@@ -182,55 +189,62 @@ class Gen2Inventory:
         cfg = self._cfg
         q = self.current_q
         n_slots = 1 << q
-        stats = RoundStats(q=q, slots=n_slots)
         t = t_start + cfg.t_round_overhead_s
 
-        active = [k for k in self._tags if self._energized(k, t_start)]
+        active = self._population(t_start)
         # One batched draw for the whole population.  For a power-of-two
         # upper bound (n_slots = 2**q always is) the generator's masked
         # rejection never rejects, so the batch is bit-identical to the
         # per-tag draws it replaces — seeded captures are unchanged.
         slots = self._rng.integers(0, n_slots, size=len(active))
-        slot_of: Dict[Hashable, int] = {
-            k: int(s) for k, s in zip(active, slots)
-        }
-        occupancy: Dict[int, List[Hashable]] = {}
-        for key, slot in slot_of.items():
-            occupancy.setdefault(slot, []).append(key)
+        # Per-slot occupancy as two flat lists: how many tags drew the
+        # slot, and (for a singleton) which one.
+        counts = [0] * n_slots
+        holder: List[Hashable] = [None] * n_slots
+        for key, slot in zip(active, slots.tolist()):
+            counts[slot] += 1
+            holder[slot] = key
 
         tracer = obs.get_tracer()
         slot_detail = tracer.slot_detail
+        link_ok = self._link_ok
+        t_empty, t_collision, t_success = (
+            cfg.t_empty_s, cfg.t_collision_s, cfg.t_success_s)
+        empties = collisions = reads = link_failures = 0
 
         events: List[ReadEvent] = []
         for slot in range(n_slots):
-            holders = occupancy.get(slot, [])
-            if not holders:
-                stats.empties += 1
-                t += cfg.t_empty_s
+            contenders = counts[slot]
+            if contenders == 0:
+                empties += 1
+                t += t_empty
                 if slot_detail:
                     tracer.event("gen2.slot", slot=slot, outcome="empty")
-            elif len(holders) > 1:
-                stats.collisions += 1
-                t += cfg.t_collision_s
+            elif contenders > 1:
+                collisions += 1
+                t += t_collision
                 if slot_detail:
                     tracer.event("gen2.slot", slot=slot, outcome="collision",
-                                 contenders=len(holders))
+                                 contenders=contenders)
             else:
-                tag = holders[0]
-                if self._link_ok(tag, t):
-                    stats.reads += 1
-                    t += cfg.t_success_s
+                tag = holder[slot]
+                if link_ok(tag, t):
+                    reads += 1
+                    t += t_success
                     events.append((t, tag))
                     if slot_detail:
                         tracer.event("gen2.slot", slot=slot, outcome="read",
                                      tag=str(tag), t=t)
                 else:
-                    stats.link_failures += 1
-                    t += cfg.t_collision_s
+                    link_failures += 1
+                    t += t_collision
                     if slot_detail:
                         tracer.event("gen2.slot", slot=slot,
                                      outcome="link_fail", tag=str(tag))
 
+        stats = RoundStats(q=q, slots=n_slots, empties=empties,
+                           collisions=collisions, reads=reads,
+                           link_failures=link_failures)
         self._adapt_q(stats)
         stats.duration_s = t - t_start
         self._round_log.append(stats)
@@ -277,10 +291,13 @@ class Gen2Inventory:
         """Run rounds back-to-back until ``duration_s`` of MAC time elapses.
 
         Raises:
-            ConfigError: on non-positive duration.
+            ConfigError: unless ``duration_s`` is positive and finite and
+                ``t_start`` is finite.
         """
-        if duration_s <= 0:
-            raise ConfigError("duration must be > 0")
+        if not 0.0 < duration_s < math.inf:
+            raise ConfigError(f"duration must be positive and finite, got {duration_s}")
+        if not math.isfinite(t_start):
+            raise ConfigError(f"t_start must be finite, got {t_start}")
         events: List[ReadEvent] = []
         t = t_start
         t_end = t_start + duration_s

@@ -9,6 +9,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Sequence, Tuple
@@ -63,23 +64,32 @@ class Antenna:
         Uses the cos^k pattern with k chosen so gain drops 3 dB at half the
         beamwidth; directions behind the panel get a -20 dB back lobe.
         """
-        direction = _as_vec(point_m) - _as_vec(self.position_m)
-        dist = float(np.linalg.norm(direction))
-        if dist == 0.0:
-            return self.peak_gain_dbi
-        bs = _as_vec(self.boresight)
-        cos_angle = float(direction @ bs / (dist * np.linalg.norm(bs)))
-        cos_angle = min(1.0, max(-1.0, cos_angle))
-        if cos_angle <= 0.0:
-            return self.peak_gain_dbi - 20.0
-        half_bw = np.radians(self.beamwidth_deg / 2.0)
-        k = np.log(0.5) / np.log(np.cos(half_bw) ** 2)
-        rolloff_db = 10.0 * k * np.log10(cos_angle ** 2)
-        return self.peak_gain_dbi + max(rolloff_db, -20.0)
+        return self.gain_and_distance(point_m)[0]
 
     def distance_to(self, point_m: Sequence[float]) -> float:
         """Euclidean distance [m] from the antenna to ``point_m``."""
-        return float(np.linalg.norm(_as_vec(point_m) - _as_vec(self.position_m)))
+        return self.gain_and_distance(point_m)[1]
+
+    def gain_and_distance(self, point_m: Sequence[float]) -> Tuple[float, float]:
+        """``(gain_dbi, distance_m)`` toward ``point_m`` in one evaluation.
+
+        The single scalar evaluation of the cos^k pattern: the link check
+        needs both terms per slot, and the geometry (antenna position,
+        boresight norm, rolloff exponent) comes from cached properties.
+        ``math.sqrt(d.dot(d))`` is what ``np.linalg.norm`` computes for a
+        real vector, so the distance is the same float either way.
+        """
+        direction = _as_vec(point_m) - self._position_vec
+        dist = math.sqrt(direction.dot(direction))
+        if dist == 0.0:
+            return self.peak_gain_dbi, dist
+        cos_angle = float(direction @ self._boresight_vec
+                          / (dist * self._boresight_norm))
+        cos_angle = min(1.0, max(-1.0, cos_angle))
+        if cos_angle <= 0.0:
+            return self.peak_gain_dbi - 20.0, dist
+        rolloff_db = 10.0 * self._rolloff_exponent * np.log10(cos_angle ** 2)
+        return self.peak_gain_dbi + max(rolloff_db, -20.0), dist
 
     # ------------------------------------------------------------------
     # Cached geometry + vectorised pattern evaluation.  cached_property

@@ -42,6 +42,15 @@ class TagEnvironment(Protocol):
 
     Implemented by :class:`repro.sim.scenario.Scenario`; any object with
     these methods works (e.g. a replayer of recorded traces).
+
+    Two optional methods let the vectorized reader table a run's link
+    terms; an environment without them is probed per slot instead:
+
+    * ``situational_loss_db_static(key, antenna) -> Optional[float]`` —
+      the :meth:`extra_loss_db` of a link whose loss never changes, or
+      ``None`` when it varies with time;
+    * ``static_position_m(key) -> Optional[np.ndarray]`` — the
+      :meth:`position_m` of a tag that never moves, or ``None``.
     """
 
     def tag_keys(self) -> Sequence[Hashable]:
@@ -201,10 +210,14 @@ class Reader:
             Empty when the Select matches no tag.
 
         Raises:
-            ReaderError: on non-positive duration or an empty environment.
+            ReaderError: unless ``duration_s`` is positive and finite and
+                ``t_start`` is finite and non-negative; on an empty
+                environment.
         """
-        if duration_s <= 0:
-            raise ReaderError("duration_s must be > 0")
+        if not 0.0 < duration_s < math.inf:
+            raise ReaderError(f"duration_s must be positive and finite, got {duration_s}")
+        if not 0.0 <= t_start < math.inf:
+            raise ReaderError(f"t_start must be finite and >= 0, got {t_start}")
         keys = list(env.tag_keys())
         if not keys:
             raise ReaderError("environment contains no tags")
@@ -252,9 +265,12 @@ class Reader:
             )
             return rssi is not None
 
+        def population(t: float) -> List[Hashable]:
+            return [k for k in keys if energized(k, t)]
+
         inventory = Gen2Inventory(
             keys, config=self._gen2_config, rng=self._rng,
-            link_ok=link_ok, energized=energized,
+            link_ok=link_ok, population=population,
         )
         with obs.span("reader.mac"), perf.stage("reader.mac"):
             events = inventory.run_for(duration_s, t_start=t_start)
@@ -277,63 +293,19 @@ class Reader:
                         duration_s: float, t_start: float) -> List[TagReport]:
         """The batched path: cheap MAC probes + per-tag report synthesis.
 
-        The MAC arbitration consumes the *same* RNG draws as the scalar
-        path (only `sample_read` draws there, with identical arguments), so
-        both paths produce the same read-event stream for a given seed.
-        Report synthesis then runs in per-tag batches; see DESIGN.md,
-        "Performance architecture", for the determinism contract.
-
-        Raises:
-            ReaderError: on a negative start time.
+        The MAC probes read per-run link tables (:class:`_LinkTable`) and
+        consume the *same* RNG draws as the scalar path (a hop extension
+        when one is due, then one fading draw per probed slot, from the
+        same budget terms), so both paths produce the same read-event
+        stream for a given seed.  Report synthesis then runs in per-tag
+        batches; see DESIGN.md, "Performance architecture", for the
+        determinism contract.
         """
-        if t_start < 0:
-            raise ReaderError("t_start must be >= 0")
-        antennas = self._scheduler.antennas
-        n_ant = len(antennas)
-        period = self._scheduler.switch_period_s
-
-        # Situational loss is often time-invariant (declared through the
-        # optional situational_loss_db_static protocol method); memoising
-        # it turns the energized probe — the single hottest call of the
-        # scalar path — into a dict lookup.  The antenna-pattern term is
-        # always finite, so `energized` reduces to `situational < inf`.
-        static_getter = getattr(env, "situational_loss_db_static", None)
-        static_loss: Dict[Tuple[Hashable, int], Optional[float]] = {}
-        for key in keys:
-            for ai, antenna in enumerate(antennas):
-                value = (static_getter(key, antenna)
-                         if static_getter is not None else None)
-                static_loss[(key, ai)] = value
-
-        def energized(key: Hashable, t: float) -> bool:
-            ai = int(t / period) % n_ant
-            situational = static_loss[(key, ai)]
-            if situational is None:
-                situational = env.extra_loss_db(key, t, antennas[ai])
-            return not math.isinf(situational)
-
-        def link_ok(key: Hashable, t: float) -> bool:
-            ai = int(t / period) % n_ant
-            antenna = antennas[ai]
-            situational = static_loss[(key, ai)]
-            if situational is None:
-                situational = env.extra_loss_db(key, t, antenna)
-            if math.isinf(situational):
-                return False
-            pos = env.position_m(key, t)
-            loss = situational + (
-                antenna.peak_gain_dbi - antenna.gain_dbi_toward(pos)
-            )
-            channel = self._hops.channel_at(t)
-            distance = antenna.distance_to(pos)
-            rssi = self._budget.sample_read(
-                distance, channel.frequency_hz, self._rng, extra_loss_db=loss
-            )
-            return rssi is not None
-
+        links = _LinkTable(env, keys, self._scheduler, self._hops,
+                           self._budget, self._rng)
         inventory = Gen2Inventory(
             keys, config=self._gen2_config, rng=self._rng,
-            link_ok=link_ok, energized=energized,
+            link_ok=links.link_ok, population=links.population,
         )
         with obs.span("reader.mac"), perf.stage("reader.mac"):
             events = inventory.run_for(duration_s, t_start=t_start)
@@ -608,3 +580,112 @@ class Reader:
             )
             for i in range(n)
         ]
+
+
+class _LinkTable:
+    """Per-run link terms behind the vectorized path's MAC probes.
+
+    Everything a probe needs that cannot change within a run is worked
+    out once per run:
+
+    * the situational loss of every (tag, antenna) link the environment
+      declares static, and from it the per-antenna round population;
+    * the free-space reference loss of every channel;
+    * for a tag that never moves, on a link with static loss, the whole
+      ``(tag_power_dbm, rx_power_dbm)`` budget per (tag, antenna,
+      channel), filled on first use.
+
+    A probe of a tabled link is then a lookup plus the one fading draw; a
+    worn tag costs one trajectory evaluation and one antenna-pattern
+    evaluation.  The arithmetic is the scalar path's, term for term, and
+    the probe looks up the hop before the fading draw as the scalar path
+    does (both share the generator), so the two paths draw the same MAC
+    event stream.
+    """
+
+    def __init__(self, env: TagEnvironment, keys: List[Hashable],
+                 scheduler: RoundRobinScheduler, hops: HopSchedule,
+                 budget: LinkBudget, rng: np.random.Generator) -> None:
+        self._env = env
+        self._keys = keys
+        self._antennas = scheduler.antennas
+        self._n_ant = len(self._antennas)
+        self._period = scheduler.switch_period_s
+        self._hops = hops
+        self._budget = budget
+        self._rng = rng
+        path_loss = budget.path_loss
+        self._rolloff_db = path_loss.rolloff_db
+        plan = self._hops.plan
+        self._reference_loss_db = [
+            path_loss.reference_loss_db(plan[ci].frequency_hz)
+            for ci in range(len(plan))
+        ]
+
+        static_loss = getattr(env, "situational_loss_db_static", None)
+        static_position = getattr(env, "static_position_m", None)
+        self._situational: Dict[Tuple[Hashable, int], Optional[float]] = {}
+        self._positions: Dict[Hashable, Optional[np.ndarray]] = {}
+        # Per static link, the (tag_p, rx_p) budget per channel index.
+        self._powers: Dict[Tuple[Hashable, int], List[Optional[tuple]]] = {}
+        for key in keys:
+            position = static_position(key) if static_position is not None else None
+            self._positions[key] = position
+            for ai, antenna in enumerate(self._antennas):
+                loss = (static_loss(key, antenna)
+                        if static_loss is not None else None)
+                self._situational[(key, ai)] = loss
+                if position is not None and loss is not None:
+                    self._powers[(key, ai)] = [None] * len(plan)
+
+        # One energised-tag list per antenna when every link's loss is
+        # static; otherwise each round filters the keys.
+        self._by_antenna: Optional[List[List[Hashable]]] = None
+        if all(loss is not None for loss in self._situational.values()):
+            self._by_antenna = [
+                [k for k in keys if not math.isinf(self._situational[(k, ai)])]
+                for ai in range(self._n_ant)
+            ]
+
+    def population(self, t: float) -> List[Hashable]:
+        """The tags that power up for the round starting at ``t``."""
+        ai = int(t / self._period) % self._n_ant
+        if self._by_antenna is not None:
+            return self._by_antenna[ai]
+        return [k for k in self._keys
+                if not math.isinf(self._situational_at(k, ai, t))]
+
+    def _situational_at(self, key: Hashable, ai: int, t: float) -> float:
+        situational = self._situational[(key, ai)]
+        if situational is None:
+            situational = self._env.extra_loss_db(key, t, self._antennas[ai])
+        return situational
+
+    def link_ok(self, key: Hashable, t: float) -> bool:
+        """Whether the singleton slot of ``key`` at MAC time ``t`` reads."""
+        ai = int(t / self._period) % self._n_ant
+        situational = self._situational_at(key, ai, t)
+        if math.isinf(situational):
+            return False
+        ci = self._hops.channel_index_at(t)  # may extend the hop sequence
+        table = self._powers.get((key, ai))
+        if table is None:
+            powers = self._link_powers(key, ai, ci, t, situational)
+        else:
+            powers = table[ci]
+            if powers is None:
+                powers = table[ci] = self._link_powers(key, ai, ci, t, situational)
+        read = self._budget.sample_read_from_powers(powers[0], powers[1], self._rng)
+        return read is not None
+
+    def _link_powers(self, key: Hashable, ai: int, ci: int, t: float,
+                     situational: float) -> tuple:
+        """``(tag_power_dbm, rx_power_dbm)`` of one probe, scalar arithmetic."""
+        position = self._positions[key]
+        if position is None:
+            position = self._env.position_m(key, t)
+        antenna = self._antennas[ai]
+        gain, distance = antenna.gain_and_distance(position)
+        loss = situational + (antenna.peak_gain_dbi - gain)
+        path_loss = self._reference_loss_db[ci] + self._rolloff_db(distance)
+        return self._budget.powers_from_path_loss_dbm(path_loss, loss)

@@ -58,20 +58,32 @@ class PathLossModel:
         Raises:
             ValueError: if any ``distance_m`` is not strictly positive.
         """
-        if np.ndim(distance_m) == 0 and np.ndim(frequency_hz) == 0:
+        rolloff = self.rolloff_db(distance_m)
+        return self.reference_loss_db(frequency_hz) + rolloff
+
+    def reference_loss_db(self, frequency_hz):
+        """Free-space loss [dB] over the reference distance (broadcasts).
+
+        Depends only on the frequency, so a caller probing a fixed channel
+        plan can table it once per channel.
+        """
+        lam = wavelength(frequency_hz)
+        return 2.0 * linear_to_db(4.0 * np.pi * self.reference_m / lam)
+
+    def rolloff_db(self, distance_m):
+        """Log-distance rolloff [dB] beyond the reference distance (broadcasts).
+
+        Raises:
+            ValueError: if any ``distance_m`` is not strictly positive.
+        """
+        if np.ndim(distance_m) == 0:
             if distance_m <= 0:
                 raise ValueError(f"distance must be > 0, got {distance_m}")
-            lam = wavelength(frequency_hz)
-            fspl_ref = 2.0 * linear_to_db(4.0 * np.pi * self.reference_m / lam)
-            rolloff = 10.0 * self.exponent * np.log10(distance_m / self.reference_m)
-            return fspl_ref + rolloff
+            return 10.0 * self.exponent * np.log10(distance_m / self.reference_m)
         d = np.asarray(distance_m, dtype=float)
         if np.any(d <= 0):
             raise ValueError("distance must be > 0")
-        lam = wavelength(frequency_hz)
-        fspl_ref = 2.0 * linear_to_db(4.0 * np.pi * self.reference_m / lam)
-        rolloff = 10.0 * self.exponent * np.log10(d / self.reference_m)
-        return fspl_ref + rolloff
+        return 10.0 * self.exponent * np.log10(d / self.reference_m)
 
     def sample_fading_db(self, rng: np.random.Generator, size=None):
         """Draw(s) of the small-scale fading term [dB].
@@ -132,18 +144,28 @@ class LinkBudget:
     def link_powers_dbm(self, distance_m, frequency_hz, extra_loss_db=0.0):
         """``(tag_power_dbm, rx_power_dbm)`` with path loss evaluated once.
 
-        The hot paths (per-slot interrogation, batched report synthesis)
-        need both ends of the budget; computing the one-way loss a single
-        time here keeps the arithmetic — and the resulting floats —
-        identical to calling :meth:`tag_power_dbm` then :meth:`rx_power_dbm`
-        at roughly half the cost.  Broadcasts over arrays.
+        The one copy of the budget arithmetic: :meth:`tag_power_dbm` and
+        :meth:`rx_power_dbm` are its two halves, and the hot paths
+        (per-slot interrogation, batched report synthesis) that need both
+        ends get them for one path-loss evaluation.  Broadcasts over
+        arrays.
         """
-        loss = self.path_loss.one_way_loss_db(distance_m, frequency_hz)
+        return self.powers_from_path_loss_dbm(
+            self.path_loss.one_way_loss_db(distance_m, frequency_hz),
+            extra_loss_db,
+        )
+
+    def powers_from_path_loss_dbm(self, path_loss_db, extra_loss_db=0.0):
+        """:meth:`link_powers_dbm` for an already evaluated one-way path loss.
+
+        Lets a caller that tables the free-space term per channel finish
+        the budget with the same arithmetic.  Broadcasts over arrays.
+        """
         tag_p = (
             self.tx_power_dbm
             + self.reader_gain_dbi
             + self.tag_gain_dbi
-            - loss
+            - path_loss_db
             - self.on_body_loss_db
             - self.polarization_loss_db
             - extra_loss_db
@@ -153,7 +175,7 @@ class LinkBudget:
             - self.modulation_loss_db
             + self.tag_gain_dbi
             + self.reader_gain_dbi
-            - loss
+            - path_loss_db
             - self.polarization_loss_db
         )
         return tag_p, rx_p
@@ -167,15 +189,7 @@ class LinkBudget:
             extra_loss_db: scenario-dependent loss (orientation gain
                 reduction, body blockage, ...) applied on the forward link.
         """
-        return (
-            self.tx_power_dbm
-            + self.reader_gain_dbi
-            + self.tag_gain_dbi
-            - self.path_loss.one_way_loss_db(distance_m, frequency_hz)
-            - self.on_body_loss_db
-            - self.polarization_loss_db
-            - extra_loss_db
-        )
+        return self.link_powers_dbm(distance_m, frequency_hz, extra_loss_db)[0]
 
     def rx_power_dbm(self, distance_m, frequency_hz, extra_loss_db=0.0):
         """Backscatter power arriving at the reader [dBm] (broadcasts).
@@ -188,14 +202,7 @@ class LinkBudget:
         measurement: RSSI of successful reads "does not change much" from
         0 to 90 degrees even as the read rate collapses.
         """
-        return (
-            self.tag_power_dbm(distance_m, frequency_hz, extra_loss_db)
-            - self.modulation_loss_db
-            + self.tag_gain_dbi
-            + self.reader_gain_dbi
-            - self.path_loss.one_way_loss_db(distance_m, frequency_hz)
-            - self.polarization_loss_db
-        )
+        return self.link_powers_dbm(distance_m, frequency_hz, extra_loss_db)[1]
 
     def snr_db(self, distance_m, frequency_hz, extra_loss_db=0.0):
         """Receive SNR [dB] of the backscatter signal (broadcasts)."""
@@ -232,13 +239,23 @@ class LinkBudget:
             draw that made this attempt succeed — the selection effect that
             keeps observed RSSI flat while the success rate collapses.
         """
-        fade = self.path_loss.sample_fading_db(rng)
         tag_p, rx_p = self.link_powers_dbm(distance_m, frequency_hz, extra_loss_db)
-        if tag_p + fade < self.tag_sensitivity_dbm:
+        return self.sample_read_from_powers(tag_p, rx_p, rng)
+
+    def sample_read_from_powers(self, tag_power_dbm: float, rx_power_dbm: float,
+                                rng: np.random.Generator) -> Optional[float]:
+        """:meth:`sample_read` for a link whose budget is already known.
+
+        Draws the one fading term and applies both sensitivity tests, so a
+        caller that tables ``link_powers_dbm`` per link consumes the same
+        draw and reaches the same outcome.
+        """
+        fade = self.path_loss.sample_fading_db(rng)
+        if tag_power_dbm + fade < self.tag_sensitivity_dbm:
             return None
-        if rx_p + fade < self.reader_sensitivity_dbm:
+        if rx_power_dbm + fade < self.reader_sensitivity_dbm:
             return None
-        return rx_p + fade
+        return rx_power_dbm + fade
 
 
 def _gaussian_clear_probability(margin_db, sigma_db):

@@ -9,6 +9,7 @@ generator.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
@@ -108,10 +109,10 @@ def run_scenario(
         The full capture plus ground truth.
 
     Raises:
-        ScenarioError: on non-positive duration.
+        ScenarioError: unless ``duration_s`` is positive and finite.
     """
-    if duration_s <= 0:
-        raise ScenarioError("duration_s must be > 0")
+    if not 0.0 < duration_s < math.inf:
+        raise ScenarioError(f"duration_s must be positive and finite, got {duration_s}")
     with obs.span("scenario", users=len(scenario.monitored_user_ids),
                   tags=scenario.total_tag_count(), duration_s=duration_s,
                   seed=seed) as span:

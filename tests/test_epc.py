@@ -171,7 +171,7 @@ class TestGen2Inventory:
         inv = Gen2Inventory(
             ["a", "b"],
             rng=np.random.default_rng(5),
-            energized=lambda key, t: key != "b",
+            population=lambda t: ["a"],
         )
         events = inv.run_for(3.0)
         assert all(k == "a" for _, k in events)
@@ -209,6 +209,36 @@ class TestGen2Inventory:
         inv = Gen2Inventory(["a"])
         with pytest.raises(ConfigError):
             inv.run_for(0.0)
+
+    @pytest.mark.parametrize("duration_s, t_start", [
+        (float("nan"), 0.0), (float("inf"), 0.0), (1.0, float("nan")),
+    ])
+    def test_rejects_non_finite_window(self, duration_s, t_start):
+        inv = Gen2Inventory(["a"])
+        with pytest.raises(ConfigError):
+            inv.run_for(duration_s, t_start=t_start)
+
+    def test_population_asked_once_per_round(self):
+        starts = []
+
+        def population(t):
+            starts.append(t)
+            return ["a", "b"]
+
+        inv = Gen2Inventory(["a", "b", "c"], rng=np.random.default_rng(3),
+                            population=population)
+        events = inv.run_for(1.0)
+        assert {k for _, k in events} == {"a", "b"}
+        assert len(starts) == len(inv.round_log)
+        assert starts[0] == 0.0
+        assert starts[1] == inv.round_log[0].duration_s
+
+    def test_default_population_is_every_tag(self):
+        keys = [f"t{i}" for i in range(6)]
+        default = Gen2Inventory(keys, rng=np.random.default_rng(11))
+        explicit = Gen2Inventory(keys, rng=np.random.default_rng(11),
+                                 population=lambda t: keys)
+        assert default.run_for(2.0) == explicit.run_for(2.0)
 
     def test_round_log_accumulates(self):
         inv = Gen2Inventory(["a"], rng=np.random.default_rng(9))

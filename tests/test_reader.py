@@ -264,6 +264,22 @@ class TestReader:
         with pytest.raises(ReaderError):
             Reader().run(scenario, 0.0)
 
+    @pytest.mark.parametrize("vectorized", [True, False])
+    @pytest.mark.parametrize("duration_s, t_start", [
+        (math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0),
+        (1.0, math.nan), (1.0, math.inf),
+    ])
+    def test_non_finite_window_rejected(self, vectorized, duration_s, t_start):
+        reader = Reader(config=ReaderConfig(vectorized=vectorized))
+        with pytest.raises(ReaderError):
+            reader.run(Scenario.single_user(), duration_s, t_start=t_start)
+
+    @pytest.mark.parametrize("vectorized", [True, False])
+    def test_negative_start_rejected_on_both_paths(self, vectorized):
+        reader = Reader(config=ReaderConfig(vectorized=vectorized))
+        with pytest.raises(ReaderError, match="t_start"):
+            reader.run(Scenario.single_user(), 1.0, t_start=-0.5)
+
     def test_blocked_user_yields_no_reports(self):
         scenario = Scenario([Subject(user_id=1, distance_m=4.0,
                                      orientation_deg=150.0)])

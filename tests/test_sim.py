@@ -141,6 +141,11 @@ class TestRunScenario:
         with pytest.raises(ScenarioError):
             run_scenario(Scenario.single_user(), duration_s=0.0)
 
+    @pytest.mark.parametrize("duration_s", [float("nan"), float("inf")])
+    def test_non_finite_duration_rejected(self, duration_s):
+        with pytest.raises(ScenarioError):
+            run_scenario(Scenario.single_user(), duration_s=duration_s)
+
 
 class TestGroundTruth:
     def test_all_rates(self):

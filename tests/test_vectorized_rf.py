@@ -6,8 +6,11 @@ over its scalar form — the property the batched reader synthesis rests on.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.body.motion import BodySway
 from repro.body.subject import Subject
@@ -24,9 +27,9 @@ from repro.rf.channel import ChannelPlan
 from repro.rf.doppler import doppler_report, doppler_shift_from_velocity
 from repro.rf.noise import DynamicMultipath, PhaseNoiseModel, quantize_rssi
 from repro.rf.phase import PhaseModel, backscatter_phase
-from repro.rf.propagation import LinkBudget
+from repro.rf.propagation import LinkBudget, PathLossModel
 from repro.sim.scenario import Scenario
-from repro.units import wavelength, wrap_phase, wrap_phase_delta
+from repro.units import linear_to_db, wavelength, wrap_phase, wrap_phase_delta
 
 TIMES = np.linspace(0.0, 12.0, 97)
 DISTANCES = np.linspace(0.5, 6.0, 23)
@@ -177,6 +180,119 @@ class TestAntennaGeometry:
         assert gains[0] == antenna.peak_gain_dbi
         assert gains[1] == pytest.approx(
             antenna.gain_dbi_toward((2.0, 0.0, 1.0)), abs=1e-9)
+
+
+def _same_bits(a, b) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def _pattern_per_call(antenna: Antenna, point):
+    """``(gain_dbi, distance_m)`` with nothing cached: every vector
+    revalidated, the norms and the cos^k exponent recomputed per call."""
+    direction = np.asarray(point, dtype=float) - np.asarray(
+        antenna.position_m, dtype=float)
+    dist = float(np.linalg.norm(direction))
+    if dist == 0.0:
+        return antenna.peak_gain_dbi, dist
+    bs = np.asarray(antenna.boresight, dtype=float)
+    cos_angle = float(direction @ bs / (dist * np.linalg.norm(bs)))
+    cos_angle = min(1.0, max(-1.0, cos_angle))
+    if cos_angle <= 0.0:
+        return antenna.peak_gain_dbi - 20.0, dist
+    half_bw = np.radians(antenna.beamwidth_deg / 2.0)
+    k = np.log(0.5) / np.log(np.cos(half_bw) ** 2)
+    rolloff_db = 10.0 * k * np.log10(cos_angle ** 2)
+    return antenna.peak_gain_dbi + max(rolloff_db, -20.0), dist
+
+
+_coord = st.floats(-10.0, 10.0)
+_vec3 = st.tuples(_coord, _coord, _coord)
+
+
+class TestAntennaPattern:
+    """``gain_and_distance`` is the one scalar pattern evaluation."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(position=_vec3,
+           boresight=_vec3.filter(lambda v: np.linalg.norm(v) > 0.0),
+           beamwidth=st.floats(1.0, 360.0), point=_vec3)
+    @example(position=(0.0, 0.0, 1.0), boresight=(1.0, 0.0, 0.0),
+             beamwidth=70.0, point=(-3.0, 0.5, 1.0))   # behind the panel
+    @example(position=(0.0, 0.0, 1.0), boresight=(1.0, 0.0, 0.0),
+             beamwidth=70.0, point=(4.0, 0.0, 1.0))    # on boresight
+    @example(position=(0.0, 0.0, 1.0), boresight=(1.0, 0.0, 0.0),
+             beamwidth=70.0, point=(0.0, 0.0, 1.0))    # zero distance
+    @example(position=(0.0, 0.0, 1.0), boresight=(1.0, 0.0, 0.0),
+             beamwidth=70.0, point=(0.0, 2.0, 1.0))    # broadside
+    def test_bit_identical_to_per_call_formula(self, position, boresight,
+                                               beamwidth, point):
+        antenna = Antenna(port=1, position_m=position, boresight=boresight,
+                          beamwidth_deg=beamwidth)
+        # Near-broadside points can underflow cos^2 to zero; log10 then
+        # warns and the -20 dB floor applies, identically on both sides.
+        with np.errstate(all="ignore"):
+            want_gain, want_dist = _pattern_per_call(antenna, point)
+            gain, dist = antenna.gain_and_distance(point)
+            assert _same_bits(gain, want_gain)
+            assert _same_bits(dist, want_dist)
+            assert _same_bits(antenna.gain_dbi_toward(point), want_gain)
+            assert _same_bits(antenna.distance_to(point), want_dist)
+
+    def test_rejects_non_3_vectors(self):
+        with pytest.raises(AntennaError):
+            Antenna(port=1).gain_and_distance((1.0, 2.0))
+
+
+class TestBudgetPieces:
+    """The split path-loss and budget terms reproduce the fused formulas."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(distance=st.floats(1e-3, 50.0), frequency=st.floats(800e6, 1e9),
+           extra=st.floats(0.0, 40.0))
+    def test_bit_identical_to_fused_formula(self, distance, frequency, extra):
+        budget = LinkBudget()
+        model = budget.path_loss
+        lam = wavelength(frequency)
+        loss = (2.0 * linear_to_db(4.0 * np.pi * model.reference_m / lam)
+                + 10.0 * model.exponent * np.log10(distance / model.reference_m))
+        assert _same_bits(model.one_way_loss_db(distance, frequency), loss)
+        tag_p = (budget.tx_power_dbm + budget.reader_gain_dbi
+                 + budget.tag_gain_dbi - loss - budget.on_body_loss_db
+                 - budget.polarization_loss_db - extra)
+        rx_p = (tag_p - budget.modulation_loss_db + budget.tag_gain_dbi
+                + budget.reader_gain_dbi - loss - budget.polarization_loss_db)
+        got = budget.link_powers_dbm(distance, frequency, extra)
+        assert _same_bits(got[0], tag_p) and _same_bits(got[1], rx_p)
+        assert _same_bits(budget.tag_power_dbm(distance, frequency, extra), tag_p)
+        assert _same_bits(budget.rx_power_dbm(distance, frequency, extra), rx_p)
+        tabled = budget.powers_from_path_loss_dbm(
+            model.reference_loss_db(frequency) + model.rolloff_db(distance),
+            extra)
+        assert _same_bits(tabled[0], tag_p) and _same_bits(tabled[1], rx_p)
+
+    def test_sample_read_from_powers_draws_like_sample_read(self):
+        budget = LinkBudget()
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        for distance in np.linspace(0.5, 12.0, 40):
+            powers = budget.link_powers_dbm(float(distance), 915e6, 2.0)
+            assert budget.sample_read(float(distance), 915e6, a, 2.0) == \
+                budget.sample_read_from_powers(*powers, b)
+        assert a.random() == b.random()
+
+    def test_zero_sigma_draws_nothing(self):
+        budget = LinkBudget(path_loss=PathLossModel(fading_sigma_db=0.0))
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert budget.sample_read_from_powers(-10.0, -60.0, rng) == -60.0
+        assert budget.sample_read_from_powers(-30.0, -60.0, rng) is None
+        assert rng.bit_generator.state == state
+
+    def test_rolloff_rejects_non_positive_distance(self):
+        with pytest.raises(ValueError):
+            PathLossModel().rolloff_db(0.0)
+        with pytest.raises(ValueError):
+            PathLossModel().rolloff_db(np.array([1.0, -1.0]))
+        assert math.isfinite(PathLossModel().rolloff_db(1e-3))
 
 
 class TestBodyTrajectories:

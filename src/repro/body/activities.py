@@ -64,6 +64,11 @@ class TransientMotion:
                     self._bursts.append(t)
 
     @property
+    def amplitude_m(self) -> float:
+        """Peak excursion of one burst; displacement stays in [0, this]."""
+        return self._amp
+
+    @property
     def burst_times(self) -> List[float]:
         """Scheduled burst onset times."""
         return list(self._bursts)
@@ -134,6 +139,11 @@ class RestlessBreathing(BreathingWaveform):
 
     def true_rate_bpm(self, t_start: float, t_end: float) -> float:
         return self._breathing.true_rate_bpm(t_start, t_end)
+
+    def peak_displacement_m(self) -> Optional[float]:
+        """The wrapped waveform's bound plus the burst amplitude."""
+        bound = self._breathing.peak_displacement_m()
+        return None if bound is None else bound + self._transients.amplitude_m
 
     def clean_windows(self, t_start: float, t_end: float,
                       min_length_s: float = 10.0) -> List[Tuple[float, float]]:

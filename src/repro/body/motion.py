@@ -64,3 +64,7 @@ class BodySway:
         """Vectorised :meth:`displacement`."""
         arg = 2.0 * math.pi * np.outer(times, self._freqs) + self._phases
         return (np.sin(arg) * self._amps).sum(axis=1)
+
+    def peak_displacement_m(self) -> float:
+        """Sum of the component amplitudes: |displacement| never exceeds it."""
+        return float(np.abs(self._amps).sum())

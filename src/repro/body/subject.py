@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -207,6 +207,26 @@ class Subject:
         return (base
                 + np.outer(breath, self._motion_axis)
                 + np.outer(sway, self._facing))
+
+    def tag_position_envelope_m(self, tag_id: int
+                                ) -> Optional[Tuple[np.ndarray, float]]:
+        """``(centre, radius)`` of a ball the worn tag never leaves.
+
+        The centre is the tag's static mounting point.  Breathing moves
+        the tag along the motion axis by at most the waveform's peak
+        displacement times the placement's motion share, and sway moves
+        it along the facing (unit) vector by at most the sway's peak, so
+        the radius is their sum.  ``None`` when the waveform declares no
+        bound.
+        """
+        tag = self.tag_by_id(tag_id)
+        breath_peak = self.breathing.peak_displacement_m()
+        if breath_peak is None:
+            return None
+        radius = (breath_peak * tag.placement.motion_share
+                  * float(np.linalg.norm(self._motion_axis))
+                  + self._sway.peak_displacement_m())
+        return self._base_by_tag[tag_id].copy(), radius
 
     # ------------------------------------------------------------------
     # Situational RF loss

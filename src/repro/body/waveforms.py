@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +44,17 @@ class BreathingWaveform(ABC):
     def displacement_array(self, times: np.ndarray) -> np.ndarray:
         """Vectorised :meth:`displacement` (default: a Python loop)."""
         return np.array([self.displacement(float(t)) for t in times])
+
+    def peak_displacement_m(self) -> Optional[float]:
+        """A bound [m] the displacement never exceeds, or ``None``.
+
+        Every shipped waveform stays within ``[0, bound]`` at every
+        instant, on the scalar and the array path alike.  The reader uses
+        the bound to decide most link checks without evaluating the
+        trajectory; a waveform that answers ``None`` (the default) has its
+        tags probed exactly at every slot.
+        """
+        return None
 
 
 class SinusoidalBreathing(BreathingWaveform):
@@ -81,6 +92,9 @@ class SinusoidalBreathing(BreathingWaveform):
 
     def displacement_array(self, times: np.ndarray) -> np.ndarray:
         return self._amp * 0.5 * (1.0 - np.cos(TWO_PI * self._rate_hz * times + self._phase))
+
+    def peak_displacement_m(self) -> float:
+        return self._amp
 
     def true_rate_bpm(self, t_start: float, t_end: float) -> float:
         return self._rate_bpm
@@ -138,6 +152,9 @@ class AsymmetricBreathing(BreathingWaveform):
             self._amp * 0.5 * (1.0 - np.cos(np.pi * x_in)),
             self._amp * 0.5 * (1.0 + np.cos(np.pi * x_out)),
         )
+
+    def peak_displacement_m(self) -> float:
+        return self._amp
 
     def true_rate_bpm(self, t_start: float, t_end: float) -> float:
         return self._rate_bpm
@@ -223,6 +240,9 @@ class IrregularBreathing(BreathingWaveform):
         u = times - starts
         disp = self._amp * 0.5 * (1.0 - np.cos(TWO_PI * u / durations))
         return np.where(u >= durations, 0.0, disp)
+
+    def peak_displacement_m(self) -> float:
+        return self._amp
 
     def true_rate_bpm(self, t_start: float, t_end: float) -> float:
         """Cycles completed per minute within the window.
@@ -361,6 +381,10 @@ class ApneaSighBreathing(BreathingWaveform):
         disp = (self._amp * self._gains[idx] * 0.5
                 * (1.0 - np.cos(TWO_PI * u / durations)))
         return np.where(u >= durations, 0.0, disp)
+
+    def peak_displacement_m(self) -> float:
+        """The amplitude times the largest gain in the schedule (a sigh's)."""
+        return self._amp * max((c[3] for c in self._cycles), default=1.0)
 
     def true_rate_bpm(self, t_start: float, t_end: float) -> float:
         """Cycles completed per minute within the window (holds excluded).

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,10 +86,49 @@ class Antenna:
         cos_angle = float(direction @ self._boresight_vec
                           / (dist * self._boresight_norm))
         cos_angle = min(1.0, max(-1.0, cos_angle))
+        return self._pattern_gain_dbi(cos_angle), dist
+
+    def _pattern_gain_dbi(self, cos_angle: float) -> float:
+        """The cos^k pattern [dBi] at a cosine off boresight in [-1, 1].
+
+        Non-decreasing in ``cos_angle``.  A cosine so small that its square
+        underflows to 0 lands on the -20 dB floor without a warning.
+        """
         if cos_angle <= 0.0:
-            return self.peak_gain_dbi - 20.0, dist
-        rolloff_db = 10.0 * self._rolloff_exponent * np.log10(cos_angle ** 2)
-        return self.peak_gain_dbi + max(rolloff_db, -20.0), dist
+            return self.peak_gain_dbi - 20.0
+        with np.errstate(divide="ignore"):
+            rolloff_db = 10.0 * self._rolloff_exponent * np.log10(cos_angle ** 2)
+        return self.peak_gain_dbi + max(rolloff_db, -20.0)
+
+    def gain_and_distance_bounds(self, centre_m: Sequence[float],
+                                 radius_m: float
+                                 ) -> Optional[Tuple[float, float, float, float]]:
+        """``(gain_lo, gain_hi, dist_lo, dist_hi)`` over a ball of points.
+
+        Bounds :meth:`gain_and_distance` for every point within
+        ``radius_m`` of ``centre_m``.  The distance lies in
+        ``centre distance +/- radius``; the pattern is non-decreasing in the
+        cosine off boresight, and the ball's directions span the angle to
+        its centre plus or minus ``asin(radius / distance)``.  The bounds
+        are the exact real extremes; callers widen them for float rounding.
+
+        Returns:
+            ``None`` when the ball reaches the antenna, where neither term
+            is bounded away from the coincident-point special case.
+        """
+        direction = _as_vec(centre_m) - self._position_vec
+        dist = math.sqrt(direction.dot(direction))
+        if not radius_m < dist:
+            return None
+        boresight = self._boresight_vec / self._boresight_norm
+        along = float(direction @ boresight)
+        across = float(np.linalg.norm(np.cross(direction, boresight)))
+        angle = math.atan2(across, along)
+        spread = math.asin(radius_m / dist)
+        cos_hi = math.cos(max(0.0, angle - spread))
+        cos_lo = math.cos(min(math.pi, angle + spread))
+        return (self._pattern_gain_dbi(cos_lo), self._pattern_gain_dbi(cos_hi),
+                dist - radius_m, dist + radius_m)
 
     # ------------------------------------------------------------------
     # Cached geometry + vectorised pattern evaluation.  cached_property

@@ -44,13 +44,17 @@ class TagEnvironment(Protocol):
     these methods works (e.g. a replayer of recorded traces).
 
     Two optional methods let the vectorized reader table a run's link
-    terms; an environment without them is probed per slot instead:
+    terms; an environment without them is probed exactly per slot:
 
     * ``situational_loss_db_static(key, antenna) -> Optional[float]`` —
       the :meth:`extra_loss_db` of a link whose loss never changes, or
       ``None`` when it varies with time;
-    * ``static_position_m(key) -> Optional[np.ndarray]`` — the
-      :meth:`position_m` of a tag that never moves, or ``None``.
+    * ``position_envelope_m(key) -> Optional[Tuple[np.ndarray, float]]``
+      — a ``(centre, radius)`` ball that :meth:`position_m` never leaves
+      during the run (radius 0 for a tag that never moves), or ``None``.
+      On a static-loss link the reader bounds the budget over the ball
+      and evaluates the trajectory only for a fading draw the bounds
+      cannot decide (DESIGN.md §9).
     """
 
     def tag_keys(self) -> Sequence[Hashable]:
@@ -582,6 +586,13 @@ class Reader:
         ]
 
 
+#: Widening [dB] of every tabled power bound.  The bounds are the real
+#: extremes of the budget over a tag's envelope; the exact probe computes
+#: the same budget in floats, whose rounding moves it by ~1e-13 dB at
+#: most, so a fade that clears a bound by this margin decides the slot.
+_BOUND_MARGIN_DB = 1e-9
+
+
 class _LinkTable:
     """Per-run link terms behind the vectorized path's MAC probes.
 
@@ -591,16 +602,19 @@ class _LinkTable:
     * the situational loss of every (tag, antenna) link the environment
       declares static, and from it the per-antenna round population;
     * the free-space reference loss of every channel;
-    * for a tag that never moves, on a link with static loss, the whole
-      ``(tag_power_dbm, rx_power_dbm)`` budget per (tag, antenna,
-      channel), filled on first use.
+    * for a tag with a position envelope (``position_envelope_m``: a ball
+      it never leaves) on a link with static loss, the bounds
+      ``(tag_lo, tag_hi, rx_lo, rx_hi)`` of its budget over the whole
+      ball, per (tag, antenna, channel), filled on first use.
 
-    A probe of a tabled link is then a lookup plus the one fading draw; a
-    worn tag costs one trajectory evaluation and one antenna-pattern
-    evaluation.  The arithmetic is the scalar path's, term for term, and
-    the probe looks up the hop before the fading draw as the scalar path
-    does (both share the generator), so the two paths draw the same MAC
-    event stream.
+    A probe looks up the hop and makes the one fading draw, as the scalar
+    path does (both share the generator).  The slot reads when the faded
+    lower bounds clear both sensitivities and fails when either faded
+    upper bound misses; only a draw that lands between the bounds, or a
+    link without them, evaluates the trajectory and the antenna pattern
+    with the scalar path's arithmetic, term for term, against the same
+    draw (:attr:`exact_probes` counts these).  So the two paths draw the
+    same MAC event stream.
     """
 
     def __init__(self, env: TagEnvironment, keys: List[Hashable],
@@ -614,29 +628,37 @@ class _LinkTable:
         self._hops = hops
         self._budget = budget
         self._rng = rng
+        self._misses = budget.misses_sensitivity
         path_loss = budget.path_loss
+        self._sample_fade = path_loss.sample_fading_db
         self._rolloff_db = path_loss.rolloff_db
         plan = self._hops.plan
         self._reference_loss_db = [
             path_loss.reference_loss_db(plan[ci].frequency_hz)
             for ci in range(len(plan))
         ]
+        #: Probes decided by evaluating the trajectory rather than bounds.
+        self.exact_probes = 0
 
         static_loss = getattr(env, "situational_loss_db_static", None)
-        static_position = getattr(env, "static_position_m", None)
+        envelope_of = getattr(env, "position_envelope_m", None)
         self._situational: Dict[Tuple[Hashable, int], Optional[float]] = {}
-        self._positions: Dict[Hashable, Optional[np.ndarray]] = {}
-        # Per static link, the (tag_p, rx_p) budget per channel index.
-        self._powers: Dict[Tuple[Hashable, int], List[Optional[tuple]]] = {}
+        # Per bounded link, the envelope's (gain_lo, gain_hi, dist_lo,
+        # dist_hi) toward the antenna, and its power bounds per channel.
+        self._balls: Dict[Tuple[Hashable, int], Tuple[float, ...]] = {}
+        self._bounds: Dict[Tuple[Hashable, int], List[Optional[tuple]]] = {}
         for key in keys:
-            position = static_position(key) if static_position is not None else None
-            self._positions[key] = position
+            envelope = envelope_of(key) if envelope_of is not None else None
             for ai, antenna in enumerate(self._antennas):
                 loss = (static_loss(key, antenna)
                         if static_loss is not None else None)
                 self._situational[(key, ai)] = loss
-                if position is not None and loss is not None:
-                    self._powers[(key, ai)] = [None] * len(plan)
+                if envelope is None or loss is None or math.isinf(loss):
+                    continue
+                ball = antenna.gain_and_distance_bounds(*envelope)
+                if ball is not None:
+                    self._balls[(key, ai)] = ball
+                    self._bounds[(key, ai)] = [None] * len(plan)
 
         # One energised-tag list per antenna when every link's loss is
         # static; otherwise each round filters the keys.
@@ -668,24 +690,45 @@ class _LinkTable:
         if math.isinf(situational):
             return False
         ci = self._hops.channel_index_at(t)  # may extend the hop sequence
-        table = self._powers.get((key, ai))
-        if table is None:
-            powers = self._link_powers(key, ai, ci, t, situational)
-        else:
-            powers = table[ci]
-            if powers is None:
-                powers = table[ci] = self._link_powers(key, ai, ci, t, situational)
-        read = self._budget.sample_read_from_powers(powers[0], powers[1], self._rng)
-        return read is not None
+        fade = self._sample_fade(self._rng)
+        table = self._bounds.get((key, ai))
+        if table is not None:
+            bounds = table[ci]
+            if bounds is None:
+                bounds = table[ci] = self._power_bounds(key, ai, ci, situational)
+            tag_lo, tag_hi, rx_lo, rx_hi = bounds
+            if not self._misses(tag_lo, rx_lo, fade):
+                return True
+            if self._misses(tag_hi, rx_hi, fade):
+                return False
+        self.exact_probes += 1
+        tag_p, rx_p = self._link_powers(key, ai, ci, t, situational)
+        return not self._misses(tag_p, rx_p, fade)
+
+    def _power_bounds(self, key: Hashable, ai: int, ci: int,
+                      situational: float) -> tuple:
+        """``(tag_lo, tag_hi, rx_lo, rx_hi)`` over a link's envelope.
+
+        Both powers fall with the distance and with the pattern loss, so
+        the near, high-gain extreme bounds them from above and the far,
+        low-gain extreme from below.
+        """
+        gain_lo, gain_hi, dist_lo, dist_hi = self._balls[(key, ai)]
+        peak = self._antennas[ai].peak_gain_dbi
+        reference = self._reference_loss_db[ci]
+        powers = self._budget.powers_from_path_loss_dbm
+        tag_hi, rx_hi = powers(reference + self._rolloff_db(dist_lo),
+                               situational + (peak - gain_hi))
+        tag_lo, rx_lo = powers(reference + self._rolloff_db(dist_hi),
+                               situational + (peak - gain_lo))
+        margin = _BOUND_MARGIN_DB
+        return tag_lo - margin, tag_hi + margin, rx_lo - margin, rx_hi + margin
 
     def _link_powers(self, key: Hashable, ai: int, ci: int, t: float,
                      situational: float) -> tuple:
         """``(tag_power_dbm, rx_power_dbm)`` of one probe, scalar arithmetic."""
-        position = self._positions[key]
-        if position is None:
-            position = self._env.position_m(key, t)
         antenna = self._antennas[ai]
-        gain, distance = antenna.gain_and_distance(position)
+        gain, distance = antenna.gain_and_distance(self._env.position_m(key, t))
         loss = situational + (antenna.peak_gain_dbi - gain)
         path_loss = self._reference_loss_db[ci] + self._rolloff_db(distance)
         return self._budget.powers_from_path_loss_dbm(path_loss, loss)

@@ -251,11 +251,20 @@ class LinkBudget:
         draw and reaches the same outcome.
         """
         fade = self.path_loss.sample_fading_db(rng)
-        if tag_power_dbm + fade < self.tag_sensitivity_dbm:
-            return None
-        if rx_power_dbm + fade < self.reader_sensitivity_dbm:
+        if self.misses_sensitivity(tag_power_dbm, rx_power_dbm, fade):
             return None
         return rx_power_dbm + fade
+
+    def misses_sensitivity(self, tag_power_dbm: float, rx_power_dbm: float,
+                           fade_db: float) -> bool:
+        """Whether an attempt faded by ``fade_db`` fails either test.
+
+        The tag fails to power up, or the reader fails to decode its
+        backscatter.  Non-increasing in both powers, so bounds on the
+        powers bound the outcome.
+        """
+        return (tag_power_dbm + fade_db < self.tag_sensitivity_dbm
+                or rx_power_dbm + fade_db < self.reader_sensitivity_dbm)
 
 
 def _gaussian_clear_probability(margin_db, sigma_db):

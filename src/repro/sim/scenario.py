@@ -192,21 +192,24 @@ class Scenario:
         user_id, tag_id = self._split_subject_key(key)
         return self._subject_by_user[user_id].tag_position_m_array(tag_id, times)
 
-    def static_position_m(self, key: Hashable) -> Optional[np.ndarray]:
-        """The fixed position of a tag that never moves, else ``None``.
+    def position_envelope_m(self, key: Hashable
+                            ) -> Optional[Tuple[np.ndarray, float]]:
+        """``(centre, radius)`` of a ball the tag never leaves, or ``None``.
 
-        Contending item tags sit still, so :meth:`position_m` at any time
-        is this array; worn tags breathe and sway and answer ``None``.
-        The reader tables the link budget of every tag answered here.
+        A contending item tag sits still: its envelope is its position
+        with radius 0.  A worn tag's is its mounting point and the bound
+        of its breathing and sway
+        (:meth:`~repro.body.subject.Subject.tag_position_envelope_m`),
+        ``None`` when the subject's waveform declares no bound.
 
         Raises:
             ScenarioError: for unknown keys.
         """
         item = self._items_by_key.get(key)
         if item is not None:
-            return np.asarray(item.position_m, dtype=float)
-        self._split_subject_key(key)
-        return None
+            return np.asarray(item.position_m, dtype=float), 0.0
+        user_id, tag_id = self._split_subject_key(key)
+        return self._subject_by_user[user_id].tag_position_envelope_m(tag_id)
 
     def extra_loss_db(self, key: Hashable, t: float, antenna: Antenna) -> float:
         """Situational loss (orientation/blockage for worn tags)."""

@@ -13,7 +13,8 @@ The determinism contract (DESIGN.md, "Performance architecture"):
 * The vectorized MAC probes read per-run link tables; they decide every
   slot as the scalar probes do, so the read-event skeleton (timestamp,
   EPC, channel, antenna) is the same whatever the environment declares
-  static.
+  static.  Most probes are decided from power bounds over each tag's
+  position envelope; the captures are the same with the envelope hidden.
 """
 
 from __future__ import annotations
@@ -25,15 +26,23 @@ import numpy as np
 import pytest
 
 from repro.bench import benchmark_scenario
+from repro.body.activities import RestlessBreathing, TransientMotion
 from repro.body.subject import Subject
+from repro.body.waveforms import (
+    ApneaSighBreathing,
+    BreathingWaveform,
+    MetronomeBreathing,
+    SinusoidalBreathing,
+)
 from repro.config import ReaderConfig
 from repro.core.pipeline import TagBreathe
 from repro.epc.codec import EPC96
-from repro.epc.gen2 import Gen2Config
+from repro.epc.gen2 import Gen2Config, Gen2Inventory
 from repro.errors import DegradedEstimateWarning
 from repro.reader.antenna import Antenna
-from repro.reader.reader import Reader
+from repro.reader.reader import Reader, _LinkTable
 from repro.rf.noise import PhaseNoiseModel
+from repro.rf.propagation import LinkBudget, PathLossModel
 from repro.sim.scenario import Scenario
 
 
@@ -171,9 +180,9 @@ _FACING_WALLS = [
 class _ProbedEnvironment:
     """A scenario seen only through the four required protocol methods.
 
-    Hiding ``situational_loss_db_static`` and ``static_position_m`` makes
+    Hiding ``situational_loss_db_static`` and ``position_envelope_m`` makes
     the vectorized reader filter each round's population and probe every
-    link per slot instead of reading its per-run tables.
+    link exactly per slot instead of reading its per-run tables.
     """
 
     def __init__(self, scenario: Scenario) -> None:
@@ -196,8 +205,8 @@ class _WalkingTag:
     """One tag walking straight away from the antenna, plus a still one.
 
     Both links declare a static situational loss, but only the still tag
-    declares a static position, so the walker's budget must be worked out
-    at every probe: its read rate falls as it leaves range.
+    declares an envelope (radius 0), so the walker's budget must be worked
+    out at every probe: its read rate falls as it leaves range.
     """
 
     _EPCS = {"walker": EPC96.from_user_tag(1, 1), "still": EPC96.from_user_tag(2, 1)}
@@ -218,8 +227,34 @@ class _WalkingTag:
     def situational_loss_db_static(self, key, antenna):
         return 0.0
 
-    def static_position_m(self, key):
-        return self.position_m(key, 0.0) if key == "still" else None
+    def position_envelope_m(self, key):
+        return (self.position_m(key, 0.0), 0.0) if key == "still" else None
+
+
+class _EnvelopeHidden:
+    """A scenario with every optional method but ``position_envelope_m``.
+
+    Its links keep their static losses, so each probe is decided exactly:
+    the reference the envelope-decided captures must equal.
+    """
+
+    def __init__(self, scenario: Scenario) -> None:
+        self._scenario = scenario
+
+    def __getattr__(self, name):
+        if name == "position_envelope_m":
+            raise AttributeError(name)
+        return getattr(self._scenario, name)
+
+
+class _Unbounded(BreathingWaveform):
+    """A custom waveform that declares no displacement bound."""
+
+    def displacement(self, t: float) -> float:
+        return 0.005 * (1.0 - math.cos(1.3 * t))
+
+    def true_rate_bpm(self, t_start: float, t_end: float) -> float:
+        return 60.0 * 1.3 / (2.0 * math.pi)
 
 
 def _turned_away_scenario() -> Scenario:
@@ -227,13 +262,50 @@ def _turned_away_scenario() -> Scenario:
     return Scenario([subject]).with_contending_tags(6, seed=5)
 
 
-def _run_with(vectorized: bool, env, seed: int, duration_s: float,
-              antennas=None):
+def _reader(vectorized: bool, seed: int, antennas=None, link_budget=None,
+            rng=None) -> Reader:
     config = ReaderConfig(vectorized=vectorized,
                           num_antennas=len(antennas) if antennas else 1)
-    reader = Reader(config=config, antennas=antennas,
-                    rng=np.random.default_rng(seed))
+    return Reader(config=config, antennas=antennas, link_budget=link_budget,
+                  rng=rng if rng is not None else np.random.default_rng(seed))
+
+
+def _run_with(vectorized: bool, env, seed: int, duration_s: float,
+              antennas=None, link_budget=None):
+    reader = _reader(vectorized, seed, antennas, link_budget)
     return reader.run(env, duration_s=duration_s)
+
+
+def _probe_counts(env, seed: int, duration_s: float, antennas=None):
+    """Per-tag ``[probes, exact probes]`` of one vectorized MAC pass.
+
+    Drives the run's link table through the Gen2 MAC as ``Reader.run``
+    does, counting each tag's probes and those decided exactly.
+    """
+    rng = np.random.default_rng(seed)
+    reader = _reader(True, seed, antennas, rng=rng)
+    keys = list(env.tag_keys())
+    links = _LinkTable(env, keys, reader.antenna_scheduler,
+                       reader.hop_schedule, reader.link_budget, rng)
+    counts = {key: [0, 0] for key in keys}
+
+    def link_ok(key, t):
+        before = links.exact_probes
+        ok = links.link_ok(key, t)
+        counts[key][0] += 1
+        counts[key][1] += links.exact_probes - before
+        return ok
+
+    Gen2Inventory(keys, config=Gen2Config(), rng=rng, link_ok=link_ok,
+                  population=links.population).run_for(duration_s)
+    return counts
+
+
+def _worn(counts, user_ids=None):
+    """Summed ``[probes, exact]`` over the worn tags (of ``user_ids``)."""
+    rows = [c for key, c in counts.items()
+            if key[0] != "item" and (user_ids is None or key[0] in user_ids)]
+    return [sum(c[0] for c in rows), sum(c[1] for c in rows)]
 
 
 class TestMacExactness:
@@ -277,6 +349,76 @@ class TestMacExactness:
         assert early > 50
         assert late < early / 4
 
+    def test_lying_posture(self):
+        subjects = [Subject(user_id=1, distance_m=2.0, posture="lying",
+                            sway_seed=2),
+                    Subject(user_id=2, distance_m=3.0, posture="lying",
+                            orientation_deg=40.0, lateral_offset_m=0.6,
+                            sway_seed=3)]
+        scenario = Scenario(subjects).with_contending_tags(6, seed=2)
+        vec = _run_with(True, scenario, 5, 15.0, _FACING_WALLS)
+        ref = _run_with(False, scenario, 5, 15.0, _FACING_WALLS)
+        assert sum(r.user_id in (1, 2) for r in vec) > 300
+        assert _skeleton(vec) == _skeleton(ref)
+
+    def test_apnea_sigh_breathing(self):
+        breathing = ApneaSighBreathing(14.0, apnea_per_minute=2.0,
+                                       sigh_probability=0.3, seed=6)
+        assert breathing.peak_displacement_m() > 0.02  # a sigh was drawn
+        scenario = Scenario([Subject(user_id=1, distance_m=2.5,
+                                     breathing=breathing, sway_seed=6)]
+                            ).with_contending_tags(6, seed=6)
+        vec = _run_with(True, scenario, 6, 20.0)
+        ref = _run_with(False, scenario, 6, 20.0)
+        assert sum(r.user_id == 1 for r in vec) > 300
+        assert _skeleton(vec) == _skeleton(ref)
+
+    def test_ball_reaching_the_antenna_forces_the_exact_path(self):
+        # A 0.6 m "breath" 0.4 m from the panel: every tag's envelope
+        # reaches the antenna, so no bound is tabled for its links.
+        near = Subject(user_id=1, distance_m=0.4, sway_seed=8,
+                       breathing=SinusoidalBreathing(12.0, amplitude_m=0.6))
+        far = Subject(user_id=2, distance_m=2.5, lateral_offset_m=0.5,
+                      sway_seed=9)
+        scenario = Scenario([near, far]).with_contending_tags(4, seed=8)
+        antenna = Antenna(port=1)
+        for tag in near.tags:
+            assert antenna.gain_and_distance_bounds(
+                *near.tag_position_envelope_m(tag.tag_id)) is None
+        vec = _run_with(True, scenario, 8, 10.0)
+        ref = _run_with(False, scenario, 8, 10.0)
+        assert sum(r.user_id == 1 for r in vec) > 100
+        assert _skeleton(vec) == _skeleton(ref)
+        counts = _probe_counts(scenario, 8, 10.0)
+        probes, exact = _worn(counts, {1})
+        assert probes > 100 and exact == probes
+        probes, exact = _worn(counts, {2})
+        assert probes > 100 and exact < probes / 100
+
+    def test_fading_free_budget(self):
+        budget = LinkBudget(path_loss=PathLossModel(fading_sigma_db=0.0))
+        scenario = benchmark_scenario(3, seed=4)
+        vec = _run_with(True, scenario, 4, 10.0, link_budget=budget)
+        ref = _run_with(False, scenario, 4, 10.0, link_budget=budget)
+        assert len(vec) > 500
+        assert _skeleton(vec) == _skeleton(ref)
+
+    def test_unbounded_waveform_takes_the_exact_probe(self):
+        scenario = Scenario([
+            Subject(user_id=1, distance_m=2.0, breathing=_Unbounded(),
+                    sway_seed=1),
+            Subject(user_id=2, distance_m=2.5, lateral_offset_m=0.5,
+                    sway_seed=2),
+        ]).with_contending_tags(4, seed=1)
+        vec = _run_with(True, scenario, 2, 10.0)
+        ref = _run_with(False, scenario, 2, 10.0)
+        assert _skeleton(vec) == _skeleton(ref)
+        counts = _probe_counts(scenario, 2, 10.0)
+        probes, exact = _worn(counts, {1})
+        assert probes > 100 and exact == probes
+        probes, exact = _worn(counts, {2})
+        assert probes > 100 and exact < probes / 100
+
     def test_probed_environment_matches_tabled(self):
         scenario = _turned_away_scenario()
         probed = _ProbedEnvironment(scenario)
@@ -285,6 +427,91 @@ class TestMacExactness:
         tabled = _run_with(True, scenario, 7, 10.0, _FACING_WALLS)
         assert len(vec) > 300
         assert _skeleton(vec) == _skeleton(ref) == _skeleton(tabled)
+
+
+def _restless_at_range(seed: int) -> Scenario:
+    """Three users near the edge of range, shifting in their chairs.
+
+    Their links sit a few dB above sensitivity and 8 cm bursts widen each
+    envelope, so many fading draws land between the power bounds.
+    """
+    subjects = [
+        Subject(user_id=uid, distance_m=5.6 + 0.2 * uid,
+                lateral_offset_m=0.5 * (uid - 2),
+                orientation_deg=30.0 * (uid - 1), sway_seed=10 * seed + uid,
+                breathing=RestlessBreathing(
+                    MetronomeBreathing(12.0),
+                    TransientMotion(rate_per_minute=12.0, amplitude_m=0.08,
+                                    seed=10 * seed + uid)))
+        for uid in (1, 2, 3)
+    ]
+    return Scenario(subjects).with_contending_tags(4, seed=seed)
+
+
+def _lying_apnea(seed: int) -> Scenario:
+    subjects = [
+        Subject(user_id=uid, distance_m=1.5 + uid, posture="lying",
+                lateral_offset_m=0.6 * (uid - 1), sway_seed=10 * seed + uid,
+                breathing=ApneaSighBreathing(12.0, sigh_probability=0.3,
+                                             seed=10 * seed + uid))
+        for uid in (1, 2)
+    ]
+    return Scenario(subjects).with_contending_tags(4, seed=seed)
+
+
+class TestEnvelopeDecidedProbes:
+    """The envelope decides most probes and moves no capture."""
+
+    @pytest.mark.parametrize("users", [1, 3, 6])
+    def test_captures_equal_with_the_envelope_hidden(self, users):
+        for seed in range(8):
+            scenario = benchmark_scenario(users, seed=seed)
+            decided = _run_with(True, scenario, seed, 10.0)
+            exact = _run_with(True, _EnvelopeHidden(scenario), seed, 10.0)
+            assert decided == exact
+
+    def test_captures_equal_at_the_edge_of_range(self):
+        exact_probes = 0
+        for seed in range(8):
+            scenario = _restless_at_range(seed)
+            decided = _run_with(True, scenario, seed, 10.0)
+            exact = _run_with(True, _EnvelopeHidden(scenario), seed, 10.0)
+            assert decided == exact
+            exact_probes += _worn(_probe_counts(scenario, seed, 10.0))[1]
+        assert exact_probes > 50  # the exact path really ran
+
+    @pytest.mark.parametrize("make", [benchmark_scenario, _restless_at_range,
+                                      _lying_apnea])
+    def test_every_exact_budget_lies_within_its_bounds(self, make):
+        scenario = make(3) if make is benchmark_scenario else make(1)
+        reader = _reader(True, 1, _FACING_WALLS)
+        keys = scenario.tag_keys()
+        links = _LinkTable(scenario, keys, reader.antenna_scheduler,
+                           reader.hop_schedule, reader.link_budget,
+                           np.random.default_rng(1))
+        times = np.linspace(0.0, 60.0, 241)
+        bounded = 0
+        for key in keys:
+            for ai, antenna in enumerate(_FACING_WALLS):
+                situational = scenario.situational_loss_db_static(key, antenna)
+                if math.isinf(situational):
+                    continue
+                for ci in range(len(reader.hop_schedule.plan)):
+                    lo_tag, hi_tag, lo_rx, hi_rx = links._power_bounds(
+                        key, ai, ci, situational)
+                    bounded += 1
+                    for t in times:
+                        tag_p, rx_p = links._link_powers(key, ai, ci, float(t),
+                                                         situational)
+                        assert lo_tag <= tag_p <= hi_tag
+                        assert lo_rx <= rx_p <= hi_rx
+        assert bounded > 100
+
+    def test_exact_probes_are_rare_on_the_benchmark_shape(self):
+        counts = _probe_counts(benchmark_scenario(3, seed=1), 1, 25.0)
+        probes, exact = _worn(counts)
+        assert probes > 1000
+        assert exact < 0.01 * probes
 
 
 class TestConfigFlag:

@@ -11,11 +11,11 @@ JSON files at the output directory root:
   same run, same seed, same machine.
 * ``BENCH_pipeline.json`` — TagBreathe batch-processing throughput over
   each capture (reports/s, users estimated), plus the ``streaming``
-  suite: serve-shaped replay of the same captures comparing the
-  incremental O(new-samples) cadence tick against the recompute tick
-  (the same cascade with the per-stream reference stage 5), with
-  memoized (no-new-data) tick latency and the derived per-core serve
-  capacity, and the batched SoA feed
+  suite: serve-shaped replay of the same captures timing the
+  O(new-samples) cadence tick in units of a fixed reference kernel
+  timed in the same run, each tick checked against batch processing of
+  the same stored rows, with memoized (no-new-data) tick latency and
+  the derived per-core serve capacity, and the batched SoA feed
   (``feed_batch`` over column chunks) timed against the scalar feed
   with its bit-exactness contract checked in-run, and the same stream
   at serve shape (256-row frames split per user into sessions, staged
@@ -31,10 +31,10 @@ JSON files at the output directory root:
 Both paths consume identical MAC randomness, so each case's scalar and
 vectorized timings cover the *same* read-event stream — the ratio is a
 pure synthesis-path comparison, not a workload difference.  The
-streaming suite replays the identical report stream through both tick
-engines interleaved, so its speedup ratios are also same-workload,
-same-machine comparisons (which is what lets CI compare *ratios* across
-machines; see ``tools/check_bench_regression.py``).
+streaming suite's tick cost is a ratio to the reference kernel timed
+between the ticks, and its feed speedups are same-run ratios, so
+machine speed cancels out of them (which is what lets CI gate them on
+any machine; see ``tools/check_bench_regression.py``).
 """
 
 from __future__ import annotations
@@ -196,6 +196,17 @@ STREAM_WARMUP_S = 12.0
 #: matches the serve layer's default ``estimate_interval_s``.
 STREAM_CADENCE_S = 5.0
 
+#: Analysis window of the streaming-benchmark ticks and of the batch
+#: estimate each tick is checked against (the engine's default).
+STREAM_WINDOW_S = 25.0
+
+#: Timed reference-kernel runs at every streaming-benchmark cadence
+#: point (see :func:`_reference_kernel`).
+STREAM_KERNEL_RUNS = 3
+
+#: The reference kernel's fixed input.
+_KERNEL_DATA = np.random.default_rng(0).standard_normal(1024)
+
 #: Reports per column chunk on the batched-feed measurement — matches
 #: the ingest client's column-frame coalescing scale and is past the
 #: knee where per-batch overheads amortize.
@@ -280,30 +291,62 @@ def _serve_shape_feed(reports, batch_all: ReportBatch,
     }
 
 
+def _reference_kernel() -> float:
+    """Fixed work whose time tracks the host's speed.
+
+    A mix of small-array numpy calls and dict-and-int bytecode, the two
+    kinds of work a tick does, so both slow down together when a shared
+    host does.  No change to the program can make it faster or slower,
+    so a tick's time divided by the kernel's, both taken in one run,
+    cancels the machine and its load (``perfbench/reference.py`` scales
+    every workload the same way).
+    """
+    total = 0.0
+    for i in range(6):
+        part = np.sort(_KERNEL_DATA[i * 8: i * 8 + 256])
+        total += float(np.median(part)) + float(np.cumsum(part)[-1])
+    table: Dict[int, int] = {}
+    for i in range(600):
+        key = i & 63
+        table[key] = table.get(key, 0) + i % 7
+    return total + len(table)
+
+
+def _time_reference_kernel(times: List[float],
+                           runs: int = STREAM_KERNEL_RUNS) -> None:
+    """Append ``runs`` kernel timings, each after an untimed warm run."""
+    for _ in range(runs):
+        _reference_kernel()
+        t0 = time.perf_counter()
+        _reference_kernel()
+        times.append(time.perf_counter() - t0)
+
+
 def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                             seed: int = 0) -> Dict:
-    """Serve-shaped replay: incremental vs recompute cadence ticks.
+    """Serve-shaped replay: the cadence tick's cost and correctness.
 
-    Each capture is replayed report-by-report through two default
-    engines fed in lockstep — one ticked incrementally, the reference
-    ticked through ``estimate_user_recompute``, which runs the same
-    robustness cascade but recomputes stage 5 per stream from the
-    stored window's reports — and every ``STREAM_CADENCE_S`` of
-    stream time each monitored user is ticked on both, timing the ticks
-    separately.  A third timing re-ticks the incremental engine
-    immediately (no new data), measuring the memoized-tick latency a
+    Each capture is replayed report by report into a default engine,
+    and every ``STREAM_CADENCE_S`` of stream time each monitored user is
+    ticked (``estimate_user`` over the trailing ``STREAM_WINDOW_S``),
+    then re-ticked immediately with no new data — the memoized tick a
     serve deployment pays whenever a user's stream was quiet between
-    cadences.
+    cadences.  The reference kernel (:func:`_reference_kernel`) is timed
+    at every cadence point; ``tick_cost_kernels`` is the mean computed
+    tick over the kernel's median time in the same run, a tick cost that
+    machine speed cancels out of.
 
-    Every tick's estimate is cross-checked between the two engines;
-    ``max_rate_diff_bpm`` is expected to be exactly 0.0 — the
-    incremental path is bit-equivalent by construction (DESIGN.md §12) —
-    so a nonzero value in a committed benchmark is a correctness alarm,
-    not noise.
+    Every tick is cross-checked against batch ``process_detailed`` over
+    the engine's stored rows with the same window (untimed);
+    ``max_rate_diff_bpm`` is expected to be exactly 0.0 — batch and tick
+    run one cascade and one stage 5 (DESIGN.md §12) — so a nonzero value
+    in a committed benchmark is a correctness alarm, not noise.  Batch
+    keeps no fallback hysteresis memory, so ``fallback_ticks`` counts
+    ticks that ran on the RSS fallback, where the two could disagree.
 
     ``serve_capacity_users`` is the derived headline: how many users one
     core can tick per cadence interval, charging each user its share of
-    feed cost plus one computed incremental tick.
+    feed cost plus one computed tick.
 
     ``feed_batch_speedup`` times ``feed_batch`` at
     ``STREAM_BATCH_CHUNK``-row chunks; ``serve_feed_speedup`` times the
@@ -314,11 +357,13 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
     for (users, duration_s), result in sorted(captures.items()):
         user_ids = sorted(result.scenario.monitored_user_ids)
         inc = TagBreathe(user_ids=set(user_ids))
-        rec = TagBreathe(user_ids=set(user_ids))
+        ref = TagBreathe(user_ids=set(user_ids))
         reports = result.reports
-        feed_s = inc_s = rec_s = hit_s = 0.0
-        ticks = insufficient = 0
+        feed_s = inc_s = hit_s = 0.0
+        ticks = insufficient = fallback = 0
         max_diff = 0.0
+        kernel_times: List[float] = []
+        _time_reference_kernel(kernel_times)
         next_tick = (reports[0].timestamp_s + STREAM_WARMUP_S
                      if reports else None)
         with warnings.catch_warnings():
@@ -327,30 +372,29 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                 t0 = time.perf_counter()
                 inc.feed(report)
                 feed_s += time.perf_counter() - t0
-                rec.feed(report)
                 if next_tick is None or report.timestamp_s < next_tick:
                     continue
                 next_tick += STREAM_CADENCE_S
+                _time_reference_kernel(kernel_times)
                 for uid in user_ids:
                     ticks += 1
                     t0 = time.perf_counter()
                     try:
-                        a = inc.estimate_user(uid)
+                        a = inc.estimate_user(uid, window_s=STREAM_WINDOW_S)
                     except InsufficientDataError:
                         a = None
                     inc_s += time.perf_counter() - t0
                     t0 = time.perf_counter()
                     try:
-                        b = rec.estimate_user_recompute(uid)
-                    except InsufficientDataError:
-                        b = None
-                    rec_s += time.perf_counter() - t0
-                    t0 = time.perf_counter()
-                    try:
-                        inc.estimate_user(uid)
+                        inc.estimate_user(uid, window_s=STREAM_WINDOW_S)
                     except InsufficientDataError:
                         pass
                     hit_s += time.perf_counter() - t0
+                    b = ref.process_detailed(
+                        inc.buffered_reports(uid),
+                        window_s=STREAM_WINDOW_S)[0].get(uid)
+                    if a is not None and a.estimator != "zero_crossing":
+                        fallback += 1
                     if a is None or b is None:
                         insufficient += 1
                         if (a is None) != (b is None):
@@ -358,6 +402,7 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                     else:
                         max_diff = max(max_diff,
                                        abs(a.rate_bpm - b.rate_bpm))
+        kernel_s = float(np.median(kernel_times))
         # The SoA hot path: the identical stream packed as column chunks
         # (the packing itself is untimed — a columnar reader delivers
         # arrays natively; ``from_reports`` is the compatibility shim)
@@ -398,7 +443,6 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
         serve = _serve_shape_feed(reports, batch_all)
 
         inc_tick = inc_s / ticks if ticks else float("nan")
-        rec_tick = rec_s / ticks if ticks else float("nan")
         hit_tick = hit_s / ticks if ticks else float("nan")
         # Per-user feed cost over one cadence interval: this user's
         # share of the stream's reports in STREAM_CADENCE_S of time.
@@ -425,17 +469,16 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
             "batch_state_equal": state_equal,
             "batch_max_rate_diff_bpm": batch_diff,
             **serve,
+            "reference_kernel_s": kernel_s,
             "incremental_tick_s": inc_tick,
-            "recompute_tick_s": rec_tick,
             "cached_tick_s": hit_tick,
-            "tick_speedup": (rec_tick / inc_tick
-                             if inc_tick > 0 else float("inf")),
-            "cached_tick_speedup": (rec_tick / hit_tick
-                                    if hit_tick > 0 else float("inf")),
+            "tick_cost_kernels": inc_tick / kernel_s,
+            "cached_tick_cost_kernels": hit_tick / kernel_s,
             "serve_capacity_users": (STREAM_CADENCE_S / user_cadence_cost
                                      if user_cadence_cost > 0
                                      else float("inf")),
             "max_rate_diff_bpm": max_diff,
+            "fallback_ticks": fallback,
         })
     headline = max(cases, key=lambda c: (c["users"], c["duration_s"]))
     return {
@@ -445,10 +488,11 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
         "headline": {
             "users": headline["users"],
             "duration_s": headline["duration_s"],
-            "tick_speedup": headline["tick_speedup"],
-            "cached_tick_speedup": headline["cached_tick_speedup"],
+            "tick_cost_kernels": headline["tick_cost_kernels"],
+            "cached_tick_cost_kernels": headline["cached_tick_cost_kernels"],
             "serve_capacity_users": headline["serve_capacity_users"],
             "max_rate_diff_bpm": headline["max_rate_diff_bpm"],
+            "fallback_ticks": sum(c["fallback_ticks"] for c in cases),
             "feed_batch_speedup": headline["feed_batch_speedup"],
             "batch_state_equal": all(c["batch_state_equal"]
                                      for c in cases),

@@ -2,8 +2,9 @@
 
 The stages mirror Fig. 10's workflow:
 
-1. :mod:`~repro.core.preprocess` — phase measurement preprocessing:
-   channel grouping and displacement calculation (Eq. 3–4).
+1. :mod:`~repro.core.preprocess` and :mod:`~repro.core.incremental` —
+   phase measurement preprocessing: channel grouping and displacement
+   calculation (Eq. 3–4), over columns.
 2. :mod:`~repro.core.fusion` — raw-data fusion of multi-tag streams
    (Eq. 6–7) grouped per user via the EPC user-ID field.
 3. :mod:`~repro.core.filters` / :mod:`~repro.core.zerocross` /
@@ -22,10 +23,7 @@ from .preprocess import (
     default_frequencies,
     group_reports_by_stream,
     displacement_deltas,
-    displacement_samples,
     displacement_track,
-    hampel_filter,
-    phase_segments,
 )
 from .fusion import fuse_streams, fuse_sample_streams, group_reports_by_user, FusedStream
 from .filters import fft_lowpass, fir_lowpass, detrend_series
@@ -46,9 +44,7 @@ __all__ = [
     "default_frequencies",
     "group_reports_by_stream",
     "displacement_deltas",
-    "displacement_samples",
     "displacement_track",
-    "phase_segments",
     "fuse_streams",
     "fuse_sample_streams",
     "group_reports_by_user",
@@ -66,7 +62,6 @@ __all__ = [
     "BreathingEstimate",
     "antenna_quality_scores",
     "select_best_antenna",
-    "hampel_filter",
     "DEGRADED_REASONS", "FEED_DROP_KEYS",
     "TagBreathe",
     "UserEstimate",

@@ -58,9 +58,9 @@ class EstimationWindow:
         antenna: per-report antenna port, aligned with ``times``.
         tag: per-report tag-stream label, aligned with ``times``.  Only
             the *partition* it induces is contracted — batch processing
-            fills it with ``tag_id`` while the streaming tick uses its
-            internal stream ids, which label the identical groups (one
-            per worn tag), so group-wise arithmetic is bit-identical
+            labels each (user, tag) pair while the streaming tick uses
+            its internal stream ids, which label the identical groups
+            (one per worn tag), so group-wise arithmetic is bit-identical
             across paths.
     """
 

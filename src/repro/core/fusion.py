@@ -132,11 +132,12 @@ def fuse_sample_streams(
     t_start: Optional[float] = None,
     t_end: Optional[float] = None,
 ) -> FusedStream:
-    """Fuse per-tag *absolute* displacement samples (production path).
+    """Fuse per-tag *absolute* displacement samples, stream by stream.
 
     The counterpart of :func:`fuse_streams` for the segment-normalised
-    representation of :func:`repro.core.preprocess.displacement_samples`:
-    each tag's samples are averaged within each Delta-t bin (empty bins
+    representation of :func:`repro.core.incremental.window_samples`
+    (whose ``fused_track`` is the same arithmetic over all streams at
+    once): each tag's samples are averaged within each Delta-t bin (empty bins
     interpolated) and the per-tag binned tracks are summed across tags.
     All of a user's tags move in phase during breathing (Section IV-D-1),
     so the sum is constructive exactly as Eq. (6) intends, while the

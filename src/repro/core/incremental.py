@@ -1,4 +1,4 @@
-"""The streaming store and its O(new-samples) stage 5.
+"""The streaming store and the engine's one stage 5.
 
 This module keeps, per user, the engine's one store of streamed
 reports, updated once per ``feed()``:
@@ -17,25 +17,24 @@ reports, updated once per ``feed()``:
   screening) and the accepted-rows counter behind the bounded-memory
   prune.
 
-A streaming tick runs the engine's one robustness cascade
+Eq. (3) is one function, :func:`chain_deltas`: the store runs it
+against each chain's stored tail, and batch ``process()`` runs it once,
+with no tails, over its stage 1 output
+(:meth:`IncrementalEstimator.column_track`).  Stage 5 — per-tag
+displacement, Hampel and Eq. (6)/(7) fusion — is one segmented pass
+over those columns (:func:`window_track`), whichever path computed
+them.  Every estimate path runs the engine's one robustness cascade
 (``TagBreathe._cascade``: antenna failover, staleness demotion, gap
-scoring, the Doppler motion screen, fusion, the estimator lattice) over
-the window's index columns (:meth:`IncrementalEstimator.window_rows`).
-Stage 5 — per-tag displacement, Hampel and Eq. (6)/(7) fusion — runs
-here as one pass over the window slice (:func:`window_track`) that
-reads the stored Eq. (3) columns.  It performs the identical float64
-operations on the identical values in the identical order as the
-per-stream reference stage 5 (``TagBreathe._fused_track_counting``), so
-a tick is **bit-for-bit equal** to the recompute path, which runs the
-same cascade with the reference stage 5 over the same index slice
-(``tests/test_incremental.py`` and the hypothesis properties in
-``tests/test_property.py`` pin this).
+scoring, the Doppler motion screen, fusion, the estimator lattice) and
+passes it this stage 5.  ``tests/stage5_reference.py`` keeps the
+per-stream reference (segments, displacement samples, Hampel and
+fusion stream by stream over ``TagReport`` lists); the tests hold
+batch and tick equal to it bit for bit.
 
-What stays out: ``mode="increments"`` cannot tick incrementally — its
+What stays out: ``mode="increments"`` is batch-only — its
 :class:`~repro.core.preprocess.DeltaChain` smoothing window spans the
 analysis-window boundary, so windowed results are not a function of
-windowed reports — and ticks through the recompute path, reading its
-rows from this same store.
+windowed reports, and its stage 5 runs per stream in the pipeline.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from .. import obs
 from ..config import PipelineConfig, RobustnessConfig
 from ..errors import EmptyStreamError, InsufficientDataError
 from ..reader.batch import ReportBatch
@@ -276,8 +276,12 @@ class IncrementalEstimator:
         else:
             gap = t - float(state.tail_t[slot])
             if 0.0 < gap <= self._max_gap_s:
-                wd = wrap_phase_delta(phase - float(state.tail_p[slot]))
+                raw = phase - float(state.tail_p[slot])
+                wd = wrap_phase_delta(raw)
                 seg = 0
+                if not -np.pi <= raw < np.pi and obs.enabled():
+                    obs.counter(
+                        "repro_pipeline_phase_unwrap_corrections_total").inc()
             state.tail_t[slot] = t
             state.tail_p[slot] = phase
         state.index.add(t, port=report.antenna_port, rssi=report.rssi_dbm,
@@ -348,7 +352,7 @@ class IncrementalEstimator:
             c, a = channels[srt], antennas[srt]
             # A stream's rows are in time order in both arrival and index
             # order, so the chains difference the same in either.
-            wd, seg = self._chain_pass(state, s, t, p, c, a)
+            wd, seg = self._chain_deltas(state, s, t, p, c, a)
             tail = state.index.last_time()
             if tail is None or t[0] >= tail:
                 state.index.extend(t, port=a, rssi=rssis[srt], sid=s,
@@ -383,23 +387,16 @@ class IncrementalEstimator:
                 self._prune(state, sid, float(times[rows[last_trigger]])
                             - self._retain_s)
 
-    def _chain_pass(self, state: UserStreamState, sids: np.ndarray,
-                    times: np.ndarray, phases: np.ndarray,
-                    channels: np.ndarray, antennas: np.ndarray
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Eq. (3) for one user's new rows.
-
-        Each (stream, channel, antenna) chain's first new row is
-        differenced against the chain's stored tail, every later one
-        against its predecessor — the batch chain walk's arithmetic — and
-        the tails advance to each chain's last new row.  A new chain's
-        tail is its own first row: a zero gap, so a segment start.
-
-        Returns:
-            ``(wd, seg)`` aligned with the input rows.
+    def _chain_deltas(self, state: UserStreamState, sids: np.ndarray,
+                      times: np.ndarray, phases: np.ndarray,
+                      channels: np.ndarray, antennas: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """:func:`chain_deltas` for one user's new rows against the
+        stored chain tails, which then advance to each chain's last new
+        row.  A new chain's tail is its own first row: a zero gap, so a
+        segment start.
         """
         order, start = chain_order(sids, channels, antennas)
-        t, p = times[order], phases[order]
         starts = np.flatnonzero(start)
         first = order[starts]
         chains = list(zip(sids[first].tolist(), channels[first].tolist(),
@@ -411,24 +408,14 @@ class IncrementalEstimator:
             slots[new] = len(state.chain_of) + np.arange(new.size)
             state.chain_of.update(zip([chains[i] for i in new.tolist()],
                                       slots[new].tolist()))
-            state.tail_t = np.concatenate((state.tail_t, t[starts[new]]))
-            state.tail_p = np.concatenate((state.tail_p, p[starts[new]]))
-        prev_t = np.empty_like(t)
-        prev_t[1:] = t[:-1]
-        prev_t[starts] = state.tail_t[slots]
-        prev_p = np.empty_like(p)
-        prev_p[1:] = p[:-1]
-        prev_p[starts] = state.tail_p[slots]
-        ends = np.append(starts[1:], t.shape[0]) - 1
-        state.tail_t[slots] = t[ends]
-        state.tail_p[slots] = p[ends]
-        gap = t - prev_t
-        seg = (gap <= 0.0) | (gap > self._max_gap_s)
-        wd = np.empty_like(t)
-        wd[order] = np.where(seg, 0.0, wrap_phase_delta(p - prev_p))
-        seg_rows = np.empty(t.shape[0], dtype=np.int64)
-        seg_rows[order] = seg
-        return wd, seg_rows
+            state.tail_t = np.concatenate((state.tail_t, times[first[new]]))
+            state.tail_p = np.concatenate((state.tail_p, phases[first[new]]))
+        wd, seg = chain_deltas(times, phases, order, starts, self._max_gap_s,
+                               state.tail_t[slots], state.tail_p[slots])
+        last = order[np.append(starts[1:], order.shape[0]) - 1]
+        state.tail_t[slots] = times[last]
+        state.tail_p[slots] = phases[last]
+        return wd, seg
 
     def _prune(self, state: UserStreamState, sid: int,
                horizon_s: float) -> None:
@@ -480,7 +467,32 @@ class IncrementalEstimator:
         rows = WindowRows(index.times[a:b], col("port")[a:b],
                           col("rssi")[a:b], col("dop")[a:b],
                           col("chan")[a:b], col("sid")[a:b])
-        phase, wd, seg = col("phase")[a:b], col("wd")[a:b], col("seg")[a:b]
+        return rows, self._track_of(user_id, rows, col("phase")[a:b],
+                                    col("wd")[a:b], col("seg")[a:b])
+
+    def column_track(
+        self, user_id: int, rows: WindowRows, phase: np.ndarray,
+    ) -> Callable[[np.ndarray], Tuple[TimeSeries, int, int]]:
+        """Stage 5 over rows that never entered the store.
+
+        ``rows`` and ``phase`` are one user's time-ordered columns free
+        of re-deliveries (batch stage 1's output).  Their Eq. (3)
+        columns are computed here in one :func:`chain_deltas` pass with
+        no chain tails, so every chain starts a segment at its first row.
+
+        Returns:
+            ``track_of``, as :meth:`window_rows` returns it.
+        """
+        order, start = chain_order(rows.sid, rows.chan, rows.port)
+        wd, seg = chain_deltas(rows.t, phase, order, np.flatnonzero(start),
+                               self._max_gap_s)
+        return self._track_of(user_id, rows, phase, wd, seg)
+
+    def _track_of(
+        self, user_id: int, rows: WindowRows, phase: np.ndarray,
+        wd: np.ndarray, seg: np.ndarray,
+    ) -> Callable[[np.ndarray], Tuple[TimeSeries, int, int]]:
+        """:func:`window_track` over a subset of ``rows`` (positions)."""
 
         def track_of(keep: np.ndarray) -> Tuple[TimeSeries, int, int]:
             return window_track(
@@ -488,33 +500,82 @@ class IncrementalEstimator:
                 rows.port[keep], phase[keep], wd[keep], seg[keep],
                 self._coef, self._robustness, self._config.fusion_bin_s)
 
-        return rows, track_of
+        return track_of
+
+
+def chain_deltas(times: np.ndarray, phases: np.ndarray, order: np.ndarray,
+                 starts: np.ndarray, max_gap_s: float,
+                 tail_t: Optional[np.ndarray] = None,
+                 tail_p: Optional[np.ndarray] = None
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Eq. (3) over time-ordered rows: the engine's one phase differencing.
+
+    ``order`` lays the rows out as (stream, channel, antenna) chains and
+    ``starts`` marks each chain's first position in it
+    (:func:`~repro.core.preprocess.chain_order`).  A chain's first row
+    is differenced against its tail — ``tail_t``/``tail_p``, one entry
+    per chain in chain order, the newest read stored before these rows
+    — and every later row against its predecessor.  With no tails each
+    chain's first row is its own predecessor.  A row whose gap is not
+    positive or exceeds ``max_gap_s`` starts a segment; every other row
+    gets its wrapped phase delta.  While tracing is on, deltas that the
+    wrap moved (raw difference outside ``[-pi, pi)``) are counted in
+    ``repro_pipeline_phase_unwrap_corrections_total``.
+
+    Returns:
+        ``(wd, seg)`` aligned with the input rows: the wrapped delta (0
+        at a segment start) and the segment-start flag (0 or 1).
+    """
+    t, p = times[order], phases[order]
+    prev_t = np.empty_like(t)
+    prev_t[1:] = t[:-1]
+    prev_t[starts] = t[starts] if tail_t is None else tail_t
+    prev_p = np.empty_like(p)
+    prev_p[1:] = p[:-1]
+    prev_p[starts] = p[starts] if tail_p is None else tail_p
+    gap = t - prev_t
+    seg = (gap <= 0.0) | (gap > max_gap_s)
+    raw = p - prev_p
+    wd = np.empty_like(t)
+    wd[order] = np.where(seg, 0.0, wrap_phase_delta(raw))
+    if obs.enabled():
+        wrapped = int(np.count_nonzero(~seg & ((raw < -np.pi)
+                                               | (raw >= np.pi))))
+        if wrapped:
+            obs.counter(
+                "repro_pipeline_phase_unwrap_corrections_total").inc(wrapped)
+    seg_rows = np.empty(t.shape[0], dtype=np.int64)
+    seg_rows[order] = seg
+    return wd, seg_rows
 
 
 def window_samples(times: np.ndarray, sids: np.ndarray, chans: np.ndarray,
                    ports: np.ndarray, phases: np.ndarray, wd: np.ndarray,
                    seg: np.ndarray, coef: np.ndarray
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every stream's :func:`~repro.core.preprocess.displacement_samples`
-    over one window's rows (in index order), bit for bit.
+    """Every stream's displacement samples over one window's rows (time
+    order, equal times in arrival order).
 
     Each (stream, channel, antenna) chain is re-anchored at its first
     row and at every stored segment start; segments shorter than
-    ``DEFAULT_MIN_SEGMENT_LEN`` drop, the rest are accumulated and
-    demeaned with ``coef`` (channel -> lambda / 4 pi).
+    ``DEFAULT_MIN_SEGMENT_LEN`` drop, the rest are accumulated (Eq. 4)
+    and demeaned (the Fig. 6 normalisation) with ``coef`` (channel ->
+    lambda / 4 pi).  A stream keeps one sample per timestamp: where
+    chains of one stream share a time, the sample of the chain whose
+    first row came earliest wins.
 
     Returns:
         ``(t, values, counts)``: the samples stream after stream, each
         stream in time order, and ``counts[i]`` samples for the stream
-        ranked *i* by first appearance in the window — the order the
-        reference stage 5 groups (and fuses) streams in.
+        ranked *i* by first appearance in the window — the order
+        Eq. (6)/(7) sums streams in.
     """
     present, first = np.unique(sids, return_index=True)
     rank = np.empty(int(present[-1]) + 1, dtype=np.int64)
     rank[present[np.argsort(first)]] = np.arange(present.shape[0])
     n = times.shape[0]
-    chain, start = chain_order(sids, chans, ports)
-    start |= seg[chain] != 0
+    chain, chain_start = chain_order(sids, chans, ports)
+    start = chain_start | (seg[chain] != 0)
     bounds = np.flatnonzero(start)
     lengths = np.diff(np.append(bounds, n))
     kept = lengths >= DEFAULT_MIN_SEGMENT_LEN
@@ -531,8 +592,20 @@ def window_samples(times: np.ndarray, sids: np.ndarray, chans: np.ndarray,
     pos = chain[member]
     stream = rank[sids[pos]]
     by_stream = np.argsort(stream * n + pos)
-    return (times[pos[by_stream]], values[by_stream],
-            np.bincount(stream, minlength=present.shape[0]))
+    pos, values, stream = pos[by_stream], values[by_stream], stream[by_stream]
+    t = times[pos]
+    tie = (t[1:] == t[:-1]) & (stream[1:] == stream[:-1])
+    if tie.any():
+        # Only batch rows tie: the store keeps one read per (stream, t).
+        origin = np.empty(n, dtype=np.int64)
+        origin[chain] = chain[np.flatnonzero(chain_start)][
+            np.cumsum(chain_start) - 1]
+        run = np.cumsum(np.append(True, ~tie)) - 1
+        pick = np.lexsort((origin[pos], run))
+        keep = pick[np.append(True, run[pick][1:] != run[pick][:-1])]
+        keep.sort()
+        t, values, stream = t[keep], values[keep], stream[keep]
+    return t, values, np.bincount(stream, minlength=present.shape[0])
 
 
 def window_track(user_id: int, times: np.ndarray, sids: np.ndarray,
@@ -540,10 +613,11 @@ def window_track(user_id: int, times: np.ndarray, sids: np.ndarray,
                  wd: np.ndarray, seg: np.ndarray, coef: np.ndarray,
                  robustness: RobustnessConfig,
                  bin_s: float) -> Tuple[TimeSeries, int, int]:
-    """Stage 5 over one window: the reference stage 5's
-    (``TagBreathe._fused_track_counting``) per-tag displacement samples
-    (:func:`window_samples`), Hampel rejection and Eq. (6)/(7) fusion,
-    bit for bit.
+    """Stage 5 over one window: per-tag displacement samples
+    (:func:`window_samples`), per-stream Hampel rejection and Eq. (6)/(7)
+    fusion.  Batch, the streaming tick and the public ``fused_track``
+    all run it; ``tests/stage5_reference.py`` holds the per-stream
+    reference it equals bit for bit.
 
     Returns:
         ``(track, n_rejected, n_samples)``: the fused Eq. (7) track, the
@@ -592,8 +666,8 @@ def fused_track(user_id: int, times: np.ndarray, values: np.ndarray,
     times, values, counts = times[member], values[member], counts[live]
     ends = np.cumsum(counts)
     if counts.max() > _HISTOGRAM_BLOCK:
-        # np.histogram bins such streams block by block, as the batch
-        # path does.
+        # np.histogram bins such streams block by block; so does
+        # fuse_sample_streams.
         return fuse_sample_streams(user_id, {
             i: TimeSeries.from_trusted(times[end - n:end], values[end - n:end])
             for i, (end, n) in enumerate(zip(ends.tolist(), counts.tolist()))

@@ -10,19 +10,20 @@ the paper's prototype visualised breathing "in realtime" (Section V).
 Every path runs one robustness cascade (:meth:`TagBreathe._cascade`,
 DESIGN.md §12) over one user's time-ordered column arrays: antenna
 failover, stale-tag demotion, gap coverage, the Doppler motion screen,
-fusion, and the estimator lattice.  The paths differ only in what feeds
-it.  Batch mode first runs stage 1 (:func:`sanitize_columns`: stable
-time sort, late and duplicate deliveries counted) over each user's
-delivered columns.  The streaming store needs no stage 1: ``feed()``
-stores each report once in a per-user, timestamp-ordered window index
-(the engine's only copy of streamed reports, which checkpoints read
-back out) with its Eq. (3) phase delta, dropping late and duplicate
-reports as it goes.  Stage 5 is passed in: the streaming tick
-(:meth:`TagBreathe.estimate_user`) reads the stored Eq. (3) columns in
-one pass over the window slice, while batch mode and the from-scratch
-:meth:`TagBreathe.estimate_user_recompute` run the per-stream
-reference (displacement, Hampel, fusion), bit for bit equal to it.  A
-tick with no new reports returns the memoized ``UserEstimate`` without
+fusion, and the estimator lattice.  Every path also runs one stage 5,
+:func:`repro.core.incremental.window_track`: per-tag displacement
+samples from Eq. (3) columns, Hampel rejection and Eq. (6)/(7) fusion.
+The paths differ only in where those columns come from.  Batch mode
+converts the capture to columns once, runs stage 1
+(:func:`sanitize_columns`: stable time sort, late and duplicate
+deliveries counted) over each user's delivered rows, and computes their
+Eq. (3) columns in one pass.  The streaming store needs no stage 1:
+``feed()`` stores each report once in a per-user, timestamp-ordered
+window index (the engine's only copy of streamed reports, which
+checkpoints read back out) with its Eq. (3) phase delta, dropping late
+and duplicate reports as it goes, and the tick
+(:meth:`TagBreathe.estimate_user`) slices the window out of it.  A tick
+with no new reports returns the memoized ``UserEstimate`` without
 touching the filter.  All paths share one trailing-window definition:
 ``(t_latest - window_s, t_latest]``
 (:func:`repro.streams.windows.trailing_window_bounds`).
@@ -35,7 +36,8 @@ Two preprocessing representations are supported (see DESIGN.md):
   recurrences preserve continuity even when reads are sparse (30
   contending tags, 90-degree orientation).
 * ``mode="increments"``: the literal Eq. (3)/(6)/(7) increment pipeline of
-  the paper's text, retained for the ablation benchmarks.
+  the paper's text, retained for the ablation benchmarks.  It is
+  batch-only: :meth:`TagBreathe.estimate_user` raises ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -55,10 +57,12 @@ from ..config import (
     RobustnessConfig,
 )
 from ..errors import (
+    ConfigError,
     DegradedEstimateWarning,
     EmptyStreamError,
     ExtractionError,
     InsufficientDataError,
+    StreamError,
 )
 from ..reader.batch import ReportBatch
 from ..reader.tagreport import TagReport
@@ -82,11 +86,7 @@ from .estimators import (
     track_roughness,
 )
 from .extraction import BreathExtractor, BreathingEstimate
-from .fusion import (
-    fuse_sample_streams,
-    fuse_streams,
-    group_reports_by_user,
-)
+from .fusion import fuse_streams
 from .incremental import IncrementalEstimator, WindowRows
 from .motion import STILL, MotionReport, apply_motion, score_motion
 from .preprocess import (
@@ -96,9 +96,8 @@ from .preprocess import (
     StreamKey,
     default_frequencies,
     displacement_deltas,
-    displacement_samples,
     group_reports_by_stream,
-    hampel_filter,
+    hampel_streams,
 )
 from .quality import select_port
 
@@ -230,7 +229,7 @@ class TagBreathe:
             antenna (Section IV-D-3) when reads arrive via several
             antennas.
         mode: "samples" (production) or "increments" (paper-literal);
-            see the module docstring.
+            see the module docstring; "increments" is batch-only.
         max_gap_s: chain/segment gap limit for the chosen mode (defaults
             to the mode's recommended value).
         smooth_k: phase moving-average window (increments mode only).
@@ -353,25 +352,26 @@ class TagBreathe:
     ) -> Tuple[Dict[int, UserEstimate], Dict[int, str]]:
         """Like :meth:`process`, also returning per-user failure reasons."""
         with obs.span("pipeline.process"), perf.stage("pipeline.process"):
-            by_user: Dict[int, Tuple[List[TagReport], ReportBatch]] = {}
-            for user_id, user_reports in group_reports_by_user(
-                    reports, user_ids=self._user_ids).items():
-                cols = ReportBatch.from_reports(user_reports)
+            if self._user_ids is not None:
+                reports = [r for r in reports if r.user_id in self._user_ids]
+            elif not isinstance(reports, Sequence):
+                reports = list(reports)
+            batch = ReportBatch.from_reports(reports)
+            by_user: Dict[int, ReportBatch] = {}
+            for user_id, cols in batch.split_by_user():
                 if window_s is not None:
                     lo, hi = trailing_window_bounds(float(cols.t.max()),
                                                     window_s)
-                    inside = np.flatnonzero((cols.t > lo) & (cols.t <= hi))
-                    user_reports = [user_reports[i] for i in inside.tolist()]
-                    cols = cols.select(inside)
-                by_user[user_id] = (user_reports, cols)
+                    cols = cols.select((cols.t > lo) & (cols.t <= hi))
+                by_user[user_id] = cols
             perf.count("pipeline.reports_processed",
-                       sum(len(urs) for urs, _ in by_user.values()))
+                       sum(len(cols) for cols in by_user.values()))
             estimates: Dict[int, UserEstimate] = {}
             failures: Dict[int, str] = {}
-            for user_id, (user_reports, cols) in sorted(by_user.items()):
+            for user_id, cols in sorted(by_user.items()):
                 try:
                     with obs.span("pipeline.user", user_id=user_id) as span:
-                        est = self._batch_estimate(user_id, user_reports, cols)
+                        est = self._batch_estimate(user_id, cols)
                         span.set(rate_bpm=est.rate_bpm,
                                  confidence=est.confidence,
                                  tags_fused=est.tags_fused,
@@ -386,71 +386,115 @@ class TagBreathe:
             perf.count("pipeline.users_estimated", len(estimates))
         return estimates, failures
 
-    def _batch_estimate(self, user_id: int, user_reports: List[TagReport],
-                        cols: ReportBatch) -> UserEstimate:
+    def _batch_estimate(self, user_id: int, cols: ReportBatch) -> UserEstimate:
         """Stage 1 over one user's delivered rows, then the cascade."""
-        rows, n_disordered, n_duplicates = sanitize_columns(
-            cols.t, cols.tag_id, cols.antenna, cols.channel)
+        clean, n_bad, track_of = self._batch_rows(user_id, cols)
         reasons: List[str] = []
         confidence = 1.0
-        n_bad = n_disordered + n_duplicates
         if n_bad:
             reasons.append(REASON_DISORDERED)
-            confidence *= max(0.6, 1.0 - n_bad / max(1, len(user_reports)))
-        clean = WindowRows(cols.t[rows], cols.antenna[rows], cols.rssi[rows],
-                           cols.doppler[rows], cols.channel[rows],
-                           cols.tag_id[rows].astype(np.int64))
-
-        def track_of(keep: np.ndarray) -> Tuple[TimeSeries, int, int]:
-            return self._fused_track_counting(
-                user_id, [user_reports[i] for i in rows[keep].tolist()])
-
+            confidence *= max(0.6, 1.0 - n_bad / max(1, len(cols)))
         return self._cascade(user_id, clean, track_of, warn_stacklevel=4,
                              reasons=reasons, confidence=confidence)
+
+    def _batch_rows(
+        self, user_id: int, cols: ReportBatch,
+    ) -> Tuple[WindowRows, int,
+               Callable[[np.ndarray], Tuple[TimeSeries, int, int]]]:
+        """Batch stage 1 and the stage 5 the cascade runs over its output.
+
+        Tag streams are keyed on (user, tag); stage 1
+        (:func:`sanitize_columns`) restores time order and drops
+        re-deliveries.
+
+        Returns:
+            ``(rows, n_bad, track_of)``: the clean rows, the disordered
+            plus duplicate deliveries, and stage 5 over a subset of the
+            rows.
+
+        Raises:
+            StreamError: a channel index outside the hop table.
+        """
+        bad = np.flatnonzero(cols.channel >= len(self._frequencies))
+        if bad.size:
+            raise StreamError(
+                f"channel index {int(cols.channel[bad[0]])} outside "
+                f"frequency map of {len(self._frequencies)} channels")
+        # Dense (user, tag) stream labels: only the partition matters.
+        order = np.lexsort((cols.tag_id, cols.user_id))
+        user, tag = cols.user_id[order], cols.tag_id[order]
+        first = np.ones(order.shape[0], dtype=bool)
+        first[1:] = (user[1:] != user[:-1]) | (tag[1:] != tag[:-1])
+        sid = np.empty(order.shape[0], dtype=np.int64)
+        sid[order] = np.cumsum(first) - 1
+        rows, n_disordered, n_duplicates = sanitize_columns(
+            cols.t, sid, cols.antenna, cols.channel)
+        clean = WindowRows(cols.t[rows], cols.antenna[rows], cols.rssi[rows],
+                           cols.doppler[rows], cols.channel[rows], sid[rows])
+        phase = cols.phase[rows]
+        if self._mode == "samples":
+            track_of = self._inc.column_track(user_id, clean, phase)
+        else:
+            reports = cols.select(rows)
+
+            def track_of(keep: np.ndarray) -> Tuple[TimeSeries, int, int]:
+                return self._increments_track(
+                    user_id, reports.select(keep).to_reports())
+
+        return clean, n_disordered + n_duplicates, track_of
 
     def fused_track(self, user_id: int,
                     user_reports: Sequence[TagReport]) -> TimeSeries:
         """The fused displacement track for one user's reports.
 
         Exposed for diagnostics and the characterisation benchmarks
-        (Figs. 6-8 plot exactly this series and its derivatives).
+        (Figs. 6-8 plot exactly this series and its derivatives).  It is
+        batch stage 1 and stage 5 over every report given: each (user,
+        tag) stream is one stream to fuse.
 
         Raises:
             InsufficientDataError / EmptyStreamError: with too little data.
         """
-        track, _rejected, _total = self._fused_track_counting(user_id, user_reports)
+        cols = ReportBatch.from_reports(list(user_reports))
+        if not len(cols):
+            raise EmptyStreamError(
+                f"user {user_id}: no displacement data to fuse")
+        rows, _n_bad, track_of = self._batch_rows(user_id, cols)
+        track, _rejected, _total = track_of(np.arange(rows.t.shape[0]))
         return track
 
-    def _fused_track_counting(
+    def _increments_track(
         self, user_id: int, user_reports: Sequence[TagReport],
     ) -> Tuple[TimeSeries, int, int]:
-        """Fused track plus Hampel accounting: (track, n_rejected, n_samples)."""
-        streams = group_reports_by_stream(user_reports)
-        rb = self._robustness
+        """``mode="increments"`` stage 5: per-stream Eq. (3) increments
+        (:func:`displacement_deltas`), Hampel rejection and Eq. (6)/(7)
+        increment fusion.
+
+        Returns:
+            ``(track, n_rejected, n_samples)``.
+        """
+        per_tag = {
+            key: displacement_deltas(tag_reports, self._frequencies,
+                                     max_gap_s=self._max_gap_s,
+                                     smooth_k=self._smooth_k)
+            for key, tag_reports in group_reports_by_stream(
+                user_reports).items()}
+        counts = np.array([len(s) for s in per_tag.values()], dtype=np.int64)
+        n_samples = int(counts.sum())
         n_rejected = 0
-        n_samples = 0
-        per_tag: Dict[StreamKey, TimeSeries] = {}
-        for key, tag_reports in streams.items():
-            if self._mode == "samples":
-                stream = displacement_samples(tag_reports, self._frequencies,
-                                              max_gap_s=self._max_gap_s)
-            else:
-                stream = displacement_deltas(tag_reports, self._frequencies,
-                                             max_gap_s=self._max_gap_s,
-                                             smooth_k=self._smooth_k)
-            if rb.outlier_rejection and stream:
-                stream, rejected = hampel_filter(
-                    stream, window=rb.hampel_window,
-                    n_sigmas=rb.hampel_n_sigmas)
-                n_rejected += rejected
-            per_tag[key] = stream
-        n_samples = sum(len(s) for s in per_tag.values()) + n_rejected
-        if self._mode == "samples":
-            fused = fuse_sample_streams(user_id, per_tag,
-                                        bin_s=self._config.fusion_bin_s)
-        else:
-            fused = fuse_streams(user_id, per_tag,
-                                 bin_s=self._config.fusion_bin_s)
+        rb = self._robustness
+        if rb.outlier_rejection and n_samples:
+            flagged = hampel_streams(
+                np.concatenate([s.values for s in per_tag.values()]),
+                counts, rb.hampel_window, rb.hampel_n_sigmas)
+            n_rejected = int(np.count_nonzero(flagged))
+            if n_rejected:
+                kept = np.split(~flagged, np.cumsum(counts)[:-1])
+                per_tag = {
+                    key: TimeSeries.from_trusted(s.times[k], s.values[k])
+                    for (key, s), k in zip(per_tag.items(), kept)}
+        fused = fuse_streams(user_id, per_tag,
+                             bin_s=self._config.fusion_bin_s)
         return fused.track, n_rejected, n_samples
 
     def _cascade(
@@ -469,13 +513,14 @@ class TagBreathe:
         Stages 2-4b and 6 exist only here; every estimate path runs them
         over time-ordered rows free of re-deliveries: batch
         :meth:`process_detailed` after its stage 1 column sanitize, and
-        the streaming tick and :meth:`estimate_user_recompute` over the
-        window index, clean by construction.  Only stage 5 differs, so
-        the caller passes it in: ``track_of`` maps the positions of the
-        rows surviving stages 2-3 to ``(track, n_rejected, n_samples)``
-        — the tick's :func:`~repro.core.incremental.window_track` over
-        the stored Eq. (3) columns, or the per-stream reference
-        :meth:`_fused_track_counting`.
+        the streaming tick over the window index, clean by construction.
+        Stage 5 reads columns the two paths hold differently, so the
+        caller passes it in: ``track_of`` maps the positions of the rows
+        surviving stages 2-3 to ``(track, n_rejected, n_samples)`` —
+        :func:`~repro.core.incremental.window_track` over the stored
+        Eq. (3) columns (tick) or over columns computed once from the
+        batch rows, or, in ``mode="increments"``,
+        :meth:`_increments_track`.
 
         Args:
             user_id: the user the rows belong to.
@@ -792,9 +837,10 @@ class TagBreathe:
         the filter.  Cache traffic is counted in
         ``repro_pipeline_tick_cache_total{result=hit|miss}``; the
         degraded-estimate warning fires when the estimate is *computed*,
-        not on cache hits.  Results are bit-for-bit identical to
-        :meth:`estimate_user_recompute`, which is the tick
-        ``mode="increments"`` runs instead.
+        not on cache hits.  A tick equals, bit for bit, batch
+        :meth:`process_detailed` over the user's stored rows with the
+        same ``window_s``, whenever both select the same estimator (batch
+        keeps no fallback hysteresis memory).
 
         The returned :class:`UserEstimate` carries the full degradation
         bookkeeping: ``confidence`` (1.0 for a clean window, lowered
@@ -818,10 +864,12 @@ class TagBreathe:
             InsufficientDataError: when no streamed data covers the user
                 or the window holds too little signal.
             ExtractionError: on an unknown ``estimator`` name.
+            ConfigError: in ``mode="increments"``, which is batch-only.
         """
         if self._mode != "samples":
-            return self.estimate_user_recompute(user_id, window_s=window_s,
-                                                estimator=estimator)
+            raise ConfigError(
+                'mode="increments" is batch-only: use process() or '
+                'process_detailed()')
         window = window_s if window_s is not None else self._window_s()
         version = self._inc.version(user_id)
         if version < 0:
@@ -859,47 +907,6 @@ class TagBreathe:
         if previous is not None and previous != chosen:
             obs.counter("repro_pipeline_estimator_transitions_total",
                         to=chosen).inc()
-
-    def estimate_user_recompute(self, user_id: int,
-                                window_s: Optional[float] = None,
-                                estimator: Optional[str] = None
-                                ) -> UserEstimate:
-        """The from-scratch reference tick over the streamed reports.
-
-        Slices the user's reports inside the pinned trailing window
-        (:func:`repro.streams.windows.trailing_window_bounds`) out of the
-        window index and runs them through the batch per-user path —
-        O(window) per call.  This is the oracle :meth:`estimate_user`'s
-        incremental state is validated against, the tick
-        ``mode="increments"`` runs, and the baseline the serve-capacity
-        benchmark measures against.  Shares the fallback hysteresis
-        memory with :meth:`estimate_user` (the selection is idempotent
-        once the memory holds the choice, so interleaving the two paths
-        cannot diverge).
-
-        Args:
-            user_id: the user to estimate.
-            window_s: analysis window length (default: 25 s).
-            estimator: per-call estimator override, as in
-                :meth:`estimate_user`.
-        """
-        window = window_s if window_s is not None else self._window_s()
-        _state, _lo, _hi, a, b = self._inc.window(user_id, window)
-        batch = self._inc.batch(user_id, a, b)
-        rows = WindowRows(batch.t, batch.antenna, batch.rssi, batch.doppler,
-                          batch.channel, batch.tag_id.astype(np.int64))
-
-        def track_of(keep: np.ndarray) -> Tuple[TimeSeries, int, int]:
-            return self._fused_track_counting(
-                user_id, batch.select(keep).to_reports())
-
-        previous = self._active_estimator.get(user_id)
-        result = self._cascade(user_id, rows, track_of, warn_stacklevel=3,
-                               previous_estimator=previous,
-                               estimator_override=estimator)
-        if estimator is None:
-            self._note_estimator(user_id, previous, result.estimator)
-        return result
 
     def streamed_users(self) -> List[int]:
         """Users with at least one stored report."""

@@ -33,7 +33,6 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import obs
 from ..errors import StreamError
 from ..rf.constants import fcc_channel_frequencies
 from ..reader.tagreport import TagReport
@@ -223,115 +222,6 @@ DEFAULT_SEGMENT_GAP_S = 5.0
 DEFAULT_MIN_SEGMENT_LEN = 3
 
 
-def phase_segments(
-    reports: Sequence[TagReport],
-    frequencies_hz: Sequence[float],
-    max_gap_s: float = DEFAULT_SEGMENT_GAP_S,
-) -> Dict[GroupKey, List[TimeSeries]]:
-    """Unwrapped displacement segments per (channel, antenna) group.
-
-    For each group, consecutive phase readings are chained with Eq. (3)'s
-    wrapped differencing and accumulated (Eq. 4) into a continuous
-    *absolute* displacement trace ``lambda/(4*pi) * unwrapped_phase``.
-    Because the accumulation telescopes, every sample of a segment carries
-    only its own measurement noise — no random walk.  A gap longer than
-    ``max_gap_s`` (where the lambda/4 ambiguity could bite) starts a new
-    segment.
-
-    Each segment's values retain an arbitrary offset (the channel/circuit
-    constant ``c`` plus the unknown absolute distance); callers normalise
-    it away — the paper's own "we normalize the displacement values"
-    (Fig. 6) step.
-
-    Raises:
-        StreamError: on unknown channel indices, mixed tags, or a
-            non-positive gap limit.
-    """
-    if max_gap_s <= 0:
-        raise StreamError("max_gap_s must be > 0")
-    ordered = sorted(reports, key=lambda r: r.timestamp_s)
-    if not ordered:
-        return {}
-    keys = {r.stream_key for r in ordered}
-    if len(keys) > 1:
-        raise StreamError(
-            f"phase_segments expects one tag's reports, got streams {sorted(keys)}"
-        )
-    count_corrections = obs.enabled()
-    n_corrections = 0
-    chains: Dict[GroupKey, List[List[Tuple[float, float]]]] = defaultdict(list)
-    state: Dict[GroupKey, Tuple[float, float, float]] = {}  # t, phase, unwrapped
-    for report in ordered:
-        if report.channel_index >= len(frequencies_hz):
-            raise StreamError(
-                f"channel index {report.channel_index} outside frequency map "
-                f"of {len(frequencies_hz)} channels"
-            )
-        group: GroupKey = (report.channel_index, report.antenna_port)
-        lam = SPEED_OF_LIGHT / frequencies_hz[report.channel_index]
-        prev = state.get(group)
-        if prev is None or report.timestamp_s - prev[0] > max_gap_s \
-                or report.timestamp_s <= prev[0]:
-            unwrapped = report.phase_rad
-            chains[group].append([])
-        else:
-            raw = report.phase_rad - prev[1]
-            unwrapped = prev[2] + wrap_phase_delta(raw)
-            if count_corrections and not (-np.pi <= raw < np.pi):
-                n_corrections += 1
-        state[group] = (report.timestamp_s, report.phase_rad, unwrapped)
-        chains[group][-1].append(
-            (report.timestamp_s, lam / (4.0 * np.pi) * unwrapped)
-        )
-    if n_corrections:
-        obs.counter(
-            "repro_pipeline_phase_unwrap_corrections_total").inc(n_corrections)
-    return {
-        group: [TimeSeries.from_pairs(seg) for seg in segments]
-        for group, segments in chains.items()
-    }
-
-
-def displacement_samples(
-    reports: Sequence[TagReport],
-    frequencies_hz: Sequence[float],
-    max_gap_s: float = DEFAULT_SEGMENT_GAP_S,
-    min_segment_len: int = DEFAULT_MIN_SEGMENT_LEN,
-) -> TimeSeries:
-    """Absolute (offset-normalised) displacement samples for ONE tag.
-
-    Builds per-(channel, antenna) unwrapped segments, demeans each (the
-    Fig. 6 normalisation, cancelling the per-channel constant ``c``), and
-    merges everything into one time-ordered sample stream.  This is the
-    production representation: unlike the raw increment stream it has no
-    dwell-boundary random walk and survives sparse reads (many contending
-    tags, weak links) because channel-recurrence continuity is preserved.
-
-    Args:
-        reports: one tag's reads.
-        frequencies_hz: channel-index -> carrier frequency map.
-        max_gap_s: segment-splitting gap limit.
-        min_segment_len: drop segments with fewer reads than this.
-
-    Returns:
-        Merged displacement samples [m] (empty when nothing qualifies).
-
-    Raises:
-        StreamError: propagated from :func:`phase_segments`.
-    """
-    if min_segment_len < 1:
-        raise StreamError("min_segment_len must be >= 1")
-    segments = phase_segments(reports, frequencies_hz, max_gap_s=max_gap_s)
-    kept: List[TimeSeries] = []
-    for group_segments in segments.values():
-        for segment in group_segments:
-            if len(segment) >= min_segment_len:
-                kept.append(segment.demean())
-    if not kept:
-        return TimeSeries.empty()
-    return TimeSeries.merge(kept)
-
-
 def chain_order(sids: np.ndarray, chans: np.ndarray,
                 ports: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Lay rows out as contiguous (stream, channel, antenna) chains.
@@ -394,8 +284,8 @@ def demeaned_segments(acc: np.ndarray, lengths: np.ndarray,
     followed by its stored Eq. (3) deltas; segment *i* is ``lengths[i]``
     long with displacement coefficient ``coef[i]`` (lambda / 4 pi).  The
     result equals, segment by segment and bit for bit, ``v = coef *
-    np.cumsum(seg); v - v.sum() / len(seg)`` — the batch builder's chain
-    walk followed by :meth:`TimeSeries.demean`.
+    np.cumsum(seg); v - v.sum() / len(seg)`` — a sequential Eq. (4)
+    chain walk followed by :meth:`TimeSeries.demean`.
     """
     # Rows ordered by segment length, so row_sums reads slices.
     by_length = np.argsort(lengths, kind="stable")
@@ -410,14 +300,27 @@ def demeaned_segments(acc: np.ndarray, lengths: np.ndarray,
 
 def hampel_streams(values: np.ndarray, lengths: np.ndarray,
                    window: int = 3, n_sigmas: float = 6.0) -> np.ndarray:
-    """:func:`hampel_filter`'s outlier flags for many streams at once.
+    """Hampel/MAD outlier flags for many streams at once.
+
+    Each sample is compared against the median of its ``2 * window +
+    1`` neighbourhood within its own stream and flagged when it deviates
+    by more than ``n_sigmas`` robust sigmas (1.4826 x the neighbourhood
+    MAD).  Breathing displacement is smooth and millimetre-scale, so
+    genuine samples sit far inside the default 6-sigma gate while a
+    glitched read — a pi-ambiguity flip lands a lambda/4 (~8 cm) jump —
+    is rejected without dragging the median along.  Callers *remove*
+    flagged samples rather than replace them: the fusion grid tolerates
+    irregular sampling, and interpolating inside a glitch would launder
+    the fault.
 
     ``values`` holds the streams end to end, stream *i* ``lengths[i]``
     samples long.  Each stream long enough for one neighbourhood is
     edge-padded on its own, the padded streams are laid end to end, and
     one sliding window plus two ``np.partition`` calls rank every
-    neighbourhood; windows that straddle two streams are never read.
-    Shorter streams are left alone, as the scalar filter leaves them.
+    neighbourhood (``k = 2 * window + 1`` is odd, so the median is the
+    one order statistic at rank ``window``); windows that straddle two
+    streams are never read.  Streams shorter than one neighbourhood, and
+    neighbourhoods with zero MAD, never flag.
 
     Returns:
         A boolean mask over ``values``: True where the sample is rejected.
@@ -445,69 +348,6 @@ def hampel_streams(values: np.ndarray, lengths: np.ndarray,
     residual = np.abs(padded[centre] - med)
     flagged[source[centre]] = (sigma > 0) & (residual > n_sigmas * sigma)
     return flagged
-
-
-def hampel_filter(series: TimeSeries, window: int = 3,
-                  n_sigmas: float = 6.0) -> Tuple[TimeSeries, int]:
-    """Hampel/MAD outlier rejection over a displacement stream.
-
-    Compares each sample against the median of its ``2 * window + 1``
-    neighbourhood and rejects it when it deviates by more than
-    ``n_sigmas`` robust sigmas (1.4826 x the neighbourhood MAD).  Breathing
-    displacement is smooth and millimetre-scale, so genuine samples sit
-    far inside the default 6-sigma gate while a glitched read — a
-    pi-ambiguity flip lands a lambda/4 (~8 cm) jump — is rejected without
-    dragging the median along, which is exactly why Hampel beats a mean
-    filter here.
-
-    Flagged samples are *removed* rather than replaced: the downstream
-    fusion grid tolerates irregular sampling, and inventing interpolated
-    values inside a glitch would just launder the fault.
-
-    Args:
-        series: one tag's displacement samples (or increments).
-        window: neighbourhood half-width in samples.
-        n_sigmas: rejection threshold in MAD-estimated sigmas.
-
-    Returns:
-        ``(filtered, n_rejected)``.  Series shorter than one full
-        neighbourhood are returned unchanged; neighbourhoods with zero MAD
-        (locally constant data) never flag, so a clean stream passes
-        through bit-identically.
-
-    Raises:
-        StreamError: on a non-positive window or threshold.
-    """
-    if window < 1:
-        raise StreamError("hampel window must be >= 1")
-    if n_sigmas <= 0:
-        raise StreamError("hampel n_sigmas must be > 0")
-    n = len(series)
-    k = 2 * int(window) + 1
-    if n < k:
-        return series, 0
-    values = series.values
-    # Edge padding, spelled as a concatenate: identical content to
-    # np.pad(..., mode="edge") without its dispatch overhead.
-    w = int(window)
-    padded = np.concatenate(
-        [np.full(w, values[0]), values, np.full(w, values[-1])])
-    neighbourhoods = np.lib.stride_tricks.sliding_window_view(padded, k)
-    # The neighbourhood width k = 2w + 1 is always odd, so the median is
-    # the single order statistic at rank w: np.partition places exactly
-    # the element np.median would return (np.median partitions at the
-    # same rank and means over the one-element middle), minus np.median's
-    # reduction machinery.
-    med = np.partition(neighbourhoods, w, axis=1)[:, w]
-    sigma = 1.4826 * np.partition(
-        np.abs(neighbourhoods - med[:, None]), w, axis=1)[:, w]
-    residual = np.abs(values - med)
-    flagged = (sigma > 0) & (residual > n_sigmas * sigma)
-    if not flagged.any():
-        return series, 0
-    keep = ~flagged
-    return (TimeSeries.from_trusted(series.times[keep], values[keep]),
-            int(flagged.sum()))
 
 
 def displacement_track(deltas: TimeSeries) -> TimeSeries:

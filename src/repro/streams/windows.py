@@ -19,10 +19,9 @@ def trailing_window_bounds(t_latest: float,
     """The pinned trailing analysis window ``(t_latest - window_s, t_latest]``.
 
     This is THE definition of "the last ``window_s`` seconds" everywhere
-    in the pipeline — batch windowing (``TagBreathe.process(window_s=...)``),
-    the streaming recompute path (``estimate_user_recompute``), and the
-    incremental window index all share it so their report sets are
-    identical by construction:
+    in the pipeline — batch windowing (``TagBreathe.process(window_s=...)``)
+    and the streaming tick's window index share it so their report sets
+    are identical by construction:
 
     * the newest report (``t == t_latest``) is **included** — it anchors
       the window;

@@ -6,8 +6,8 @@ it replaced — delivery hygiene, antenna failover, staleness demotion,
 gap coverage, the Doppler motion screen, fusion and the estimator
 lattice, stage by stage over Python lists — as an independent
 reference that tests compare the column cascade against.  It borrows
-the engine's configuration, its estimator lattice and its per-stream
-stage 5 (``_fused_track_counting``).
+the engine's configuration and its estimator lattice; its stage 5 is
+the per-stream reference in ``tests/stage5_reference.py``.
 
 It emits no observability counters and no degraded-estimate warning
 (the returned :class:`~repro.core.pipeline.UserEstimate` is the same
@@ -38,6 +38,8 @@ from repro.core.quality import antenna_quality_scores
 from repro.errors import EmptyStreamError, InsufficientDataError
 from repro.reader.tagreport import TagReport
 from repro.streams.windows import trailing_window_bounds
+
+from .stage5_reference import fused_track_counting
 
 
 def sanitize_reports(
@@ -189,8 +191,8 @@ def process_user(engine: TagBreathe, user_id: int,
 
     # 5. Fusion with per-stream Hampel outlier rejection.
     try:
-        track, n_rejected, n_samples = engine._fused_track_counting(
-            user_id, working)
+        track, n_rejected, n_samples = fused_track_counting(
+            engine, user_id, working)
     except EmptyStreamError as exc:
         raise InsufficientDataError(str(exc)) from exc
     if n_samples and n_rejected / n_samples > rb.outlier_warn_fraction:

@@ -23,11 +23,11 @@ def bench_doc(cases, fabric_cases=None, wire=None, idle=None):
     return doc
 
 
-def case(users, duration_s, speedup, diff=0.0, batch_speedup=6.0,
+def case(users, duration_s, tick_cost, diff=0.0, batch_speedup=6.0,
          batch_state_equal=True, batch_diff=0.0, serve_speedup=2.0,
          serve_state_equal=True):
     return {"users": users, "duration_s": duration_s,
-            "tick_speedup": speedup, "max_rate_diff_bpm": diff,
+            "tick_cost_kernels": tick_cost, "max_rate_diff_bpm": diff,
             "feed_batch_speedup": batch_speedup,
             "batch_state_equal": batch_state_equal,
             "batch_max_rate_diff_bpm": batch_diff,
@@ -79,84 +79,118 @@ def write(tmp_path, name, doc):
     return path
 
 
+#: A tick cost well under every ceiling.
+CHEAP = 2.0
+
+#: The retired recompute tick's median cost in reference-kernel runs
+#: (16 runs on the last commit that had it; see TICK_COST_CEILINGS).
+RECOMPUTE_1U = 30.53
+RECOMPUTE_5U = 21.45
+
+
 class TestCompare:
     def test_passes_within_threshold(self):
-        base = {(1, 25.0): case(1, 25.0, 2.0)}
-        cand = {(1, 25.0): case(1, 25.0, 1.6)}
-        assert guard.compare(base, cand, 0.25) == []
+        ceiling = guard.TICK_COST_CEILINGS[(1, 25.0)]
+        base = {(1, 25.0): case(1, 25.0, CHEAP)}
+        cand = {(1, 25.0): case(1, 25.0, ceiling)}
+        assert guard.compare(base, cand) == []
 
     def test_fails_beyond_threshold(self):
-        base = {(1, 25.0): case(1, 25.0, 2.0)}
-        cand = {(1, 25.0): case(1, 25.0, 1.4)}
-        problems = guard.compare(base, cand, 0.25)
+        ceiling = guard.TICK_COST_CEILINGS[(5, 25.0)]
+        base = {(5, 25.0): case(5, 25.0, CHEAP)}
+        cand = {(5, 25.0): case(5, 25.0, ceiling * 1.01)}
+        problems = guard.compare(base, cand)
         assert len(problems) == 1
-        assert "tick_speedup" in problems[0]
+        assert "tick_cost_kernels" in problems[0]
+
+    def test_ceilings_no_looser_than_old_ratio_floors(self):
+        """Each ceiling lies below the retired floor's tick cost: the
+        recompute tick's cost in kernel runs (measured on the commit
+        that retired it) over 0.75x the committed tick_speedup."""
+        retired = {(1, 25.0): (RECOMPUTE_1U, 2.09517258744157),
+                   (5, 25.0): (RECOMPUTE_5U, 1.7104812271779573)}
+        assert set(guard.TICK_COST_CEILINGS) == set(retired)
+        for key, (recompute, speedup) in retired.items():
+            assert guard.TICK_COST_CEILINGS[key] <= recompute / (
+                0.75 * speedup)
+
+    def test_missing_tick_cost_fails(self):
+        cand_case = case(1, 25.0, CHEAP)
+        del cand_case["tick_cost_kernels"]
+        problems = guard.compare({(1, 25.0): case(1, 25.0, CHEAP)},
+                                 {(1, 25.0): cand_case})
+        assert any("no tick_cost_kernels" in p for p in problems)
 
     def test_only_shared_cases_compared(self):
-        base = {(1, 25.0): case(1, 25.0, 2.0),
-                (15, 120.0): case(15, 120.0, 2.0)}
-        cand = {(1, 25.0): case(1, 25.0, 2.1)}
-        assert guard.compare(base, cand, 0.25) == []
+        base = {(1, 25.0): case(1, 25.0, CHEAP),
+                (15, 120.0): case(15, 120.0, CHEAP)}
+        cand = {(1, 25.0): case(1, 25.0, CHEAP)}
+        assert guard.compare(base, cand) == []
+
+    def test_full_grid_case_has_no_ceiling(self):
+        base = {(15, 120.0): case(15, 120.0, CHEAP)}
+        cand = {(15, 120.0): case(15, 120.0, 1e6)}
+        assert guard.compare(base, cand) == []
 
     def test_no_shared_cases_is_an_error(self):
-        base = {(15, 120.0): case(15, 120.0, 2.0)}
-        cand = {(1, 25.0): case(1, 25.0, 2.0)}
-        assert guard.compare(base, cand, 0.25) != []
+        base = {(15, 120.0): case(15, 120.0, CHEAP)}
+        cand = {(1, 25.0): case(1, 25.0, CHEAP)}
+        assert guard.compare(base, cand) != []
 
     def test_nonzero_rate_diff_fails(self):
-        base = {(1, 25.0): case(1, 25.0, 2.0)}
-        cand = {(1, 25.0): case(1, 25.0, 2.0, diff=0.3)}
-        problems = guard.compare(base, cand, 0.25)
+        base = {(1, 25.0): case(1, 25.0, CHEAP)}
+        cand = {(1, 25.0): case(1, 25.0, CHEAP, diff=0.3)}
+        problems = guard.compare(base, cand)
         assert any("diverged" in p for p in problems)
 
     def test_batch_speedup_below_floor_fails(self):
-        base = {(1, 25.0): case(1, 25.0, 2.0)}
-        cand = {(1, 25.0): case(1, 25.0, 2.0, batch_speedup=2.5)}
-        problems = guard.compare(base, cand, 0.25)
+        base = {(1, 25.0): case(1, 25.0, CHEAP)}
+        cand = {(1, 25.0): case(1, 25.0, CHEAP, batch_speedup=2.5)}
+        problems = guard.compare(base, cand)
         assert any("feed_batch_speedup" in p for p in problems)
 
     def test_missing_batch_measurement_fails(self):
-        base = {(1, 25.0): case(1, 25.0, 2.0)}
-        cand_case = case(1, 25.0, 2.0)
+        base = {(1, 25.0): case(1, 25.0, CHEAP)}
+        cand_case = case(1, 25.0, CHEAP)
         del cand_case["feed_batch_speedup"]
-        problems = guard.compare(base, {(1, 25.0): cand_case}, 0.25)
+        problems = guard.compare(base, {(1, 25.0): cand_case})
         assert any("no feed_batch_speedup" in p for p in problems)
 
     def test_batch_state_mismatch_fails(self):
-        base = {(1, 25.0): case(1, 25.0, 2.0)}
-        cand = {(1, 25.0): case(1, 25.0, 2.0, batch_state_equal=False)}
-        problems = guard.compare(base, cand, 0.25)
+        base = {(1, 25.0): case(1, 25.0, CHEAP)}
+        cand = {(1, 25.0): case(1, 25.0, CHEAP, batch_state_equal=False)}
+        problems = guard.compare(base, cand)
         assert any("state" in p for p in problems)
 
     def test_batch_rate_divergence_fails(self):
-        base = {(1, 25.0): case(1, 25.0, 2.0)}
-        cand = {(1, 25.0): case(1, 25.0, 2.0, batch_diff=0.2)}
-        problems = guard.compare(base, cand, 0.25)
+        base = {(1, 25.0): case(1, 25.0, CHEAP)}
+        cand = {(1, 25.0): case(1, 25.0, CHEAP, batch_diff=0.2)}
+        problems = guard.compare(base, cand)
         assert any("batch" in p and "diverge" in p for p in problems)
 
     def test_serve_speedup_below_floor_fails(self):
-        base = {(5, 25.0): case(5, 25.0, 2.0)}
-        cand = {(5, 25.0): case(5, 25.0, 2.0, serve_speedup=0.9)}
-        problems = guard.compare(base, cand, 0.25)
+        base = {(5, 25.0): case(5, 25.0, CHEAP)}
+        cand = {(5, 25.0): case(5, 25.0, CHEAP, serve_speedup=0.9)}
+        problems = guard.compare(base, cand)
         assert len(problems) == 1
         assert "serve_feed_speedup" in problems[0]
 
     def test_serve_speedup_floor_skips_low_rate_full_grid_case(self):
-        base = {(15, 120.0): case(15, 120.0, 2.0)}
-        cand = {(15, 120.0): case(15, 120.0, 2.0, serve_speedup=1.0)}
-        assert guard.compare(base, cand, 0.25) == []
+        base = {(15, 120.0): case(15, 120.0, CHEAP)}
+        cand = {(15, 120.0): case(15, 120.0, CHEAP, serve_speedup=1.0)}
+        assert guard.compare(base, cand) == []
 
     def test_missing_serve_measurement_fails(self):
-        base = {(1, 25.0): case(1, 25.0, 2.0)}
-        cand_case = case(1, 25.0, 2.0)
+        base = {(1, 25.0): case(1, 25.0, CHEAP)}
+        cand_case = case(1, 25.0, CHEAP)
         del cand_case["serve_feed_speedup"]
-        problems = guard.compare(base, {(1, 25.0): cand_case}, 0.25)
+        problems = guard.compare(base, {(1, 25.0): cand_case})
         assert any("no serve_feed_speedup" in p for p in problems)
 
     def test_serve_state_mismatch_fails(self):
-        base = {(15, 120.0): case(15, 120.0, 2.0)}
-        cand = {(15, 120.0): case(15, 120.0, 2.0, serve_state_equal=False)}
-        problems = guard.compare(base, cand, 0.25)
+        base = {(15, 120.0): case(15, 120.0, CHEAP)}
+        cand = {(15, 120.0): case(15, 120.0, CHEAP, serve_state_equal=False)}
+        problems = guard.compare(base, cand)
         assert any("serve_state_equal" in p for p in problems)
 
 
@@ -164,18 +198,18 @@ class TestFabricSuite:
     """check_fabric_suite: candidate-only count invariants, no baseline."""
 
     def test_clean_soak_passes(self, tmp_path):
-        path = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, 2.0)]))
+        path = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, CHEAP)]))
         assert guard.check_fabric_suite(path) == []
 
     def test_missing_suite_is_a_failure(self, tmp_path):
-        doc = bench_doc([case(1, 25.0, 2.0)])
+        doc = bench_doc([case(1, 25.0, CHEAP)])
         del doc["fabric_scale"]
         path = write(tmp_path, "cand.json", doc)
         assert any("no fabric_scale soak suite" in p
                    for p in guard.check_fabric_suite(path))
 
     def test_legacy_fabric_key_is_not_accepted(self, tmp_path):
-        doc = bench_doc([case(1, 25.0, 2.0)])
+        doc = bench_doc([case(1, 25.0, CHEAP)])
         doc["fabric"] = doc.pop("fabric_scale")
         path = write(tmp_path, "cand.json", doc)
         assert any("no fabric_scale soak suite" in p
@@ -183,35 +217,35 @@ class TestFabricSuite:
 
     def test_ack_mismatch_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], [fabric_case(acked_equal_sent=False)]))
+            [case(1, 25.0, CHEAP)], [fabric_case(acked_equal_sent=False)]))
         assert any("acked != sent" in p
                    for p in guard.check_fabric_suite(path))
 
     def test_missing_per_machine_capacity_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], [fabric_case(users_per_machine=0.0)]))
+            [case(1, 25.0, CHEAP)], [fabric_case(users_per_machine=0.0)]))
         assert any("users_per_machine" in p
                    for p in guard.check_fabric_suite(path))
 
     def test_lost_sessions_fail(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], [fabric_case(users=100, settled=99)]))
+            [case(1, 25.0, CHEAP)], [fabric_case(users=100, settled=99)]))
         assert any("settled 99" in p for p in guard.check_fabric_suite(path))
 
     def test_rebalance_must_move_sessions(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], [fabric_case(migrated=0)]))
+            [case(1, 25.0, CHEAP)], [fabric_case(migrated=0)]))
         assert any("moved 0 sessions" in p
                    for p in guard.check_fabric_suite(path))
 
     def test_fault_free_soak_must_not_restart_workers(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], [fabric_case(restarts=2)]))
+            [case(1, 25.0, CHEAP)], [fabric_case(restarts=2)]))
         assert any("restart" in p for p in guard.check_fabric_suite(path))
 
     def test_worker_count_must_grow(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)],
+            [case(1, 25.0, CHEAP)],
             [fabric_case(workers_initial=4, workers_final=4)]))
         assert any("no rebalance happened" in p
                    for p in guard.check_fabric_suite(path))
@@ -221,11 +255,11 @@ class TestWireSuite:
     """check_wire_suite: format-property invariants, no baseline."""
 
     def test_clean_suite_passes(self, tmp_path):
-        path = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, 2.0)]))
+        path = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, CHEAP)]))
         assert guard.check_wire_suite(path) == []
 
     def test_missing_suite_is_a_failure(self, tmp_path):
-        doc = bench_doc([case(1, 25.0, 2.0)])
+        doc = bench_doc([case(1, 25.0, CHEAP)])
         del doc["wire"]
         path = write(tmp_path, "cand.json", doc)
         assert any("no wire benchmark suite" in p
@@ -233,7 +267,7 @@ class TestWireSuite:
 
     def test_bytes_per_report_over_ceiling_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], wire=wire_suite(bytes_per_report=61.0)))
+            [case(1, 25.0, CHEAP)], wire=wire_suite(bytes_per_report=61.0)))
         assert any("bytes per report" in p
                    for p in guard.check_wire_suite(path))
 
@@ -241,13 +275,13 @@ class TestWireSuite:
         wire = wire_suite()
         del wire["headline"]["column_bytes_per_report"]
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], wire=wire))
+            [case(1, 25.0, CHEAP)], wire=wire))
         assert any("bytes per report" in p
                    for p in guard.check_wire_suite(path))
 
     def test_ack_mismatch_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], wire=wire_suite(acked_equal_sent=False)))
+            [case(1, 25.0, CHEAP)], wire=wire_suite(acked_equal_sent=False)))
         assert any("acked != sent" in p
                    for p in guard.check_wire_suite(path))
 
@@ -256,11 +290,11 @@ class TestIdleSuite:
     """check_idle_suite: same-run ratios and counts, no baseline."""
 
     def test_clean_suite_passes(self, tmp_path):
-        path = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, 2.0)]))
+        path = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, CHEAP)]))
         assert guard.check_idle_suite(path) == []
 
     def test_missing_suite_is_a_failure(self, tmp_path):
-        doc = bench_doc([case(1, 25.0, 2.0)])
+        doc = bench_doc([case(1, 25.0, CHEAP)])
         del doc["idle"]
         path = write(tmp_path, "cand.json", doc)
         assert any("no idle economics suite" in p
@@ -268,20 +302,20 @@ class TestIdleSuite:
 
     def test_population_floor(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], idle=idle_suite(registered=500)))
+            [case(1, 25.0, CHEAP)], idle=idle_suite(registered=500)))
         assert any("registered users" in p
                    for p in guard.check_idle_suite(path))
 
     def test_low_idle_active_ratio_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], idle=idle_suite(ratio=6.0)))
+            [case(1, 25.0, CHEAP)], idle=idle_suite(ratio=6.0)))
         assert any("ratio 6.0x" in p for p in guard.check_idle_suite(path))
 
     def test_costly_active_user_fails(self, tmp_path):
         # The quick figure while per-stream report buffers duplicated
         # the window index: a higher idle/active ratio, yet too costly.
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)],
+            [case(1, 25.0, CHEAP)],
             idle=idle_suite(ratio=467.0, bytes_per_active=1_044_428.0)))
         assert any("bytes_per_active_user" in p
                    for p in guard.check_idle_suite(path))
@@ -290,7 +324,7 @@ class TestIdleSuite:
         idle = idle_suite()
         del idle["headline"]["bytes_per_active_user"]
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], idle=idle))
+            [case(1, 25.0, CHEAP)], idle=idle))
         assert any("bytes_per_active_user" in p
                    for p in guard.check_idle_suite(path))
 
@@ -298,7 +332,7 @@ class TestIdleSuite:
         # The base64 JSON blob deflated at level 6 measured 25.65 B a
         # report; a blob past 1.10x the raw level-1 figure fails.
         path = write(tmp_path, "c.json", bench_doc(
-            [case(1, 25.0, 2.0)], idle=idle_suite(
+            [case(1, 25.0, CHEAP)], idle=idle_suite(
                 blob_bytes_per_report=27.5)))
         assert any("blob_bytes_per_report" in p
                    for p in guard.check_idle_suite(path))
@@ -307,87 +341,81 @@ class TestIdleSuite:
         idle = idle_suite()
         del idle["steady_state"]
         path = write(tmp_path, "c.json", bench_doc(
-            [case(1, 25.0, 2.0)], idle=idle))
+            [case(1, 25.0, CHEAP)], idle=idle))
         assert any("blob_bytes_per_report" in p
                    for p in guard.check_idle_suite(path))
 
     def test_unverified_wake_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], idle=idle_suite(wake_verified=False)))
+            [case(1, 25.0, CHEAP)], idle=idle_suite(wake_verified=False)))
         assert any("bit-exact" in p for p in guard.check_idle_suite(path))
 
     def test_slow_wake_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], idle=idle_suite(wake_p99_ms=400.0)))
+            [case(1, 25.0, CHEAP)], idle=idle_suite(wake_p99_ms=400.0)))
         assert any("wake p99" in p for p in guard.check_idle_suite(path))
 
     def test_growing_memory_ceiling_fails(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], idle=idle_suite(ceiling=2.4)))
+            [case(1, 25.0, CHEAP)], idle=idle_suite(ceiling=2.4)))
         assert any("ceiling ratio" in p
                    for p in guard.check_idle_suite(path))
 
     def test_missing_fields_fail_not_pass(self, tmp_path):
         path = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], idle={"headline": {"quick": True}}))
+            [case(1, 25.0, CHEAP)], idle={"headline": {"quick": True}}))
         assert len(guard.check_idle_suite(path)) >= 4
 
 
 class TestMain:
     def test_end_to_end_pass(self, tmp_path, capsys):
         base = write(tmp_path, "base.json",
-                     bench_doc([case(1, 25.0, 2.0), case(5, 25.0, 2.0)]))
+                     bench_doc([case(1, 25.0, CHEAP), case(5, 25.0, CHEAP)]))
         cand = write(tmp_path, "cand.json",
-                     bench_doc([case(1, 25.0, 1.9)]))
+                     bench_doc([case(1, 25.0, CHEAP)]))
         assert guard.main(["--baseline", str(base),
                            "--candidate", str(cand)]) == 0
         assert "1 shared case(s)" in capsys.readouterr().out
 
     def test_end_to_end_regression(self, tmp_path):
-        base = write(tmp_path, "base.json", bench_doc([case(1, 25.0, 3.0)]))
-        cand = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, 1.0)]))
+        base = write(tmp_path, "base.json", bench_doc([case(1, 25.0, CHEAP)]))
+        cand = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, 100.0)]))
         assert guard.main(["--baseline", str(base),
                            "--candidate", str(cand)]) == 1
 
     def test_fabric_violation_fails_end_to_end(self, tmp_path):
-        base = write(tmp_path, "base.json", bench_doc([case(1, 25.0, 2.0)]))
+        base = write(tmp_path, "base.json", bench_doc([case(1, 25.0, CHEAP)]))
         cand = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], [fabric_case(users=100, settled=98)]))
+            [case(1, 25.0, CHEAP)], [fabric_case(users=100, settled=98)]))
         assert guard.main(["--baseline", str(base),
                            "--candidate", str(cand)]) == 1
 
     def test_idle_violation_fails_end_to_end(self, tmp_path):
-        base = write(tmp_path, "base.json", bench_doc([case(1, 25.0, 2.0)]))
+        base = write(tmp_path, "base.json", bench_doc([case(1, 25.0, CHEAP)]))
         cand = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], idle=idle_suite(ratio=3.0)))
+            [case(1, 25.0, CHEAP)], idle=idle_suite(ratio=3.0)))
         assert guard.main(["--baseline", str(base),
                            "--candidate", str(cand)]) == 1
 
     def test_missing_streaming_suite_fails(self, tmp_path):
         base = write(tmp_path, "base.json", {"suite": "pipeline"})
-        cand = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, 2.0)]))
+        cand = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, CHEAP)]))
         assert guard.main(["--baseline", str(base),
                            "--candidate", str(cand)]) == 1
 
-    def test_bad_threshold_rejected(self, tmp_path):
-        base = write(tmp_path, "base.json", bench_doc([case(1, 25.0, 2.0)]))
-        assert guard.main(["--baseline", str(base),
-                           "--candidate", str(base),
-                           "--threshold", "1.5"]) == 2
-
     def test_missing_file_fails_cleanly(self, tmp_path):
-        base = write(tmp_path, "base.json", bench_doc([case(1, 25.0, 2.0)]))
+        base = write(tmp_path, "base.json", bench_doc([case(1, 25.0, CHEAP)]))
         assert guard.main(["--baseline", str(base),
                            "--candidate", str(tmp_path / "nope.json")]) == 1
 
     def test_fabric_only_pass(self, tmp_path, capsys):
-        cand = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, 2.0)]))
+        cand = write(tmp_path, "cand.json", bench_doc([case(1, 25.0, CHEAP)]))
         assert guard.main(["--fabric", str(cand)]) == 0
         assert "fabric_scale soak invariants hold" in capsys.readouterr().out
 
     def test_fabric_only_violation_fails(self, tmp_path):
         cand = write(tmp_path, "cand.json", bench_doc(
-            [case(1, 25.0, 2.0)], [fabric_case(acked_equal_sent=False)]))
+            [case(1, 25.0, CHEAP)], [fabric_case(acked_equal_sent=False)]))
         assert guard.main(["--fabric", str(cand)]) == 1
 
     def test_no_inputs_rejected(self):

@@ -2,10 +2,11 @@
 
 The contract under test is *bit-for-bit equivalence*: an incremental
 ``estimate_user`` tick must return exactly what the from-scratch
-``estimate_user_recompute`` reference returns over the same pinned
-trailing window, at every tick, across pruning and across
-checkpoint/restore.  Rates are therefore compared with ``==``, not
-``pytest.approx``.
+reference tick (``estimate_user_recompute`` in
+``tests/stage5_reference.py``, the cascade with the per-stream stage 5)
+returns over the same pinned trailing window, at every tick, across
+pruning and across checkpoint/restore.  Rates are therefore compared
+with ``==``, not ``pytest.approx``.
 """
 
 import warnings
@@ -17,13 +18,15 @@ from repro import Scenario, TagBreathe, obs, run_scenario
 from repro.body import MetronomeBreathing, Subject
 from repro.core.incremental import window_samples
 from repro.core.pipeline import FEED_DROP_KEYS
-from repro.core.preprocess import displacement_samples
 from repro.epc import EPC96
-from repro.errors import DegradedEstimateWarning, InsufficientDataError
+from repro.errors import (ConfigError, DegradedEstimateWarning,
+                          InsufficientDataError)
 from repro.reader.batch import ReportBatch
 from repro.reader.tagreport import TagReport
 from repro.streams import GrowableArray, WindowIndex, trailing_window_bounds
 from repro.streams.windows import StreamError
+
+from .stage5_reference import displacement_samples, estimate_user_recompute
 
 
 @pytest.fixture(scope="module")
@@ -62,10 +65,10 @@ def tick_both(inc_engine, ref_engine, user_id, window_s=None):
         a = inc_engine.estimate_user(user_id, window_s=window_s)
     except InsufficientDataError as exc_a:
         with pytest.raises(InsufficientDataError) as exc_b:
-            ref_engine.estimate_user_recompute(user_id, window_s=window_s)
+            estimate_user_recompute(ref_engine, user_id, window_s=window_s)
         assert str(exc_a) == str(exc_b.value)
         return None
-    b = ref_engine.estimate_user_recompute(user_id, window_s=window_s)
+    b = estimate_user_recompute(ref_engine, user_id, window_s=window_s)
     assert_same_estimate(a, b)
     return a
 
@@ -120,7 +123,7 @@ class TestWindowBounds:
         with pytest.raises(InsufficientDataError) as tick:
             engine.estimate_user(1, window_s=1e-300)
         with pytest.raises(InsufficientDataError) as recompute:
-            engine.estimate_user_recompute(1, window_s=1e-300)
+            estimate_user_recompute(engine, 1, window_s=1e-300)
         estimates, failures = engine.process_detailed(capture.reports,
                                                       window_s=1e-300)
         assert 1 not in estimates
@@ -151,7 +154,7 @@ class TestWindowBounds:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
             inc_est = engine.estimate_user(1, window_s=window)
-            rec_est = engine.estimate_user_recompute(1, window_s=window)
+            rec_est = estimate_user_recompute(engine, 1, window_s=window)
         assert inc_est.read_count == in_window
         assert rec_est.read_count == in_window
 
@@ -268,22 +271,17 @@ class TestIncrementalEquivalence:
                            - batch_estimates[uid].rate_bpm) < 1e-9
                 assert streamed.read_count == batch_estimates[uid].read_count
 
-    def test_increments_mode_streamed_equals_batch_process(self, capture):
-        """mode="increments" ticks from scratch over the same store:
-        feed_many + estimate_user == process over the same window."""
-        streaming = TagBreathe(user_ids={1, 2}, mode="increments")
-        streaming.feed_many(capture.reports)
+    def test_increments_mode_ticks_raise_config_error(self, capture):
+        """mode="increments" is batch-only: feeding works, ticking is a
+        configuration error, and batch process() still estimates."""
+        engine = TagBreathe(user_ids={1, 2}, mode="increments")
+        assert engine.feed_many(capture.reports) > 0
+        with pytest.raises(ConfigError, match="batch-only"):
+            engine.estimate_user(1, window_s=25.0)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
-            batch_estimates = TagBreathe(
-                user_ids={1, 2}, mode="increments").process(
-                    capture.reports, window_s=25.0)
-            for uid in (1, 2):
-                streamed = streaming.estimate_user(uid, window_s=25.0)
-                batch = batch_estimates[uid]
-                assert_same_estimate(streamed, batch)
-                assert (streamed.estimate.signal.values.tobytes()
-                        == batch.estimate.signal.values.tobytes())
+            estimates = engine.process(capture.reports, window_s=25.0)
+        assert set(estimates) == {1, 2}
 
     def test_memoized_tick_returns_same_object(self, capture):
         engine = TagBreathe(user_ids={1})
@@ -311,7 +309,7 @@ class TestIncrementalEquivalence:
             engine.feed_many(capture.reports[mid:])
             second = engine.estimate_user(1)
             assert second is not first
-            reference = engine.estimate_user_recompute(1)
+            reference = estimate_user_recompute(engine, 1)
         assert_same_estimate(second, reference)
 
     def test_cached_insufficient_data_reraises(self):
@@ -442,7 +440,7 @@ class TestRestoreUnderTimestampTies:
                 restored.feed_many(reports[lo:lo + 300])
                 want = live.estimate_user(1)
                 for got in (restored.estimate_user(1),
-                            restored.estimate_user_recompute(1)):
+                            estimate_user_recompute(restored, 1)):
                     assert got.rate_bpm == want.rate_bpm
                     assert got.confidence == want.confidence
                     assert (got.estimate.signal.values.tobytes()

@@ -20,15 +20,35 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.preprocess import default_frequencies, displacement_samples
+from repro.core.incremental import chain_deltas, window_samples
+from repro.core.preprocess import (
+    DEFAULT_SEGMENT_GAP_S,
+    chain_order,
+    default_frequencies,
+)
 from repro.core.zerocross import zero_crossing_times
 from repro.epc import EPC96
 from repro.reader import TagReport
+from repro.reader.batch import ReportBatch
 from repro.rf.phase import backscatter_phase
 from repro.streams import TimeSeries
 from repro.units import SPEED_OF_LIGHT, TWO_PI
 
 FREQS = default_frequencies(10)
+
+
+def displacement_samples(reports, frequencies_hz):
+    """One tag's displacement samples from the engine's Eq. (3)/(4)
+    kernel: :func:`chain_deltas` then :func:`window_samples`."""
+    cols = ReportBatch.from_reports(reports)
+    sid = np.zeros(len(cols), dtype=np.int64)
+    order, start = chain_order(sid, cols.channel, cols.antenna)
+    wd, seg = chain_deltas(cols.t, cols.phase, order, np.flatnonzero(start),
+                           DEFAULT_SEGMENT_GAP_S)
+    coef = SPEED_OF_LIGHT / np.asarray(frequencies_hz) / (4.0 * np.pi)
+    times, values, _counts = window_samples(
+        cols.t, sid, cols.channel, cols.antenna, cols.phase, wd, seg, coef)
+    return TimeSeries(times, values)
 
 
 def reports_from_trajectory(distances, times, channel_offsets,

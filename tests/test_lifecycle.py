@@ -35,6 +35,8 @@ from repro.serve.hibernate import blob_to_doc, doc_to_blob
 from repro.streams.windowindex import _MIN_CAPACITY, GrowableArray, \
     WindowIndex
 
+from .stage5_reference import estimate_user_recompute
+
 USER = 1
 
 #: Lazily built module caches — hypothesis examples reuse the capture
@@ -261,7 +263,7 @@ class TestLongStreamMemoryCeiling:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
             streamed = engine.estimate_user(USER)
-            recomputed = engine.estimate_user_recompute(USER)
+            recomputed = estimate_user_recompute(engine, USER)
         assert streamed.rate_bpm - recomputed.rate_bpm == 0.0
         np.testing.assert_array_equal(streamed.estimate.signal.values,
                                       recomputed.estimate.signal.values)

@@ -20,6 +20,8 @@ from repro.core.motion import (MIN_WINDOW_REPORTS, STILL, MotionReport,
 from repro.core.pipeline import TagBreathe
 from repro.faults import FaultChain, MotionBurst
 
+from .stage5_reference import estimate_user_recompute
+
 CONFIG = MotionConfig()
 
 
@@ -219,7 +221,7 @@ class TestPipelineIntegration:
         for report in injected:
             engine.feed(report)
         streamed = engine.estimate_user(1)
-        recomputed = engine.estimate_user_recompute(1)
+        recomputed = estimate_user_recompute(engine, 1)
         for estimate in (streamed, recomputed):
             assert estimate.motion_gated == batch.motion_gated
             assert estimate.motion_score == batch.motion_score

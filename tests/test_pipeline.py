@@ -1,10 +1,12 @@
 """Tests for the end-to-end TagBreathe engine (batch + streaming)."""
 
+import warnings
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from repro import PipelineConfig, Scenario, TagBreathe, run_scenario
+from repro import PipelineConfig, Scenario, TagBreathe, obs, run_scenario
 from repro.body import MetronomeBreathing, Subject
 from repro.core.pipeline import (
     REASON_DISORDERED,
@@ -18,10 +20,14 @@ from repro.errors import (
     DegradedEstimateWarning,
     ExtractionError,
     InsufficientDataError,
+    StreamError,
 )
 from repro.faults import BurstyDrop, FaultChain, OutOfOrderDelivery, TagDeath
 from repro.reader import Antenna, ReportBatch, TagReport
 from repro.config import ReaderConfig, RobustnessConfig
+
+from .cascade_oracle import process_user, sanitize_reports
+from .stage5_reference import fused_track_counting
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +283,91 @@ class TestSanitizeReports:
         assert n_dup == 1
         assert clean == reports[:2]
         assert clean[0] is first
+
+
+class TestBatchStage5:
+    """Batch runs the segmented stage 5 kernel over stage 1's columns."""
+
+    @staticmethod
+    def tied_reads(n=600, n_ties=12, seed=3):
+        """One tag read every 50 ms, hopping over four channels every
+        0.2 s, plus ``n_ties`` reads at an existing read's timestamp on
+        the next channel: same tag and antenna, another Eq. (3) chain."""
+        rng = np.random.default_rng(seed)
+        epc = EPC96.from_user_tag(1, 0)
+
+        def read(t, channel):
+            phase = (1.0 + 0.7 * channel + 2.0 * np.sin(0.5 * np.pi * t)
+                     + rng.normal(0.0, 0.05)) % (2.0 * np.pi)
+            return TagReport(epc=epc, timestamp_s=t, phase_rad=float(phase),
+                             rssi_dbm=-55.0, doppler_hz=0.0,
+                             channel_index=channel, antenna_port=1)
+
+        tied = set(rng.choice(np.arange(20, n - 20), n_ties,
+                              replace=False).tolist())
+        reports = []
+        for i in range(n):
+            reports.append(read(i * 0.05, (i // 4) % 4))
+            if i in tied:
+                reports.append(read(i * 0.05, (i // 4 + 1) % 4))
+        return reports
+
+    def test_same_timestamp_reads_keep_first_group(self):
+        """Two reads of one tag at one timestamp on different channels:
+        the per-stream reference's merge keeps the sample of the group
+        that appeared first, and so must the kernel."""
+        reports = self.tied_reads()
+        engine = TagBreathe(user_ids={1})
+        rows, n_bad, track_of = engine._batch_rows(
+            1, ReportBatch.from_reports(reports))
+        assert n_bad == 0
+        assert rows.t.shape[0] == 612
+        track, n_rejected, n_samples = track_of(np.arange(612))
+        clean, _, _ = sanitize_reports(reports)
+        want, want_rejected, want_samples = fused_track_counting(
+            engine, 1, clean)
+        assert want_samples == 600
+        assert (n_rejected, n_samples) == (want_rejected, want_samples)
+        np.testing.assert_array_equal(track.times, want.times)
+        np.testing.assert_array_equal(track.values.view(np.uint64),
+                                      want.values.view(np.uint64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegradedEstimateWarning)
+            batch = engine.process(reports)[1]
+            oracle = process_user(engine, 1, reports)
+        assert batch == oracle
+
+    def test_unwrap_corrections_counted(self):
+        """A phase ramp of 0.3 rad per read on one chain wraps at every
+        crossing of 2 pi; each wrap is one Eq. (3) correction, counted
+        by batch, feed and feed_batch alike."""
+        epc = EPC96.from_user_tag(1, 0)
+        phases = (0.1 + 0.3 * np.arange(100)) % (2.0 * np.pi)
+        wraps = int((0.1 + 0.3 * 99) // (2.0 * np.pi))
+        assert wraps == 4
+        reports = [TagReport(epc=epc, timestamp_s=0.05 * i,
+                             phase_rad=float(p), rssi_dbm=-55.0,
+                             doppler_hz=0.0, channel_index=0,
+                             antenna_port=1)
+                   for i, p in enumerate(phases)]
+        name = "repro_pipeline_phase_unwrap_corrections_total"
+        for run in ("process", "feed", "feed_batch"):
+            engine = TagBreathe(user_ids={1})
+            with obs.capture():
+                if run == "process":
+                    engine.process_detailed(reports)
+                elif run == "feed":
+                    engine.feed_many(reports)
+                else:
+                    engine.feed_batch(ReportBatch.from_reports(reports))
+                assert obs.counter(name).value == wraps, run
+
+    def test_invalid_channel_is_a_stream_error(self, capture):
+        reports = list(capture.reports[:50])
+        reports.append(replace(reports[-1], timestamp_s=99.0,
+                               channel_index=99))
+        with pytest.raises(StreamError, match="outside frequency map"):
+            TagBreathe(user_ids={1}).process(reports)
 
 
 def _select(reports, stale_s):

@@ -1,4 +1,9 @@
-"""Tests for phase preprocessing: Eq. (3)/(4), segments, samples."""
+"""Tests for phase preprocessing: Eq. (3)/(4), segments, samples.
+
+Segments, samples and the 1-D Hampel filter are the per-stream stage 5
+reference in ``tests/stage5_reference.py``; these tests hold that
+reference to the physics the kernel is then held to bit for bit.
+"""
 
 import math
 
@@ -6,14 +11,11 @@ import numpy as np
 import pytest
 
 from repro.core.preprocess import (
-    hampel_filter,
     DeltaChain,
     default_frequencies,
     displacement_deltas,
-    displacement_samples,
     displacement_track,
     group_reports_by_stream,
-    phase_segments,
 )
 from repro.epc import EPC96
 from repro.errors import StreamError
@@ -21,6 +23,12 @@ from repro.reader import TagReport
 from repro.rf.phase import backscatter_phase
 from repro.streams import TimeSeries
 from repro.units import SPEED_OF_LIGHT
+
+from .stage5_reference import (
+    displacement_samples,
+    hampel_filter,
+    phase_segments,
+)
 
 
 FREQS = default_frequencies(10)

@@ -11,7 +11,9 @@ Covered substrate:
   bit for bit: padded 2-D cumsum rows, length-grouped row sums,
   multi-stream Hampel, and the fused Eq. (6)/(7) binning;
 * the robustness cascade, batch and streamed, against the report-list
-  oracle in ``tests/cascade_oracle.py``, field for field.
+  oracle in ``tests/cascade_oracle.py``, field for field, and batch
+  stage 5 against the per-stream reference in
+  ``tests/stage5_reference.py``, bit for bit.
 """
 
 from __future__ import annotations
@@ -185,11 +187,14 @@ _report_streams = st.composite(_report_streams)
 class TestIncrementalStreamingProperties:
     @staticmethod
     def _tick_pair(engine, window_s=None):
-        """(kind, payload) of estimate_user vs estimate_user_recompute."""
+        """(kind, payload) of estimate_user vs the per-stream reference
+        tick."""
         from repro.errors import InsufficientDataError
         import warnings as _warnings
 
         from repro.errors import DegradedEstimateWarning
+
+        from .stage5_reference import estimate_user_recompute
 
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", DegradedEstimateWarning)
@@ -198,7 +203,7 @@ class TestIncrementalStreamingProperties:
             except InsufficientDataError as exc:
                 inc = ("err", str(exc))
             try:
-                rec = engine.estimate_user_recompute(1, window_s=window_s)
+                rec = estimate_user_recompute(engine, 1, window_s=window_s)
             except InsufficientDataError as exc:
                 rec = ("err", str(exc))
         return inc, rec
@@ -315,7 +320,9 @@ class TestTickKernelProperties:
     def test_multi_stream_hampel_equals_per_stream(self, streams, window,
                                                    n_sigmas, seed):
         """Streams shorter than 2w+1 and constant streams included."""
-        from repro.core.preprocess import hampel_filter, hampel_streams
+        from repro.core.preprocess import hampel_streams
+
+        from .stage5_reference import hampel_filter
 
         rng = np.random.default_rng(seed)
         parts = []
@@ -386,12 +393,13 @@ _CASCADE_FIELDS = ("rate_bpm", "confidence", "degraded_reasons", "estimator",
 
 
 @st.composite
-def _cascade_captures(draw):
+def _cascade_captures(draw, messy=st.booleans()):
     """One user's multi-antenna capture: breathing phase (clean or
     noisy) on 1-3 tags, 2-3 ports (RSSI quantised to 0.5 dB),
     optionally a port or a tag that dies, bursty read gaps and a
-    Doppler motion burst.  Returns the
-    in-order reports and a disordered copy with re-deliveries."""
+    Doppler motion burst.  Returns the in-order reports and the
+    delivered copy: disordered, with re-deliveries, when ``messy``
+    draws True."""
     from repro.core.preprocess import default_frequencies
     from repro.reader.tagreport import TagReport
 
@@ -404,7 +412,7 @@ def _cascade_captures(draw):
     n_bursts = draw(st.integers(0, 3))
     burst_s = draw(st.sampled_from([0.6, 2.0, 4.0]))
     motion = draw(st.booleans())
-    messy = draw(st.booleans())
+    messy = draw(messy)
     phase_noise = draw(st.sampled_from([0.05, 0.05, 1.5]))
 
     wavelength = 299792458.0 / np.array(default_frequencies())[:4]
@@ -519,6 +527,53 @@ class TestCascadeOracleProperties:
             _assert_same_outcome(
                 self._tick(engine, window),
                 self._oracle_user(engine, trailing_reports(in_order, window)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(_cascade_captures(messy=st.just(True)))
+    def test_batch_equals_per_stream_reference_on_messy_delivery(
+            self, capture):
+        """Late and re-delivered reports: batch stage 5 (the segmented
+        kernel over stage 1's columns) equals the per-stream reference
+        over stage 1's report list bit for bit, and batch process()
+        equals the report-list oracle field for field."""
+        import warnings as _warnings
+
+        from repro import TagBreathe
+        from repro.errors import DegradedEstimateWarning, EmptyStreamError
+        from repro.reader.batch import ReportBatch
+
+        from .cascade_oracle import process_detailed, sanitize_reports
+        from .stage5_reference import fused_track_counting
+
+        _in_order, delivered = capture
+        engine = TagBreathe(user_ids={1})
+        with _warnings.catch_warnings():
+            _warnings.simplefilter("ignore", DegradedEstimateWarning)
+            got, got_failed = engine.process_detailed(delivered)
+            want, want_failed = process_detailed(engine, delivered)
+        assert got_failed == want_failed
+        assert set(got) == set(want)
+        for uid in want:
+            _assert_same_outcome(got[uid], want[uid])
+
+        if not delivered:
+            return
+        rows, _n_bad, track_of = engine._batch_rows(
+            1, ReportBatch.from_reports(delivered))
+        clean, _, _ = sanitize_reports(delivered)
+        try:
+            want_track = fused_track_counting(engine, 1, clean)
+        except EmptyStreamError as exc:
+            with pytest.raises(EmptyStreamError) as err:
+                track_of(np.arange(rows.t.shape[0]))
+            assert str(err.value) == str(exc)
+            return
+        track, n_rejected, n_samples = track_of(np.arange(rows.t.shape[0]))
+        assert (n_rejected, n_samples) == want_track[1:]
+        np.testing.assert_array_equal(_bits(track.times),
+                                      _bits(want_track[0].times))
+        np.testing.assert_array_equal(_bits(track.values),
+                                      _bits(want_track[0].values))
 
     def test_exact_score_tie_picks_lowest_port(self):
         """Ports 2 and 3 share every read count and RSSI: both paths

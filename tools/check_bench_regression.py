@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
-"""Guard the streaming-tick speedup against perf regressions in CI.
+"""Guard the streaming-tick cost against perf regressions in CI.
 
 Shared CI runners are far too noisy for absolute-time thresholds, but
-the streaming benchmark's ``tick_speedup`` is a *ratio* of two timings
-taken interleaved on the same machine over the same replayed report
-stream — machine speed cancels out.  This tool compares that ratio
-between the committed reference benchmark (``BENCH_pipeline.json`` at
-the repo root) and a freshly produced candidate (the perf-smoke job's
-``bench-out/BENCH_pipeline.json``) on every case the two runs share,
-and fails when the candidate's speedup has regressed by more than the
-threshold (default 25 %) on any shared case.
-
-The committed reference is a full-grid run and CI produces a quick-grid
-candidate, so the comparison covers the quick cases only — enough to
-catch "someone made the incremental tick recompute again" while staying
-within a smoke job's time budget.
+the streaming benchmark's ``tick_cost_kernels`` is a *ratio*: the mean
+computed cadence tick over the median time of a fixed reference kernel
+(``repro.bench._reference_kernel``) timed between the ticks of the same
+run, so machine speed and load cancel out.  This tool holds that cost
+under a per-case ceiling on every case the freshly produced candidate
+(the perf-smoke job's ``bench-out/BENCH_pipeline.json``) shares with
+the committed reference benchmark (``BENCH_pipeline.json`` at the repo
+root) and has a ceiling for: the quick-grid cases CI runs, which is
+enough to catch "someone made the tick recompute stage 5 again" while
+staying within a smoke job's time budget.  The same cases must report
+ticks equal to batch processing of the same stored rows, exactly.
 
 The candidate's ``fabric_scale`` soak suite is additionally checked on
 its own: its invariants (sessions settled == users requested, every
@@ -53,7 +51,7 @@ the files don't both contain a streaming suite.
 Usage:
     python tools/check_bench_regression.py \
         --baseline BENCH_pipeline.json \
-        --candidate bench-out/BENCH_pipeline.json [--threshold 0.25] \
+        --candidate bench-out/BENCH_pipeline.json \
         [--simulation bench-out/BENCH_simulation.json]
 """
 
@@ -65,8 +63,18 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Tuple
 
-#: Fractional speedup loss tolerated before the guard fails.
-DEFAULT_THRESHOLD = 0.25
+#: Ceilings on ``tick_cost_kernels`` per (users, duration_s) case: the
+#: mean computed cadence tick in runs of the benchmark's reference
+#: kernel.  They replace floors on ``tick_speedup`` (recompute tick over
+#: incremental tick, both timed in one run) at 0.75x the committed
+#: ratios: 1.57 for 1u/25s and 1.28 for 5u/25s.  On the last commit
+#: with the recompute tick, its median cost over 16 runs (2 vCPUs,
+#: CPython 3.11) was 30.53 kernel runs for 1u/25s and 21.45 for 5u/25s,
+#: so the old floors allowed a tick of 19.43 and 16.72 kernel runs.
+#: Each ceiling sits below that with room for run-to-run noise, so a
+#: tick slowed enough to break the old floor breaks the ceiling too; a
+#: clean tick costs about 9 and 7.5 kernel runs.
+TICK_COST_CEILINGS = {(1, 25.0): 17.0, (5, 25.0): 14.5}
 
 #: Hard floor on the batched-feed speedup (``feed_batch_speedup``).
 #: The ratio is same-run, same-machine (scalar feed vs column-chunk
@@ -220,8 +228,7 @@ def check_fabric_suite(path: Path) -> List[str]:
 
 
 def compare(baseline: Dict[Tuple[int, float], dict],
-            candidate: Dict[Tuple[int, float], dict],
-            threshold: float) -> List[str]:
+            candidate: Dict[Tuple[int, float], dict]) -> List[str]:
     """Regression complaints over the shared cases (empty = pass)."""
     problems = []
     shared = sorted(set(baseline) & set(candidate))
@@ -229,19 +236,23 @@ def compare(baseline: Dict[Tuple[int, float], dict],
         return ["no shared streaming cases between baseline and candidate"]
     for key in shared:
         users, duration_s = key
-        base = baseline[key]["tick_speedup"]
-        cand = candidate[key]["tick_speedup"]
-        floor = base * (1.0 - threshold)
-        if cand < floor:
+        ceiling = TICK_COST_CEILINGS.get(key)
+        cost = candidate[key].get("tick_cost_kernels")
+        if ceiling is not None and cost is None:
             problems.append(
-                f"case {users}u/{duration_s:g}s: tick_speedup {cand:.2f}x "
-                f"< floor {floor:.2f}x (baseline {base:.2f}x, "
-                f"threshold {threshold:.0%})")
+                f"case {users}u/{duration_s:g}s: no tick_cost_kernels — "
+                f"the tick-cost measurement did not run")
+        elif ceiling is not None and not cost <= ceiling:
+            problems.append(
+                f"case {users}u/{duration_s:g}s: tick_cost_kernels "
+                f"{cost:.2f} > ceiling {ceiling:.2f} reference-kernel "
+                f"runs per computed tick")
         diff = candidate[key].get("max_rate_diff_bpm", 0.0)
         if diff != 0.0:
             problems.append(
-                f"case {users}u/{duration_s:g}s: streamed and recomputed "
-                f"estimates diverged by {diff} bpm (must be exactly 0)")
+                f"case {users}u/{duration_s:g}s: streamed ticks and batch "
+                f"estimates of the same rows diverged by {diff} bpm "
+                f"(must be exactly 0)")
         batch_speedup = candidate[key].get("feed_batch_speedup")
         if batch_speedup is None:
             problems.append(
@@ -442,10 +453,6 @@ def main(argv: List[str]) -> int:
                         help="committed reference BENCH_pipeline.json")
     parser.add_argument("--candidate", type=Path, default=None,
                         help="freshly produced BENCH_pipeline.json")
-    parser.add_argument("--threshold", type=float,
-                        default=DEFAULT_THRESHOLD,
-                        help="tolerated fractional speedup loss "
-                             f"(default {DEFAULT_THRESHOLD})")
     parser.add_argument("--simulation", type=Path, default=None,
                         help="optional BENCH_simulation.json whose "
                              "scenario-pack suite should be gated too")
@@ -455,10 +462,6 @@ def main(argv: List[str]) -> int:
                              "on its own (CI smoke path without the "
                              "wall-clock grids)")
     args = parser.parse_args(argv)
-    if not 0.0 <= args.threshold < 1.0:
-        print(f"error: threshold must be in [0, 1), got {args.threshold}",
-              file=sys.stderr)
-        return 2
     if (args.baseline is None) != (args.candidate is None):
         print("error: --baseline and --candidate must be given together",
               file=sys.stderr)
@@ -477,7 +480,7 @@ def main(argv: List[str]) -> int:
         except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
-        problems.extend(compare(baseline, candidate, args.threshold))
+        problems.extend(compare(baseline, candidate))
         shared = sorted(set(baseline) & set(candidate))
         try:
             problems.extend(check_fabric_suite(args.candidate))
@@ -502,8 +505,8 @@ def main(argv: List[str]) -> int:
     notes = []
     if args.baseline is not None:
         notes.append(
-            f"{len(shared)} shared case(s) within {args.threshold:.0%} of "
-            f"baseline tick_speedup, feed_batch_speedup >= "
+            f"{len(shared)} shared case(s) within their tick-cost "
+            f"ceilings, feed_batch_speedup >= "
             f"{FEED_BATCH_SPEEDUP_FLOOR:.1f}x and serve_feed_speedup >= "
             f"{SERVE_FEED_SPEEDUP_FLOOR:.1f}x with bit-equal state; wire, "
             f"fabric_scale, and idle-economics invariants hold")

@@ -44,17 +44,20 @@ import os
 import platform
 import time
 import warnings
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import obs, perf
+from . import obs
 from .body import MetronomeBreathing, Subject
 from .config import ReaderConfig
 from .core.pipeline import TagBreathe
+from .epc.gen2 import RoundStats, record_round_metrics
 from .errors import DegradedEstimateWarning, InsufficientDataError
 from .reader.batch import ReportBatch
+from .reader.reader import record_read_metrics
 from .sim.engine import SimulationResult, run_scenario
 from .sim.scenario import Scenario
 
@@ -92,22 +95,36 @@ def benchmark_scenario(users: int, seed: int = 0) -> Scenario:
     return Scenario(subjects).with_contending_tags(CONTENDING_TAGS, seed=seed)
 
 
+def _stage_seconds(registry: obs.MetricsRegistry) -> Dict[str, float]:
+    """Total span seconds per stage name recorded in ``registry``."""
+    return {labels["stage"]: inst.sum
+            for _kind, metric, labels, inst in registry.instruments()
+            if metric == obs.STAGE_METRIC}
+
+
+def _event_counts(registry: obs.MetricsRegistry) -> Dict[str, int]:
+    """The ``repro_events_total`` tallies in ``registry``, by name."""
+    return {dict(labels)["name"]: int(value) for labels, value
+            in sorted(registry.values("repro_events_total").items())}
+
+
 def _time_capture(scenario: Scenario, duration_s: float, seed: int,
                   vectorized: bool) -> Dict:
     """Run one capture and return (seconds, result) style timing info."""
-    perf.reset()
-    t0 = time.perf_counter()
-    result = run_scenario(
-        scenario, duration_s=duration_s, seed=seed,
-        reader_config=ReaderConfig(vectorized=vectorized),
-    )
-    elapsed = time.perf_counter() - t0
-    stages = perf.snapshot()["stages"]
+    with obs.capture() as (tracer, registry):
+        tracer.configure(enabled=False)
+        t0 = time.perf_counter()
+        result = run_scenario(
+            scenario, duration_s=duration_s, seed=seed,
+            reader_config=ReaderConfig(vectorized=vectorized),
+        )
+        elapsed = time.perf_counter() - t0
+    stages = _stage_seconds(registry)
     return {
         "seconds": elapsed,
         "reports": len(result.reports),
-        "mac_s": stages.get("reader.mac", {}).get("seconds"),
-        "synthesize_s": stages.get("reader.synthesize", {}).get("seconds"),
+        "mac_s": stages.get("reader.mac"),
+        "synthesize_s": stages.get("reader.synthesize"),
         "result": result,
     }
 
@@ -163,13 +180,14 @@ def run_pipeline_benchmark(captures: Dict[tuple, SimulationResult],
         pipeline = TagBreathe(
             user_ids=set(result.scenario.monitored_user_ids)
         )
-        perf.reset()
-        t0 = time.perf_counter()
-        with warnings.catch_warnings():
+        with obs.capture() as (tracer, registry), \
+                warnings.catch_warnings():
+            tracer.configure(enabled=False)
             warnings.simplefilter("ignore", DegradedEstimateWarning)
+            t0 = time.perf_counter()
             estimates = pipeline.process(result.reports)
-        elapsed = time.perf_counter() - t0
-        counters = perf.snapshot()["counters"]
+            elapsed = time.perf_counter() - t0
+        counters = _event_counts(registry)
         cases.append({
             "users": users,
             "duration_s": duration_s,
@@ -984,48 +1002,81 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     return result
 
 
-def run_obs_overhead_benchmark(users: int, duration_s: float,
-                               seed: int = 0, repeats: int = 5) -> Dict:
-    """Measure what round-level tracing costs on one headline case.
+def _replay_traced_work(events: List[dict], rounds: List[RoundStats],
+                        reads_by_tag: Dict, ports: np.ndarray,
+                        snr: np.ndarray) -> float:
+    """Seconds to redo what only a traced capture does, on fresh state.
 
-    Runs the same seeded capture with observability off (perf counters
-    only, the pre-§10 baseline) and inside
-    ``obs.capture(detail="round")``, and reports the wall-clock overhead
-    fraction plus the number of events one traced run emits.  Single
-    runs on a shared machine jitter by tens of percent — far above the
-    few-percent effect being measured — so the two configurations are
-    timed as *interleaved* pairs (slow drift lands on both sides) and
-    compared best-of-``repeats``.  The acceptance budget is <5 % on the
-    15-user / 120 s headline.
+    That work is recording each trace event and, once per capture, the
+    traced-only MAC and reader metrics; here it runs through the same
+    functions the capture calls, fed the traced capture's own events,
+    rounds and reads.
+    """
+    tracer = obs.Tracer(enabled=True)
+    registry = obs.MetricsRegistry()
+    t0 = time.perf_counter()
+    for event in events:
+        tracer.event(event["name"], **event.get("attrs", {}))
+    record_round_metrics(registry, rounds, rounds[-1].q if rounds else 0)
+    record_read_metrics(registry, reads_by_tag, ports, snr)
+    return time.perf_counter() - t0
+
+
+def run_obs_overhead_benchmark(users: int, duration_s: float,
+                               seed: int = 0, repeats: int = 7) -> Dict:
+    """Measure what round-level tracing adds to one capture.
+
+    A traced capture does the untraced capture's work plus a fixed
+    extra: it records every trace event, and flushes the traced-only
+    MAC and reader metrics once.  Timing traced against untraced runs
+    measures that extra as the difference of two wall times, and on a
+    shared host one capture's time swings by 20-30% from run to run,
+    far above the few percent being measured.  So the extra is timed on
+    its own: one traced run gives the event stream (its length is fixed
+    by the seed), and :func:`_replay_traced_work` re-records those
+    events and re-runs the metric flushes over that run's rounds and
+    reads.  Each of ``repeats`` rounds times one untraced capture and
+    one replay back to back, so both see the same host speed, and the
+    overhead is the median of replay over capture.  The budget is <5%.
     """
     scenario = benchmark_scenario(users, seed=seed)
     config = ReaderConfig(vectorized=True)
 
-    def one_run() -> float:
-        t0 = time.perf_counter()
-        run_scenario(scenario, duration_s=duration_s, seed=seed,
-                     reader_config=config)
-        return time.perf_counter() - t0
+    def untraced_s() -> float:
+        with obs.capture() as (tracer, _registry):
+            tracer.configure(enabled=False)
+            t0 = time.perf_counter()
+            run_scenario(scenario, duration_s=duration_s, seed=seed,
+                         reader_config=config)
+            return time.perf_counter() - t0
 
-    one_run()  # warm-up: page in code paths and allocator state
-    baseline_times: List[float] = []
-    traced_times: List[float] = []
-    events = 0
+    with obs.capture(detail="round") as (tracer, _registry):
+        result = run_scenario(scenario, duration_s=duration_s, seed=seed,
+                              reader_config=config)
+        events = list(tracer.events)
+    rounds = [RoundStats(**{key: value for key, value in e["attrs"].items()
+                            if key != "t"})
+              for e in events if e["name"] == "gen2.round"]
+    reads_by_tag = Counter((r.user_id, r.tag_id) for r in result.reports)
+    ports = np.array([r.antenna_port for r in result.reports], dtype=int)
+    snr = np.array([r.rssi_dbm for r in result.reports])
+
+    untraced_s()  # warm-up: page in code paths and allocator state
+    baseline: List[float] = []
+    traced_only: List[float] = []
     for _ in range(repeats):
-        baseline_times.append(one_run())
-        with obs.capture(detail="round") as (tracer, _registry):
-            traced_times.append(one_run())
-            events = len(tracer.events)
-    baseline_s = min(baseline_times)
-    traced_s = min(traced_times)
+        baseline.append(untraced_s())
+        traced_only.append(
+            _replay_traced_work(events, rounds, reads_by_tag, ports, snr))
+    fractions = [w / b for w, b in zip(traced_only, baseline)]
     return {
         "users": users,
         "duration_s": duration_s,
-        "baseline_s": baseline_s,
-        "traced_s": traced_s,
-        "events": events,
-        "overhead_fraction": (traced_s / baseline_s - 1.0
-                              if baseline_s > 0 else float("inf")),
+        "repeats": repeats,
+        "events": len(events),
+        "baseline_s": float(np.median(baseline)),
+        "traced_only_s": float(np.median(traced_only)),
+        "overhead_fraction": float(np.median(fractions)),
     }
 
 

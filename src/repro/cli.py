@@ -33,7 +33,7 @@ from typing import Optional, Sequence
 from .body import MetronomeBreathing, Subject
 from .config import PipelineConfig
 from .core.pipeline import TagBreathe
-from .errors import DegradedEstimateWarning, FaultInjectionError
+from .errors import ConfigError, DegradedEstimateWarning, FaultInjectionError
 from .faults import (
     AntennaOutage,
     BurstyDrop,
@@ -564,15 +564,17 @@ def _run_serve_worker(args: argparse.Namespace) -> int:
     """
     from pathlib import Path
 
-    from .serve.worker import worker_main
+    from .serve.worker import parse_addr, worker_main
 
+    join = [spec.strip() for spec in args.join.split(",") if spec.strip()]
+    for spec in join:
+        try:
+            parse_addr(spec)
+        except ValueError as exc:
+            raise ConfigError(f"--join: {exc}") from None
     state_dir = Path(args.state_dir)
     state_dir.mkdir(parents=True, exist_ok=True)
-    options = {
-        "host": args.host,
-        "join": [spec.strip()
-                 for spec in args.join.split(",") if spec.strip()],
-    }
+    options = {"host": args.host, "join": join}
     if args.advertise:
         options["advertise_host"] = args.advertise
     label = (f"worker {args.worker_id}" if args.worker_id is not None
@@ -795,9 +797,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if overhead:
             print(f"observability overhead ({overhead['users']} users, "
                   f"{overhead['duration_s']:.0f} s): "
-                  f"{overhead['overhead_fraction'] * 100:+.1f}% "
-                  f"({overhead['baseline_s']:.2f} s -> "
-                  f"{overhead['traced_s']:.2f} s, "
+                  f"{overhead['overhead_fraction'] * 100:.1f}% "
+                  f"({overhead['traced_only_s'] * 1e3:.1f} ms traced-only "
+                  f"work over {overhead['baseline_s']:.2f} s, "
                   f"{overhead['events']} events)")
         if out_dir is not None:
             print(f"wrote BENCH_simulation.json and BENCH_pipeline.json "
@@ -807,11 +809,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "obs":
         return _run_observed(args)
 
-    if args.command == "serve":
-        return _run_serve(args)
-
-    if args.command == "serve-worker":
-        return _run_serve_worker(args)
+    if args.command in ("serve", "serve-worker"):
+        run = _run_serve if args.command == "serve" else _run_serve_worker
+        try:
+            return run(args)
+        except ConfigError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     if args.command == "chaos":
         return _run_chaos(args)

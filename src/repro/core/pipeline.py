@@ -49,7 +49,7 @@ from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
 
 import numpy as np
 
-from .. import obs, perf
+from .. import obs
 from ..config import (
     EstimatorConfig,
     MotionConfig,
@@ -351,7 +351,7 @@ class TagBreathe:
         window_s: Optional[float] = None,
     ) -> Tuple[Dict[int, UserEstimate], Dict[int, str]]:
         """Like :meth:`process`, also returning per-user failure reasons."""
-        with obs.span("pipeline.process"), perf.stage("pipeline.process"):
+        with obs.span("pipeline.process"):
             if self._user_ids is not None:
                 reports = [r for r in reports if r.user_id in self._user_ids]
             elif not isinstance(reports, Sequence):
@@ -364,8 +364,9 @@ class TagBreathe:
                                                     window_s)
                     cols = cols.select((cols.t > lo) & (cols.t <= hi))
                 by_user[user_id] = cols
-            perf.count("pipeline.reports_processed",
-                       sum(len(cols) for cols in by_user.values()))
+            obs.counter("repro_events_total",
+                        name="pipeline.reports_processed").inc(
+                sum(len(cols) for cols in by_user.values()))
             estimates: Dict[int, UserEstimate] = {}
             failures: Dict[int, str] = {}
             for user_id, cols in sorted(by_user.items()):
@@ -383,7 +384,8 @@ class TagBreathe:
             if self._user_ids is not None:
                 for user_id in self._user_ids - set(by_user):
                     failures[user_id] = "no reads received (tag unreadable?)"
-            perf.count("pipeline.users_estimated", len(estimates))
+            obs.counter("repro_events_total",
+                        name="pipeline.users_estimated").inc(len(estimates))
         return estimates, failures
 
     def _batch_estimate(self, user_id: int, cols: ReportBatch) -> UserEstimate:
@@ -884,8 +886,7 @@ class TagBreathe:
             raise InsufficientDataError(cached[2])
         obs.counter("repro_pipeline_tick_cache_total", result="miss").inc()
         previous = self._active_estimator.get(user_id)
-        with obs.span("pipeline.tick", user_id=user_id), \
-                perf.stage("pipeline.tick"):
+        with obs.span("pipeline.tick", user_id=user_id):
             try:
                 rows, track_of = self._inc.window_rows(user_id, window)
                 result = self._cascade(

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Callable, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -113,6 +114,23 @@ def _always(_tag: Hashable, _t: float) -> bool:
     return True
 
 
+def record_round_metrics(registry: obs.MetricsRegistry,
+                         rounds: Sequence[RoundStats], q: int) -> None:
+    """Add MAC rounds to the traced-only Gen2 metrics in ``registry``.
+
+    One call per inventory run sums its rounds, so a traced run pays a
+    handful of instrument updates rather than several per round.  ``q``
+    is the Q in force after the last round (the ``repro_gen2_q`` gauge).
+    """
+    registry.counter("repro_gen2_rounds_total").inc(len(rounds))
+    for outcome, field in (("empty", "empties"), ("collision", "collisions"),
+                           ("read", "reads"),
+                           ("link_fail", "link_failures")):
+        registry.counter("repro_gen2_slots_total", outcome=outcome).inc(
+            sum(map(attrgetter(field), rounds)))
+    registry.gauge("repro_gen2_q").set(q)
+
+
 class Gen2Inventory:
     """Event-driven framed-slotted-ALOHA inventory loop.
 
@@ -151,11 +169,6 @@ class Gen2Inventory:
         )
         self._qfp = float(self._cfg.q_initial)
         self._round_log: List[RoundStats] = []
-        # Cached (registry, counters..., gauge) for the per-round metric
-        # updates — instrument lookup costs a name-validation and a label
-        # sort, which at thousands of rounds per run would dominate the
-        # observability overhead budget.
-        self._obs_cache: Optional[tuple] = None
 
     def _every_tag(self, _t: float) -> List[Hashable]:
         return self._tags
@@ -256,36 +269,7 @@ class Gen2Inventory:
                 reads=stats.reads, link_failures=stats.link_failures,
                 duration_s=stats.duration_s,
             )
-            rounds, empty, collision, read, link_fail, q_gauge = \
-                self._obs_instruments()
-            rounds.inc()
-            if stats.empties:
-                empty.inc(stats.empties)
-            if stats.collisions:
-                collision.inc(stats.collisions)
-            if stats.reads:
-                read.inc(stats.reads)
-            if stats.link_failures:
-                link_fail.inc(stats.link_failures)
-            q_gauge.set(self.current_q)
         return events, stats
-
-    def _obs_instruments(self) -> tuple:
-        """The per-round MAC instruments, cached against the live registry."""
-        registry = obs.get_registry()
-        cached = self._obs_cache
-        if cached is None or cached[0] is not registry:
-            cached = (
-                registry,
-                registry.counter("repro_gen2_rounds_total"),
-                registry.counter("repro_gen2_slots_total", outcome="empty"),
-                registry.counter("repro_gen2_slots_total", outcome="collision"),
-                registry.counter("repro_gen2_slots_total", outcome="read"),
-                registry.counter("repro_gen2_slots_total", outcome="link_fail"),
-                registry.gauge("repro_gen2_q"),
-            )
-            self._obs_cache = cached
-        return cached[1:]
 
     def run_for(self, duration_s: float, t_start: float = 0.0) -> List[ReadEvent]:
         """Run rounds back-to-back until ``duration_s`` of MAC time elapses.
@@ -299,12 +283,16 @@ class Gen2Inventory:
         if not math.isfinite(t_start):
             raise ConfigError(f"t_start must be finite, got {t_start}")
         events: List[ReadEvent] = []
+        first_round = len(self._round_log)
         t = t_start
         t_end = t_start + duration_s
         while t < t_end:
             round_events, stats = self.run_round(t)
             events.extend(ev for ev in round_events if ev[0] < t_end)
             t += stats.duration_s
+        if obs.enabled():
+            record_round_metrics(obs.get_registry(),
+                                 self._round_log[first_round:], self.current_q)
         return events
 
     def iter_reads(self, t_start: float = 0.0) -> Iterator[ReadEvent]:
@@ -312,6 +300,9 @@ class Gen2Inventory:
         t = t_start
         while True:
             round_events, stats = self.run_round(t)
+            if obs.enabled():
+                record_round_metrics(obs.get_registry(), [stats],
+                                     self.current_q)
             yield from round_events
             t += stats.duration_s
 

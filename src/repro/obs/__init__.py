@@ -6,21 +6,23 @@ The runtime-visibility substrate of the reproduction (DESIGN.md §10):
   deterministic IDs (scenario → reader round → inventory slot →
   pipeline stage → per-user estimate);
 * :mod:`repro.obs.metrics` — a labelled counter/gauge/histogram
-  registry that also backs :mod:`repro.perf`;
+  registry;
 * :mod:`repro.obs.export` — JSONL event sink, Prometheus text
   exposition, and run manifests.
 
 This module holds the **process-global session**: one tracer + one
 registry that the reader, Gen2 MAC, pipeline, and simulation engine feed
-through the helpers below.  Tracing is *off* by default — instrumented
-call sites cost one attribute check until :func:`configure` (or the
-``repro obs`` CLI) switches it on.  Sweep workers get their own scoped
-session via :func:`repro.perf.telemetry_scope` and ship snapshots back
-to the parent.
+through the helpers below.  :func:`span` is the one stage timer: every
+span observes its wall time into ``repro_stage_seconds{stage=<name>}``
+whether tracing is on or off.  Tracing is *off* by default — span and
+point events are recorded only once :func:`configure` (or the ``repro
+obs`` CLI) switches it on.  Sweep workers run each trial inside
+:func:`capture` and ship its :func:`snapshot` back to the parent.
 """
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from typing import Iterator, Optional, Tuple
 
@@ -42,11 +44,11 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .trace import DETAIL_LEVELS, SpanHandle, Tracer
+from .trace import _NULL_SPAN, DETAIL_LEVELS, SpanHandle, Tracer
 
 __all__ = [
     "Counter", "Gauge", "Histogram", "MetricsRegistry",
-    "Tracer", "SpanHandle", "DETAIL_LEVELS",
+    "Tracer", "SpanHandle", "DETAIL_LEVELS", "STAGE_METRIC",
     "DURATION_BUCKETS", "UNIT_BUCKETS",
     "events_to_jsonl", "read_events_jsonl", "strip_volatile",
     "to_prometheus", "write_events_jsonl", "write_prometheus",
@@ -58,6 +60,11 @@ __all__ = [
 
 _TRACER = Tracer()
 _REGISTRY = MetricsRegistry()
+
+#: Histogram family every :func:`span` observes its wall time into
+#: (label: ``stage``, the span name).  Volatile: wall time differs run
+#: to run, so determinism checks leave it out.
+STAGE_METRIC = "repro_stage_seconds"
 
 
 def get_tracer() -> Tracer:
@@ -74,8 +81,9 @@ def install_session(tracer: Tracer, registry: MetricsRegistry
                     ) -> Tuple[Tracer, MetricsRegistry]:
     """Swap in a new global (tracer, registry); returns the old pair.
 
-    Used by :func:`repro.perf.telemetry_scope` to give sweep workers an
-    isolated session.  Most code should never call this directly.
+    Used by :func:`capture` to give a block (a sweep trial, a benchmark
+    run) an isolated session.  Most code should never call this
+    directly.
     """
     global _TRACER, _REGISTRY
     old = (_TRACER, _REGISTRY)
@@ -100,9 +108,26 @@ def reset() -> None:
     _REGISTRY.reset()
 
 
-def span(name: str, **attrs):
-    """Open a span on the global tracer (context manager)."""
-    return _TRACER.span(name, **attrs)
+@contextmanager
+def span(name: str, **attrs) -> Iterator[SpanHandle]:
+    """Time a block as stage ``name``, and trace it when tracing is on.
+
+    The block's wall time lands in ``repro_stage_seconds{stage=name}``
+    of the session the span opened in, also when the block raises.  The
+    span's start and end events (see :meth:`Tracer.span`) are recorded
+    only while the tracer is enabled.
+    """
+    tracer, registry = _TRACER, _REGISTRY
+    t0 = time.perf_counter()
+    try:
+        if tracer.enabled:
+            with tracer.span(name, **attrs) as handle:
+                yield handle
+        else:
+            yield _NULL_SPAN
+    finally:
+        registry.histogram(STAGE_METRIC, volatile=True, stage=name).observe(
+            time.perf_counter() - t0)
 
 
 def event(name: str, **attrs) -> None:
@@ -110,19 +135,19 @@ def event(name: str, **attrs) -> None:
     _TRACER.event(name, **attrs)
 
 
-def counter(name: str, **labels) -> Counter:
+def counter(metric: str, **labels) -> Counter:
     """A counter on the global registry."""
-    return _REGISTRY.counter(name, **labels)
+    return _REGISTRY.counter(metric, **labels)
 
 
-def gauge(name: str, **labels) -> Gauge:
+def gauge(metric: str, **labels) -> Gauge:
     """A gauge on the global registry."""
-    return _REGISTRY.gauge(name, **labels)
+    return _REGISTRY.gauge(metric, **labels)
 
 
-def histogram(name: str, bounds=DURATION_BUCKETS, **labels) -> Histogram:
+def histogram(metric: str, bounds=DURATION_BUCKETS, **labels) -> Histogram:
     """A histogram on the global registry."""
-    return _REGISTRY.histogram(name, bounds=bounds, **labels)
+    return _REGISTRY.histogram(metric, bounds=bounds, **labels)
 
 
 def snapshot(include_volatile: bool = True) -> dict:

@@ -25,6 +25,8 @@ import sys
 import time
 from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Union
 
+import numpy as np
+
 from .metrics import Histogram, MetricsRegistry
 
 #: Event keys whose values depend on wall clocks, not on the seed.
@@ -50,6 +52,19 @@ def strip_volatile(events: Iterable[dict]) -> List[dict]:
     return out
 
 
+def _json_scalar(value: Any) -> Any:
+    """The JSON type of a numpy scalar event attribute (json ``default``).
+
+    Tuples need no hook (JSON writes them as arrays) and ``np.float64``
+    is a float, so only the other numpy scalars land here.
+    """
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"event attribute {value!r} is not JSON serialisable")
+
+
 def events_to_jsonl(events: Iterable[dict], strip: bool = False) -> str:
     """Serialise events as JSON Lines (compact, sorted keys, trailing \\n).
 
@@ -59,7 +74,8 @@ def events_to_jsonl(events: Iterable[dict], strip: bool = False) -> str:
     """
     if strip:
         events = strip_volatile(events)
-    lines = [json.dumps(event, sort_keys=True, separators=(",", ":"))
+    lines = [json.dumps(event, sort_keys=True, separators=(",", ":"),
+                        default=_json_scalar)
              for event in events]
     return "\n".join(lines) + ("\n" if lines else "")
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import ObservabilityError
 
@@ -157,35 +157,21 @@ class Histogram:
         for value in values:
             self.observe(float(value))
 
-    def add(self, total: float, count: int,
-            counts: Optional[Sequence[int]] = None) -> None:
+    def add(self, total: float, count: int, counts: Sequence[int]) -> None:
         """Fold in pre-aggregated observations (snapshot merging).
-
-        When per-bucket ``counts`` are unavailable (legacy perf snapshots
-        carry only sum/calls), the count lands in the bucket of the mean
-        observation — sum and count stay exact, bucket placement is
-        approximate.
 
         Raises:
             ObservabilityError: if ``counts`` has the wrong length.
         """
         if count <= 0:
             return
-        self.sum += total
-        self.count += count
-        if counts is None:
-            mean = total / count
-            for i, bound in enumerate(self.bounds):
-                if mean <= bound:
-                    self.counts[i] += count
-                    return
-            self.counts[-1] += count
-            return
         if len(counts) != len(self.counts):
             raise ObservabilityError(
                 f"cannot merge histogram with {len(counts)} buckets "
                 f"into {len(self.counts)}"
             )
+        self.sum += total
+        self.count += count
         for i, n in enumerate(counts):
             self.counts[i] += int(n)
 
@@ -194,7 +180,7 @@ class MetricsRegistry:
     """Get-or-create instrument store with deterministic snapshots.
 
     One registry per telemetry session; the process-global one lives in
-    :mod:`repro.obs` and is what ``repro.perf`` records through.
+    :mod:`repro.obs`.
     """
 
     def __init__(self) -> None:
@@ -234,7 +220,8 @@ class MetricsRegistry:
         inst = self._histograms.get(key)
         if inst is None:
             inst = self._histograms[key] = Histogram(bounds, volatile=volatile)
-        elif inst.bounds != tuple(float(b) for b in bounds):
+        elif (inst.bounds != bounds
+              and inst.bounds != tuple(float(b) for b in bounds)):
             raise ObservabilityError(
                 f"histogram {metric!r} already registered with bounds {inst.bounds}"
             )
@@ -341,6 +328,6 @@ class MetricsRegistry:
                 hist = self.histogram(
                     row["name"], bounds=row["bounds"],
                     volatile=row.get("volatile", False), **row["labels"])
-                hist.add(row["sum"], row["count"], counts=row["counts"])
+                hist.add(row["sum"], row["count"], row["counts"])
         except (KeyError, TypeError) as exc:
             raise ObservabilityError(f"malformed metrics snapshot: {exc}") from exc

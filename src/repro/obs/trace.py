@@ -19,8 +19,16 @@ golden-trace and determinism tests lock down.  Wall-clock durations are
 the default off, two runs of the same seed produce byte-identical
 streams with no stripping required.
 
+Attributes are stored as the call site passed them (numpy scalars and
+tuples included); :func:`repro.obs.export.events_to_jsonl` makes them
+JSON types once, at export, so recording an event stays cheap.
+
+The tracer records events only; :func:`repro.obs.span` wraps
+:meth:`Tracer.span` to also time every span into the session's
+``repro_stage_seconds`` histogram, tracing on or off.
+
 The tracer is intentionally not thread-safe: one tracer per process (or
-per sweep worker via :func:`repro.perf.telemetry_scope`), matching the
+per sweep trial via :func:`repro.obs.capture`), matching the
 single-threaded simulation engine.
 """
 
@@ -30,33 +38,10 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
-import numpy as np
-
 #: Trace detail levels, coarse to fine.  "round" (default) emits one
 #: point event per MAC round; "slot" additionally emits one per ALOHA
 #: slot — an order of magnitude more events, for protocol debugging.
 DETAIL_LEVELS = ("round", "slot")
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars (and tuples) into JSON-serialisable values."""
-    # Exact-type fast path first: virtually every attr is a builtin, and
-    # the numpy ABC isinstance checks below are what tracing overhead is
-    # made of at tens of thousands of attrs per run.
-    kind = type(value)
-    if kind is int or kind is float or kind is str or kind is bool:
-        return value
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
-def _clean_attrs(attrs: Dict[str, Any]) -> Dict[str, Any]:
-    return {k: _jsonable(v) for k, v in attrs.items()}
 
 
 class SpanHandle:
@@ -165,7 +150,7 @@ class Tracer:
         if self._stack:
             start["parent"] = self._stack[-1]
         if attrs:
-            start["attrs"] = _clean_attrs(attrs)
+            start["attrs"] = attrs
         self.events.append(start)
         self._stack.append(span_id)
         handle = SpanHandle(span_id, name)
@@ -180,7 +165,7 @@ class Tracer:
             self._stack.pop()
             end = {"event": "span_end", "span": span_id, "name": name}
             if handle.attrs:
-                end["attrs"] = _clean_attrs(handle.attrs)
+                end["attrs"] = handle.attrs
             if error is not None:
                 end["error"] = error
             if self.wall_clock:
@@ -197,7 +182,7 @@ class Tracer:
         if self._stack:
             record["parent"] = self._stack[-1]
         if attrs:
-            record["attrs"] = _clean_attrs(attrs)
+            record["attrs"] = attrs
         self.events.append(record)
 
     # ------------------------------------------------------------------
@@ -218,7 +203,6 @@ class Tracer:
         offset = self._next_id - 1
         top = self._stack[-1] if self._stack else None
         max_id = 0
-        clean_extra = _clean_attrs(extra_attrs)
         for src in events:
             record = dict(src)
             span_id = record["span"] + offset
@@ -228,9 +212,9 @@ class Tracer:
                 record["parent"] = record["parent"] + offset
             elif top is not None:
                 record["parent"] = top
-            if clean_extra:
+            if extra_attrs:
                 merged = dict(record.get("attrs", {}))
-                merged.update(clean_extra)
+                merged.update(extra_attrs)
                 record["attrs"] = merged
             self.events.append(record)
         self._next_id = max_id + 1

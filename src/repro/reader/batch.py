@@ -93,6 +93,8 @@ class ReportBatch:
         raise AttributeError("ReportBatch is immutable")
 
     def _validate(self) -> None:
+        if not np.all(np.isfinite(self.t)):
+            raise ReaderError("timestamps must be finite")
         phase = self.phase
         if np.any(~np.isfinite(phase)) or np.any(phase < 0.0) \
                 or np.any(phase >= TWO_PI + _PHASE_SLACK):

@@ -17,11 +17,14 @@ artefacts the paper characterises in Section IV-A:
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Protocol, Sequence, Tuple
+from collections import Counter
+from operator import itemgetter
+from typing import (Dict, Hashable, List, Mapping, Optional, Protocol,
+                    Sequence, Tuple)
 
 import numpy as np
 
-from .. import obs, perf
+from .. import obs
 from ..config import ReaderConfig
 from ..epc.codec import EPC96
 from ..epc.gen2 import Gen2Config, Gen2Inventory
@@ -76,6 +79,26 @@ class TagEnvironment(Protocol):
         fully blocked and the tag cannot be energised at all (Fig. 15,
         orientation > 90 degrees)."""
         ...
+
+
+def record_read_metrics(registry: obs.MetricsRegistry,
+                        reads_by_tag: Mapping[Hashable, int],
+                        ports: np.ndarray, snr: np.ndarray) -> None:
+    """Record per-tag read counters and per-antenna mean SNR gauges.
+
+    The reader's traced-only metrics, one call per capture.
+    ``reads_by_tag`` counts each tag's successful reads; ``ports`` and
+    ``snr`` hold one entry per read.
+    """
+    # Stringify once per unique tag — a str() per read is measurable at
+    # paper scale.
+    for label, n in sorted((str(k), n) for k, n in reads_by_tag.items()):
+        registry.counter("repro_reader_tag_reads_total", tag=label).inc(n)
+    if snr.size:
+        for port in np.unique(ports):
+            mean = float(snr[ports == port].mean())
+            registry.gauge("repro_reader_snr_db_mean",
+                           antenna=str(int(port))).set(mean)
 
 
 class Reader:
@@ -276,20 +299,23 @@ class Reader:
             keys, config=self._gen2_config, rng=self._rng,
             link_ok=link_ok, population=population,
         )
-        with obs.span("reader.mac"), perf.stage("reader.mac"):
+        with obs.span("reader.mac"):
             events = inventory.run_for(duration_s, t_start=t_start)
 
         self._snr_obs = [] if obs.enabled() else None
-        with obs.span("reader.synthesize"), perf.stage("reader.synthesize"):
+        with obs.span("reader.synthesize"):
             reports = [
                 self._build_report(env, key, t_read) for t_read, key in events
             ]
-        perf.count("reader.reads_synthesized", len(reports))
+        obs.counter("repro_events_total",
+                    name="reader.reads_synthesized").inc(len(reports))
         if self._snr_obs is not None:
             ports = np.array([p for p, _ in self._snr_obs], dtype=int)
             snr = np.array([s for _, s in self._snr_obs], dtype=float)
             self._snr_obs = None
-            self._flush_obs_metrics(events, ports, snr)
+            record_read_metrics(obs.get_registry(),
+                                Counter(map(itemgetter(1), events)),
+                                ports, snr)
         reports.sort(key=lambda r: r.timestamp_s)
         return reports
 
@@ -311,36 +337,15 @@ class Reader:
             keys, config=self._gen2_config, rng=self._rng,
             link_ok=links.link_ok, population=links.population,
         )
-        with obs.span("reader.mac"), perf.stage("reader.mac"):
+        with obs.span("reader.mac"):
             events = inventory.run_for(duration_s, t_start=t_start)
 
-        with obs.span("reader.synthesize"), perf.stage("reader.synthesize"):
+        with obs.span("reader.synthesize"):
             reports = self._build_reports_batched(env, events)
-        perf.count("reader.reads_synthesized", len(reports))
+        obs.counter("repro_events_total",
+                    name="reader.reads_synthesized").inc(len(reports))
         reports.sort(key=lambda r: r.timestamp_s)
         return reports
-
-    def _flush_obs_metrics(self, events: Sequence[Tuple[float, Hashable]],
-                           ports: np.ndarray, snr: np.ndarray) -> None:
-        """Record per-tag read counters and per-antenna mean SNR gauges.
-
-        ``ports``/``snr`` are aligned with ``events`` (one entry per
-        successful read).  Only called when the observability layer is on.
-        """
-        registry = obs.get_registry()
-        # Count on the raw keys and stringify once per unique tag — a
-        # str() per read event is measurable at paper scale.
-        counts: Dict[Hashable, int] = {}
-        for _, key in events:
-            counts[key] = counts.get(key, 0) + 1
-        for label, n in sorted((str(k), n) for k, n in counts.items()):
-            registry.counter("repro_reader_tag_reads_total",
-                             tag=label).inc(n)
-        if snr.size:
-            for port in sorted(set(int(p) for p in ports)):
-                mean = float(snr[ports == port].mean())
-                registry.gauge("repro_reader_snr_db_mean",
-                               antenna=str(port)).set(mean)
 
     # ------------------------------------------------------------------
     # Report construction
@@ -569,7 +574,9 @@ class Reader:
         )
 
         if obs.enabled():
-            self._flush_obs_metrics(events, ports, snr)
+            record_read_metrics(
+                obs.get_registry(),
+                {key: len(rows) for key, rows in by_key.items()}, ports, snr)
 
         epc_by_key = {key: env.epc(key) for key in by_key}
         return [

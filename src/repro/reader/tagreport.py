@@ -10,6 +10,7 @@ antenna selection respectively.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -41,6 +42,9 @@ class TagReport:
     antenna_port: int
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.timestamp_s):
+            raise ReaderError(
+                f"timestamp must be finite, got {self.timestamp_s}")
         if not 0.0 <= self.phase_rad < TWO_PI + 1e-12:
             raise ReaderError(f"phase must be in [0, 2*pi), got {self.phase_rad}")
         if self.channel_index < 0:

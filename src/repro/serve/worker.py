@@ -70,7 +70,7 @@ def parse_addr(spec: str) -> Tuple[str, int]:
         ValueError: not in host:port form.
     """
     host, _, port = spec.rpartition(":")
-    if not host:
+    if not host or not port.isdigit():
         raise ValueError(f"address {spec!r} is not host:port")
     return host, int(port)
 

@@ -13,11 +13,11 @@ input order, with guarantees that make sweeps reproducible:
   whether the sweep ran in parallel at all — ``parallel=False`` produces
   the identical result list.
 * **Telemetry round-trip**: each trial runs inside an isolated
-  :func:`repro.perf.telemetry_scope`, and its collected events/metrics
-  travel back with the result.  The parent merges them *in input order*
-  (deterministic regardless of worker completion order), so perf stages,
-  counters, and trace events recorded inside worker processes are no
-  longer silently lost.
+  :func:`repro.obs.capture` session, and its :func:`repro.obs.snapshot`
+  travels back with the result.  The parent merges them *in input order*
+  (deterministic regardless of worker completion order), so stage
+  timers, counters, and trace events recorded inside worker processes
+  reach the parent's session.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from .. import obs, perf
+from .. import obs
 from ..errors import ScenarioError
 from .engine import SimulationResult, run_scenario
 from .scenario import Scenario
@@ -41,15 +41,18 @@ def _run_one(job: _Job) -> Tuple[int, SimulationResult, dict]:
     """Run one sweep trial (module-level so it pickles to workers).
 
     Returns ``(index, result, telemetry)`` where ``telemetry`` is the
-    trial's ``{"events", "metrics"}`` collected from an isolated
-    telemetry scope — global tracer settings do not survive into spawned
-    worker processes, so the parent's settings ride along in the job.
+    trial's ``{"events", "metrics"}`` snapshot of an isolated
+    :func:`repro.obs.capture` session — global tracer settings do not
+    survive into spawned worker processes, so the parent's settings ride
+    along in the job.
     """
     index, scenario, duration_s, seed, kwargs, obs_settings = job
-    with perf.telemetry_scope(**obs_settings) as scope:
+    with obs.capture(detail=obs_settings["detail"],
+                     wall_clock=obs_settings["wall_clock"]) as (tracer, _):
+        tracer.configure(enabled=obs_settings["enabled"])
         result = run_scenario(scenario, duration_s=duration_s, seed=seed,
                               **kwargs)
-        telemetry = scope.collect()
+        telemetry = obs.snapshot()
     return index, result, telemetry
 
 
@@ -104,8 +107,7 @@ def run_scenarios(
         for i, scenario in enumerate(scenarios)
     ]
 
-    with obs.span("sweep.run_scenarios", trials=len(jobs)), \
-            perf.stage("sweep.run_scenarios"):
+    with obs.span("sweep.run_scenarios", trials=len(jobs)):
         results: List[Optional[SimulationResult]] = [None] * len(jobs)
         telemetries: List[Optional[dict]] = [None] * len(jobs)
         use_pool = parallel and len(jobs) > 1 and max_workers != 1
@@ -142,5 +144,5 @@ def run_scenarios(
             registry.merge(telemetry["metrics"])
             if telemetry["events"]:
                 tracer.absorb(telemetry["events"], trial=i)
-        perf.count("sweep.trials", len(jobs))
+        obs.counter("repro_events_total", name="sweep.trials").inc(len(jobs))
     return results  # type: ignore[return-value]

@@ -367,6 +367,49 @@ class TestIdleSuite:
         assert len(guard.check_idle_suite(path)) >= 4
 
 
+def simulation_doc(overhead=0.03, grid=True):
+    """The committed BENCH_simulation.json with its overhead replaced."""
+    doc = json.loads((_TOOL.parent.parent / "BENCH_simulation.json")
+                     .read_text())
+    doc["observability"] = {"users": 5, "duration_s": 25.0,
+                            "overhead_fraction": overhead}
+    if overhead is None:
+        del doc["observability"]["overhead_fraction"]
+    if not grid:
+        doc = {"scenarios": doc["scenarios"]}
+    return doc
+
+
+class TestObsOverhead:
+    def test_within_budget_passes(self, tmp_path):
+        path = write(tmp_path, "sim.json", simulation_doc(0.049))
+        assert guard.check_obs_overhead(path) == []
+
+    def test_over_budget_fails(self, tmp_path):
+        path = write(tmp_path, "sim.json", simulation_doc(0.051))
+        [problem] = guard.check_obs_overhead(path)
+        assert "5.1%" in problem
+
+    def test_missing_figure_fails_not_passes(self, tmp_path):
+        path = write(tmp_path, "sim.json", simulation_doc(None))
+        assert guard.check_obs_overhead(path)
+        doc = simulation_doc()
+        del doc["observability"]
+        path = write(tmp_path, "sim.json", doc)
+        assert guard.check_obs_overhead(path)
+
+    def test_scenario_only_file_has_no_figure_to_gate(self, tmp_path):
+        path = write(tmp_path, "sim.json", simulation_doc(None, grid=False))
+        assert guard.check_obs_overhead(path) == []
+
+    def test_gated_through_simulation_flag(self, tmp_path, capsys):
+        ok = write(tmp_path, "ok.json", simulation_doc(0.03))
+        assert guard.main(["--simulation", str(ok)]) == 0
+        assert "tracing-overhead budget hold" in capsys.readouterr().out
+        bad = write(tmp_path, "bad.json", simulation_doc(0.08))
+        assert guard.main(["--simulation", str(bad)]) == 1
+
+
 class TestMain:
     def test_end_to_end_pass(self, tmp_path, capsys):
         base = write(tmp_path, "base.json",

@@ -34,6 +34,19 @@ class TestParser:
         assert "severity must be in [0, 1]" in captured.err
         assert "simulating" not in captured.out
 
+    def test_serve_config_error_is_friendly(self, capsys):
+        assert main(["serve", "--window", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: window_s must be")
+        assert "serving on" not in captured.out
+
+    def test_serve_worker_bad_join_is_friendly(self, tmp_path, capsys):
+        assert main(["serve-worker", "--join", "127.0.0.1:port",
+                     "--state-dir", str(tmp_path / "w")]) == 2
+        captured = capsys.readouterr()
+        assert "error: --join: address '127.0.0.1:port'" in captured.err
+        assert "joining" not in captured.out
+
     def test_faults_explicit_zero_severity_is_noop(self, capsys):
         code = main(["faults", "--duration", "30", "--seed", "3",
                      "--drop", "0"])

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 from repro import Scenario, TagBreathe, run_scenario
 from repro.body import MetronomeBreathing, Subject
 from repro.epc.codec import EPC96
-from repro.errors import DegradedEstimateWarning, ProtocolError
+from repro.errors import DegradedEstimateWarning, ProtocolError, ReaderError
 from repro.reader.batch import ReportBatch
 from repro.reader.tagreport import TagReport
 from repro.serve import BreathServer, IngestClient
@@ -203,6 +203,16 @@ class TestColumnFrameProperties:
                             np.zeros(n, dtype=np.uint64))
         with pytest.raises(ProtocolError):
             encode_column_frame(batch)
+
+    def test_non_finite_timestamps_rejected(self):
+        with pytest.raises(ReaderError, match="finite"):
+            ReportBatch([1.0, np.inf, np.nan], [0.0] * 3, [-50.0] * 3,
+                        [0.0] * 3, [1] * 3, [1] * 3, [1] * 3, [1] * 3)
+        payload = bytearray(encode_column_frame(_wire_batch(
+            [(0.0, 0.0, -50.0, 0.0, 1, 1, 1, 1)] * 3))[4:])
+        struct.pack_into("<d", payload, 16 + 8, np.inf)  # row 1's t
+        with pytest.raises(ProtocolError, match="finite"):
+            decode_column_frame(bytes(payload))
 
     def test_wide_channel_rejected(self):
         batch = ReportBatch([0.0], [0.0], [-50.0], [0.0],

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.errors import ObservabilityError
 from repro.obs import (
     MetricsRegistry,
@@ -83,11 +84,16 @@ class TestTracer:
         assert timed.events[-1]["wall_s"] >= 0.0
 
     def test_numpy_attrs_coerced_to_json_types(self):
+        # Attributes are stored as passed and made JSON types at export.
         tracer = Tracer(enabled=True)
-        tracer.event("e", n=np.int64(3), x=np.float64(0.5), pair=(1, 2))
-        attrs = tracer.events[0]["attrs"]
-        assert attrs == {"n": 3, "x": 0.5, "pair": [1, 2]}
-        json.dumps(tracer.events)  # must not raise
+        tracer.event("e", n=np.int64(3), x=np.float64(0.5),
+                     y=np.float32(0.25), pair=(1, np.int64(2)))
+        [record] = read_events_jsonl(io.StringIO(
+            events_to_jsonl(tracer.events)))
+        assert record["attrs"] == {"n": 3, "x": 0.5, "y": 0.25,
+                                   "pair": [1, 2]}
+        with pytest.raises(TypeError):
+            events_to_jsonl([{"attrs": {"bad": object()}}])
 
     def test_detail_validation(self):
         with pytest.raises(ValueError):
@@ -290,7 +296,7 @@ class TestExporters:
 
 
 # ----------------------------------------------------------------------
-# Global session / perf facade integration
+# Global session: stage timers, counters, nested sessions
 # ----------------------------------------------------------------------
 class TestGlobalSession:
     def test_capture_isolates_and_restores(self):
@@ -304,26 +310,54 @@ class TestGlobalSession:
         assert tracer.events[0]["name"] == "inside"
 
     def test_perf_follows_session_swap(self):
+        probe = (("name", "probe"),)
         with obs.capture() as (_tracer, registry):
-            perf.count("probe", 4)
-            assert perf.get_recorder().counters["probe"] == 4
-        # Outside the capture the probe counter is gone from perf's view.
-        assert "probe" not in perf.get_recorder().counters
+            obs.counter("repro_events_total", name="probe").inc(4)
+            assert obs.get_registry().values("repro_events_total") == {
+                probe: 4}
+        # Outside the capture the probe counter is gone from view.
+        assert probe not in obs.get_registry().values("repro_events_total")
         rows = registry.snapshot()["counters"]
         assert any(r["labels"].get("name") == "probe" and r["value"] == 4
                    for r in rows)
 
     def test_telemetry_scope_collects_events_and_metrics(self):
-        with obs.capture():
-            with perf.telemetry_scope() as scope:
-                obs.event("w")
-                perf.count("inner", 2)
-                collected = scope.collect()
+        with obs.capture() as (_outer, outer_registry):
+            with obs.span("outer.stage"):
+                with obs.capture():
+                    obs.event("w")
+                    obs.counter("repro_events_total", name="inner").inc(2)
+                    collected = obs.snapshot()
             # Restored: the outer capture session is live again.
             obs.event("outer")
         assert collected["events"][0]["name"] == "w"
         assert any(r["labels"].get("name") == "inner" and r["value"] == 2
                    for r in collected["metrics"]["counters"])
+        # The span opened in the outer session is timed there, not in
+        # the nested session that was live when it closed.
+        assert not collected["metrics"]["histograms"]
+        assert outer_registry.histogram(obs.STAGE_METRIC, volatile=True,
+                                        stage="outer.stage").count == 1
+
+    def test_untraced_span_times_without_an_event(self):
+        with obs.capture() as (tracer, registry):
+            tracer.configure(enabled=False)
+            with obs.span("x") as span:
+                span.set(ignored=True)
+        [row] = registry.snapshot()["histograms"]
+        assert row["name"] == "repro_stage_seconds"
+        assert row["labels"] == {"stage": "x"}
+        assert row["count"] == 1 and row["volatile"] is True
+        assert tracer.events == []
+
+    def test_traced_span_times_and_emits_events(self):
+        with obs.capture() as (tracer, registry):
+            with obs.span("x", n=1):
+                pass
+        assert [e["event"] for e in tracer.events] == ["span_start",
+                                                       "span_end"]
+        assert registry.histogram(obs.STAGE_METRIC, volatile=True,
+                                  stage="x").count == 1
 
     def test_obs_snapshot_shape(self):
         with obs.capture():

@@ -50,6 +50,11 @@ class TestTagReport:
         with pytest.raises(ReaderError):
             make_report(phase_rad=-0.1)
 
+    def test_rejects_non_finite_timestamp(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ReaderError, match="timestamp"):
+                make_report(timestamp_s=bad)
+
     def test_rejects_bad_channel(self):
         with pytest.raises(ReaderError):
             make_report(channel_index=-1)

@@ -55,7 +55,7 @@ from repro.serve import (
     session_state_from_doc,
     session_state_to_doc,
 )
-from repro.serve.checkpoint import CHECKPOINT_VERSION, FRAME_KEY
+from repro.serve.checkpoint import CHECKPOINT_VERSION, FRAME_CRC_KEY, FRAME_KEY
 from repro.serve.hibernate import blob_to_doc, doc_to_blob
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
@@ -331,6 +331,24 @@ def test_corrupt_parked_blob_wakes_as_a_counted_fresh_session():
     assert sum(corrupt.values()) == 1
     assert session.reports_in == 0
     assert USER not in shard.hibernated and shard.sessions[USER] is session
+
+
+def test_parked_blob_with_a_non_finite_timestamp_wakes_as_corrupt():
+    # The frame CRC matches: the row itself is what wake must refuse.
+    shard = SessionShard(0, SessionConfig(), lambda m: None)
+    shard.session_for(USER).ingest_batch(ReportBatch.from_reports(reports()))
+    shard.hibernate_session(USER)
+    doc = blob_to_doc(shard.hibernated.blob(USER))
+    payload = bytearray(base64.b64decode(doc[FRAME_KEY]))
+    struct.pack_into("<d", payload, _HEADER_BYTES + 8 * 3, float("nan"))
+    doc[FRAME_KEY] = base64.b64encode(bytes(payload)).decode("ascii")
+    doc[FRAME_CRC_KEY] = zlib.crc32(bytes(payload))
+    shard.hibernated.put(USER, doc)
+    with obs_capture() as (_tracer, registry):
+        session = shard.session_for(USER)
+        corrupt = registry.values("repro_serve_wake_corrupt_total")
+    assert sum(corrupt.values()) == 1
+    assert session.reports_in == 0
 
 
 def rows_of(user_id, n=60):
@@ -669,12 +687,17 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 @st.composite
 def random_row_blobs(draw):
-    """A CRC-correct blob of arbitrary rows that pass the batch checks."""
+    """A CRC-correct blob of arbitrary rows.
+
+    Every column but ``t`` passes the batch checks; ``t`` may hold NaN
+    or an infinity, which the frame carries and wake must refuse.
+    """
     n = draw(st.integers(0, 24))
     column = lambda elements: np.array(draw(st.lists(  # noqa: E731
         elements, min_size=n, max_size=n)))
+    t = column(_ANY_FLOAT)
     batch = ReportBatch(
-        column(_ANY_FLOAT), column(st.floats(0.0, 6.283)),
+        np.zeros(n), column(st.floats(0.0, 6.283)),
         column(_ANY_FLOAT), column(_ANY_FLOAT),
         column(st.integers(0, 0x7FFF)).astype(np.int64),
         column(st.integers(1, 0x7FFF)).astype(np.int64),
@@ -682,9 +705,10 @@ def random_row_blobs(draw):
         column(st.integers(0, 2**32 - 1)).astype(np.uint64))
     header, _payload = valid_parts()
     doc = json.loads(header)
-    payload = encode_column_payload(batch)
+    payload = bytearray(encode_column_payload(batch))
+    payload[_HEADER_BYTES:_HEADER_BYTES + 8 * n] = t.astype("<f8").tobytes()
     doc["frame_crc32"] = zlib.crc32(payload)
-    return envelope(json.dumps(doc).encode(), payload)
+    return envelope(json.dumps(doc).encode(), bytes(payload))
 
 
 @st.composite

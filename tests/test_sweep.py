@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs, perf
+from repro import obs
 from repro.config import ReaderConfig
 from repro.errors import ScenarioError
 from repro.sim import Scenario, run_scenarios
@@ -74,43 +74,65 @@ class TestWorkerFunction:
         assert pickle.loads(pickle.dumps(_run_one)) is _run_one
 
     def test_run_one_returns_index(self):
-        job = (4, _scenarios(1)[0], 2.0, 11, {}, {})
+        settings = {"enabled": False, "detail": "round", "wall_clock": False}
+        job = (4, _scenarios(1)[0], 2.0, 11, {}, settings)
         index, result, telemetry = _run_one(job)
         assert index == 4
         assert result.duration_s == 2.0
         assert set(telemetry) == {"events", "metrics"}
 
 
+def _stage_calls(registry):
+    """Stage timer call counts by stage name."""
+    return {labels["stage"]: inst.count
+            for _kind, metric, labels, inst in registry.instruments()
+            if metric == obs.STAGE_METRIC}
+
+
 class TestTelemetryRoundTrip:
-    """Regression: worker perf/trace data must reach the parent session.
+    """Regression: worker stage/trace data must reach the parent session.
 
     Before the observability layer, ``run_scenarios`` discarded
-    everything the worker processes recorded — sweep perf stages and
+    everything the worker processes recorded — stage timers and
     counters silently vanished whenever the pool was used.
     """
 
-    def test_worker_perf_counters_merged_into_parent(self):
-        with obs.capture():
-            perf.reset()
-            run_scenarios(_scenarios(2), duration_s=3.0, parallel=True)
-            counters = perf.get_recorder().counters
-            stage_s = perf.get_recorder().stage_s
+    @staticmethod
+    def _assert_worker_telemetry_merged(registry):
+        counters = registry.values("repro_events_total")
         # Reads were synthesized inside workers, yet the parent sees them.
-        assert counters.get("reader.reads_synthesized", 0) > 0
-        assert counters["sweep.trials"] == 2
-        assert stage_s.get("reader.mac", 0.0) > 0.0
+        assert counters.get((("name", "reader.reads_synthesized"),), 0) > 0
+        assert counters[(("name", "sweep.trials"),)] == 2
+        calls = _stage_calls(registry)
+        assert calls["reader.mac"] == 2 and calls["scenario"] == 2
+        assert calls["sweep.run_scenarios"] == 1
+        assert registry.histogram(obs.STAGE_METRIC, volatile=True,
+                                  stage="reader.mac").sum > 0.0
+
+    def test_worker_perf_counters_merged_into_parent(self):
+        with obs.capture() as (tracer, registry):
+            run_scenarios(_scenarios(2), duration_s=3.0, parallel=True)
+        self._assert_worker_telemetry_merged(registry)
+        assert tracer.events
+
+    def test_untraced_worker_stages_merged_into_parent(self):
+        with obs.capture() as (tracer, registry):
+            tracer.configure(enabled=False)
+            run_scenarios(_scenarios(2), duration_s=3.0, parallel=True)
+        self._assert_worker_telemetry_merged(registry)
+        assert tracer.events == []
 
     def test_parallel_and_serial_merge_same_counters(self):
-        with obs.capture():
+        with obs.capture() as (_tracer, par_registry):
             par = run_scenarios(_scenarios(2), duration_s=3.0,
                                 base_seed=3, parallel=True)
-            par_counters = perf.get_recorder().counters
-        with obs.capture():
+        with obs.capture() as (_tracer, ser_registry):
             ser = run_scenarios(_scenarios(2), duration_s=3.0,
                                 base_seed=3, parallel=False)
-            ser_counters = perf.get_recorder().counters
         assert par[0].reports == ser[0].reports
-        assert par_counters == ser_counters
+        assert (par_registry.values("repro_events_total")
+                == ser_registry.values("repro_events_total"))
+        assert _stage_calls(par_registry) == _stage_calls(ser_registry)
 
     def test_worker_trace_events_absorbed_with_trial_attr(self):
         with obs.capture() as (tracer, _registry):

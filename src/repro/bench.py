@@ -44,7 +44,6 @@ import os
 import platform
 import time
 import warnings
-from collections import Counter
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -1010,13 +1009,17 @@ def _replay_traced_work(events: List[dict], rounds: List[RoundStats],
     That work is recording each trace event and, once per capture, the
     traced-only MAC and reader metrics; here it runs through the same
     functions the capture calls, fed the traced capture's own events,
-    rounds and reads.
+    rounds and reads.  Every event is re-recorded the way the capture
+    records a ``gen2.round``, the event nearly all of them are.  Turning
+    recorded rounds into event dicts happens when the events are read,
+    with their export, and is not timed here, as the export is not.
     """
     tracer = obs.Tracer(enabled=True)
     registry = obs.MetricsRegistry()
     t0 = time.perf_counter()
     for event in events:
-        tracer.event(event["name"], **event.get("attrs", {}))
+        attrs = event.get("attrs", {})
+        tracer.point(event["name"], tuple(attrs), tuple(attrs.values()))
     record_round_metrics(registry, rounds, rounds[-1].q if rounds else 0)
     record_read_metrics(registry, reads_by_tag, ports, snr)
     return time.perf_counter() - t0
@@ -1057,9 +1060,9 @@ def run_obs_overhead_benchmark(users: int, duration_s: float,
     rounds = [RoundStats(**{key: value for key, value in e["attrs"].items()
                             if key != "t"})
               for e in events if e["name"] == "gen2.round"]
-    reads_by_tag = Counter((r.user_id, r.tag_id) for r in result.reports)
-    ports = np.array([r.antenna_port for r in result.reports], dtype=int)
-    snr = np.array([r.rssi_dbm for r in result.reports])
+    reads_by_tag = result.reports.stream_counts()
+    ports = result.reports.antenna
+    snr = result.reports.rssi
 
     untraced_s()  # warm-up: page in code paths and allocator state
     baseline: List[float] = []

@@ -268,6 +268,11 @@ class TagBreathe:
         )
         self._config = config if config is not None else PipelineConfig()
         self._user_ids = set(user_ids) if user_ids is not None else None
+        # The monitored users as a column, for masking a batch's user_id.
+        self._user_id_array = (
+            None if self._user_ids is None else
+            np.fromiter(self._user_ids, dtype=np.uint64,
+                        count=len(self._user_ids)))
         self._extractor = BreathExtractor(self._config, filter_type=filter_type)
         self._select_antenna = select_antenna
         self._mode = mode
@@ -350,13 +355,17 @@ class TagBreathe:
         self, reports: Iterable[TagReport],
         window_s: Optional[float] = None,
     ) -> Tuple[Dict[int, UserEstimate], Dict[int, str]]:
-        """Like :meth:`process`, also returning per-user failure reasons."""
+        """Like :meth:`process`, also returning per-user failure reasons.
+
+        A :class:`~repro.reader.batch.ReportBatch` (what ``Reader.run``
+        and ``run_scenario`` return) is used as given; other reports are
+        packed into columns first.
+        """
         with obs.span("pipeline.process"):
-            if self._user_ids is not None:
-                reports = [r for r in reports if r.user_id in self._user_ids]
-            elif not isinstance(reports, Sequence):
-                reports = list(reports)
             batch = ReportBatch.from_reports(reports)
+            if self._user_id_array is not None:
+                batch = batch.select(
+                    np.isin(batch.user_id, self._user_id_array))
             by_user: Dict[int, ReportBatch] = {}
             for user_id, cols in batch.split_by_user():
                 if window_s is not None:
@@ -457,7 +466,7 @@ class TagBreathe:
         Raises:
             InsufficientDataError / EmptyStreamError: with too little data.
         """
-        cols = ReportBatch.from_reports(list(user_reports))
+        cols = ReportBatch.from_reports(user_reports)
         if not len(cols):
             raise EmptyStreamError(
                 f"user {user_id}: no displacement data to fuse")
@@ -732,10 +741,8 @@ class TagBreathe:
         user = batch.user_id
         tag = batch.tag_id
         keep = np.ones(n, dtype=bool)
-        if self._user_ids is not None:
-            allowed = np.fromiter(self._user_ids, dtype=np.uint64,
-                                  count=len(self._user_ids))
-            keep = np.isin(user, allowed)
+        if self._user_id_array is not None:
+            keep = np.isin(user, self._user_id_array)
         invalid = keep & (batch.channel >= len(self._frequencies))
         n_invalid = int(np.count_nonzero(invalid))
         if n_invalid:
@@ -999,8 +1006,7 @@ class TagBreathe:
         Returns:
             The number of reports stored.
         """
-        batch = (rows if isinstance(rows, ReportBatch)
-                 else ReportBatch.from_reports(list(rows)))
+        batch = ReportBatch.from_reports(rows)
         self.reset_streaming()
         buffered = self._feed_batch(batch, prune=False)
         self._last_restore_drops = dict(self._feed_drops)

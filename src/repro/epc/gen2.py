@@ -96,6 +96,12 @@ class RoundStats:
     duration_s: float = 0.0
 
 
+#: Attribute names of a ``gen2.round`` trace event: the round's start
+#: time, then its :class:`RoundStats` fields.
+ROUND_EVENT_FIELDS = ("t", "q", "slots", "empties", "collisions", "reads",
+                      "link_failures", "duration_s")
+
+
 #: A successful read event: (mac_time_s, tag_key).
 ReadEvent = Tuple[float, Hashable]
 
@@ -263,12 +269,9 @@ class Gen2Inventory:
         self._round_log.append(stats)
 
         if tracer.enabled:
-            tracer.event(
-                "gen2.round", t=t_start, q=q, slots=n_slots,
-                empties=stats.empties, collisions=stats.collisions,
-                reads=stats.reads, link_failures=stats.link_failures,
-                duration_s=stats.duration_s,
-            )
+            tracer.point("gen2.round", ROUND_EVENT_FIELDS, (
+                t_start, q, n_slots, empties, collisions, reads,
+                link_failures, stats.duration_s))
         return events, stats
 
     def run_for(self, duration_s: float, t_start: float = 0.0) -> List[ReadEvent]:

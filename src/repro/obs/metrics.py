@@ -44,16 +44,18 @@ UNIT_BUCKETS: Tuple[float, ...] = (
 _Key = Tuple[str, Tuple[Tuple[str, str], ...]]
 
 
-def _validate_name(name: str) -> None:
+def _label_key(labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
+    """The sorted ``(label, str(value))`` pairs of an instrument key."""
+    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def _validate(name: str, labels: Dict[str, str]) -> None:
+    """Check a new instrument's metric and label names."""
     if not _NAME_RE.match(name):
         raise ObservabilityError(f"invalid metric name {name!r}")
-
-
-def _label_key(labels: Dict[str, str]) -> Tuple[Tuple[str, str], ...]:
     for label in labels:
         if not _NAME_RE.match(label):
             raise ObservabilityError(f"invalid label name {label!r}")
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
 class Counter:
@@ -180,7 +182,9 @@ class MetricsRegistry:
     """Get-or-create instrument store with deterministic snapshots.
 
     One registry per telemetry session; the process-global one lives in
-    :mod:`repro.obs`.
+    :mod:`repro.obs`.  Names are validated when an instrument is
+    created, so a lookup of an existing one costs one key and one dict
+    probe; an invalid name is never stored, so every use of it raises.
     """
 
     def __init__(self) -> None:
@@ -193,17 +197,19 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, metric: str, volatile: bool = False, **labels: str) -> Counter:
         """The counter for ``metric`` + ``labels`` (created on first use)."""
-        key = self._key(metric, labels)
+        key = (metric, _label_key(labels))
         inst = self._counters.get(key)
         if inst is None:
+            _validate(metric, labels)
             inst = self._counters[key] = Counter(volatile=volatile)
         return inst
 
     def gauge(self, metric: str, volatile: bool = False, **labels: str) -> Gauge:
         """The gauge for ``metric`` + ``labels`` (created on first use)."""
-        key = self._key(metric, labels)
+        key = (metric, _label_key(labels))
         inst = self._gauges.get(key)
         if inst is None:
+            _validate(metric, labels)
             inst = self._gauges[key] = Gauge(volatile=volatile)
         return inst
 
@@ -216,9 +222,10 @@ class MetricsRegistry:
             ObservabilityError: if the instrument exists with different
                 bucket bounds.
         """
-        key = self._key(metric, labels)
+        key = (metric, _label_key(labels))
         inst = self._histograms.get(key)
         if inst is None:
+            _validate(metric, labels)
             inst = self._histograms[key] = Histogram(bounds, volatile=volatile)
         elif (inst.bounds != bounds
               and inst.bounds != tuple(float(b) for b in bounds)):
@@ -226,11 +233,6 @@ class MetricsRegistry:
                 f"histogram {metric!r} already registered with bounds {inst.bounds}"
             )
         return inst
-
-    @staticmethod
-    def _key(name: str, labels: Dict[str, str]) -> _Key:
-        _validate_name(name)
-        return name, _label_key(labels)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle

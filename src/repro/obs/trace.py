@@ -21,7 +21,10 @@ streams with no stripping required.
 
 Attributes are stored as the call site passed them (numpy scalars and
 tuples included); :func:`repro.obs.export.events_to_jsonl` makes them
-JSON types once, at export, so recording an event stays cheap.
+JSON types once, at export, so recording an event stays cheap.  The
+per-round call site goes further: :meth:`Tracer.point` stores its
+values as one tuple and the event dict is built when ``events`` is
+read.
 
 The tracer records events only; :func:`repro.obs.span` wraps
 :meth:`Tracer.span` to also time every span into the session's
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Trace detail levels, coarse to fine.  "round" (default) emits one
 #: point event per MAC round; "slot" additionally emits one per ALOHA
@@ -90,7 +93,10 @@ class Tracer:
 
     def __init__(self, enabled: bool = False, detail: str = "round",
                  wall_clock: bool = False) -> None:
-        self.events: List[dict] = []
+        # Event dicts, plus the tuples :meth:`point` stores; ``events``
+        # turns tuples past ``_built`` into dicts when it is read.
+        self._events: List[Union[dict, tuple]] = []
+        self._built = 0
         self._stack: List[int] = []
         self._next_id = 1
         self._enabled = enabled
@@ -101,6 +107,22 @@ class Tracer:
     def enabled(self) -> bool:
         """True when events are being recorded."""
         return self._enabled
+
+    @property
+    def events(self) -> List[dict]:
+        """Every recorded event as a dict, in emission order."""
+        events = self._events
+        for i in range(self._built, len(events)):
+            record = events[i]
+            if type(record) is tuple:
+                event_id, parent, name, fields, values = record
+                events[i] = record = {
+                    "event": "point", "span": event_id, "name": name,
+                    "parent": parent, "attrs": dict(zip(fields, values))}
+                if not parent:
+                    del record["parent"]
+        self._built = len(events)
+        return events
 
     @property
     def detail(self) -> str:
@@ -151,7 +173,7 @@ class Tracer:
             start["parent"] = self._stack[-1]
         if attrs:
             start["attrs"] = attrs
-        self.events.append(start)
+        self._events.append(start)
         self._stack.append(span_id)
         handle = SpanHandle(span_id, name)
         t0 = time.perf_counter() if self.wall_clock else 0.0
@@ -170,7 +192,7 @@ class Tracer:
                 end["error"] = error
             if self.wall_clock:
                 end["wall_s"] = time.perf_counter() - t0
-            self.events.append(end)
+            self._events.append(end)
 
     def event(self, name: str, **attrs: Any) -> None:
         """Record an instant (point) event under the current span."""
@@ -183,7 +205,22 @@ class Tracer:
             record["parent"] = self._stack[-1]
         if attrs:
             record["attrs"] = attrs
-        self.events.append(record)
+        self._events.append(record)
+
+    def point(self, name: str, fields: Tuple[str, ...],
+              values: Tuple[Any, ...]) -> None:
+        """Record a point event with attrs ``dict(zip(fields, values))``.
+
+        The same event as :meth:`event`, for call sites that fire once
+        per MAC round: it appends one tuple and leaves the record and
+        attribute dicts to the next read of :attr:`events`.
+        """
+        if not self._enabled:
+            return
+        event_id = self._next_id
+        self._next_id += 1
+        self._events.append((event_id, self._stack[-1] if self._stack else 0,
+                             name, fields, values))
 
     # ------------------------------------------------------------------
     # Merging (sweep workers) / lifecycle
@@ -216,11 +253,12 @@ class Tracer:
                 merged = dict(record.get("attrs", {}))
                 merged.update(extra_attrs)
                 record["attrs"] = merged
-            self.events.append(record)
+            self._events.append(record)
         self._next_id = max_id + 1
 
     def clear(self) -> None:
         """Drop all recorded events and reset the ID counter."""
-        self.events.clear()
+        self._events.clear()
+        self._built = 0
         self._stack.clear()
         self._next_id = 1

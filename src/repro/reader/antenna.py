@@ -20,6 +20,10 @@ from ..errors import AntennaError
 
 Vec3 = Tuple[float, float, float]
 
+# A cosine off boresight within this of 0 may lie on either side of the
+# pattern's jump to the back-lobe floor once positions are rounded.
+_COS_SLACK = 1e-9
+
 
 def _as_vec(v: Sequence[float]) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
@@ -111,6 +115,9 @@ class Antenna:
         cosine off boresight, and the ball's directions span the angle to
         its centre plus or minus ``asin(radius / distance)``.  The bounds
         are the exact real extremes; callers widen them for float rounding.
+        At cos = 0 the pattern jumps to the back-lobe floor, where rounding
+        is not a small error in dB, so a cosine extreme within
+        ``_COS_SLACK`` of 0 is taken on both sides of the jump.
 
         Returns:
             ``None`` when the ball reaches the antenna, where neither term
@@ -127,6 +134,10 @@ class Antenna:
         spread = math.asin(radius_m / dist)
         cos_hi = math.cos(max(0.0, angle - spread))
         cos_lo = math.cos(min(math.pi, angle + spread))
+        if cos_lo < _COS_SLACK:
+            cos_lo = 0.0
+        if abs(cos_hi) < _COS_SLACK:
+            cos_hi = _COS_SLACK
         return (self._pattern_gain_dbi(cos_lo), self._pattern_gain_dbi(cos_hi),
                 dist - radius_m, dist + radius_m)
 

@@ -12,13 +12,22 @@ full 96-bit code losslessly).
 Batches are validated once on construction with the exact same bounds
 ``TagReport.__post_init__`` enforces per report, so a batch round-trips
 to a report list and back bit-for-bit.  Batches cut from or gathered
-out of already-validated batches (:meth:`ReportBatch.split_by_user`,
-:meth:`BatchBuffer.batch`) skip that check: their rows passed it once.
+out of already-validated batches (slices, :meth:`ReportBatch.select`,
+:meth:`ReportBatch.split_by_user`, :meth:`BatchBuffer.batch`) skip that
+check: their rows passed it once.
+
+A batch is also a read-only ``Sequence[TagReport]``: indexing with an
+int gives a report, slicing gives a batch, and iterating gives the
+reports :meth:`ReportBatch.to_reports` builds (once per batch; later
+passes reuse them).  So ``Reader.run`` and ``SimulationResult.reports``
+hand out one batch that report-at-a-time code reads as before.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+import operator
+from collections.abc import Sequence as SequenceABC
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -43,7 +52,7 @@ COLUMNS = (
 _PHASE_SLACK = 1e-12
 
 
-class ReportBatch:
+class ReportBatch(SequenceABC):
     """A column-oriented batch of tag reports.
 
     Args:
@@ -56,13 +65,17 @@ class ReportBatch:
         user_id: upper-64-bit EPC halves (uint64).
         tag_id: lower-32-bit EPC halves (uint64, < 2**32).
 
+    Equality is by value: a batch equals another batch with the same
+    columns, and any other sequence holding the same reports in the
+    same order (so ``batch == []`` holds for an empty batch).
+
     Raises:
         ReaderError: when column lengths disagree or any value is out
             of the range ``TagReport`` itself would reject.
     """
 
     __slots__ = ("t", "phase", "rssi", "doppler", "channel", "antenna",
-                 "user_id", "tag_id")
+                 "user_id", "tag_id", "_reports")
 
     def __init__(self, t, phase, rssi, doppler, channel, antenna,
                  user_id, tag_id) -> None:
@@ -72,6 +85,7 @@ class ReportBatch:
             if arr.ndim != 1:
                 raise ReaderError(f"batch column {name!r} must be 1-D")
             object.__setattr__(self, name, arr)
+        object.__setattr__(self, "_reports", None)
         n = self.t.shape[0]
         for name, _ in COLUMNS:
             if getattr(self, name).shape[0] != n:
@@ -87,10 +101,17 @@ class ReportBatch:
         batch = object.__new__(cls)
         for (name, _), column in zip(COLUMNS, columns):
             object.__setattr__(batch, name, column)
+        object.__setattr__(batch, "_reports", None)
         return batch
+
+    def _columns(self) -> List[np.ndarray]:
+        return [getattr(self, name) for name, _ in COLUMNS]
 
     def __setattr__(self, name, value):  # pragma: no cover - guard
         raise AttributeError("ReportBatch is immutable")
+
+    def __reduce__(self):
+        return ReportBatch, tuple(self._columns())
 
     def _validate(self) -> None:
         if not np.all(np.isfinite(self.t)):
@@ -109,9 +130,44 @@ class ReportBatch:
     def __len__(self) -> int:
         return int(self.t.shape[0])
 
+    def _report_list(self) -> List[TagReport]:
+        if self._reports is None:
+            object.__setattr__(self, "_reports", self.to_reports())
+        return self._reports
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ReportBatch._trusted(
+                [np.ascontiguousarray(c[index]) for c in self._columns()])
+        return self._report_list()[operator.index(index)]
+
+    def __iter__(self) -> Iterator[TagReport]:
+        return iter(self._report_list())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ReportBatch):
+            return all(np.array_equal(a, b) for a, b in
+                       zip(self._columns(), other._columns()))
+        if not isinstance(other, SequenceABC) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"ReportBatch({len(self)} rows)"
+
     @classmethod
-    def from_reports(cls, reports: Sequence[TagReport]) -> "ReportBatch":
-        """Pack a sequence of reports into columns (order preserved)."""
+    def from_reports(cls, reports: Iterable[TagReport]) -> "ReportBatch":
+        """Pack reports into columns (order preserved).
+
+        A batch is returned as it is.
+        """
+        if isinstance(reports, ReportBatch):
+            return reports
+        if not isinstance(reports, SequenceABC):
+            reports = list(reports)
         n = len(reports)
         t = np.empty(n)
         phase = np.empty(n)
@@ -146,10 +202,16 @@ class ReportBatch:
                 self.tag_id.tolist())
         ]
 
+    def stream_counts(self) -> Dict[Tuple[int, int], int]:
+        """Rows per ``(user_id, tag_id)`` stream, streams in sorted order."""
+        streams, counts = np.unique(np.stack((self.user_id, self.tag_id)),
+                                    axis=1, return_counts=True)
+        return dict(zip(zip(*streams.tolist()), counts.tolist()))
+
     def select(self, rows) -> "ReportBatch":
         """A new batch of the given rows (boolean mask or index array)."""
-        return ReportBatch(*(getattr(self, name)[rows]
-                             for name, _ in COLUMNS))
+        return ReportBatch._trusted(
+            [np.ascontiguousarray(c[rows]) for c in self._columns()])
 
     @classmethod
     def concat(cls, batches: Sequence["ReportBatch"]) -> "ReportBatch":

@@ -96,6 +96,26 @@ class HopSchedule:
         self._extend_to(int(hops.max()))
         return np.asarray(self._sequence, dtype=int)[hops]
 
+    def known_channel_indices_at(self, times: np.ndarray) -> np.ndarray:
+        """:meth:`channel_indices_at` over the hops materialised so far.
+
+        Draws nothing: a time whose hop lies past the materialised
+        sequence gets ``-1``, and only :meth:`channel_index_at` (or
+        :meth:`channel_indices_at`) extends the sequence to it.
+
+        Raises:
+            ConfigError: for negative times.
+        """
+        times = np.asarray(times, dtype=float)
+        if times.size and times.min() < 0:
+            raise ConfigError("schedule time must be >= 0")
+        hops = (times / self._dwell).astype(int)
+        known = np.asarray(self._sequence, dtype=int)
+        out = np.full(hops.shape, -1, dtype=int)
+        inside = hops < known.shape[0]
+        out[inside] = known[hops[inside]]
+        return out
+
     def hop_boundaries(self, t_start: float, t_end: float) -> List[float]:
         """Hop instants within ``(t_start, t_end)``.
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional
 
 from ..errors import ReaderError
+from .batch import ReportBatch
 from .reader import Reader, TagEnvironment
 from .tagreport import TagReport
 
@@ -102,11 +103,12 @@ class LLRPClient:
         """Register a tag-report subscriber (may be called repeatedly)."""
         self._subscribers.append(callback)
 
-    def start(self) -> List[TagReport]:
+    def start(self) -> ReportBatch:
         """Run the configured ROSpec, dispatching reports to subscribers.
 
         Returns:
-            Every report delivered (the capture file) — in timestamp order
+            Every report delivered (the capture file, as one
+            :class:`~repro.reader.batch.ReportBatch`) — in timestamp order
             unless an installed fault chain reorders or drops reads.
 
         Raises:
@@ -119,7 +121,7 @@ class LLRPClient:
             self._env, self._rospec.duration_s, t_start=self._rospec.start_time_s
         )
         if self._faults is not None:
-            reports = self._faults.apply(reports)
+            reports = ReportBatch.from_reports(self._faults.apply(reports))
         batch: List[TagReport] = []
         for report in reports:
             batch.append(report)

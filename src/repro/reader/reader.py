@@ -4,7 +4,8 @@ the low-level report stream the TagBreathe pipeline consumes.
 This is the stand-in for the paper's Impinj Speedway R420 (Section V).
 Given a :class:`TagEnvironment` — anything that can say where each tag is
 at time ``t`` and how much extra loss its situation imposes — the reader
-produces :class:`~repro.reader.tagreport.TagReport` records with all the
+produces :class:`~repro.reader.tagreport.TagReport` records (as one
+column-oriented :class:`~repro.reader.batch.ReportBatch`) with all the
 artefacts the paper characterises in Section IV-A:
 
 * phase values that jump at every frequency hop (per-channel offset),
@@ -33,9 +34,11 @@ from ..errors import ReaderError
 from ..rf.channel import ChannelPlan
 from ..rf.doppler import doppler_report
 from ..rf.noise import DynamicMultipath, PhaseNoiseModel, quantize_rssi
-from ..rf.phase import PhaseModel
+from ..rf.phase import PhaseModel, backscatter_phase
 from ..rf.propagation import LinkBudget
+from ..units import wrap_phase
 from .antenna import Antenna, RoundRobinScheduler
+from .batch import ReportBatch
 from .hopping import HopSchedule
 from .tagreport import TagReport
 
@@ -220,7 +223,7 @@ class Reader:
     # ------------------------------------------------------------------
     def run(self, env: TagEnvironment, duration_s: float,
             t_start: float = 0.0,
-            select: Optional[SelectCommand] = None) -> List[TagReport]:
+            select: Optional[SelectCommand] = None) -> ReportBatch:
         """Continuously inventory ``env`` for ``duration_s`` seconds.
 
         Args:
@@ -232,7 +235,8 @@ class Reader:
                 of :mod:`repro.epc.select`).  None inventories everything.
 
         Returns:
-            All successful tag reads, in timestamp order, with full
+            All successful tag reads as one batch (a read-only sequence
+            of :class:`TagReport`), in timestamp order, with full
             low-level data — the equivalent of an LLRP capture file.
             Empty when the Select matches no tag.
 
@@ -251,7 +255,7 @@ class Reader:
         if select is not None:
             keys = [k for k in keys if select.matches(env.epc(k))]
             if not keys:
-                return []
+                return ReportBatch.from_reports([])
         with obs.span("reader.run", tags=len(keys), duration_s=duration_s,
                       vectorized=self._config.vectorized) as span:
             if self._config.vectorized:
@@ -262,7 +266,7 @@ class Reader:
         return reports
 
     def _run_scalar(self, env: TagEnvironment, keys: List[Hashable],
-                    duration_s: float, t_start: float) -> List[TagReport]:
+                    duration_s: float, t_start: float) -> ReportBatch:
         """The legacy per-read path: one physics evaluation per probe/read."""
 
         def situational_and_pattern(key: Hashable, t: float, antenna: Antenna,
@@ -317,18 +321,18 @@ class Reader:
                                 Counter(map(itemgetter(1), events)),
                                 ports, snr)
         reports.sort(key=lambda r: r.timestamp_s)
-        return reports
+        return ReportBatch.from_reports(reports)
 
     def _run_vectorized(self, env: TagEnvironment, keys: List[Hashable],
-                        duration_s: float, t_start: float) -> List[TagReport]:
+                        duration_s: float, t_start: float) -> ReportBatch:
         """The batched path: cheap MAC probes + per-tag report synthesis.
 
         The MAC probes read per-run link tables (:class:`_LinkTable`) and
         consume the *same* RNG draws as the scalar path (a hop extension
         when one is due, then one fading draw per probed slot, from the
         same budget terms), so both paths produce the same read-event
-        stream for a given seed.  Report synthesis then runs in per-tag
-        batches; see DESIGN.md, "Performance architecture", for the
+        stream for a given seed.  Report synthesis then runs in whole-run
+        passes; see DESIGN.md, "Performance architecture", for the
         determinism contract.
         """
         links = _LinkTable(env, keys, self._scheduler, self._hops,
@@ -344,7 +348,6 @@ class Reader:
             reports = self._build_reports_batched(env, events)
         obs.counter("repro_events_total",
                     name="reader.reads_synthesized").inc(len(reports))
-        reports.sort(key=lambda r: r.timestamp_s)
         return reports
 
     # ------------------------------------------------------------------
@@ -459,53 +462,78 @@ class Reader:
 
     def _build_reports_batched(self, env: TagEnvironment,
                                events: Sequence[Tuple[float, Hashable]]
-                               ) -> List[TagReport]:
-        """Synthesize all reports of a run in per-tag vectorized batches.
+                               ) -> ReportBatch:
+        """Synthesize a run's reads as one time-ordered batch.
 
         Determinism contract (see DESIGN.md, "Performance architecture"):
 
-        * A *pre-pass in exact event order* materialises every lazy
-          per-link state — hop-sequence extension, multipath tone sets,
-          circuit phase offsets, static fades, ripple phases — through the
-          very same draws, in the very same order, as the per-read scalar
-          path.  With per-read noise disabled this makes the two paths
-          consume identical RNG streams and emit identical reports.
+        * Lazy per-link state — hop-sequence extension, multipath tone
+          sets, circuit phase offsets, static fades, ripple phases — is
+          drawn through the per-read scalar path's very calls, in event
+          order, at each (tag, channel, antenna) link's first touch and
+          at every read whose hop lies past the materialised sequence.
+          Every other read would draw nothing, so the draws land at the
+          same stream positions as a per-read pass.  With per-read noise
+          disabled this makes the two paths consume identical RNG
+          streams and emit identical reports.
         * Per-read noise (phase noise, Doppler noise, RSSI jitter) is then
           drawn in whole-run batches, in event order — deterministic for a
           given seed, though interleaved differently than the scalar path.
         """
         if not events:
-            return []
+            return ReportBatch.from_reports([])
         n = len(events)
         ts = np.array([t for t, _ in events], dtype=float)
-        keys_seq = [key for _, key in events]
+        key_index: Dict[Hashable, int] = {}
+        key_idx = np.fromiter(
+            (key_index.setdefault(key, len(key_index)) for _, key in events),
+            dtype=np.intp, count=n)
+        keys = list(key_index)
 
         antennas = self._scheduler.antennas
-        ant_idx = (ts / self._scheduler.switch_period_s).astype(int) % len(antennas)
-        ports = np.array([a.port for a in antennas], dtype=int)[ant_idx]
-
-        # --- Pre-pass: lazy per-link state, in exact event order --------
-        chan_idx = np.empty(n, dtype=int)
-        fades = np.empty(n, dtype=float)
-        ripple_phases = np.empty(n, dtype=float)
-        for i, (t, key) in enumerate(events):
-            ci = self._hops.channel_index_at(t)  # may extend the hop sequence
-            chan_idx[i] = ci
-            port = int(ports[i])
-            self._multipath.ensure_link((key, ci, port))
-            self._phase_model_for(key, port)
-            fades[i], ripple_phases[i] = self._rssi_link_state(key, port, ci)
-
+        n_ant = len(antennas)
+        ant_idx = (ts / self._scheduler.switch_period_s).astype(int) % n_ant
+        port_of = [a.port for a in antennas]
+        ports = np.array(port_of, dtype=int)[ant_idx]
         plan = self._hops.plan
         channels = [plan[i] for i in range(len(plan))]
+        n_ch = len(channels)
+
+        # --- Lazy per-link state: first touches and hop-tail reads ------
+        tag_antenna = key_idx * n_ant + ant_idx
+        known = self._hops.known_channel_indices_at(ts)
+        tail = known < 0
+        known_rows = np.flatnonzero(~tail)
+        _, first = np.unique((tag_antenna * n_ch + known)[known_rows],
+                             return_index=True)
+        for i in np.union1d(known_rows[first], np.flatnonzero(tail)).tolist():
+            t, key = events[i]
+            port = port_of[ant_idx[i]]
+            ci = self._hops.channel_index_at(t)  # may extend the hop sequence
+            self._multipath.ensure_link((key, ci, port))
+            self._phase_model_for(key, port)
+            self._rssi_link_state(key, port, ci)
+        chan_idx = self._hops.channel_indices_at(ts)  # all materialised now
+
+        # One row per (tag, antenna, channel) link the run touched.
+        link_codes, link_of = np.unique(tag_antenna * n_ch + chan_idx,
+                                        return_inverse=True)
+        links = [(keys[code // (n_ant * n_ch)], port_of[code // n_ch % n_ant],
+                  code % n_ch) for code in link_codes.tolist()]
+        fades = np.array([self._static_fades[link] for link in links])[link_of]
+        ripple_phases = np.array(
+            [self._ripple_phases[link] for link in links])[link_of]
+        circuit = np.array([self._phase_models[(key, port)].link_offset_rad
+                            for key, port, _ in links])[link_of]
         freqs = np.array([c.frequency_hz for c in channels])[chan_idx]
         lams = np.array([c.wavelength_m for c in channels])[chan_idx]
+        offsets = (np.array([c.phase_offset_rad for c in channels])[chan_idx]
+                   + circuit)
 
         # --- Geometry: one trajectory evaluation per tag ----------------
-        by_key: Dict[Hashable, List[int]] = {}
-        for i, key in enumerate(keys_seq):
-            by_key.setdefault(key, []).append(i)
-
+        by_key = np.argsort(key_idx, kind="stable")
+        key_bounds = np.searchsorted(key_idx[by_key],
+                                     np.arange(len(keys) + 1)).tolist()
         position_array = getattr(env, "position_m_array", None)
         loss_array = getattr(env, "extra_loss_db_array", None)
         eps = self.VELOCITY_EPS_S
@@ -513,8 +541,8 @@ class Reader:
         d_lo = np.empty(n, dtype=float)
         d_hi = np.empty(n, dtype=float)
         situational = np.empty(n, dtype=float)
-        for key, idx_list in by_key.items():
-            idx = np.asarray(idx_list, dtype=int)
+        for k, key in enumerate(keys):
+            idx = by_key[key_bounds[k]:key_bounds[k + 1]]
             t_read = ts[idx]
             t_lo = np.maximum(0.0, t_read - eps)
             t_hi = t_lo + 2.0 * eps
@@ -543,18 +571,12 @@ class Reader:
         # --- Signal synthesis, one pass over all reads ------------------
         snr = self._budget.snr_db(dist, freqs, extra_loss_db=loss)
         noise = self._phase_noise.sample_array(snr, self._rng)
-
-        phases = np.empty(n, dtype=float)
-        by_link: Dict[Tuple[Hashable, int, int], List[int]] = {}
-        for i, key in enumerate(keys_seq):
-            by_link.setdefault((key, int(chan_idx[i]), int(ports[i])), []).append(i)
-        for (key, ci, port), idx_list in by_link.items():
-            idx = np.asarray(idx_list, dtype=int)
-            offsets = self._multipath.phase_offset_array(
-                (key, ci, port), ts[idx], dist[idx]
-            )
-            model = self._phase_models[(key, port)]
-            phases[idx] = model.phase(dist[idx], channels[ci], noise[idx] + offsets)
+        clutter = self._multipath.phase_offsets(
+            [(key, ci, port) for key, port, ci in links], link_of, ts, dist)
+        # Noise and clutter are summed before they meet the clean phase,
+        # the order the scalar PhaseModel.phase adds them in.
+        phases = wrap_phase(backscatter_phase(dist, lams, offsets)
+                            + (noise + clutter))
 
         doppler = doppler_report(
             velocity, lams, self._rng,
@@ -576,21 +598,15 @@ class Reader:
         if obs.enabled():
             record_read_metrics(
                 obs.get_registry(),
-                {key: len(rows) for key, rows in by_key.items()}, ports, snr)
+                dict(zip(keys, np.bincount(key_idx).tolist())), ports, snr)
 
-        epc_by_key = {key: env.epc(key) for key in by_key}
-        return [
-            TagReport(
-                epc=epc_by_key[keys_seq[i]],
-                timestamp_s=float(ts[i]),
-                phase_rad=float(phases[i]),
-                rssi_dbm=float(rssi[i]),
-                doppler_hz=float(doppler[i]),
-                channel_index=int(chan_idx[i]),
-                antenna_port=int(ports[i]),
-            )
-            for i in range(n)
-        ]
+        epcs = [env.epc(key) for key in keys]
+        user_id = np.array([e.user_id for e in epcs], dtype=np.uint64)
+        tag_id = np.array([e.tag_id for e in epcs], dtype=np.uint64)
+        order = np.argsort(ts, kind="stable")
+        return ReportBatch(ts[order], phases[order], rssi[order],
+                           doppler[order], chan_idx[order], ports[order],
+                           user_id[key_idx[order]], tag_id[key_idx[order]])
 
 
 #: Widening [dB] of every tabled power bound.  The bounds are the real

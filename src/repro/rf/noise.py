@@ -7,6 +7,7 @@ and that the COTS reader's RSSI resolution is only 0.5 dBm (Section IV-A-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -173,24 +174,45 @@ class DynamicMultipath:
     def ensure_link(self, link_key) -> None:
         """Materialise a link's tone set (no-op at zero reference amplitude).
 
-        The batched reader synthesis calls this in exact event order during
-        its pre-pass so lazy per-link draws land in the same RNG sequence
-        the per-read scalar path would produce.
+        The batched reader synthesis calls this at each link's first
+        touch, in event order, so lazy per-link draws land in the same
+        RNG sequence the per-read scalar path would produce.
         """
         if self._a_ref == 0.0:
             return
         self._components_for(link_key)
 
-    def phase_offset_array(self, link_key, t: np.ndarray,
-                           distance_m: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`phase_offset` for one link over a time vector."""
+    def phase_offsets(self, links: Sequence, link_of: np.ndarray,
+                      t: np.ndarray, distance_m: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`phase_offset` for reads of many links.
+
+        The tones of every read are one elementwise pass; each link's
+        weighted tone sum stays one matrix-vector product over that
+        link's reads in order: BLAS rounds it differently than an
+        elementwise sum would, and the synthesised captures are pinned
+        to that product.
+
+        Args:
+            links: the link keys.
+            link_of: per read, the index of its link in ``links``.
+            t / distance_m: per read, its time and distance.
+        """
         t = np.asarray(t, dtype=float)
         if self._a_ref == 0.0:
             return np.zeros_like(t)
-        freqs, phases, weights = self._components_for(link_key)
-        amp = self.amplitude_rad(distance_m)
-        tones = np.sin(2.0 * np.pi * np.outer(t, freqs) + phases)
-        return amp * (tones @ weights)
+        entries = [self._components_for(link) for link in links]
+        freqs = np.array([entry[0] for entry in entries])[link_of]
+        phases = np.array([entry[1] for entry in entries])[link_of]
+        tones = np.sin(2.0 * np.pi * (t[:, None] * freqs) + phases)
+        order = np.argsort(link_of, kind="stable")
+        bounds = np.searchsorted(link_of[order],
+                                 np.arange(len(entries) + 1)).tolist()
+        tones = tones[order]
+        sums = np.empty(t.shape[0])
+        for li, (_, _, weights) in enumerate(entries):
+            lo, hi = bounds[li], bounds[li + 1]
+            sums[order[lo:hi]] = tones[lo:hi] @ weights
+        return self.amplitude_rad(distance_m) * sums
 
 
 def quantize_rssi(rssi_dbm, resolution_db: float = 0.5):

@@ -10,7 +10,6 @@ generator.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -23,8 +22,8 @@ from ..epc.select import SelectCommand
 from ..errors import ScenarioError
 from ..faults import FaultChain
 from ..reader.antenna import Antenna
+from ..reader.batch import ReportBatch
 from ..reader.reader import Reader
-from ..reader.tagreport import TagReport
 from ..rf.noise import DynamicMultipath, PhaseNoiseModel
 from ..rf.propagation import LinkBudget
 from .ground_truth import GroundTruth
@@ -37,37 +36,29 @@ class SimulationResult:
 
     Attributes:
         scenario: the environment that was inventoried.
-        reports: every tag read, in timestamp order (the LLRP capture).
+        reports: every tag read, in timestamp order (the LLRP capture),
+            as one :class:`~repro.reader.batch.ReportBatch` (a
+            read-only sequence of ``TagReport``).
         duration_s: trial length.
         ground_truth: per-user true breathing rates.
     """
 
     scenario: Scenario
-    reports: List[TagReport]
+    reports: ReportBatch
     duration_s: float
     ground_truth: GroundTruth = field(init=False)
 
     def __post_init__(self) -> None:
         self.ground_truth = GroundTruth(self.scenario)
-        self._reports_by_user: Optional[Dict[int, List[TagReport]]] = None
 
-    def reports_for_user(self, user_id: int) -> List[TagReport]:
-        """Reads whose EPC carries ``user_id`` in its high 64 bits.
-
-        The capture is indexed by user on first call, so per-user access
-        across N users costs one pass over the reports instead of N.
-        """
-        if self._reports_by_user is None:
-            index: Dict[int, List[TagReport]] = {}
-            for report in self.reports:
-                index.setdefault(report.user_id, []).append(report)
-            self._reports_by_user = index
-        return list(self._reports_by_user.get(user_id, ()))
+    def reports_for_user(self, user_id: int) -> ReportBatch:
+        """Reads whose EPC carries ``user_id`` in its high 64 bits."""
+        return self.reports.select(self.reports.user_id == user_id)
 
     def per_tag_read_rate_hz(self) -> Dict[tuple, float]:
         """Average successful-read rate per (user_id, tag_id) stream."""
-        counts = Counter(report.stream_key for report in self.reports)
-        return {k: c / self.duration_s for k, c in counts.items()}
+        return {stream: c / self.duration_s
+                for stream, c in self.reports.stream_counts().items()}
 
     def aggregate_read_rate_hz(self) -> float:
         """Successful reads per second across every tag in the field."""
@@ -129,7 +120,7 @@ def run_scenario(
         reports = reader.run(scenario, duration_s, select=select)
         if faults is not None:
             n_before = len(reports)
-            reports = faults.apply(reports)
+            reports = ReportBatch.from_reports(faults.apply(reports))
             if obs.enabled():
                 obs.event("faults.apply", reports_in=n_before,
                           reports_out=len(reports))

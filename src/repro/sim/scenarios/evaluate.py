@@ -128,13 +128,20 @@ def _case_metrics(spec: PackSpec, capture: SimulationResult,
     quiet_ticks = false_alarms = 0
     gated_ticks = flagged_ticks = 0
 
-    next_tick = reports[0].timestamp_s + spec.warmup_s if reports else None
+    # A tick falls due at the first report at or past it, once that
+    # report is fed: feed the capture in slices ending at those reports.
+    times = reports.t
+    next_tick = float(times[0]) + spec.warmup_s if len(reports) else None
+    fed = 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedEstimateWarning)
-        for report in reports:
-            engine.feed(report)
-            if next_tick is None or report.timestamp_s < next_tick:
-                continue
+        while next_tick is not None:
+            due = np.flatnonzero(times[fed:] >= next_tick)
+            if not due.size:
+                break
+            end = fed + int(due[0]) + 1
+            engine.feed_batch(reports[fed:end])
+            fed = end
             t = next_tick
             next_tick += spec.cadence_s
             for uid in user_ids:

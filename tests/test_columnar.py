@@ -19,6 +19,7 @@ report to an engine one at a time.
 from __future__ import annotations
 
 import asyncio
+import pickle
 import struct
 import warnings
 
@@ -31,7 +32,7 @@ from repro import Scenario, TagBreathe, run_scenario
 from repro.body import MetronomeBreathing, Subject
 from repro.epc.codec import EPC96
 from repro.errors import DegradedEstimateWarning, ProtocolError, ReaderError
-from repro.reader.batch import ReportBatch
+from repro.reader.batch import COLUMNS, ReportBatch
 from repro.reader.tagreport import TagReport
 from repro.serve import BreathServer, IngestClient
 from repro.serve.protocol import (
@@ -122,6 +123,87 @@ class TestFeedBatchEquivalence:
                 b = batched.estimate_user(uid)
                 assert a.rate_bpm == b.rate_bpm
                 assert a.confidence == b.confidence
+
+
+# ----------------------------------------------------------------------
+# ReportBatch as a read-only sequence of reports
+# ----------------------------------------------------------------------
+class TestReportBatchSequence:
+    @pytest.fixture
+    def pair(self):
+        rows = [(3 * i, 0.1 * i, -50.0 - i, i % 5, 1 + i % 2, 1 + i % 3, 1)
+                for i in range(12)]
+        reports = _reports(rows)
+        return reports, ReportBatch.from_reports(reports)
+
+    def test_int_index_gives_the_report(self, pair):
+        reports, batch = pair
+        assert batch[0] == reports[0]
+        assert batch[-1] == reports[-1]
+        assert batch[-12] == reports[0]
+        assert batch[np.int64(5)] == reports[5]
+        with pytest.raises(IndexError):
+            batch[12]
+        with pytest.raises(TypeError):
+            batch["0"]
+
+    def test_slice_gives_a_batch(self, pair):
+        reports, batch = pair
+        for cut in (slice(2, 7), slice(None, None, 3), slice(-4, None),
+                    slice(None, None, -1), slice(5, 5)):
+            part = batch[cut]
+            assert isinstance(part, ReportBatch)
+            assert part == reports[cut]
+            assert part.t.flags["C_CONTIGUOUS"]
+
+    def test_iteration_builds_the_reports_once(self, pair):
+        reports, batch = pair
+        assert list(batch) == reports == batch.to_reports()
+        assert [id(r) for r in batch] == [id(r) for r in batch]
+        assert reports[3] in batch
+        assert list(reversed(batch)) == reports[::-1]
+
+    def test_truth_value_and_length(self, pair):
+        _, batch = pair
+        empty = ReportBatch.from_reports([])
+        assert batch and len(batch) == 12
+        assert not empty and len(empty) == 0
+
+    def test_equality_with_lists_and_batches(self, pair):
+        reports, batch = pair
+        assert batch == reports and reports == batch
+        assert batch == tuple(reports)
+        assert batch == ReportBatch.from_reports(list(reports))
+        assert batch != reports[:-1]
+        assert batch != reports[::-1]
+        assert batch != batch.select(np.arange(11))
+        assert ReportBatch.from_reports([]) == []
+        assert batch != "not reports"
+        with pytest.raises(TypeError):
+            hash(batch)
+
+    def test_from_reports_returns_a_batch_as_is(self, pair):
+        _, batch = pair
+        assert ReportBatch.from_reports(batch) is batch
+
+    def test_pickle_round_trip(self, pair):
+        _, batch = pair
+        restored = pickle.loads(pickle.dumps(batch))
+        assert isinstance(restored, ReportBatch)
+        for name, dtype in COLUMNS:
+            column = getattr(restored, name)
+            assert column.dtype == dtype
+            assert column.tobytes() == getattr(batch, name).tobytes()
+        list(batch)  # built reports stay behind, not in the pickle
+        assert pickle.loads(pickle.dumps(batch)) == batch
+
+    def test_simulated_capture_is_a_batch(self):
+        result = run_scenario(Scenario.single_user(), duration_s=3.0, seed=2)
+        assert isinstance(result.reports, ReportBatch)
+        assert pickle.loads(pickle.dumps(result)).reports == result.reports
+        user = result.reports_for_user(1)
+        assert user == [r for r in result.reports if r.user_id == 1]
+        assert result.reports_for_user(99) == []
 
 
 # ----------------------------------------------------------------------

@@ -198,6 +198,19 @@ class TestAntennaBallBounds:
         assert gain_hi == pytest.approx(gain, abs=1e-12)
         assert dist_lo == dist_hi == distance
 
+    def test_a_point_on_the_panel_plane_is_bounded_across_the_jump(self):
+        # At 90 degrees off boresight the point's cosine is exactly 0 (the
+        # back-lobe floor) while cos(pi / 2) rounds to 6e-17, where a
+        # 180-degree beam is still 3 dB under peak.
+        antenna = Antenna(port=1, position_m=(0.5, -0.2, 1.0),
+                          boresight=(0.0, 0.0, 1.0), beamwidth_deg=180.0)
+        point = (0.5, 0.8, 1.0)
+        gain, _ = antenna.gain_and_distance(point)
+        gain_lo, gain_hi, _, _ = antenna.gain_and_distance_bounds(point, 0.0)
+        assert gain == antenna.peak_gain_dbi - 20.0
+        assert gain_lo <= gain <= gain_hi
+        assert gain_hi >= antenna.peak_gain_dbi - 3.0
+
     def test_a_ball_reaching_the_antenna_has_no_bounds(self):
         antenna = Antenna(port=1, position_m=(0.0, 0.0, 1.0))
         assert antenna.gain_and_distance_bounds((0.5, 0.0, 1.0), 0.5) is None

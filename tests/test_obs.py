@@ -95,6 +95,34 @@ class TestTracer:
         with pytest.raises(TypeError):
             events_to_jsonl([{"attrs": {"bad": object()}}])
 
+    def test_point_records_the_same_event_as_event(self):
+        eager, lazy = Tracer(enabled=True), Tracer(enabled=True)
+        for tracer in (eager, lazy):
+            def record():
+                if tracer is eager:
+                    eager.event("gen2.round", t=0.5, q=np.int64(2), reads=1)
+                else:
+                    lazy.point("gen2.round", ("t", "q", "reads"),
+                               (0.5, np.int64(2), 1))
+            record()  # a root event: no parent
+            with tracer.span("reader.mac"):
+                record()
+                with tracer.span("inner"):
+                    pass
+                record()
+        assert lazy.events == eager.events
+        assert events_to_jsonl(lazy.events) == events_to_jsonl(eager.events)
+        assert "parent" not in lazy.events[0]
+        # Events recorded after a read are built on the next read.
+        lazy.point("late", ("n",), (1,))
+        assert lazy.events[-1] == {"event": "point", "span": 6,
+                                   "name": "late", "attrs": {"n": 1}}
+        off = Tracer(enabled=False)
+        off.point("x", ("n",), (1,))
+        assert off.events == []
+        lazy.clear()
+        assert lazy.events == []
+
     def test_detail_validation(self):
         with pytest.raises(ValueError):
             Tracer(detail="nope")
@@ -158,6 +186,27 @@ class TestMetrics:
             reg.counter("bad name")
         with pytest.raises(ObservabilityError):
             reg.counter("ok", **{"bad-label": "v"})
+
+    def test_invalid_names_raise_on_every_use_of_every_kind(self):
+        # Names are checked when an instrument is created; an invalid one
+        # is never stored, so a repeated lookup raises again.
+        reg = MetricsRegistry()
+        for make in (reg.counter, reg.gauge, reg.histogram):
+            for _ in range(2):
+                with pytest.raises(ObservabilityError):
+                    make("bad name")
+                with pytest.raises(ObservabilityError):
+                    make("ok_total", **{"bad-label": "v"})
+                with pytest.raises(ObservabilityError):
+                    make("ok_total", good="v", **{"9bad": "v"})
+        assert reg.snapshot() == {"counters": [], "gauges": [],
+                                  "histograms": []}
+
+    def test_label_values_are_keyed_as_strings_in_any_order(self):
+        reg = MetricsRegistry()
+        a = reg.counter("reads_total", tag=1, antenna="2")
+        assert reg.counter("reads_total", antenna=2, tag="1") is a
+        assert reg.gauge("g", port=3) is reg.gauge("g", port="3")
 
     def test_histogram_buckets(self):
         reg = MetricsRegistry()

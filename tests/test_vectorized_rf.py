@@ -111,9 +111,12 @@ class TestRfBroadcasts:
 
     def test_multipath_offset_array(self):
         mp = DynamicMultipath(rng=np.random.default_rng(3))
-        link = ("tag", 2, 1)
-        arr = mp.phase_offset_array(link, TIMES, np.full(TIMES.shape, 3.0))
-        ref = np.array([mp.phase_offset(link, float(t), 3.0) for t in TIMES])
+        links = [("tag", 2, 1), ("tag", 5, 1)]
+        link_of = np.arange(TIMES.shape[0]) % 2
+        arr = mp.phase_offsets(links, link_of, TIMES,
+                               np.full(TIMES.shape, 3.0))
+        ref = np.array([mp.phase_offset(links[li], float(t), 3.0)
+                        for li, t in zip(link_of, TIMES)])
         np.testing.assert_allclose(arr, ref, rtol=0, atol=1e-9)
 
     def test_quantize_rssi_array(self):

@@ -36,9 +36,7 @@ from .core import (
     FEED_DROP_KEYS,
     BreathExtractor,
     BreathingEstimate,
-    DopplerBreathEstimator,
     FFTPeakEstimator,
-    RSSIBreathEstimator,
     TagBreathe,
     UserEstimate,
     default_frequencies,
@@ -100,7 +98,7 @@ __all__ = [
     "default_frequencies", "displacement_deltas", "displacement_track",
     "fuse_streams", "group_reports_by_user", "fft_lowpass", "fir_lowpass",
     "zero_crossing_times", "rate_series_bpm", "fft_peak_rate_bpm",
-    "RSSIBreathEstimator", "DopplerBreathEstimator", "FFTPeakEstimator",
+    "FFTPeakEstimator",
     "DEGRADED_REASONS", "FEED_DROP_KEYS",
     # fault injection
     "FaultChain", "FaultInjector", "InjectionStats", "ALL_INJECTORS",

@@ -1,14 +1,12 @@
 """The perf-benchmark harness behind ``repro bench``.
 
 Times the end-to-end reproduction at paper scale — 1/5/15 users for the
-25 s characterisation and 120 s accuracy trial lengths — on both report
-synthesis paths (legacy scalar vs batched vectorized), then times the
+25 s characterisation and 120 s accuracy trial lengths — then times the
 TagBreathe pipeline over the captured reports.  Results land in two
 JSON files at the output directory root:
 
-* ``BENCH_simulation.json`` — per-case wall-clock for scalar and
-  vectorized capture synthesis, with the speedup ratio measured in the
-  same run, same seed, same machine.
+* ``BENCH_simulation.json`` — per-case wall-clock of one capture, split
+  into its MAC and report-synthesis stages.
 * ``BENCH_pipeline.json`` — TagBreathe batch-processing throughput over
   each capture (reports/s, users estimated), plus the ``streaming``
   suite: serve-shaped replay of the same captures timing the
@@ -28,10 +26,7 @@ JSON files at the output directory root:
   (``users_per_machine``) and the acked==sent ingest contract — are
   machine-independent.
 
-Both paths consume identical MAC randomness, so each case's scalar and
-vectorized timings cover the *same* read-event stream — the ratio is a
-pure synthesis-path comparison, not a workload difference.  The
-streaming suite's tick cost is a ratio to the reference kernel timed
+The streaming suite's tick cost is a ratio to the reference kernel timed
 between the ticks, and its feed speedups are same-run ratios, so
 machine speed cancels out of them (which is what lets CI gate them on
 any machine; see ``tools/check_bench_regression.py``).
@@ -51,7 +46,6 @@ import numpy as np
 
 from . import obs
 from .body import MetronomeBreathing, Subject
-from .config import ReaderConfig
 from .core.pipeline import TagBreathe
 from .epc.gen2 import RoundStats, record_round_metrics
 from .errors import DegradedEstimateWarning, InsufficientDataError
@@ -107,30 +101,9 @@ def _event_counts(registry: obs.MetricsRegistry) -> Dict[str, int]:
             in sorted(registry.values("repro_events_total").items())}
 
 
-def _time_capture(scenario: Scenario, duration_s: float, seed: int,
-                  vectorized: bool) -> Dict:
-    """Run one capture and return (seconds, result) style timing info."""
-    with obs.capture() as (tracer, registry):
-        tracer.configure(enabled=False)
-        t0 = time.perf_counter()
-        result = run_scenario(
-            scenario, duration_s=duration_s, seed=seed,
-            reader_config=ReaderConfig(vectorized=vectorized),
-        )
-        elapsed = time.perf_counter() - t0
-    stages = _stage_seconds(registry)
-    return {
-        "seconds": elapsed,
-        "reports": len(result.reports),
-        "mac_s": stages.get("reader.mac"),
-        "synthesize_s": stages.get("reader.synthesize"),
-        "result": result,
-    }
-
-
 def run_simulation_benchmark(grid: List, seed: int = 0
                              ) -> "tuple[Dict, Dict[tuple, SimulationResult]]":
-    """Time scalar vs vectorized capture synthesis over the grid.
+    """Time one capture per grid case, with its MAC and synthesis stages.
 
     Returns:
         (summary dict, captured results keyed by (users, duration_s)) —
@@ -141,20 +114,21 @@ def run_simulation_benchmark(grid: List, seed: int = 0
     captures: Dict[tuple, SimulationResult] = {}
     for users, duration_s in grid:
         scenario = benchmark_scenario(users, seed=seed)
-        scalar = _time_capture(scenario, duration_s, seed, vectorized=False)
-        vector = _time_capture(scenario, duration_s, seed, vectorized=True)
-        captures[(users, duration_s)] = vector.pop("result")
-        scalar.pop("result")
-        speedup = (scalar["seconds"] / vector["seconds"]
-                   if vector["seconds"] > 0 else float("inf"))
+        with obs.capture() as (tracer, registry):
+            tracer.configure(enabled=False)
+            t0 = time.perf_counter()
+            result = run_scenario(scenario, duration_s=duration_s, seed=seed)
+            elapsed = time.perf_counter() - t0
+        stages = _stage_seconds(registry)
+        captures[(users, duration_s)] = result
         cases.append({
             "users": users,
             "duration_s": duration_s,
             "tags": scenario.total_tag_count(),
-            "reports": vector["reports"],
-            "scalar": {k: v for k, v in scalar.items() if k != "reports"},
-            "vectorized": {k: v for k, v in vector.items() if k != "reports"},
-            "speedup": speedup,
+            "reports": len(result.reports),
+            "seconds": elapsed,
+            "mac_s": stages.get("reader.mac"),
+            "synthesize_s": stages.get("reader.synthesize"),
         })
     headline = max(cases, key=lambda c: (c["users"], c["duration_s"]))
     summary = {
@@ -165,7 +139,7 @@ def run_simulation_benchmark(grid: List, seed: int = 0
         "headline": {
             "users": headline["users"],
             "duration_s": headline["duration_s"],
-            "speedup": headline["speedup"],
+            "seconds": headline["seconds"],
         },
     }
     return summary, captures
@@ -1043,19 +1017,16 @@ def run_obs_overhead_benchmark(users: int, duration_s: float,
     overhead is the median of replay over capture.  The budget is <5%.
     """
     scenario = benchmark_scenario(users, seed=seed)
-    config = ReaderConfig(vectorized=True)
 
     def untraced_s() -> float:
         with obs.capture() as (tracer, _registry):
             tracer.configure(enabled=False)
             t0 = time.perf_counter()
-            run_scenario(scenario, duration_s=duration_s, seed=seed,
-                         reader_config=config)
+            run_scenario(scenario, duration_s=duration_s, seed=seed)
             return time.perf_counter() - t0
 
     with obs.capture(detail="round") as (tracer, _registry):
-        result = run_scenario(scenario, duration_s=duration_s, seed=seed,
-                              reader_config=config)
+        result = run_scenario(scenario, duration_s=duration_s, seed=seed)
         events = list(tracer.events)
     rounds = [RoundStats(**{key: value for key, value in e["attrs"].items()
                             if key != "t"})

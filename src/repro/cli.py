@@ -8,8 +8,8 @@ Four workflows a user reaches for before writing any code:
 * ``regions``   — list the built-in regulatory channel plans.
 * ``faults``    — inject delivery faults into a capture and compare the
   degraded estimates (confidence, reasons) against the clean run.
-* ``bench``     — run the perf-benchmark suite (scalar vs vectorized
-  synthesis, pipeline throughput) and write ``BENCH_*.json``.
+* ``bench``     — run the perf-benchmark suite (capture synthesis,
+  pipeline throughput) and write ``BENCH_*.json``.
 * ``obs``       — run an *observed* scenario: capture the trace and
   metrics of one end-to-end run and write ``trace.jsonl`` /
   ``metrics.prom`` / ``manifest.json`` (DESIGN.md §10).
@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="time scalar vs vectorized synthesis and pipeline throughput")
+        help="time capture synthesis and pipeline throughput")
     bench.add_argument("--quick", action="store_true",
                        help="abbreviated grid for CI smoke runs")
     bench.add_argument("--out-dir", default=".",
@@ -774,14 +774,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                                  out_dir=out_dir)
         rows = [
             [c["users"], f"{c['duration_s']:.0f} s", c["reports"],
-             f"{c['scalar']['seconds']:.2f} s",
-             f"{c['vectorized']['seconds']:.2f} s",
-             f"{c['speedup']:.1f}x"]
+             f"{c['seconds']:.2f} s"]
             for c in results["simulation"]["cases"]
         ]
-        print(render_table(
-            ["users", "trial", "reports", "scalar", "vectorized", "speedup"],
-            rows))
+        print(render_table(["users", "trial", "reports", "capture"], rows))
         pipe_rows = [
             [c["users"], f"{c['duration_s']:.0f} s", c["reports"],
              f"{c['process_s']:.2f} s", f"{c['reports_per_s']:.0f}/s"]

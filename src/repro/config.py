@@ -55,10 +55,6 @@ class ReaderConfig:
             in ideal conditions (paper reports ~64 Hz per tag at 2 m).
         rssi_resolution_db: RSSI quantisation step of the COTS reader
             (paper Section IV-A: 0.5 dBm).
-        vectorized: synthesize tag reports in per-tag batches on the
-            NumPy fast path (default).  ``False`` selects the legacy
-            per-read scalar path; both produce the same report stream for
-            a given seed (see DESIGN.md, "Performance architecture").
     """
 
     tx_power_dbm: float = 30.0
@@ -68,7 +64,6 @@ class ReaderConfig:
     antenna_gain_dbic: float = 8.5
     base_read_rate_hz: float = 64.0
     rssi_resolution_db: float = 0.5
-    vectorized: bool = True
 
     def __post_init__(self) -> None:
         lo, hi = TX_POWER_RANGE_DBM

@@ -13,9 +13,8 @@ The stages mirror Fig. 10's workflow:
 4. :mod:`~repro.core.pipeline` — the end-to-end :class:`TagBreathe`
    engine, batch and streaming.
 
-:mod:`~repro.core.baselines` implements the RSSI / Doppler / FFT-peak
-alternatives the paper characterises and argues against (Section IV-A/B),
-and :mod:`~repro.core.quality` the per-antenna data-quality selection
+:mod:`~repro.core.baselines` implements the FFT-peak alternative the
+paper argues against (Section IV-B), and :mod:`~repro.core.quality` the per-antenna data-quality selection
 (Section IV-D-3).
 """
 
@@ -37,7 +36,7 @@ from .pipeline import (
     TagBreathe,
     UserEstimate,
 )
-from .baselines import RSSIBreathEstimator, DopplerBreathEstimator, FFTPeakEstimator
+from .baselines import FFTPeakEstimator
 from .tracking import BreathingRateTracker, TrackedRate, smooth_rate_series
 
 __all__ = [
@@ -65,8 +64,6 @@ __all__ = [
     "DEGRADED_REASONS", "FEED_DROP_KEYS",
     "TagBreathe",
     "UserEstimate",
-    "RSSIBreathEstimator",
-    "DopplerBreathEstimator",
     "FFTPeakEstimator",
     "BreathingRateTracker",
     "TrackedRate",

@@ -1,136 +1,15 @@
-"""Baseline estimators from the paper's low-level data characterisation.
+"""The FFT-peak baseline of the paper's Section IV-B.
 
-Section IV-A examines three observables and explains why TagBreathe builds
-on phase:
-
-* **RSSI** (Fig. 2): periodic but coarse — 0.5 dBm resolution cannot
-  resolve subtle motion in challenging scenarios.
-* **Doppler shift** (Fig. 3): noisy — the intra-packet phase rotation is
-  too small at breathing speeds.
-* **FFT peak** (Fig. 7): works but is resolution-limited to ``1/window``
-  (2.4 bpm for a 25 s window).
-
-Each baseline is implemented with the same interface so the ablation
-benchmarks can swap them in for the phase/zero-crossing pipeline.
+An FFT works but is resolution-limited to ``1/window`` (2.4 bpm for a
+25 s window, Fig. 7), the reason the paper estimates the rate from zero
+crossings instead.  The ablation benchmarks swap this baseline in for
+the zero-crossing stage.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence
-
-import numpy as np
-
-from ..config import PipelineConfig
-from ..errors import InsufficientDataError
-from ..reader.tagreport import TagReport
-from ..streams.resample import bin_mean, resample_linear
 from ..streams.timeseries import TimeSeries
-from .extraction import BreathExtractor, BreathingEstimate
 from .spectral import fft_peak_rate_bpm
-
-
-def _reports_to_series(reports: Sequence[TagReport], attribute: str,
-                       demean_per_channel: bool = False) -> TimeSeries:
-    """Build a merged TimeSeries of one report field across all tags.
-
-    With ``demean_per_channel`` each (channel, antenna) group's mean is
-    subtracted first — the RSSI analogue of the paper's per-channel phase
-    grouping, cancelling frequency-selective fading offsets that would
-    otherwise swamp the breathing ripple.
-    """
-    ordered = sorted(reports, key=lambda r: r.timestamp_s)
-    offsets = {}
-    if demean_per_channel:
-        sums: dict = {}
-        for report in ordered:
-            key = (report.channel_index, report.antenna_port)
-            total, count = sums.get(key, (0.0, 0))
-            sums[key] = (total + float(getattr(report, attribute)), count + 1)
-        offsets = {key: total / count for key, (total, count) in sums.items()}
-    times: List[float] = []
-    values: List[float] = []
-    for report in ordered:
-        t = report.timestamp_s
-        if times and t <= times[-1]:
-            continue
-        value = float(getattr(report, attribute))
-        if demean_per_channel:
-            value -= offsets[(report.channel_index, report.antenna_port)]
-        times.append(t)
-        values.append(value)
-    return TimeSeries(times, values)
-
-
-class _SeriesBaseline:
-    """Shared machinery: regularise a series, filter, zero-cross."""
-
-    def __init__(self, config: Optional[PipelineConfig] = None,
-                 grid_hz: float = 20.0) -> None:
-        self._config = config if config is not None else PipelineConfig()
-        self._grid_hz = grid_hz
-        self._extractor = BreathExtractor(self._config)
-
-    def _estimate_from_series(self, series: TimeSeries) -> BreathingEstimate:
-        if len(series) < 8:
-            raise InsufficientDataError(
-                f"only {len(series)} usable samples for baseline estimation"
-            )
-        regular = resample_linear(series, self._grid_hz)
-        return self._extractor.estimate(regular)
-
-
-class RSSIBreathEstimator(_SeriesBaseline):
-    """Breathing rate from RSSI readings alone (the Fig. 2 observable).
-
-    Groups readings by channel (cancelling frequency-selective offsets,
-    just as the phase path groups by channel), averages each bin's RSSI
-    (quantised values dither across the 0.5 dBm steps), then runs the
-    same filter/zero-crossing machinery as the main pipeline.
-
-    Args:
-        config: pipeline parameters (cutoff, buffer M).
-        grid_hz: regular grid rate for filtering.
-    """
-
-    def estimate(self, reports: Iterable[TagReport]) -> BreathingEstimate:
-        """Estimate breathing from the RSSI track of one user's reports.
-
-        Raises:
-            InsufficientDataError: with too few reads or crossings.
-        """
-        series = _reports_to_series(list(reports), "rssi_dbm",
-                                    demean_per_channel=True)
-        if len(series) < 8:
-            raise InsufficientDataError("too few reads for RSSI baseline")
-        smoothed = bin_mean(series, 0.25)
-        return self._estimate_from_series(smoothed)
-
-
-class DopplerBreathEstimator(_SeriesBaseline):
-    """Breathing rate from raw Doppler-shift reports (the Fig. 3 observable).
-
-    Integrates the (noisy) Doppler reports into a pseudo-displacement
-    track: ``d(t) ~ integral of lambda * f_doppler dt``.  Under Eq. (2)'s
-    convention ``f = v / lambda``, so the integral recovers displacement up
-    to heavy noise — which is exactly the paper's point about Doppler.
-    """
-
-    #: Nominal mid-band wavelength used for integration [m].
-    NOMINAL_WAVELENGTH_M = 0.3276
-
-    def estimate(self, reports: Iterable[TagReport]) -> BreathingEstimate:
-        """Estimate breathing from the integrated Doppler track.
-
-        Raises:
-            InsufficientDataError: with too few reads or crossings.
-        """
-        series = _reports_to_series(list(reports), "doppler_hz")
-        if len(series) < 8:
-            raise InsufficientDataError("too few reads for Doppler baseline")
-        gaps = np.diff(series.times)
-        increments = series.values[1:] * gaps * self.NOMINAL_WAVELENGTH_M
-        track = TimeSeries(series.times[1:], np.cumsum(increments))
-        return self._estimate_from_series(track)
 
 
 class FFTPeakEstimator:

@@ -18,8 +18,6 @@ artefacts the paper characterises in Section IV-A:
 from __future__ import annotations
 
 import math
-from collections import Counter
-from operator import itemgetter
 from typing import (Dict, Hashable, List, Mapping, Optional, Protocol,
                     Sequence, Tuple)
 
@@ -40,7 +38,6 @@ from ..units import wrap_phase
 from .antenna import Antenna, RoundRobinScheduler
 from .batch import ReportBatch
 from .hopping import HopSchedule
-from .tagreport import TagReport
 
 
 class TagEnvironment(Protocol):
@@ -49,8 +46,8 @@ class TagEnvironment(Protocol):
     Implemented by :class:`repro.sim.scenario.Scenario`; any object with
     these methods works (e.g. a replayer of recorded traces).
 
-    Two optional methods let the vectorized reader table a run's link
-    terms; an environment without them is probed exactly per slot:
+    Two optional methods let the reader table a run's link terms; an
+    environment without them is probed exactly per slot:
 
     * ``situational_loss_db_static(key, antenna) -> Optional[float]`` —
       the :meth:`extra_loss_db` of a link whose loss never changes, or
@@ -174,10 +171,6 @@ class Reader:
         # tag displacement — the mechanism behind the visible breathing
         # oscillation of the paper's Fig. 2.
         self._ripple_phases: Dict[Tuple[Hashable, int, int], float] = {}
-        # (antenna port, SNR dB) pairs accumulated per run when the
-        # observability layer is on; None keeps the scalar hot path free
-        # of per-read appends otherwise.
-        self._snr_obs: Optional[List[Tuple[int, float]]] = None
 
     #: Peak-to-mid amplitude [dB] of the standing-wave RSSI ripple.  A
     #: breathing displacement of ~1 cm sweeps ~0.4 rad of round-trip phase,
@@ -189,7 +182,7 @@ class Reader:
 
     #: Sigma [dB] of the static per-(tag, antenna, channel) fading level in
     #: *reported* RSSI.  Zero disables the draw entirely, which keeps
-    #: RNG-free configurations RNG-free on both synthesis paths.
+    #: RNG-free configurations RNG-free.
     RSSI_FADE_SIGMA_DB = 2.0
 
     #: Half-width [s] of the central difference behind Doppler velocity.
@@ -236,8 +229,9 @@ class Reader:
 
         Returns:
             All successful tag reads as one batch (a read-only sequence
-            of :class:`TagReport`), in timestamp order, with full
-            low-level data — the equivalent of an LLRP capture file.
+            of :class:`~repro.reader.tagreport.TagReport`), in timestamp
+            order, with full low-level data — the equivalent of an LLRP
+            capture file.
             Empty when the Select matches no tag.
 
         Raises:
@@ -256,98 +250,24 @@ class Reader:
             keys = [k for k in keys if select.matches(env.epc(k))]
             if not keys:
                 return ReportBatch.from_reports([])
-        with obs.span("reader.run", tags=len(keys), duration_s=duration_s,
-                      vectorized=self._config.vectorized) as span:
-            if self._config.vectorized:
-                reports = self._run_vectorized(env, keys, duration_s, t_start)
-            else:
-                reports = self._run_scalar(env, keys, duration_s, t_start)
-            span.set(reports=len(reports))
-        return reports
-
-    def _run_scalar(self, env: TagEnvironment, keys: List[Hashable],
-                    duration_s: float, t_start: float) -> ReportBatch:
-        """The legacy per-read path: one physics evaluation per probe/read."""
-
-        def situational_and_pattern(key: Hashable, t: float, antenna: Antenna,
-                                    pos: np.ndarray) -> float:
-            situational = env.extra_loss_db(key, t, antenna)
-            if math.isinf(situational):
-                return math.inf
-            pattern = antenna.peak_gain_dbi - antenna.gain_dbi_toward(pos)
-            return situational + pattern
-
-        def energized(key: Hashable, t: float) -> bool:
-            antenna = self._scheduler.active_at(t)
-            pos = env.position_m(key, t)
-            return not math.isinf(situational_and_pattern(key, t, antenna, pos))
-
-        def link_ok(key: Hashable, t: float) -> bool:
-            antenna = self._scheduler.active_at(t)
-            # One position evaluation threaded through loss *and* distance.
-            pos = env.position_m(key, t)
-            loss = situational_and_pattern(key, t, antenna, pos)
-            if math.isinf(loss):
-                return False
-            channel = self._hops.channel_at(t)
-            distance = antenna.distance_to(pos)
-            rssi = self._budget.sample_read(
-                distance, channel.frequency_hz, self._rng, extra_loss_db=loss
+        with obs.span("reader.run", tags=len(keys),
+                      duration_s=duration_s) as span:
+            # The MAC probes read per-run link tables; report synthesis
+            # then runs in whole-run passes.  See DESIGN.md, "Performance
+            # architecture", for the determinism contract.
+            links = _LinkTable(env, keys, self._scheduler, self._hops,
+                               self._budget, self._rng)
+            inventory = Gen2Inventory(
+                keys, config=self._gen2_config, rng=self._rng,
+                link_ok=links.link_ok, population=links.population,
             )
-            return rssi is not None
-
-        def population(t: float) -> List[Hashable]:
-            return [k for k in keys if energized(k, t)]
-
-        inventory = Gen2Inventory(
-            keys, config=self._gen2_config, rng=self._rng,
-            link_ok=link_ok, population=population,
-        )
-        with obs.span("reader.mac"):
-            events = inventory.run_for(duration_s, t_start=t_start)
-
-        self._snr_obs = [] if obs.enabled() else None
-        with obs.span("reader.synthesize"):
-            reports = [
-                self._build_report(env, key, t_read) for t_read, key in events
-            ]
-        obs.counter("repro_events_total",
-                    name="reader.reads_synthesized").inc(len(reports))
-        if self._snr_obs is not None:
-            ports = np.array([p for p, _ in self._snr_obs], dtype=int)
-            snr = np.array([s for _, s in self._snr_obs], dtype=float)
-            self._snr_obs = None
-            record_read_metrics(obs.get_registry(),
-                                Counter(map(itemgetter(1), events)),
-                                ports, snr)
-        reports.sort(key=lambda r: r.timestamp_s)
-        return ReportBatch.from_reports(reports)
-
-    def _run_vectorized(self, env: TagEnvironment, keys: List[Hashable],
-                        duration_s: float, t_start: float) -> ReportBatch:
-        """The batched path: cheap MAC probes + per-tag report synthesis.
-
-        The MAC probes read per-run link tables (:class:`_LinkTable`) and
-        consume the *same* RNG draws as the scalar path (a hop extension
-        when one is due, then one fading draw per probed slot, from the
-        same budget terms), so both paths produce the same read-event
-        stream for a given seed.  Report synthesis then runs in whole-run
-        passes; see DESIGN.md, "Performance architecture", for the
-        determinism contract.
-        """
-        links = _LinkTable(env, keys, self._scheduler, self._hops,
-                           self._budget, self._rng)
-        inventory = Gen2Inventory(
-            keys, config=self._gen2_config, rng=self._rng,
-            link_ok=links.link_ok, population=links.population,
-        )
-        with obs.span("reader.mac"):
-            events = inventory.run_for(duration_s, t_start=t_start)
-
-        with obs.span("reader.synthesize"):
-            reports = self._build_reports_batched(env, events)
-        obs.counter("repro_events_total",
-                    name="reader.reads_synthesized").inc(len(reports))
+            with obs.span("reader.mac"):
+                events = inventory.run_for(duration_s, t_start=t_start)
+            with obs.span("reader.synthesize"):
+                reports = self._build_reports_batched(env, events)
+            obs.counter("repro_events_total",
+                        name="reader.reads_synthesized").inc(len(reports))
+            span.set(reports=len(reports))
         return reports
 
     # ------------------------------------------------------------------
@@ -361,52 +281,14 @@ class Reader:
             self._phase_models[link] = model
         return model
 
-    def _radial_velocity(self, env: TagEnvironment, key: Hashable,
-                         antenna: Antenna, t: float,
-                         eps: Optional[float] = None) -> float:
-        """Radial velocity toward/away from the antenna by central difference.
-
-        The difference window is clamped into non-negative time while
-        keeping its full ``2 * eps`` width, so estimates near ``t = 0`` use
-        the same symmetric quotient as everywhere else instead of a
-        shrunken, asymmetric one.
-        """
-        if eps is None:
-            eps = self.VELOCITY_EPS_S
-        t_lo = max(0.0, t - eps)
-        t_hi = t_lo + 2.0 * eps
-        d_lo = antenna.distance_to(env.position_m(key, t_lo))
-        d_hi = antenna.distance_to(env.position_m(key, t_hi))
-        return (d_hi - d_lo) / (2.0 * eps)
-
-    def _reported_rssi(self, key: Hashable, antenna: Antenna, channel,
-                       distance: float, loss_db: float) -> float:
-        """RSSI as the reader would report it (before quantisation).
-
-        Deterministic link budget + a static per-link fading level + a
-        standing-wave ripple that moves with the tag's displacement (the
-        source of Fig. 2's breathing oscillation) + small per-read jitter.
-        """
-        fade, ripple_phase = self._rssi_link_state(key, antenna.port, channel.index)
-        base = self._budget.rx_power_dbm(
-            distance, channel.frequency_hz, extra_loss_db=loss_db
-        )
-        ripple = self.RSSI_RIPPLE_DB * math.sin(
-            4.0 * math.pi * distance / channel.wavelength_m + ripple_phase
-        )
-        if self.RSSI_JITTER_DB == 0.0:
-            jitter = 0.0
-        else:
-            jitter = float(self._rng.normal(0.0, self.RSSI_JITTER_DB))
-        return base + fade + ripple + jitter
-
     def _rssi_link_state(self, key: Hashable, port: int,
                          channel_index: int) -> Tuple[float, float]:
         """The (fade, ripple phase) pair for one RSSI link, drawn lazily.
 
         Zero-amplitude fades/ripples short-circuit without consuming
         randomness, so RNG-free configurations stay RNG-free — the
-        precondition for exact scalar-vs-vectorized equivalence.
+        precondition for exact equivalence with the per-read reference
+        reader the tests keep.
         """
         link = (key, port, channel_index)
         fade = self._static_fades.get(link)
@@ -425,41 +307,6 @@ class Reader:
             self._ripple_phases[link] = ripple_phase
         return fade, ripple_phase
 
-    def _build_report(self, env: TagEnvironment, key: Hashable,
-                      t: float) -> TagReport:
-        antenna = self._scheduler.active_at(t)
-        channel = self._hops.channel_at(t)
-        pos = env.position_m(key, t)
-        distance = antenna.distance_to(pos)
-        loss = env.extra_loss_db(key, t, antenna)
-        loss = 0.0 if math.isinf(loss) else loss
-        snr_db = self._budget.snr_db(distance, channel.frequency_hz, extra_loss_db=loss)
-        if self._snr_obs is not None:
-            self._snr_obs.append((antenna.port, snr_db))
-
-        noise = self._phase_noise.sample(snr_db, self._rng)
-        noise += self._multipath.phase_offset(
-            (key, channel.index, antenna.port), t, distance
-        )
-        phase = self._phase_model_for(key, antenna.port).phase(distance, channel, noise)
-
-        velocity = self._radial_velocity(env, key, antenna, t)
-        doppler = doppler_report(
-            velocity, channel.wavelength_m, self._rng,
-            phase_noise_rad=self._phase_noise.sigma(snr_db),
-        )
-
-        rssi_dbm = self._reported_rssi(key, antenna, channel, distance, loss)
-        return TagReport(
-            epc=env.epc(key),
-            timestamp_s=t,
-            phase_rad=phase,
-            rssi_dbm=quantize_rssi(rssi_dbm, self._config.rssi_resolution_db),
-            doppler_hz=doppler,
-            channel_index=channel.index,
-            antenna_port=antenna.port,
-        )
-
     def _build_reports_batched(self, env: TagEnvironment,
                                events: Sequence[Tuple[float, Hashable]]
                                ) -> ReportBatch:
@@ -469,16 +316,17 @@ class Reader:
 
         * Lazy per-link state — hop-sequence extension, multipath tone
           sets, circuit phase offsets, static fades, ripple phases — is
-          drawn through the per-read scalar path's very calls, in event
-          order, at each (tag, channel, antenna) link's first touch and
-          at every read whose hop lies past the materialised sequence.
-          Every other read would draw nothing, so the draws land at the
-          same stream positions as a per-read pass.  With per-read noise
-          disabled this makes the two paths consume identical RNG
-          streams and emit identical reports.
+          drawn through the calls a per-read synthesis would make, in
+          event order, at each (tag, channel, antenna) link's first touch
+          and at every read whose hop lies past the materialised
+          sequence.  Every other read would draw nothing, so the draws
+          land at the same stream positions as a per-read pass.  With
+          per-read noise disabled this makes the batched and per-read
+          forms consume identical RNG streams and emit identical reports.
         * Per-read noise (phase noise, Doppler noise, RSSI jitter) is then
           drawn in whole-run batches, in event order — deterministic for a
-          given seed, though interleaved differently than the scalar path.
+          given seed, though interleaved differently than a per-read
+          pass.
         """
         if not events:
             return ReportBatch.from_reports([])
@@ -574,7 +422,7 @@ class Reader:
         clutter = self._multipath.phase_offsets(
             [(key, ci, port) for key, port, ci in links], link_of, ts, dist)
         # Noise and clutter are summed before they meet the clean phase,
-        # the order the scalar PhaseModel.phase adds them in.
+        # the order PhaseModel.phase adds them in.
         phases = wrap_phase(backscatter_phase(dist, lams, offsets)
                             + (noise + clutter))
 
@@ -617,7 +465,7 @@ _BOUND_MARGIN_DB = 1e-9
 
 
 class _LinkTable:
-    """Per-run link terms behind the vectorized path's MAC probes.
+    """Per-run link terms behind the reader's MAC probes.
 
     Everything a probe needs that cannot change within a run is worked
     out once per run:
@@ -630,14 +478,15 @@ class _LinkTable:
       ``(tag_lo, tag_hi, rx_lo, rx_hi)`` of its budget over the whole
       ball, per (tag, antenna, channel), filled on first use.
 
-    A probe looks up the hop and makes the one fading draw, as the scalar
-    path does (both share the generator).  The slot reads when the faded
-    lower bounds clear both sensitivities and fails when either faded
-    upper bound misses; only a draw that lands between the bounds, or a
-    link without them, evaluates the trajectory and the antenna pattern
-    with the scalar path's arithmetic, term for term, against the same
-    draw (:attr:`exact_probes` counts these).  So the two paths draw the
-    same MAC event stream.
+    A probe looks up the hop and makes the one fading draw that
+    :meth:`LinkBudget.sample_read` would make (from the reader's
+    generator).  The slot reads when the faded lower bounds clear both
+    sensitivities and fails when either faded upper bound misses; only a
+    draw that lands between the bounds, or a link without them, evaluates
+    the trajectory and the antenna pattern with ``sample_read``'s
+    arithmetic, term for term, against the same draw
+    (:attr:`exact_probes` counts these).  So the tables draw the MAC
+    event stream a per-slot ``sample_read`` probe would.
     """
 
     def __init__(self, env: TagEnvironment, keys: List[Hashable],

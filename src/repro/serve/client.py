@@ -303,9 +303,9 @@ class IngestClient:
             raise ConnectionResetError("link transport is closed")
         self._writer.write(data)
 
-    def _flush_column(self, reports: List[TagReport], lo: int, hi: int,
+    def _flush_column(self, batch: ReportBatch, lo: int, hi: int,
                       stats: ReplayStats) -> None:
-        """Send ``reports[lo:hi]`` as one column frame (no-op when empty).
+        """Send ``batch[lo:hi]`` as one column frame (no-op when empty).
 
         With a ``client_id`` the rows carry their sequence numbers
         ``lo + 1 .. hi``.
@@ -315,8 +315,7 @@ class IngestClient:
         seqs = None
         if self.client_id is not None:
             seqs = np.arange(lo + 1, hi + 1, dtype=np.uint64)
-        data = encode_column_frame(
-            ReportBatch.from_reports(reports[lo:hi]), seqs)
+        data = encode_column_frame(batch[lo:hi], seqs)
         self._writer.write(data)
         stats.bytes_sent += len(data)
         stats.sent += hi - lo
@@ -418,22 +417,24 @@ class IngestClient:
         loop = asyncio.get_event_loop()
         t_start = loop.time()
         stats = ReplayStats()
-        await self._replay(list(reports), speed, progress, stats)
+        await self._replay(ReportBatch.from_reports(reports), speed,
+                           progress, stats)
         stats.wall_s = loop.time() - t_start
         return stats
 
-    async def _replay(self, reports: List[TagReport], speed: float,
+    async def _replay(self, batch: ReportBatch, speed: float,
                       progress: Optional[Callable[[int], None]],
                       stats: ReplayStats) -> None:
-        """Stream ``reports`` as column frames of up to ``_COLUMN_BATCH``.
+        """Stream ``batch`` as column frames of up to ``_COLUMN_BATCH`` rows.
 
-        With a ``client_id``, ``reports[i]`` carries ``seq = i + 1`` and
+        With a ``client_id``, row ``i`` carries ``seq = i + 1`` and
         a dropped connection is retried; the resume index always comes
         from the server's ``last_seq``, so the loop converges no matter
         how far a restarted server's checkpoint rewound.  Without one,
         the rows carry no seqs and a connection error propagates.
         """
-        index = min(self.last_seq, len(reports))
+        times = batch.t.tolist()
+        index = min(self.last_seq, len(times))
         stats.resumed_skipped = index
         delays = None  # reset after any progress; built lazily on failure
         progressed_at = index
@@ -441,34 +442,34 @@ class IngestClient:
             try:
                 if not self.connected:
                     await self.connect()
-                    index = min(self.last_seq, len(reports))
+                    index = min(self.last_seq, len(times))
                 prev_t: Optional[float] = None
-                batch = 0
+                pending = 0
                 first = index  # first row not yet sent
-                while index < len(reports):
-                    report = reports[index]
+                while index < len(times):
+                    t = times[index]
                     if speed > 0 and prev_t is not None:
-                        gap = (report.timestamp_s - prev_t) / speed
+                        gap = (t - prev_t) / speed
                         if gap > 0:
-                            self._flush_column(reports, first, index, stats)
+                            self._flush_column(batch, first, index, stats)
                             first = index
                             await asyncio.sleep(gap)
-                    prev_t = report.timestamp_s
+                    prev_t = t
                     if self._writer.is_closing():
                         raise ConnectionResetError(
                             "server closed the connection")
                     index += 1
-                    batch += 1
-                    if batch >= _COLUMN_BATCH:
-                        self._flush_column(reports, first, index, stats)
+                    pending += 1
+                    if pending >= _COLUMN_BATCH:
+                        self._flush_column(batch, first, index, stats)
                         first = index
                         await self._writer.drain()
-                        batch = 0
+                        pending = 0
                         if progress is not None:
                             progress(stats.sent)
                         for message in self._drain_inbox_nowait():
                             self._absorb(message, stats)
-                self._flush_column(reports, first, index, stats)
+                self._flush_column(batch, first, index, stats)
                 await self._writer.drain()
                 flushed = await self.flush()
                 if flushed is not None:

@@ -1,11 +1,22 @@
-"""Test helper: the per-read report synthesis reference.
+"""Test helper: the per-read reader references.
 
-``Reader.run`` synthesises a run's reads in whole-run passes straight
-into one time-ordered :class:`~repro.reader.batch.ReportBatch`: the lazy
-per-link draws are made only at each link's first touch (and at the
-reads past the last materialised hop), and the phase of every read is
-one elementwise pass.  This module keeps the form it replaced, which
-touched every read in Python:
+Two references stand behind ``Reader.run``, which probes the MAC through
+per-run link tables and synthesises a run's reads in whole-run passes
+straight into one time-ordered :class:`~repro.reader.batch.ReportBatch`.
+
+:func:`scalar_run` is the per-slot, per-read reader that the batched one
+replaced.  Each singleton slot is probed by evaluating the tag's
+trajectory and antenna pattern and calling
+:meth:`~repro.rf.propagation.LinkBudget.sample_read`; each read is then
+built on its own, one RF model call per term, as a frozen
+:class:`~repro.reader.tagreport.TagReport`.  It makes the MAC's random
+draws in the same order as the link tables, so a reader built from the
+same seed reads the same (timestamp, EPC, channel, antenna) skeleton.
+With per-read noise disabled the reports are identical too; with it on,
+the per-read draws interleave differently.
+
+:func:`reference_run` keeps the synthesis that touched every read in
+Python:
 
 * a pre-pass in exact event order that looks up each read's hop and
   touches its multipath tone set, circuit phase offset, static fade and
@@ -14,29 +25,162 @@ touched every read in Python:
 * one frozen :class:`~repro.reader.tagreport.TagReport` per read,
   sorted by timestamp.
 
-:func:`reference_run` drives the MAC exactly as the vectorised reader
-does (:func:`mac_events`) and then synthesises with that code
-(:func:`build_reports`), so a reader built from the same seed must
-return the same columns, byte for byte.  Tests compare
-the reader against this code, never against itself.
+It drives the MAC exactly as the reader does (:func:`mac_events`) and
+then synthesises with that code (:func:`build_reports`), so a reader
+built from the same seed must return the same columns, byte for byte.
+Tests compare the reader against this code, never against itself.
 """
 
+import math
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.epc.gen2 import Gen2Inventory
 from repro.epc.select import SelectCommand
+from repro.reader.antenna import Antenna
+from repro.reader.batch import ReportBatch
 from repro.reader.reader import Reader, _LinkTable
 from repro.reader.tagreport import TagReport
 from repro.rf.doppler import doppler_report
 from repro.rf.noise import quantize_rssi
 
 
+def _select_keys(env, select: Optional[SelectCommand]) -> List[Hashable]:
+    """The tags that take part in the inventory."""
+    keys = list(env.tag_keys())
+    if select is not None:
+        keys = [k for k in keys if select.matches(env.epc(k))]
+    return keys
+
+
+def scalar_run(reader: Reader, env, duration_s: float, t_start: float = 0.0,
+               select: Optional[SelectCommand] = None) -> ReportBatch:
+    """``Reader.run`` with a per-slot MAC probe and per-read synthesis."""
+    keys = _select_keys(env, select)
+    if not keys:
+        return ReportBatch.from_reports([])
+    scheduler = reader._scheduler
+
+    def situational_and_pattern(key: Hashable, t: float, antenna: Antenna,
+                                pos: np.ndarray) -> float:
+        situational = env.extra_loss_db(key, t, antenna)
+        if math.isinf(situational):
+            return math.inf
+        pattern = antenna.peak_gain_dbi - antenna.gain_dbi_toward(pos)
+        return situational + pattern
+
+    def energized(key: Hashable, t: float) -> bool:
+        antenna = scheduler.active_at(t)
+        pos = env.position_m(key, t)
+        return not math.isinf(situational_and_pattern(key, t, antenna, pos))
+
+    def link_ok(key: Hashable, t: float) -> bool:
+        antenna = scheduler.active_at(t)
+        # One position evaluation threaded through loss *and* distance.
+        pos = env.position_m(key, t)
+        loss = situational_and_pattern(key, t, antenna, pos)
+        if math.isinf(loss):
+            return False
+        channel = reader._hops.channel_at(t)
+        distance = antenna.distance_to(pos)
+        rssi = reader._budget.sample_read(
+            distance, channel.frequency_hz, reader._rng, extra_loss_db=loss
+        )
+        return rssi is not None
+
+    def population(t: float) -> List[Hashable]:
+        return [k for k in keys if energized(k, t)]
+
+    inventory = Gen2Inventory(
+        keys, config=reader._gen2_config, rng=reader._rng,
+        link_ok=link_ok, population=population,
+    )
+    events = inventory.run_for(duration_s, t_start=t_start)
+    reports = [_build_report(reader, env, key, t_read)
+               for t_read, key in events]
+    reports.sort(key=lambda r: r.timestamp_s)
+    return ReportBatch.from_reports(reports)
+
+
+def _radial_velocity(reader: Reader, env, key: Hashable, antenna: Antenna,
+                     t: float) -> float:
+    """Radial velocity toward/away from the antenna by central difference.
+
+    The difference window is clamped into non-negative time while
+    keeping its full ``2 * eps`` width.
+    """
+    eps = reader.VELOCITY_EPS_S
+    t_lo = max(0.0, t - eps)
+    t_hi = t_lo + 2.0 * eps
+    d_lo = antenna.distance_to(env.position_m(key, t_lo))
+    d_hi = antenna.distance_to(env.position_m(key, t_hi))
+    return (d_hi - d_lo) / (2.0 * eps)
+
+
+def _reported_rssi(reader: Reader, key: Hashable, antenna: Antenna, channel,
+                   distance: float, loss_db: float) -> float:
+    """RSSI as the reader would report it (before quantisation).
+
+    Deterministic link budget + a static per-link fading level + a
+    standing-wave ripple that moves with the tag's displacement + small
+    per-read jitter.
+    """
+    fade, ripple_phase = reader._rssi_link_state(key, antenna.port,
+                                                 channel.index)
+    base = reader._budget.rx_power_dbm(
+        distance, channel.frequency_hz, extra_loss_db=loss_db
+    )
+    ripple = reader.RSSI_RIPPLE_DB * math.sin(
+        4.0 * math.pi * distance / channel.wavelength_m + ripple_phase
+    )
+    if reader.RSSI_JITTER_DB == 0.0:
+        jitter = 0.0
+    else:
+        jitter = float(reader._rng.normal(0.0, reader.RSSI_JITTER_DB))
+    return base + fade + ripple + jitter
+
+
+def _build_report(reader: Reader, env, key: Hashable, t: float) -> TagReport:
+    """One read, built term by term from the scalar RF models."""
+    antenna = reader._scheduler.active_at(t)
+    channel = reader._hops.channel_at(t)
+    pos = env.position_m(key, t)
+    distance = antenna.distance_to(pos)
+    loss = env.extra_loss_db(key, t, antenna)
+    loss = 0.0 if math.isinf(loss) else loss
+    snr_db = reader._budget.snr_db(distance, channel.frequency_hz,
+                                   extra_loss_db=loss)
+
+    noise = reader._phase_noise.sample(snr_db, reader._rng)
+    noise += reader._multipath.phase_offset(
+        (key, channel.index, antenna.port), t, distance
+    )
+    phase = reader._phase_model_for(key, antenna.port).phase(
+        distance, channel, noise)
+
+    velocity = _radial_velocity(reader, env, key, antenna, t)
+    doppler = doppler_report(
+        velocity, channel.wavelength_m, reader._rng,
+        phase_noise_rad=reader._phase_noise.sigma(snr_db),
+    )
+
+    rssi_dbm = _reported_rssi(reader, key, antenna, channel, distance, loss)
+    return TagReport(
+        epc=env.epc(key),
+        timestamp_s=t,
+        phase_rad=phase,
+        rssi_dbm=quantize_rssi(rssi_dbm, reader.config.rssi_resolution_db),
+        doppler_hz=doppler,
+        channel_index=channel.index,
+        antenna_port=antenna.port,
+    )
+
+
 def reference_run(reader: Reader, env, duration_s: float,
                   t_start: float = 0.0,
                   select: Optional[SelectCommand] = None) -> List[TagReport]:
-    """``Reader.run`` (vectorised MAC) with the per-read synthesis."""
+    """``Reader.run`` (tabled MAC) with the per-read synthesis."""
     reports = build_reports(
         reader, env, mac_events(reader, env, duration_s, t_start, select))
     reports.sort(key=lambda r: r.timestamp_s)
@@ -46,12 +190,10 @@ def reference_run(reader: Reader, env, duration_s: float,
 def mac_events(reader: Reader, env, duration_s: float, t_start: float = 0.0,
                select: Optional[SelectCommand] = None
                ) -> List[Tuple[float, Hashable]]:
-    """The read events of the vectorised reader's MAC pass."""
-    keys = list(env.tag_keys())
-    if select is not None:
-        keys = [k for k in keys if select.matches(env.epc(k))]
-        if not keys:
-            return []
+    """The read events of the reader's tabled MAC pass."""
+    keys = _select_keys(env, select)
+    if not keys:
+        return []
     links = _LinkTable(env, keys, reader._scheduler, reader._hops,
                        reader._budget, reader._rng)
     inventory = Gen2Inventory(

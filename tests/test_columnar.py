@@ -2,10 +2,12 @@
 
 Two contracts are property-tested here (hypothesis):
 
-* ``TagBreathe.feed_batch`` is **bit-exact** with a loop of ``feed``
-  calls — same drop counters, same stored columns, same per-stream
-  tails and prune counters — under adversarial orderings (late,
-  duplicate, invalid-channel and interleaved-stream deliveries);
+* ``TagBreathe.feed_batch`` (and ``feed_many``, which columnises its
+  input into one ``feed_batch`` call) is **bit-exact** with a loop of
+  ``feed`` calls — same drop counters, same stored columns, same
+  per-stream tails and prune counters — under adversarial orderings
+  (late, duplicate, invalid-channel, unmonitored-user and
+  interleaved-stream deliveries);
 * the binary column frame round-trips every batch losslessly, and its
   decoder rejects truncated, padded, or corrupted payloads with a typed
   :class:`~repro.errors.ProtocolError` instead of misparsing them.
@@ -83,20 +85,27 @@ class TestFeedBatchEquivalence:
     @given(st.lists(_row, min_size=1, max_size=120),
            st.integers(min_value=1, max_value=7))
     def test_bit_exact_with_sequential_feed(self, rows, n_chunks):
+        # Rows arrive shuffled, duplicated, late and on invalid channels;
+        # with ``user_ids`` set, user 3's rows are unmonitored too.
         reports = _reports(rows)
-        scalar = TagBreathe()
-        batched = TagBreathe()
-        accepted_scalar = sum(scalar.feed(r) for r in reports)
-        accepted_batched = 0
-        for chunk in np.array_split(np.arange(len(reports)), n_chunks):
-            if chunk.size:
-                batch = ReportBatch.from_reports(
-                    [reports[i] for i in chunk])
-                accepted_batched += batched.feed_batch(batch)
-        assert accepted_batched == accepted_scalar
-        assert batched.feed_drop_counts == scalar.feed_drop_counts
-        # Every stored column, stream tail and prune counter, per user.
-        assert batched._inc.snapshot() == scalar._inc.snapshot()
+        for user_ids in (None, {1, 2}):
+            scalar = TagBreathe(user_ids=user_ids)
+            batched = TagBreathe(user_ids=user_ids)
+            many = TagBreathe(user_ids=user_ids)
+            accepted_scalar = sum(scalar.feed(r) for r in reports)
+            accepted_batched = 0
+            for chunk in np.array_split(np.arange(len(reports)), n_chunks):
+                if chunk.size:
+                    batch = ReportBatch.from_reports(
+                        [reports[i] for i in chunk])
+                    accepted_batched += batched.feed_batch(batch)
+            assert accepted_batched == accepted_scalar
+            assert many.feed_many(iter(reports)) == accepted_scalar
+            for engine in (batched, many):
+                assert engine.feed_drop_counts == scalar.feed_drop_counts
+                # Every stored column, stream tail and prune counter,
+                # per user.
+                assert engine._inc.snapshot() == scalar._inc.snapshot()
 
     def test_estimates_bit_exact_on_simulated_capture(self):
         scenario = Scenario([

@@ -4,19 +4,15 @@ The observability layer promises that a seeded run is replayable — span
 IDs are sequential in emission order, ``wall_s`` is opt-in, and metric
 snapshots order instruments deterministically.  These tests run the same
 capture twice in one process and demand *byte* equality of the JSONL
-event stream and value equality of the non-volatile metric snapshot, on
-both reader paths.
+event stream and value equality of the non-volatile metric snapshot.
 """
 
 from __future__ import annotations
 
 import warnings
 
-import pytest
-
 from repro import obs
 from repro.body import MetronomeBreathing, Subject
-from repro.config import ReaderConfig
 from repro.core.pipeline import TagBreathe
 from repro.errors import DegradedEstimateWarning
 from repro.obs.export import events_to_jsonl, to_prometheus
@@ -35,13 +31,10 @@ def _scenario() -> Scenario:
     return Scenario(subjects).with_contending_tags(3, seed=3)
 
 
-def _capture_telemetry(vectorized: bool, detail: str = "round"):
+def _capture_telemetry(detail: str = "round"):
     """One fully traced run; returns (jsonl bytes, metric snapshot, prom)."""
     with obs.capture(detail=detail) as (tracer, registry):
-        result = run_scenario(
-            _scenario(), duration_s=6.0, seed=11,
-            reader_config=ReaderConfig(vectorized=vectorized),
-        )
+        result = run_scenario(_scenario(), duration_s=6.0, seed=11)
         pipeline = TagBreathe(user_ids={1, 2})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
@@ -54,23 +47,21 @@ def _capture_telemetry(vectorized: bool, detail: str = "round"):
     return jsonl, snapshot, prom
 
 
-@pytest.mark.parametrize("vectorized", [True, False],
-                         ids=["vectorized", "scalar"])
 class TestRunDeterminism:
-    def test_event_stream_byte_identical(self, vectorized):
-        first, _, _ = _capture_telemetry(vectorized)
-        second, _, _ = _capture_telemetry(vectorized)
+    def test_event_stream_byte_identical(self):
+        first, _, _ = _capture_telemetry()
+        second, _, _ = _capture_telemetry()
         assert first == second
 
-    def test_metric_snapshot_identical(self, vectorized):
-        _, first, first_prom = _capture_telemetry(vectorized)
-        _, second, second_prom = _capture_telemetry(vectorized)
+    def test_metric_snapshot_identical(self):
+        _, first, first_prom = _capture_telemetry()
+        _, second, second_prom = _capture_telemetry()
         assert first == second
         assert first_prom == second_prom
 
-    def test_slot_detail_also_deterministic(self, vectorized):
-        first, _, _ = _capture_telemetry(vectorized, detail="slot")
-        second, _, _ = _capture_telemetry(vectorized, detail="slot")
+    def test_slot_detail_also_deterministic(self):
+        first, _, _ = _capture_telemetry(detail="slot")
+        second, _, _ = _capture_telemetry(detail="slot")
         assert first == second
 
 

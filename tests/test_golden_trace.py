@@ -3,9 +3,9 @@ exactly the trace (and breathing estimates) committed under ``tests/data``.
 
 The scenario is one user breathing at a metronomic 24 bpm for 12 s —
 the shortest capture that clears both pipeline floors (>= 10 s of track,
->= 7 zero crossings) with margin on both reader paths.  Scalar and
-vectorized synthesis consume identical MAC randomness but interleave
-per-read noise draws differently, so each path has its own golden file.
+>= 7 zero crossings) with margin.  The trace lives in
+``golden_trace_vectorized.jsonl`` and the estimate under the
+``"vectorized"`` key of ``golden_trace_expected.json``.
 
 Comparison is on parsed JSON with floats rounded to 6 decimals —
 byte-exactness across platforms/BLAS builds is not promised by the
@@ -30,7 +30,6 @@ import pytest
 
 from repro import obs
 from repro.body import MetronomeBreathing, Subject
-from repro.config import ReaderConfig
 from repro.core.pipeline import TagBreathe
 from repro.errors import DegradedEstimateWarning
 from repro.obs.export import events_to_jsonl
@@ -39,6 +38,8 @@ from repro.sim.scenario import Scenario
 
 DATA_DIR = Path(__file__).parent / "data"
 EXPECTED_PATH = DATA_DIR / "golden_trace_expected.json"
+GOLDEN_PATH = DATA_DIR / "golden_trace_vectorized.jsonl"
+EXPECTED_KEY = "vectorized"
 
 SEED = 7
 DURATION_S = 12.0
@@ -52,13 +53,11 @@ def _golden_scenario() -> Scenario:
     return Scenario([subject])
 
 
-def _run(vectorized: bool):
+def _run():
     """One traced end-to-end run; returns (events, estimates, failures)."""
     with obs.capture(detail="round") as (tracer, _registry):
-        result = run_scenario(
-            _golden_scenario(), duration_s=DURATION_S, seed=SEED,
-            reader_config=ReaderConfig(vectorized=vectorized),
-        )
+        result = run_scenario(_golden_scenario(), duration_s=DURATION_S,
+                              seed=SEED)
         pipeline = TagBreathe(user_ids={1})
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
@@ -83,18 +82,11 @@ def _canonical(jsonl_text: str):
             for line in jsonl_text.splitlines() if line]
 
 
-def _golden_path(vectorized: bool) -> Path:
-    name = "vectorized" if vectorized else "scalar"
-    return DATA_DIR / f"golden_trace_{name}.jsonl"
-
-
-@pytest.mark.parametrize("vectorized", [True, False],
-                         ids=["vectorized", "scalar"])
 class TestGoldenTrace:
-    def test_trace_matches_committed_golden(self, vectorized):
-        events, _estimates, _failures = _run(vectorized)
+    def test_trace_matches_committed_golden(self):
+        events, _estimates, _failures = _run()
         actual = _canonical(events_to_jsonl(events))
-        golden = _canonical(_golden_path(vectorized).read_text())
+        golden = _canonical(GOLDEN_PATH.read_text())
         assert len(actual) == len(golden), (
             f"event count drifted: {len(actual)} != {len(golden)} — if the "
             "trace schema changed intentionally, regenerate with "
@@ -103,16 +95,14 @@ class TestGoldenTrace:
         for i, (a, g) in enumerate(zip(actual, golden)):
             assert a == g, f"trace diverges at event {i}: {a!r} != {g!r}"
 
-    def test_estimates_match_committed_golden(self, vectorized):
-        _events, estimates, failures = _run(vectorized)
-        expected = json.loads(EXPECTED_PATH.read_text())
-        key = "vectorized" if vectorized else "scalar"
+    def test_estimates_match_committed_golden(self):
+        _events, estimates, failures = _run()
+        expected = json.loads(EXPECTED_PATH.read_text())[EXPECTED_KEY]
         assert failures == {}
         assert set(estimates) == {1}
         est = estimates[1]
-        assert est.rate_bpm == pytest.approx(expected[key]["rate_bpm"],
-                                             abs=1e-6)
-        assert est.confidence == pytest.approx(expected[key]["confidence"],
+        assert est.rate_bpm == pytest.approx(expected["rate_bpm"], abs=1e-6)
+        assert est.confidence == pytest.approx(expected["confidence"],
                                                abs=1e-6)
         # The estimate must also be *right*: within the paper's ~0.5 bpm
         # error envelope of the metronome truth.
@@ -122,17 +112,14 @@ class TestGoldenTrace:
 def regenerate() -> None:
     """Rewrite the golden files from the current implementation."""
     DATA_DIR.mkdir(exist_ok=True)
-    expected = {}
-    for vectorized in (True, False):
-        key = "vectorized" if vectorized else "scalar"
-        events, estimates, failures = _run(vectorized)
-        assert failures == {}, failures
-        _golden_path(vectorized).write_text(events_to_jsonl(events))
-        est = estimates[1]
-        expected[key] = {"rate_bpm": est.rate_bpm,
-                         "confidence": est.confidence}
-        print(f"{_golden_path(vectorized).name}: {len(events)} events, "
-              f"rate={est.rate_bpm:.4f} bpm conf={est.confidence:.4f}")
+    events, estimates, failures = _run()
+    assert failures == {}, failures
+    GOLDEN_PATH.write_text(events_to_jsonl(events))
+    est = estimates[1]
+    expected = {EXPECTED_KEY: {"rate_bpm": est.rate_bpm,
+                               "confidence": est.confidence}}
+    print(f"{GOLDEN_PATH.name}: {len(events)} events, "
+          f"rate={est.rate_bpm:.4f} bpm conf={est.confidence:.4f}")
     EXPECTED_PATH.write_text(json.dumps(expected, indent=2, sort_keys=True)
                              + "\n")
     print(f"{EXPECTED_PATH.name}: written")

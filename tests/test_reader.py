@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.epc import EPC96
+from repro.epc import EPC96, select_user
 from repro.errors import AntennaError, ConfigError, ReaderError
 from repro.config import ReaderConfig
 from repro.reader import (
@@ -269,21 +269,26 @@ class TestReader:
         with pytest.raises(ReaderError):
             Reader().run(scenario, 0.0)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
+    # A Select matching no tag returns an empty batch early; the window
+    # is checked before that return as well as on the inventory path.
+    @pytest.mark.parametrize("empty_select", [True, False])
     @pytest.mark.parametrize("duration_s, t_start", [
         (math.nan, 0.0), (math.inf, 0.0), (-1.0, 0.0),
         (1.0, math.nan), (1.0, math.inf),
     ])
-    def test_non_finite_window_rejected(self, vectorized, duration_s, t_start):
-        reader = Reader(config=ReaderConfig(vectorized=vectorized))
+    def test_non_finite_window_rejected(self, empty_select, duration_s,
+                                        t_start):
+        select = select_user(42) if empty_select else None
         with pytest.raises(ReaderError):
-            reader.run(Scenario.single_user(), duration_s, t_start=t_start)
+            Reader().run(Scenario.single_user(), duration_s,
+                         t_start=t_start, select=select)
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_negative_start_rejected_on_both_paths(self, vectorized):
-        reader = Reader(config=ReaderConfig(vectorized=vectorized))
+    @pytest.mark.parametrize("empty_select", [True, False])
+    def test_negative_start_rejected_on_both_paths(self, empty_select):
+        select = select_user(42) if empty_select else None
         with pytest.raises(ReaderError, match="t_start"):
-            reader.run(Scenario.single_user(), 1.0, t_start=-0.5)
+            Reader().run(Scenario.single_user(), 1.0, t_start=-0.5,
+                         select=select)
 
     def test_blocked_user_yields_no_reports(self):
         scenario = Scenario([Subject(user_id=1, distance_m=4.0,

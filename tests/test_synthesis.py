@@ -128,10 +128,3 @@ class TestBitExactSynthesis:
     def test_consecutive_runs_share_the_link_state(self):
         # The second run finds the first run's links already drawn.
         _check(lambda: benchmark_scenario(2, seed=5), 5, 8.0, runs=2)
-
-    def test_scalar_path_returns_a_batch(self):
-        config = ReaderConfig(vectorized=False)
-        reader = Reader(config=config, rng=np.random.default_rng(1))
-        reports = reader.run(Scenario.single_user(), 2.0)
-        assert isinstance(reports, ReportBatch)
-        assert np.all(np.diff(reports.t) >= 0.0)

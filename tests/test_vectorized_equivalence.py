@@ -1,17 +1,19 @@
-"""Scalar-vs-vectorized equivalence of the report-synthesis paths.
+"""The reader against its per-read oracle, ``scalar_run``.
 
-The determinism contract (DESIGN.md, "Performance architecture"):
+``tests/synthesis_reference.py::scalar_run`` probes every singleton slot
+with ``LinkBudget.sample_read`` and builds every read on its own.  The
+determinism contract (DESIGN.md, "Performance architecture"):
 
-* With per-read noise disabled, both paths consume identical RNG streams
-  — lazy per-link state (multipath tones, circuit offsets, static fades,
-  ripple phases) is materialised through the same draws in the same
-  order — so they emit *identical* report streams for a given seed.
-  Timestamps and integer fields match exactly; float physics matches to
-  1e-9 (math-vs-numpy associativity).
-* With noise enabled, each path is deterministic per seed, both see the
-  same read-event stream, and end-to-end estimates agree to 0.1 bpm.
-* The vectorized MAC probes read per-run link tables; they decide every
-  slot as the scalar probes do, so the read-event skeleton (timestamp,
+* With per-read noise disabled, ``Reader.run`` and the oracle consume
+  identical RNG streams — lazy per-link state (multipath tones, circuit
+  offsets, static fades, ripple phases) is materialised through the same
+  draws in the same order — so they emit *identical* report streams for
+  a given seed.  Timestamps and integer fields match exactly; float
+  physics matches to 1e-9 (math-vs-numpy associativity).
+* With noise enabled, each is deterministic per seed, both see the same
+  read-event stream, and end-to-end estimates agree to 0.1 bpm.
+* The reader's MAC probes read per-run link tables; they decide every
+  slot as the oracle's probes do, so the read-event skeleton (timestamp,
   EPC, channel, antenna) is the same whatever the environment declares
   static.  Most probes are decided from power bounds over each tag's
   position envelope; the captures are the same with the envelope hidden.
@@ -45,6 +47,8 @@ from repro.rf.noise import PhaseNoiseModel
 from repro.rf.propagation import LinkBudget, PathLossModel
 from repro.sim.scenario import Scenario
 
+from .synthesis_reference import scalar_run
+
 
 def _scenario(users: int = 1, contending: int = 5) -> Scenario:
     subjects = [
@@ -58,20 +62,21 @@ def _scenario(users: int = 1, contending: int = 5) -> Scenario:
     return scenario
 
 
-def _run(vectorized: bool, scenario: Scenario, seed: int = 42,
+def _run(run, scenario: Scenario, seed: int = 42,
          duration_s: float = 5.0, noise_free: bool = True,
          num_antennas: int = 1):
+    """One capture by ``run``: ``Reader.run`` or the ``scalar_run`` oracle."""
     kwargs = {}
     if noise_free:
         kwargs["phase_noise"] = PhaseNoiseModel(floor_rad=0.0, ref_rad=0.0)
     reader = Reader(
-        config=ReaderConfig(vectorized=vectorized, num_antennas=num_antennas),
+        config=ReaderConfig(num_antennas=num_antennas),
         rng=np.random.default_rng(seed),
         **kwargs,
     )
     if noise_free:
         reader.RSSI_JITTER_DB = 0.0
-    return reader.run(scenario, duration_s=duration_s)
+    return run(reader, scenario, duration_s)
 
 
 def _assert_reports_equivalent(a, b, float_tol: float = 1e-9) -> None:
@@ -91,21 +96,21 @@ class TestExactEquivalence:
 
     def test_single_user_with_contention(self):
         scenario = _scenario()
-        vec = _run(True, scenario)
-        ref = _run(False, scenario)
+        vec = _run(Reader.run, scenario)
+        ref = _run(scalar_run, scenario)
         assert len(vec) > 100
         _assert_reports_equivalent(vec, ref)
 
     def test_multi_user(self):
         scenario = _scenario(users=3, contending=0)
         _assert_reports_equivalent(
-            _run(True, scenario), _run(False, scenario)
+            _run(Reader.run, scenario), _run(scalar_run, scenario)
         )
 
     def test_multi_antenna(self):
         scenario = _scenario(users=2)
-        vec = _run(True, scenario, num_antennas=2)
-        ref = _run(False, scenario, num_antennas=2)
+        vec = _run(Reader.run, scenario, num_antennas=2)
+        ref = _run(scalar_run, scenario, num_antennas=2)
         assert {r.antenna_port for r in vec} == {1, 2}
         _assert_reports_equivalent(vec, ref)
 
@@ -114,7 +119,7 @@ class TestExactEquivalence:
             .with_contending_tags(6, seed=9).contending_tags
         scenario = Scenario([], items)
         _assert_reports_equivalent(
-            _run(True, scenario), _run(False, scenario)
+            _run(Reader.run, scenario), _run(scalar_run, scenario)
         )
 
 
@@ -123,23 +128,25 @@ class TestNoisyPath:
 
     def test_vectorized_deterministic_per_seed(self):
         scenario = _scenario()
-        a = _run(True, scenario, noise_free=False)
-        b = _run(True, scenario, noise_free=False)
+        a = _run(Reader.run, scenario, noise_free=False)
+        b = _run(Reader.run, scenario, noise_free=False)
         assert a == b
 
     def test_scalar_deterministic_per_seed(self):
+        # The oracle itself replays per seed, or comparing against it
+        # would prove nothing.
         scenario = _scenario()
-        a = _run(False, scenario, noise_free=False)
-        b = _run(False, scenario, noise_free=False)
+        a = _run(scalar_run, scenario, noise_free=False)
+        b = _run(scalar_run, scenario, noise_free=False)
         assert a == b
 
     def test_same_event_stream_across_paths(self):
-        # MAC arbitration consumes identical draws on both paths, so the
-        # (timestamp, EPC, channel, antenna) skeleton is shared even
-        # though per-read noise values differ.
+        # MAC arbitration consumes identical draws in the reader and the
+        # oracle, so the (timestamp, EPC, channel, antenna) skeleton is
+        # shared even though per-read noise values differ.
         scenario = _scenario(users=2)
-        vec = _run(True, scenario, noise_free=False)
-        ref = _run(False, scenario, noise_free=False)
+        vec = _run(Reader.run, scenario, noise_free=False)
+        ref = _run(scalar_run, scenario, noise_free=False)
         assert [(r.timestamp_s, r.epc, r.channel_index, r.antenna_port)
                 for r in vec] == \
                [(r.timestamp_s, r.epc, r.channel_index, r.antenna_port)
@@ -147,21 +154,21 @@ class TestNoisyPath:
 
     def test_end_to_end_estimates_within_tolerance(self):
         # Different noise interleaving must not move the breathing-rate
-        # estimate: both paths' captures agree to 0.1 bpm per user.
+        # estimate: the reader's and the oracle's captures agree to
+        # 0.1 bpm per user.
         scenario = _scenario(users=2, contending=5)
-        estimates = {}
-        for vectorized in (True, False):
-            reports = _run(vectorized, scenario, duration_s=40.0,
-                           noise_free=False)
+        estimates = []
+        for run in (Reader.run, scalar_run):
+            reports = _run(run, scenario, duration_s=40.0, noise_free=False)
             pipeline = TagBreathe(user_ids={1, 2})
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", DegradedEstimateWarning)
-                estimates[vectorized] = pipeline.process(reports)
-        assert set(estimates[True]) == set(estimates[False])
-        for uid in estimates[True]:
-            assert estimates[True][uid].rate_bpm == pytest.approx(
-                estimates[False][uid].rate_bpm, abs=0.1
-            )
+                estimates.append(pipeline.process(reports))
+        got, want = estimates
+        assert set(got) == set(want)
+        for uid in got:
+            assert got[uid].rate_bpm == pytest.approx(want[uid].rate_bpm,
+                                                      abs=0.1)
 
 
 def _skeleton(reports):
@@ -181,7 +188,7 @@ class _ProbedEnvironment:
     """A scenario seen only through the four required protocol methods.
 
     Hiding ``situational_loss_db_static`` and ``position_envelope_m`` makes
-    the vectorized reader filter each round's population and probe every
+    the reader filter each round's population and probe every
     link exactly per slot instead of reading its per-run tables.
     """
 
@@ -262,28 +269,26 @@ def _turned_away_scenario() -> Scenario:
     return Scenario([subject]).with_contending_tags(6, seed=5)
 
 
-def _reader(vectorized: bool, seed: int, antennas=None, link_budget=None,
-            rng=None) -> Reader:
-    config = ReaderConfig(vectorized=vectorized,
-                          num_antennas=len(antennas) if antennas else 1)
+def _reader(seed: int, antennas=None, link_budget=None, rng=None) -> Reader:
+    config = ReaderConfig(num_antennas=len(antennas) if antennas else 1)
     return Reader(config=config, antennas=antennas, link_budget=link_budget,
                   rng=rng if rng is not None else np.random.default_rng(seed))
 
 
-def _run_with(vectorized: bool, env, seed: int, duration_s: float,
-              antennas=None, link_budget=None):
-    reader = _reader(vectorized, seed, antennas, link_budget)
-    return reader.run(env, duration_s=duration_s)
+def _run_with(run, env, seed: int, duration_s: float, antennas=None,
+              link_budget=None):
+    """One capture by ``run``: ``Reader.run`` or the ``scalar_run`` oracle."""
+    return run(_reader(seed, antennas, link_budget), env, duration_s)
 
 
 def _probe_counts(env, seed: int, duration_s: float, antennas=None):
-    """Per-tag ``[probes, exact probes]`` of one vectorized MAC pass.
+    """Per-tag ``[probes, exact probes]`` of one tabled MAC pass.
 
     Drives the run's link table through the Gen2 MAC as ``Reader.run``
     does, counting each tag's probes and those decided exactly.
     """
     rng = np.random.default_rng(seed)
-    reader = _reader(True, seed, antennas, rng=rng)
+    reader = _reader(seed, antennas, rng=rng)
     keys = list(env.tag_keys())
     links = _LinkTable(env, keys, reader.antenna_scheduler,
                        reader.hop_schedule, reader.link_budget, rng)
@@ -309,13 +314,13 @@ def _worn(counts, user_ids=None):
 
 
 class TestMacExactness:
-    """The per-run link tables decide every slot as the scalar probes do."""
+    """The per-run link tables decide every slot as the oracle's probes do."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_benchmark_shape_two_antennas(self, seed):
         scenario = benchmark_scenario(3, seed=seed)
-        vec = _run_with(True, scenario, seed, 25.0, _FACING_WALLS)
-        ref = _run_with(False, scenario, seed, 25.0, _FACING_WALLS)
+        vec = _run_with(Reader.run, scenario, seed, 25.0, _FACING_WALLS)
+        ref = _run_with(scalar_run, scenario, seed, 25.0, _FACING_WALLS)
         assert len(vec) > 1000
         assert {r.antenna_port for r in vec} == {1, 2}
         assert _skeleton(vec) == _skeleton(ref)
@@ -324,8 +329,8 @@ class TestMacExactness:
         scenario = _turned_away_scenario()
         subject = scenario.subjects[0]
         assert subject.extra_loss_db(1, 0.0, _FACING_WALLS[1]) == math.inf
-        vec = _run_with(True, scenario, 7, 10.0, _FACING_WALLS)
-        ref = _run_with(False, scenario, 7, 10.0, _FACING_WALLS)
+        vec = _run_with(Reader.run, scenario, 7, 10.0, _FACING_WALLS)
+        ref = _run_with(scalar_run, scenario, 7, 10.0, _FACING_WALLS)
         # The worn tags leave port 2's round population.  A read that port
         # 1 started can still end just after the switch: events are
         # stamped at the end of their slot and take the port in force then.
@@ -340,8 +345,8 @@ class TestMacExactness:
 
     def test_moving_tag_budget_follows_the_tag(self):
         env = _WalkingTag()
-        vec = _run_with(True, env, 3, 10.0)
-        ref = _run_with(False, env, 3, 10.0)
+        vec = _run_with(Reader.run, env, 3, 10.0)
+        ref = _run_with(scalar_run, env, 3, 10.0)
         assert _skeleton(vec) == _skeleton(ref)
         walker = EPC96.from_user_tag(1, 1)
         early = sum(r.epc == walker and r.timestamp_s < 2.0 for r in vec)
@@ -356,8 +361,8 @@ class TestMacExactness:
                             orientation_deg=40.0, lateral_offset_m=0.6,
                             sway_seed=3)]
         scenario = Scenario(subjects).with_contending_tags(6, seed=2)
-        vec = _run_with(True, scenario, 5, 15.0, _FACING_WALLS)
-        ref = _run_with(False, scenario, 5, 15.0, _FACING_WALLS)
+        vec = _run_with(Reader.run, scenario, 5, 15.0, _FACING_WALLS)
+        ref = _run_with(scalar_run, scenario, 5, 15.0, _FACING_WALLS)
         assert sum(r.user_id in (1, 2) for r in vec) > 300
         assert _skeleton(vec) == _skeleton(ref)
 
@@ -368,8 +373,8 @@ class TestMacExactness:
         scenario = Scenario([Subject(user_id=1, distance_m=2.5,
                                      breathing=breathing, sway_seed=6)]
                             ).with_contending_tags(6, seed=6)
-        vec = _run_with(True, scenario, 6, 20.0)
-        ref = _run_with(False, scenario, 6, 20.0)
+        vec = _run_with(Reader.run, scenario, 6, 20.0)
+        ref = _run_with(scalar_run, scenario, 6, 20.0)
         assert sum(r.user_id == 1 for r in vec) > 300
         assert _skeleton(vec) == _skeleton(ref)
 
@@ -385,8 +390,8 @@ class TestMacExactness:
         for tag in near.tags:
             assert antenna.gain_and_distance_bounds(
                 *near.tag_position_envelope_m(tag.tag_id)) is None
-        vec = _run_with(True, scenario, 8, 10.0)
-        ref = _run_with(False, scenario, 8, 10.0)
+        vec = _run_with(Reader.run, scenario, 8, 10.0)
+        ref = _run_with(scalar_run, scenario, 8, 10.0)
         assert sum(r.user_id == 1 for r in vec) > 100
         assert _skeleton(vec) == _skeleton(ref)
         counts = _probe_counts(scenario, 8, 10.0)
@@ -398,8 +403,8 @@ class TestMacExactness:
     def test_fading_free_budget(self):
         budget = LinkBudget(path_loss=PathLossModel(fading_sigma_db=0.0))
         scenario = benchmark_scenario(3, seed=4)
-        vec = _run_with(True, scenario, 4, 10.0, link_budget=budget)
-        ref = _run_with(False, scenario, 4, 10.0, link_budget=budget)
+        vec = _run_with(Reader.run, scenario, 4, 10.0, link_budget=budget)
+        ref = _run_with(scalar_run, scenario, 4, 10.0, link_budget=budget)
         assert len(vec) > 500
         assert _skeleton(vec) == _skeleton(ref)
 
@@ -410,8 +415,8 @@ class TestMacExactness:
             Subject(user_id=2, distance_m=2.5, lateral_offset_m=0.5,
                     sway_seed=2),
         ]).with_contending_tags(4, seed=1)
-        vec = _run_with(True, scenario, 2, 10.0)
-        ref = _run_with(False, scenario, 2, 10.0)
+        vec = _run_with(Reader.run, scenario, 2, 10.0)
+        ref = _run_with(scalar_run, scenario, 2, 10.0)
         assert _skeleton(vec) == _skeleton(ref)
         counts = _probe_counts(scenario, 2, 10.0)
         probes, exact = _worn(counts, {1})
@@ -422,9 +427,9 @@ class TestMacExactness:
     def test_probed_environment_matches_tabled(self):
         scenario = _turned_away_scenario()
         probed = _ProbedEnvironment(scenario)
-        vec = _run_with(True, probed, 7, 10.0, _FACING_WALLS)
-        ref = _run_with(False, probed, 7, 10.0, _FACING_WALLS)
-        tabled = _run_with(True, scenario, 7, 10.0, _FACING_WALLS)
+        vec = _run_with(Reader.run, probed, 7, 10.0, _FACING_WALLS)
+        ref = _run_with(scalar_run, probed, 7, 10.0, _FACING_WALLS)
+        tabled = _run_with(Reader.run, scenario, 7, 10.0, _FACING_WALLS)
         assert len(vec) > 300
         assert _skeleton(vec) == _skeleton(ref) == _skeleton(tabled)
 
@@ -466,16 +471,16 @@ class TestEnvelopeDecidedProbes:
     def test_captures_equal_with_the_envelope_hidden(self, users):
         for seed in range(8):
             scenario = benchmark_scenario(users, seed=seed)
-            decided = _run_with(True, scenario, seed, 10.0)
-            exact = _run_with(True, _EnvelopeHidden(scenario), seed, 10.0)
+            decided = _run_with(Reader.run, scenario, seed, 10.0)
+            exact = _run_with(Reader.run, _EnvelopeHidden(scenario), seed, 10.0)
             assert decided == exact
 
     def test_captures_equal_at_the_edge_of_range(self):
         exact_probes = 0
         for seed in range(8):
             scenario = _restless_at_range(seed)
-            decided = _run_with(True, scenario, seed, 10.0)
-            exact = _run_with(True, _EnvelopeHidden(scenario), seed, 10.0)
+            decided = _run_with(Reader.run, scenario, seed, 10.0)
+            exact = _run_with(Reader.run, _EnvelopeHidden(scenario), seed, 10.0)
             assert decided == exact
             exact_probes += _worn(_probe_counts(scenario, seed, 10.0))[1]
         assert exact_probes > 50  # the exact path really ran
@@ -484,7 +489,7 @@ class TestEnvelopeDecidedProbes:
                                       _lying_apnea])
     def test_every_exact_budget_lies_within_its_bounds(self, make):
         scenario = make(3) if make is benchmark_scenario else make(1)
-        reader = _reader(True, 1, _FACING_WALLS)
+        reader = _reader(1, _FACING_WALLS)
         keys = scenario.tag_keys()
         links = _LinkTable(scenario, keys, reader.antenna_scheduler,
                            reader.hop_schedule, reader.link_budget,
@@ -513,10 +518,3 @@ class TestEnvelopeDecidedProbes:
         assert probes > 1000
         assert exact < 0.01 * probes
 
-
-class TestConfigFlag:
-    def test_vectorized_defaults_on(self):
-        assert ReaderConfig().vectorized is True
-
-    def test_scalar_fallback_selectable(self):
-        assert ReaderConfig(vectorized=False).vectorized is False

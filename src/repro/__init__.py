@@ -46,7 +46,6 @@ from .core import (
     fft_peak_rate_bpm,
     fir_lowpass,
     fuse_streams,
-    group_reports_by_user,
     rate_series_bpm,
     zero_crossing_times,
 )
@@ -96,7 +95,7 @@ __all__ = [
     # core pipeline
     "TagBreathe", "UserEstimate", "BreathExtractor", "BreathingEstimate",
     "default_frequencies", "displacement_deltas", "displacement_track",
-    "fuse_streams", "group_reports_by_user", "fft_lowpass", "fir_lowpass",
+    "fuse_streams", "fft_lowpass", "fir_lowpass",
     "zero_crossing_times", "rate_series_bpm", "fft_peak_rate_bpm",
     "FFTPeakEstimator",
     "DEGRADED_REASONS", "FEED_DROP_KEYS",

@@ -24,7 +24,7 @@ from .preprocess import (
     displacement_deltas,
     displacement_track,
 )
-from .fusion import fuse_streams, fuse_sample_streams, group_reports_by_user, FusedStream
+from .fusion import fuse_streams, fuse_sample_streams, FusedStream
 from .filters import fft_lowpass, fir_lowpass, detrend_series
 from .zerocross import zero_crossing_times, instant_rates_bpm, rate_series_bpm
 from .spectral import fft_spectrum, fft_peak_rate_bpm, frequency_resolution_bpm
@@ -46,7 +46,6 @@ __all__ = [
     "displacement_track",
     "fuse_streams",
     "fuse_sample_streams",
-    "group_reports_by_user",
     "FusedStream",
     "fft_lowpass",
     "fir_lowpass",

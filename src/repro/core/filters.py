@@ -9,12 +9,15 @@
 Both filters are implemented.  The FFT brick-wall filter is the paper's
 primary choice; the FIR filter is the stated alternative (and is what a
 streaming implementation would prefer — no whole-window transform).
+
+Only the FIR filter needs ``scipy.signal``; it imports it on first call so
+that the default FFT pipeline (and everything that imports this package)
+runs on numpy alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import signal as sp_signal
 
 from ..errors import StreamError
 from ..streams.timeseries import TimeSeries
@@ -130,6 +133,8 @@ def fir_lowpass(series: TimeSeries, cutoff_hz: float = PAPER_CUTOFF_HZ,
     nyquist = rate_hz / 2.0
     if cutoff_hz >= nyquist:
         raise StreamError(f"cutoff {cutoff_hz} Hz >= Nyquist {nyquist:.3f} Hz")
+    from scipy import signal as sp_signal
+
     taps = num_taps | 1  # force odd for a symmetric (linear-phase) filter
     # filtfilt needs the signal to be longer than 3 * filter order.
     max_taps = max(3, (len(series) - 1) // 3)

@@ -18,12 +18,10 @@ incoherently — the SNR gain that rescues weak-signal scenarios.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Optional
 
 from ..errors import EmptyStreamError, StreamError
-from ..reader.tagreport import TagReport
 from ..streams.resample import bin_mean, bin_sum
 from ..streams.timeseries import TimeSeries
 from .preprocess import StreamKey
@@ -32,29 +30,6 @@ from .preprocess import StreamKey
 #: 20 Hz, far above any breathing frequency yet coarse enough that every
 #: bin usually contains reads from several tags.
 DEFAULT_BIN_S = 0.05
-
-
-def group_reports_by_user(
-    reports: Iterable[TagReport],
-    user_ids: Optional[Set[int]] = None,
-) -> Dict[int, List[TagReport]]:
-    """Split a capture by the EPC user-ID field (Fig. 9).
-
-    Args:
-        reports: the full capture (may include contending item tags).
-        user_ids: when given, only these users' reads are kept — this is
-            how the 3 monitoring tags are picked out from 30 contending
-            item tags in the Fig. 14 experiment.
-
-    Returns:
-        user_id -> that user's reads, order preserved.
-    """
-    grouped: Dict[int, List[TagReport]] = defaultdict(list)
-    for report in reports:
-        if user_ids is not None and report.user_id not in user_ids:
-            continue
-        grouped[report.user_id].append(report)
-    return dict(grouped)
 
 
 @dataclass(frozen=True)

@@ -278,10 +278,6 @@ def _gaussian_clear_probability(margin_db, sigma_db):
     margin = np.asarray(margin_db, dtype=float)
     if sigma_db == 0.0:
         return (margin > 0).astype(float)
-    try:
-        from scipy.special import erf as _erf
-    except ImportError:  # pragma: no cover - scipy is a hard dependency
-        from math import erf as _math_erf
+    from scipy.special import erf
 
-        _erf = np.vectorize(_math_erf)
-    return 0.5 * (1.0 + _erf(margin / (sigma_db * np.sqrt(2.0))))
+    return 0.5 * (1.0 + erf(margin / (sigma_db * np.sqrt(2.0))))

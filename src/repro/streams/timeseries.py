@@ -7,7 +7,7 @@ extraction stage (filtered breathing signals).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Tuple, Union
 
 import numpy as np
 
@@ -74,15 +74,6 @@ class TimeSeries:
     def empty(cls) -> "TimeSeries":
         """A series with no samples."""
         return cls(np.empty(0), np.empty(0))
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Tuple[float, float]]) -> "TimeSeries":
-        """Build from an iterable of ``(time, value)`` pairs."""
-        pair_list = list(pairs)
-        if not pair_list:
-            return cls.empty()
-        t, v = zip(*pair_list)
-        return cls(t, v)
 
     @classmethod
     def regular(cls, values: Iterable[float], rate_hz: float, t0: float = 0.0) -> "TimeSeries":
@@ -232,25 +223,6 @@ class TimeSeries:
             np.concatenate([self._times, other._times]),
             np.concatenate([self._values, other._values]),
         )
-
-    @staticmethod
-    def merge(series: Sequence["TimeSeries"]) -> "TimeSeries":
-        """Interleave several series by time.
-
-        Duplicate timestamps across the inputs are perturbed is *not* done;
-        instead the later duplicate is dropped, keeping strict monotonicity.
-        """
-        nonempty = [s for s in series if s]
-        if not nonempty:
-            return TimeSeries.empty()
-        if len(nonempty) == 1:
-            return nonempty[0]
-        t = np.concatenate([s.times for s in nonempty])
-        v = np.concatenate([s.values for s in nonempty])
-        order = np.argsort(t, kind="stable")
-        t, v = t[order], v[order]
-        keep = np.concatenate([[True], np.diff(t) > 0])
-        return TimeSeries.from_trusted(t[keep], v[keep])
 
     # ------------------------------------------------------------------
     # Internals

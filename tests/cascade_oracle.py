@@ -14,6 +14,7 @@ It emits no observability counters and no degraded-estimate warning
 either way), and it refuses an empty window with the engine's message.
 """
 
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -30,7 +31,6 @@ from repro.core.estimators import (
     resolve_estimator,
     track_roughness,
 )
-from repro.core.fusion import group_reports_by_user
 from repro.core.motion import STILL, apply_motion, score_motion
 from repro.core.pipeline import TagBreathe, UserEstimate
 from repro.core.preprocess import group_reports_by_stream
@@ -40,6 +40,29 @@ from repro.reader.tagreport import TagReport
 from repro.streams.windows import trailing_window_bounds
 
 from .stage5_reference import fused_track_counting
+
+
+def group_reports_by_user(
+    reports: Iterable[TagReport],
+    user_ids: Optional[Set[int]] = None,
+) -> Dict[int, List[TagReport]]:
+    """Split a capture by the EPC user-ID field (Fig. 9).
+
+    Args:
+        reports: the full capture (may include contending item tags).
+        user_ids: when given, only these users' reads are kept — this is
+            how the 3 monitoring tags are picked out from 30 contending
+            item tags in the Fig. 14 experiment.
+
+    Returns:
+        user_id -> that user's reads, order preserved.
+    """
+    grouped: Dict[int, List[TagReport]] = defaultdict(list)
+    for report in reports:
+        if user_ids is not None and report.user_id not in user_ids:
+            continue
+        grouped[report.user_id].append(report)
+    return dict(grouped)
 
 
 def sanitize_reports(

@@ -6,6 +6,8 @@ Eq. (6)/(7) fusion — as one segmented pass over Eq. (3) columns
 streaming tick alike.  This module keeps the per-stream form it
 replaced, stream by stream over ``TagReport`` lists:
 
+* :func:`series_from_pairs` and :func:`merge_series` — ``TimeSeries``
+  built from ``(time, value)`` pairs and interleaved by time;
 * :func:`phase_segments` — Eq. (3)/(4) unwrapped segments per
   (channel, antenna) group of one tag;
 * :func:`displacement_samples` — those segments demeaned (the Fig. 6
@@ -20,7 +22,7 @@ Tests compare the kernel against this code, never against itself.
 """
 
 from collections import defaultdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -38,6 +40,34 @@ from repro.errors import StreamError
 from repro.reader.tagreport import TagReport
 from repro.streams.timeseries import TimeSeries
 from repro.units import SPEED_OF_LIGHT, wrap_phase_delta
+
+
+def series_from_pairs(pairs: Iterable[Tuple[float, float]]) -> TimeSeries:
+    """Build a series from an iterable of ``(time, value)`` pairs."""
+    pair_list = list(pairs)
+    if not pair_list:
+        return TimeSeries.empty()
+    t, v = zip(*pair_list)
+    return TimeSeries(t, v)
+
+
+def merge_series(series: Sequence[TimeSeries]) -> TimeSeries:
+    """Interleave several series by time.
+
+    Of equal timestamps across the inputs only the first (in input
+    order) is kept, so the result stays strictly increasing.
+    """
+    nonempty = [s for s in series if s]
+    if not nonempty:
+        return TimeSeries.empty()
+    if len(nonempty) == 1:
+        return nonempty[0]
+    t = np.concatenate([s.times for s in nonempty])
+    v = np.concatenate([s.values for s in nonempty])
+    order = np.argsort(t, kind="stable")
+    t, v = t[order], v[order]
+    keep = np.concatenate([[True], np.diff(t) > 0])
+    return TimeSeries.from_trusted(t[keep], v[keep])
 
 
 def phase_segments(
@@ -90,7 +120,7 @@ def phase_segments(
             (report.timestamp_s, lam / (4.0 * np.pi) * unwrapped)
         )
     return {
-        group: [TimeSeries.from_pairs(seg) for seg in segments]
+        group: [series_from_pairs(seg) for seg in segments]
         for group, segments in chains.items()
     }
 
@@ -105,7 +135,7 @@ def displacement_samples(
 
     Demeans each :func:`phase_segments` segment of at least
     ``min_segment_len`` reads and merges them into one time-ordered
-    stream; ``TimeSeries.merge`` keeps the first of equal times, i.e.
+    stream; :func:`merge_series` keeps the first of equal times, i.e.
     the sample of the group that appeared first.
 
     Raises:
@@ -122,7 +152,7 @@ def displacement_samples(
                 kept.append(segment.demean())
     if not kept:
         return TimeSeries.empty()
-    return TimeSeries.merge(kept)
+    return merge_series(kept)
 
 
 def hampel_filter(series: TimeSeries, window: int = 3,

@@ -1,4 +1,4 @@
-"""Tests for multi-tag raw-data fusion (Eq. 6-7) and user grouping."""
+"""Tests for multi-tag raw-data fusion (Eq. 6-7)."""
 
 import numpy as np
 import pytest
@@ -7,24 +7,9 @@ from repro.core.fusion import (
     FusedStream,
     fuse_sample_streams,
     fuse_streams,
-    group_reports_by_user,
 )
-from repro.epc import EPC96
 from repro.errors import EmptyStreamError, StreamError
-from repro.reader import TagReport
 from repro.streams import TimeSeries
-
-
-def make_report(t, user, tag):
-    return TagReport(
-        epc=EPC96.from_user_tag(user, tag),
-        timestamp_s=t,
-        phase_rad=1.0,
-        rssi_dbm=-55.0,
-        doppler_hz=0.0,
-        channel_index=0,
-        antenna_port=1,
-    )
 
 
 def sine_stream(freq=0.2, duration=30.0, rate=10.0, amplitude=1.0, noise=0.0, seed=0):
@@ -32,21 +17,6 @@ def sine_stream(freq=0.2, duration=30.0, rate=10.0, amplitude=1.0, noise=0.0, se
     t = np.arange(0.0, duration, 1.0 / rate)
     v = amplitude * np.sin(2 * np.pi * freq * t) + rng.normal(0, noise, len(t))
     return TimeSeries(t, v)
-
-
-class TestUserGrouping:
-    def test_groups_by_epc_user_field(self):
-        reports = [make_report(0.1, 1, 1), make_report(0.2, 2, 1),
-                   make_report(0.3, 1, 2)]
-        grouped = group_reports_by_user(reports)
-        assert set(grouped) == {1, 2}
-        assert len(grouped[1]) == 2
-
-    def test_filter_to_monitored_users(self):
-        """Fig. 14: item tags' reads must be ignored via the ID filter."""
-        reports = [make_report(0.1, 1, 1), make_report(0.2, 0xFFFF_FFFF_0000_0001, 1)]
-        grouped = group_reports_by_user(reports, user_ids={1})
-        assert set(grouped) == {1}
 
 
 class TestFuseStreamsEq6:

@@ -26,7 +26,7 @@ from repro.faults import BurstyDrop, FaultChain, OutOfOrderDelivery, TagDeath
 from repro.reader import Antenna, ReportBatch, TagReport
 from repro.config import ReaderConfig, RobustnessConfig
 
-from .cascade_oracle import process_user, sanitize_reports
+from .cascade_oracle import group_reports_by_user, process_user, sanitize_reports
 from .stage5_reference import fused_track_counting
 
 
@@ -283,6 +283,31 @@ class TestSanitizeReports:
         assert n_dup == 1
         assert clean == reports[:2]
         assert clean[0] is first
+
+
+class TestUserGrouping:
+    """The oracle's Fig. 9 split of a capture by EPC user ID."""
+
+    @staticmethod
+    def _read(t, user, tag):
+        return TagReport(
+            epc=EPC96.from_user_tag(user, tag), timestamp_s=t, phase_rad=1.0,
+            rssi_dbm=-55.0, doppler_hz=0.0, channel_index=0, antenna_port=1,
+        )
+
+    def test_groups_by_epc_user_field(self):
+        reports = [self._read(0.1, 1, 1), self._read(0.2, 2, 1),
+                   self._read(0.3, 1, 2)]
+        grouped = group_reports_by_user(reports)
+        assert set(grouped) == {1, 2}
+        assert len(grouped[1]) == 2
+
+    def test_filter_to_monitored_users(self):
+        """Fig. 14: item tags' reads must be ignored via the ID filter."""
+        reports = [self._read(0.1, 1, 1),
+                   self._read(0.2, 0xFFFF_FFFF_0000_0001, 1)]
+        grouped = group_reports_by_user(reports, user_ids={1})
+        assert set(grouped) == {1}
 
 
 class TestBatchStage5:

@@ -27,7 +27,9 @@ from repro.units import SPEED_OF_LIGHT
 from .stage5_reference import (
     displacement_samples,
     hampel_filter,
+    merge_series,
     phase_segments,
+    series_from_pairs,
 )
 
 
@@ -219,6 +221,33 @@ class TestPhaseSegments:
     def test_rejects_bad_gap(self):
         with pytest.raises(StreamError):
             phase_segments([make_report(0.0, 1.0)], FREQS, max_gap_s=0.0)
+
+
+class TestReferenceSeries:
+    def test_from_pairs(self):
+        ts = series_from_pairs([(0.0, 1.0), (0.5, 2.0)])
+        assert len(ts) == 2
+        assert ts.values[1] == 2.0
+
+    def test_from_pairs_empty(self):
+        assert not series_from_pairs([])
+
+    def test_merge_interleaves(self):
+        a = TimeSeries([0.0, 2.0], [1.0, 1.0])
+        b = TimeSeries([1.0, 3.0], [2.0, 2.0])
+        merged = merge_series([a, b])
+        assert list(merged.times) == [0.0, 1.0, 2.0, 3.0]
+        assert list(merged.values) == [1.0, 2.0, 1.0, 2.0]
+
+    def test_merge_drops_duplicate_times(self):
+        a = TimeSeries([0.0, 1.0], [1.0, 1.0])
+        b = TimeSeries([1.0, 2.0], [2.0, 2.0])
+        merged = merge_series([a, b])
+        assert list(merged.times) == [0.0, 1.0, 2.0]
+        assert list(merged.values) == [1.0, 1.0, 2.0]
+
+    def test_merge_empty_inputs(self):
+        assert not merge_series([TimeSeries.empty(), TimeSeries.empty()])
 
 
 class TestDisplacementSamples:

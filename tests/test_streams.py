@@ -52,14 +52,6 @@ class TestTimeSeriesConstruction:
         with pytest.raises(StreamError):
             TimeSeries([[0.0], [1.0]], [[1.0], [2.0]])
 
-    def test_from_pairs(self):
-        ts = TimeSeries.from_pairs([(0.0, 1.0), (0.5, 2.0)])
-        assert len(ts) == 2
-        assert ts.values[1] == 2.0
-
-    def test_from_pairs_empty(self):
-        assert not TimeSeries.from_pairs([])
-
     def test_regular(self):
         ts = TimeSeries.regular([1, 2, 3, 4], rate_hz=2.0, t0=10.0)
         assert ts.times[0] == 10.0
@@ -179,22 +171,6 @@ class TestTimeSeriesTransforms:
         b = TimeSeries([1, 3], [3.0, 4.0])
         with pytest.raises(NonMonotonicTimeError):
             a.concat(b)
-
-    def test_merge_interleaves(self):
-        a = TimeSeries([0.0, 2.0], [1.0, 1.0])
-        b = TimeSeries([1.0, 3.0], [2.0, 2.0])
-        merged = TimeSeries.merge([a, b])
-        assert list(merged.times) == [0.0, 1.0, 2.0, 3.0]
-        assert list(merged.values) == [1.0, 2.0, 1.0, 2.0]
-
-    def test_merge_drops_duplicate_times(self):
-        a = TimeSeries([0.0, 1.0], [1.0, 1.0])
-        b = TimeSeries([1.0, 2.0], [2.0, 2.0])
-        merged = TimeSeries.merge([a, b])
-        assert list(merged.times) == [0.0, 1.0, 2.0]
-
-    def test_merge_empty_inputs(self):
-        assert not TimeSeries.merge([TimeSeries.empty(), TimeSeries.empty()])
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=50))
     def test_cumsum_last_equals_sum(self, values):

@@ -55,12 +55,13 @@ def test_streaming_batched_feed_schema(bench_results):
     for case in streaming["cases"]:
         assert case["feed_batch_s"] > 0
         assert case["feed_batch_reports_per_s"] > 0
+        assert case["feed_batch_cost_kernels"] > 0
         # Bit-exactness is a correctness contract, not a timing — it
         # must hold on any machine, noisy or not.
         assert case["batch_state_equal"] is True
         assert case["batch_max_rate_diff_bpm"] == 0.0
         assert case["serve_state_equal"] is True
-        assert case["serve_feed_speedup"] > 0
+        assert case["serve_staging_speedup"] > 0
     assert streaming["headline"]["batch_state_equal"] is True
     assert streaming["headline"]["serve_state_equal"] is True
 

@@ -32,7 +32,7 @@ def sweep_windows():
         errors, failures = [], 0
         for rate, result in captures:
             pipeline = TagBreathe(user_ids={1})
-            pipeline.feed_many(result.reports)
+            pipeline.feed_batch(result.reports)
             try:
                 estimate = pipeline.estimate_user(1, window_s=window)
                 errors.append(abs(estimate.rate_bpm - rate))

@@ -13,12 +13,12 @@ JSON files at the output directory root:
   O(new-samples) cadence tick in units of a fixed reference kernel
   timed in the same run, each tick checked against batch processing of
   the same stored rows, with memoized (no-new-data) tick latency and
-  the derived per-core serve capacity, and the batched SoA feed
-  (``feed_batch`` over column chunks) timed against the scalar feed
-  with its bit-exactness contract checked in-run, and the same stream
-  at serve shape (256-row frames split per user into sessions, staged
-  ``ingest_batch`` against per-report ``ingest``); plus the ``wire``
-  suite: binary column frames over a real localhost socket
+  the derived per-core serve capacity, and ``feed_batch`` over column
+  chunks timed in the same kernel runs with its bit-exactness against
+  the cadence-cut replay checked in-run, and the same stream at serve
+  shape (256-row frames split per user into sessions, staged
+  ``ingest_batch`` against feeding every sub-batch at once); plus the
+  ``wire`` suite: binary column frames over a real localhost socket
   (bytes/report and acked ingest throughput); plus the
   ``fabric_scale`` suite: a population-scale soak of the multi-process
   serve fabric (EPC-remapped synthetic users, one mid-run rebalance)
@@ -26,10 +26,11 @@ JSON files at the output directory root:
   (``users_per_machine``) and the acked==sent ingest contract — are
   machine-independent.
 
-The streaming suite's tick cost is a ratio to the reference kernel timed
-between the ticks, and its feed speedups are same-run ratios, so
-machine speed cancels out of them (which is what lets CI gate them on
-any machine; see ``tools/check_bench_regression.py``).
+The streaming suite's tick and chunked-feed costs are ratios to the
+reference kernel timed between the ticks, and its staging speedup is a
+same-run ratio, so machine speed cancels out of them (which is what
+lets CI gate them on any machine; see
+``tools/check_bench_regression.py``).
 """
 
 from __future__ import annotations
@@ -210,20 +211,21 @@ STREAM_BATCH_CHUNK = 4096
 SERVE_FRAME_ROWS = 256
 
 
-def _serve_shape_feed(reports, batch_all: ReportBatch,
-                      repeats: int = 5) -> Dict:
-    """Per-report ``ingest`` vs staged ``ingest_batch`` at serve shape.
+def _serve_shape_feed(batch_all: ReportBatch, repeats: int = 5) -> Dict:
+    """Staged ``ingest_batch`` vs eager per-sub-batch feeding at serve shape.
 
     The stream is cut into ``SERVE_FRAME_ROWS``-row frames and each frame
     is split per user (untimed: that is routing, not ingest); each
     sub-batch goes to its user's :class:`UserSession` through
-    ``ingest_batch``, and every ``STREAM_CADENCE_S`` of stream time (and
-    once at the end) each session's engine is read, which feeds its
-    staged rows — the catch-up a cadence estimate pays, without the
-    estimate itself.  A second set of sessions takes the same stream
-    report by report through ``ingest``.  Sessions are opened before
-    either timing starts; each side keeps its fastest of ``repeats``
-    runs, and the two must end in equal engine state and bookkeeping.
+    ``ingest_batch``.  The staged sessions read each engine every
+    ``STREAM_CADENCE_S`` of stream time (and once at the end), which
+    feeds its staged rows — the catch-up a cadence estimate pays,
+    without the estimate itself.  The eager sessions read their engine
+    after every sub-batch, so each few-row sub-batch is its own
+    ``feed_batch``: what a session without staging does.  Sessions are
+    opened before either timing starts; each side keeps its fastest of
+    ``repeats`` runs, and the two must end in equal engine state and
+    bookkeeping.
     """
     from .serve.session import SessionConfig, UserSession
 
@@ -236,13 +238,15 @@ def _serve_shape_feed(reports, batch_all: ReportBatch,
     def sessions():
         return {uid: UserSession(uid, SessionConfig()) for uid in uids}
 
-    scalar_s = staged_s = float("inf")
+    eager_s = staged_s = float("inf")
     for _ in range(repeats):
-        scalar = sessions()
+        eager = sessions()
         t0 = time.perf_counter()
-        for report in reports:
-            scalar[report.user_id].ingest(report)
-        scalar_s = min(scalar_s, time.perf_counter() - t0)
+        for _t_max, parts in frames:
+            for uid, sub in parts:
+                eager[uid].ingest_batch(sub)
+                eager[uid].engine
+        eager_s = min(eager_s, time.perf_counter() - t0)
 
         staged = sessions()
         next_tick = float(batch_all.t[0]) + STREAM_WARMUP_S if frames \
@@ -260,12 +264,12 @@ def _serve_shape_feed(reports, batch_all: ReportBatch,
         staged_s = min(staged_s, time.perf_counter() - t0)
 
     state_equal = all(
-        (scalar[uid].engine._inc.snapshot()
+        (eager[uid].engine._inc.snapshot()
          == staged[uid].engine._inc.snapshot())
-        and (scalar[uid].engine.feed_drop_counts
+        and (eager[uid].engine.feed_drop_counts
              == staged[uid].engine.feed_drop_counts)
-        and ((scalar[uid].reports_in, scalar[uid].first_t,
-              scalar[uid].latest_t)
+        and ((eager[uid].reports_in, eager[uid].first_t,
+              eager[uid].latest_t)
              == (staged[uid].reports_in, staged[uid].first_t,
                  staged[uid].latest_t))
         for uid in uids)
@@ -274,10 +278,10 @@ def _serve_shape_feed(reports, batch_all: ReportBatch,
         "serve_sub_batch_rows": (len(batch_all)
                                  / sum(len(parts) for _, parts in frames)
                                  if frames else 0.0),
-        "serve_ingest_s": scalar_s,
-        "serve_ingest_batch_s": staged_s,
-        "serve_feed_speedup": (scalar_s / staged_s
-                               if staged_s > 0 else float("inf")),
+        "serve_eager_s": eager_s,
+        "serve_staged_s": staged_s,
+        "serve_staging_speedup": (eager_s / staged_s
+                                  if staged_s > 0 else float("inf")),
         "serve_state_equal": state_equal,
     }
 
@@ -313,19 +317,39 @@ def _time_reference_kernel(times: List[float],
         times.append(time.perf_counter() - t0)
 
 
+def _cadence_cuts(t: np.ndarray) -> List[int]:
+    """Where a serve-shaped replay of stream times ``t`` ticks.
+
+    A tick falls after the first report at or past the next due time,
+    which starts ``STREAM_WARMUP_S`` after the first report and
+    advances by ``STREAM_CADENCE_S`` per tick.  Returns, per tick, the
+    number of reports fed before it.
+    """
+    cuts: List[int] = []
+    if not t.shape[0]:
+        return cuts
+    next_tick = float(t[0]) + STREAM_WARMUP_S
+    for i, ti in enumerate(t.tolist()):
+        if ti >= next_tick:
+            next_tick += STREAM_CADENCE_S
+            cuts.append(i + 1)
+    return cuts
+
+
 def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                             seed: int = 0) -> Dict:
     """Serve-shaped replay: the cadence tick's cost and correctness.
 
-    Each capture is replayed report by report into a default engine,
-    and every ``STREAM_CADENCE_S`` of stream time each monitored user is
-    ticked (``estimate_user`` over the trailing ``STREAM_WINDOW_S``),
-    then re-ticked immediately with no new data — the memoized tick a
-    serve deployment pays whenever a user's stream was quiet between
-    cadences.  The reference kernel (:func:`_reference_kernel`) is timed
-    at every cadence point; ``tick_cost_kernels`` is the mean computed
-    tick over the kernel's median time in the same run, a tick cost that
-    machine speed cancels out of.
+    Each capture is cut at its cadence points (:func:`_cadence_cuts`)
+    and replayed into a default engine one ``feed_batch`` per cut; at
+    every cut each monitored user is ticked (``estimate_user`` over the
+    trailing ``STREAM_WINDOW_S``), then re-ticked immediately with no
+    new data — the memoized tick a serve deployment pays whenever a
+    user's stream was quiet between cadences.  The reference kernel
+    (:func:`_reference_kernel`) is timed at every cadence point;
+    ``tick_cost_kernels`` is the mean computed tick over the kernel's
+    median time in the same run, a tick cost that machine speed cancels
+    out of.
 
     Every tick is cross-checked against batch ``process_detailed`` over
     the engine's stored rows with the same window (untimed);
@@ -337,35 +361,41 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
 
     ``serve_capacity_users`` is the derived headline: how many users one
     core can tick per cadence interval, charging each user its share of
-    feed cost plus one computed tick.
+    the replay's feed cost plus one computed tick.
 
-    ``feed_batch_speedup`` times ``feed_batch`` at
-    ``STREAM_BATCH_CHUNK``-row chunks; ``serve_feed_speedup`` times the
-    few-row per-user sub-batches the server actually hands its sessions
-    (:func:`_serve_shape_feed`).
+    ``feed_batch_cost_kernels`` times ``feed_batch`` at
+    ``STREAM_BATCH_CHUNK``-row chunks, per 1,000 reports in runs of the
+    reference kernel; the chunked engine must end bit-equal to the
+    replayed one (``batch_state_equal``).  ``serve_staging_speedup``
+    times the few-row per-user sub-batches the server actually hands its
+    sessions, staged against eager (:func:`_serve_shape_feed`).
     """
     cases = []
     for (users, duration_s), result in sorted(captures.items()):
         user_ids = sorted(result.scenario.monitored_user_ids)
         inc = TagBreathe(user_ids=set(user_ids))
         ref = TagBreathe(user_ids=set(user_ids))
-        reports = result.reports
+        batch_all = result.reports
+        n_reports = len(batch_all)
+        cuts = _cadence_cuts(batch_all.t)
+        # One slice per tick, then the tail after the last one; slicing
+        # is untimed (a columnar reader delivers arrays).
+        bounds = [0] + cuts + [n_reports]
+        segments = [batch_all.select(slice(lo, hi))
+                    for lo, hi in zip(bounds, bounds[1:])]
         feed_s = inc_s = hit_s = 0.0
         ticks = insufficient = fallback = 0
         max_diff = 0.0
         kernel_times: List[float] = []
         _time_reference_kernel(kernel_times)
-        next_tick = (reports[0].timestamp_s + STREAM_WARMUP_S
-                     if reports else None)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
-            for report in reports:
+            for k, segment in enumerate(segments):
                 t0 = time.perf_counter()
-                inc.feed(report)
+                inc.feed_batch(segment)
                 feed_s += time.perf_counter() - t0
-                if next_tick is None or report.timestamp_s < next_tick:
-                    continue
-                next_tick += STREAM_CADENCE_S
+                if k == len(cuts):
+                    break
                 _time_reference_kernel(kernel_times)
                 for uid in user_ids:
                     ticks += 1
@@ -382,7 +412,7 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                         pass
                     hit_s += time.perf_counter() - t0
                     b = ref.process_detailed(
-                        inc.buffered_reports(uid),
+                        inc.buffered_batch(uid),
                         window_s=STREAM_WINDOW_S)[0].get(uid)
                     if a is not None and a.estimator != "zero_crossing":
                         fallback += 1
@@ -394,17 +424,13 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                         max_diff = max(max_diff,
                                        abs(a.rate_bpm - b.rate_bpm))
         kernel_s = float(np.median(kernel_times))
-        # The SoA hot path: the identical stream packed as column chunks
-        # (the packing itself is untimed — a columnar reader delivers
-        # arrays natively; ``from_reports`` is the compatibility shim)
-        # and fed through ``feed_batch``.  Same-run ratio against the
-        # scalar feed above, so machine speed cancels out, and the
-        # bit-exactness contract is *checked*, not assumed.
-        batch_all = ReportBatch.from_reports(reports)
+        # The same stream in STREAM_BATCH_CHUNK-row column chunks
+        # (chunking untimed), and the bit-exactness contract *checked*
+        # against the cadence-cut replay above, not assumed.
         chunks = [
             batch_all.select(np.arange(
-                lo, min(lo + STREAM_BATCH_CHUNK, len(batch_all))))
-            for lo in range(0, len(batch_all), STREAM_BATCH_CHUNK)
+                lo, min(lo + STREAM_BATCH_CHUNK, n_reports)))
+            for lo in range(0, n_reports, STREAM_BATCH_CHUNK)
         ]
         bat = TagBreathe(user_ids=set(user_ids))
         t0 = time.perf_counter()
@@ -431,32 +457,33 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
                     batch_diff = max(batch_diff,
                                      abs(a.rate_bpm - b.rate_bpm))
 
-        serve = _serve_shape_feed(reports, batch_all)
+        serve = _serve_shape_feed(batch_all)
 
         inc_tick = inc_s / ticks if ticks else float("nan")
         hit_tick = hit_s / ticks if ticks else float("nan")
         # Per-user feed cost over one cadence interval: this user's
         # share of the stream's reports in STREAM_CADENCE_S of time.
-        feed_per_report = feed_s / len(reports) if reports else 0.0
-        reports_per_user_cadence = (len(reports) / duration_s / users
+        feed_per_report = feed_s / n_reports if n_reports else 0.0
+        reports_per_user_cadence = (n_reports / duration_s / users
                                     * STREAM_CADENCE_S)
         user_cadence_cost = (inc_tick
                              + feed_per_report * reports_per_user_cadence)
         cases.append({
             "users": users,
             "duration_s": duration_s,
-            "reports": len(reports),
+            "reports": n_reports,
             "ticks": ticks,
             "insufficient_ticks": insufficient,
             "feed_s": feed_s,
-            "feed_reports_per_s": (len(reports) / feed_s
+            "feed_reports_per_s": (n_reports / feed_s
                                    if feed_s > 0 else float("inf")),
             "batch_chunk": STREAM_BATCH_CHUNK,
             "feed_batch_s": batch_s,
-            "feed_batch_reports_per_s": (len(reports) / batch_s
+            "feed_batch_reports_per_s": (n_reports / batch_s
                                          if batch_s > 0 else float("inf")),
-            "feed_batch_speedup": (feed_s / batch_s
-                                   if batch_s > 0 else float("inf")),
+            "feed_batch_cost_kernels": (
+                batch_s / n_reports * 1000.0 / kernel_s
+                if n_reports else float("nan")),
             "batch_state_equal": state_equal,
             "batch_max_rate_diff_bpm": batch_diff,
             **serve,
@@ -484,12 +511,12 @@ def run_streaming_benchmark(captures: Dict[tuple, SimulationResult],
             "serve_capacity_users": headline["serve_capacity_users"],
             "max_rate_diff_bpm": headline["max_rate_diff_bpm"],
             "fallback_ticks": sum(c["fallback_ticks"] for c in cases),
-            "feed_batch_speedup": headline["feed_batch_speedup"],
+            "feed_batch_cost_kernels": headline["feed_batch_cost_kernels"],
             "batch_state_equal": all(c["batch_state_equal"]
                                      for c in cases),
             "batch_max_rate_diff_bpm": max(c["batch_max_rate_diff_bpm"]
                                            for c in cases),
-            "serve_feed_speedup": headline["serve_feed_speedup"],
+            "serve_staging_speedup": headline["serve_staging_speedup"],
             "serve_state_equal": all(c["serve_state_equal"]
                                      for c in cases),
         },
@@ -814,10 +841,10 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
 
     capture = run_scenario(benchmark_scenario(1, seed=seed),
                            duration_s=IDLE_STEADY_S, seed=seed)
-    reports = [r for r in capture.reports if r.user_id == 1]
+    batch = capture.reports.select(
+        np.flatnonzero(capture.reports.user_id == 1))
 
     # ---- bytes per ACTIVE user: tracemalloc over a fed sample --------
-    batch = ReportBatch.from_reports(reports)
     tracemalloc.start()
     before, _peak = tracemalloc.get_traced_memory()
     active_sessions = []
@@ -849,8 +876,7 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     # hibernating that user for real, and wakeable, at a fraction of
     # the cost of building a million engines.
     template = UserSession(1, config)
-    for report in reports[:IDLE_TEMPLATE_REPORTS]:
-        template.ingest(report)
+    template.ingest_batch(batch.select(slice(0, IDLE_TEMPLATE_REPORTS)))
     template_state = template.state()
     template_state["hibernated"] = True
     rows = template_state["batch"]
@@ -879,7 +905,7 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
         wake_times.append(time.perf_counter() - t0)
         if (session.user_id == uid
                 and session.reports_in == IDLE_TEMPLATE_REPORTS
-                and len(session.engine.buffered_reports(uid))
+                and len(session.engine.buffered_batch(uid))
                 == IDLE_TEMPLATE_REPORTS):
             verified += 1
     # Worst case: waking a full steady-state window.

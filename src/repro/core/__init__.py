@@ -29,7 +29,6 @@ from .filters import fft_lowpass, fir_lowpass, detrend_series
 from .zerocross import zero_crossing_times, instant_rates_bpm, rate_series_bpm
 from .spectral import fft_spectrum, fft_peak_rate_bpm, frequency_resolution_bpm
 from .extraction import BreathExtractor, BreathingEstimate
-from .quality import antenna_quality_scores, select_best_antenna
 from .pipeline import (
     DEGRADED_REASONS,
     FEED_DROP_KEYS,
@@ -58,8 +57,6 @@ __all__ = [
     "frequency_resolution_bpm",
     "BreathExtractor",
     "BreathingEstimate",
-    "antenna_quality_scores",
-    "select_best_antenna",
     "DEGRADED_REASONS", "FEED_DROP_KEYS",
     "TagBreathe",
     "UserEstimate",

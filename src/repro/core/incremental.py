@@ -1,7 +1,7 @@
 """The streaming store and the engine's one stage 5.
 
 This module keeps, per user, the engine's one store of streamed
-reports, updated once per ``feed()``:
+reports, updated once per ``feed_batch()``:
 
 * a :class:`~repro.streams.windowindex.WindowIndex` holding every
   accepted report's columns (time, phase, RSSI, Doppler, channel,
@@ -48,7 +48,6 @@ from .. import obs
 from ..config import PipelineConfig, RobustnessConfig
 from ..errors import EmptyStreamError, InsufficientDataError
 from ..reader.batch import ReportBatch
-from ..reader.tagreport import TagReport
 from ..streams.resample import _HISTOGRAM_BLOCK, _bin_edges
 from ..streams.timeseries import TimeSeries
 from ..streams.windowindex import WindowIndex
@@ -121,7 +120,7 @@ class IncrementalEstimator:
     """The per-user streaming store + the O(window-slice) tick.
 
     Owned by :class:`~repro.core.pipeline.TagBreathe`; fed from
-    ``feed()``, queried from ``estimate_user()``.
+    ``feed_batch()``, queried from ``estimate_user()``.
 
     Args:
         frequencies_hz: channel-index -> carrier frequency map.
@@ -254,69 +253,27 @@ class IncrementalEstimator:
             state.since_prune.append(0)
         return state, sid
 
-    def ingest(self, report: TagReport) -> None:
-        """Store one accepted report with its Eq. (3) delta.
-
-        The caller (``TagBreathe.feed``) has already enforced the stream
-        contract: per-stream strictly-increasing timestamps, valid
-        channel index, monitored user.  Every ``_PRUNE_EVERY`` accepted
-        reports of a stream, the stream drops its rows older than the
-        bounded-memory horizon.
-        """
-        state, sid = self._stream_id(report.stream_key)
-        t = report.timestamp_s
-        phase = report.phase_rad
-        chain = (sid, report.channel_index, report.antenna_port)
-        slot = state.chain_of.get(chain)
-        wd, seg = 0.0, 1
-        if slot is None:
-            state.chain_of[chain] = len(state.chain_of)
-            state.tail_t = np.append(state.tail_t, t)
-            state.tail_p = np.append(state.tail_p, phase)
-        else:
-            gap = t - float(state.tail_t[slot])
-            if 0.0 < gap <= self._max_gap_s:
-                raw = phase - float(state.tail_p[slot])
-                wd = wrap_phase_delta(raw)
-                seg = 0
-                if not -np.pi <= raw < np.pi and obs.enabled():
-                    obs.counter(
-                        "repro_pipeline_phase_unwrap_corrections_total").inc()
-            state.tail_t[slot] = t
-            state.tail_p[slot] = phase
-        state.index.add(t, port=report.antenna_port, rssi=report.rssi_dbm,
-                        sid=sid, dop=report.doppler_hz,
-                        chan=report.channel_index, phase=phase, wd=wd,
-                        seg=seg)
-        state.last_t[sid] = t
-        state.version += 1
-        # The trigger counts accepted reports since the last prune check
-        # — a length modulo would stop firing once a prune moved the
-        # length off the modulo phase.
-        count = state.since_prune[sid] + 1
-        if count >= _PRUNE_EVERY:
-            count = 0
-            self._prune(state, sid, t - self._retain_s)
-        state.since_prune[sid] = count
-
     def ingest_streams(self, groups: List[Tuple[StreamKey, np.ndarray]],
                        times: np.ndarray, phases: np.ndarray,
                        rssis: np.ndarray, dopplers: np.ndarray,
                        channels: np.ndarray, antennas: np.ndarray,
                        prune: bool = True) -> None:
-        """Vectorized :meth:`ingest` of one batch's accepted rows.
+        """Store one batch's accepted rows with their Eq. (3) deltas.
 
-        The caller (``TagBreathe.feed_batch``) has already screened the
-        batch per stream; this ingests every surviving row, user by
-        user — stream-id assignment, one Eq. (3) pass over the user's
-        chains, one window-index extension — then runs the prune
-        checks, leaving state bit-identical to calling :meth:`ingest`
-        row by row in arrival order: stream ids are assigned in order of
-        first appearance, each user's index receives its rows as a
-        stable sort by time (what row-wise ``add`` converges to), and
-        each (stream, channel, antenna) chain is differenced in arrival
-        order against its stored tail.  ``version`` advances by each
-        user's accepted row count.
+        The caller (``TagBreathe.feed_batch``) has already enforced the
+        stream contract per stream: strictly increasing timestamps,
+        valid channel index, monitored user.  This ingests every
+        surviving row, user by user — stream-id assignment, one Eq. (3)
+        pass over the user's chains, one window-index extension — then
+        runs the prune checks, leaving state bit-identical to storing
+        the rows one at a time in arrival order: stream ids are
+        assigned in order of first appearance, each user's index
+        receives its rows as a stable sort by time (what row-wise
+        ``add`` converges to), and each (stream, channel, antenna)
+        chain is differenced in arrival order against its stored tail.
+        Every ``_PRUNE_EVERY`` accepted rows of a stream, the stream
+        drops its rows older than the bounded-memory horizon.
+        ``version`` advances by each user's accepted row count.
 
         Args:
             groups: per-stream ``(stream_key, rows)`` pairs — ``rows``
@@ -370,11 +327,13 @@ class IncrementalEstimator:
                                     wd=float(wd[j]), seg=int(seg[j]))
             state.version += rows_u.shape[0]
 
-        # Prune checks, shared with ingest(): the counter crosses the
-        # threshold at accepted row (_PRUNE_EVERY - since_prune - 1),
-        # then every _PRUNE_EVERY rows after; horizons are monotone and
-        # pruning is idempotent, so applying only the LAST trigger's
-        # horizon leaves the identical final state.
+        # Prune checks: the counter counts accepted rows since the last
+        # check (a length modulo would stop firing once a prune moved
+        # the length off the modulo phase).  It crosses the threshold at
+        # accepted row (_PRUNE_EVERY - since_prune - 1), then every
+        # _PRUNE_EVERY rows after; horizons are monotone and pruning is
+        # idempotent, so applying only the LAST trigger's horizon leaves
+        # the identical final state.
         for state, sid, rows in streams:
             m = rows.shape[0]
             state.last_t[sid] = float(times[rows[-1]])

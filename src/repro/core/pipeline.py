@@ -3,9 +3,10 @@
     Data Collection -> Data Fusion -> Vital Sign Extraction
 
 Batch mode (:meth:`TagBreathe.process`) consumes a full LLRP capture and
-returns per-user estimates; streaming mode (:meth:`TagBreathe.feed` +
-:meth:`TagBreathe.estimate_user`) consumes reports one at a time, the way
-the paper's prototype visualised breathing "in realtime" (Section V).
+returns per-user estimates; streaming mode
+(:meth:`TagBreathe.feed_batch` with :meth:`TagBreathe.estimate_user`)
+consumes reports as they arrive, the way the paper's prototype
+visualised breathing "in realtime" (Section V).
 
 Every path runs one robustness cascade (:meth:`TagBreathe._cascade`,
 DESIGN.md §12) over one user's time-ordered column arrays: antenna
@@ -18,7 +19,7 @@ converts the capture to columns once, runs stage 1
 (:func:`sanitize_columns`: stable time sort, late and duplicate
 deliveries counted) over each user's delivered rows, and computes their
 Eq. (3) columns in one pass.  The streaming store needs no stage 1:
-``feed()`` stores each report once in a per-user, timestamp-ordered
+``feed_batch()`` stores each report once in a per-user, timestamp-ordered
 window index (the engine's only copy of streamed reports, which
 checkpoints read back out) with its Eq. (3) phase delta, dropping late
 and duplicate reports as it goes, and the tick
@@ -292,7 +293,8 @@ class TagBreathe:
         # estimator that produced the user's previous *streaming*
         # estimate.  Batch process() stays stateless (previous=None).
         self._active_estimator: Dict[int, str] = {}
-        # Tolerate-and-count accounting of reports feed() had to discard.
+        # Tolerate-and-count accounting of reports feed_batch() had to
+        # discard.
         self._feed_drops: Dict[str, int] = dict.fromkeys(FEED_DROP_KEYS, 0)
         # Drops incurred while restore_streaming replayed a snapshot —
         # kept apart from live-traffic counters (see last_restore_drop_counts).
@@ -671,47 +673,25 @@ class TagBreathe:
     # ------------------------------------------------------------------
     # Streaming mode
     # ------------------------------------------------------------------
-    def feed(self, report: TagReport) -> bool:
-        """Consume one report into the streaming store.
-
-        Tolerate-and-count: a public streaming API must never let one bad
-        delivery take down the monitoring loop, so nothing here raises on
-        malformed *streams* (malformed *reports* cannot be constructed —
-        :class:`~repro.reader.tagreport.TagReport` validates itself).
-        Reports for unmonitored users (when ``user_ids`` was given) are
-        silently dropped; late, duplicate, and unknown-channel reports are
-        dropped **and counted** in :attr:`feed_drop_counts`.
-
-        Returns:
-            True when the report was stored, False when it was dropped.
-        """
-        if self._user_ids is not None and report.user_id not in self._user_ids:
-            return False
-        if report.channel_index >= len(self._frequencies):
-            self._feed_drops["invalid_channel"] += 1
-            return False
-        t = report.timestamp_s
-        last = self._inc.stream_tail(report.stream_key)
-        if t <= last:
-            self._feed_drops["duplicate" if t == last else "late"] += 1
-            return False
-        # Index the report and difference it against its (channel,
-        # antenna) chain — Eq. (3) runs once, here, instead of on every
-        # subsequent tick.
-        self._inc.ingest(report)
-        return True
-
     def feed_batch(self, batch: ReportBatch) -> int:
-        """Consume a column batch; bit-exact with per-report :meth:`feed`.
+        """Consume a column batch into the streaming store.
 
-        The SoA hot path: screening (unmonitored users, invalid
-        channels, per-stream late/duplicate deliveries), indexing, the
-        incremental Eq. (3) differencing, and the bounded-memory prune
-        all run as array operations over the batch's numpy columns.
-        After the call, the store and :attr:`feed_drop_counts` are
-        identical — bit for bit — to what a loop of ``feed()`` calls
-        over ``batch.to_reports()`` would have left, so every subsequent
-        :meth:`estimate_user` result is too.
+        The engine's one ingest path: screening (unmonitored users,
+        invalid channels, per-stream late/duplicate deliveries),
+        indexing, the incremental Eq. (3) differencing, and the
+        bounded-memory prune all run as array operations over the
+        batch's numpy columns.  Where a stream is cut into batches does
+        not matter: the store and :attr:`feed_drop_counts` end bit for
+        bit where feeding the reports one at a time, in arrival order,
+        would leave them, so every subsequent :meth:`estimate_user`
+        result does too.  A list of reports goes in as
+        ``ReportBatch.from_reports(reports)``.
+
+        Tolerate-and-count: one bad delivery never takes down the
+        monitoring loop, so nothing here raises on malformed *streams*.
+        Reports for unmonitored users (when ``user_ids`` was given) are
+        silently dropped; late, duplicate, and unknown-channel reports
+        are dropped **and counted** in :attr:`feed_drop_counts`.
 
         Late/duplicate screening per stream reduces to a running
         maximum: seeding a cumulative max with the stream's stored
@@ -723,8 +703,8 @@ class TagBreathe:
             batch: the reports, in arrival order.
 
         Returns:
-            How many reports were stored (the rest were dropped and
-            counted, exactly as ``feed`` would).
+            How many reports were stored (the rest were dropped, and
+            counted unless their user is unmonitored).
         """
         return self._feed_batch(batch, prune=True)
 
@@ -797,18 +777,9 @@ class TagBreathe:
             self._feed_drops["duplicate"] += n_dup
         return n_accepted
 
-    def feed_many(self, reports: Iterable[TagReport]) -> int:
-        """Feed reports in arrival order; returns how many were stored.
-
-        One :meth:`feed_batch` call over the reports' columns, so the
-        store and :attr:`feed_drop_counts` end as a :meth:`feed` loop
-        would leave them.
-        """
-        return self.feed_batch(ReportBatch.from_reports(reports))
-
     @property
     def feed_drop_counts(self) -> Dict[str, int]:
-        """Reports :meth:`feed` discarded, by cause.
+        """Reports :meth:`feed_batch` discarded, by cause.
 
         The key set is stable and exactly :data:`FEED_DROP_KEYS`:
 
@@ -834,7 +805,7 @@ class TagBreathe:
 
     @property
     def dropped_report_count(self) -> int:
-        """Total reports :meth:`feed` discarded across all causes."""
+        """Total reports :meth:`feed_batch` discarded across all causes."""
         return sum(self._feed_drops.values())
 
     def estimate_user(self, user_id: int,

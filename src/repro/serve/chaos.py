@@ -57,6 +57,7 @@ from typing import Dict, List, Optional, Union
 from .. import obs
 from ..core.pipeline import TagBreathe
 from ..errors import DegradedEstimateWarning, InsufficientDataError
+from ..reader.batch import ReportBatch
 from .checkpoint import session_state_from_doc
 from .client import IngestClient
 from .fabric import BreathFabric
@@ -169,10 +170,14 @@ def _chaos_fabric_config(workers: int) -> FabricConfig:
 
 def _batch_rates(reports, user_ids, window_s: Optional[float]
                  ) -> Dict[int, float]:
-    """The batch pipeline's final per-user rates over the full capture."""
+    """Each user's final streamed rate from one uninterrupted engine.
+
+    The whole capture goes through one ``feed_batch``, then each user is
+    ticked once over the trailing ``window_s``: what a fabric that lost
+    nothing should end on.
+    """
     engine = TagBreathe(user_ids=set(user_ids))
-    for report in reports:
-        engine.feed(report)
+    engine.feed_batch(ReportBatch.from_reports(reports))
     rates: Dict[int, float] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedEstimateWarning)

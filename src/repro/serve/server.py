@@ -32,7 +32,7 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from .. import obs
 from ..core.pipeline import TagBreathe

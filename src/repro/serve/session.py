@@ -42,7 +42,6 @@ from ..core.pipeline import TagBreathe
 from ..errors import (CheckpointCorruptError, ConfigError,
                       InsufficientDataError)
 from ..reader.batch import BatchBuffer, ReportBatch
-from ..reader.tagreport import TagReport
 from .checkpoint import session_state_from_doc, \
     session_state_to_binary_doc
 from .hibernate import HibernationStore, blob_to_doc, open_blob
@@ -121,11 +120,11 @@ class UserSession:
     Column batches are staged, not fed: :meth:`ingest_batch` keeps the
     session's bookkeeping current and copies the rows into a staging
     buffer, and reading :attr:`engine` first feeds everything staged as
-    one ``feed_batch``.  Since ``feed_batch`` is bit-exact with
-    sequential feeding (DESIGN.md §14), every reader of engine state —
-    estimates, :meth:`state`, scalar :meth:`ingest` — sees exactly what
-    eager feeding would have left, while the engine runs once per
-    estimate instead of once per few-row sub-batch.
+    one ``feed_batch``.  Since ``feed_batch`` leaves the same state
+    however a stream is cut into batches (DESIGN.md §14), every reader
+    of engine state — estimates, :meth:`state`, drop counts — sees
+    exactly what eager feeding would have left, while the engine runs
+    once per estimate instead of once per few-row sub-batch.
 
     Args:
         user_id: the monitored user.
@@ -166,27 +165,17 @@ class UserSession:
         stage, self._stage = self._stage, None
         self._engine.feed_batch(stage.batch())
 
-    def ingest(self, report: TagReport) -> bool:
-        """Feed one report; returns True when the engine buffered it."""
-        self.reports_in += 1
-        self.last_active = time.monotonic()
-        t = report.timestamp_s
-        if self.first_t is None:
-            self.first_t = t
-            self.next_due_t = t + self.config.warmup_s
-        self.latest_t = t if self.latest_t is None else max(self.latest_t, t)
-        return self.engine.feed(report)
-
     def ingest_batch(self, batch: ReportBatch) -> int:
         """Stage one column batch; returns its row count.
 
-        The session bookkeeping lands where a loop of :meth:`ingest`
-        would leave it (``first_t`` from the first row in arrival order,
-        ``latest_t`` the running max), so the estimate cadence, idle
-        sweep and eviction order are unchanged.  The rows reach the
-        engine on the next read of :attr:`engine`, or here when they
-        would take the stage past :data:`STAGE_ROWS` (a batch that large
-        on its own is fed at once, after whatever was staged).
+        The session bookkeeping counts every row (``reports_in``), takes
+        ``first_t`` from the first row in arrival order and keeps
+        ``latest_t`` as the running max, so the estimate cadence, idle
+        sweep and eviction order do not depend on how the stream was
+        cut into batches.  The rows reach the engine on the next read
+        of :attr:`engine`, or here when they would take the stage past
+        :data:`STAGE_ROWS` (a batch that large on its own is fed at
+        once, after whatever was staged).
         """
         n = len(batch)
         if not n:
@@ -363,7 +352,7 @@ class SessionShard:
         reports of queue capacity, and under sustained overload the
         oldest queued batches are shed so the freshest data wins,
         counted in ``repro_serve_shed_total`` (the tolerate-and-count
-        contract of ``TagBreathe.feed``).  The worker stages each batch
+        contract of ``TagBreathe.feed_batch``).  The worker stages each batch
         with one :meth:`UserSession.ingest_batch`.
         """
         if not len(batch):

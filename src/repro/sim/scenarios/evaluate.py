@@ -4,9 +4,10 @@ Every pack (:mod:`repro.sim.scenarios.packs`) reduces to one
 :class:`PackSpec` — a scenario plus capture overrides, a tick cadence,
 one or more engine configurations to compare, and the ground-truth event
 windows the scoring needs.  :func:`evaluate_pack` runs the capture once,
-replays it through each engine serve-style (scalar ``feed`` + cadence
-``estimate_user`` ticks, the deployment shape), and scores every tick
-against the paper's Eq. 8 accuracy and the alarm bookkeeping:
+replays it through each engine serve-style (``feed_batch`` up to each
+cadence point + ``estimate_user`` ticks, the deployment shape), and
+scores every tick against the paper's Eq. 8 accuracy and the alarm
+bookkeeping:
 
 * **confident** — confidence >= :data:`CONFIDENT_CONFIDENCE` and the
   estimate is neither motion-gated nor motion-flagged.  A confident

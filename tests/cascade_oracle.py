@@ -5,7 +5,9 @@ The engine runs one cascade over column arrays
 it replaced — delivery hygiene, antenna failover, staleness demotion,
 gap coverage, the Doppler motion screen, fusion and the estimator
 lattice, stage by stage over Python lists — as an independent
-reference that tests compare the column cascade against.  It borrows
+reference that tests compare the column cascade against.  Its antenna
+selection scores ports with :func:`antenna_quality_scores`, the
+report-list form of ``quality.select_port``'s scoring.  It borrows
 the engine's configuration and its estimator lattice; its stage 5 is
 the per-stream reference in ``tests/stage5_reference.py``.
 
@@ -15,6 +17,7 @@ either way), and it refuses an empty window with the engine's message.
 """
 
 from collections import defaultdict
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -34,7 +37,7 @@ from repro.core.estimators import (
 from repro.core.motion import STILL, apply_motion, score_motion
 from repro.core.pipeline import TagBreathe, UserEstimate
 from repro.core.preprocess import group_reports_by_stream
-from repro.core.quality import antenna_quality_scores
+from repro.core.quality import quality_score
 from repro.errors import EmptyStreamError, InsufficientDataError
 from repro.reader.tagreport import TagReport
 from repro.streams.windows import trailing_window_bounds
@@ -110,6 +113,77 @@ def filter_to_antenna(reports: Iterable[TagReport],
                       port: int) -> List[TagReport]:
     """Keep only reads delivered via ``port``, order preserved."""
     return [r for r in reports if r.antenna_port == port]
+
+
+@dataclass(frozen=True)
+class AntennaQuality:
+    """Quality metrics of one antenna's data for one user.
+
+    Attributes:
+        antenna_port: the LLRP port the metrics describe.
+        read_count: reads of this user's tags via this antenna.
+        sampling_rate_hz: reads per second of wall-clock span.
+        mean_rssi_dbm: mean received signal strength.
+        score: combined quality score (higher is better).
+    """
+
+    antenna_port: int
+    read_count: int
+    sampling_rate_hz: float
+    mean_rssi_dbm: float
+    score: float
+
+
+def antenna_quality_scores(
+    reports: Iterable[TagReport],
+    span_s: Optional[float] = None,
+) -> Dict[int, AntennaQuality]:
+    """Score each antenna's data quality for one user's reports.
+
+    Args:
+        reports: one user's reads (all antennas mixed).
+        span_s: wall-clock span for rate computation; defaults to the
+            report span (use the trial duration for fair comparisons when
+            an antenna saw only a brief burst).
+
+    Returns:
+        antenna_port -> quality metrics (empty dict for no reports).
+    """
+    by_port: Dict[int, List[TagReport]] = defaultdict(list)
+    for report in reports:
+        by_port[report.antenna_port].append(report)
+    if not by_port:
+        return {}
+    all_times = [r.timestamp_s for rs in by_port.values() for r in rs]
+    default_span = max(all_times) - min(all_times)
+    span = span_s if span_s is not None else max(default_span, 1e-9)
+
+    out: Dict[int, AntennaQuality] = {}
+    for port, port_reports in by_port.items():
+        rssi = float(np.mean([r.rssi_dbm for r in port_reports]))
+        out[port] = AntennaQuality(
+            antenna_port=port,
+            read_count=len(port_reports),
+            sampling_rate_hz=len(port_reports) / span,
+            mean_rssi_dbm=rssi,
+            score=quality_score(len(port_reports), span, rssi),
+        )
+    return out
+
+
+def select_best_antenna(
+    reports: Iterable[TagReport],
+    span_s: Optional[float] = None,
+) -> int:
+    """The optimal antenna port for one user (Section IV-D-3).
+
+    Raises:
+        InsufficientDataError: when the user has no reports at all.
+    """
+    scores = antenna_quality_scores(reports, span_s=span_s)
+    if not scores:
+        raise InsufficientDataError("no reports: cannot select an antenna")
+    return max(scores.values(), key=lambda q: q.score).antenna_port
 
 
 def select_antenna_with_failover(

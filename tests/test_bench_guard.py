@@ -4,7 +4,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" \
     / "check_bench_regression.py"
@@ -23,15 +22,15 @@ def bench_doc(cases, fabric_cases=None, wire=None, idle=None):
     return doc
 
 
-def case(users, duration_s, tick_cost, diff=0.0, batch_speedup=6.0,
+def case(users, duration_s, tick_cost, diff=0.0, batch_cost=1.5,
          batch_state_equal=True, batch_diff=0.0, serve_speedup=2.0,
          serve_state_equal=True):
     return {"users": users, "duration_s": duration_s,
             "tick_cost_kernels": tick_cost, "max_rate_diff_bpm": diff,
-            "feed_batch_speedup": batch_speedup,
+            "feed_batch_cost_kernels": batch_cost,
             "batch_state_equal": batch_state_equal,
             "batch_max_rate_diff_bpm": batch_diff,
-            "serve_feed_speedup": serve_speedup,
+            "serve_staging_speedup": serve_speedup,
             "serve_state_equal": serve_state_equal}
 
 
@@ -86,6 +85,12 @@ CHEAP = 2.0
 #: (16 runs on the last commit that had it; see TICK_COST_CEILINGS).
 RECOMPUTE_1U = 30.53
 RECOMPUTE_5U = 21.45
+
+#: The retired per-report feed's lowest cost in reference-kernel runs
+#: per 1,000 reports (runs on the last commit that had it; see
+#: FEED_BATCH_COST_CEILINGS).
+PER_REPORT_FEED_1U = 16.4
+PER_REPORT_FEED_5U = 35.0
 
 
 class TestCompare:
@@ -143,18 +148,38 @@ class TestCompare:
         problems = guard.compare(base, cand)
         assert any("diverged" in p for p in problems)
 
-    def test_batch_speedup_below_floor_fails(self):
-        base = {(1, 25.0): case(1, 25.0, CHEAP)}
-        cand = {(1, 25.0): case(1, 25.0, CHEAP, batch_speedup=2.5)}
-        problems = guard.compare(base, cand)
-        assert any("feed_batch_speedup" in p for p in problems)
+    def test_batch_cost_over_ceiling_fails(self):
+        for key, ceiling in guard.FEED_BATCH_COST_CEILINGS.items():
+            base = {key: case(*key, CHEAP)}
+            assert guard.compare(base, {key: case(
+                *key, CHEAP, batch_cost=ceiling)}) == []
+            problems = guard.compare(base, {key: case(
+                *key, CHEAP, batch_cost=ceiling * 1.01)})
+            assert len(problems) == 1
+            assert "feed_batch_cost_kernels" in problems[0]
+
+    def test_batch_cost_ceilings_no_looser_than_old_speedup_floor(self):
+        """Each ceiling lies at or below the retired 4.0x floor's chunked
+        feed cost: the per-report feed's cost in kernel runs per 1,000
+        reports (lowest of the runs measured on the commit that
+        retired it) over 4.0."""
+        retired = {(1, 25.0): PER_REPORT_FEED_1U,
+                   (5, 25.0): PER_REPORT_FEED_5U}
+        assert set(guard.FEED_BATCH_COST_CEILINGS) == set(retired)
+        for key, per_report in retired.items():
+            assert guard.FEED_BATCH_COST_CEILINGS[key] <= per_report / 4.0
+
+    def test_batch_cost_ceiling_skips_full_grid_case(self):
+        base = {(15, 120.0): case(15, 120.0, CHEAP)}
+        cand = {(15, 120.0): case(15, 120.0, CHEAP, batch_cost=1e6)}
+        assert guard.compare(base, cand) == []
 
     def test_missing_batch_measurement_fails(self):
         base = {(1, 25.0): case(1, 25.0, CHEAP)}
         cand_case = case(1, 25.0, CHEAP)
-        del cand_case["feed_batch_speedup"]
+        del cand_case["feed_batch_cost_kernels"]
         problems = guard.compare(base, {(1, 25.0): cand_case})
-        assert any("no feed_batch_speedup" in p for p in problems)
+        assert any("no feed_batch_cost_kernels" in p for p in problems)
 
     def test_batch_state_mismatch_fails(self):
         base = {(1, 25.0): case(1, 25.0, CHEAP)}
@@ -170,10 +195,10 @@ class TestCompare:
 
     def test_serve_speedup_below_floor_fails(self):
         base = {(5, 25.0): case(5, 25.0, CHEAP)}
-        cand = {(5, 25.0): case(5, 25.0, CHEAP, serve_speedup=0.9)}
+        cand = {(5, 25.0): case(5, 25.0, CHEAP, serve_speedup=1.0)}
         problems = guard.compare(base, cand)
         assert len(problems) == 1
-        assert "serve_feed_speedup" in problems[0]
+        assert "serve_staging_speedup" in problems[0]
 
     def test_serve_speedup_floor_skips_low_rate_full_grid_case(self):
         base = {(15, 120.0): case(15, 120.0, CHEAP)}
@@ -183,9 +208,9 @@ class TestCompare:
     def test_missing_serve_measurement_fails(self):
         base = {(1, 25.0): case(1, 25.0, CHEAP)}
         cand_case = case(1, 25.0, CHEAP)
-        del cand_case["serve_feed_speedup"]
+        del cand_case["serve_staging_speedup"]
         problems = guard.compare(base, {(1, 25.0): cand_case})
-        assert any("no serve_feed_speedup" in p for p in problems)
+        assert any("no serve_staging_speedup" in p for p in problems)
 
     def test_serve_state_mismatch_fails(self):
         base = {(15, 120.0): case(15, 120.0, CHEAP)}

@@ -2,12 +2,12 @@
 
 Two contracts are property-tested here (hypothesis):
 
-* ``TagBreathe.feed_batch`` (and ``feed_many``, which columnises its
-  input into one ``feed_batch`` call) is **bit-exact** with a loop of
-  ``feed`` calls — same drop counters, same stored columns, same
-  per-stream tails and prune counters — under adversarial orderings
-  (late, duplicate, invalid-channel, unmonitored-user and
-  interleaved-stream deliveries);
+* ``TagBreathe.feed_batch`` is **bit-exact** with the row-wise ingest
+  reference (``tests/ingest_reference.py``) under every cut of a stream
+  into batches, down to one-row batches — same drop counters, same
+  stored columns, same per-stream tails and prune counters — under
+  adversarial orderings (late, duplicate, invalid-channel,
+  unmonitored-user and interleaved-stream deliveries);
 * the binary column frame round-trips every batch losslessly, and its
   decoder rejects truncated, padded, or corrupted payloads with a typed
   :class:`~repro.errors.ProtocolError` instead of misparsing them.
@@ -15,7 +15,7 @@ Two contracts are property-tested here (hypothesis):
 Example-based tests cover the negotiation edges (frame grant filtering,
 payloads in another codec) and the serve-level equivalence: a replay
 over column frames leaves the same session estimates as feeding each
-report to an engine one at a time.
+report to an engine one at a time through the reference.
 """
 
 from __future__ import annotations
@@ -45,6 +45,8 @@ from repro.serve.protocol import (
     encode_column_frame,
     negotiate_frames,
 )
+
+from .ingest_reference import feed_all
 
 
 def run(coro):
@@ -78,34 +80,34 @@ def _reports(rows):
 
 
 # ----------------------------------------------------------------------
-# feed_batch == sequential feed (bit-exact)
+# feed_batch == the row-wise reference (bit-exact)
 # ----------------------------------------------------------------------
 class TestFeedBatchEquivalence:
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(_row, min_size=1, max_size=120),
-           st.integers(min_value=1, max_value=7))
-    def test_bit_exact_with_sequential_feed(self, rows, n_chunks):
+    @given(st.lists(_row, min_size=1, max_size=120).flatmap(
+        lambda rows: st.tuples(st.just(rows), st.integers(
+            min_value=1, max_value=len(rows)))))
+    def test_bit_exact_with_sequential_feed(self, rows_and_cut):
         # Rows arrive shuffled, duplicated, late and on invalid channels;
-        # with ``user_ids`` set, user 3's rows are unmonitored too.
+        # with ``user_ids`` set, user 3's rows are unmonitored too.  The
+        # stream is cut into 1 to len(rows) batches: one-row batches
+        # included.
+        rows, n_chunks = rows_and_cut
         reports = _reports(rows)
         for user_ids in (None, {1, 2}):
             scalar = TagBreathe(user_ids=user_ids)
             batched = TagBreathe(user_ids=user_ids)
-            many = TagBreathe(user_ids=user_ids)
-            accepted_scalar = sum(scalar.feed(r) for r in reports)
+            accepted_scalar = feed_all(scalar, reports)
             accepted_batched = 0
             for chunk in np.array_split(np.arange(len(reports)), n_chunks):
-                if chunk.size:
-                    batch = ReportBatch.from_reports(
-                        [reports[i] for i in chunk])
-                    accepted_batched += batched.feed_batch(batch)
+                batch = ReportBatch.from_reports(
+                    [reports[i] for i in chunk])
+                accepted_batched += batched.feed_batch(batch)
             assert accepted_batched == accepted_scalar
-            assert many.feed_many(iter(reports)) == accepted_scalar
-            for engine in (batched, many):
-                assert engine.feed_drop_counts == scalar.feed_drop_counts
-                # Every stored column, stream tail and prune counter,
-                # per user.
-                assert engine._inc.snapshot() == scalar._inc.snapshot()
+            assert batched.feed_drop_counts == scalar.feed_drop_counts
+            # Every stored column, stream tail and prune counter, per
+            # user.
+            assert batched._inc.snapshot() == scalar._inc.snapshot()
 
     def test_estimates_bit_exact_on_simulated_capture(self):
         scenario = Scenario([
@@ -118,8 +120,7 @@ class TestFeedBatchEquivalence:
         reports = run_scenario(scenario, duration_s=30.0, seed=11).reports
         scalar = TagBreathe()
         batched = TagBreathe()
-        for r in reports:
-            scalar.feed(r)
+        feed_all(scalar, reports)
         batch = ReportBatch.from_reports(reports)
         # Odd chunking exercises the cross-chunk cursor/tail state.
         for lo in range(0, len(batch), 997):
@@ -132,6 +133,8 @@ class TestFeedBatchEquivalence:
                 b = batched.estimate_user(uid)
                 assert a.rate_bpm == b.rate_bpm
                 assert a.confidence == b.confidence
+        assert batched.feed_drop_counts == scalar.feed_drop_counts
+        assert batched._inc.snapshot() == scalar._inc.snapshot()
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +381,6 @@ class TestServeColumnPath:
             warnings.simplefilter("ignore", DegradedEstimateWarning)
             for uid in estimates:
                 engine = TagBreathe(user_ids={uid})
-                for report in reports:
-                    engine.feed(report)
+                feed_all(engine, reports)
                 per_report[uid] = engine.estimate_user(uid).rate_bpm
         assert estimates == per_report

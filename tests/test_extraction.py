@@ -1,17 +1,21 @@
-"""Tests for the breath-signal extraction stage and antenna quality."""
+"""Tests for the breath-signal extraction stage and the report-list
+antenna-quality helpers of the cascade oracle."""
 
 import numpy as np
 import pytest
 
 from repro.config import PipelineConfig
 from repro.core.extraction import BreathExtractor
-from repro.core.quality import antenna_quality_scores, select_best_antenna
 from repro.epc import EPC96
 from repro.errors import ExtractionError, InsufficientDataError
 from repro.reader import TagReport
 from repro.streams import TimeSeries
 
-from .cascade_oracle import filter_to_antenna
+from .cascade_oracle import (
+    antenna_quality_scores,
+    filter_to_antenna,
+    select_best_antenna,
+)
 
 
 def breathing_track(bpm=12.0, duration=60.0, rate=20.0, amplitude=0.005,

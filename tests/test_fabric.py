@@ -538,7 +538,7 @@ class TestFabricRecovery:
         assert set(streamed) == {1, 2}
 
         engine = TagBreathe(user_ids={1, 2})
-        engine.feed_many(reports)
+        engine.feed_batch(reports)
         for uid in (1, 2):
             try:
                 expected = engine.estimate_user(
@@ -684,7 +684,7 @@ class TestFabricHibernation:
         streamed = _final_rates(docs, {1, 2}, session)
         assert set(streamed) == {1, 2}
         engine = TagBreathe(user_ids={1, 2})
-        engine.feed_many(reports)
+        engine.feed_batch(reports)
         for uid in (1, 2):
             expected = engine.estimate_user(uid, window_s=session.window_s)
             assert streamed[uid] == pytest.approx(expected.rate_bpm,

@@ -26,6 +26,7 @@ from repro.reader.tagreport import TagReport
 from repro.streams import GrowableArray, WindowIndex, trailing_window_bounds
 from repro.streams.windows import StreamError
 
+from .ingest_reference import feed
 from .stage5_reference import displacement_samples, estimate_user_recompute
 
 
@@ -119,7 +120,7 @@ class TestWindowBounds:
         """A window too short to hold even the newest report (t - 1e-300
         rounds back to t) is a refusal, never an IndexError."""
         engine = TagBreathe(user_ids={1})
-        engine.feed_many(capture.reports)
+        engine.feed_batch(capture.reports)
         with pytest.raises(InsufficientDataError) as tick:
             engine.estimate_user(1, window_s=1e-300)
         with pytest.raises(InsufficientDataError) as recompute:
@@ -139,8 +140,7 @@ class TestWindowBounds:
         """
         reports = [r for r in capture.reports if r.user_id == 1]
         engine = TagBreathe(user_ids={1})
-        for r in reports:
-            engine.feed(r)
+        engine.feed_batch(ReportBatch.from_reports(reports))
         t_latest = reports[-1].timestamp_s
         # Choose the window so an actual report sits EXACTLY on the
         # lower boundary; strict > must exclude it on both paths.
@@ -205,32 +205,29 @@ class TestWindowSamples:
     def test_window_matches_batch_bit_for_bit(self):
         reports = self.random_reports(1200)
         engine = TagBreathe(frequencies_hz=self.FREQS, user_ids={1})
-        for i, report in enumerate(reports):
-            engine.feed(report)
-            if i % 300 == 299:
-                t_hi = report.timestamp_s
-                self.assert_matches_batch(engine, reports[:i + 1],
-                                          t_hi - 25.0, t_hi)
+        for hi in range(300, len(reports) + 1, 300):
+            engine.feed_batch(ReportBatch.from_reports(reports[hi - 300:hi]))
+            t_hi = reports[hi - 1].timestamp_s
+            self.assert_matches_batch(engine, reports[:hi],
+                                      t_hi - 25.0, t_hi)
 
     def test_equality_survives_pruning(self):
         reports = self.random_reports(2000, seed=11)
         engine = TagBreathe(frequencies_hz=self.FREQS, user_ids={1})
         pruned = False
-        for i, report in enumerate(reports):
-            engine.feed(report)
-            if i % 250 != 249:
-                continue
-            t_hi = report.timestamp_s
+        for hi in range(250, len(reports) + 1, 250):
+            engine.feed_batch(ReportBatch.from_reports(reports[hi - 250:hi]))
+            t_hi = reports[hi - 1].timestamp_s
             state = engine._inc._states[1]
             before = len(state.index)
             engine._inc._prune(state, 0, t_hi - 60.0)
             pruned = pruned or len(state.index) < before
-            self.assert_matches_batch(engine, reports[:i + 1],
+            self.assert_matches_batch(engine, reports[:hi],
                                       t_hi - 25.0, t_hi)
             # A window reaching past the horizon re-anchors every chain
             # at its first surviving row: it equals the batch builder
             # over the retained reports.
-            retained = [r for r in reports[:i + 1]
+            retained = [r for r in reports[:hi]
                         if r.timestamp_s >= t_hi - 60.0]
             self.assert_matches_batch(engine, retained, t_hi - 80.0, t_hi)
         assert pruned, "scenario never pruned; test lost its teeth"
@@ -241,14 +238,15 @@ class TestWindowSamples:
 # ----------------------------------------------------------------------
 class TestIncrementalEquivalence:
     def test_interleaved_ticks_match_recompute(self, capture):
+        # One-row feed_batch calls against the row-wise reference.
         inc = TagBreathe(user_ids={1, 2})
         ref = TagBreathe(user_ids={1, 2})
         next_tick, matched = 20.0, 0
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
             for report in capture.reports:
-                inc.feed(report)
-                ref.feed(report)
+                inc.feed_batch(ReportBatch.from_reports([report]))
+                feed(ref, report)
                 if report.timestamp_s >= next_tick:
                     next_tick += 4.0
                     for uid in (1, 2):
@@ -257,11 +255,11 @@ class TestIncrementalEquivalence:
         assert matched >= 10
 
     def test_streamed_equals_batch_process(self, capture):
-        """Satellite: feed_many + estimate_user == process over the
+        """Satellite: feed_batch + estimate_user == process over the
         same pinned trailing window (one shared boundary definition)."""
         streaming = TagBreathe(user_ids={1, 2})
         batch = TagBreathe(user_ids={1, 2})
-        streaming.feed_many(capture.reports)
+        streaming.feed_batch(capture.reports)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
             batch_estimates = batch.process(capture.reports, window_s=25.0)
@@ -275,7 +273,7 @@ class TestIncrementalEquivalence:
         """mode="increments" is batch-only: feeding works, ticking is a
         configuration error, and batch process() still estimates."""
         engine = TagBreathe(user_ids={1, 2}, mode="increments")
-        assert engine.feed_many(capture.reports) > 0
+        assert engine.feed_batch(capture.reports) > 0
         with pytest.raises(ConfigError, match="batch-only"):
             engine.estimate_user(1, window_s=25.0)
         with warnings.catch_warnings():
@@ -285,7 +283,7 @@ class TestIncrementalEquivalence:
 
     def test_memoized_tick_returns_same_object(self, capture):
         engine = TagBreathe(user_ids={1})
-        engine.feed_many(capture.reports)
+        engine.feed_batch(capture.reports)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
             with obs.capture() as (_tracer, _registry):
@@ -302,11 +300,11 @@ class TestIncrementalEquivalence:
     def test_new_report_invalidates_memo(self, capture):
         engine = TagBreathe(user_ids={1})
         mid = len(capture.reports) // 2
-        engine.feed_many(capture.reports[:mid])
+        engine.feed_batch(capture.reports[:mid])
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
             first = engine.estimate_user(1)
-            engine.feed_many(capture.reports[mid:])
+            engine.feed_batch(capture.reports[mid:])
             second = engine.estimate_user(1)
             assert second is not first
             reference = estimate_user_recompute(engine, 1)
@@ -314,8 +312,8 @@ class TestIncrementalEquivalence:
 
     def test_cached_insufficient_data_reraises(self):
         engine = TagBreathe(user_ids={1})
-        for r in make_reports([0.0, 0.1, 0.2, 0.3]):
-            engine.feed(r)
+        engine.feed_batch(ReportBatch.from_reports(
+            make_reports([0.0, 0.1, 0.2, 0.3])))
         with pytest.raises(InsufficientDataError) as first:
             engine.estimate_user(1)
         with pytest.raises(InsufficientDataError) as second:
@@ -324,7 +322,7 @@ class TestIncrementalEquivalence:
 
     def test_unknown_user_raises(self, capture):
         engine = TagBreathe(user_ids={1, 99})
-        engine.feed_many(capture.reports)
+        engine.feed_batch(capture.reports)
         with pytest.raises(InsufficientDataError):
             engine.estimate_user(99)
 
@@ -337,7 +335,7 @@ class TestRestoreDropAccounting:
         """A snapshot whose replay itself triggers a duplicate drop."""
         reports = make_reports([0.0, 0.5, 1.0, 1.5, 2.0])
         # Same stream, same timestamp as the newest buffered report: the
-        # replaying feed() classifies this as a duplicate.
+        # replaying feed_batch() classifies this as a duplicate.
         reports.append(make_reports([2.0])[0])
         return reports
 
@@ -376,7 +374,7 @@ class TestRestoreDropAccounting:
         """Restore = re-feed: estimates after restore are bit-identical
         to an engine that never checkpointed."""
         original = TagBreathe(user_ids={1})
-        original.feed_many(capture.reports)
+        original.feed_batch(capture.reports)
         restored = TagBreathe(user_ids={1})
         restored.restore_streaming(original.buffered_reports(),
                                    original.feed_drop_counts)
@@ -421,7 +419,7 @@ class TestRestoreUnderTimestampTies:
         reports = tied_reports()
         cut = next(i for i, r in enumerate(reports) if r.timestamp_s >= 25.0)
         live = TagBreathe(user_ids={1})
-        live.feed_many(reports[:cut])
+        live.feed_batch(ReportBatch.from_reports(reports[:cut]))
         restored = TagBreathe(user_ids={1})
         restored.restore_streaming(live.buffered_batch(1),
                                    live.feed_drop_counts)
@@ -436,8 +434,9 @@ class TestRestoreUnderTimestampTies:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DegradedEstimateWarning)
             for lo in range(cut, len(reports), 300):
-                live.feed_many(reports[lo:lo + 300])
-                restored.feed_many(reports[lo:lo + 300])
+                chunk = ReportBatch.from_reports(reports[lo:lo + 300])
+                live.feed_batch(chunk)
+                restored.feed_batch(chunk)
                 want = live.estimate_user(1)
                 for got in (restored.estimate_user(1),
                             estimate_user_recompute(restored, 1)):

@@ -24,6 +24,7 @@ from repro.body import (
     Subject,
 )
 from repro.epc import EPCMappingTable
+from repro.reader.batch import ReportBatch
 
 
 class TestSingleUserEndToEnd:
@@ -150,8 +151,10 @@ class TestLLRPPath:
         pipeline = TagBreathe(user_ids={1})
         client.connect()
         client.add_rospec(ROSpec(duration_s=40.0))
-        client.subscribe(pipeline.feed)
+        received = []
+        client.subscribe(received.append)
         client.start()
+        pipeline.feed_batch(ReportBatch.from_reports(received))
         estimate = pipeline.estimate_user(1, window_s=30.0)
         assert breathing_rate_accuracy(estimate.rate_bpm, 12.0) > 0.9
 

@@ -22,7 +22,6 @@ import tracemalloc
 import warnings
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -82,8 +81,7 @@ def baseline():
     global _BASELINE
     if _BASELINE is None:
         session = UserSession(USER, SessionConfig())
-        for report in reports():
-            session.ingest(report)
+        session.ingest_batch(ReportBatch.from_reports(reports()))
         _BASELINE = snapshot(session)
     return _BASELINE
 
@@ -102,25 +100,24 @@ def assert_bit_identical(got, want):
 def interrupted(cuts, batch_from=None):
     """Snapshot of a session hibernated (and woken) at each cut index.
 
-    Reports before ``batch_from`` are fed one at a time; from that index
-    on they go through the column-batch path (``ingest_batch``), so a
-    wake can land directly on a batched feed.
+    Reports before ``batch_from`` arrive as one-row column batches; from
+    that index on the rest arrive as one batch, so a wake can land
+    directly on a many-row feed.
     """
     shard = SessionShard(0, SessionConfig(), publish=lambda message: None)
     cut_set = set(cuts)
-    all_reports = reports()
-    scalar_until = len(all_reports) if batch_from is None else batch_from
-    for i, report in enumerate(all_reports[:scalar_until]):
+    rows = ReportBatch.from_reports(reports())
+    rows_until = len(rows) if batch_from is None else batch_from
+    for i in range(rows_until):
         if i in cut_set:
             assert shard.hibernate_session(USER)
             assert USER in shard.hibernated
             assert USER not in shard.sessions
-        shard.session_for(USER).ingest(report)
+        shard.session_for(USER).ingest_batch(rows[i:i + 1])
     if batch_from is not None:
         if batch_from in cut_set:
             assert shard.hibernate_session(USER)
-        batch = ReportBatch.from_reports(all_reports[batch_from:])
-        shard.session_for(USER).ingest_batch(batch)
+        shard.session_for(USER).ingest_batch(rows[batch_from:])
     return snapshot(shard.session_for(USER))
 
 
@@ -163,8 +160,8 @@ class TestHibernateWakeBitExact:
         # The shard already parks through doc_to_blob; pin the codec
         # itself: doc -> blob -> doc is the identity on checkpoint docs.
         session = UserSession(USER, SessionConfig())
-        for report in reports()[: len(reports()) // 3]:
-            session.ingest(report)
+        session.ingest_batch(ReportBatch.from_reports(
+            reports()[: len(reports()) // 3]))
         from repro.serve import session_state_to_doc
         doc = session_state_to_doc(session.state())
         doc["hibernated"] = True
@@ -172,8 +169,8 @@ class TestHibernateWakeBitExact:
 
     def test_hibernation_frees_the_resident_engine(self):
         shard = SessionShard(0, SessionConfig(), publish=lambda m: None)
-        for report in reports():
-            shard.session_for(USER).ingest(report)
+        shard.session_for(USER).ingest_batch(
+            ReportBatch.from_reports(reports()))
         resident = shard.sessions[USER].engine.streaming_nbytes(USER)
         assert shard.hibernate_session(USER)
         cold = shard.hibernated.resident_bytes()
@@ -295,7 +292,7 @@ class TestIdleSweepAndBudget:
         shard = SessionShard(0, config, publish=lambda m: None)
         for uid, report in [(1, reports()[0]), (2, reports()[1])]:
             session = shard.session_for(uid)
-            session.ingest(report)
+            session.ingest_batch(ReportBatch.from_reports([report]))
         shard.sessions[1].last_active -= 60.0  # user 1 went quiet
         assert shard.hibernate_idle() == 1
         assert 1 in shard.hibernated and 1 not in shard.sessions

@@ -19,6 +19,7 @@ from repro.core.motion import (MIN_WINDOW_REPORTS, STILL, MotionReport,
                                apply_motion, score_motion)
 from repro.core.pipeline import TagBreathe
 from repro.faults import FaultChain, MotionBurst
+from repro.reader.batch import ReportBatch
 
 from .stage5_reference import estimate_user_recompute
 
@@ -218,8 +219,7 @@ class TestPipelineIntegration:
         injected = chain.apply(clean_capture.reports)
         batch = TagBreathe(user_ids={1}).process(injected)[1]
         engine = TagBreathe(user_ids={1})
-        for report in injected:
-            engine.feed(report)
+        engine.feed_batch(ReportBatch.from_reports(injected))
         streamed = engine.estimate_user(1)
         recomputed = estimate_user_recompute(engine, 1)
         for estimate in (streamed, recomputed):

@@ -111,7 +111,7 @@ class TestWiring:
         scenario = Scenario.single_user(2.0, sway_seed=1)
         reader = Reader(rng=np.random.default_rng(0))
         engine = TagBreathe(user_ids={1})
-        engine.feed_many(reader.run(scenario, duration_s=30.0))
+        engine.feed_batch(reader.run(scenario, duration_s=30.0))
         engine.estimate_user(1)
         engine.estimate_user(1)  # memoized: no new rows, no computed tick
         assert stage(registry, "pipeline.tick").count == 1

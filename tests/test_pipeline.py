@@ -14,7 +14,7 @@ from repro.core.pipeline import (
     REASON_TAG_DEATH,
     sanitize_columns,
 )
-from repro.core.quality import select_best_antenna, select_port
+from repro.core.quality import select_port
 from repro.epc import EPC96
 from repro.errors import (
     DegradedEstimateWarning,
@@ -26,7 +26,12 @@ from repro.faults import BurstyDrop, FaultChain, OutOfOrderDelivery, TagDeath
 from repro.reader import Antenna, ReportBatch, TagReport
 from repro.config import ReaderConfig, RobustnessConfig
 
-from .cascade_oracle import group_reports_by_user, process_user, sanitize_reports
+from .cascade_oracle import (
+    group_reports_by_user,
+    process_user,
+    sanitize_reports,
+    select_best_antenna,
+)
 from .stage5_reference import fused_track_counting
 
 
@@ -104,30 +109,30 @@ class TestStreaming:
     def test_streaming_matches_batch(self, capture):
         batch = TagBreathe(user_ids={1}).process(capture.reports)[1]
         streaming = TagBreathe(user_ids={1})
-        streaming.feed_many(capture.reports)
+        streaming.feed_batch(capture.reports)
         estimate = streaming.estimate_user(1, window_s=40.0)
         assert estimate.rate_bpm == pytest.approx(batch.rate_bpm, rel=0.05)
 
     def test_trailing_window(self, capture):
         pipeline = TagBreathe(user_ids={1})
-        pipeline.feed_many(capture.reports)
+        pipeline.feed_batch(capture.reports)
         estimate = pipeline.estimate_user(1, window_s=25.0)
         assert estimate.rate_bpm == pytest.approx(12.0, rel=0.1)
 
     def test_streamed_users(self, capture):
         pipeline = TagBreathe(user_ids={1})
-        pipeline.feed_many(capture.reports)
+        pipeline.feed_batch(capture.reports)
         assert pipeline.streamed_users() == [1]
 
     def test_unknown_user_estimate_rejected(self, capture):
         pipeline = TagBreathe(user_ids={1})
-        pipeline.feed_many(capture.reports)
+        pipeline.feed_batch(capture.reports)
         with pytest.raises(InsufficientDataError):
             pipeline.estimate_user(42)
 
     def test_reset(self, capture):
         pipeline = TagBreathe(user_ids={1})
-        pipeline.feed_many(capture.reports)
+        pipeline.feed_batch(capture.reports)
         pipeline.reset_streaming()
         assert pipeline.streamed_users() == []
         with pytest.raises(InsufficientDataError):
@@ -135,32 +140,26 @@ class TestStreaming:
 
     def test_out_of_order_reports_ignored(self, capture):
         pipeline = TagBreathe(user_ids={1})
-        pipeline.feed_many(capture.reports)
-        pipeline.feed(capture.reports[0])  # stale: silently dropped
+        pipeline.feed_batch(capture.reports)
+        # Stale: dropped and counted, never raised.
+        assert pipeline.feed_batch(capture.reports[:1]) == 0
         estimate = pipeline.estimate_user(1, window_s=40.0)
         assert estimate.rate_bpm == pytest.approx(12.0, rel=0.1)
 
     def test_unmonitored_reports_dropped(self, capture):
         pipeline = TagBreathe(user_ids={99})
-        pipeline.feed_many(capture.reports)
+        pipeline.feed_batch(capture.reports)
         assert pipeline.streamed_users() == []
 
     def test_memory_bounded(self, capture):
         pipeline = TagBreathe(user_ids={1})
         # Feed the capture three times with shifted timestamps to simulate
         # a long session.
+        rows = capture.reports
         for shift in (0.0, 45.0, 90.0):
-            for report in capture.reports:
-                shifted = type(report)(
-                    epc=report.epc,
-                    timestamp_s=report.timestamp_s + shift,
-                    phase_rad=report.phase_rad,
-                    rssi_dbm=report.rssi_dbm,
-                    doppler_hz=report.doppler_hz,
-                    channel_index=report.channel_index,
-                    antenna_port=report.antenna_port,
-                )
-                pipeline.feed(shifted)
+            pipeline.feed_batch(ReportBatch(
+                rows.t + shift, rows.phase, rows.rssi, rows.doppler,
+                rows.channel, rows.antenna, rows.user_id, rows.tag_id))
         total = len(pipeline.buffered_batch(1))
         # Three 40 s passes = ~3x capture, but trimming caps retention.
         assert total <= 3 * len(capture.reports)
@@ -365,7 +364,7 @@ class TestBatchStage5:
     def test_unwrap_corrections_counted(self):
         """A phase ramp of 0.3 rad per read on one chain wraps at every
         crossing of 2 pi; each wrap is one Eq. (3) correction, counted
-        by batch, feed and feed_batch alike."""
+        by batch, one feed_batch and one-row feed_batch calls alike."""
         epc = EPC96.from_user_tag(1, 0)
         phases = (0.1 + 0.3 * np.arange(100)) % (2.0 * np.pi)
         wraps = int((0.1 + 0.3 * 99) // (2.0 * np.pi))
@@ -376,15 +375,16 @@ class TestBatchStage5:
                              antenna_port=1)
                    for i, p in enumerate(phases)]
         name = "repro_pipeline_phase_unwrap_corrections_total"
-        for run in ("process", "feed", "feed_batch"):
+        for run in ("process", "feed_batch", "rows"):
             engine = TagBreathe(user_ids={1})
             with obs.capture():
                 if run == "process":
                     engine.process_detailed(reports)
-                elif run == "feed":
-                    engine.feed_many(reports)
-                else:
+                elif run == "feed_batch":
                     engine.feed_batch(ReportBatch.from_reports(reports))
+                else:
+                    for report in reports:
+                        engine.feed_batch(ReportBatch.from_reports([report]))
                 assert obs.counter(name).value == wraps, run
 
     def test_invalid_channel_is_a_stream_error(self, capture):
@@ -490,15 +490,15 @@ class TestFeedTolerance:
         assert estimates == {}
         assert 1 in failures
         pipeline = TagBreathe(user_ids={1})
-        assert pipeline.feed(capture.reports[0]) is True
+        assert pipeline.feed_batch(capture.reports[:1]) == 1
         with pytest.raises(InsufficientDataError):
             pipeline.estimate_user(1)
 
     def test_counts_duplicate_and_late(self, capture):
         pipeline = TagBreathe(user_ids={1})
-        assert pipeline.feed_many(capture.reports) == len(capture.reports)
-        assert pipeline.feed(capture.reports[-1]) is False  # same timestamp
-        assert pipeline.feed(capture.reports[0]) is False   # older
+        assert pipeline.feed_batch(capture.reports) == len(capture.reports)
+        assert pipeline.feed_batch(capture.reports[-1:]) == 0  # same time
+        assert pipeline.feed_batch(capture.reports[:1]) == 0   # older
         counts = pipeline.feed_drop_counts
         assert counts["duplicate"] == 1
         assert counts["late"] == 1
@@ -509,22 +509,24 @@ class TestFeedTolerance:
     def test_counts_invalid_channel(self, capture):
         pipeline = TagBreathe(user_ids={1})
         bad = replace(capture.reports[0], channel_index=499)
-        assert pipeline.feed(bad) is False
+        assert pipeline.feed_batch(ReportBatch.from_reports([bad])) == 0
         assert pipeline.feed_drop_counts["invalid_channel"] == 1
 
     def test_reversed_stream_never_raises(self, capture):
         pipeline = TagBreathe(user_ids={1})
-        buffered = pipeline.feed_many(reversed(capture.reports))
+        buffered = pipeline.feed_batch(capture.reports.select(
+            np.arange(len(capture.reports))[::-1]))
         assert buffered + pipeline.dropped_report_count == len(capture.reports)
 
     def test_unmonitored_user_not_counted(self, capture):
         pipeline = TagBreathe(user_ids={99})
-        assert pipeline.feed(capture.reports[0]) is False
+        assert pipeline.feed_batch(capture.reports[:1]) == 0
         assert pipeline.dropped_report_count == 0
 
     def test_reset_clears_counters(self, capture):
         pipeline = TagBreathe(user_ids={1})
-        pipeline.feed_many(capture.reports)
-        pipeline.feed(capture.reports[0])
+        pipeline.feed_batch(capture.reports)
+        pipeline.feed_batch(capture.reports[:1])
+        assert pipeline.dropped_report_count == 1
         pipeline.reset_streaming()
         assert pipeline.dropped_report_count == 0

@@ -215,9 +215,10 @@ class TestIncrementalStreamingProperties:
         the incremental tick and the from-scratch recompute agree
         bit-for-bit (identical estimate or identical refusal)."""
         from repro import TagBreathe
+        from repro.reader.batch import ReportBatch
 
         engine = TagBreathe(user_ids={1})
-        engine.feed_many(reports)
+        engine.feed_batch(ReportBatch.from_reports(reports))
         inc, rec = self._tick_pair(engine)
         if isinstance(inc, tuple):
             assert inc == rec
@@ -233,17 +234,18 @@ class TestIncrementalStreamingProperties:
         """Snapshot + restore mid-stream converges on the uninterrupted
         session: identical estimates and identical drop accounting."""
         from repro import TagBreathe
+        from repro.reader.batch import ReportBatch
 
         split = len(reports) // 2
         uninterrupted = TagBreathe(user_ids={1})
-        uninterrupted.feed_many(reports)
+        uninterrupted.feed_batch(ReportBatch.from_reports(reports))
 
         first_half = TagBreathe(user_ids={1})
-        first_half.feed_many(reports[:split])
+        first_half.feed_batch(ReportBatch.from_reports(reports[:split]))
         resumed = TagBreathe(user_ids={1})
         resumed.restore_streaming(first_half.buffered_reports(),
                                   first_half.feed_drop_counts)
-        resumed.feed_many(reports[split:])
+        resumed.feed_batch(ReportBatch.from_reports(reports[split:]))
 
         # The restored buffer was already deduplicated, so the replay
         # itself must not have dropped anything.
@@ -506,6 +508,7 @@ class TestCascadeOracleProperties:
 
         from repro import TagBreathe
         from repro.errors import DegradedEstimateWarning
+        from repro.reader.batch import ReportBatch
 
         from .cascade_oracle import process_detailed, trailing_reports
 
@@ -522,7 +525,7 @@ class TestCascadeOracleProperties:
             for uid in want:
                 _assert_same_outcome(got[uid], want[uid])
 
-            engine.feed_many(in_order)
+            engine.feed_batch(ReportBatch.from_reports(in_order))
             window = 25.0 if window_s is None else window_s
             _assert_same_outcome(
                 self._tick(engine, window),
@@ -582,6 +585,7 @@ class TestCascadeOracleProperties:
 
         from repro import TagBreathe
         from repro.errors import DegradedEstimateWarning
+        from repro.reader.batch import ReportBatch
         from repro.reader.tagreport import TagReport
 
         from .cascade_oracle import process_user
@@ -601,7 +605,7 @@ class TestCascadeOracleProperties:
         with _warnings.catch_warnings():
             _warnings.simplefilter("ignore", DegradedEstimateWarning)
             batch = engine.process(reports)[1]
-            engine.feed_many(reports)
+            engine.feed_batch(ReportBatch.from_reports(reports))
             tick = engine.estimate_user(1, window_s=30.0)
             oracle = process_user(engine, 1, reports)
         assert batch.antenna_port == tick.antenna_port == 2

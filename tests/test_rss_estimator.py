@@ -150,8 +150,7 @@ class TestEndToEnd:
             batch = TagBreathe(user_ids={1}).process(
                 degraded_capture.reports, window_s=40.0)[1]
             engine = TagBreathe(user_ids={1})
-            for report in degraded_capture.reports:
-                engine.feed(report)
+            engine.feed_batch(degraded_capture.reports)
             streamed = engine.estimate_user(1, window_s=40.0)
         assert streamed.estimator == batch.estimator == "rss"
         assert streamed.rate_bpm == batch.rate_bpm

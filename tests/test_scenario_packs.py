@@ -7,7 +7,6 @@ determinism, ground-truth windows coming straight from the schedules,
 and the scoring harness itself on a small purpose-built pack.
 """
 
-import numpy as np
 import pytest
 
 from repro.body import MetronomeBreathing, Subject

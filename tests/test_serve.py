@@ -143,7 +143,7 @@ class TestEngineStreamingState:
     def test_buffered_reports_roundtrip(self):
         result = make_capture(users=2, duration_s=30.0)
         engine = TagBreathe(user_ids={1, 2})
-        engine.feed_many(result.reports)
+        engine.feed_batch(result.reports)
         snapshot = engine.buffered_reports()
         assert len(snapshot) == len(result.reports)
         restored = TagBreathe(user_ids={1, 2})
@@ -157,7 +157,7 @@ class TestEngineStreamingState:
     def test_buffered_reports_per_user_filter(self):
         result = make_capture(users=2, duration_s=10.0)
         engine = TagBreathe(user_ids={1, 2})
-        engine.feed_many(result.reports)
+        engine.feed_batch(result.reports)
         only_one = engine.buffered_reports(1)
         assert only_one and all(r.user_id == 1 for r in only_one)
 
@@ -259,8 +259,8 @@ class TestUserSession:
                                warmup_s=25.0)
         session = UserSession(1, config)
         estimates = []
-        for report in result.reports:
-            session.ingest(report)
+        for i in range(len(result.reports)):
+            session.ingest_batch(result.reports[i:i + 1])
             message = session.maybe_estimate()
             if message:
                 estimates.append(message)
@@ -279,8 +279,7 @@ class TestUserSession:
         result = make_capture(users=1, duration_s=30.0)
         session = UserSession(1, SessionConfig(include_signal=True,
                                                signal_points=40))
-        for report in result.reports:
-            session.ingest(report)
+        session.ingest_batch(result.reports)
         message = session.estimate_now()
         assert message is not None
         assert len(message["signal"]["values"]) >= 20
@@ -309,8 +308,7 @@ class TestCheckpoint:
     def test_save_load_roundtrip(self, tmp_path):
         result = make_capture(users=2, duration_s=20.0)
         session = UserSession(1, SessionConfig())
-        for report in result.reports:
-            session.ingest(report)
+        session.ingest_batch(result.reports)
         path = tmp_path / "serve.ckpt"
         n = save_checkpoint(path, [session.state()], {"frames_total": 99})
         assert n == len(session.engine.buffered_reports(1))
@@ -341,8 +339,7 @@ class TestCheckpoint:
         result = make_capture(users=1, duration_s=30.0)
         config = SessionConfig(window_s=30.0)
         original = UserSession(1, config)
-        for report in result.reports:
-            original.ingest(report)
+        original.ingest_batch(result.reports)
         state = original.state()
         clone = UserSession(1, config)
         clone.restore(state)
@@ -358,8 +355,7 @@ class TestCheckpointHardening:
     def _save(self, path, marker):
         result = make_capture(users=1, duration_s=15.0)
         session = UserSession(1, SessionConfig())
-        for report in result.reports:
-            session.ingest(report)
+        session.ingest_batch(result.reports)
         return save_checkpoint(path, [session.state()],
                                {"frames_total": marker})
 
@@ -425,8 +421,7 @@ class TestRestoreDropAccounting:
         the snapshot, not of live traffic."""
         result = make_capture(users=1, duration_s=20.0)
         original = UserSession(1, SessionConfig(window_s=20.0))
-        for report in result.reports:
-            original.ingest(report)
+        original.ingest_batch(result.reports)
         state = original.state()
         # A torn snapshot: one report duplicated (same stream, same
         # timestamp) — the replay must drop exactly the duplicate.
@@ -444,8 +439,7 @@ class TestRestoreDropAccounting:
     def test_clean_restore_reports_zero_replay_drops(self):
         result = make_capture(users=1, duration_s=20.0)
         original = UserSession(1, SessionConfig(window_s=20.0))
-        for report in result.reports:
-            original.ingest(report)
+        original.ingest_batch(result.reports)
         state = original.state()
         clone = UserSession(1, SessionConfig(window_s=20.0))
         clone.restore(state)
@@ -522,7 +516,7 @@ class TestServerEndToEnd:
         finals = run(run_server(reports[half:], expect_resumed=True))
 
         uninterrupted = TagBreathe(user_ids={1, 2})
-        uninterrupted.feed_many(reports)
+        uninterrupted.feed_batch(ReportBatch.from_reports(reports))
         for uid in (1, 2):
             expected = uninterrupted.estimate_user(uid, window_s=40.0)
             assert finals[uid]["rate_bpm"] == pytest.approx(
@@ -857,7 +851,7 @@ class TestHibernation:
         assert mid["sessions"] == 2  # parked users still counted as owned
         assert end["resident"] == 2 and end["hibernated"] == 0
         uninterrupted = TagBreathe(user_ids={1, 2})
-        uninterrupted.feed_many(reports)
+        uninterrupted.feed_batch(ReportBatch.from_reports(reports))
         for uid in (1, 2):
             expected = uninterrupted.estimate_user(uid, window_s=40.0)
             assert finals[uid]["rate_bpm"] == pytest.approx(
@@ -915,7 +909,7 @@ class TestHibernation:
         assert resumed["sessions"] == 2
         assert resumed["resident"] == 0 and resumed["hibernated"] == 2
         uninterrupted = TagBreathe(user_ids={1, 2})
-        uninterrupted.feed_many(reports)
+        uninterrupted.feed_batch(ReportBatch.from_reports(reports))
         for uid in (1, 2):
             expected = uninterrupted.estimate_user(uid, window_s=40.0)
             assert finals[uid]["rate_bpm"] == pytest.approx(

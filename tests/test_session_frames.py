@@ -167,11 +167,7 @@ def feed_in_chunks(shard, rows, chunk, cuts):
         if start in cuts:
             shard.hibernate_session(USER)
         part = rows[start:start + chunk]
-        session = shard.session_for(USER)
-        if chunk == 1:
-            session.ingest(part[0])
-        else:
-            session.ingest_batch(ReportBatch.from_reports(part))
+        shard.session_for(USER).ingest_batch(ReportBatch.from_reports(part))
     return shard.session_for(USER)
 
 
@@ -267,7 +263,8 @@ def test_flipped_phase_bit_in_checkpoint_falls_back_to_prev(tmp_path):
     path = tmp_path / "serve.ckpt"
     session = fed_session()
     save_checkpoint(path, [session.state()], {"frames_total": 1})
-    session.ingest(reports()[-1])  # a duplicate: counted, state unchanged
+    # A duplicate: counted, state unchanged.
+    session.ingest_batch(ReportBatch.from_reports(reports()[-1:]))
     save_checkpoint(path, [session.state()], {"frames_total": 2})
     live = json.loads(path.read_text())
     _flip_phase_bit(live["sessions"][0])

@@ -4,8 +4,10 @@
 the next read of ``session.engine``.  This battery pins that staging is
 invisible: a session fed a capture cut into random sub-batches, with
 every kind of state read interleaved at random points, publishes the
-same estimates and holds the same buffers and drop counts as a twin
-that feeds each sub-batch the moment it arrives.  It also pins
+same estimates and holds the same store, buffers and drop counts as a
+twin that feeds each sub-batch the moment it arrives, and as a third
+that takes the capture report by report through the row-wise ingest
+reference (``tests/ingest_reference.py``).  It also pins
 ``ReportBatch.split_by_user``: its sub-batches are the rows
 ``select`` would give, as read-only slices of one gathered copy.
 """
@@ -13,6 +15,7 @@ that feeds each sub-batch the moment it arrives.  It also pins
 from __future__ import annotations
 
 import json
+import time
 import warnings
 
 import numpy as np
@@ -25,6 +28,7 @@ from repro.reader.batch import COLUMNS, BatchBuffer, ReportBatch
 from repro.serve import SessionConfig, SessionShard
 from repro.serve.session import STAGE_ROWS
 
+from .ingest_reference import feed
 from .test_session_frames import USER, _INJECTION, outcome, perturbed
 
 #: The second user whose touch evicts ``USER`` from a one-slot shard.
@@ -56,11 +60,32 @@ def state_key(state):
     return (state.pop("batch").to_reports(), state)
 
 
-class Side:
-    """One session driven through a one-slot shard."""
+def reference_ingest(session, batch) -> None:
+    """The session bookkeeping and the row-wise reference feed, per
+    report: what ``ingest_batch`` must be indistinguishable from."""
+    for report in batch.to_reports():
+        session.reports_in += 1
+        session.last_active = time.monotonic()
+        t = report.timestamp_s
+        if session.first_t is None:
+            session.first_t = t
+            session.next_due_t = t + session.config.warmup_s
+        session.latest_t = (t if session.latest_t is None
+                            else max(session.latest_t, t))
+        feed(session.engine, report)
 
-    def __init__(self, eager: bool) -> None:
-        self.eager = eager
+
+class Side:
+    """One session driven through a one-slot shard.
+
+    ``mode`` is how rows reach its engine: ``"staged"`` through
+    ``ingest_batch`` alone, ``"eager"`` with an engine read after every
+    batch (so each batch is its own ``feed_batch``), ``"reference"``
+    through :func:`reference_ingest`.
+    """
+
+    def __init__(self, mode: str) -> None:
+        self.mode = mode
         self.shard = SessionShard(0, SessionConfig(max_resident=1),
                                   lambda message: None)
 
@@ -70,8 +95,11 @@ class Side:
 
     def ingest_batch(self, batch):
         session = self.session
-        session.ingest_batch(batch)
-        if self.eager:
+        if self.mode == "reference":
+            reference_ingest(session, batch)
+        else:
+            session.ingest_batch(batch)
+        if self.mode == "eager":
             session.engine  # feeds the one staged batch right away
         return message_text(session.maybe_estimate())
 
@@ -82,7 +110,7 @@ class Side:
         if kind == "state":
             return state_key(session.state())
         if kind == "ingest":
-            return session.ingest(report)
+            return self.ingest_batch(ReportBatch.from_reports([report]))
         if kind == "drops":
             return session.engine.feed_drop_counts
         if kind == "buffered":
@@ -102,7 +130,9 @@ class Side:
        reads=st.lists(st.sampled_from(READS), min_size=1, max_size=12))
 def test_staged_session_matches_eager_twin(injections, sizes, reads):
     rows = perturbed(injections)
-    staged, eager = Side(eager=False), Side(eager=True)
+    staged, eager = Side("staged"), Side("eager")
+    reference = Side("reference")
+    sides = (staged, eager, reference)
     step = at = 0
     while at < len(rows):
         size = sizes[step % len(sizes)]
@@ -110,28 +140,33 @@ def test_staged_session_matches_eager_twin(injections, sizes, reads):
         step += 1
         batch = ReportBatch.from_reports(rows[at:at + size])
         at += size
-        assert staged.ingest_batch(batch) == eager.ingest_batch(batch)
+        assert len({side.ingest_batch(batch) for side in sides}) == 1
         report = None
         if kind == "ingest":
             if at >= len(rows):
                 continue
             report = rows[at]
             at += 1
-        assert staged.read(kind, report) == eager.read(kind, report)
+        want = reference.read(kind, report)
+        assert staged.read(kind, report) == want
+        assert eager.read(kind, report) == want
         assert staged_rows(staged.session) <= STAGE_ROWS
-    a, b = staged.session, eager.session
-    assert (a.reports_in, a.first_t, a.latest_t, a.next_due_t) \
-        == (b.reports_in, b.first_t, b.latest_t, b.next_due_t)
-    assert a.engine.buffered_reports(USER) == b.engine.buffered_reports(USER)
-    assert a.engine.feed_drop_counts == b.engine.feed_drop_counts
-    assert message_text(a.estimate_now(final=True)) \
-        == message_text(b.estimate_now(final=True))
-    assert outcome(a.engine) == outcome(b.engine)
+    c = reference.session
+    for a in (staged.session, eager.session):
+        assert (a.reports_in, a.first_t, a.latest_t, a.next_due_t) \
+            == (c.reports_in, c.first_t, c.latest_t, c.next_due_t)
+        assert a.engine._inc.snapshot() == c.engine._inc.snapshot()
+        assert a.engine.buffered_reports(USER) \
+            == c.engine.buffered_reports(USER)
+        assert a.engine.feed_drop_counts == c.engine.feed_drop_counts
+        assert message_text(a.estimate_now(final=True)) \
+            == message_text(c.estimate_now(final=True))
+        assert outcome(a.engine) == outcome(c.engine)
 
 
 def test_staging_feeds_the_engine_once_per_read():
     rows = perturbed([])
-    session = Side(eager=False).session
+    session = Side("staged").session
     calls = []
     engine = session._engine
     feed_batch = engine.feed_batch
@@ -161,7 +196,7 @@ def test_staging_feeds_the_engine_once_per_read():
 
 def test_parked_session_carries_nothing_staged():
     rows = perturbed([])
-    side = Side(eager=False)
+    side = Side("staged")
     side.session.ingest_batch(ReportBatch.from_reports(rows[:100]))
     side.read("park", None)
     woken = side.session

@@ -798,8 +798,8 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
 
     * **bytes_per_idle_user** — every registered user is parked in a
       :class:`~repro.serve.hibernate.HibernationStore` as a real,
-      wakeable compressed document (a template session's document
-      with the frame's user_id column and CRC rewritten per user —
+      wakeable session record (a template session's record with the
+      frame's user_id column and CRC rewritten per user —
       verified by waking a sample), and the store's resident bytes are
       divided by the population;
     * **bytes_per_active_user** — a sample of engine-backed sessions is
@@ -807,7 +807,7 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
       and measured with ``tracemalloc``, capturing the *true* python +
       numpy resident cost, with the engine's own ``streaming_nbytes``
       accounting recorded alongside, and the same session parked as a
-      cold blob (``steady_state.blob_bytes_per_report`` divides its
+      parked record (``steady_state.blob_bytes_per_report`` divides its
       size by the rows it holds);
     * **wake latency percentiles** — hibernated users are woken one by
       one through ``SessionShard.session_for`` (inflate, CRC check,
@@ -826,9 +826,8 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     """
     import tracemalloc
 
-    from .serve.checkpoint import session_state_from_doc, \
-        session_state_to_binary_doc
-    from .serve.hibernate import HibernationStore, doc_to_blob, open_blob
+    from .serve.hibernate import HibernationStore
+    from .serve.record import pack_record, read_record, session_state_to_doc
     from .serve.session import SessionConfig, SessionShard, UserSession
 
     registered = IDLE_QUICK_REGISTERED if quick else IDLE_FULL_REGISTERED
@@ -864,14 +863,14 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     steady_engine_nbytes = active_sessions[0].engine.streaming_nbytes(1)
     steady_state = active_sessions[0].state()
     steady_rows = len(steady_state["batch"])
-    steady_doc = session_state_to_binary_doc(steady_state)
+    steady_doc = session_state_to_doc(steady_state)
     steady_doc["hibernated"] = True
-    steady_blob = doc_to_blob(steady_doc)
+    steady_blob = pack_record(steady_doc)
     del active_sessions
 
     # ---- bytes per IDLE user: park the whole registered fleet -------
     # A template session (the idle profile: a brief burst, then quiet)
-    # is captured once; each user's document rewrites the template
+    # is captured once; each user's record rewrites the template
     # frame's user_id column (and so its CRC) — byte-identical to
     # hibernating that user for real, and wakeable, at a fraction of
     # the cost of building a million engines.
@@ -887,8 +886,8 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
             rows.t, rows.phase, rows.rssi, rows.doppler, rows.channel,
             rows.antenna, np.full(len(rows), uid, dtype=np.uint64),
             rows.tag_id)
-        store.put(uid, session_state_to_binary_doc(
-            dict(template_state, user_id=uid, batch=user_rows)))
+        store.put(uid, pack_record(session_state_to_doc(
+            dict(template_state, user_id=uid, batch=user_rows))))
     registration_s = time.perf_counter() - t0
     bytes_per_idle = store.resident_bytes() / registered
 
@@ -896,7 +895,7 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     shard = SessionShard(0, config, publish=lambda message: None)
     wake_ids = list(range(1, wake_sample + 1))
     for uid in wake_ids:
-        shard.hibernated.put_blob(uid, store.blob(uid))
+        shard.hibernated.put(uid, store.record(uid))
     wake_times: List[float] = []
     verified = 0
     for uid in wake_ids:
@@ -911,7 +910,7 @@ def run_idle_economics_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     # Worst case: waking a full steady-state window.
     t0 = time.perf_counter()
     steady_session = UserSession(1, config)
-    steady_session.restore(session_state_from_doc(open_blob(steady_blob)))
+    steady_session.restore(read_record(steady_blob))
     wake_steady_s = time.perf_counter() - t0
     del steady_session
 

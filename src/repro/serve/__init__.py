@@ -13,10 +13,12 @@ Layout:
   frames for reports, JSON for control and estimate messages;
 * :mod:`repro.serve.session` — per-user sessions, sharded workers,
   watermark backpressure and shed-oldest queues;
-* :mod:`repro.serve.checkpoint` — atomic, fsynced, generational
-  session-state save/load;
-* :mod:`repro.serve.hibernate` — compressed cold storage for idle
-  sessions (per-user budgets, idle sweep, lazy bit-exact wake);
+* :mod:`repro.serve.record` — the session record, the one serialised
+  form of a session (cold tier, checkpoints, migration);
+* :mod:`repro.serve.checkpoint` — atomic, fsynced, generational,
+  CRC-sealed files of session records;
+* :mod:`repro.serve.hibernate` — the cold tier of parked records for
+  idle sessions (per-user budgets, idle sweep, lazy bit-exact wake);
 * :mod:`repro.serve.server` — the asyncio TCP server;
 * :mod:`repro.serve.client` — replay (load generator) and watch clients
   with deadlines, bounded retry, and idempotent resume;
@@ -42,13 +44,11 @@ See docs/SERVING.md for the wire grammar and operational semantics, and
 
 from .chaos import ChaosConfig, ChaosReport, run_chaos
 from .checkpoint import (
-    CHECKPOINT_FORMAT,
+    CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     load_checkpoint,
     previous_path,
     save_checkpoint,
-    session_state_from_doc,
-    session_state_to_doc,
 )
 from .client import (
     IngestClient,
@@ -73,7 +73,9 @@ from .protocol import (
     estimate_to_wire,
     negotiate_frames,
 )
-from .hibernate import HibernationStore, blob_to_doc, doc_to_blob
+from .hibernate import HibernationStore
+from .record import (pack_record, read_record, session_state_from_doc,
+                     session_state_to_doc, unpack_record)
 from .server import ACK_EVERY, BreathServer
 from .session import SessionConfig, SessionShard, UserSession
 from .statefiles import (
@@ -90,15 +92,16 @@ from .worker import control_rpc, parse_addr, register_with, worker_main
 __all__ = [
     "BreathServer", "ACK_EVERY",
     "SessionConfig", "SessionShard", "UserSession",
-    "HibernationStore", "doc_to_blob", "blob_to_doc",
+    "HibernationStore",
+    "session_state_to_doc", "session_state_from_doc",
+    "pack_record", "unpack_record", "read_record",
     "IngestClient", "ReplayStats", "replay_trace", "watch_estimates",
     "collect_estimates",
     "FrameDecoder", "encode_frame", "estimate_to_wire", "negotiate_frames",
     "encode_column_frame", "encode_column_payload", "decode_column_frame",
     "PROTOCOL_VERSION", "MAX_FRAME_BYTES", "FRAME_KINDS", "COLUMN_FRAME_VERSION",
     "save_checkpoint", "load_checkpoint", "previous_path",
-    "session_state_to_doc", "session_state_from_doc",
-    "CHECKPOINT_FORMAT", "CHECKPOINT_VERSION",
+    "CHECKPOINT_MAGIC", "CHECKPOINT_VERSION",
     "RetryPolicy", "DEFAULT_RETRY", "RESPAWN_RETRY",
     "HashRing", "DEFAULT_VNODES",
     "BreathFabric", "FabricConfig", "Supervisor", "WorkerHandle",

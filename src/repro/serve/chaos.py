@@ -17,8 +17,9 @@ clean path).  Faults injected, seeded per run:
   SIGCONT.  The supervisor's protocol-level probe sees the silence,
   counts ``repro_fabric_heartbeat_miss_total``, and restarts the
   worker.
-* ``corrupt`` — overwrite / truncate a worker's *live* checkpoint file
-  (a torn write at the worst moment) and then SIGKILL it, forcing
+* ``corrupt`` — truncate, scribble over or flip one bit of a worker's
+  *live* checkpoint file (a torn write or a bad disk at the worst
+  moment) and then SIGKILL it, forcing
   recovery through the ``.prev`` generation fallback
   (:mod:`repro.serve.checkpoint`).
 * ``router kill`` (``router_kill=True``) — the big one: SIGKILL the
@@ -58,9 +59,10 @@ from .. import obs
 from ..core.pipeline import TagBreathe
 from ..errors import DegradedEstimateWarning, InsufficientDataError
 from ..reader.batch import ReportBatch
-from .checkpoint import session_state_from_doc
+from .checkpoint import CHECKPOINT_MAGIC
 from .client import IngestClient
 from .fabric import BreathFabric
+from .record import read_record
 from .retry import RetryPolicy
 from .session import SessionConfig, UserSession
 from .statefiles import read_state_doc, router_addr_path
@@ -71,6 +73,9 @@ from .worker import checkpoint_path
 #: worker respawn (~import cost) several times in one replay.
 CHAOS_RETRY = RetryPolicy(max_attempts=12, base_delay_s=0.2,
                           multiplier=1.7, max_delay_s=2.5)
+
+#: A checkpoint's magic and version byte, which a bit flip spares.
+_VERSIONED_HEAD = len(CHECKPOINT_MAGIC) + 1
 
 
 @dataclass(frozen=True)
@@ -190,18 +195,29 @@ def _batch_rates(reports, user_ids, window_s: Optional[float]
     return rates
 
 
-def _corrupt_file(path: Path, rng: random.Random) -> bool:
-    """Tear a checkpoint file the way a crash mid-write would."""
+def _corrupt_file(path: Path, rng: random.Random) -> Optional[str]:
+    """Damage a checkpoint file as a torn write or a bad disk would.
+
+    Returns the mode — ``truncate`` (the second half lost), ``scribble``
+    (64 garbage bytes over the head) or ``flip`` (one bit past the magic
+    and version byte, which a newer-reading version would make a refusal
+    instead of a recovery) — or None when there is no file.
+    """
     try:
-        data = path.read_bytes()
+        data = bytearray(path.read_bytes())
     except OSError:
-        return False
-    if rng.random() < 0.5 and len(data) > 2:
-        path.write_bytes(data[:len(data) // 2])  # truncation
+        return None
+    mode = rng.choice(("truncate", "scribble", "flip"))
+    if mode == "truncate" and len(data) > 2:
+        del data[len(data) // 2:]
+    elif mode == "flip" and len(data) > _VERSIONED_HEAD:
+        data[rng.randrange(_VERSIONED_HEAD, len(data))] ^= \
+            1 << rng.randrange(8)
     else:
-        garbage = bytes(rng.randrange(256) for _ in range(64))
-        path.write_bytes(garbage + data[64:])  # scribbled header
-    return True
+        mode = "scribble"
+        data[:64] = bytes(rng.randrange(256) for _ in range(64))
+    path.write_bytes(bytes(data))
+    return mode
 
 
 async def _inject_faults(fabric: BreathFabric, config: ChaosConfig,
@@ -247,11 +263,11 @@ async def _inject_faults(fabric: BreathFabric, config: ChaosConfig,
                 pass
         else:  # corrupt: tear the live checkpoint, then crash the
             # worker so recovery *must* go through the fallback path.
-            if _corrupt_file(
-                    checkpoint_path(fabric.supervisor.state_dir, victim),
-                    rng):
+            mode = _corrupt_file(
+                checkpoint_path(fabric.supervisor.state_dir, victim), rng)
+            if mode is not None:
                 report.corruptions += 1
-                obs.event("chaos.corrupt", worker=victim)
+                obs.event("chaos.corrupt", worker=victim, mode=mode)
                 os.kill(pid, signal.SIGKILL)
                 report.kills += 1
 
@@ -261,12 +277,12 @@ async def _compare_streamed(report: ChaosReport, fabric: BreathFabric,
                             ) -> None:
     """The invariant: streamed final state == batch pipeline."""
     batch = _batch_rates(reports, user_ids, session.window_s)
-    docs = await fabric.collect_states()
+    records = await fabric.collect_states()
     streamed: Dict[int, float] = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DegradedEstimateWarning)
-        for doc in docs:
-            state = session_state_from_doc(doc)
+        for record in records:
+            state = read_record(record)
             if state["user_id"] not in set(user_ids):
                 continue  # contending item tags, not subjects
             local = UserSession(state["user_id"], session)

@@ -57,7 +57,13 @@ import numpy as np
 from ..errors import ProtocolError, ServeError, ServeTimeoutError
 from ..reader.batch import ReportBatch
 from ..reader.tagreport import TagReport
-from .protocol import FrameDecoder, encode_column_frame, encode_frame
+from .protocol import (
+    FrameDecoder,
+    encode_column_frame,
+    encode_frame,
+    records_from_wire,
+    records_to_wire,
+)
 from .retry import DEFAULT_RETRY, RetryPolicy
 
 #: How many reports to coalesce into one column frame.
@@ -363,17 +369,17 @@ class IngestClient:
             if pong.get("nonce") == self._nonce:
                 return pong
 
-    async def migrate_out(self, user_ids: Sequence[int]) -> List[Dict]:
-        """Ask the server to drain+detach these users; returns state docs."""
+    async def migrate_out(self, user_ids: Sequence[int]) -> List[bytes]:
+        """Ask the server to drain+detach these users; returns their records."""
         await self.send_message({"type": "migrate_out",
                                  "user_ids": [int(u) for u in user_ids]})
         reply = await self._await_type("migrated")
-        return list(reply.get("sessions", []))
+        return records_from_wire(reply.get("sessions", []))
 
-    async def migrate_in(self, sessions: List[Dict]) -> int:
-        """Restore migrated session documents onto the server."""
+    async def migrate_in(self, records: List[bytes]) -> int:
+        """Restore migrated session records onto the server."""
         await self.send_message({"type": "migrate_in",
-                                 "sessions": list(sessions)})
+                                 "sessions": records_to_wire(records)})
         reply = await self._await_type("migrated")
         return int(reply.get("count", 0))
 

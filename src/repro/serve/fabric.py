@@ -238,17 +238,17 @@ class BreathFabric:
             totals["workers"][worker_id] = pong
         return totals
 
-    async def collect_states(self) -> List[Dict[str, Any]]:
-        """Pull every live session's state doc off the fleet (destructive).
+    async def collect_states(self) -> List[bytes]:
+        """Pull every session's record off the fleet (destructive).
 
         Uses ``migrate_out`` worker by worker — the sessions are
         *removed* from the workers — so this is an end-of-run harvest
         (the chaos harness's streamed-vs-batch comparison), not a probe.
         """
-        docs: List[Dict[str, Any]] = []
+        records: List[bytes] = []
         for worker_id in self.supervisor.worker_ids():
-            docs.extend(await self.supervisor.harvest(worker_id))
-        return docs
+            records.extend(await self.supervisor.harvest(worker_id))
+        return records
 
     # ------------------------------------------------------------------
     # Rebalancing (membership changes)

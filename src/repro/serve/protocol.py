@@ -29,6 +29,7 @@ docs/SERVING.md for the full grammar.
 
 from __future__ import annotations
 
+import base64
 import json
 import struct
 from typing import Any, Dict, List, Optional, Tuple
@@ -43,8 +44,10 @@ from ..reader.batch import ReportBatch
 #: and idempotent-resume sequence numbers; v3 added the binary column
 #: frame (``report_batch`` on the wire) and its ``frames`` negotiation;
 #: v4 made the column frame the only report format and JSON the only
-#: encoding of every other message.
-PROTOCOL_VERSION = 4
+#: encoding of every other message; v5 migrates sessions as session
+#: records (:mod:`repro.serve.record`), base64 text in the JSON
+#: ``migrate_in`` / ``migrated`` messages.
+PROTOCOL_VERSION = 5
 
 #: Hard ceiling on one frame's payload size.  Anything near this limit
 #: is a corrupt length prefix, not data (a column frame is split well
@@ -120,6 +123,19 @@ def _decode_payload(payload: bytes) -> Dict[str, Any]:
         raise ProtocolError(
             f"{message['type']!r} travels only as a column frame")
     return message
+
+
+def records_to_wire(records: List[bytes]) -> List[str]:
+    """Session records as the migrate messages carry them: base64 text."""
+    return [base64.b64encode(record).decode("ascii") for record in records]
+
+
+def records_from_wire(items: Any) -> List[bytes]:
+    """Inverse of :func:`records_to_wire`; ProtocolError on bad text."""
+    try:
+        return [base64.b64decode(item, validate=True) for item in items]
+    except (TypeError, ValueError) as exc:  # binascii.Error included
+        raise ProtocolError(f"bad session record text: {exc}") from exc
 
 
 def encode_frame(message: Dict[str, Any]) -> bytes:

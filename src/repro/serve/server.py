@@ -32,24 +32,22 @@ from __future__ import annotations
 import asyncio
 import json
 import time
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from .. import obs
 from ..core.pipeline import TagBreathe
 from ..errors import CheckpointCorruptError, ProtocolError, ServeError
-from .checkpoint import (
-    current_session_doc,
-    load_checkpoint,
-    save_checkpoint,
-    session_state_from_doc,
-    session_state_to_doc,
-)
+from .checkpoint import load_checkpoint, previous_path, save_checkpoint
 from .protocol import (
     PROTOCOL_VERSION,
     FrameDecoder,
     encode_frame,
     negotiate_frames,
+    records_from_wire,
+    records_to_wire,
 )
+from .record import pack_record, read_record, session_state_to_doc
 from .session import SessionConfig, SessionShard, UserSession
 
 #: Socket read chunk size.
@@ -302,17 +300,25 @@ class BreathServer:
                 [s.state() for s in self.sessions()],
                 counters,
                 client_seqs=self._client_seq,
-                hibernated_docs=[doc for shard in self._shards
-                                 for doc in shard.parked_docs()],
+                hibernated_docs=[record for shard in self._shards
+                                 for record in shard.parked_records()],
             )
         obs.counter("repro_serve_checkpoints_total").inc()
         return n
 
     def _maybe_resume(self) -> None:
+        """Resume from the checkpoint, if any.  Only a missing one is a
+        silent cold start and a corrupt one a counted cold start; one
+        that cannot be read (a newer version, an I/O error) raises
+        :class:`ServeError` out of :meth:`start`, before a checkpoint
+        could overwrite it."""
         if not self.checkpoint_path:
             return
+        path = Path(self.checkpoint_path)
+        if not path.exists() and not previous_path(path).exists():
+            return  # no checkpoint at all: genuine cold start
         try:
-            saved = load_checkpoint(self.checkpoint_path)
+            saved = load_checkpoint(path)
         except CheckpointCorruptError as exc:
             # Both generations torn/garbage: cold start, but *visibly* —
             # a clinical monitor must never lose state in silence.
@@ -320,8 +326,6 @@ class BreathServer:
             obs.event("serve.checkpoint.corrupt",
                       path=str(self.checkpoint_path), error=str(exc))
             return
-        except ServeError:
-            return  # no checkpoint at all: genuine cold start
         if saved.get("fallback"):
             # The live file was torn mid-write; the previous good
             # generation carried the restore.  Count the corruption.
@@ -330,15 +334,15 @@ class BreathServer:
                       path=str(self.checkpoint_path),
                       reason=saved.get("fallback_reason", ""))
         resumed = 0
-        for state, doc in zip(saved["sessions"], saved["documents"]):
+        for state, record in zip(saved["sessions"], saved["records"]):
             user_id = state["user_id"]
             shard = self.shard_for(user_id)
             if state.get("hibernated"):
                 # A hibernated session stays cold across the restart: its
-                # validated document goes straight back to the shard's
-                # compressed store, as is — no engine is materialised
-                # until the user's next report.
-                shard.adopt_hibernated(user_id, doc)
+                # validated record goes straight back to the shard's
+                # cold tier, as is — no engine is materialised until the
+                # user's next report.
+                shard.adopt_hibernated(user_id, record)
             else:
                 shard.session_for(user_id).restore(state)
             resumed += len(state["batch"])
@@ -398,52 +402,54 @@ class BreathServer:
                 uid for shard in self._shards for uid in shard.user_ids())
         return reply
 
-    async def migrate_out(self, user_ids: List[int]) -> List[Dict[str, Any]]:
-        """Drain and detach the named users' sessions; returns their state.
+    async def migrate_out(self, user_ids: List[int]) -> List[bytes]:
+        """Drain and detach the named users' sessions; returns their records.
 
         The owning shards' queues are drained first so the snapshot is
         consistent (every accepted report is inside the state), then the
         sessions are removed — subsequent reports for these users would
         open *fresh* sessions, so the router must have stopped sending
-        them here before asking.  The returned documents are exactly the
-        checkpoint session schema (``session_state_to_doc``): migration
-        is a targeted checkpoint whose storage is the wire.
+        them here before asking.  The returned session records are what
+        a checkpoint holds: migration is a targeted checkpoint whose
+        storage is the wire.
         """
         owning = {self.shard_for(uid).index for uid in user_ids}
         for index in sorted(owning):
             await self._shards[index].drain()
-        docs = []
+        records = []
         for uid in sorted(set(user_ids)):
             shard = self.shard_for(uid)
             session = shard.remove_session(uid)
             if session is not None:
-                docs.append(session_state_to_doc(session.state()))
+                # Deflated like a parked record: a migration reply must
+                # fit in one wire frame.
+                records.append(pack_record(
+                    session_state_to_doc(session.state())))
                 continue
-            # A hibernated user migrates as their parked document — a
-            # few KB of compressed state, never inflated into an engine.
-            doc = shard.pop_parked(uid)
-            if doc is not None:
-                docs.append(doc)
-        self.counters["migrated_out_total"] += len(docs)
+            # A hibernated user migrates as their parked record — a few
+            # KB of compressed state, never inflated into an engine.
+            record = shard.pop_parked(uid)
+            if record is not None:
+                records.append(record)
+        self.counters["migrated_out_total"] += len(records)
         obs.counter("repro_serve_migrated_sessions_total",
-                    direction="out").inc(len(docs))
-        return docs
+                    direction="out").inc(len(records))
+        return records
 
-    def migrate_in(self, docs: List[Dict[str, Any]]) -> int:
-        """Restore migrated session documents into this server.
+    def migrate_in(self, records: List[bytes]) -> int:
+        """Restore migrated session records into this server.
 
         Raises:
-            CheckpointCorruptError: when a document is malformed (the
+            CheckpointCorruptError: when a record is malformed (the
                 connection handler answers a protocol error; nothing is
-                partially restored from the bad document).
+                partially restored from the bad record).
         """
         count = 0
-        for doc in docs:
-            state = session_state_from_doc(doc)  # validates either kind
+        for record in records:
+            state = read_record(record)
             uid = state["user_id"]
             if state.get("hibernated"):
-                self.shard_for(uid).adopt_hibernated(
-                    uid, current_session_doc(doc, state))
+                self.shard_for(uid).adopt_hibernated(uid, record)
             else:
                 self.shard_for(uid).session_for(uid).restore(state)
             count += 1
@@ -626,17 +632,24 @@ class BreathServer:
                         self._pong(message)))
                     await writer.drain()
                 elif mtype == "migrate_out":
-                    docs = await self.migrate_out(
+                    records = await self.migrate_out(
                         [int(u) for u in message.get("user_ids", [])])
-                    writer.write(encode_frame({
-                        "type": "migrated", "direction": "out",
-                        "sessions": docs,
-                    }))
+                    try:
+                        reply = encode_frame({
+                            "type": "migrated", "direction": "out",
+                            "sessions": records_to_wire(records),
+                        })
+                    except ProtocolError:
+                        # Too big for one frame: the sessions stay here
+                        # rather than nowhere.
+                        self.migrate_in(records)
+                        raise
+                    writer.write(reply)
                     await writer.drain()
                 elif mtype == "migrate_in":
                     try:
-                        count = self.migrate_in(
-                            message.get("sessions", []))
+                        count = self.migrate_in(records_from_wire(
+                            message.get("sessions", [])))
                     except CheckpointCorruptError as exc:
                         raise ProtocolError(
                             f"bad migrate_in payload: {exc}") from exc

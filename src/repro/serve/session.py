@@ -42,9 +42,8 @@ from ..core.pipeline import TagBreathe
 from ..errors import (CheckpointCorruptError, ConfigError,
                       InsufficientDataError)
 from ..reader.batch import BatchBuffer, ReportBatch
-from .checkpoint import session_state_from_doc, \
-    session_state_to_binary_doc
-from .hibernate import HibernationStore, blob_to_doc, open_blob
+from .hibernate import HibernationStore
+from .record import pack_record, read_record, session_state_to_doc
 from .protocol import estimate_to_wire
 
 #: Default per-shard ingest queue capacity (reports).
@@ -248,8 +247,8 @@ class UserSession:
 
         ``batch`` is the engine's buffered rows as one
         :class:`~repro.reader.batch.ReportBatch`
-        (``TagBreathe.buffered_batch``); ``session_state_to_doc`` packs
-        it into the document's column frame.
+        (``TagBreathe.buffered_batch``); a session record
+        (:mod:`repro.serve.record`) stores it as one column frame.
         """
         return {
             "user_id": self.user_id,
@@ -304,8 +303,8 @@ class SessionShard:
         self.index = index
         self.config = config
         self.sessions: Dict[int, UserSession] = {}
-        #: Cold tier: idle sessions parked as compressed checkpoint
-        #: documents, woken lazily (and bit-exactly) by the next report.
+        #: Cold tier: idle sessions parked as session records, woken
+        #: lazily (and bit-exactly) by the next report.
         self.hibernated = HibernationStore()
         self.shed_count = 0
         self.frames_in = 0
@@ -403,19 +402,15 @@ class SessionShard:
     def session_for(self, user_id: int) -> UserSession:
         """Get, wake, or lazily create the session for ``user_id``.
 
-        A hibernated user's next touch inflates their parked checkpoint
-        document back into a live session whose state is bit-identical
-        to never having hibernated (``restore_streaming`` rebuilds it
-        from the document's column frame with one ``feed_batch``); a
-        brand-new user gets a fresh session.  A parked document that
-        fails its checks (frame CRC, layout) cannot be woken: the loss
-        is counted on ``repro_serve_wake_corrupt_total`` and the user
-        starts a fresh session, so one bad blob never stops the shard
-        (nor a checkpoint or a migration: :meth:`parked_docs` and
-        :meth:`pop_parked` drop and count a corrupt blob the same way).
-        Either way the resident budget is enforced afterwards,
-        hibernating the least-recently-active sessions — never the one
-        just touched — when the shard is over budget.
+        A hibernated user's next touch reads their parked record back
+        into a live session whose state is bit-identical to never having
+        hibernated (``restore_streaming`` rebuilds it from the record's
+        column frame with one ``feed_batch``); a brand-new user gets a
+        fresh session, as does one whose record fails :meth:`_check`,
+        so one bad record never stops the shard.  Either way the
+        resident budget is enforced afterwards, hibernating the
+        least-recently-active sessions — never the one just touched —
+        when the shard is over budget.
         """
         session = self.sessions.get(user_id)
         if session is None:
@@ -431,22 +426,14 @@ class SessionShard:
         return session
 
     def _wake(self, user_id: int) -> Optional[UserSession]:
-        """Rebuild a live session from its parked blob, if any.
-
-        The blob inflates straight to a document whose frame is the raw
-        payload bytes, and :func:`session_state_from_doc` validates it.
-        None when the user is not parked, or when the parked document
-        fails validation (a frame CRC mismatch included) — that loss is
-        counted and the caller opens a fresh session.
-        """
-        blob = self._unpark(user_id)
-        if blob is None:
+        """Rebuild a live session from its parked record; None when the
+        user is not parked or the record fails :meth:`_check`."""
+        record = self._unpark(user_id)
+        if record is None:
             return None
         t0 = time.perf_counter()
-        try:
-            state = session_state_from_doc(open_blob(blob))
-        except CheckpointCorruptError as exc:
-            self._count_corrupt(user_id, exc)
+        state = self._check(user_id, record)
+        if state is None:
             return None
         session = UserSession(user_id, self.config,
                               engine_factory=self._engine_factory)
@@ -460,57 +447,56 @@ class SessionShard:
         return session
 
     def _unpark(self, user_id: int) -> Optional[bytes]:
-        """Remove one parked blob from the cold tier; None when absent."""
-        blob = self.hibernated.pop_blob(user_id)
-        if blob is not None:
+        """Remove one parked record from the cold tier; None when absent."""
+        record = self.hibernated.pop(user_id)
+        if record is not None:
             obs.gauge("repro_serve_hibernated_sessions").inc(-1)
-        return blob
+        return record
 
-    def _count_corrupt(self, user_id: int, exc: Exception) -> None:
-        """Count one parked session lost to a blob that failed its checks."""
-        obs.counter("repro_serve_wake_corrupt_total",
-                    shard=str(self.index)).inc()
-        obs.event("serve.session.wake_corrupt", user_id=user_id,
-                  shard=self.index, error=str(exc))
+    def _check(self, user_id: int,
+               record: bytes) -> Optional[Dict[str, Any]]:
+        """A parked record's state, or None once a bad one is counted.
 
-    def pop_parked(self, user_id: int) -> Optional[Dict[str, Any]]:
-        """Detach one parked user as their JSON-ready document (migration).
-
-        None when the user is not parked, or when their blob is corrupt —
-        then it is dropped and counted like a failed wake, and the
-        migration carries on without it.
+        The one check (:func:`~repro.serve.record.read_record`) a parked
+        record passes before it is woken, checkpointed or migrated; a
+        bad record is counted on ``repro_serve_wake_corrupt_total``.
         """
-        blob = self._unpark(user_id)
-        if blob is None:
-            return None
         try:
-            return blob_to_doc(blob)
+            return read_record(record)
         except CheckpointCorruptError as exc:
-            self._count_corrupt(user_id, exc)
+            obs.counter("repro_serve_wake_corrupt_total",
+                        shard=str(self.index)).inc()
+            obs.event("serve.session.wake_corrupt", user_id=user_id,
+                      shard=self.index, error=str(exc))
             return None
 
-    def parked_docs(self) -> List[Dict[str, Any]]:
-        """Every parked user's JSON-ready document, in user order.
+    def pop_parked(self, user_id: int) -> Optional[bytes]:
+        """Detach one parked user's record (migration); None when the
+        user is not parked or the record fails :meth:`_check`."""
+        record = self._unpark(user_id)
+        if record is None or self._check(user_id, record) is None:
+            return None
+        return record
 
-        The checkpoint's view of the cold tier.  A corrupt blob is
-        dropped and counted like a failed wake, so it can neither fail
-        the checkpoint nor be written into it.
-        """
-        docs = []
+    def parked_records(self) -> List[bytes]:
+        """Every parked user's record, in user order: the checkpoint's
+        view of the cold tier.  A record that fails :meth:`_check` is
+        dropped, so it is never written into a checkpoint."""
+        records = []
         for user_id in self.hibernated.user_ids():
-            try:
-                docs.append(blob_to_doc(self.hibernated.blob(user_id)))
-            except CheckpointCorruptError as exc:
+            record = self.hibernated.record(user_id)
+            if self._check(user_id, record) is None:
                 self._unpark(user_id)
-                self._count_corrupt(user_id, exc)
-        return docs
+            else:
+                records.append(record)
+        return records
 
     def hibernate_session(self, user_id: int) -> bool:
         """Park one resident session in the cold tier; False when absent.
 
-        The session's checkpoint state becomes a compressed document and
-        the engine-backed ``UserSession`` is dropped — its window index
-        and phase chains become garbage immediately.
+        The session's state becomes a parked record and the
+        engine-backed ``UserSession`` is dropped — its window index and
+        phase chains become garbage immediately.
         Safe at any instant between queue entries (hibernation is
         synchronous inside the shard's single-threaded context); a
         report already queued for the user simply wakes them when the
@@ -519,15 +505,16 @@ class SessionShard:
         session = self.sessions.pop(user_id, None)
         if session is None:
             return False
-        doc = session_state_to_binary_doc(session.state())
+        doc = session_state_to_doc(session.state())
         doc["hibernated"] = True
-        blob_bytes = self.hibernated.put(user_id, doc)
+        record = pack_record(doc)
+        self.hibernated.put(user_id, record)
         obs.counter("repro_serve_hibernated_total",
                     shard=str(self.index)).inc()
         obs.gauge("repro_serve_active_sessions").inc(-1)
         obs.gauge("repro_serve_hibernated_sessions").inc()
         obs.event("serve.session.hibernate", user_id=user_id,
-                  shard=self.index, blob_bytes=blob_bytes)
+                  shard=self.index, blob_bytes=len(record))
         return True
 
     def hibernate_idle(self, now: Optional[float] = None) -> int:
@@ -560,14 +547,14 @@ class SessionShard:
                 return
             self.hibernate_session(victims[0][1])
 
-    def adopt_hibernated(self, user_id: int, doc: Dict[str, Any]) -> None:
-        """Park an already-hibernated document without waking it.
+    def adopt_hibernated(self, user_id: int, record: bytes) -> None:
+        """Park an already-hibernated record without waking it.
 
         The checkpoint-resume and migration paths use this so idle users
-        move between workers as their (already validated) document — a
-        few KB once deflated — instead of a materialised engine.
+        move between workers as their (already validated) record — a
+        few KB — instead of a materialised engine.
         """
-        self.hibernated.put(user_id, doc)
+        self.hibernated.put(user_id, record)
         obs.gauge("repro_serve_hibernated_sessions").inc()
 
     @property

@@ -63,11 +63,13 @@ from .session import SessionConfig
 from .statefiles import (read_state_doc, registry_path, remove_state_doc,
                          supervisor_addr_path, write_state_doc)
 
-#: How many session documents ride in one migrate frame.  A document is
-#: dominated by its buffered report window (~200 bytes/report, bounded
-#: at a few hundred reports), so 8 per frame stays far under
-#: MAX_FRAME_BYTES even for dense streams.
-MIGRATE_CHUNK = 8
+#: How many session records ride in one migrate frame.  A record is
+#: dominated by its buffered window: measured on 125 s of ward reads, a
+#: session buffers ~3,600 rows (~4,000 at the prune horizon) and its
+#: level-1 record travels as ~34 bytes of base64 a row, ~120 KB, so 4
+#: per frame take about half of MAX_FRAME_BYTES (1 MiB).  A reply that
+#: would still overflow is refused and its sessions stay on the source.
+MIGRATE_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -812,22 +814,22 @@ class Supervisor:
             control = await self._control(worker_id)
             return await control.ping(detail=detail)
 
-    async def harvest(self, worker_id: int) -> List[Dict[str, Any]]:
-        """Pull every session state doc off one worker (destructive).
+    async def harvest(self, worker_id: int) -> List[bytes]:
+        """Pull every session record off one worker (destructive).
 
         End-of-run collection for the chaos harness and tests: the
         sessions are ``migrate_out``-ed in chunks and *removed* from
         the worker.
         """
-        docs: List[Dict[str, Any]] = []
+        records: List[bytes] = []
         async with self._control_lock(worker_id):
             control = await self._control(worker_id)
             pong = await control.ping(detail=True)
             users = [int(u) for u in pong.get("user_ids", [])]
             for start in range(0, len(users), MIGRATE_CHUNK):
-                docs.extend(await control.migrate_out(
+                records.extend(await control.migrate_out(
                     users[start:start + MIGRATE_CHUNK]))
-        return docs
+        return records
 
     async def _control(self, worker_id: int) -> IngestClient:
         """A connected control client to one worker (cached)."""
@@ -895,9 +897,10 @@ class Supervisor:
                     dst_control = await self._control(dst)
                     for start in range(0, len(user_ids), MIGRATE_CHUNK):
                         chunk = user_ids[start:start + MIGRATE_CHUNK]
-                        docs = await src_control.migrate_out(chunk)
-                        if docs:
-                            moved += await dst_control.migrate_in(docs)
+                        # Records pass through unopened.
+                        records = await src_control.migrate_out(chunk)
+                        if records:
+                            moved += await dst_control.migrate_in(records)
         elapsed = time.monotonic() - t0
         obs.histogram("repro_fabric_migration_seconds").observe(elapsed)
         obs.event("fabric.migrate.done", src=src, dst=dst,

@@ -7,7 +7,24 @@ Kept deliberately small — the CI ``chaos-smoke`` job runs the larger
 configuration — but this is a real fault-injection run, not a mock.
 """
 
-from repro.serve import ChaosConfig, ChaosReport, run_chaos
+import random
+
+import numpy as np
+import pytest
+
+from repro.errors import CheckpointCorruptError
+from repro.serve import (
+    CHECKPOINT_MAGIC,
+    ChaosConfig,
+    ChaosReport,
+    SessionConfig,
+    UserSession,
+    load_checkpoint,
+    run_chaos,
+    save_checkpoint,
+)
+from repro.reader.batch import ReportBatch
+from repro.serve.chaos import _corrupt_file
 
 
 class TestChaosReport:
@@ -22,6 +39,42 @@ class TestChaosReport:
         lines = report.summary_lines()
         assert any("verdict: FAILED" in line for line in lines)
         assert any("something broke" in line for line in lines)
+
+
+class TestCorruptFile:
+    def _checkpoint(self, path):
+        n = 50
+        session = UserSession(1, SessionConfig())
+        session.ingest_batch(ReportBatch(
+            np.arange(n) * 0.1, np.linspace(0.0, 6.0, n), np.full(n, -50.0),
+            np.zeros(n), np.zeros(n, dtype=np.int64),
+            np.ones(n, dtype=np.int64), np.ones(n, dtype=np.uint64),
+            np.zeros(n, dtype=np.uint64)))
+        save_checkpoint(path, [session.state()], {"frames_total": 1})
+        return path.read_bytes()
+
+    def test_every_mode_leaves_a_corrupt_checkpoint(self, tmp_path):
+        path = tmp_path / "serve.ckpt"
+        seen = set()
+        for seed in range(12):
+            data = self._checkpoint(path)
+            mode = _corrupt_file(path, random.Random(seed))
+            seen.add(mode)
+            damaged = path.read_bytes()
+            if mode == "flip":
+                # One bit, past the magic and version byte.
+                diff = [i for i, (a, b) in enumerate(zip(data, damaged))
+                        if a != b]
+                assert len(damaged) == len(data) and len(diff) == 1
+                assert diff[0] > len(CHECKPOINT_MAGIC)
+                assert bin(data[diff[0]] ^ damaged[diff[0]]).count("1") == 1
+            with pytest.raises(CheckpointCorruptError):
+                load_checkpoint(path, allow_fallback=False)
+        assert seen == {"truncate", "scribble", "flip"}
+
+    def test_missing_file_is_left_alone(self, tmp_path):
+        assert _corrupt_file(tmp_path / "absent.ckpt",
+                             random.Random(0)) is None
 
 
 class TestChaosRun:

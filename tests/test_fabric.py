@@ -35,7 +35,7 @@ from repro.serve import (
     RetryPolicy,
     SessionConfig,
     UserSession,
-    session_state_from_doc,
+    read_record,
 )
 from repro.serve.statefiles import (
     fabric_endpoints,
@@ -477,11 +477,11 @@ FAST_FABRIC = dict(
 )
 
 
-def _final_rates(docs, user_ids, config):
-    """Per-user final rates restored from harvested session docs."""
+def _final_rates(records, user_ids, config):
+    """Per-user final rates restored from harvested session records."""
     rates = {}
-    for doc in docs:
-        state = session_state_from_doc(doc)
+    for record in records:
+        state = read_record(record)
         uid = state["user_id"]
         if uid not in user_ids:
             continue
@@ -638,7 +638,7 @@ class TestFabricHibernation:
                 handle = fabric.supervisor.workers[victim]
                 os.kill(handle.process.pid, signal.SIGKILL)
                 # Wait for the heartbeat monitor to notice, restart the
-                # worker from its checkpoint (cold docs included), and
+                # worker from its checkpoint (cold records included), and
                 # republish its port — only then rebalance.
                 for _ in range(150):
                     await asyncio.sleep(0.2)
@@ -650,7 +650,7 @@ class TestFabricHibernation:
                         continue
                 else:
                     pytest.fail("fleet never recovered from the kill")
-                new_id = await fabric.add_worker()  # migrates cold docs
+                new_id = await fabric.add_worker()  # migrates cold records
                 after = await fabric.fleet_stats()
                 await client.close(polite=False)
                 # The users come back: a fresh client identity, so the

@@ -30,7 +30,7 @@ from repro.body import MetronomeBreathing, Subject
 from repro.errors import DegradedEstimateWarning, InsufficientDataError
 from repro.reader.batch import ReportBatch
 from repro.serve import SessionConfig, SessionShard, UserSession
-from repro.serve.hibernate import blob_to_doc, doc_to_blob
+from repro.serve.record import pack_record, unpack_record
 from repro.streams.windowindex import _MIN_CAPACITY, GrowableArray, \
     WindowIndex
 
@@ -157,15 +157,15 @@ class TestHibernateWakeBitExact:
                              baseline())
 
     def test_wake_after_blob_round_trip_is_the_store_path(self):
-        # The shard already parks through doc_to_blob; pin the codec
-        # itself: doc -> blob -> doc is the identity on checkpoint docs.
+        # The shard already parks through pack_record; pin the codec
+        # itself: doc -> record -> doc is the identity on session docs.
         session = UserSession(USER, SessionConfig())
         session.ingest_batch(ReportBatch.from_reports(
             reports()[: len(reports()) // 3]))
         from repro.serve import session_state_to_doc
         doc = session_state_to_doc(session.state())
         doc["hibernated"] = True
-        assert blob_to_doc(doc_to_blob(doc)) == doc
+        assert unpack_record(pack_record(doc)) == doc
 
     def test_hibernation_frees_the_resident_engine(self):
         shard = SessionShard(0, SessionConfig(), publish=lambda m: None)

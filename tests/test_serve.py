@@ -37,7 +37,7 @@ from repro.serve import (
     watch_estimates,
 )
 from repro.reader.batch import ReportBatch
-from repro.serve.checkpoint import wire_to_report
+from repro.serve.checkpoint import CHECKPOINT_MAGIC
 from repro.serve.protocol import MAX_FRAME_BYTES
 from repro.sim.trace_io import load_trace_csv, save_trace_csv
 
@@ -115,20 +115,6 @@ class TestProtocol:
         payload = b"[1,2,3]"
         with pytest.raises(ProtocolError):
             FrameDecoder().feed(struct.pack("!I", len(payload)) + payload)
-
-    def test_report_wire_roundtrip(self):
-        result = make_capture(users=1, duration_s=2.0)
-        for report in result.reports[:20]:
-            back = wire_to_report(report_to_wire(report))
-            assert back == report
-
-    def test_wire_to_report_validates(self):
-        message = report_to_wire(make_capture(1, 2.0).reports[0])
-        message["antenna_port"] = 0  # LLRP ports are 1-based
-        with pytest.raises(CheckpointCorruptError):
-            wire_to_report(message)
-        with pytest.raises(CheckpointCorruptError):
-            wire_to_report({"type": "report"})
 
     def test_json_report_message_refused(self):
         frame = encode_frame(report_to_wire(make_capture(1, 2.0).reports[0]))
@@ -331,9 +317,10 @@ class TestCheckpoint:
 
     def test_load_rejects_newer_version(self, tmp_path):
         path = tmp_path / "future.ckpt"
-        path.write_text('{"format": "repro-serve-checkpoint", "version": 99}')
-        with pytest.raises(ServeError):
+        path.write_bytes(CHECKPOINT_MAGIC + bytes([99]) + b"\x00" * 8)
+        with pytest.raises(ServeError, match="newer") as info:
             load_checkpoint(path)
+        assert not isinstance(info.value, CheckpointCorruptError)
 
     def test_restore_into_session_is_lossless(self):
         result = make_capture(users=1, duration_s=30.0)
@@ -372,7 +359,7 @@ class TestCheckpointHardening:
         path = tmp_path / "serve.ckpt"
         self._save(path, marker=1)
         self._save(path, marker=2)
-        path.write_text(path.read_text()[: path.stat().st_size // 2])
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         saved = load_checkpoint(path)
         assert saved["fallback"] is True
         assert saved["counters"]["frames_total"] == 1
@@ -413,6 +400,39 @@ class TestCheckpointHardening:
             return sessions
 
         assert run(scenario()) == 1
+
+    @pytest.mark.parametrize("damage", ["newer_version", "unreadable"])
+    def test_server_refuses_a_checkpoint_it_cannot_read(self, tmp_path,
+                                                        damage):
+        """Only a missing checkpoint may cold-start: a newer version or
+        an unreadable file stops start() before anything overwrites it,
+        and neither falls back to the previous generation."""
+        path = tmp_path / "serve.ckpt"
+        self._save(path, marker=1)
+        self._save(path, marker=2)
+        if damage == "newer_version":
+            data = bytearray(path.read_bytes())
+            data[len(CHECKPOINT_MAGIC)] = 99
+            path.write_bytes(bytes(data))
+        else:
+            path.unlink()
+            path.mkdir()  # reading it is an OSError, as EPERM would be
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                  if p.is_file()}
+        with pytest.raises(ServeError) as info:
+            load_checkpoint(path)
+        assert not isinstance(info.value, CheckpointCorruptError)
+
+        async def scenario():
+            server = BreathServer(port=0, checkpoint_path=str(path),
+                                  checkpoint_interval_s=0.05)
+            with pytest.raises(ServeError):
+                await server.start()
+            await asyncio.sleep(0.3)
+
+        run(scenario())
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()
+                if p.is_file()} == before
 
 
 class TestRestoreDropAccounting:
@@ -605,7 +625,7 @@ class TestServerEndToEnd:
         welcome, replies, closed = run(scenario())
         # The welcome decoded as JSON: no codec was switched on.
         assert welcome["type"] == "welcome" and "codec" not in welcome
-        assert welcome["version"] == 4
+        assert welcome["version"] == 5
         assert replies == [] and closed
 
     def test_reconnects_counted(self):

@@ -1,29 +1,34 @@
-"""Session state as one CRC-checked column frame.
+"""Session state as one session record.
 
 A session's buffered rows are stored as the wire's binary column-frame
-payload (base64 in the document, CRC-32 beside it), and that one
-document shape is the checkpoint entry, the migration record and —
-with the frame as raw bytes after a JSON header — the hibernation
-blob.  This battery pins:
+payload (CRC-32 beside it) behind a canonical JSON header, deflated:
+the session record, the one serialised form of a session — parked in
+the cold tier, listed in a checkpoint file, carried by migration.  This
+battery pins:
 
 * the round trip — a hibernated-then-woken session is identical to an
   uninterrupted one on multi-tag, multi-antenna input with duplicate,
   late and invalid-channel rows;
+* the parked bytes — a parked record is byte-identical to the cold
+  blob of the same state before checkpoint v5 (a pinned digest);
 * integrity — a flipped bit in a stored phase value is caught by the
-  frame CRC and the checkpoint falls back to ``.prev``; every bit flip
-  of a parked blob is caught or harmless, and a corrupt blob is
-  dropped and counted by wake, checkpoint and migration alike;
+  frame CRC; every bit flip of a checkpoint file is caught by its
+  trailer CRC or refused by its version byte, and every bit flip of a
+  parked record is caught or harmless; a corrupt record is dropped and
+  counted by wake, checkpoint and migration alike, so it never reaches
+  a checkpoint file;
 * the frame-size edge — a session larger than one wire frame still
   hibernates, wakes, checkpoints and loads;
-* fuzzed input — every malformed frame, blob or document ends in a
-  valid result or a typed error, never another exception;
-* v2 compatibility — per-report JSON documents still load.
+* fuzzed input — every malformed frame, record, document or checkpoint
+  file ends in a valid result or a typed error, never another
+  exception;
+* the retired JSON checkpoints — a v4 file reads as corrupt.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
+import hashlib
 import json
 import struct
 import warnings
@@ -42,21 +47,33 @@ from repro.errors import (
     DegradedEstimateWarning,
     InsufficientDataError,
     ProtocolError,
+    ServeError,
 )
 from repro.obs import capture as obs_capture
 from repro.reader.batch import ReportBatch
 from repro.serve import (
     BreathServer,
+    IngestClient,
     SessionConfig,
     SessionShard,
     UserSession,
     load_checkpoint,
+    pack_record,
+    previous_path,
+    read_record,
     save_checkpoint,
     session_state_from_doc,
     session_state_to_doc,
+    unpack_record,
 )
-from repro.serve.checkpoint import CHECKPOINT_VERSION, FRAME_CRC_KEY, FRAME_KEY
-from repro.serve.hibernate import blob_to_doc, doc_to_blob
+from repro.serve.checkpoint import CHECKPOINT_MAGIC, CHECKPOINT_VERSION
+from repro.serve.record import (
+    FRAME_CRC_KEY,
+    FRAME_KEY,
+    LIVE_LEVEL,
+    PARKED_LEVEL,
+)
+from repro.serve.supervisor import MIGRATE_CHUNK
 from repro.serve.protocol import (
     MAX_FRAME_BYTES,
     decode_column_frame,
@@ -209,7 +226,7 @@ def test_state_document_round_trip_is_lossless():
     state = session.state()
     doc = session_state_to_doc(state)
     assert set(doc) >= {FRAME_KEY, "frame_crc32"} and "batch" not in doc
-    back = session_state_from_doc(blob_to_doc(doc_to_blob(doc)))
+    back = read_record(pack_record(doc))
     assert back["batch"].to_reports() == state["batch"].to_reports()
     for key in ("first_t", "latest_t", "next_due_t", "reports_in",
                 "estimates_out", "drop_counts"):
@@ -224,16 +241,42 @@ def v2_blob(doc):
 
 def test_frame_blob_is_smaller_than_per_report_json():
     state = fed_session().state()
-    frame_blob = doc_to_blob(session_state_to_doc(state))
+    frame_blob = pack_record(session_state_to_doc(state))
     v2 = dict(state)
     v2["reports"] = [report_to_wire(r) for r in v2.pop("batch").to_reports()]
     assert len(frame_blob) < len(v2_blob(v2))
 
 
-def test_doc_to_blob_rejects_a_v2_document():
-    # Resume and migrate_in re-encode v2 documents before parking them.
-    with pytest.raises(CheckpointCorruptError, match="column frame"):
-        doc_to_blob(v2_doc(fed_session()))
+def pinned_session_shard():
+    """A shard that parked one session of 200 synthetic rows."""
+    rng = np.random.default_rng(9)
+    n = 200
+    batch = ReportBatch(
+        np.arange(n) * 0.05, rng.uniform(0.0, 2 * np.pi, n),
+        rng.uniform(-70, -40, n), rng.normal(0.0, 0.5, n),
+        rng.integers(0, 10, n), rng.integers(1, 3, n),
+        np.full(n, USER, dtype=np.uint64),
+        (np.arange(n) % 4).astype(np.uint64))
+    shard = SessionShard(0, SessionConfig(), lambda m: None)
+    shard.session_for(USER).ingest_batch(batch)
+    shard.hibernate_session(USER)
+    return shard
+
+
+#: SHA-256 of the inflated cold blob the cold tier parked for
+#: :func:`pinned_session_shard` before checkpoint v5 made that blob the
+#: session record everywhere (the compressed blob's digest was
+#: 4419775524c8a947...; it depends on the zlib build, so the test pins
+#: the inflated bytes and recompresses them).
+_PINNED_PARKED_SHA256 = (
+    "788097684f67f3e0ea2baace90c9e77c2f37962883e505553cdbd2349d9d94cf")
+
+
+def test_parked_record_is_byte_identical_to_the_pinned_cold_blob():
+    record = pinned_session_shard().hibernated.record(USER)
+    raw = zlib.decompress(record)
+    assert hashlib.sha256(raw).hexdigest() == _PINNED_PARKED_SHA256
+    assert record == zlib.compress(raw, PARKED_LEVEL)
 
 
 # ----------------------------------------------------------------------
@@ -241,17 +284,17 @@ def test_doc_to_blob_rejects_a_v2_document():
 # ----------------------------------------------------------------------
 def _flip_phase_bit(doc, row=3, bit=0):
     """Flip one mantissa bit of one stored phase value, CRC untouched."""
-    payload = bytearray(base64.b64decode(doc[FRAME_KEY]))
+    payload = bytearray(doc[FRAME_KEY])
     count = (len(payload) - _HEADER_BYTES) // 48
     offset = _HEADER_BYTES + 8 * count + 8 * row  # phase column, `row`
     payload[offset] ^= 1 << bit
-    doc[FRAME_KEY] = base64.b64encode(bytes(payload)).decode("ascii")
-    return bytes(payload)
+    doc[FRAME_KEY] = bytes(payload)
+    return doc[FRAME_KEY]
 
 
 def test_flipped_phase_bit_decodes_silently_without_the_crc():
     doc = session_state_to_doc(fed_session().state())
-    original = decode_column_frame(base64.b64decode(doc[FRAME_KEY]))["batch"]
+    original = decode_column_frame(doc[FRAME_KEY])["batch"]
     flipped = decode_column_frame(_flip_phase_bit(doc))["batch"]
     # The frame itself is still well-formed: only the CRC can tell.
     assert flipped.phase[3] != original.phase[3]
@@ -266,9 +309,16 @@ def test_flipped_phase_bit_in_checkpoint_falls_back_to_prev(tmp_path):
     # A duplicate: counted, state unchanged.
     session.ingest_batch(ReportBatch.from_reports(reports()[-1:]))
     save_checkpoint(path, [session.state()], {"frames_total": 2})
-    live = json.loads(path.read_text())
-    _flip_phase_bit(live["sessions"][0])
-    path.write_text(json.dumps(live))
+    # A live record is stored at level 0, so its frame lies in the file
+    # verbatim; the trailer CRC catches the flip before the frame's.
+    doc = session_state_to_doc(session.state())
+    original = doc[FRAME_KEY]
+    flipped = _flip_phase_bit(doc)
+    at = next(i for i, (a, b) in enumerate(zip(original, flipped)) if a != b)
+    data = path.read_bytes()
+    assert data.count(original[at - 16:at + 16]) == 1
+    path.write_bytes(data.replace(original[at - 16:at + 16],
+                                  flipped[at - 16:at + 16]))
     saved = load_checkpoint(path)
     assert saved["fallback"] is True
     assert "CRC" in saved["fallback_reason"]
@@ -288,9 +338,9 @@ def test_flipped_watermark_digit_in_checkpoint_falls_back_to_prev(tmp_path):
                     client_seqs={"reader-1": 4096})
     save_checkpoint(path, [state], {"frames_total": 2},
                     client_seqs={"reader-1": 8192})
-    text = path.read_text()
-    assert text.count('"reader-1":8192') == 1
-    path.write_text(text.replace('"reader-1":8192', '"reader-1":9192'))
+    data = path.read_bytes()
+    assert data.count(b'"reader-1":8192') == 1
+    path.write_bytes(data.replace(b'"reader-1":8192', b'"reader-1":9192'))
     saved = load_checkpoint(path)
     assert saved["fallback"] is True
     assert "CRC" in saved["fallback_reason"]
@@ -301,27 +351,23 @@ def test_flipped_watermark_digit_in_checkpoint_falls_back_to_prev(tmp_path):
 
 
 def test_checkpoint_without_its_metadata_crc_is_corrupt(tmp_path):
+    # The trailer CRC over the whole file guards the metadata too.
     path = tmp_path / "serve.ckpt"
     save_checkpoint(path, [fed_session().state()], {"frames_total": 1})
-    doc = json.loads(path.read_text())
-    del doc["meta_crc32"]
-    path.write_text(json.dumps(doc))
+    data = path.read_bytes()
+    assert load_checkpoint(path)["counters"] == {"frames_total": 1}
+    path.write_bytes(data[:-4])
     with pytest.raises(CheckpointCorruptError, match="CRC"):
         load_checkpoint(path, allow_fallback=False)
-    # A v3 file predates the metadata CRC and still loads.
-    doc["version"] = 3
-    path.write_text(json.dumps(doc))
-    saved = load_checkpoint(path, allow_fallback=False)
-    assert saved["counters"] == {"frames_total": 1}
 
 
 def test_corrupt_parked_blob_wakes_as_a_counted_fresh_session():
     shard = SessionShard(0, SessionConfig(), lambda m: None)
     shard.session_for(USER).ingest_batch(ReportBatch.from_reports(reports()))
     shard.hibernate_session(USER)
-    doc = blob_to_doc(shard.hibernated.blob(USER))
+    doc = unpack_record(shard.hibernated.record(USER))
     _flip_phase_bit(doc)
-    shard.hibernated.put(USER, doc)
+    shard.hibernated.put(USER, pack_record(doc))
     with obs_capture() as (_tracer, registry):
         session = shard.session_for(USER)
         corrupt = registry.values("repro_serve_wake_corrupt_total")
@@ -335,12 +381,12 @@ def test_parked_blob_with_a_non_finite_timestamp_wakes_as_corrupt():
     shard = SessionShard(0, SessionConfig(), lambda m: None)
     shard.session_for(USER).ingest_batch(ReportBatch.from_reports(reports()))
     shard.hibernate_session(USER)
-    doc = blob_to_doc(shard.hibernated.blob(USER))
-    payload = bytearray(base64.b64decode(doc[FRAME_KEY]))
+    doc = unpack_record(shard.hibernated.record(USER))
+    payload = bytearray(doc[FRAME_KEY])
     struct.pack_into("<d", payload, _HEADER_BYTES + 8 * 3, float("nan"))
-    doc[FRAME_KEY] = base64.b64encode(bytes(payload)).decode("ascii")
+    doc[FRAME_KEY] = bytes(payload)
     doc[FRAME_CRC_KEY] = zlib.crc32(bytes(payload))
-    shard.hibernated.put(USER, doc)
+    shard.hibernated.put(USER, pack_record(doc))
     with obs_capture() as (_tracer, registry):
         session = shard.session_for(USER)
         corrupt = registry.values("repro_serve_wake_corrupt_total")
@@ -364,17 +410,17 @@ def server_with_a_corrupt_parked_blob(**kwargs):
         shard.session_for(uid).ingest_batch(rows_of(uid))
     for uid in (2, 3):
         assert shard.hibernate_session(uid)
-    shard.hibernated.put_blob(2, b"\x00garbage")
+    shard.hibernated.put(2, b"\x00garbage")
     return server, shard
 
 
 def test_migrate_out_skips_a_corrupt_parked_blob():
     server, shard = server_with_a_corrupt_parked_blob()
-    want = session_state_to_doc(shard.sessions[USER].state())
+    want = pack_record(session_state_to_doc(shard.sessions[USER].state()))
     with obs_capture() as (_tracer, registry):
-        docs = asyncio.run(server.migrate_out([USER, 2]))
+        records = asyncio.run(server.migrate_out([USER, 2]))
         corrupt = registry.values("repro_serve_wake_corrupt_total")
-    assert docs == [want]
+    assert records == [want]
     assert sum(corrupt.values()) == 1
     assert shard.user_ids() == [3]
 
@@ -392,8 +438,33 @@ def test_checkpoint_skips_a_corrupt_parked_blob(tmp_path):
     assert saved["sessions"][1]["hibernated"] is True
     assert shard.user_ids() == [USER, 3]
     server.checkpoint_now()  # the periodic loop would carry on
-    assert load_checkpoint(path, allow_fallback=False)["documents"] \
-        == saved["documents"]
+    assert load_checkpoint(path, allow_fallback=False)["records"] \
+        == saved["records"]
+
+
+def test_checkpoint_drops_a_parked_record_that_fails_its_frame_crc(
+        tmp_path):
+    # The record inflates cleanly, so only the check a wake applies can
+    # tell; written into the file it would fail every generation's load.
+    path = tmp_path / "serve.ckpt"
+    server = BreathServer(port=0, n_shards=1, checkpoint_path=str(path))
+    shard = server.shard_for(USER)
+    for uid in (USER, 2, 3):
+        shard.session_for(uid).ingest_batch(rows_of(uid))
+    for uid in (2, 3):
+        assert shard.hibernate_session(uid)
+    doc = unpack_record(shard.hibernated.record(2))
+    _flip_phase_bit(doc)
+    shard.hibernated.put(2, pack_record(doc))
+    with obs_capture() as (_tracer, registry):
+        server.checkpoint_now()
+        server.checkpoint_now()
+        corrupt = registry.values("repro_serve_wake_corrupt_total")
+    assert sum(corrupt.values()) == 1
+    for generation in (path, previous_path(path)):
+        saved = load_checkpoint(generation, allow_fallback=False)
+        assert [s["user_id"] for s in saved["sessions"]] == [USER, 3]
+    assert shard.user_ids() == [USER, 3]
 
 
 def woken_state(session):
@@ -412,7 +483,7 @@ def test_every_single_bit_flip_of_a_blob_is_caught_or_harmless():
     shard.session_for(USER).ingest_batch(
         ReportBatch.from_reports(reports()[:12]))
     shard.hibernate_session(USER)
-    blob = shard.hibernated.blob(USER)
+    blob = shard.hibernated.record(USER)
     want = woken_state(shard.session_for(USER))
     assert want[3] == 12
     caught = 0
@@ -421,7 +492,7 @@ def test_every_single_bit_flip_of_a_blob_is_caught_or_harmless():
             flipped = bytearray(blob)
             flipped[bit // 8] ^= 1 << (bit % 8)
             shard.sessions.pop(USER)
-            shard.hibernated.put_blob(USER, bytes(flipped))
+            shard.hibernated.put(USER, bytes(flipped))
             session = shard.session_for(USER)
             counted = sum(registry.values(
                 "repro_serve_wake_corrupt_total").values())
@@ -438,7 +509,7 @@ def test_migrate_in_rejects_a_bad_crc():
     doc["frame_crc32"] ^= 1
     server = BreathServer(port=0)
     with pytest.raises(CheckpointCorruptError):
-        server.migrate_in([doc])
+        server.migrate_in([pack_record(doc, LIVE_LEVEL)])
     assert server.session_count() == 0
 
 
@@ -483,54 +554,217 @@ def test_session_larger_than_a_wire_frame_checkpoints(tmp_path):
             == session.engine.buffered_reports(USER))
 
 
+def steady_rows(user_id, seconds=125.0, rate_hz=30.0, tags=3):
+    """A breathing user's reads: a smooth phase trace, 0.5 dB RSS steps."""
+    n = int(seconds * rate_hz)
+    rng = np.random.default_rng(user_id)
+    t = np.arange(n) / rate_hz
+    phase = np.mod(1.0 + 0.4 * np.sin(2 * np.pi * 0.25 * t)
+                   + rng.normal(0.0, 0.05, n), 2 * np.pi)
+    return ReportBatch(
+        t, phase, np.round(rng.normal(-55.0, 1.0, n) * 2) / 2,
+        rng.normal(0.0, 0.3, n), np.arange(n) % 10,
+        np.ones(n, dtype=np.int64), np.full(n, user_id, dtype=np.uint64),
+        (np.arange(n) % tags).astype(np.uint64))
+
+
+async def migrate_over_tcp(server, user_ids):
+    """``migrate_out`` through a real connection, as the supervisor asks."""
+    await server.start()
+    client = IngestClient("127.0.0.1", server.port, read_timeout_s=30.0)
+    await client.connect()
+    try:
+        return await client.migrate_out(user_ids)
+    finally:
+        await client.close(polite=False)
+        await server.drain()
+
+
+def test_a_migrate_chunk_of_steady_sessions_fits_one_frame():
+    users = list(range(1, MIGRATE_CHUNK + 1))
+    source = BreathServer(port=0, n_shards=1)
+    for uid in users:
+        source.shard_for(uid).session_for(uid).ingest_batch(steady_rows(uid))
+    want = {uid: source.shard_for(uid).sessions[uid].engine
+            .buffered_reports(uid) for uid in users}
+    assert min(len(rows) for rows in want.values()) > 3000
+    records = asyncio.run(migrate_over_tcp(source, users))
+    assert len(records) == MIGRATE_CHUNK and source.session_count() == 0
+    target = BreathServer(port=0, n_shards=1)
+    assert target.migrate_in(records) == MIGRATE_CHUNK
+    for uid in users:
+        assert (target.shard_for(uid).sessions[uid].engine
+                .buffered_reports(uid) == want[uid])
+
+
+def test_an_oversized_migrate_reply_keeps_its_sessions():
+    server = BreathServer(port=0, n_shards=1)
+    server.shard_for(USER).session_for(USER).ingest_batch(
+        big_rows(n=40_000))
+    want = server.shard_for(USER).sessions[USER].engine.buffered_reports(USER)
+    record = pack_record(session_state_to_doc(
+        server.shard_for(USER).sessions[USER].state()))
+    assert len(record) * 4 / 3 > MAX_FRAME_BYTES
+    with pytest.raises(ProtocolError, match="exceeds"):
+        asyncio.run(migrate_over_tcp(server, [USER]))
+    # Refused, not lost: the session is still here, row for row.
+    assert (server.shard_for(USER).sessions[USER].engine
+            .buffered_reports(USER) == want)
+
+
 # ----------------------------------------------------------------------
-# v2 documents still load
+# Checkpoint files: every bit flip is caught; JSON checkpoints are gone
 # ----------------------------------------------------------------------
-def v2_doc(session, hibernated=False):
-    doc = dict(session.state())
-    doc["reports"] = [report_to_wire(r) for r in doc.pop("batch").to_reports()]
-    if hibernated:
-        doc["hibernated"] = True
-    return doc
+def small_checkpoint(path):
+    """One live and one parked session, counters and a watermark."""
+    parked = UserSession(2, SessionConfig())
+    parked.ingest_batch(rows_of(2, n=6))
+    doc = session_state_to_doc(parked.state())
+    doc["hibernated"] = True
+    save_checkpoint(path, [fed_session(reports()[:6]).state()],
+                    {"frames_total": 3}, client_seqs={"reader-1": 17},
+                    hibernated_docs=[doc])
 
 
-def test_v2_session_document_still_loads():
-    session = fed_session()
-    state = session_state_from_doc(v2_doc(session))
-    assert (state["batch"].to_reports()
-            == session.engine.buffered_reports(USER))
+def loaded(saved):
+    """Everything a load restores, for exact comparison."""
+    return (saved["counters"], saved["client_seqs"],
+            [(sorted((k, v) for k, v in state.items() if k != "batch"),
+              tuple(getattr(state["batch"], name).tobytes()
+                    for name in ("t", "phase", "rssi", "doppler",
+                                 "channel", "antenna", "user_id",
+                                 "tag_id")))
+             for state in saved["sessions"]])
 
 
-def test_v2_checkpoint_resumes_and_is_rewritten_as_v3(tmp_path):
-    path = tmp_path / "old.ckpt"
-    live, cold = fed_session(), UserSession(2, SessionConfig())
-    cold.ingest_batch(ReportBatch.from_reports(
-        [r for r in run_scenario(Scenario([
-            Subject(user_id=2, distance_m=3.0,
-                    breathing=MetronomeBreathing(12.0), sway_seed=2)]),
-            duration_s=5.0, seed=2).reports if r.user_id == 2]))
+def test_every_single_bit_flip_of_a_checkpoint_is_caught(tmp_path):
+    path = tmp_path / "serve.ckpt"
+    small_checkpoint(path)
+    data = path.read_bytes()
+    want = loaded(load_checkpoint(path, allow_fallback=False))
+    assert len(want[2]) == 2 and ("hibernated", True) in want[2][1][0]
+    silent = []
+    refused = set()
+    for bit in range(8 * len(data)):
+        flipped = bytearray(data)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        path.write_bytes(bytes(flipped))
+        try:
+            got = loaded(load_checkpoint(path, allow_fallback=False))
+        except CheckpointCorruptError:
+            continue
+        except ServeError as exc:
+            # Only the version byte may read as a newer version.
+            assert bit // 8 == len(CHECKPOINT_MAGIC), bit
+            assert "newer" in str(exc)
+            refused.add(bit)
+            continue
+        if got != want:
+            silent.append(bit)
+    assert silent == []
+    assert len(refused) == 6  # 5 = 0b101: bits 1 and 3-7 read as newer
+
+
+_CHECKPOINT = {}
+
+
+def checkpoint_bytes():
+    """A small valid checkpoint file's bytes (cached)."""
+    if not _CHECKPOINT:
+        import tempfile
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/serve.ckpt"
+            small_checkpoint(path)
+            with open(path, "rb") as handle:
+                _CHECKPOINT["data"] = handle.read()
+    return _CHECKPOINT["data"]
+
+
+def resealed(body):
+    """``body`` behind a correct CRC-32 trailer."""
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+@st.composite
+def checkpoint_files(draw):
+    """Whole files: garbage, damaged checkpoints, and re-sealed ones whose
+    trailer matches whatever the body now holds."""
+    data = checkpoint_bytes()
+    head = len(CHECKPOINT_MAGIC) + 1
+    kind = draw(st.sampled_from(["bytes", "magic", "truncated", "damaged",
+                                 "resealed", "meta"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=600))
+    if kind == "magic":
+        return (CHECKPOINT_MAGIC + bytes([draw(st.integers(0, 255))])
+                + draw(st.binary(max_size=200)))
+    if kind == "truncated":
+        return data[:draw(st.integers(0, len(data) - 1))]
+    body = bytearray(data[:-4])
+    if kind == "meta":
+        meta = json.dumps(draw(_JSON_VALUES)).encode()
+        body[head:] = (struct.pack("<I", len(meta)) + meta
+                       + body[head + 4 + struct.unpack_from(
+                           "<I", body, head)[0]:])
+        return resealed(bytes(body))
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(head, len(body) - 1))
+        body[at] = draw(st.integers(0, 255))
+    if kind == "damaged":
+        return bytes(body) + data[-4:]
+    return resealed(bytes(body))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(checkpoint_files())
+def test_fuzz_load_checkpoint_whole_files(tmp_path, data):
+    path = tmp_path / "serve.ckpt"
+    path.write_bytes(data)
+    try:
+        saved = load_checkpoint(path, allow_fallback=False)
+    except CheckpointCorruptError:
+        return
+    except ServeError:
+        assert data[:len(CHECKPOINT_MAGIC)] == CHECKPOINT_MAGIC
+        assert data[len(CHECKPOINT_MAGIC)] > CHECKPOINT_VERSION
+        return
+    assert len(saved["records"]) == len(saved["sessions"])
+    for state in saved["sessions"]:
+        assert_restorable(state)
+
+
+def test_v4_json_checkpoint_reads_as_corrupt(tmp_path):
+    # The retired JSON layout: a fallback to a good .prev, else a
+    # counted cold start.
+    path = tmp_path / "serve.ckpt"
+    save_checkpoint(path, [fed_session().state()], {"frames_total": 1})
+    previous_path(path).write_bytes(path.read_bytes())
     path.write_text(json.dumps({
-        "format": "repro-serve-checkpoint", "version": 2,
-        "counters": {}, "client_seqs": {},
-        "sessions": [v2_doc(live), v2_doc(cold, hibernated=True)]}))
+        "format": "repro-serve-checkpoint", "version": 4,
+        "counters": {}, "client_seqs": {}, "meta_crc32": 0,
+        "sessions": []}))
+    with pytest.raises(CheckpointCorruptError, match="not a repro-serve"):
+        load_checkpoint(path, allow_fallback=False)
+    saved = load_checkpoint(path)
+    assert saved["fallback"] is True
+    assert saved["counters"] == {"frames_total": 1}
+    previous_path(path).unlink()
 
     async def scenario():
         server = BreathServer(port=0, checkpoint_path=str(path),
                               checkpoint_interval_s=0)
         await server.start()
-        summary = (server.resident_count(), server.hibernated_count())
-        parked = blob_to_doc(server.shard_for(2).hibernated.blob(2))
+        sessions = server.session_count()
         await server.drain()
-        return summary, parked
+        return sessions
 
-    (resident, hibernated), parked = asyncio.run(scenario())
-    assert (resident, hibernated) == (1, 1)
-    assert FRAME_KEY in parked and "reports" not in parked
-    rewritten = json.loads(path.read_text())
-    # The sessions come back as v3 frame documents inside a checkpoint
-    # of the current version (v4 added the metadata CRC).
-    assert rewritten["version"] == CHECKPOINT_VERSION == 4
-    assert all(FRAME_KEY in d for d in rewritten["sessions"])
+    with obs_capture() as (_tracer, registry):
+        assert asyncio.run(scenario()) == 0
+        corrupt = registry.values("repro_serve_checkpoint_corrupt_total")
+    assert sum(corrupt.values()) == 1
+    assert CHECKPOINT_VERSION == 5
 
 
 # ----------------------------------------------------------------------
@@ -585,22 +819,22 @@ _JSON_VALUES = st.recursive(
 
 
 def envelope(header, payload=b"", size=None):
-    """A blob in the cold tier's layout: deflated ``u32 | header | payload``."""
+    """A record's layout: deflated ``u32 | header | payload``."""
     size = len(header) if size is None else size
     return zlib.compress(struct.pack("<I", size) + header + payload)
 
 
 def valid_parts():
-    """A valid document's blob header (JSON) and frame payload."""
+    """A valid document's record header (JSON) and frame payload."""
     doc = valid_doc()
-    payload = base64.b64decode(doc.pop(FRAME_KEY))
+    payload = doc.pop(FRAME_KEY)
     return json.dumps(doc, separators=(",", ":"), sort_keys=True).encode(), \
         payload
 
 
 @st.composite
 def envelopes(draw):
-    """Blobs whose deflate stream is fine but whose layout is not."""
+    """Records whose deflate stream is fine but whose layout is not."""
     header, payload = valid_parts()
     kind = draw(st.sampled_from(["past_end", "non_utf8", "non_object",
                                  "truncated", "oversized", "short"]))
@@ -627,13 +861,13 @@ def envelopes(draw):
     st.binary(max_size=300).map(zlib.compress),
     _JSON_VALUES.map(lambda value: zlib.compress(json.dumps(value).encode())),
     envelopes()))
-def test_fuzz_blob_to_doc(blob):
+def test_fuzz_unpack_record(record):
     try:
-        doc = blob_to_doc(blob)
+        doc = unpack_record(record)
     except CheckpointCorruptError:
         return
     assert isinstance(doc, dict)
-    assert isinstance(doc[FRAME_KEY], str)
+    assert isinstance(doc[FRAME_KEY], bytes)
 
 
 _WRONG_TYPED = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
@@ -658,7 +892,7 @@ def mutated_docs(draw):
     elif kind == "garble":
         frame = doc[FRAME_KEY]
         at = draw(st.integers(0, len(frame) - 1))
-        doc[FRAME_KEY] = (frame[:at] + draw(st.characters())
+        doc[FRAME_KEY] = (frame[:at] + bytes([draw(st.integers(0, 255))])
                           + frame[at + 1:])
     elif kind == "crc":
         doc["frame_crc32"] = draw(st.integers(0, 2**32 - 1))
@@ -684,7 +918,7 @@ _ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
 
 @st.composite
 def random_row_blobs(draw):
-    """A CRC-correct blob of arbitrary rows.
+    """A CRC-correct record of arbitrary rows.
 
     Every column but ``t`` passes the batch checks; ``t`` may hold NaN
     or an infinity, which the frame carries and wake must refuse.
@@ -710,15 +944,12 @@ def random_row_blobs(draw):
 
 @st.composite
 def mutated_doc_blobs(draw):
-    """A mutated document (see :func:`mutated_docs`) in the blob layout."""
+    """A mutated document (see :func:`mutated_docs`) in the record layout."""
     doc = draw(mutated_docs())
     if not isinstance(doc, dict):
         return envelope(json.dumps(doc).encode())
-    frame = doc.pop(FRAME_KEY, "")
-    try:
-        payload = base64.b64decode(frame, validate=True)
-    except (TypeError, ValueError):
-        payload = b""
+    frame = doc.pop(FRAME_KEY, b"")
+    payload = frame if isinstance(frame, bytes) else b""
     return envelope(json.dumps(doc).encode(), payload)
 
 
@@ -731,7 +962,7 @@ def test_fuzz_waking_an_arbitrary_parked_blob(blob):
     # Any parked blob wakes as a restored session or as a counted fresh
     # one; nothing else escapes session_for.
     shard = SessionShard(0, SessionConfig(), lambda m: None)
-    shard.hibernated.put_blob(USER, blob)
+    shard.hibernated.put(USER, blob)
     with obs_capture() as (_tracer, registry):
         session = shard.session_for(USER)
         corrupt = sum(registry.values(

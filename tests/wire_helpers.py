@@ -1,10 +1,8 @@
 """Test helper: the retired per-report JSON ``report`` message shape.
 
-Protocol v4 carries tag reads only as binary column frames, but v2
-checkpoint session documents stored one such dict per report (read back
-by :func:`repro.serve.checkpoint.wire_to_report`).  Tests build those
-legacy documents, and JSON ``report`` frames a v4 endpoint must refuse,
-with :func:`report_to_wire`.
+Protocol v4 and later carry tag reads only as binary column frames.
+Tests build JSON ``report`` frames, which an endpoint must refuse, and
+per-report JSON for size comparisons with :func:`report_to_wire`.
 """
 
 from typing import Any, Dict

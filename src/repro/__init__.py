@@ -40,12 +40,9 @@ from .core import (
     TagBreathe,
     UserEstimate,
     default_frequencies,
-    displacement_deltas,
-    displacement_track,
     fft_lowpass,
     fft_peak_rate_bpm,
     fir_lowpass,
-    fuse_streams,
     rate_series_bpm,
     zero_crossing_times,
 )
@@ -94,8 +91,7 @@ __all__ = [
     "ScenarioDefaults", "SystemConfig", "default_config",
     # core pipeline
     "TagBreathe", "UserEstimate", "BreathExtractor", "BreathingEstimate",
-    "default_frequencies", "displacement_deltas", "displacement_track",
-    "fuse_streams", "fft_lowpass", "fir_lowpass",
+    "default_frequencies", "fft_lowpass", "fir_lowpass",
     "zero_crossing_times", "rate_series_bpm", "fft_peak_rate_bpm",
     "FFTPeakEstimator",
     "DEGRADED_REASONS", "FEED_DROP_KEYS",

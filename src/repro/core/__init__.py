@@ -18,13 +18,8 @@ paper argues against (Section IV-B), and :mod:`~repro.core.quality` the per-ante
 (Section IV-D-3).
 """
 
-from .preprocess import (
-    default_frequencies,
-    group_reports_by_stream,
-    displacement_deltas,
-    displacement_track,
-)
-from .fusion import fuse_streams, fuse_sample_streams, FusedStream
+from .preprocess import default_frequencies
+from .fusion import fuse_sample_streams, FusedStream
 from .filters import fft_lowpass, fir_lowpass, detrend_series
 from .zerocross import zero_crossing_times, instant_rates_bpm, rate_series_bpm
 from .spectral import fft_spectrum, fft_peak_rate_bpm, frequency_resolution_bpm
@@ -40,10 +35,6 @@ from .tracking import BreathingRateTracker, TrackedRate, smooth_rate_series
 
 __all__ = [
     "default_frequencies",
-    "group_reports_by_stream",
-    "displacement_deltas",
-    "displacement_track",
-    "fuse_streams",
     "fuse_sample_streams",
     "FusedStream",
     "fft_lowpass",

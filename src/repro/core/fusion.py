@@ -5,10 +5,14 @@
     signal strength by fusing raw data, which substantially enhances
     signal extraction especially when the signals are weak."
 
-Mechanics: each tag's displacement increments (Eq. 3) are summed within
-time bins of width ``delta_t`` and the per-bin sums of all ``n`` tags are
-added (Eq. 6); the binned fused increments are then accumulated (Eq. 7)
-into the displacement track handed to the extraction stage.
+Mechanics: the paper sums each tag's Eq. (3) displacement increments
+within time bins of width ``delta_t``, adds the per-bin sums of all
+``n`` tags (Eq. 6) and accumulates them (Eq. 7).  The engine fuses the
+per-tag *displacement samples* of
+:func:`repro.core.incremental.window_samples` instead: each tag's
+samples are averaged within each bin and the binned tracks are summed
+across tags, which is Eq. (7)'s accumulated track without its
+dwell-boundary random walk (DESIGN.md §6 item 1).
 
 Because all of a user's tags move in phase during breathing ("the three
 tags' relative displacement to reader's antenna simultaneously decrease
@@ -22,7 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from ..errors import EmptyStreamError, StreamError
-from ..streams.resample import bin_mean, bin_sum
+from ..streams.resample import bin_mean
 from ..streams.timeseries import TimeSeries
 from .preprocess import StreamKey
 
@@ -38,8 +42,8 @@ class FusedStream:
 
     Attributes:
         user_id: whose tags were fused.
-        increments: Eq. (6) — fused displacement increments per bin.
-        track: Eq. (7) — accumulated displacement on the bin grid.
+        increments: the fused track's per-bin first difference.
+        track: fused displacement on the bin grid (Eq. 7's track).
         tags_fused: how many tag streams contributed.
         bin_s: the fusion bin width used.
     """
@@ -51,55 +55,6 @@ class FusedStream:
     bin_s: float
 
 
-def fuse_streams(
-    user_id: int,
-    delta_streams: Dict[StreamKey, TimeSeries],
-    bin_s: float = DEFAULT_BIN_S,
-    t_start: Optional[float] = None,
-    t_end: Optional[float] = None,
-) -> FusedStream:
-    """Eq. (6)–(7): fuse one user's per-tag displacement increments.
-
-    Args:
-        user_id: the user the streams belong to (for bookkeeping).
-        delta_streams: per-tag Eq. (3) increment series.
-        bin_s: fusion bin width Delta-t.
-        t_start / t_end: common grid bounds; default to the union span of
-            all non-empty streams.
-
-    Returns:
-        The fused increments and the accumulated track.
-
-    Raises:
-        EmptyStreamError: if every stream is empty.
-        StreamError: on a non-positive bin width.
-    """
-    if bin_s <= 0:
-        raise StreamError("bin_s must be > 0")
-    nonempty = [s for s in delta_streams.values() if s]
-    if not nonempty:
-        raise EmptyStreamError(f"user {user_id}: no displacement data to fuse")
-    lo = min(s.start for s in nonempty) if t_start is None else t_start
-    hi = max(s.end for s in nonempty) + 1e-9 if t_end is None else t_end
-
-    fused: Optional[TimeSeries] = None
-    for stream in nonempty:
-        binned = bin_sum(stream, bin_s, t_start=lo, t_end=hi)
-        if fused is None:
-            fused = binned
-        else:
-            fused = TimeSeries.from_trusted(
-                fused.times, fused.values + binned.values)
-    assert fused is not None
-    return FusedStream(
-        user_id=user_id,
-        increments=fused,
-        track=fused.cumsum(),
-        tags_fused=len(nonempty),
-        bin_s=bin_s,
-    )
-
-
 def fuse_sample_streams(
     user_id: int,
     sample_streams: Dict[StreamKey, TimeSeries],
@@ -109,8 +64,8 @@ def fuse_sample_streams(
 ) -> FusedStream:
     """Fuse per-tag *absolute* displacement samples, stream by stream.
 
-    The counterpart of :func:`fuse_streams` for the segment-normalised
-    representation of :func:`repro.core.incremental.window_samples`
+    Eq. (6)/(7) for the segment-normalised representation of
+    :func:`repro.core.incremental.window_samples`
     (whose ``fused_track`` is the same arithmetic over all streams at
     once): each tag's samples are averaged within each Delta-t bin (empty bins
     interpolated) and the per-tag binned tracks are summed across tags.

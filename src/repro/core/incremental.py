@@ -29,12 +29,8 @@ scoring, the Doppler motion screen, fusion, the estimator lattice) and
 passes it this stage 5.  ``tests/stage5_reference.py`` keeps the
 per-stream reference (segments, displacement samples, Hampel and
 fusion stream by stream over ``TagReport`` lists); the tests hold
-batch and tick equal to it bit for bit.
-
-What stays out: ``mode="increments"`` is batch-only — its
-:class:`~repro.core.preprocess.DeltaChain` smoothing window spans the
-analysis-window boundary, so windowed results are not a function of
-windowed reports, and its stage 5 runs per stream in the pipeline.
+batch and tick equal to it bit for bit.  Chains split into segments at
+gaps over :data:`~repro.core.preprocess.DEFAULT_SEGMENT_GAP_S`.
 """
 
 from __future__ import annotations
@@ -56,6 +52,7 @@ from ..units import SPEED_OF_LIGHT, wrap_phase_delta
 from .fusion import fuse_sample_streams
 from .preprocess import (
     DEFAULT_MIN_SEGMENT_LEN,
+    DEFAULT_SEGMENT_GAP_S,
     StreamKey,
     chain_order,
     demeaned_segments,
@@ -126,7 +123,6 @@ class IncrementalEstimator:
         frequencies_hz: channel-index -> carrier frequency map.
         config: signal-processing parameters (fusion bin width).
         robustness: graceful-degradation thresholds (Hampel rejection).
-        max_gap_s: segment-splitting gap limit (samples mode).
         retain_s: bounded-memory horizon: a prune check drops a
             stream's rows older than its triggering row's time minus
             this.
@@ -137,12 +133,10 @@ class IncrementalEstimator:
         frequencies_hz: List[float],
         config: PipelineConfig,
         robustness: RobustnessConfig,
-        max_gap_s: float,
         retain_s: float,
     ) -> None:
         self._config = config
         self._robustness = robustness
-        self._max_gap_s = max_gap_s
         self._retain_s = retain_s
         # Eq. (4)'s displacement coefficient lambda / (4 pi) per channel.
         self._coef = np.array([(SPEED_OF_LIGHT / f) / (4.0 * np.pi)
@@ -369,7 +363,7 @@ class IncrementalEstimator:
                                       slots[new].tolist()))
             state.tail_t = np.concatenate((state.tail_t, times[first[new]]))
             state.tail_p = np.concatenate((state.tail_p, phases[first[new]]))
-        wd, seg = chain_deltas(times, phases, order, starts, self._max_gap_s,
+        wd, seg = chain_deltas(times, phases, order, starts,
                                state.tail_t[slots], state.tail_p[slots])
         last = order[np.append(starts[1:], order.shape[0]) - 1]
         state.tail_t[slots] = times[last]
@@ -443,8 +437,7 @@ class IncrementalEstimator:
             ``track_of``, as :meth:`window_rows` returns it.
         """
         order, start = chain_order(rows.sid, rows.chan, rows.port)
-        wd, seg = chain_deltas(rows.t, phase, order, np.flatnonzero(start),
-                               self._max_gap_s)
+        wd, seg = chain_deltas(rows.t, phase, order, np.flatnonzero(start))
         return self._track_of(user_id, rows, phase, wd, seg)
 
     def _track_of(
@@ -463,8 +456,7 @@ class IncrementalEstimator:
 
 
 def chain_deltas(times: np.ndarray, phases: np.ndarray, order: np.ndarray,
-                 starts: np.ndarray, max_gap_s: float,
-                 tail_t: Optional[np.ndarray] = None,
+                 starts: np.ndarray, tail_t: Optional[np.ndarray] = None,
                  tail_p: Optional[np.ndarray] = None
                  ) -> Tuple[np.ndarray, np.ndarray]:
     """Eq. (3) over time-ordered rows: the engine's one phase differencing.
@@ -476,9 +468,11 @@ def chain_deltas(times: np.ndarray, phases: np.ndarray, order: np.ndarray,
     per chain in chain order, the newest read stored before these rows
     — and every later row against its predecessor.  With no tails each
     chain's first row is its own predecessor.  A row whose gap is not
-    positive or exceeds ``max_gap_s`` starts a segment; every other row
-    gets its wrapped phase delta.  While tracing is on, deltas that the
-    wrap moved (raw difference outside ``[-pi, pi)``) are counted in
+    positive or exceeds
+    :data:`~repro.core.preprocess.DEFAULT_SEGMENT_GAP_S` starts a
+    segment; every other row gets its wrapped phase delta.  While
+    tracing is on, deltas that the wrap moved (raw difference outside
+    ``[-pi, pi)``) are counted in
     ``repro_pipeline_phase_unwrap_corrections_total``.
 
     Returns:
@@ -493,7 +487,7 @@ def chain_deltas(times: np.ndarray, phases: np.ndarray, order: np.ndarray,
     prev_p[1:] = p[:-1]
     prev_p[starts] = p[starts] if tail_p is None else tail_p
     gap = t - prev_t
-    seg = (gap <= 0.0) | (gap > max_gap_s)
+    seg = (gap <= 0.0) | (gap > DEFAULT_SEGMENT_GAP_S)
     raw = p - prev_p
     wd = np.empty_like(t)
     wd[order] = np.where(seg, 0.0, wrap_phase_delta(raw))

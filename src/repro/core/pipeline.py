@@ -29,16 +29,13 @@ touching the filter.  All paths share one trailing-window definition:
 ``(t_latest - window_s, t_latest]``
 (:func:`repro.streams.windows.trailing_window_bounds`).
 
-Two preprocessing representations are supported (see DESIGN.md):
-
-* ``mode="samples"`` (default, production): per-channel unwrapped phase
-  segments, offset-normalised and fused by binned averaging.  Every sample
-  carries only its own noise — no dwell-boundary random walk — and channel
-  recurrences preserve continuity even when reads are sparse (30
-  contending tags, 90-degree orientation).
-* ``mode="increments"``: the literal Eq. (3)/(6)/(7) increment pipeline of
-  the paper's text, retained for the ablation benchmarks.  It is
-  batch-only: :meth:`TagBreathe.estimate_user` raises ``ConfigError``.
+Stage 5 preprocesses phase one way: per-channel unwrapped phase
+segments, offset-normalised and fused by binned averaging (DESIGN.md §6
+item 1).  Every sample carries only its own noise — no dwell-boundary
+random walk — and channel recurrences preserve continuity even when
+reads are sparse (30 contending tags, 90-degree orientation).  The
+paper-literal per-read increment form runs only as the preprocessing
+ablation's arm (``benchmarks/test_ablation_preprocessing.py``).
 """
 
 from __future__ import annotations
@@ -58,10 +55,8 @@ from ..config import (
     RobustnessConfig,
 )
 from ..errors import (
-    ConfigError,
     DegradedEstimateWarning,
     EmptyStreamError,
-    ExtractionError,
     InsufficientDataError,
     StreamError,
 )
@@ -87,31 +82,18 @@ from .estimators import (
     track_roughness,
 )
 from .extraction import BreathExtractor, BreathingEstimate
-from .fusion import fuse_streams
 from .incremental import IncrementalEstimator, WindowRows
 from .motion import STILL, MotionReport, apply_motion, score_motion
-from .preprocess import (
-    DEFAULT_MAX_GAP_S,
-    DEFAULT_SEGMENT_GAP_S,
-    DEFAULT_SMOOTH_K,
-    StreamKey,
-    default_frequencies,
-    displacement_deltas,
-    group_reports_by_stream,
-    hampel_streams,
-)
+from .preprocess import StreamKey, default_frequencies
 from .quality import select_port
 
 __all__ = [
-    "MODES", "FEED_DROP_KEYS", "DEGRADED_REASONS",
+    "FEED_DROP_KEYS", "DEGRADED_REASONS",
     "REASON_DISORDERED", "REASON_GAPS", "REASON_TAG_DEATH",
     "REASON_ANTENNA_FAILOVER", "REASON_OUTLIERS",
     "REASON_MOTION", "REASON_PHASE_DEGRADED", "REASON_RSS_FALLBACK",
     "sanitize_columns", "UserEstimate", "TagBreathe",
 ]
-
-#: Supported preprocessing representations.
-MODES = ("samples", "increments")
 
 #: The stable key set of :attr:`TagBreathe.feed_drop_counts` — the
 #: per-cause accounting of reports the streaming entry point discarded.
@@ -229,11 +211,6 @@ class TagBreathe:
         select_antenna: restrict each user's data to the best-quality
             antenna (Section IV-D-3) when reads arrive via several
             antennas.
-        mode: "samples" (production) or "increments" (paper-literal);
-            see the module docstring; "increments" is batch-only.
-        max_gap_s: chain/segment gap limit for the chosen mode (defaults
-            to the mode's recommended value).
-        smooth_k: phase moving-average window (increments mode only).
         robustness: graceful-degradation thresholds (Hampel rejection,
             staleness watchdog, antenna failover); defaults preserve
             clean-capture output bit for bit.
@@ -245,7 +222,7 @@ class TagBreathe:
             is bit-identical to the pre-lattice pipeline.
 
     Raises:
-        ExtractionError: on an unknown mode or filter type.
+        ExtractionError: on an unknown filter type.
     """
 
     def __init__(
@@ -255,15 +232,10 @@ class TagBreathe:
         user_ids: Optional[Set[int]] = None,
         filter_type: str = "fft",
         select_antenna: bool = True,
-        mode: str = "samples",
-        max_gap_s: Optional[float] = None,
-        smooth_k: int = DEFAULT_SMOOTH_K,
         robustness: Optional[RobustnessConfig] = None,
         motion: Optional[MotionConfig] = None,
         estimators: Optional[EstimatorConfig] = None,
     ) -> None:
-        if mode not in MODES:
-            raise ExtractionError(f"mode must be one of {MODES}, got {mode!r}")
         self._frequencies = list(
             frequencies_hz if frequencies_hz is not None else default_frequencies()
         )
@@ -276,12 +248,6 @@ class TagBreathe:
                         count=len(self._user_ids)))
         self._extractor = BreathExtractor(self._config, filter_type=filter_type)
         self._select_antenna = select_antenna
-        self._mode = mode
-        if max_gap_s is None:
-            max_gap_s = (DEFAULT_SEGMENT_GAP_S if mode == "samples"
-                         else DEFAULT_MAX_GAP_S)
-        self._max_gap_s = max_gap_s
-        self._smooth_k = smooth_k
         self._robustness = robustness if robustness is not None else RobustnessConfig()
         self._motion = motion if motion is not None else MotionConfig()
         self._est_config = (estimators if estimators is not None
@@ -304,7 +270,7 @@ class TagBreathe:
         # keeps ~4 analysis windows of reports.
         self._inc = IncrementalEstimator(
             self._frequencies, self._config, self._robustness,
-            self._max_gap_s, retain_s=4.0 * self._window_s())
+            retain_s=4.0 * self._window_s())
         # Memo key: (user_id, window_s, per-call estimator override).
         self._tick_memo: Dict[Tuple[int, float, Optional[str]],
                               Tuple[int, str, object]] = {}
@@ -318,11 +284,6 @@ class TagBreathe:
     def robustness(self) -> RobustnessConfig:
         """The graceful-degradation thresholds in force."""
         return self._robustness
-
-    @property
-    def mode(self) -> str:
-        """The preprocessing representation in use."""
-        return self._mode
 
     @property
     def extractor(self) -> BreathExtractor:
@@ -444,71 +405,30 @@ class TagBreathe:
             cols.t, sid, cols.antenna, cols.channel)
         clean = WindowRows(cols.t[rows], cols.antenna[rows], cols.rssi[rows],
                            cols.doppler[rows], cols.channel[rows], sid[rows])
-        phase = cols.phase[rows]
-        if self._mode == "samples":
-            track_of = self._inc.column_track(user_id, clean, phase)
-        else:
-            reports = cols.select(rows)
-
-            def track_of(keep: np.ndarray) -> Tuple[TimeSeries, int, int]:
-                return self._increments_track(
-                    user_id, reports.select(keep).to_reports())
-
+        track_of = self._inc.column_track(user_id, clean, cols.phase[rows])
         return clean, n_disordered + n_duplicates, track_of
 
     def fused_track(self, user_id: int,
-                    user_reports: Sequence[TagReport]) -> TimeSeries:
-        """The fused displacement track for one user's reports.
+                    reports: Sequence[TagReport]) -> TimeSeries:
+        """The fused displacement track of ``user_id``'s reports.
 
         Exposed for diagnostics and the characterisation benchmarks
         (Figs. 6-8 plot exactly this series and its derivatives).  It is
-        batch stage 1 and stage 5 over every report given: each (user,
-        tag) stream is one stream to fuse.
+        batch stage 1 and stage 5 over the given reports whose EPC
+        carries ``user_id``: each of that user's tag streams is one
+        stream to fuse, and every other user's reports are ignored.
 
         Raises:
             InsufficientDataError / EmptyStreamError: with too little data.
         """
-        cols = ReportBatch.from_reports(user_reports)
+        cols = ReportBatch.from_reports(reports)
+        cols = cols.select(cols.user_id == user_id)
         if not len(cols):
             raise EmptyStreamError(
                 f"user {user_id}: no displacement data to fuse")
         rows, _n_bad, track_of = self._batch_rows(user_id, cols)
         track, _rejected, _total = track_of(np.arange(rows.t.shape[0]))
         return track
-
-    def _increments_track(
-        self, user_id: int, user_reports: Sequence[TagReport],
-    ) -> Tuple[TimeSeries, int, int]:
-        """``mode="increments"`` stage 5: per-stream Eq. (3) increments
-        (:func:`displacement_deltas`), Hampel rejection and Eq. (6)/(7)
-        increment fusion.
-
-        Returns:
-            ``(track, n_rejected, n_samples)``.
-        """
-        per_tag = {
-            key: displacement_deltas(tag_reports, self._frequencies,
-                                     max_gap_s=self._max_gap_s,
-                                     smooth_k=self._smooth_k)
-            for key, tag_reports in group_reports_by_stream(
-                user_reports).items()}
-        counts = np.array([len(s) for s in per_tag.values()], dtype=np.int64)
-        n_samples = int(counts.sum())
-        n_rejected = 0
-        rb = self._robustness
-        if rb.outlier_rejection and n_samples:
-            flagged = hampel_streams(
-                np.concatenate([s.values for s in per_tag.values()]),
-                counts, rb.hampel_window, rb.hampel_n_sigmas)
-            n_rejected = int(np.count_nonzero(flagged))
-            if n_rejected:
-                kept = np.split(~flagged, np.cumsum(counts)[:-1])
-                per_tag = {
-                    key: TimeSeries.from_trusted(s.times[k], s.values[k])
-                    for (key, s), k in zip(per_tag.items(), kept)}
-        fused = fuse_streams(user_id, per_tag,
-                             bin_s=self._config.fusion_bin_s)
-        return fused.track, n_rejected, n_samples
 
     def _cascade(
         self,
@@ -532,8 +452,7 @@ class TagBreathe:
         surviving stages 2-3 to ``(track, n_rejected, n_samples)`` —
         :func:`~repro.core.incremental.window_track` over the stored
         Eq. (3) columns (tick) or over columns computed once from the
-        batch rows, or, in ``mode="increments"``,
-        :meth:`_increments_track`.
+        batch rows.
 
         Args:
             user_id: the user the rows belong to.
@@ -813,7 +732,7 @@ class TagBreathe:
                       estimator: Optional[str] = None) -> UserEstimate:
         """Estimate from the trailing window of streamed data.
 
-        In samples mode this is an O(new-samples) tick: the trailing window
+        This is an O(new-samples) tick: the trailing window
         ``(t_latest - window_s, t_latest]`` is sliced out of the per-user
         window index, the feed-time phase chains supply the Eq. (3)
         deltas, and the result is **memoized** — calling again before any
@@ -849,12 +768,7 @@ class TagBreathe:
             InsufficientDataError: when no streamed data covers the user
                 or the window holds too little signal.
             ExtractionError: on an unknown ``estimator`` name.
-            ConfigError: in ``mode="increments"``, which is batch-only.
         """
-        if self._mode != "samples":
-            raise ConfigError(
-                'mode="increments" is batch-only: use process() or '
-                'process_detailed()')
         window = window_s if window_s is not None else self._window_s()
         version = self._inc.version(user_id)
         if version < 0:

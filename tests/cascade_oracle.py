@@ -36,13 +36,12 @@ from repro.core.estimators import (
 )
 from repro.core.motion import STILL, apply_motion, score_motion
 from repro.core.pipeline import TagBreathe, UserEstimate
-from repro.core.preprocess import group_reports_by_stream
 from repro.core.quality import quality_score
 from repro.errors import EmptyStreamError, InsufficientDataError
 from repro.reader.tagreport import TagReport
 from repro.streams.windows import trailing_window_bounds
 
-from .stage5_reference import fused_track_counting
+from .stage5_reference import fused_track_counting, group_reports_by_stream
 
 
 def group_reports_by_user(

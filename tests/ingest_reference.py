@@ -26,6 +26,7 @@ import numpy as np
 from repro import obs
 from repro.core.incremental import _PRUNE_EVERY, IncrementalEstimator
 from repro.core.pipeline import TagBreathe
+from repro.core.preprocess import DEFAULT_SEGMENT_GAP_S
 from repro.reader.tagreport import TagReport
 from repro.units import wrap_phase_delta
 
@@ -70,7 +71,7 @@ def _ingest(store: IncrementalEstimator, report: TagReport) -> None:
         state.tail_p = np.append(state.tail_p, phase)
     else:
         gap = t - float(state.tail_t[slot])
-        if 0.0 < gap <= store._max_gap_s:
+        if 0.0 < gap <= DEFAULT_SEGMENT_GAP_S:
             raw = phase - float(state.tail_p[slot])
             wd = wrap_phase_delta(raw)
             seg = 0

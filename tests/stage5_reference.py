@@ -6,6 +6,8 @@ Eq. (6)/(7) fusion — as one segmented pass over Eq. (3) columns
 streaming tick alike.  This module keeps the per-stream form it
 replaced, stream by stream over ``TagReport`` lists:
 
+* :func:`group_reports_by_stream` — a capture split into per-(user,
+  tag) report lists;
 * :func:`series_from_pairs` and :func:`merge_series` — ``TimeSeries``
   built from ``(time, value)`` pairs and interleaved by time;
 * :func:`phase_segments` — Eq. (3)/(4) unwrapped segments per
@@ -32,14 +34,27 @@ from repro.core.pipeline import TagBreathe, UserEstimate
 from repro.core.preprocess import (
     DEFAULT_MIN_SEGMENT_LEN,
     DEFAULT_SEGMENT_GAP_S,
-    GroupKey,
     StreamKey,
-    group_reports_by_stream,
 )
 from repro.errors import StreamError
 from repro.reader.tagreport import TagReport
 from repro.streams.timeseries import TimeSeries
 from repro.units import SPEED_OF_LIGHT, wrap_phase_delta
+
+#: A differencing group key: (channel_index, antenna_port).
+GroupKey = Tuple[int, int]
+
+
+def group_reports_by_stream(
+        reports: Iterable[TagReport]) -> Dict[StreamKey, List[TagReport]]:
+    """Split a capture into per-(user, tag) streams via the EPC ID fields.
+
+    Reports within each stream preserve their relative order.
+    """
+    streams: Dict[StreamKey, List[TagReport]] = defaultdict(list)
+    for report in reports:
+        streams[report.stream_key].append(report)
+    return dict(streams)
 
 
 def series_from_pairs(pairs: Iterable[Tuple[float, float]]) -> TimeSeries:
@@ -203,8 +218,7 @@ def fused_track_counting(
     n_rejected = 0
     per_tag: Dict[StreamKey, TimeSeries] = {}
     for key, tag_reports in group_reports_by_stream(user_reports).items():
-        stream = displacement_samples(tag_reports, engine._frequencies,
-                                      max_gap_s=engine._max_gap_s)
+        stream = displacement_samples(tag_reports, engine._frequencies)
         if rb.outlier_rejection and stream:
             stream, rejected = hampel_filter(
                 stream, window=rb.hampel_window, n_sigmas=rb.hampel_n_sigmas)
@@ -220,7 +234,7 @@ def estimate_user_recompute(engine: TagBreathe, user_id: int,
                             window_s: Optional[float] = None,
                             estimator: Optional[str] = None
                             ) -> UserEstimate:
-    """The from-scratch reference tick over a samples-mode engine's store.
+    """The from-scratch reference tick over an engine's streaming store.
 
     Slices the user's stored rows inside the pinned trailing window and
     runs the engine's cascade over them with :func:`fused_track_counting`

@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.fusion import (
-    FusedStream,
-    fuse_sample_streams,
-    fuse_streams,
-)
-from repro.errors import EmptyStreamError, StreamError
+from repro.core.fusion import FusedStream, fuse_sample_streams
+from repro.errors import EmptyStreamError
 from repro.streams import TimeSeries
 
 
@@ -17,50 +13,6 @@ def sine_stream(freq=0.2, duration=30.0, rate=10.0, amplitude=1.0, noise=0.0, se
     t = np.arange(0.0, duration, 1.0 / rate)
     v = amplitude * np.sin(2 * np.pi * freq * t) + rng.normal(0, noise, len(t))
     return TimeSeries(t, v)
-
-
-class TestFuseStreamsEq6:
-    def test_coherent_signals_add(self):
-        streams = {(1, k): sine_stream(seed=k) for k in (1, 2, 3)}
-        fused = fuse_streams(1, streams, bin_s=0.1)
-        single = fuse_streams(1, {(1, 1): sine_stream()}, bin_s=0.1)
-        assert np.abs(fused.increments.values).max() == pytest.approx(
-            3 * np.abs(single.increments.values).max(), rel=0.05
-        )
-
-    def test_track_is_cumsum_of_increments(self):
-        streams = {(1, 1): sine_stream()}
-        fused = fuse_streams(1, streams)
-        np.testing.assert_allclose(
-            fused.track.values, np.cumsum(fused.increments.values)
-        )
-
-    def test_tags_fused_counts_nonempty(self):
-        streams = {(1, 1): sine_stream(), (1, 2): TimeSeries.empty()}
-        fused = fuse_streams(1, streams)
-        assert fused.tags_fused == 1
-
-    def test_all_empty_rejected(self):
-        with pytest.raises(EmptyStreamError):
-            fuse_streams(1, {(1, 1): TimeSeries.empty()})
-
-    def test_bad_bin_rejected(self):
-        with pytest.raises(StreamError):
-            fuse_streams(1, {(1, 1): sine_stream()}, bin_s=0.0)
-
-    def test_noise_averages_down(self):
-        """Eq. 6's point: coherent signal, incoherent noise."""
-        def band_snr(fused):
-            spectrum = np.abs(np.fft.rfft(fused.increments.values))
-            freqs = np.fft.rfftfreq(len(fused.increments), d=fused.bin_s)
-            sig = spectrum[np.argmin(np.abs(freqs - 0.2))]
-            noise = np.median(spectrum[(freqs > 1.0)])
-            return sig / noise
-        single = fuse_streams(1, {(1, 1): sine_stream(noise=1.0, seed=1)}, bin_s=0.1)
-        triple = fuse_streams(1, {
-            (1, k): sine_stream(noise=1.0, seed=k) for k in (1, 2, 3)
-        }, bin_s=0.1)
-        assert band_snr(triple) > band_snr(single)
 
 
 class TestFuseSampleStreams:

@@ -19,8 +19,7 @@ from repro.body import MetronomeBreathing, Subject
 from repro.core.incremental import window_samples
 from repro.core.pipeline import FEED_DROP_KEYS
 from repro.epc import EPC96
-from repro.errors import (ConfigError, DegradedEstimateWarning,
-                          InsufficientDataError)
+from repro.errors import DegradedEstimateWarning, InsufficientDataError
 from repro.reader.batch import ReportBatch
 from repro.reader.tagreport import TagReport
 from repro.streams import GrowableArray, WindowIndex, trailing_window_bounds
@@ -268,18 +267,6 @@ class TestIncrementalEquivalence:
                 assert abs(streamed.rate_bpm
                            - batch_estimates[uid].rate_bpm) < 1e-9
                 assert streamed.read_count == batch_estimates[uid].read_count
-
-    def test_increments_mode_ticks_raise_config_error(self, capture):
-        """mode="increments" is batch-only: feeding works, ticking is a
-        configuration error, and batch process() still estimates."""
-        engine = TagBreathe(user_ids={1, 2}, mode="increments")
-        assert engine.feed_batch(capture.reports) > 0
-        with pytest.raises(ConfigError, match="batch-only"):
-            engine.estimate_user(1, window_s=25.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegradedEstimateWarning)
-            estimates = engine.process(capture.reports, window_s=25.0)
-        assert set(estimates) == {1, 2}
 
     def test_memoized_tick_returns_same_object(self, capture):
         engine = TagBreathe(user_ids={1})

@@ -21,11 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.incremental import chain_deltas, window_samples
-from repro.core.preprocess import (
-    DEFAULT_SEGMENT_GAP_S,
-    chain_order,
-    default_frequencies,
-)
+from repro.core.preprocess import chain_order, default_frequencies
 from repro.core.zerocross import zero_crossing_times
 from repro.epc import EPC96
 from repro.reader import TagReport
@@ -43,8 +39,7 @@ def displacement_samples(reports, frequencies_hz):
     cols = ReportBatch.from_reports(reports)
     sid = np.zeros(len(cols), dtype=np.int64)
     order, start = chain_order(sid, cols.channel, cols.antenna)
-    wd, seg = chain_deltas(cols.t, cols.phase, order, np.flatnonzero(start),
-                           DEFAULT_SEGMENT_GAP_S)
+    wd, seg = chain_deltas(cols.t, cols.phase, order, np.flatnonzero(start))
     coef = SPEED_OF_LIGHT / np.asarray(frequencies_hz) / (4.0 * np.pi)
     times, values, _counts = window_samples(
         cols.t, sid, cols.channel, cols.antenna, cols.phase, wd, seg, coef)

@@ -18,7 +18,6 @@ from repro.core.quality import select_port
 from repro.epc import EPC96
 from repro.errors import (
     DegradedEstimateWarning,
-    ExtractionError,
     InsufficientDataError,
     StreamError,
 )
@@ -67,26 +66,6 @@ class TestBatch:
         _, failures = TagBreathe(user_ids={1, 99}).process_detailed(capture.reports)
         assert 99 in failures
 
-    def test_increments_mode(self, capture):
-        """The paper-literal Eq. (6)/(7) mode runs end-to-end.  It is
-        noisier than the samples mode (dwell-stitch random walk), which
-        is exactly what the ablation benchmark quantifies — here we only
-        require a plausible estimate."""
-        pipeline = TagBreathe(user_ids={1}, mode="increments")
-        estimates = pipeline.process(capture.reports)
-        assert 4.0 < estimates[1].rate_bpm < 40.0
-
-    def test_samples_mode_at_least_as_accurate(self, capture):
-        samples = TagBreathe(user_ids={1}, mode="samples").process(capture.reports)
-        increments = TagBreathe(user_ids={1}, mode="increments").process(capture.reports)
-        err_samples = abs(samples[1].rate_bpm - 12.0)
-        err_increments = abs(increments[1].rate_bpm - 12.0)
-        assert err_samples <= err_increments + 0.5
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ExtractionError):
-            TagBreathe(mode="magic")
-
     def test_empty_capture(self):
         estimates, failures = TagBreathe(user_ids={1}).process_detailed([])
         assert estimates == {}
@@ -103,6 +82,22 @@ class TestBatch:
         pipeline = TagBreathe(user_ids={1})
         track = pipeline.fused_track(1, capture.reports)
         assert track.duration == pytest.approx(50.0, abs=2.0)
+
+    def test_fused_track_fuses_only_the_named_user(self):
+        """Given a two-user capture, fused_track(1, ...) fuses user 1's
+        tags alone: the same track, bit for bit, as user 1's reports."""
+        scenario = Scenario([
+            Subject(user_id=1, distance_m=2.0,
+                    breathing=MetronomeBreathing(12.0), sway_seed=1),
+            Subject(user_id=2, distance_m=2.4,
+                    breathing=MetronomeBreathing(17.0), sway_seed=2),
+        ])
+        result = run_scenario(scenario, duration_s=30.0, seed=5)
+        pipeline = TagBreathe()
+        mixed = pipeline.fused_track(1, result.reports)
+        alone = pipeline.fused_track(1, result.reports_for_user(1))
+        np.testing.assert_array_equal(mixed.times, alone.times)
+        np.testing.assert_array_equal(mixed.values, alone.values)
 
 
 class TestStreaming:

@@ -10,13 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.preprocess import (
-    DeltaChain,
-    default_frequencies,
-    displacement_deltas,
-    displacement_track,
-    group_reports_by_stream,
-)
+from repro.core.preprocess import default_frequencies
 from repro.epc import EPC96
 from repro.errors import StreamError
 from repro.reader import TagReport
@@ -26,6 +20,7 @@ from repro.units import SPEED_OF_LIGHT
 
 from .stage5_reference import (
     displacement_samples,
+    group_reports_by_stream,
     hampel_filter,
     merge_series,
     phase_segments,
@@ -64,117 +59,6 @@ class TestGrouping:
         streams = group_reports_by_stream(reports)
         assert set(streams) == {(1, 1), (1, 2)}
         assert len(streams[(1, 1)]) == 2
-
-
-class TestDisplacementDeltasEq3:
-    def test_recovers_constant_velocity(self):
-        times = np.arange(0.0, 0.15, 0.01)  # inside one dwell
-        distances = 2.0 + 0.001 * times / times[-1]
-        reports = reports_for_motion(distances, times)
-        deltas = displacement_deltas(reports, FREQS, smooth_k=1)
-        track = displacement_track(deltas)
-        assert track.values[-1] == pytest.approx(0.001, abs=1e-9)
-
-    def test_smoothed_track_lags_but_tracks(self):
-        times = np.arange(0.0, 0.15, 0.01)
-        distances = 2.0 + 0.001 * times / times[-1]
-        reports = reports_for_motion(distances, times)
-        deltas = displacement_deltas(reports, FREQS, smooth_k=3)
-        track = displacement_track(deltas)
-        # The k=3 moving average lags by (k-1)/2 samples of motion.
-        assert track.values[-1] == pytest.approx(0.001, rel=0.15)
-
-    def test_static_tag_zero_displacement(self):
-        times = np.arange(0.0, 0.14, 0.02)
-        reports = reports_for_motion([2.0] * len(times), times)
-        deltas = displacement_deltas(reports, FREQS)
-        assert np.allclose(deltas.values, 0.0, atol=1e-12)
-
-    def test_gap_breaks_chain(self):
-        # Two reads 2 s apart (same channel, different dwells): no delta.
-        reports = reports_for_motion([2.0, 2.001], [0.0, 2.0])
-        deltas = displacement_deltas(reports, FREQS, smooth_k=1)
-        assert len(deltas) == 0
-
-    def test_channels_differenced_independently(self):
-        lam0 = SPEED_OF_LIGHT / FREQS[0]
-        lam1 = SPEED_OF_LIGHT / FREQS[1]
-        reports = [
-            make_report(0.00, backscatter_phase(2.0, lam0, 0.5), channel=0),
-            make_report(0.01, backscatter_phase(2.0, lam1, 2.5), channel=1),
-            make_report(0.02, backscatter_phase(2.0005, lam0, 0.5), channel=0),
-            make_report(0.03, backscatter_phase(2.0005, lam1, 2.5), channel=1),
-        ]
-        deltas = displacement_deltas(reports, FREQS, smooth_k=1)
-        # Each channel contributes one delta of +0.5 mm despite wildly
-        # different channel offsets.
-        assert len(deltas) == 2
-        assert np.allclose(deltas.values, 0.0005, atol=1e-9)
-
-    def test_antennas_differenced_independently(self):
-        lam = SPEED_OF_LIGHT / FREQS[0]
-        reports = [
-            make_report(0.00, backscatter_phase(2.0, lam, 0.1), antenna=1),
-            make_report(0.01, backscatter_phase(2.0, lam, 3.1), antenna=2),
-            make_report(0.02, backscatter_phase(2.0, lam, 0.1), antenna=1),
-            make_report(0.03, backscatter_phase(2.0, lam, 3.1), antenna=2),
-        ]
-        deltas = displacement_deltas(reports, FREQS, smooth_k=1)
-        assert np.allclose(deltas.values, 0.0, atol=1e-12)
-
-    def test_rejects_mixed_tags(self):
-        reports = [make_report(0.0, 1.0, tag=1), make_report(0.1, 1.0, tag=2)]
-        with pytest.raises(StreamError):
-            displacement_deltas(reports, FREQS)
-
-    def test_rejects_unknown_channel(self):
-        reports = [make_report(0.0, 1.0, channel=10), make_report(0.01, 1.0, channel=10)]
-        with pytest.raises(StreamError):
-            displacement_deltas(reports, FREQS)
-
-    def test_empty_input(self):
-        assert not displacement_deltas([], FREQS)
-
-    def test_smoothing_reduces_noise(self):
-        rng = np.random.default_rng(0)
-        times = np.arange(0.0, 0.15, 0.005)
-        lam = SPEED_OF_LIGHT / FREQS[0]
-        noisy = [make_report(t, backscatter_phase(2.0, lam) + rng.normal(0, 0.1), 0)
-                 for t in times]
-        raw = displacement_track(displacement_deltas(noisy, FREQS, smooth_k=1))
-        smooth = displacement_track(displacement_deltas(noisy, FREQS, smooth_k=3))
-        assert np.std(smooth.values) < np.std(raw.values)
-
-
-class TestDeltaChain:
-    def test_first_push_returns_none(self):
-        chain = DeltaChain(0.3276)
-        assert chain.push(0.0, 1.0) is None
-
-    def test_delta_sign(self):
-        lam = 0.3276
-        chain = DeltaChain(lam, smooth_k=1)
-        chain.push(0.0, backscatter_phase(2.0, lam))
-        delta = chain.push(0.01, backscatter_phase(2.001, lam))
-        assert delta == pytest.approx(0.001, abs=1e-9)
-
-    def test_reset_on_gap(self):
-        chain = DeltaChain(0.3276, max_gap_s=0.1, smooth_k=1)
-        chain.push(0.0, 1.0)
-        assert chain.push(1.0, 1.5) is None  # gap too long: chain reset
-
-    def test_backwards_time_resets(self):
-        chain = DeltaChain(0.3276, smooth_k=1)
-        chain.push(1.0, 1.0)
-        assert chain.push(0.5, 1.2) is None
-
-    def test_validation(self):
-        with pytest.raises(StreamError):
-            DeltaChain(0.0)
-        with pytest.raises(StreamError):
-            DeltaChain(0.3, max_gap_s=0.0)
-        with pytest.raises(StreamError):
-            DeltaChain(0.3, smooth_k=0)
 
 
 class TestPhaseSegments:

@@ -10,7 +10,7 @@ JSON files at the output directory root:
 * ``BENCH_pipeline.json`` — TagBreathe batch-processing throughput over
   each capture (reports/s, users estimated), plus the ``streaming``
   suite: serve-shaped replay of the same captures timing the
-  O(new-samples) cadence tick in units of a fixed reference kernel
+  computed cadence tick in units of a fixed reference kernel
   timed in the same run, each tick checked against batch processing of
   the same stored rows, with memoized (no-new-data) tick latency and
   the derived per-core serve capacity, and ``feed_batch`` over column

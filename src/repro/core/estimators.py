@@ -40,6 +40,7 @@ from ..errors import ExtractionError
 from ..streams.timeseries import TimeSeries
 from .degradation import REASON_PHASE_DEGRADED, REASON_RSS_FALLBACK
 from .extraction import BreathExtractor, BreathingEstimate
+from .preprocess import partition_median
 from .spectral import fft_peak_rate_bpm
 
 @dataclass(frozen=True)
@@ -151,7 +152,8 @@ def track_roughness(track: TimeSeries) -> float:
     """
     if len(track) < 2:
         return 0.0
-    return float(np.median(np.abs(np.diff(track.values))))
+    values = track.values
+    return partition_median(np.abs(values[1:] - values[:-1]))
 
 
 def select_estimator(config: EstimatorConfig, roughness: float,

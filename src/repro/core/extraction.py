@@ -7,6 +7,7 @@ signal and the instantaneous breathing rate from Eq. (5).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -15,8 +16,9 @@ import numpy as np
 from ..config import PipelineConfig
 from ..errors import ExtractionError, InsufficientDataError
 from ..streams.timeseries import TimeSeries
-from .filters import detrend_series, fft_lowpass, fir_lowpass
-from .spectral import fft_spectrum
+from .filters import (_fft_bandpass, _require_regular, detrend_series,
+                      fir_lowpass)
+from .preprocess import partition_median
 from .zerocross import instant_rates_bpm, zero_crossing_times
 
 #: Crossing hysteresis as a fraction of the filtered signal's RMS: real
@@ -88,18 +90,23 @@ class BreathExtractor:
                 f"need >= {self._config.min_window_s:.1f}s"
             )
         prepared = detrend_series(track) if self._config.detrend else track
+        # One validation and one frequency grid serve the peak search and
+        # the FFT filter: both read the same detrended series.
+        rate_hz = _require_regular(prepared, "extract_signal")
+        freqs = np.fft.rfftfreq(len(prepared), d=1.0 / rate_hz)
         low, high = self._config.highpass_hz, self._config.cutoff_hz
         if self._config.adaptive_band:
-            peak_hz = self._dominant_breathing_peak(prepared)
+            peak_hz = self._dominant_breathing_peak(prepared.values, freqs)
             if peak_hz is not None:
                 half = self._config.band_halfwidth_hz
                 low = max(low, peak_hz - half)
                 high = min(high, peak_hz + half)
         if self._filter_type == "fft":
-            return fft_lowpass(prepared, high, highpass_hz=low)
+            return _fft_bandpass(prepared, rate_hz, freqs, high, low)
         return fir_lowpass(prepared, high, highpass_hz=low)
 
-    def _dominant_breathing_peak(self, track: TimeSeries) -> Optional[float]:
+    def _dominant_breathing_peak(self, values: np.ndarray,
+                                 freqs: np.ndarray) -> Optional[float]:
         """Locate the breathing fundamental in the track's spectrum [Hz].
 
         The track amplitudes are weighted by ``sqrt(f)`` before the
@@ -116,26 +123,28 @@ class BreathExtractor:
         breathing waveform.  Returns None when no bin lies inside the band
         (window too short), in which case the caller falls back to the
         full band.
+
+        ``values`` is the regularly sampled track and ``freqs`` its
+        ascending ``rfftfreq`` grid; the amplitudes are
+        :func:`~repro.core.spectral.fft_spectrum`'s, computed for the
+        band's bins only.
         """
-        if len(track) < 4:
+        lo = int(freqs.searchsorted(self._config.highpass_hz, side="left"))
+        hi = int(freqs.searchsorted(self._config.cutoff_hz, side="right"))
+        if hi <= lo:
             return None
-        freqs, spectrum = fft_spectrum(track)
-        spectrum = spectrum * np.sqrt(np.maximum(freqs, 0.0))
-        band = (freqs >= self._config.highpass_hz) & (freqs <= self._config.cutoff_hz)
-        if not band.any():
-            return None
-        band_freqs = freqs[band]
-        band_amp = spectrum[band]
+        n = values.shape[0]
+        band_freqs = freqs[lo:hi]
+        spectrum = np.abs(np.fft.rfft(values - values.sum() / n))[lo:hi] / n
+        band_amp = spectrum * np.sqrt(band_freqs)
         if len(band_amp) < 3:
             return float(band_freqs[int(np.argmax(band_amp))])
         threshold = 0.5 * float(band_amp.max())
-        interior = np.arange(1, len(band_amp) - 1)
-        local_max = (band_amp[interior] >= band_amp[interior - 1]) & (
-            band_amp[interior] >= band_amp[interior + 1]
-        )
-        candidates = interior[local_max & (band_amp[interior] >= threshold)]
+        inner = band_amp[1:-1]
+        local_max = (inner >= band_amp[:-2]) & (inner >= band_amp[2:])
+        candidates = np.flatnonzero(local_max & (inner >= threshold))
         if len(candidates):
-            return float(band_freqs[candidates[0]])
+            return float(band_freqs[candidates[0] + 1])
         return float(band_freqs[int(np.argmax(band_amp))])
 
     def estimate(self, track: TimeSeries) -> BreathingEstimate:
@@ -148,14 +157,15 @@ class BreathExtractor:
                 results").
         """
         signal = self.extract_signal(track)
-        rms = float(np.sqrt(np.mean(signal.values ** 2)))
+        values = signal.values
+        rms = math.sqrt((values * values).sum() / values.shape[0])
         crossings = zero_crossing_times(
             signal, hysteresis=_HYSTERESIS_RMS_FRACTION * rms
         )
         rate_series = instant_rates_bpm(
             crossings, buffer_m=self._config.zero_crossing_buffer
         )
-        rate = float(np.median(rate_series.values))
+        rate = partition_median(rate_series.values)
         return BreathingEstimate(
             rate_bpm=rate,
             rate_series=rate_series,

@@ -35,8 +35,9 @@ def _require_regular(series: TimeSeries, what: str) -> float:
     """
     if len(series) < 4:
         raise StreamError(f"{what} needs at least 4 samples, got {len(series)}")
-    gaps = np.diff(series.times)
-    mean_gap = float(gaps.mean())
+    times = series.times
+    gaps = times[1:] - times[:-1]
+    mean_gap = float(gaps.sum() / gaps.shape[0])
     if mean_gap <= 0:
         raise StreamError(f"{what} needs increasing timestamps")
     if float(np.abs(gaps - mean_gap).max()) > 0.01 * mean_gap:
@@ -53,12 +54,20 @@ def detrend_series(series: TimeSeries) -> TimeSeries:
     The displacement track carries a slow ramp (hop-stitching drift plus
     any net body motion); removing it keeps the ramp from leaking through
     the low-pass band and biasing zero-crossing detection.
+
+    The least-squares line is fitted in closed form on centred times,
+    ``slope = sum(tc * vc) / sum(tc * tc)`` with ``tc`` and ``vc`` the
+    times and values less their means, which stays well conditioned on
+    a long-running session's clock.
     """
     if len(series) < 2:
         return series
-    coeffs = np.polyfit(series.times, series.values, deg=1)
-    trend = np.polyval(coeffs, series.times)
-    return TimeSeries(series.times, series.values - trend)
+    times, values = series.times, series.values
+    n = times.shape[0]
+    tc = times - times.sum() / n
+    vc = values - values.sum() / n
+    slope = (tc @ vc) / (tc @ tc)
+    return TimeSeries.from_trusted(times, vc - slope * tc)
 
 
 def fft_lowpass(series: TimeSeries, cutoff_hz: float = PAPER_CUTOFF_HZ,
@@ -82,11 +91,29 @@ def fft_lowpass(series: TimeSeries, cutoff_hz: float = PAPER_CUTOFF_HZ,
             at/above Nyquist (which would make the filter a no-op and is
             almost certainly a configuration mistake).
     """
+    rate_hz = _require_regular(series, "fft_lowpass")
+    freqs = np.fft.rfftfreq(len(series), d=1.0 / rate_hz)
+    return _fft_bandpass(series, rate_hz, freqs, cutoff_hz, highpass_hz,
+                         remove_dc)
+
+
+def _check_band(cutoff_hz: float, highpass_hz: float) -> None:
     if cutoff_hz <= 0:
         raise StreamError("cutoff_hz must be > 0")
     if highpass_hz < 0 or highpass_hz >= cutoff_hz:
         raise StreamError("highpass_hz must be in [0, cutoff_hz)")
-    rate_hz = _require_regular(series, "fft_lowpass")
+
+
+def _fft_bandpass(series: TimeSeries, rate_hz: float, freqs: np.ndarray,
+                  cutoff_hz: float, highpass_hz: float,
+                  remove_dc: bool = True) -> TimeSeries:
+    """:func:`fft_lowpass` over a series the caller has validated.
+
+    ``rate_hz`` is the series' sampling rate and ``freqs`` its
+    ``np.fft.rfftfreq`` grid (ascending), so the bins above the cutoff
+    and below the high-pass edge are a tail and a head of the spectrum.
+    """
+    _check_band(cutoff_hz, highpass_hz)
     nyquist = rate_hz / 2.0
     if cutoff_hz >= nyquist:
         raise StreamError(
@@ -94,14 +121,13 @@ def fft_lowpass(series: TimeSeries, cutoff_hz: float = PAPER_CUTOFF_HZ,
             f"{rate_hz:.1f} Hz grid"
         )
     spectrum = np.fft.rfft(series.values)
-    freqs = np.fft.rfftfreq(len(series), d=1.0 / rate_hz)
-    spectrum[freqs > cutoff_hz] = 0.0
+    spectrum[freqs.searchsorted(cutoff_hz, side="right"):] = 0.0
     if highpass_hz > 0.0:
-        spectrum[freqs < highpass_hz] = 0.0
+        spectrum[:freqs.searchsorted(highpass_hz, side="left")] = 0.0
     if remove_dc:
         spectrum[0] = 0.0
     filtered = np.fft.irfft(spectrum, n=len(series))
-    return TimeSeries(series.times, filtered)
+    return TimeSeries.from_trusted(series.times, filtered)
 
 
 def fir_lowpass(series: TimeSeries, cutoff_hz: float = PAPER_CUTOFF_HZ,
@@ -123,10 +149,7 @@ def fir_lowpass(series: TimeSeries, cutoff_hz: float = PAPER_CUTOFF_HZ,
         StreamError: on irregular sampling, bad cutoff, or a series shorter
             than the filter needs for stable zero-phase operation.
     """
-    if cutoff_hz <= 0:
-        raise StreamError("cutoff_hz must be > 0")
-    if highpass_hz < 0 or highpass_hz >= cutoff_hz:
-        raise StreamError("highpass_hz must be in [0, cutoff_hz)")
+    _check_band(cutoff_hz, highpass_hz)
     if num_taps < 3:
         raise StreamError("num_taps must be >= 3")
     rate_hz = _require_regular(series, "fir_lowpass")

@@ -57,7 +57,6 @@ from .preprocess import (
     chain_order,
     demeaned_segments,
     hampel_streams,
-    padded_rows,
 )
 
 #: Accepted reports per stream between bounded-memory prune checks.
@@ -523,14 +522,22 @@ def window_samples(times: np.ndarray, sids: np.ndarray, chans: np.ndarray,
         ranked *i* by first appearance in the window — the order
         Eq. (6)/(7) sums streams in.
     """
-    present, first = np.unique(sids, return_index=True)
-    rank = np.empty(int(present[-1]) + 1, dtype=np.int64)
-    rank[present[np.argsort(first)]] = np.arange(present.shape[0])
     n = times.shape[0]
     chain, chain_start = chain_order(sids, chans, ports)
+    # The chains lay each stream's rows out together, in stream id order,
+    # so a stream's first row in the window is its smallest position.
+    chain_sid = sids[chain]
+    firsts = np.flatnonzero(np.concatenate(
+        ([True], chain_sid[1:] != chain_sid[:-1])))
+    present = chain_sid[firsts]
+    rank = np.empty(int(present[-1]) + 1, dtype=np.int64)
+    rank[present[np.argsort(np.minimum.reduceat(chain, firsts))]] = (
+        np.arange(present.shape[0]))
     start = chain_start | (seg[chain] != 0)
     bounds = np.flatnonzero(start)
-    lengths = np.diff(np.append(bounds, n))
+    lengths = np.empty_like(bounds)
+    lengths[:-1] = bounds[1:] - bounds[:-1]
+    lengths[-1] = n - bounds[-1]
     kept = lengths >= DEFAULT_MIN_SEGMENT_LEN
     if not kept.any():
         return np.empty(0), np.empty(0), np.zeros(present.shape[0],
@@ -612,20 +619,22 @@ def fused_track(user_id: int, times: np.ndarray, values: np.ndarray,
         EmptyStreamError: no stream has two samples.
     """
     live = counts >= 2
-    if not live.any():
-        raise EmptyStreamError(
-            f"user {user_id}: no displacement data to fuse")
-    member = np.repeat(live, counts)
-    times, values, counts = times[member], values[member], counts[live]
+    if not live.all():
+        if not live.any():
+            raise EmptyStreamError(
+                f"user {user_id}: no displacement data to fuse")
+        member = np.repeat(live, counts)
+        times, values, counts = times[member], values[member], counts[live]
     ends = np.cumsum(counts)
+    starts = ends - counts
     if counts.max() > _HISTOGRAM_BLOCK:
         # np.histogram bins such streams block by block; so does
         # fuse_sample_streams.
         return fuse_sample_streams(user_id, {
-            i: TimeSeries.from_trusted(times[end - n:end], values[end - n:end])
-            for i, (end, n) in enumerate(zip(ends.tolist(), counts.tolist()))
+            i: TimeSeries.from_trusted(times[a:b], values[a:b])
+            for i, (a, b) in enumerate(zip(starts.tolist(), ends.tolist()))
         }, bin_s=bin_s).track
-    edges = _bin_edges(float(times[ends - counts].min()),
+    edges = _bin_edges(float(times[starts].min()),
                        float(times[ends - 1].max()) + 1e-9, bin_s)
     n_streams, width = counts.shape[0], edges.shape[0] + 1
     stream = np.repeat(np.arange(n_streams), counts)
@@ -635,13 +644,16 @@ def fused_track(user_id: int, times: np.ndarray, values: np.ndarray,
                         minlength=n_streams * width).reshape(n_streams, width)
     idx = np.cumsum(below, axis=1)[:, :-1]
     idx[:, -1] += np.bincount(stream[times == edges[-1]], minlength=n_streams)
-    rows, _, _ = padded_rows(values, counts)
-    cw = np.zeros((n_streams, rows.shape[1] + 1))
-    cw[:, 1:] = np.cumsum(rows, axis=1)
-    sums = np.diff(cw[np.arange(n_streams)[:, None], idx], axis=1)
-    n_in = np.diff(idx, axis=1)
+    # Row i: stream i's zero-prefixed cumulative sum, zero-padded.
+    cw = np.zeros((n_streams, int(counts.max()) + 1))
+    cw[stream, np.arange(1, times.shape[0] + 1)
+       - np.repeat(starts, counts)] = values
+    np.cumsum(cw[:, 1:], axis=1, out=cw[:, 1:])
+    at_edges = cw[np.arange(n_streams)[:, None], idx]
+    n_in = idx[:, 1:] - idx[:, :-1]
     filled = n_in > 0
-    means = np.divide(sums, n_in, out=np.zeros_like(sums), where=filled)
+    # An empty bin's sum is 0.0, and its mean is interpolated below.
+    means = (at_edges[:, 1:] - at_edges[:, :-1]) / np.maximum(n_in, 1)
     centers = (edges[:-1] + edges[1:]) / 2.0
     track = None
     for binned, full in zip(means, filled):

@@ -54,6 +54,7 @@ import numpy as np
 
 from ..config import MotionConfig
 from .degradation import REASON_MOTION
+from .preprocess import partition_median
 
 #: Fewest Doppler reports a window needs before the z-test means
 #: anything; below this the detector reports "still" (never gates).
@@ -115,50 +116,55 @@ def score_motion(times: np.ndarray, doppler: np.ndarray,
     if not config.enabled or n < MIN_WINDOW_REPORTS:
         return STILL
 
-    med = float(np.median(doppler))
-    sigma = MAD_TO_SIGMA * float(np.median(np.abs(doppler - med)))
+    med = partition_median(doppler)
+    sigma = MAD_TO_SIGMA * partition_median(np.abs(doppler - med))
     # A degenerate (near-constant) Doppler column has no noise scale to
     # test against; the absolute min_shift_hz floor still applies.
     sigma = max(sigma, 1e-9)
 
     # Two bin grids, half a bin apart: a burst that straddles one grid's
-    # bin edges lands squarely inside the other's.  Keep the stronger
-    # verdict — flagged beats unflagged, then more flagged bins, then
-    # the higher score.
-    first = _score_grid(times, doppler, sigma, config, 0.0)
-    second = _score_grid(times, doppler, sigma, config,
-                         0.5 * config.bin_s)
-    return max(
-        (first, second),
-        key=lambda r: (r.flagged, r.flagged_fraction, r.score))
-
-
-def _score_grid(times: np.ndarray, doppler: np.ndarray, sigma: float,
-                config: MotionConfig, offset_s: float) -> MotionReport:
-    """Score one bin grid; :data:`STILL` when no bin has enough reports."""
-    t0 = float(times[0]) - offset_s
-    idx = np.floor((times - t0) / config.bin_s).astype(np.int64)
-    n_bins = int(idx[-1]) + 1
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=doppler, minlength=n_bins)
+    # bin edges lands squarely inside the other's.  Both are binned in
+    # one pass, grid g's bin k at row g, column k of one table.
+    origins = float(times[0]) - np.array([0.0, 0.5 * config.bin_s])
+    idx = np.floor((times - origins[:, None]) / config.bin_s).astype(np.int64)
+    width = int(idx[:, -1].max()) + 1
+    idx[1] += width
+    counts = np.bincount(idx.ravel(), minlength=2 * width).reshape(2, width)
+    sums = np.bincount(idx.ravel(), weights=np.concatenate((doppler, doppler)),
+                       minlength=2 * width).reshape(2, width)
     occupied = counts >= MIN_BIN_REPORTS
     if not occupied.any():
         return STILL
 
-    means = np.zeros(n_bins)
+    means = np.zeros((2, width))
     means[occupied] = sums[occupied] / counts[occupied]
-    z = np.zeros(n_bins)
+    z = np.zeros((2, width))
     z[occupied] = (np.abs(means[occupied])
                    * np.sqrt(counts[occupied].astype(np.float64)) / sigma)
     significant = (occupied
                    & (z >= config.z_threshold)
                    & (np.abs(means) >= config.min_shift_hz))
-
-    score = float(z[occupied].max())
+    # Each grid's largest occupied z-score (z is 0 in empty bins).
+    scores = z.max(axis=1).tolist()
     if not significant.any():
-        return MotionReport(score=score, flagged=False, gated=False,
+        return MotionReport(score=max(scores), flagged=False, gated=False,
                             flagged_fraction=0.0, motion_spans=())
+    # Keep the stronger verdict — flagged beats unflagged, then more
+    # flagged bins, then the higher score.
+    t_end = float(times[-1])
+    return max(
+        (_grid_verdict(float(origins[g]), occupied[g], significant[g],
+                       scores[g], t_end, config) for g in (0, 1)),
+        key=lambda r: (r.flagged, r.flagged_fraction, r.score))
 
+
+def _grid_verdict(t0: float, occupied: np.ndarray,
+                  significant: np.ndarray, score: float, t_end: float,
+                  config: MotionConfig) -> MotionReport:
+    """One grid's verdict from its bins (the first at ``t0``);
+    :data:`STILL` when no bin has enough reports."""
+    if not occupied.any():
+        return STILL
     # Qualifying runs: >= min_run_bins significant bins consecutive
     # *among the occupied bins*.  A calm occupied bin breaks the run; an
     # unoccupied bin (report dropout) is skipped — fast motion destroys
@@ -185,8 +191,7 @@ def _score_grid(times: np.ndarray, doppler: np.ndarray, sigma: float,
         return MotionReport(score=score, flagged=False, gated=False,
                             flagged_fraction=0.0, motion_spans=())
 
-    fraction = flagged_bins / float(int(occupied.sum()))
-    t_end = float(times[-1])
+    fraction = flagged_bins / float(n_occ)
     recent = any(span_end >= t_end - config.gate_recent_s
                  for _, span_end in spans)
     gated = fraction >= config.gate_fraction or recent

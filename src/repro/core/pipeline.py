@@ -85,7 +85,7 @@ from .extraction import BreathExtractor, BreathingEstimate
 from .incremental import IncrementalEstimator, WindowRows
 from .motion import STILL, MotionReport, apply_motion, score_motion
 from .preprocess import StreamKey, default_frequencies
-from .quality import select_port
+from .quality import dead_streams, select_port
 
 __all__ = [
     "FEED_DROP_KEYS", "DEGRADED_REASONS",
@@ -472,39 +472,36 @@ class TagBreathe:
         if not rows.t.shape[0]:
             raise InsufficientDataError(
                 f"user {user_id}: no reports in the analysis window")
-        # Row positions surviving stages 2 and 3.
-        keep = np.arange(rows.t.shape[0])
+        # Row positions surviving stages 2 and 3: every row until one
+        # of them drops some, so stage 5 reads views of the window.
+        keep: Union[slice, np.ndarray] = slice(None)
 
         # 2. Antenna selection with failover past dead ports.
         antenna_port: Optional[int] = None
-        unique_ports = np.unique(rows.port)
-        if self._select_antenna and unique_ports.size > 1:
+        if not (rows.port != rows.port[0]).any():
+            antenna_port = int(rows.port[0])
+        elif self._select_antenna:
             antenna_port, failed_over = select_port(
                 rows.t, rows.port, rows.rssi, rb.antenna_stale_s)
             if failed_over:
                 reasons.append(REASON_ANTENNA_FAILOVER)
                 confidence *= 0.85
             keep = np.flatnonzero(rows.port == antenna_port)
-        elif unique_ports.size == 1:
-            antenna_port = int(unique_ports[0])
         times, sids = rows.t[keep], rows.sid[keep]
 
         # 3. Staleness watchdog: demote permanently-dead tag streams so
         #    Eq. (6)-(7) fuse only live survivors.
-        unique_sids = np.unique(sids)
-        tags_fused = unique_sids.size
-        if tags_fused > 1:
-            t_latest = float(times[-1])
-            dead = [
-                s for s in unique_sids
-                if float(times[sids == s][-1]) < t_latest - rb.stale_stream_s
-            ]
-            if dead and len(dead) < tags_fused:
-                reasons.append(REASON_TAG_DEATH)
-                confidence *= max(0.5, (tags_fused - len(dead)) / tags_fused)
-                tags_fused -= len(dead)
-                alive = ~np.isin(sids, dead)
-                keep, times, sids = keep[alive], times[alive], sids[alive]
+        present, dead = dead_streams(times, sids, rb.stale_stream_s)
+        tags_fused = int(np.count_nonzero(present))
+        n_dead = int(np.count_nonzero(dead))
+        if 0 < n_dead < tags_fused:
+            reasons.append(REASON_TAG_DEATH)
+            confidence *= max(0.5, (tags_fused - n_dead) / tags_fused)
+            tags_fused -= n_dead
+            alive = ~dead[sids]
+            keep = (np.flatnonzero(alive) if isinstance(keep, slice)
+                    else keep[alive])
+            times, sids = times[alive], sids[alive]
 
         # 4. Coverage: seconds-long holes in the read times (bursty loss,
         #    interference) degrade the estimate even when it still lands.
@@ -732,10 +729,12 @@ class TagBreathe:
                       estimator: Optional[str] = None) -> UserEstimate:
         """Estimate from the trailing window of streamed data.
 
-        This is an O(new-samples) tick: the trailing window
-        ``(t_latest - window_s, t_latest]`` is sliced out of the per-user
-        window index, the feed-time phase chains supply the Eq. (3)
-        deltas, and the result is **memoized** — calling again before any
+        The trailing window ``(t_latest - window_s, t_latest]`` is
+        sliced out of the per-user window index and the feed-time phase
+        chains supply its Eq. (3) deltas, so the tick gathers and sorts
+        no reports; stage 5 and extraction then run over every row of
+        the window (``feed_batch`` is the O(new rows) half).  The
+        result is **memoized** — calling again before any
         new report is accepted returns the same ``UserEstimate`` object
         (and cached insufficient-data failures re-raise) without touching
         the filter.  Cache traffic is counted in

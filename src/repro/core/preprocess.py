@@ -23,7 +23,9 @@ out:
   the literal per-read increment form.
 
 These helpers are the array primitives of the engine's one stage 5,
-:func:`repro.core.incremental.window_track`.
+:func:`repro.core.incremental.window_track`, plus
+:func:`partition_median`, the median every computed tick takes (the
+motion screen, the track roughness and the headline rate).
 """
 
 from __future__ import annotations
@@ -135,6 +137,29 @@ def demeaned_segments(acc: np.ndarray, lengths: np.ndarray,
     return values[row_of, col] - means[row_of]
 
 
+def partition_median(values: np.ndarray) -> float:
+    """``float(np.median(values))`` for a non-empty 1-D array, bit for bit.
+
+    ``np.median`` partitions at the middle rank (two ranks for an even
+    length) and at the last one, where a NaN sorts, and returns NaN when
+    it finds one.  Otherwise it is ``np.mean`` of the middle values,
+    which sums from 0.0 (so ``-0.0`` comes out as ``0.0``), i.e.
+    ``(0.0 + a + b) / 2``.  This is that arithmetic without the axis,
+    dtype and output machinery, which costs more than the partition
+    itself on a window of a few hundred values.
+    """
+    n = values.shape[0]
+    half = n // 2
+    if n % 2:
+        part = np.partition(values, (half, -1))
+        mid = 0.0 + part[half]
+    else:
+        part = np.partition(values, (half - 1, half, -1))
+        mid = (0.0 + part[half - 1] + part[half]) / 2
+    last = part[-1]
+    return float(last if last != last else mid)
+
+
 def hampel_streams(values: np.ndarray, lengths: np.ndarray,
                    window: int = 3, n_sigmas: float = 6.0) -> np.ndarray:
     """Hampel/MAD outlier flags for many streams at once.
@@ -151,38 +176,42 @@ def hampel_streams(values: np.ndarray, lengths: np.ndarray,
     the fault.
 
     ``values`` holds the streams end to end, stream *i* ``lengths[i]``
-    samples long.  Each stream long enough for one neighbourhood is
-    edge-padded on its own, the padded streams are laid end to end, and
-    one sliding window plus two ``np.partition`` calls rank every
-    neighbourhood (``k = 2 * window + 1`` is odd, so the median is the
-    one order statistic at rank ``window``); windows that straddle two
-    streams are never read.  Streams shorter than one neighbourhood, and
-    neighbourhoods with zero MAD, never flag.
+    samples long.  Each sample's neighbourhood is gathered straight from
+    its own stream, edge-clamped (the first and last samples repeat), as
+    one ``(samples, 2 * window + 1)`` table, and two ``np.partition``
+    calls rank every neighbourhood (``k = 2 * window + 1`` is odd, so the
+    median is the one order statistic at rank ``window``).  Streams
+    shorter than one neighbourhood, and neighbourhoods with zero MAD,
+    never flag.
 
     Returns:
         A boolean mask over ``values``: True where the sample is rejected.
     """
     w = int(window)
     k = 2 * w + 1
-    flagged = np.zeros(values.shape[0], dtype=bool)
     run = lengths >= k
     if not run.any():
-        return flagged
-    starts = (np.cumsum(lengths) - lengths)[run]
-    size = lengths[run]
-    padded_size = size + 2 * w
-    local = np.arange(int(padded_size.sum())) - np.repeat(
-        np.cumsum(padded_size) - padded_size + w, padded_size)
-    last = np.repeat(size - 1, padded_size)
-    source = np.repeat(starts, padded_size) + np.clip(local, 0, last)
-    padded = values[source]
-    centre = np.flatnonzero((local >= 0) & (local <= last))
-    neighbourhoods = np.lib.stride_tricks.sliding_window_view(
-        padded, k)[centre - w]
+        return np.zeros(values.shape[0], dtype=bool)
+    starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    local = np.arange(values.shape[0]) - starts
+    last = np.repeat(lengths - 1, lengths)
+    source = np.minimum(np.maximum(local[:, None] + np.arange(-w, w + 1), 0),
+                        last[:, None]) + starts[:, None]
+    if run.all():
+        return _hampel_verdict(values, values[source], w, n_sigmas)
+    member = np.repeat(run, lengths)
+    flagged = np.zeros(values.shape[0], dtype=bool)
+    flagged[member] = _hampel_verdict(values[member],
+                                      values[source[member]], w, n_sigmas)
+    return flagged
+
+
+def _hampel_verdict(centre: np.ndarray, neighbourhoods: np.ndarray,
+                    w: int, n_sigmas: float) -> np.ndarray:
+    """Flags for samples ``centre`` with their neighbourhood rows."""
     med = np.partition(neighbourhoods, w, axis=1)[:, w]
     sigma = 1.4826 * np.partition(
         np.abs(neighbourhoods - med[:, None]), w, axis=1)[:, w]
-    residual = np.abs(padded[centre] - med)
-    flagged[source[centre]] = (sigma > 0) & (residual > n_sigmas * sigma)
-    return flagged
+    residual = np.abs(centre - med)
+    return (sigma > 0) & (residual > n_sigmas * sigma)
 

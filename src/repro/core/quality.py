@@ -8,7 +8,8 @@
 
 The engine's robustness cascade selects with :func:`select_port` over
 one user's column arrays, failing over past dead ports; it scores each
-port with :func:`quality_score`.
+port with :func:`quality_score`.  Its staleness watchdog finds the tag
+streams that went silent with :func:`dead_streams`.
 """
 
 from __future__ import annotations
@@ -95,3 +96,28 @@ def select_port(times: np.ndarray, ports: np.ndarray, rssis: np.ndarray,
         if p not in live and scores[p] > scores[chosen]
     ))
     return chosen, failed_over
+
+
+def dead_streams(times: np.ndarray, sids: np.ndarray,
+                 stale_s: float) -> Tuple[np.ndarray, np.ndarray]:
+    """The tag streams present in a window, and those that went silent.
+
+    A stream is dead when its newest read lags the window's newest read
+    by more than ``stale_s``, i.e. when none of its reads lies at or
+    after ``t_latest - stale_s``.  The reads are time-ordered, so those
+    are a suffix of the rows, and one count of the stream labels over
+    all rows and one over the suffix decide every stream at once.
+
+    Args:
+        times: one window's read times, ascending, at least one.
+        sids: each read's tag-stream label, a small non-negative int.
+        stale_s: silence at the window end that marks a stream dead.
+
+    Returns:
+        ``(present, dead)``: boolean masks indexed by stream label.
+    """
+    present = np.bincount(sids) > 0
+    recent = sids[times.searchsorted(float(times[-1]) - stale_s,
+                                     side="left"):]
+    alive = np.bincount(recent, minlength=present.shape[0]) > 0
+    return present, present & ~alive

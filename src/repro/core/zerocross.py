@@ -65,36 +65,34 @@ def zero_crossing_times(series: TimeSeries, hysteresis: float = 0.0) -> List[flo
     carry[carry < 0] = nonzero[0]
     sign = sign[carry]
 
-    crossings: List[float] = []
-    idx = np.nonzero(sign[1:] != sign[:-1])[0]
-    for i in idx:
-        # Linear interpolation between samples i and i+1.
-        v0, v1 = v[i], v[i + 1]
-        if v1 == v0:
-            t_cross = t[i]
-        else:
-            t_cross = t[i] + (t[i + 1] - t[i]) * (-v0) / (v1 - v0)
-        crossings.append(float(t_cross))
+    # Linear interpolation between samples i and i+1 of every sign
+    # change.  Neighbours of a sign change always differ (a zero takes
+    # its predecessor's sign), so the division is never by zero.
+    idx = np.flatnonzero(sign[1:] != sign[:-1])
+    t0, v0 = t[idx], v[idx]
+    at = t0 + (t[idx + 1] - t0) * (-v0) / (v[idx + 1] - v0)
+    crossings: List[float] = at.tolist()
 
     if hysteresis <= 0.0 or len(crossings) < 2:
         return crossings
     # Hysteresis: between two kept crossings, the excursion must exceed
-    # the threshold; merge chattery crossing pairs that it doesn't.
-    kept: List[float] = [crossings[0]]
+    # the threshold; merge chattery crossing pairs that it doesn't.  The
+    # samples with lo <= t <= hi, for crossings lo and hi, are the rows
+    # from lo's left bisection to hi's right one (t is sorted).
+    lefts = t.searchsorted(at, side="left").tolist()
+    rights = t.searchsorted(at, side="right").tolist()
     abs_v = np.abs(v)
+    kept: List[int] = [0]
     for i in range(1, len(crossings)):
-        lo, hi = kept[-1], crossings[i]
-        # Samples with lo <= t <= hi, located by bisection (t is sorted).
-        i0 = int(t.searchsorted(lo, side="left"))
-        i1 = int(t.searchsorted(hi, side="right"))
+        i0, i1 = lefts[kept[-1]], rights[i]
         excursion = float(abs_v[i0:i1].max()) if i1 > i0 else 0.0
         if excursion >= hysteresis:
-            kept.append(crossings[i])
+            kept.append(i)
         else:
             kept.pop()  # the pair cancels: signal never really left zero
             if not kept:
-                kept.append(crossings[i])
-    return kept
+                kept.append(i)
+    return [crossings[i] for i in kept]
 
 
 def instant_rates_bpm(crossing_times: List[float],

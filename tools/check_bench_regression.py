@@ -69,16 +69,30 @@ from typing import Dict, List, Tuple
 
 #: Ceilings on ``tick_cost_kernels`` per (users, duration_s) case: the
 #: mean computed cadence tick in runs of the benchmark's reference
-#: kernel.  They replace floors on ``tick_speedup`` (recompute tick over
-#: incremental tick, both timed in one run) at 0.75x the committed
-#: ratios: 1.57 for 1u/25s and 1.28 for 5u/25s.  On the last commit
-#: with the recompute tick, its median cost over 16 runs (2 vCPUs,
-#: CPython 3.11) was 30.53 kernel runs for 1u/25s and 21.45 for 5u/25s,
-#: so the old floors allowed a tick of 19.43 and 16.72 kernel runs.
-#: Each ceiling sits below that with room for run-to-run noise, so a
-#: tick slowed enough to break the old floor breaks the ceiling too; a
-#: clean tick costs about 9 and 7.5 kernel runs.
-TICK_COST_CEILINGS = {(1, 25.0): 17.0, (5, 25.0): 14.5}
+#: kernel.  They were first set below the retired floors on
+#: ``tick_speedup`` (recompute tick over incremental tick, at 0.75x the
+#: committed ratios), which allowed a tick of 19.43 and 16.72 kernel
+#: runs (the recompute tick cost 30.53 and 21.45 over 16 runs on the
+#: last commit that had it, 2 vCPUs, CPython 3.11), at 17.0 and 14.5.
+#: The leaner tick (one median helper, a closed-form detrend, one
+#: binning pass for the motion screen, vectorised staleness and
+#: crossings, fewer stage 5 passes) lowered them to its own measurement
+#: plus its run-to-run margin.  Twelve alternating pairs of full
+#: ``repro bench --quick`` runs (2 vCPUs, CPython 3.11, numpy 2.4), old
+#: tick against new:
+#:
+#: * 1u/25s ticks 3 times, 2 of them insufficient-data refusals, so its
+#:   mean rests on 3 ticks and spreads widely: new median 6.15 kernel
+#:   runs (quartiles 5.22-6.33, range 4.66-6.71); old median 8.54
+#:   (quartiles 8.08-8.77, range 7.56-9.55).  Ceiling 7.5: 22% over
+#:   the new median and 12% over the worst new run, under every old run.
+#: * 5u/25s ticks 15 times, 8 of them refusals: new median 4.78
+#:   (quartiles 4.65-5.03, range 3.99-5.55); old median 7.29
+#:   (quartiles 7.02-8.04, range 6.44-9.16).  Ceiling 6.0: 25% over
+#:   the new median and 8% over the worst new run, under every old run.
+#:
+#: A tick that slides back to the old cost fails both.
+TICK_COST_CEILINGS = {(1, 25.0): 7.5, (5, 25.0): 6.0}
 
 #: Ceilings on ``feed_batch_cost_kernels`` per (users, duration_s)
 #: case: ``feed_batch`` over the stream in 4096-row column chunks, per

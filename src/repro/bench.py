@@ -606,14 +606,22 @@ SOAK_WORKERS = 4
 SOAK_REPORTS_PER_USER = 12
 
 
+def _soak_capture(reports: ReportBatch, users: int) -> ReportBatch:
+    """User 1's first ``SOAK_REPORTS_PER_USER`` reads of ``reports``,
+    each read followed by its clones under user ids 2..``users``."""
+    base = np.flatnonzero(reports.user_id == 1)[:SOAK_REPORTS_PER_USER]
+    return reports.select(np.repeat(base, users)).with_columns(
+        user_id=np.tile(np.arange(1, users + 1, dtype=np.uint64), len(base)))
+
+
 def run_fabric_soak_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     """Soak the multi-process serve fabric at population scale.
 
     Synthesises a large user population by EPC-remapping a small real
     capture — one simulated subject's first ``SOAK_REPORTS_PER_USER``
-    reads are cloned under thousands of distinct user ids
-    (:meth:`EPC96.from_user_tag` keeps the tag ids), interleaved
-    slice-major so every worker ingests continuously.  The stream is
+    reads are cloned under thousands of distinct user ids (the tag ids
+    are kept), interleaved slice-major so every worker ingests
+    continuously (:func:`_soak_capture`).  The stream is
     replayed at full speed into a ``SOAK_WORKERS``-process fabric, with
     one :meth:`BreathFabric.add_worker` rebalance injected mid-run.
 
@@ -639,10 +647,8 @@ def run_fabric_soak_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     are recorded for humans but never compared across machines.
     """
     import asyncio
-    import dataclasses
     import tempfile
 
-    from .epc.codec import EPC96
     from .serve.client import IngestClient
     from .serve.fabric import BreathFabric
     from .serve.session import SessionConfig
@@ -651,13 +657,7 @@ def run_fabric_soak_benchmark(quick: bool = False, seed: int = 0) -> Dict:
     users = SOAK_QUICK_USERS if quick else SOAK_FULL_USERS
     capture = run_scenario(benchmark_scenario(1, seed=seed),
                            duration_s=25.0, seed=seed)
-    base = [r for r in capture.reports
-            if r.user_id == 1][:SOAK_REPORTS_PER_USER]
-    reports = [
-        dataclasses.replace(r, epc=EPC96.from_user_tag(uid, r.tag_id))
-        for r in base
-        for uid in range(1, users + 1)
-    ]
+    reports = _soak_capture(capture.reports, users)
 
     async def _soak(state_dir: str) -> Dict:
         fabric = BreathFabric(state_dir, FabricConfig(

@@ -408,8 +408,7 @@ class TagBreathe:
         track_of = self._inc.column_track(user_id, clean, cols.phase[rows])
         return clean, n_disordered + n_duplicates, track_of
 
-    def fused_track(self, user_id: int,
-                    reports: Sequence[TagReport]) -> TimeSeries:
+    def fused_track(self, user_id: int, reports: ReportBatch) -> TimeSeries:
         """The fused displacement track of ``user_id``'s reports.
 
         Exposed for diagnostics and the characterisation benchmarks
@@ -421,8 +420,7 @@ class TagBreathe:
         Raises:
             InsufficientDataError / EmptyStreamError: with too little data.
         """
-        cols = ReportBatch.from_reports(reports)
-        cols = cols.select(cols.user_id == user_id)
+        cols = reports.select(reports.user_id == user_id)
         if not len(cols):
             raise EmptyStreamError(
                 f"user {user_id}: no displacement data to fuse")

@@ -3,8 +3,8 @@
 This package sits between capture production
 (:func:`repro.sim.engine.run_scenario` / :meth:`repro.reader.reader.Reader.run`)
 and capture consumption (:class:`repro.core.pipeline.TagBreathe`): seeded,
-chainable transforms that perturb a
-:class:`~repro.reader.tagreport.TagReport` stream with the failures a
+chainable column transforms that perturb a
+:class:`~repro.reader.batch.ReportBatch` capture with the failures a
 deployed RFID installation actually sees — report loss (i.i.d. and
 bursty), tag dropout and permanent death, antenna-port outages, phase
 glitches and pi-ambiguity flips, timestamp jitter, duplicate and

@@ -1,4 +1,4 @@
-"""Seeded composition of fault injectors into one stream transform.
+"""Seeded composition of fault injectors into one batch transform.
 
 A :class:`FaultChain` is the unit a robustness campaign configures: an
 ordered list of :class:`~repro.faults.injectors.FaultInjector` stages plus
@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from ..errors import FaultInjectionError
-from ..reader.tagreport import TagReport
+from ..reader.batch import ReportBatch
 from .injectors import FaultInjector
 
 
@@ -31,8 +31,8 @@ class InjectionStats:
     Attributes:
         name: the injector's machine name.
         severity: the configured severity.
-        reports_in: stream length entering the stage.
-        reports_out: stream length leaving the stage.
+        reports_in: rows entering the stage.
+        reports_out: rows leaving the stage.
     """
 
     name: str
@@ -52,7 +52,7 @@ class FaultChain:
     Args:
         injectors: stages applied in order (may be empty = no-op chain).
         seed: master seed; identical (seed, input) pairs give identical
-            faulted streams.
+            faulted captures.
 
     Raises:
         FaultInjectionError: when a stage is not a :class:`FaultInjector`.
@@ -82,7 +82,7 @@ class FaultChain:
 
     @property
     def last_stats(self) -> Tuple[InjectionStats, ...]:
-        """Per-stage stream accounting of the most recent :meth:`apply`."""
+        """Per-stage row accounting of the most recent :meth:`apply`."""
         return self._last_stats
 
     def __len__(self) -> int:
@@ -93,14 +93,15 @@ class FaultChain:
             f"{s.name}@{s.severity:g}" for s in self._stages) or "no-op"
         return f"FaultChain([{inner}], seed={self._seed})"
 
-    def apply(self, reports: Sequence[TagReport]) -> List[TagReport]:
-        """Run the capture through every stage and return the faulted stream.
+    def apply(self, batch: ReportBatch) -> ReportBatch:
+        """Run the capture through every stage and return the faulted batch.
 
         Re-applying to the same input reproduces the same output; stats of
-        the run are kept in :attr:`last_stats`.
+        the run are kept in :attr:`last_stats`.  A chain of severity-0
+        stages returns ``batch`` itself.
         """
         children = np.random.SeedSequence(self._seed).spawn(max(1, len(self._stages)))
-        out: List[TagReport] = list(reports)
+        out = batch
         stats: List[InjectionStats] = []
         for stage, child in zip(self._stages, children):
             n_in = len(out)

@@ -1,36 +1,38 @@
-"""Composable fault injectors over :class:`~repro.reader.tagreport.TagReport` streams.
+"""Composable fault injectors over :class:`~repro.reader.batch.ReportBatch` captures.
 
 The paper's evaluation runs against a healthy Impinj R420 in a quiet
 office; its own Figs. 14-16 already show what contention and orientation
 do to the read rate.  A production deployment additionally sees tags die,
 antenna ports fail, reports arrive late or twice, and phase readings
 glitch.  Each injector here models one such failure as a *seeded,
-severity-parameterised transform* over a report stream, so robustness
-experiments are exactly repeatable:
+severity-parameterised column transform* over a report batch, so
+robustness experiments are exactly repeatable:
 
 * every injector takes a ``severity`` in ``[0, 1]``;
-* at severity 0 the output is the input, byte for byte (the same report
-  objects in the same order) — a chain of severity-0 injectors is a
-  provable no-op;
+* at severity 0 the output is the input batch itself — a chain of
+  severity-0 injectors is a provable no-op;
 * all randomness comes from the :class:`numpy.random.Generator` passed to
   :meth:`FaultInjector.apply`, normally owned by a
   :class:`~repro.faults.chain.FaultChain` that derives one child generator
   per stage from a single master seed.
 
-Injectors never mutate reports (they are frozen dataclasses); perturbed
-reads are rebuilt with :func:`dataclasses.replace`.
+Each transform is one of three kinds: a keep mask through
+:meth:`ReportBatch.select` (loss and outages), a perturbed column
+(phase, timestamp, Doppler) checked by the validating
+:class:`ReportBatch` constructor, or a row gather (duplicates and
+reordering).  Injectors never write into their input's columns.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import FaultInjectionError
-from ..reader.tagreport import TagReport
+from ..reader.batch import ReportBatch
 from ..units import TWO_PI, wavelength
 
 #: Mid-band FCC carrier wavelength [m] used to turn burst kinematics into
@@ -39,14 +41,27 @@ from ..units import TWO_PI, wavelength
 _NOMINAL_LAMBDA_M = float(wavelength(915.0e6))
 
 
-def _span(reports: Sequence[TagReport]) -> Tuple[float, float]:
-    """First/last timestamp of a non-empty report sequence."""
-    times = [r.timestamp_s for r in reports]
-    return min(times), max(times)
+def _outside(t: np.ndarray,
+             windows: Sequence[Tuple[float, float]]) -> np.ndarray:
+    """Mask of the times in no ``[lo, hi)`` window."""
+    inside = np.zeros(t.shape[0], dtype=bool)
+    for lo, hi in windows:
+        inside |= (t >= lo) & (t < hi)
+    return ~inside
 
 
-def _in_windows(t: float, windows: Sequence[Tuple[float, float]]) -> bool:
-    return any(lo <= t < hi for lo, hi in windows)
+def _streams(batch: ReportBatch) -> Tuple[int, np.ndarray]:
+    """Stream count and each row's stream, numbered in sorted key order.
+
+    Streams are ``(user_id, tag_id)`` pairs, sorted as
+    :meth:`ReportBatch.stream_counts` sorts them, so per-stream draws
+    are seed-deterministic.
+    """
+    _, user_rank = np.unique(batch.user_id, return_inverse=True)
+    tags, tag_rank = np.unique(batch.tag_id, return_inverse=True)
+    keys, stream = np.unique(user_rank * tags.shape[0] + tag_rank,
+                             return_inverse=True)
+    return keys.shape[0], stream
 
 
 def _alternating_outage_windows(
@@ -77,13 +92,13 @@ def _alternating_outage_windows(
 
 
 class FaultInjector(ABC):
-    """One failure mode as a severity-parameterised stream transform.
+    """One failure mode as a severity-parameterised batch transform.
 
     Subclasses are frozen dataclasses whose first field is ``severity``;
     they validate their parameters at construction (raising
     :class:`~repro.errors.FaultInjectionError`) and implement
     :meth:`_transform`, which is only invoked for ``severity > 0`` on a
-    non-empty stream.
+    non-empty batch.
     """
 
     #: Short machine-readable injector name (stats / CLI tables).
@@ -97,16 +112,16 @@ class FaultInjector(ABC):
                 f"{self.name}: severity must be in [0, 1], got {self.severity}"
             )
 
-    def apply(self, reports: Sequence[TagReport],
-              rng: np.random.Generator) -> List[TagReport]:
-        """Transform a report stream; severity 0 returns it unchanged."""
-        if self.severity == 0.0 or not reports:
-            return list(reports)
-        return self._transform(list(reports), rng)
+    def apply(self, batch: ReportBatch,
+              rng: np.random.Generator) -> ReportBatch:
+        """Transform a capture; severity 0 or no rows returns ``batch``."""
+        if self.severity == 0.0 or not len(batch):
+            return batch
+        return self._transform(batch, rng)
 
     @abstractmethod
-    def _transform(self, reports: List[TagReport],
-                   rng: np.random.Generator) -> List[TagReport]:
+    def _transform(self, batch: ReportBatch,
+                   rng: np.random.Generator) -> ReportBatch:
         """The actual perturbation (severity > 0, non-empty input)."""
 
 
@@ -127,9 +142,8 @@ class ReportDrop(FaultInjector):
     def __post_init__(self) -> None:
         self._validate_severity()
 
-    def _transform(self, reports, rng):
-        keep = rng.random(len(reports)) >= self.severity
-        return [r for r, k in zip(reports, keep) if k]
+    def _transform(self, batch, rng):
+        return batch.select(rng.random(len(batch)) >= self.severity)
 
 
 @dataclass(frozen=True)
@@ -152,13 +166,13 @@ class BurstyDrop(FaultInjector):
         if self.burst_s <= 0:
             raise FaultInjectionError("bursty_drop: burst_s must be > 0")
 
-    def _transform(self, reports, rng):
+    def _transform(self, batch, rng):
         if self.severity >= 1.0:
-            return []
-        t0, t1 = _span(reports)
+            return batch[:0]
+        t0, t1 = float(batch.t.min()), float(batch.t.max())
         windows = _alternating_outage_windows(
             rng, t0, t1, self.severity, self.burst_s)
-        return [r for r in reports if not _in_windows(r.timestamp_s, windows)]
+        return batch.select(_outside(batch.t, windows))
 
 
 @dataclass(frozen=True)
@@ -181,13 +195,13 @@ class InterferenceBurst(FaultInjector):
         if self.burst_s <= 0:
             raise FaultInjectionError("interference_burst: burst_s must be > 0")
 
-    def _transform(self, reports, rng):
-        t0, t1 = _span(reports)
+    def _transform(self, batch, rng):
+        t0, t1 = float(batch.t.min()), float(batch.t.max())
         span = max(t1 - t0, self.burst_s)
         n_bursts = max(1, int(round(self.severity * span / self.burst_s)))
         starts = rng.uniform(t0, max(t0, t1 - self.burst_s), size=n_bursts)
-        windows = [(s, s + self.burst_s) for s in starts]
-        return [r for r in reports if not _in_windows(r.timestamp_s, windows)]
+        windows = [(s, s + self.burst_s) for s in starts.tolist()]
+        return batch.select(_outside(batch.t, windows))
 
 
 # ----------------------------------------------------------------------
@@ -212,18 +226,17 @@ class TagDropout(FaultInjector):
         if self.outage_s <= 0:
             raise FaultInjectionError("tag_dropout: outage_s must be > 0")
 
-    def _transform(self, reports, rng):
+    def _transform(self, batch, rng):
         if self.severity >= 1.0:
-            return []
-        t0, t1 = _span(reports)
-        streams = sorted({r.stream_key for r in reports})
-        windows = {
-            key: _alternating_outage_windows(rng, t0, t1, self.severity,
-                                             self.outage_s)
-            for key in streams
-        }
-        return [r for r in reports
-                if not _in_windows(r.timestamp_s, windows[r.stream_key])]
+            return batch[:0]
+        t0, t1 = float(batch.t.min()), float(batch.t.max())
+        n_streams, stream = _streams(batch)
+        keep = np.empty(len(batch), dtype=bool)
+        for s in range(n_streams):
+            rows = stream == s
+            keep[rows] = _outside(batch.t[rows], _alternating_outage_windows(
+                rng, t0, t1, self.severity, self.outage_s))
+        return batch.select(keep)
 
 
 @dataclass(frozen=True)
@@ -245,15 +258,14 @@ class TagDeath(FaultInjector):
         if self.num_victims < 1:
             raise FaultInjectionError("tag_death: num_victims must be >= 1")
 
-    def _transform(self, reports, rng):
-        t0, t1 = _span(reports)
+    def _transform(self, batch, rng):
+        t0, t1 = float(batch.t.min()), float(batch.t.max())
         death_time = t1 - self.severity * (t1 - t0)
-        streams = sorted({r.stream_key for r in reports})
-        n = min(self.num_victims, len(streams))
-        victim_idx = rng.choice(len(streams), size=n, replace=False)
-        victims = {streams[i] for i in victim_idx}
-        return [r for r in reports
-                if r.stream_key not in victims or r.timestamp_s < death_time]
+        n_streams, stream = _streams(batch)
+        n = min(self.num_victims, n_streams)
+        victim_idx = rng.choice(n_streams, size=n, replace=False)
+        return batch.select(~np.isin(stream, victim_idx)
+                            | (batch.t < death_time))
 
 
 @dataclass(frozen=True)
@@ -281,8 +293,8 @@ class AntennaOutage(FaultInjector):
             raise FaultInjectionError(
                 f"antenna_outage: align must be random/start/end, got {self.align!r}")
 
-    def _transform(self, reports, rng):
-        t0, t1 = _span(reports)
+    def _transform(self, batch, rng):
+        t0, t1 = float(batch.t.min()), float(batch.t.max())
         length = self.severity * (t1 - t0)
         if self.align == "start":
             lo = t0
@@ -293,15 +305,12 @@ class AntennaOutage(FaultInjector):
         hi = lo + length
         port = self.port
         if port is None:
-            counts: dict = {}
-            for r in reports:
-                counts[r.antenna_port] = counts.get(r.antenna_port, 0) + 1
-            port = max(sorted(counts), key=lambda p: counts[p])
-        # Half-open on the left so an align="end" window still gates the
+            ports, counts = np.unique(batch.antenna, return_counts=True)
+            port = int(ports[np.argmax(counts)])  # ties: the lowest port
+        # Closed at both ends so an align="end" window still gates the
         # final report (whose timestamp equals the span end).
-        return [r for r in reports
-                if r.antenna_port != port
-                or not (lo <= r.timestamp_s <= hi)]
+        t = batch.t
+        return batch.select((batch.antenna != port) | (t < lo) | (t > hi))
 
 
 # ----------------------------------------------------------------------
@@ -326,19 +335,13 @@ class PhaseOutliers(FaultInjector):
         if self.magnitude_rad <= 0:
             raise FaultInjectionError("phase_outliers: magnitude_rad must be > 0")
 
-    def _transform(self, reports, rng):
-        hit = rng.random(len(reports)) < self.severity
-        magnitudes = rng.uniform(0.5, 1.0, len(reports)) * self.magnitude_rad
-        signs = rng.choice((-1.0, 1.0), len(reports))
-        out = []
-        for report, h, mag, sign in zip(reports, hit, magnitudes, signs):
-            if h:
-                report = replace(
-                    report,
-                    phase_rad=float((report.phase_rad + sign * mag) % TWO_PI),
-                )
-            out.append(report)
-        return out
+    def _transform(self, batch, rng):
+        n = len(batch)
+        hit = rng.random(n) < self.severity
+        magnitudes = rng.uniform(0.5, 1.0, n) * self.magnitude_rad
+        signs = rng.choice((-1.0, 1.0), n)
+        return batch.with_columns(phase=np.where(
+            hit, (batch.phase + signs * magnitudes) % TWO_PI, batch.phase))
 
 
 @dataclass(frozen=True)
@@ -357,13 +360,10 @@ class PhasePiFlips(FaultInjector):
     def __post_init__(self) -> None:
         self._validate_severity()
 
-    def _transform(self, reports, rng):
-        hit = rng.random(len(reports)) < self.severity
-        return [
-            replace(r, phase_rad=float((r.phase_rad + np.pi) % TWO_PI))
-            if h else r
-            for r, h in zip(reports, hit)
-        ]
+    def _transform(self, batch, rng):
+        hit = rng.random(len(batch)) < self.severity
+        return batch.with_columns(phase=np.where(
+            hit, (batch.phase + np.pi) % TWO_PI, batch.phase))
 
 
 # ----------------------------------------------------------------------
@@ -389,13 +389,10 @@ class TimestampJitter(FaultInjector):
         if self.max_jitter_s <= 0:
             raise FaultInjectionError("timestamp_jitter: max_jitter_s must be > 0")
 
-    def _transform(self, reports, rng):
+    def _transform(self, batch, rng):
         offsets = self.severity * rng.uniform(
-            -self.max_jitter_s, self.max_jitter_s, len(reports))
-        return [
-            replace(r, timestamp_s=float(r.timestamp_s + dt))
-            for r, dt in zip(reports, offsets)
-        ]
+            -self.max_jitter_s, self.max_jitter_s, len(batch))
+        return batch.with_columns(t=batch.t + offsets)
 
 
 @dataclass(frozen=True)
@@ -413,14 +410,9 @@ class DuplicateReports(FaultInjector):
     def __post_init__(self) -> None:
         self._validate_severity()
 
-    def _transform(self, reports, rng):
-        dup = rng.random(len(reports)) < self.severity
-        out: List[TagReport] = []
-        for report, d in zip(reports, dup):
-            out.append(report)
-            if d:
-                out.append(report)
-        return out
+    def _transform(self, batch, rng):
+        dup = rng.random(len(batch)) < self.severity
+        return batch.select(np.repeat(np.arange(len(batch)), 1 + dup))
 
 
 @dataclass(frozen=True)
@@ -428,7 +420,7 @@ class OutOfOrderDelivery(FaultInjector):
     """Late delivery: reports keep their timestamps but arrive reordered.
 
     With probability ``severity`` a report's *delivery* is delayed by
-    ``uniform(0, max_delay_s]`` so it lands after younger reports — the
+    ``uniform[0, max_delay_s)`` so it lands after younger reports — the
     network-reordering fault of a buffered LLRP TCP stream.  Timestamps
     are untouched; only the sequence order changes.
     """
@@ -442,15 +434,11 @@ class OutOfOrderDelivery(FaultInjector):
         if self.max_delay_s <= 0:
             raise FaultInjectionError("out_of_order: max_delay_s must be > 0")
 
-    def _transform(self, reports, rng):
-        delayed = rng.random(len(reports)) < self.severity
-        delays = rng.uniform(0.0, self.max_delay_s, len(reports))
-        delivery = [
-            r.timestamp_s + (dt if d else 0.0)
-            for r, d, dt in zip(reports, delayed, delays)
-        ]
-        order = np.argsort(delivery, kind="stable")
-        return [reports[i] for i in order]
+    def _transform(self, batch, rng):
+        delayed = rng.random(len(batch)) < self.severity
+        delays = rng.uniform(0.0, self.max_delay_s, len(batch))
+        delivery = batch.t + np.where(delayed, delays, 0.0)
+        return batch.select(np.argsort(delivery, kind="stable"))
 
 
 # ----------------------------------------------------------------------
@@ -488,13 +476,13 @@ class MotionBurst(FaultInjector):
         if self.excursion_m <= 0:
             raise FaultInjectionError("motion_burst: excursion_m must be > 0")
 
-    def _transform(self, reports, rng):
-        t0, t1 = _span(reports)
+    def _transform(self, batch, rng):
+        times = batch.t
+        t0, t1 = float(times.min()), float(times.max())
         span = max(t1 - t0, self.burst_s)
         n_bursts = max(1, int(round(self.severity * span / self.burst_s)))
         starts = rng.uniform(t0, max(t0, t1 - self.burst_s), size=n_bursts)
         signs = rng.choice((-1.0, 1.0), size=n_bursts)
-        times = np.array([r.timestamp_s for r in reports])
         disp = np.zeros(times.shape[0])
         vel = np.zeros(times.shape[0])
         peak_v = self.excursion_m * np.pi / (2.0 * self.burst_s)
@@ -505,14 +493,11 @@ class MotionBurst(FaultInjector):
         phase_delta = 2.0 * TWO_PI * disp / _NOMINAL_LAMBDA_M
         doppler_delta = vel / _NOMINAL_LAMBDA_M
         moved = (disp != 0.0) | (vel != 0.0)
-        return [
-            replace(
-                r,
-                phase_rad=float((r.phase_rad + dp) % TWO_PI),
-                doppler_hz=float(r.doppler_hz + dd),
-            ) if m else r
-            for r, m, dp, dd in zip(reports, moved, phase_delta, doppler_delta)
-        ]
+        return batch.with_columns(
+            phase=np.where(moved, (batch.phase + phase_delta) % TWO_PI,
+                           batch.phase),
+            doppler=np.where(moved, batch.doppler + doppler_delta,
+                             batch.doppler))
 
 
 #: Every concrete injector class, for property tests and CLI listings.

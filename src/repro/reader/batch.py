@@ -208,6 +208,18 @@ class ReportBatch(SequenceABC):
                                     axis=1, return_counts=True)
         return dict(zip(zip(*streams.tolist()), counts.tolist()))
 
+    def with_columns(self, **columns) -> "ReportBatch":
+        """A new, validated batch with the named columns replaced.
+
+        The other columns are shared with this batch, not copied.
+
+        Raises:
+            ReaderError: when a new column is out of range or the wrong
+                length.
+        """
+        current = {name: getattr(self, name) for name, _ in COLUMNS}
+        return ReportBatch(**{**current, **columns})
+
     def select(self, rows) -> "ReportBatch":
         """A new batch of the given rows (boolean mask or index array)."""
         return ReportBatch._trusted(

@@ -121,7 +121,7 @@ class LLRPClient:
             self._env, self._rospec.duration_s, t_start=self._rospec.start_time_s
         )
         if self._faults is not None:
-            reports = ReportBatch.from_reports(self._faults.apply(reports))
+            reports = self._faults.apply(reports)
         batch: List[TagReport] = []
         for report in reports:
             batch.append(report)

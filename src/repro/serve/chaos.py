@@ -55,6 +55,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+import numpy as np
+
 from .. import obs
 from ..core.pipeline import TagBreathe
 from ..errors import DegradedEstimateWarning, InsufficientDataError
@@ -300,8 +302,8 @@ async def _compare_streamed(report: ChaosReport, fabric: BreathFabric,
 async def _run_chaos_async(reports, config: ChaosConfig,
                            state_dir: Path) -> ChaosReport:
     report = ChaosReport(users=config.users, reports=len(reports))
-    user_ids = sorted({r.user_id for r in reports
-                       if 1 <= r.user_id <= config.users})
+    ids = np.unique(reports.user_id)
+    user_ids = ids[(ids >= 1) & (ids <= config.users)].tolist()
     fabric_config = _chaos_fabric_config(config.workers)
     session = fabric_config.session
     fabric = BreathFabric(state_dir, fabric_config)
@@ -374,8 +376,8 @@ async def _run_failover_async(reports, config: ChaosConfig,
     standby in-process, SIGKILL the primary mid-replay, recover
     through the standby."""
     report = ChaosReport(users=config.users, reports=len(reports))
-    user_ids = sorted({r.user_id for r in reports
-                       if 1 <= r.user_id <= config.users})
+    ids = np.unique(reports.user_id)
+    user_ids = ids[(ids >= 1) & (ids <= config.users)].tolist()
     fabric_config = _chaos_fabric_config(config.workers)
     session = fabric_config.session
     rng = random.Random(config.seed * 7919 + 3)

@@ -120,7 +120,7 @@ def run_scenario(
         reports = reader.run(scenario, duration_s, select=select)
         if faults is not None:
             n_before = len(reports)
-            reports = ReportBatch.from_reports(faults.apply(reports))
+            reports = faults.apply(reports)
             if obs.enabled():
                 obs.event("faults.apply", reports_in=n_before,
                           reports_out=len(reports))

@@ -21,6 +21,7 @@ report to an engine one at a time through the reference.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import pickle
 import struct
 import warnings
@@ -31,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Scenario, TagBreathe, run_scenario
+from repro.bench import SOAK_REPORTS_PER_USER, _soak_capture, benchmark_scenario
 from repro.body import MetronomeBreathing, Subject
 from repro.epc.codec import EPC96
 from repro.errors import DegradedEstimateWarning, ProtocolError, ReaderError
@@ -45,6 +47,7 @@ from repro.serve.protocol import (
     encode_column_frame,
     negotiate_frames,
 )
+from repro.units import TWO_PI
 
 from .ingest_reference import feed_all
 
@@ -208,6 +211,32 @@ class TestReportBatchSequence:
             assert column.tobytes() == getattr(batch, name).tobytes()
         list(batch)  # built reports stay behind, not in the pickle
         assert pickle.loads(pickle.dumps(batch)) == batch
+
+    def test_with_columns_replaces_and_validates(self, pair):
+        reports, batch = pair
+        moved = batch.with_columns(t=batch.t + 1.0)
+        assert moved == [dataclasses.replace(r, timestamp_s=r.timestamp_s + 1.0)
+                         for r in reports]
+        assert batch == reports
+        with pytest.raises(ReaderError):
+            batch.with_columns(phase=batch.phase + TWO_PI)
+        with pytest.raises(ReaderError):
+            batch.with_columns(antenna=batch.antenna[1:])
+        with pytest.raises(TypeError):
+            batch.with_columns(epc=batch.user_id)
+
+    def test_soak_capture_matches_the_report_clones(self):
+        """The soak's user-replicated stream, built on columns, equals
+        the per-report EPC remapping it replaced."""
+        capture = run_scenario(benchmark_scenario(1, seed=0),
+                               duration_s=3.0, seed=0).reports
+        users = 5
+        base = [r for r in capture if r.user_id == 1][:SOAK_REPORTS_PER_USER]
+        clones = [dataclasses.replace(r, epc=EPC96.from_user_tag(uid, r.tag_id))
+                  for r in base for uid in range(1, users + 1)]
+        assert len(set(capture.user_id.tolist())) > 1
+        assert len(clones) == users * SOAK_REPORTS_PER_USER
+        assert _soak_capture(capture, users) == ReportBatch.from_reports(clones)
 
     def test_simulated_capture_is_a_batch(self):
         result = run_scenario(Scenario.single_user(), duration_s=3.0, seed=2)

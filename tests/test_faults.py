@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import Scenario, run_scenario
+from repro import Scenario, TagBreathe, run_scenario
 from repro.config import ReaderConfig
 from repro.body import MetronomeBreathing, Subject
 from repro.errors import FaultInjectionError
@@ -116,9 +116,8 @@ class TestLossInjectors:
     def test_interference_burst_gates_windows(self, capture):
         out = InterferenceBurst(0.3, burst_s=1.0).apply(capture.reports, rng())
         assert 0 < len(out) < len(capture.reports)
-        survivors = {id(r) for r in out}
-        assert all(id(r) in {id(x) for x in capture.reports} for r in out)
-        assert survivors <= {id(r) for r in capture.reports}
+        # Survivors are input reads, unchanged.
+        assert set(out) <= set(capture.reports)
 
 
 class TestTagAndAntennaInjectors:
@@ -306,6 +305,25 @@ class TestProducerIntegration:
             Reader(rng=np.random.default_rng(0)), scenario, faults=chain))
         assert faulted == FaultChain([ReportDrop(0.5)], seed=2).apply(clean)
         assert received == faulted
+
+    def test_faulted_capture_stays_columnar(self, capture, monkeypatch):
+        """Faults and estimation run on columns: no report objects."""
+        from repro.reader.batch import ReportBatch
+
+        calls = []
+        to_reports = ReportBatch.to_reports
+        monkeypatch.setattr(
+            ReportBatch, "to_reports",
+            lambda self: calls.append(len(self)) or to_reports(self))
+        chain = FaultChain([BurstyDrop(0.3, burst_s=1.5), TagDeath(0.5),
+                            AntennaOutage(0.1, align="end"),
+                            PhaseOutliers(0.05), DuplicateReports(0.05),
+                            OutOfOrderDelivery(0.1)], seed=99)
+        faulted = run_scenario(capture.scenario, duration_s=20.0, seed=7,
+                               reader_config=ReaderConfig(num_antennas=2),
+                               faults=chain)
+        TagBreathe(user_ids={1}).process(faulted.reports)
+        assert calls == []
 
     def test_set_fault_chain_clears(self):
         from repro.reader import LLRPClient, ROSpec, Reader
